@@ -356,10 +356,6 @@ pub struct Simulation {
     counters: SchedCounters,
     completed: usize,
     finished_at: Time,
-    /// Hosts whose trailing NIC poll is deferred to the end of the
-    /// current same-timestep delivery batch (first-touch order;
-    /// reusable buffer, cleared per batch).
-    batch_hosts: Vec<HostId>,
     /// Closed-loop application runtime, when the traffic model has one.
     /// `None` for every open-loop model: the hot path stays untouched.
     app: Option<AppRuntime>,
@@ -424,7 +420,6 @@ impl Simulation {
             counters: SchedCounters::default(),
             completed: 0,
             finished_at: Time::ZERO,
-            batch_hosts: Vec::new(),
             app,
             cfg,
         }
@@ -484,14 +479,7 @@ impl Simulation {
                 match ev.unpack() {
                     Event::Fabric(fe) => {
                         self.counters.fabric_events += 1;
-                        match fe {
-                            FabricEvent::Arrive { link, pkt }
-                                if self.fabric.is_host_data_arrival(link, pkt) =>
-                            {
-                                events += self.deliver_batch(now, fe);
-                            }
-                            _ => self.on_fabric(now, fe),
-                        }
+                        self.on_fabric(now, fe);
                     }
                     Event::QpTimer { flow } => {
                         self.counters.qp_timer_events += 1;
@@ -618,68 +606,9 @@ impl Simulation {
         match out {
             None => {}
             Some(FabricOutput::HostTxReady { host }) => self.try_send(now, host),
-            Some(FabricOutput::Deliver { host, pkt }) => self.on_deliver(now, host, pkt, false),
+            Some(FabricOutput::Deliver { host, pkt }) => self.on_deliver(now, host, pkt),
             Some(FabricOutput::Dropped { flow }) => self.on_drop(now, flow),
         }
-    }
-
-    /// Batched switch→host delivery: starting from one data-packet host
-    /// arrival, keep popping *consecutive* events that are also
-    /// same-timestep data-packet host arrivals, defer each delivery's
-    /// trailing NIC poll, and flush the polls once per touched host in
-    /// first-touch order. Returns how many extra events were popped.
-    ///
-    /// This is byte-identity-safe because the deferred work cannot
-    /// observe the reorder: (a) a host has one downlink, so same-time
-    /// data deliveries land on *distinct* hosts whose receive paths
-    /// touch disjoint state; (b) the data receive path makes no
-    /// scheduler insertions (ACK/CNP responses are queued on the NIC,
-    /// not the scheduler, and `timer_cancel` neither inserts nor
-    /// consumes a sequence number), so relative insertion order — and
-    /// with it the FIFO tie-break — is preserved; (c) ACK/NACK/CNP
-    /// deliveries and switch-side arrivals break the batch and are
-    /// handled unbatched (their handlers *do* insert events).
-    /// Completion mid-batch stops further pops at exactly the event the
-    /// unbatched loop would have stopped at, then flushes.
-    fn deliver_batch(&mut self, now: Time, first: FabricEvent) -> u64 {
-        debug_assert!(self.batch_hosts.is_empty());
-        let mut extra = 0;
-        let mut fe = first;
-        loop {
-            let out = self.fabric.handle(now, fe, &mut self.sched);
-            let Some(FabricOutput::Deliver { host, pkt }) = out else {
-                unreachable!("host data arrival must deliver");
-            };
-            self.on_deliver(now, host, pkt, true);
-            if !self.batch_hosts.contains(&host) {
-                self.batch_hosts.push(host);
-            }
-            if self.completed == self.flows.len() {
-                break;
-            }
-            let next = match self.sched.peek() {
-                Some((t, &pe)) if t == now => match pe.unpack() {
-                    Event::Fabric(f @ FabricEvent::Arrive { link, pkt }) => Some((f, link, pkt)),
-                    _ => None,
-                },
-                _ => None,
-            };
-            match next {
-                Some((f, link, pkt)) if self.fabric.is_host_data_arrival(link, pkt) => {
-                    self.sched.pop();
-                    self.counters.fabric_events += 1;
-                    extra += 1;
-                    fe = f;
-                }
-                _ => break,
-            }
-        }
-        let mut hosts = std::mem::take(&mut self.batch_hosts);
-        for host in hosts.drain(..) {
-            self.try_send(now, host);
-        }
-        self.batch_hosts = hosts;
-        extra
     }
 
     /// A packet died inside the fabric: it will never be delivered, so
@@ -693,14 +622,9 @@ impl Simulation {
         }
     }
 
-    /// Process one delivered packet. `defer_send` suppresses the data
-    /// path's trailing NIC poll — only [`Simulation::deliver_batch`]
-    /// passes `true`, and only for data packets (the ACK/NACK path must
-    /// poll immediately: its handler arms timers and changes what the
-    /// next poll would emit).
-    fn on_deliver(&mut self, now: Time, host: HostId, id: PktId, defer_send: bool) {
+    /// Process one delivered packet.
+    fn on_deliver(&mut self, now: Time, host: HostId, id: PktId) {
         let pkt: Packet = self.fabric.take_delivered(id);
-        debug_assert!(!defer_send || pkt.is_data(), "only data deliveries batch");
         irn_telemetry::trace!(
             "pkt.rx",
             t = now.as_nanos(),
@@ -772,9 +696,7 @@ impl Simulation {
                         .receiver_done = true;
                 }
                 self.maybe_retire(now, idx);
-                if !defer_send {
-                    self.try_send(now, host);
-                }
+                self.try_send(now, host);
             }
             PacketKind::Ack | PacketKind::Nack => {
                 let done = self.slab.sender_mut(idx).map(|sender| match sender {

@@ -44,7 +44,7 @@ pub use irn_workload::{
     TrafficCtx, TrafficError, TrafficModel,
 };
 pub use result::{MemoryStats, RunResult, SchedCounters, TransportTotals};
-pub use scenario::{Scenario, ScenarioBuilder, ScenarioError, SCENARIO_SCHEMA};
+pub use scenario::{transport_name, Scenario, ScenarioBuilder, ScenarioError, SCENARIO_SCHEMA};
 
 // Re-export the sub-crates under stable names so downstream users (and
 // the examples) need only one dependency.

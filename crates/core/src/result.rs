@@ -158,15 +158,4 @@ impl RunResult {
             .expect("workload had no incast")
             .rct()
     }
-
-    /// Drop rate among data packets (e.g. §4.2.2 reports 8.5 % for IRN
-    /// without PFC at 70 % load).
-    pub fn drop_rate(&self) -> f64 {
-        let drops = self.fabric.buffer_drops + self.fabric.injected_drops;
-        if self.transport.sent == 0 {
-            0.0
-        } else {
-            drops as f64 / self.transport.sent as f64
-        }
-    }
 }

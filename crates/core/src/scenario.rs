@@ -20,10 +20,11 @@
 
 use crate::config::ExperimentConfig;
 use crate::TopologySpec;
-use irn_net::LoadBalancing;
+use irn_net::{Bandwidth, LoadBalancing};
 use irn_sim::{Duration, Time};
 use irn_transport::cc::CcKind;
 use irn_transport::config::TransportKind;
+use irn_workload::model::MAX_FLOWS;
 use irn_workload::{
     AllreduceAlgo, Component, FlowSpec, Population, SizeDistribution, Start, TrafficError,
     TrafficModel,
@@ -116,45 +117,15 @@ impl Scenario {
 
     /// Parse and validate a `scenario-v1` value tree.
     pub fn from_json_value(v: &Value) -> Result<Scenario, ScenarioError> {
-        parse_scenario(v)
+        // What the table reads is well-typed but not yet validated.
+        let Scenario { name, cfg } = SCENARIO.read(v, "")?;
+        Scenario::from_config(name, cfg)
     }
 
     /// Serialize to the canonical `scenario-v1` value tree (full form:
     /// every field present, defaults materialized, fixed order).
     pub fn to_json_value(&self) -> Value {
-        let cfg = &self.cfg;
-        Value::Object(vec![
-            ("schema".into(), SCENARIO_SCHEMA.to_json()),
-            ("name".into(), self.name.to_json()),
-            ("topology".into(), topology_to_json(cfg.topology)),
-            ("bandwidth_mbps".into(), cfg.bandwidth.as_mbps().to_json()),
-            ("prop_delay_ns".into(), cfg.prop_delay.as_nanos().to_json()),
-            ("buffer_bytes".into(), cfg.buffer_bytes.to_json()),
-            ("pfc".into(), cfg.pfc.to_json()),
-            ("transport".into(), transport_name(cfg.transport).to_json()),
-            ("cc".into(), cc_name(cfg.cc).to_json()),
-            ("traffic".into(), traffic_to_json(&cfg.traffic)),
-            ("seed".into(), cfg.seed.to_json()),
-            ("mtu".into(), cfg.mtu.to_json()),
-            (
-                "rto_high_ns".into(),
-                cfg.rto_high.map(|d| d.as_nanos()).to_json(),
-            ),
-            ("rto_low_ns".into(), cfg.rto_low.as_nanos().to_json()),
-            ("rto_low_n".into(), cfg.rto_low_n.to_json()),
-            ("extra_header".into(), cfg.extra_header.to_json()),
-            (
-                "retx_fetch_delay_ns".into(),
-                cfg.retx_fetch_delay.as_nanos().to_json(),
-            ),
-            ("loss_injection".into(), cfg.loss_injection.to_json()),
-            (
-                "load_balancing".into(),
-                lb_name(cfg.load_balancing).to_json(),
-            ),
-            ("nack_threshold".into(), cfg.nack_threshold.to_json()),
-            ("max_events".into(), cfg.max_events.to_json()),
-        ])
+        SCENARIO.write(self)
     }
 
     /// Serialize to pretty-printed JSON text with a trailing newline
@@ -198,6 +169,12 @@ pub enum ScenarioError {
         /// Dotted path of the unknown field.
         field: String,
     },
+    /// An object spells the same field twice (a JSON parser keeping
+    /// either copy would hide the other from the reader).
+    DuplicateField {
+        /// Dotted path of the repeated field.
+        field: String,
+    },
     /// An enum-like field names an unknown alternative.
     UnknownName {
         /// Dotted path of the field.
@@ -218,6 +195,14 @@ pub enum ScenarioError {
     TooFewHosts {
         /// The host count on offer.
         hosts: usize,
+    },
+    /// The topology has more hosts or directed links than the engine's
+    /// 30-bit event fields can index.
+    TopologyTooLarge {
+        /// Hosts the topology describes.
+        hosts: u128,
+        /// Directed links the topology describes.
+        links: u128,
     },
     /// MTU must be at least one byte.
     ZeroMtu,
@@ -250,6 +235,9 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::UnknownField { field } => {
                 write!(f, "unknown field '{field}'")
             }
+            ScenarioError::DuplicateField { field } => {
+                write!(f, "duplicate field '{field}'")
+            }
             ScenarioError::UnknownName {
                 field,
                 found,
@@ -266,6 +254,11 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::TooFewHosts { hosts } => {
                 write!(f, "topology must have at least 2 hosts, has {hosts}")
             }
+            ScenarioError::TopologyTooLarge { hosts, links } => write!(
+                f,
+                "topology describes {hosts} hosts and {links} directed links, \
+                 exceeding the engine's limit of {MAX_FLOWS} of each"
+            ),
             ScenarioError::ZeroMtu => write!(f, "mtu must be at least 1 byte"),
             ScenarioError::ZeroBandwidth => write!(f, "bandwidth_mbps must be positive"),
             ScenarioError::ZeroBuffer => write!(f, "buffer_bytes must be positive"),
@@ -366,6 +359,12 @@ fn validate(name: &str, cfg: &ExperimentConfig) -> Result<(), ScenarioError> {
             return Err(ScenarioError::OddFatTree { k });
         }
     }
+    // Sizes are checked arithmetically, before anything is built: the
+    // engine packs host, link and flow indices into 30-bit event fields.
+    let (hosts, links) = topology_size(cfg.topology);
+    if hosts.max(links) >= MAX_FLOWS {
+        return Err(ScenarioError::TopologyTooLarge { hosts, links });
+    }
     let hosts = cfg.topology.hosts();
     if hosts < 2 {
         return Err(ScenarioError::TooFewHosts { hosts });
@@ -391,6 +390,24 @@ fn validate(name: &str, cfg: &ExperimentConfig) -> Result<(), ScenarioError> {
     Ok(())
 }
 
+/// The hosts and directed links `topology` describes (saturating).
+fn topology_size(topology: TopologySpec) -> (u128, u128) {
+    let (hosts, cables) = match topology {
+        // k³/4 host cables, then as many edge–aggregation and as many
+        // aggregation–core ones.
+        TopologySpec::FatTree(k) => {
+            let hosts = (k as u128).saturating_pow(3) / 4;
+            (hosts, hosts.saturating_mul(3))
+        }
+        TopologySpec::SingleSwitch(hosts) => (hosts as u128, hosts as u128),
+        TopologySpec::Dumbbell(left, right) => {
+            let hosts = left as u128 + right as u128;
+            (hosts, hosts + 1)
+        }
+    };
+    (hosts, cables.saturating_mul(2))
+}
+
 fn slugify(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     let mut dash = false;
@@ -413,696 +430,497 @@ fn slugify(name: &str) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Name tables (enum-like string fields)
+// The scenario-v1 codec: one table per object, one writer, one strict
+// reader
 // ---------------------------------------------------------------------
 
-macro_rules! name_table {
-    ($ty:ty, $names:ident, $to:ident, $from:ident, [$(($variant:path, $name:literal)),+ $(,)?]) => {
-        const $names: &[&str] = &[$($name),+];
+type Res<T> = Result<T, ScenarioError>;
 
-        fn $to(v: $ty) -> &'static str {
-            match v {
-                $($variant => $name,)+
-            }
-        }
+/// A Rust type with exactly one scenario-v1 JSON form. A table row takes
+/// its conversion from its field's type: `Duration`/`Time` are the
+/// `*_ns` integers, `Bandwidth` is `bandwidth_mbps`, and a type with a
+/// table walks it.
+trait Json: Sized {
+    fn write(&self) -> Value;
+    /// `path` is the dotted path of `v` from the document root.
+    fn read(v: &Value, path: &str) -> Res<Self>;
+}
 
-        fn $from(s: &str, field: &str) -> Result<$ty, ScenarioError> {
-            match s {
-                $($name => Ok($variant),)+
-                _ => Err(ScenarioError::UnknownName {
-                    field: field.to_string(),
-                    found: s.to_string(),
-                    expected: $names,
-                }),
-            }
-        }
+/// One row of a table: the JSON key, spelled once, next to accessors
+/// for the Rust field it maps to.
+struct Field<T> {
+    key: &'static str,
+    /// A required key must be present; an optional one keeps the value
+    /// its table's blank starts with, which is its documented default.
+    required: bool,
+    get: fn(&T) -> Value,
+    set: fn(&mut T, &Value, &str) -> Res<()>,
+}
+
+const REQ: bool = true;
+const OPT: bool = false;
+
+/// How a table's value is spelled.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// The bare tag: `"heavy_tailed"`.
+    Name,
+    /// `{tag: value}`, the value being the single row's.
+    Value,
+    /// The rows as an object, under `{tag: …}` inside a union.
+    Fields,
+}
+
+/// The table of one object or of one variant of a union.
+struct Table<T: 'static> {
+    /// The variant's spelling in its union; empty for a plain object.
+    tag: &'static str,
+    shape: Shape,
+    is: fn(&T) -> bool,
+    /// What a read starts from: the optional rows' defaults, and
+    /// placeholders the required rows overwrite.
+    blank: fn() -> T,
+    fields: &'static [Field<T>],
+}
+
+/// An externally tagged choice between tables; a name table when every
+/// variant is a [`Shape::Name`].
+struct Union<T: 'static> {
+    variants: &'static [Table<T>],
+    /// The accepted spellings, as `UnknownName` lists them.
+    expected: &'static [&'static str],
+}
+
+/// A table from the Rust constructor of its value. A row reads `"key":
+/// REQ field` or `"key": OPT field = default`; a placeholder is the
+/// field type's `Default` unless one is given the same way.
+macro_rules! table {
+    (fields $tag:literal, $($ctor:ident)::+ {
+        $($key:literal: $required:ident $var:ident $(= $blank:expr)?),* $(,)?
+    }) => {
+        table!(@build $tag Fields, $($ctor)::+ { $($var),* },
+            $($ctor)::+ { $($var: table!(@blank $($blank)?)),* }, [] $($key: $required $var),*)
     };
-}
-
-name_table!(
-    TransportKind,
-    TRANSPORT_NAMES,
-    transport_name,
-    transport_from,
-    [
-        (TransportKind::Irn, "irn"),
-        (TransportKind::Roce, "roce"),
-        (TransportKind::IrnGoBackN, "irn_go_back_n"),
-        (TransportKind::IrnNoBdpFc, "irn_no_bdp_fc"),
-        (TransportKind::IwarpTcp, "iwarp_tcp"),
-    ]
-);
-
-name_table!(
-    CcKind,
-    CC_NAMES,
-    cc_name,
-    cc_from,
-    [
-        (CcKind::None, "none"),
-        (CcKind::Timely, "timely"),
-        (CcKind::Dcqcn, "dcqcn"),
-        (CcKind::Aimd, "aimd"),
-        (CcKind::Dctcp, "dctcp"),
-    ]
-);
-
-name_table!(
-    LoadBalancing,
-    LB_NAMES,
-    lb_name,
-    lb_from,
-    [
-        (LoadBalancing::EcmpPerFlow, "ecmp_per_flow"),
-        (LoadBalancing::PacketSpray, "packet_spray"),
-    ]
-);
-
-name_table!(
-    Population,
-    POPULATION_NAMES,
-    population_name,
-    population_from,
-    [
-        (Population::Primary, "primary"),
-        (Population::Incast, "incast"),
-    ]
-);
-
-name_table!(
-    AllreduceAlgo,
-    ALGO_NAMES,
-    algo_name,
-    algo_from,
-    [(AllreduceAlgo::Ring, "ring"), (AllreduceAlgo::Tree, "tree")]
-);
-
-// ---------------------------------------------------------------------
-// Serialization (Scenario → Value)
-// ---------------------------------------------------------------------
-
-fn topology_to_json(t: TopologySpec) -> Value {
-    match t {
-        TopologySpec::FatTree(k) => {
-            tagged("fat_tree", Value::Object(vec![("k".into(), k.to_json())]))
-        }
-        TopologySpec::SingleSwitch(n) => tagged(
-            "single_switch",
-            Value::Object(vec![("hosts".into(), n.to_json())]),
-        ),
-        TopologySpec::Dumbbell(l, r) => tagged(
-            "dumbbell",
-            Value::Object(vec![
-                ("left".into(), l.to_json()),
-                ("right".into(), r.to_json()),
-            ]),
-        ),
-    }
-}
-
-fn sizes_to_json(s: SizeDistribution) -> Value {
-    match s {
-        SizeDistribution::HeavyTailed => "heavy_tailed".to_json(),
-        SizeDistribution::Uniform500KbTo5Mb => "uniform_500kb_to_5mb".to_json(),
-        SizeDistribution::Fixed(b) => tagged("fixed", b.to_json()),
-    }
-}
-
-fn start_to_json(s: Start) -> Value {
-    match s {
-        Start::Zero => "zero".to_json(),
-        Start::PriorMedian => "prior_median".to_json(),
-        Start::At(d) => tagged("at_ns", d.as_nanos().to_json()),
-    }
-}
-
-fn traffic_to_json(t: &TrafficModel) -> Value {
-    match t {
-        TrafficModel::Poisson {
-            load,
-            sizes,
-            flow_count,
-        } => tagged(
-            "poisson",
-            Value::Object(vec![
-                ("load".into(), load.to_json()),
-                ("sizes".into(), sizes_to_json(*sizes)),
-                ("flows".into(), flow_count.to_json()),
-            ]),
-        ),
-        TrafficModel::BurstyPoisson {
-            load,
-            sizes,
-            flow_count,
-            duty_cycle,
-            burst_flows,
-        } => tagged(
-            "bursty_poisson",
-            Value::Object(vec![
-                ("load".into(), load.to_json()),
-                ("sizes".into(), sizes_to_json(*sizes)),
-                ("flows".into(), flow_count.to_json()),
-                ("duty_cycle".into(), duty_cycle.to_json()),
-                ("burst_flows".into(), burst_flows.to_json()),
-            ]),
-        ),
-        TrafficModel::Incast { m, total_bytes } => tagged(
-            "incast",
-            Value::Object(vec![
-                ("m".into(), m.to_json()),
-                ("total_bytes".into(), total_bytes.to_json()),
-            ]),
-        ),
-        TrafficModel::Shuffle {
-            flow_bytes,
-            rounds,
-            round_gap,
-        } => tagged(
-            "shuffle",
-            Value::Object(vec![
-                ("flow_bytes".into(), flow_bytes.to_json()),
-                ("rounds".into(), rounds.to_json()),
-                ("round_gap_ns".into(), round_gap.as_nanos().to_json()),
-            ]),
-        ),
-        TrafficModel::Explicit(flows) => tagged(
-            "explicit",
-            Value::Array(
-                flows
-                    .iter()
-                    .map(|f| {
-                        Value::Object(vec![
-                            ("src".into(), f.src.to_json()),
-                            ("dst".into(), f.dst.to_json()),
-                            ("bytes".into(), f.bytes.to_json()),
-                            ("at_ns".into(), f.at.as_nanos().to_json()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        TrafficModel::RpcClosedLoop {
-            clients,
-            ops_per_client,
-            window,
-            request_bytes,
-            response_bytes,
-            think,
-            fanout,
-        } => tagged(
-            "rpc_closed_loop",
-            Value::Object(vec![
-                ("clients".into(), clients.to_json()),
-                ("ops_per_client".into(), ops_per_client.to_json()),
-                ("window".into(), window.to_json()),
-                ("request_bytes".into(), request_bytes.to_json()),
-                ("response_bytes".into(), response_bytes.to_json()),
-                ("think_ns".into(), think.as_nanos().to_json()),
-                ("fanout".into(), fanout.to_json()),
-            ]),
-        ),
-        TrafficModel::Allreduce {
-            algorithm,
-            participants,
-            bytes,
-            iterations,
-        } => tagged(
-            "allreduce",
-            Value::Object(vec![
-                ("algorithm".into(), algo_name(*algorithm).to_json()),
-                ("participants".into(), participants.to_json()),
-                ("bytes".into(), bytes.to_json()),
-                ("iterations".into(), iterations.to_json()),
-            ]),
-        ),
-        TrafficModel::LeaderReplicate {
-            clients,
-            followers,
-            quorum,
-            ops_per_client,
-            request_bytes,
-            ack_bytes,
-            think,
-        } => tagged(
-            "leader_replicate",
-            Value::Object(vec![
-                ("clients".into(), clients.to_json()),
-                ("followers".into(), followers.to_json()),
-                ("quorum".into(), quorum.to_json()),
-                ("ops_per_client".into(), ops_per_client.to_json()),
-                ("request_bytes".into(), request_bytes.to_json()),
-                ("ack_bytes".into(), ack_bytes.to_json()),
-                ("think_ns".into(), think.as_nanos().to_json()),
-            ]),
-        ),
-        TrafficModel::Compose(parts) => tagged(
-            "compose",
-            Value::Array(
-                parts
-                    .iter()
-                    .map(|p| {
-                        Value::Object(vec![
-                            ("traffic".into(), traffic_to_json(&p.model)),
-                            ("population".into(), population_name(p.population).to_json()),
-                            ("seed_salt".into(), p.seed_salt.to_json()),
-                            ("start".into(), start_to_json(p.start)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    }
-}
-
-fn tagged(tag: &str, payload: Value) -> Value {
-    Value::Object(vec![(tag.to_string(), payload)])
-}
-
-// ---------------------------------------------------------------------
-// Parsing (Value → Scenario), strict: unknown fields are errors
-// ---------------------------------------------------------------------
-
-/// Reject fields outside `allowed` (typo protection; `path` prefixes
-/// the reported name).
-fn check_fields(v: &Value, allowed: &[&str], path: &str) -> Result<(), ScenarioError> {
-    let Value::Object(pairs) = v else {
-        return Err(DeError::expected("an object", v)
-            .in_field(path.trim_end_matches('.'))
-            .into());
+    (fields $tag:literal, $($ctor:ident)::+ [
+        $($key:literal: $required:ident $var:ident $(= $blank:expr)?),* $(,)?
+    ]) => {
+        table!(@build $tag Fields, $($ctor)::+($($var),*),
+            $($ctor)::+($(table!(@blank $($blank)?)),*), [] $($key: $required $var),*)
     };
-    for (k, _) in pairs {
-        if !allowed.contains(&k.as_str()) {
-            return Err(ScenarioError::UnknownField {
-                field: format!("{path}{k}"),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// A required field (missing is an error naming the path).
-fn req<T: Deserialize>(v: &Value, key: &str, path: &str) -> Result<T, ScenarioError> {
-    if v.get(key).is_none() {
-        return Err(ScenarioError::Field(DeError::new(format!(
-            "missing required field '{path}{key}'"
-        ))));
-    }
-    field(v, key, path)
-}
-
-/// An optional field with a default.
-fn opt<T: Deserialize>(v: &Value, key: &str, path: &str, default: T) -> Result<T, ScenarioError> {
-    if v.get(key).is_none() {
-        return Ok(default);
-    }
-    field(v, key, path)
-}
-
-fn field<T: Deserialize>(v: &Value, key: &str, path: &str) -> Result<T, ScenarioError> {
-    serde::de_field(v, key).map_err(|e| {
-        let mut e = e;
-        if !path.is_empty() {
-            e.path = format!("{path}{}", e.path);
-        }
-        ScenarioError::Field(e)
-    })
-}
-
-/// The single `{tag: payload}` pair of an externally tagged value.
-fn tag_of<'v>(v: &'v Value, path: &str) -> Result<(&'v str, &'v Value), ScenarioError> {
-    match v {
-        Value::Object(pairs) if pairs.len() == 1 => Ok((pairs[0].0.as_str(), &pairs[0].1)),
-        other => Err(ScenarioError::Field(
-            DeError::expected("an object with exactly one key", other)
-                .in_field(path.trim_end_matches('.')),
-        )),
-    }
-}
-
-fn parse_scenario(v: &Value) -> Result<Scenario, ScenarioError> {
-    check_fields(
-        v,
-        &[
-            "schema",
-            "name",
-            "topology",
-            "bandwidth_mbps",
-            "prop_delay_ns",
-            "buffer_bytes",
-            "pfc",
-            "transport",
-            "cc",
-            "traffic",
-            "seed",
-            "mtu",
-            "rto_high_ns",
-            "rto_low_ns",
-            "rto_low_n",
-            "extra_header",
-            "retx_fetch_delay_ns",
-            "loss_injection",
-            "load_balancing",
-            "nack_threshold",
-            "max_events",
-        ],
-        "",
-    )?;
-    let schema: String = req(v, "schema", "")?;
-    if schema != SCENARIO_SCHEMA {
-        return Err(ScenarioError::UnknownSchema { found: schema });
-    }
-    let name: String = req(v, "name", "")?;
-    let topology =
-        parse_topology(v.get("topology").ok_or_else(|| {
-            ScenarioError::Field(DeError::new("missing required field 'topology'"))
-        })?)?;
-    let traffic = parse_traffic(
-        v.get("traffic").ok_or_else(|| {
-            ScenarioError::Field(DeError::new("missing required field 'traffic'"))
-        })?,
-        "traffic.",
-    )?;
-
-    // Everything else defaults to the paper's §4.1 values.
-    let d = ExperimentConfig::paper_default(1000);
-    let bandwidth_mbps: u64 = opt(v, "bandwidth_mbps", "", d.bandwidth.as_mbps())?;
-    if bandwidth_mbps == 0 {
-        return Err(ScenarioError::ZeroBandwidth);
-    }
-    let cfg = ExperimentConfig {
-        topology,
-        bandwidth: irn_net::Bandwidth::from_mbps(bandwidth_mbps),
-        prop_delay: Duration::nanos(opt(v, "prop_delay_ns", "", d.prop_delay.as_nanos())?),
-        buffer_bytes: opt(v, "buffer_bytes", "", d.buffer_bytes)?,
-        pfc: opt(v, "pfc", "", d.pfc)?,
-        transport: transport_from(
-            &opt::<String>(v, "transport", "", transport_name(d.transport).to_string())?,
-            "transport",
-        )?,
-        cc: cc_from(
-            &opt::<String>(v, "cc", "", cc_name(d.cc).to_string())?,
-            "cc",
-        )?,
-        traffic,
-        seed: opt(v, "seed", "", d.seed)?,
-        mtu: opt(v, "mtu", "", d.mtu)?,
-        rto_high: opt::<Option<u64>>(v, "rto_high_ns", "", None)?.map(Duration::nanos),
-        rto_low: Duration::nanos(opt(v, "rto_low_ns", "", d.rto_low.as_nanos())?),
-        rto_low_n: opt(v, "rto_low_n", "", d.rto_low_n)?,
-        extra_header: opt(v, "extra_header", "", d.extra_header)?,
-        retx_fetch_delay: Duration::nanos(opt(
-            v,
-            "retx_fetch_delay_ns",
-            "",
-            d.retx_fetch_delay.as_nanos(),
-        )?),
-        loss_injection: opt(v, "loss_injection", "", d.loss_injection)?,
-        load_balancing: lb_from(
-            &opt::<String>(
-                v,
-                "load_balancing",
-                "",
-                lb_name(d.load_balancing).to_string(),
-            )?,
-            "load_balancing",
-        )?,
-        nack_threshold: opt(v, "nack_threshold", "", d.nack_threshold)?,
-        max_events: opt(v, "max_events", "", d.max_events)?,
+    (value $tag:literal, $($ctor:ident)::+ [$var:ident] $($hint:literal)?) => {
+        table!(@build $tag Value, $($ctor)::+($var),
+            $($ctor)::+(Default::default()), [] $tag: REQ $var)
     };
-    Scenario::from_config(name, cfg)
-}
-
-fn parse_topology(v: &Value) -> Result<TopologySpec, ScenarioError> {
-    let (tag, payload) = tag_of(v, "topology.")?;
-    match tag {
-        "fat_tree" => {
-            check_fields(payload, &["k"], "topology.fat_tree.")?;
-            Ok(TopologySpec::FatTree(req(
-                payload,
-                "k",
-                "topology.fat_tree.",
-            )?))
-        }
-        "single_switch" => {
-            check_fields(payload, &["hosts"], "topology.single_switch.")?;
-            Ok(TopologySpec::SingleSwitch(req(
-                payload,
-                "hosts",
-                "topology.single_switch.",
-            )?))
-        }
-        "dumbbell" => {
-            check_fields(payload, &["left", "right"], "topology.dumbbell.")?;
-            Ok(TopologySpec::Dumbbell(
-                req(payload, "left", "topology.dumbbell.")?,
-                req(payload, "right", "topology.dumbbell.")?,
-            ))
-        }
-        other => Err(ScenarioError::UnknownName {
-            field: "topology".to_string(),
-            found: other.to_string(),
-            expected: &["fat_tree", "single_switch", "dumbbell"],
-        }),
-    }
-}
-
-fn parse_sizes(v: &Value, path: &str) -> Result<SizeDistribution, ScenarioError> {
-    match v {
-        Value::String(s) => match s.as_str() {
-            "heavy_tailed" => Ok(SizeDistribution::HeavyTailed),
-            "uniform_500kb_to_5mb" => Ok(SizeDistribution::Uniform500KbTo5Mb),
-            other => Err(ScenarioError::UnknownName {
-                field: path.trim_end_matches('.').to_string(),
-                found: other.to_string(),
-                expected: &["heavy_tailed", "uniform_500kb_to_5mb", "{\"fixed\": bytes}"],
-            }),
-        },
-        other => {
-            let (tag, payload) = tag_of(other, path)?;
-            if tag != "fixed" {
-                return Err(ScenarioError::UnknownName {
-                    field: path.trim_end_matches('.').to_string(),
-                    found: tag.to_string(),
-                    expected: &["heavy_tailed", "uniform_500kb_to_5mb", "{\"fixed\": bytes}"],
-                });
-            }
-            let bytes = u64::from_json(payload)
-                .map_err(|e| ScenarioError::Field(e.in_field(&format!("{path}fixed"))))?;
-            Ok(SizeDistribution::Fixed(bytes))
-        }
-    }
-}
-
-fn parse_start(v: &Value, path: &str) -> Result<Start, ScenarioError> {
-    match v {
-        Value::String(s) => match s.as_str() {
-            "zero" => Ok(Start::Zero),
-            "prior_median" => Ok(Start::PriorMedian),
-            other => Err(ScenarioError::UnknownName {
-                field: path.trim_end_matches('.').to_string(),
-                found: other.to_string(),
-                expected: &["zero", "prior_median", "{\"at_ns\": nanoseconds}"],
-            }),
-        },
-        other => {
-            let (tag, payload) = tag_of(other, path)?;
-            if tag != "at_ns" {
-                return Err(ScenarioError::UnknownName {
-                    field: path.trim_end_matches('.').to_string(),
-                    found: tag.to_string(),
-                    expected: &["zero", "prior_median", "{\"at_ns\": nanoseconds}"],
-                });
-            }
-            let ns = u64::from_json(payload)
-                .map_err(|e| ScenarioError::Field(e.in_field(&format!("{path}at_ns"))))?;
-            Ok(Start::At(Duration::nanos(ns)))
-        }
-    }
-}
-
-fn parse_traffic(v: &Value, path: &str) -> Result<TrafficModel, ScenarioError> {
-    let (tag, payload) = tag_of(v, path)?;
-    let p = format!("{path}{tag}.");
-    match tag {
-        "poisson" => {
-            check_fields(payload, &["load", "sizes", "flows"], &p)?;
-            Ok(TrafficModel::Poisson {
-                load: req(payload, "load", &p)?,
-                sizes: parse_sizes(
-                    payload.get("sizes").unwrap_or(&Value::Null),
-                    &format!("{}sizes.", p),
-                )?,
-                flow_count: req(payload, "flows", &p)?,
-            })
-        }
-        "bursty_poisson" => {
-            check_fields(
-                payload,
-                &["load", "sizes", "flows", "duty_cycle", "burst_flows"],
-                &p,
-            )?;
-            Ok(TrafficModel::BurstyPoisson {
-                load: req(payload, "load", &p)?,
-                sizes: parse_sizes(
-                    payload.get("sizes").unwrap_or(&Value::Null),
-                    &format!("{}sizes.", p),
-                )?,
-                flow_count: req(payload, "flows", &p)?,
-                duty_cycle: req(payload, "duty_cycle", &p)?,
-                burst_flows: req(payload, "burst_flows", &p)?,
-            })
-        }
-        "incast" => {
-            check_fields(payload, &["m", "total_bytes"], &p)?;
-            Ok(TrafficModel::Incast {
-                m: req(payload, "m", &p)?,
-                total_bytes: req(payload, "total_bytes", &p)?,
-            })
-        }
-        "shuffle" => {
-            check_fields(payload, &["flow_bytes", "rounds", "round_gap_ns"], &p)?;
-            Ok(TrafficModel::Shuffle {
-                flow_bytes: req(payload, "flow_bytes", &p)?,
-                rounds: req(payload, "rounds", &p)?,
-                round_gap: Duration::nanos(opt(payload, "round_gap_ns", &p, 0)?),
-            })
-        }
-        "explicit" => {
-            let items = payload.as_array().ok_or_else(|| {
-                ScenarioError::Field(
-                    DeError::expected("an array of flows", payload)
-                        .in_field(&format!("{path}explicit")),
-                )
-            })?;
-            let mut flows = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let fp = format!("{path}explicit.[{i}].");
-                check_fields(item, &["src", "dst", "bytes", "at_ns"], &fp)?;
-                flows.push(FlowSpec {
-                    src: req(item, "src", &fp)?,
-                    dst: req(item, "dst", &fp)?,
-                    bytes: req(item, "bytes", &fp)?,
-                    at: Time::from_nanos(opt(item, "at_ns", &fp, 0)?),
-                });
-            }
-            Ok(TrafficModel::Explicit(flows))
-        }
-        "rpc_closed_loop" => {
-            check_fields(
-                payload,
-                &[
-                    "clients",
-                    "ops_per_client",
-                    "window",
-                    "request_bytes",
-                    "response_bytes",
-                    "think_ns",
-                    "fanout",
-                ],
-                &p,
-            )?;
-            Ok(TrafficModel::RpcClosedLoop {
-                clients: req(payload, "clients", &p)?,
-                ops_per_client: req(payload, "ops_per_client", &p)?,
-                window: opt(payload, "window", &p, 1)?,
-                request_bytes: req(payload, "request_bytes", &p)?,
-                response_bytes: req(payload, "response_bytes", &p)?,
-                think: Duration::nanos(opt(payload, "think_ns", &p, 0)?),
-                fanout: opt(payload, "fanout", &p, 1)?,
-            })
-        }
-        "allreduce" => {
-            check_fields(
-                payload,
-                &["algorithm", "participants", "bytes", "iterations"],
-                &p,
-            )?;
-            Ok(TrafficModel::Allreduce {
-                algorithm: algo_from(
-                    &opt::<String>(payload, "algorithm", &p, "ring".to_string())?,
-                    &format!("{p}algorithm"),
-                )?,
-                participants: req(payload, "participants", &p)?,
-                bytes: req(payload, "bytes", &p)?,
-                iterations: opt(payload, "iterations", &p, 1)?,
-            })
-        }
-        "leader_replicate" => {
-            check_fields(
-                payload,
-                &[
-                    "clients",
-                    "followers",
-                    "quorum",
-                    "ops_per_client",
-                    "request_bytes",
-                    "ack_bytes",
-                    "think_ns",
-                ],
-                &p,
-            )?;
-            Ok(TrafficModel::LeaderReplicate {
-                clients: req(payload, "clients", &p)?,
-                followers: req(payload, "followers", &p)?,
-                quorum: req(payload, "quorum", &p)?,
-                ops_per_client: req(payload, "ops_per_client", &p)?,
-                request_bytes: req(payload, "request_bytes", &p)?,
-                ack_bytes: req(payload, "ack_bytes", &p)?,
-                think: Duration::nanos(opt(payload, "think_ns", &p, 0)?),
-            })
-        }
-        "compose" => {
-            let items = payload.as_array().ok_or_else(|| {
-                ScenarioError::Field(
-                    DeError::expected("an array of parts", payload)
-                        .in_field(&format!("{path}compose")),
-                )
-            })?;
-            let mut parts = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                let pp = format!("{path}compose.[{i}].");
-                check_fields(item, &["traffic", "population", "seed_salt", "start"], &pp)?;
-                let model = parse_traffic(
-                    item.get("traffic").ok_or_else(|| {
-                        ScenarioError::Field(DeError::new(format!(
-                            "missing required field '{pp}traffic'"
-                        )))
-                    })?,
-                    &format!("{pp}traffic."),
-                )?;
-                let population = population_from(
-                    &opt::<String>(item, "population", &pp, "primary".to_string())?,
-                    &format!("{pp}population"),
-                )?;
-                let start = match item.get("start") {
-                    None => Start::Zero,
-                    Some(s) => parse_start(s, &format!("{pp}start."))?,
-                };
-                parts.push(Component {
-                    model,
-                    population,
-                    seed_salt: opt(item, "seed_salt", &pp, 0)?,
-                    start,
-                });
-            }
-            Ok(TrafficModel::Compose(parts))
-        }
-        other => Err(ScenarioError::UnknownName {
-            field: path.trim_end_matches('.').to_string(),
-            found: other.to_string(),
-            expected: &[
-                "poisson",
-                "bursty_poisson",
-                "incast",
-                "shuffle",
-                "explicit",
-                "rpc_closed_loop",
-                "allreduce",
-                "leader_replicate",
-                "compose",
+    (name $tag:literal, $($unit:ident)::+) => {
+        table!(@build $tag Name, $($unit)::+, $($unit)::+, [])
+    };
+    (@blank) => {
+        Default::default()
+    };
+    (@blank $blank:expr) => {
+        $blank
+    };
+    (@build $tag:literal $shape:ident, $pat:pat, $blank:expr, [$($row:expr),*]
+        $($key:literal: $required:ident $var:ident),* $(,)?
+    ) => {
+        Table {
+            tag: $tag,
+            shape: Shape::$shape,
+            is: |t| matches!(t, $pat),
+            blank: || $blank,
+            fields: &[
+                $($row,)*
+                $(Field {
+                    key: $key,
+                    required: $required,
+                    get: |t| match t {
+                        $pat => Json::write($var),
+                        _ => unreachable!("row of another variant"),
+                    },
+                    set: |t, v, at| match t {
+                        $pat => {
+                            *$var = Json::read(v, at)?;
+                            Ok(())
+                        }
+                        _ => unreachable!("row of another variant"),
+                    },
+                }),*
             ],
-        }),
+        }
+    };
+}
+
+/// A union from its variants, each `"tag" => kind(…)` with `kind` one of
+/// `table!`'s. The `"hint"` after a `value` variant is how `UnknownName`
+/// spells its payload.
+macro_rules! union {
+    ($($tag:literal => $kind:ident($($body:tt)*)),+ $(,)?) => {
+        Union {
+            variants: &[$(table!($kind $tag, $($body)*)),+],
+            expected: &[$(union!(@expected $tag $($body)*)),+],
+        }
+    };
+    (@expected $tag:literal $($ctor:ident)::+ [$var:ident] $hint:literal) => {
+        concat!("{\"", $tag, "\": ", $hint, "}")
+    };
+    (@expected $tag:literal $($body:tt)*) => {
+        $tag
+    };
+}
+
+/// `path.key`, or `key` alone at the document root.
+fn join(path: &str, key: &str) -> String {
+    if path.is_empty() {
+        key.to_string()
+    } else {
+        format!("{path}.{key}")
     }
+}
+
+impl<T> Table<T> {
+    /// The one writer: rows in table order.
+    fn write(&self, t: &T) -> Value {
+        match self.shape {
+            Shape::Name => self.tag.to_json(),
+            Shape::Value => (self.fields[0].get)(t),
+            Shape::Fields => {
+                let pair = |row: &Field<T>| (row.key.to_string(), (row.get)(t));
+                Value::Object(self.fields.iter().map(pair).collect())
+            }
+        }
+    }
+
+    /// The one strict reader: every key of an object must be a row and
+    /// appear once, and every required row must be present.
+    fn read(&self, v: &Value, path: &str) -> Res<T> {
+        let mut out = (self.blank)();
+        match (self.shape, v) {
+            (Shape::Name, _) => {}
+            (Shape::Value, v) => (self.fields[0].set)(&mut out, v, path)?,
+            (Shape::Fields, Value::Object(pairs)) => {
+                for (i, (key, _)) in pairs.iter().enumerate() {
+                    let field = join(path, key);
+                    if !self.fields.iter().any(|row| row.key == key) {
+                        return Err(ScenarioError::UnknownField { field });
+                    }
+                    if pairs[..i].iter().any(|(earlier, _)| earlier == key) {
+                        return Err(ScenarioError::DuplicateField { field });
+                    }
+                }
+                for row in self.fields {
+                    let at = join(path, row.key);
+                    match v.get(row.key) {
+                        Some(value) => (row.set)(&mut out, value, &at)?,
+                        None if row.required => {
+                            let msg = format!("missing required field '{at}'");
+                            return Err(DeError::new(msg).into());
+                        }
+                        None => {}
+                    }
+                }
+            }
+            (Shape::Fields, other) => {
+                return Err(DeError::expected("an object", other).in_field(path).into());
+            }
+        }
+        Ok(out)
+    }
+}
+
+impl<T> Union<T> {
+    fn variant_of(&self, t: &T) -> &Table<T> {
+        let var = self.variants.iter().find(|var| (var.is)(t));
+        var.expect("every value has a variant table")
+    }
+
+    fn write(&self, t: &T) -> Value {
+        let var = self.variant_of(t);
+        match var.shape {
+            Shape::Name => var.write(t),
+            _ => Value::Object(vec![(var.tag.to_string(), var.write(t))]),
+        }
+    }
+
+    fn read(&self, v: &Value, path: &str) -> Res<T> {
+        let is_name = |var: &Table<T>| matches!(var.shape, Shape::Name);
+        let names = self.variants.iter().filter(|var| is_name(var)).count();
+        let tagged = names < self.variants.len();
+        let (tag, payload) = match v {
+            Value::String(s) if names > 0 => (s.as_str(), None),
+            Value::Object(pairs) if tagged && pairs.len() == 1 => {
+                (pairs[0].0.as_str(), Some(&pairs[0].1))
+            }
+            other => {
+                let what = if tagged {
+                    "an object with exactly one key"
+                } else {
+                    "a string"
+                };
+                return Err(DeError::expected(what, other).in_field(path).into());
+            }
+        };
+        let var = self
+            .variants
+            .iter()
+            .find(|var| var.tag == tag && is_name(var) == payload.is_none())
+            .ok_or_else(|| ScenarioError::UnknownName {
+                field: path.to_string(),
+                found: tag.to_string(),
+                expected: self.expected,
+            })?;
+        var.read(payload.unwrap_or(v), &join(path, tag))
+    }
+}
+
+// ---------------------------------------------------------------------
+// Conversions
+// ---------------------------------------------------------------------
+
+/// Types `serde` already spells the scenario-v1 way: the primitives,
+/// and `Duration`/`Time` as whole nanoseconds (the `*_ns` keys, with
+/// `null` for an absent `rto_high_ns`).
+macro_rules! json_by_serde {
+    ($($ty:ty),+) => {$(
+        impl Json for $ty {
+            fn write(&self) -> Value {
+                self.to_json()
+            }
+
+            fn read(v: &Value, path: &str) -> Res<$ty> {
+                <$ty>::from_json(v).map_err(|e| e.in_field(path).into())
+            }
+        }
+    )+};
+}
+
+json_by_serde!(
+    bool,
+    u32,
+    u64,
+    usize,
+    f64,
+    String,
+    Duration,
+    Time,
+    Option<Duration>
+);
+
+/// `bandwidth_mbps`; zero never reaches the panicking constructor.
+impl Json for Bandwidth {
+    fn write(&self) -> Value {
+        self.as_mbps().to_json()
+    }
+
+    fn read(v: &Value, path: &str) -> Res<Bandwidth> {
+        match u64::read(v, path)? {
+            0 => Err(ScenarioError::ZeroBandwidth),
+            mbps => Ok(Bandwidth::from_mbps(mbps)),
+        }
+    }
+}
+
+/// The items of the `explicit` and `compose` arrays; `PLURAL` completes
+/// "expected an array of …".
+trait Item: Json {
+    const PLURAL: &'static str;
+}
+
+impl Item for FlowSpec {
+    const PLURAL: &'static str = "flows";
+}
+
+impl Item for Component {
+    const PLURAL: &'static str = "parts";
+}
+
+impl<T: Item> Json for Vec<T> {
+    fn write(&self) -> Value {
+        Value::Array(self.iter().map(Json::write).collect())
+    }
+
+    fn read(v: &Value, path: &str) -> Res<Vec<T>> {
+        let what = format!("an array of {}", T::PLURAL);
+        let items = v
+            .as_array()
+            .ok_or_else(|| DeError::expected(&what, v).in_field(path))?;
+        let item = |(i, item)| T::read(item, &join(path, &format!("[{i}]")));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
+// ---------------------------------------------------------------------
+// The tables
+// ---------------------------------------------------------------------
+
+/// Define each table and spell its type by walking it.
+macro_rules! tables {
+    ($($(#[$attr:meta])* $name:ident: $kind:ident<$ty:ty> = $table:expr;)+) => {$(
+        $(#[$attr])*
+        #[allow(unused_variables, unreachable_patterns)]
+        static $name: $kind<$ty> = $table;
+
+        impl Json for $ty {
+            fn write(&self) -> Value {
+                $name.write(self)
+            }
+
+            fn read(v: &Value, path: &str) -> Res<$ty> {
+                $name.read(v, path)
+            }
+        }
+    )+};
+}
+
+/// The scenario-v1 spelling of a transport kind (also the `kind` label
+/// of the telemetry block's per-transport rows).
+pub fn transport_name(kind: TransportKind) -> &'static str {
+    TRANSPORT.variant_of(&kind).tag
+}
+
+tables! {
+    SCENARIO: Table<Scenario> = table!(@build "" Fields,
+        Scenario {
+            name,
+            cfg: ExperimentConfig {
+                topology, bandwidth, prop_delay, buffer_bytes, pfc, transport, cc, traffic, seed,
+                mtu, rto_high, rto_low, rto_low_n, extra_header, retx_fetch_delay, loss_injection,
+                load_balancing, nack_threshold, max_events,
+            },
+        },
+        // Every optional key defaults to the paper's §4.1 value.
+        Scenario { name: String::new(), cfg: ExperimentConfig::paper_default(1000) },
+        [Field {
+            key: "schema",
+            required: REQ,
+            get: |_| SCENARIO_SCHEMA.to_json(),
+            set: |_, v, at| match String::read(v, at)? {
+                found if found != SCENARIO_SCHEMA => Err(ScenarioError::UnknownSchema { found }),
+                _ => Ok(()),
+            },
+        }]
+        "name": REQ name,
+        "topology": REQ topology,
+        "bandwidth_mbps": OPT bandwidth,
+        "prop_delay_ns": OPT prop_delay,
+        "buffer_bytes": OPT buffer_bytes,
+        "pfc": OPT pfc,
+        "transport": OPT transport,
+        "cc": OPT cc,
+        "traffic": REQ traffic,
+        "seed": OPT seed,
+        "mtu": OPT mtu,
+        "rto_high_ns": OPT rto_high,
+        "rto_low_ns": OPT rto_low,
+        "rto_low_n": OPT rto_low_n,
+        "extra_header": OPT extra_header,
+        "retx_fetch_delay_ns": OPT retx_fetch_delay,
+        "loss_injection": OPT loss_injection,
+        "load_balancing": OPT load_balancing,
+        "nack_threshold": OPT nack_threshold,
+        "max_events": OPT max_events,
+    );
+    TOPOLOGY: Union<TopologySpec> = union![
+        "fat_tree" => fields(TopologySpec::FatTree["k": REQ k]),
+        "single_switch" => fields(TopologySpec::SingleSwitch["hosts": REQ hosts]),
+        "dumbbell" => fields(TopologySpec::Dumbbell["left": REQ left, "right": REQ right]),
+    ];
+    TRANSPORT: Union<TransportKind> = union![
+        "irn" => name(TransportKind::Irn),
+        "roce" => name(TransportKind::Roce),
+        "irn_go_back_n" => name(TransportKind::IrnGoBackN),
+        "irn_no_bdp_fc" => name(TransportKind::IrnNoBdpFc),
+        "iwarp_tcp" => name(TransportKind::IwarpTcp),
+    ];
+    CC: Union<CcKind> = union![
+        "none" => name(CcKind::None),
+        "timely" => name(CcKind::Timely),
+        "dcqcn" => name(CcKind::Dcqcn),
+        "aimd" => name(CcKind::Aimd),
+        "dctcp" => name(CcKind::Dctcp),
+    ];
+    LOAD_BALANCING: Union<LoadBalancing> = union![
+        "ecmp_per_flow" => name(LoadBalancing::EcmpPerFlow),
+        "packet_spray" => name(LoadBalancing::PacketSpray),
+    ];
+    SIZES: Union<SizeDistribution> = union![
+        "heavy_tailed" => name(SizeDistribution::HeavyTailed),
+        "uniform_500kb_to_5mb" => name(SizeDistribution::Uniform500KbTo5Mb),
+        "fixed" => value(SizeDistribution::Fixed[bytes] "bytes"),
+    ];
+    TRAFFIC: Union<TrafficModel> = union![
+        "poisson" => fields(TrafficModel::Poisson {
+            "load": REQ load,
+            "sizes": REQ sizes = SizeDistribution::HeavyTailed,
+            "flows": REQ flow_count,
+        }),
+        "bursty_poisson" => fields(TrafficModel::BurstyPoisson {
+            "load": REQ load,
+            "sizes": REQ sizes = SizeDistribution::HeavyTailed,
+            "flows": REQ flow_count,
+            "duty_cycle": REQ duty_cycle,
+            "burst_flows": REQ burst_flows,
+        }),
+        "incast" => fields(TrafficModel::Incast {
+            "m": REQ m,
+            "total_bytes": REQ total_bytes,
+        }),
+        "shuffle" => fields(TrafficModel::Shuffle {
+            "flow_bytes": REQ flow_bytes,
+            "rounds": REQ rounds,
+            "round_gap_ns": OPT round_gap = Duration::ZERO,
+        }),
+        "explicit" => value(TrafficModel::Explicit[flows]),
+        "rpc_closed_loop" => fields(TrafficModel::RpcClosedLoop {
+            "clients": REQ clients,
+            "ops_per_client": REQ ops_per_client,
+            "window": OPT window = 1,
+            "request_bytes": REQ request_bytes,
+            "response_bytes": REQ response_bytes,
+            "think_ns": OPT think = Duration::ZERO,
+            "fanout": OPT fanout = 1,
+        }),
+        "allreduce" => fields(TrafficModel::Allreduce {
+            "algorithm": OPT algorithm = AllreduceAlgo::Ring,
+            "participants": REQ participants,
+            "bytes": REQ bytes,
+            "iterations": OPT iterations = 1,
+        }),
+        "leader_replicate" => fields(TrafficModel::LeaderReplicate {
+            "clients": REQ clients,
+            "followers": REQ followers,
+            "quorum": REQ quorum,
+            "ops_per_client": REQ ops_per_client,
+            "request_bytes": REQ request_bytes,
+            "ack_bytes": REQ ack_bytes,
+            "think_ns": OPT think = Duration::ZERO,
+        }),
+        "compose" => value(TrafficModel::Compose[parts]),
+    ];
+    ALGORITHM: Union<AllreduceAlgo> = union![
+        "ring" => name(AllreduceAlgo::Ring),
+        "tree" => name(AllreduceAlgo::Tree),
+    ];
+    FLOW: Table<FlowSpec> = table!(fields "", FlowSpec {
+        "src": REQ src,
+        "dst": REQ dst,
+        "bytes": REQ bytes,
+        "at_ns": OPT at = Time::ZERO,
+    });
+    PART: Table<Component> = table!(fields "", Component {
+        "traffic": REQ model = TrafficModel::Compose(Vec::new()),
+        "population": OPT population = Population::Primary,
+        "seed_salt": OPT seed_salt = 0,
+        "start": OPT start = Start::Zero,
+    });
+    POPULATION: Union<Population> = union![
+        "primary" => name(Population::Primary),
+        "incast" => name(Population::Incast),
+    ];
+    START: Union<Start> = union![
+        "zero" => name(Start::Zero),
+        "prior_median" => name(Start::PriorMedian),
+        "at_ns" => value(Start::At[offset] "nanoseconds"),
+    ];
 }
 
 #[cfg(test)]
@@ -1371,6 +1189,455 @@ mod tests {
             assert_eq!(parsed.config().traffic, model, "{text}");
             assert_eq!(parsed.to_json_string(), text);
         }
+    }
+
+    /// One valid scenario per traffic model, each with the compact form
+    /// of its `topology` and `traffic` values as serialized at the
+    /// commit before the codec became table-driven.
+    fn golden_models() -> Vec<(TopologySpec, TrafficModel, &'static str, &'static str)> {
+        let single = (
+            TopologySpec::SingleSwitch(6),
+            r#"{"single_switch":{"hosts":6}}"#,
+        );
+        let dumbbell = (
+            TopologySpec::Dumbbell(2, 4),
+            r#"{"dumbbell":{"left":2,"right":4}}"#,
+        );
+        vec![
+            (
+                single,
+                TrafficModel::Poisson {
+                    load: 0.7,
+                    sizes: SizeDistribution::HeavyTailed,
+                    flow_count: 100,
+                },
+                r#"{"poisson":{"load":0.7,"sizes":"heavy_tailed","flows":100}}"#,
+            ),
+            (
+                single,
+                TrafficModel::BurstyPoisson {
+                    load: 0.6,
+                    sizes: SizeDistribution::Uniform500KbTo5Mb,
+                    flow_count: 40,
+                    duty_cycle: 0.25,
+                    burst_flows: 8,
+                },
+                r#"{"bursty_poisson":{"load":0.6,"sizes":"uniform_500kb_to_5mb","flows":40,"duty_cycle":0.25,"burst_flows":8}}"#,
+            ),
+            (
+                single,
+                TrafficModel::Incast {
+                    m: 3,
+                    total_bytes: 1_000_000,
+                },
+                r#"{"incast":{"m":3,"total_bytes":1000000}}"#,
+            ),
+            (
+                single,
+                TrafficModel::Shuffle {
+                    flow_bytes: 50_000,
+                    rounds: 3,
+                    round_gap: Duration::micros(10),
+                },
+                r#"{"shuffle":{"flow_bytes":50000,"rounds":3,"round_gap_ns":10000}}"#,
+            ),
+            (
+                single,
+                TrafficModel::Explicit(vec![FlowSpec {
+                    src: 0,
+                    dst: 1,
+                    bytes: 777,
+                    at: Time::from_nanos(42),
+                }]),
+                r#"{"explicit":[{"src":0,"dst":1,"bytes":777,"at_ns":42}]}"#,
+            ),
+            (
+                dumbbell,
+                TrafficModel::incast_with_cross(3, 500_000, 0.5, SizeDistribution::Fixed(2000), 30),
+                concat!(
+                    r#"{"compose":[{"traffic":{"poisson":{"load":0.5,"sizes":{"fixed":2000},"flows":30}},"#,
+                    r#""population":"primary","seed_salt":0,"start":"zero"},"#,
+                    r#"{"traffic":{"incast":{"m":3,"total_bytes":500000}},"#,
+                    r#""population":"incast","seed_salt":117335,"start":"prior_median"}]}"#,
+                ),
+            ),
+            (
+                single,
+                TrafficModel::RpcClosedLoop {
+                    clients: 2,
+                    ops_per_client: 10,
+                    window: 2,
+                    request_bytes: 4096,
+                    response_bytes: 256,
+                    think: Duration::micros(50),
+                    fanout: 2,
+                },
+                r#"{"rpc_closed_loop":{"clients":2,"ops_per_client":10,"window":2,"request_bytes":4096,"response_bytes":256,"think_ns":50000,"fanout":2}}"#,
+            ),
+            (
+                single,
+                TrafficModel::Allreduce {
+                    algorithm: AllreduceAlgo::Tree,
+                    participants: 5,
+                    bytes: 1 << 20,
+                    iterations: 3,
+                },
+                r#"{"allreduce":{"algorithm":"tree","participants":5,"bytes":1048576,"iterations":3}}"#,
+            ),
+            (
+                single,
+                TrafficModel::LeaderReplicate {
+                    clients: 2,
+                    followers: 3,
+                    quorum: 2,
+                    ops_per_client: 8,
+                    request_bytes: 2048,
+                    ack_bytes: 64,
+                    think: Duration::micros(20),
+                },
+                r#"{"leader_replicate":{"clients":2,"followers":3,"quorum":2,"ops_per_client":8,"request_bytes":2048,"ack_bytes":64,"think_ns":20000}}"#,
+            ),
+        ]
+        .into_iter()
+        .map(|((topology, topology_json), model, traffic_json)| {
+            (topology, model, topology_json, traffic_json)
+        })
+        .collect()
+    }
+
+    fn golden_scenario(topology: TopologySpec, model: &TrafficModel) -> Scenario {
+        Scenario::builder("model under test")
+            .topology(topology)
+            .traffic(model.clone())
+            .build()
+            .unwrap()
+    }
+
+    /// The canonical bytes, pinned against literals captured at the
+    /// commit before the codec became table-driven: a codec that
+    /// reordered or renamed a field on both the write and the read side
+    /// would pass every round-trip test and fail this one.
+    #[test]
+    fn golden_bytes_are_pinned() {
+        let paper = concat!(
+            "{\n  \"schema\": \"scenario-v1\",\n  \"name\": \"paper default\",\n",
+            "  \"topology\": {\n    \"fat_tree\": {\n      \"k\": 6\n    }\n  },\n",
+            "  \"bandwidth_mbps\": 40000,\n  \"prop_delay_ns\": 2000,\n",
+            "  \"buffer_bytes\": 240000,\n  \"pfc\": false,\n  \"transport\": \"irn\",\n",
+            "  \"cc\": \"none\",\n  \"traffic\": {\n    \"poisson\": {\n      \"load\": 0.7,\n",
+            "      \"sizes\": \"heavy_tailed\",\n      \"flows\": 400\n    }\n  },\n",
+            "  \"seed\": 1,\n  \"mtu\": 1000,\n  \"rto_high_ns\": null,\n",
+            "  \"rto_low_ns\": 100000,\n  \"rto_low_n\": 3,\n  \"extra_header\": 0,\n",
+            "  \"retx_fetch_delay_ns\": 0,\n  \"loss_injection\": 0.0,\n",
+            "  \"load_balancing\": \"ecmp_per_flow\",\n  \"nack_threshold\": 1,\n",
+            "  \"max_events\": 5000000000\n}\n",
+        );
+        assert_eq!(paper_scenario().to_json_string(), paper);
+        for (topology, model, topology_json, traffic_json) in golden_models() {
+            let s = golden_scenario(topology, &model);
+            let compact = format!(
+                concat!(
+                    r#"{{"schema":"scenario-v1","name":"model under test","topology":{},"#,
+                    r#""bandwidth_mbps":40000,"prop_delay_ns":2000,"buffer_bytes":240000,"#,
+                    r#""pfc":false,"transport":"irn","cc":"none","traffic":{},"seed":1,"#,
+                    r#""mtu":1000,"rto_high_ns":null,"rto_low_ns":100000,"rto_low_n":3,"#,
+                    r#""extra_header":0,"retx_fetch_delay_ns":0,"loss_injection":0.0,"#,
+                    r#""load_balancing":"ecmp_per_flow","nack_threshold":1,"#,
+                    r#""max_events":5000000000}}"#,
+                ),
+                topology_json, traffic_json
+            );
+            assert_eq!(json::to_string(&s.to_json_value()), compact);
+            // The on-disk form is the pretty writer over the same tree.
+            let pretty = json::to_string_pretty(&json::from_str(&compact).unwrap()) + "\n";
+            assert_eq!(s.to_json_string(), pretty);
+        }
+    }
+
+    /// A row as the table-driven tests see it: key, required, and the
+    /// default (the blank's value) rendered as JSON.
+    type Row = (&'static str, bool, Value);
+
+    fn rows_of<T>(table: &Table<T>) -> Vec<Row> {
+        let blank = (table.blank)();
+        let row = |row: &Field<T>| (row.key, row.required, (row.get)(&blank));
+        table.fields.iter().map(row).collect()
+    }
+
+    /// Every keyed object of the schema, generated from the tables: a
+    /// valid full-form document that contains it, its dotted path in
+    /// that document, and its rows.
+    fn keyed_objects() -> Vec<(Value, String, Vec<Row>)> {
+        let models = golden_models();
+        let doc = |topology, model: &TrafficModel| golden_scenario(topology, model).to_json_value();
+        let mut out = vec![(
+            doc(models[0].0, &models[0].1),
+            String::new(),
+            rows_of(&SCENARIO),
+        )];
+        for var in TOPOLOGY.variants {
+            let specs = [
+                TopologySpec::FatTree(4),
+                TopologySpec::SingleSwitch(6),
+                TopologySpec::Dumbbell(2, 4),
+            ];
+            let spec = specs.into_iter().find(|spec| (var.is)(spec));
+            let spec = spec.unwrap_or_else(|| panic!("no sample topology for {}", var.tag));
+            let path = format!("topology.{}", var.tag);
+            out.push((doc(spec, &models[0].1), path, rows_of(var)));
+        }
+        for var in TRAFFIC.variants {
+            let (topology, model, ..) = models
+                .iter()
+                .find(|(_, model, ..)| (var.is)(model))
+                .unwrap_or_else(|| panic!("no golden model for {}", var.tag));
+            let path = format!("traffic.{}", var.tag);
+            let rows = match (var.shape, model) {
+                (Shape::Fields, _) => rows_of(var),
+                (_, TrafficModel::Explicit(_)) => rows_of(&FLOW),
+                (_, TrafficModel::Compose(_)) => rows_of(&PART),
+                _ => panic!("{} carries an item type the tests do not know", var.tag),
+            };
+            let path = match var.shape {
+                Shape::Fields => path,
+                _ => format!("{path}.[0]"),
+            };
+            out.push((doc(*topology, model), path, rows));
+        }
+        out
+    }
+
+    /// The pairs of the object at `path` (`a.b.[0].c`) inside `doc`.
+    fn object_at<'a>(doc: &'a mut Value, path: &str) -> &'a mut Vec<(String, Value)> {
+        let mut at = doc;
+        for segment in path.split('.').filter(|s| !s.is_empty()) {
+            at = match (at, segment.strip_prefix('[')) {
+                (Value::Array(items), Some(index)) => {
+                    &mut items[index.trim_end_matches(']').parse::<usize>().unwrap()]
+                }
+                (Value::Object(pairs), None) => {
+                    &mut pairs.iter_mut().find(|(k, _)| k == segment).unwrap().1
+                }
+                (other, _) => panic!("{path}: no '{segment}' in {other:?}"),
+            };
+        }
+        match at {
+            Value::Object(pairs) => pairs,
+            other => panic!("{path} is not an object: {other:?}"),
+        }
+    }
+
+    /// For every row of every table: a required key cannot be dropped,
+    /// an optional one falls back to the table's default, no key can be
+    /// repeated, and no object accepts a key its table lacks.
+    #[test]
+    fn every_table_row_is_enforced_by_the_strict_reader() {
+        for (doc, path, rows) in keyed_objects() {
+            let parsed = Scenario::from_json_value(&doc).unwrap();
+            assert_eq!(parsed.to_json_value(), doc, "samples are full-form");
+            for (key, required, default) in &rows {
+                let field = join(&path, key);
+                let mut dropped = doc.clone();
+                object_at(&mut dropped, &path).retain(|(k, _)| k != key);
+                match (required, Scenario::from_json_value(&dropped)) {
+                    (true, Err(e)) => {
+                        assert_eq!(e.to_string(), format!("missing required field '{field}'"));
+                    }
+                    (false, Ok(scenario)) => {
+                        let mut full = scenario.to_json_value();
+                        let pairs = object_at(&mut full, &path);
+                        let value = &pairs.iter().find(|(k, _)| k == key).unwrap().1;
+                        assert_eq!(value, default, "default of {field}");
+                    }
+                    (_, outcome) => panic!("dropping {field}: {outcome:?}"),
+                }
+                let mut repeated = doc.clone();
+                let pairs = object_at(&mut repeated, &path);
+                let copy = pairs.iter().find(|(k, _)| k == key).unwrap().clone();
+                pairs.push(copy);
+                assert_eq!(
+                    Scenario::from_json_value(&repeated).unwrap_err(),
+                    ScenarioError::DuplicateField { field }
+                );
+            }
+            let mut stray = doc.clone();
+            object_at(&mut stray, &path).push(("zzz".to_string(), Value::Null));
+            assert_eq!(
+                Scenario::from_json_value(&stray).unwrap_err(),
+                ScenarioError::UnknownField {
+                    field: join(&path, "zzz")
+                }
+            );
+        }
+    }
+
+    /// `docs/SCENARIOS.md` is checked against the tables: the field
+    /// reference has a row per top-level key whose Default column is the
+    /// table's default, every topology and traffic model has a section
+    /// (opened by its bold tag) that back-ticks each of its keys, and
+    /// every name of every name table is spelled somewhere.
+    #[test]
+    fn scenarios_md_documents_every_table() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/SCENARIOS.md");
+        let docs = std::fs::read_to_string(path).unwrap();
+        for (key, required, default) in rows_of(&SCENARIO) {
+            let row = docs
+                .lines()
+                .find(|line| line.starts_with(&format!("| `{key}` |")))
+                .unwrap_or_else(|| panic!("no field-reference row for `{key}`"));
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let expect = if required {
+                "—".to_string()
+            } else {
+                format!("`{}`", json::to_string(&default))
+            };
+            assert_eq!(cells[3], expect, "Default column of `{key}`");
+        }
+        let section = |tag: &str| {
+            let open = format!("**`{tag}`**");
+            let start = docs
+                .find(&open)
+                .unwrap_or_else(|| panic!("no section opened by {open}"));
+            let body = &docs[start + open.len()..];
+            let end = ["\n**`", "\n#"]
+                .iter()
+                .filter_map(|stop| body.find(stop))
+                .min();
+            body[..end.unwrap_or(body.len())].to_string()
+        };
+        let documents = |tag: &str, rows: &[Row]| {
+            let body = section(tag);
+            for (key, ..) in rows {
+                assert!(
+                    body.contains(&format!("`{key}`")),
+                    "`{tag}` section lacks `{key}`"
+                );
+            }
+        };
+        for var in TOPOLOGY.variants {
+            documents(var.tag, &rows_of(var));
+        }
+        for var in TRAFFIC.variants {
+            match (var.shape, var.tag) {
+                (Shape::Fields, tag) => documents(tag, &rows_of(var)),
+                (_, "explicit") => documents("explicit", &rows_of(&FLOW)),
+                (_, "compose") => documents("compose", &rows_of(&PART)),
+                (_, tag) => panic!("{tag} carries an item type the tests do not know"),
+            }
+        }
+        fn tags<T>(union: &Union<T>) -> Vec<&'static str> {
+            union.variants.iter().map(|var| var.tag).collect()
+        }
+        let names = [
+            tags(&TRANSPORT),
+            tags(&CC),
+            tags(&LOAD_BALANCING),
+            tags(&POPULATION),
+            tags(&ALGORITHM),
+            tags(&SIZES),
+            tags(&START),
+        ];
+        for name in names.concat() {
+            let spelled = [format!("`{name}`"), format!("\"{name}\"")];
+            assert!(
+                spelled.iter().any(|s| docs.contains(s)),
+                "`{name}` is undocumented"
+            );
+        }
+    }
+
+    /// One hostile size per bound: each is rejected arithmetically, as
+    /// a typed error, before anything is allocated or built. (`explicit`
+    /// shares `poisson`'s flow-count check; a list long enough to trip it
+    /// cannot be materialized here.)
+    #[test]
+    fn hostile_sizes_are_typed_errors() {
+        let parse = |topology: &str, traffic: &str| {
+            Scenario::from_json_str(&format!(
+                r#"{{"schema": "scenario-v1", "name": "x", "topology": {topology},
+                    "traffic": {traffic}}}"#,
+            ))
+            .unwrap_err()
+        };
+        let small = r#"{"single_switch": {"hosts": 8}}"#;
+        let poisson = |flows: u64| {
+            format!(r#"{{"poisson": {{"load": 0.5, "sizes": "heavy_tailed", "flows": {flows}}}}}"#)
+        };
+        let too_many = |flows| ScenarioError::Traffic(TrafficError::TooManyFlows { flows });
+        // Hosts.
+        assert_eq!(
+            parse(r#"{"single_switch": {"hosts": 3000000000}}"#, &poisson(10)),
+            ScenarioError::TopologyTooLarge {
+                hosts: 3_000_000_000,
+                links: 6_000_000_000
+            }
+        );
+        // Directed links (the hosts alone would fit).
+        assert_eq!(
+            parse(r#"{"fat_tree": {"k": 1000}}"#, &poisson(10)),
+            ScenarioError::TopologyTooLarge {
+                hosts: 250_000_000,
+                links: 1_500_000_000
+            }
+        );
+        assert_eq!(
+            parse(
+                r#"{"dumbbell": {"left": 600000000, "right": 600000000}}"#,
+                &poisson(10)
+            ),
+            ScenarioError::TopologyTooLarge {
+                hosts: 1_200_000_000,
+                links: 2_400_000_002
+            }
+        );
+        // An arity whose cube overflows every integer type saturates.
+        assert!(matches!(
+            parse(r#"{"fat_tree": {"k": 18446744073709551614}}"#, &poisson(10)),
+            ScenarioError::TopologyTooLarge { .. }
+        ));
+        // Flows, per model.
+        assert_eq!(
+            parse(small, &poisson(4_000_000_000)),
+            too_many(4_000_000_000)
+        );
+        assert_eq!(
+            parse(
+                small,
+                r#"{"bursty_poisson": {"load": 0.5, "sizes": "heavy_tailed",
+                    "flows": 1073741824, "duty_cycle": 0.5, "burst_flows": 4}}"#
+            ),
+            too_many(1 << 30)
+        );
+        assert_eq!(
+            parse(
+                small,
+                r#"{"shuffle": {"flow_bytes": 1000, "rounds": 200000000}}"#
+            ),
+            too_many(1_600_000_000)
+        );
+        let part = format!(
+            r#"{{"compose": [{{"traffic": {}}}]}}"#,
+            poisson(4_000_000_000)
+        );
+        assert_eq!(parse(small, &part), too_many(4_000_000_000));
+        // The arithmetic agrees with what the builders build.
+        for spec in [
+            TopologySpec::FatTree(4),
+            TopologySpec::FatTree(8),
+            TopologySpec::SingleSwitch(5),
+            TopologySpec::Dumbbell(2, 6),
+        ] {
+            let built = spec.build();
+            let size = (built.hosts as u128, 2 * built.cables.len() as u128);
+            assert_eq!(topology_size(spec), size, "{spec:?}");
+        }
+        // One below the bound is still a valid description.
+        Scenario::from_json_str(&format!(
+            r#"{{"schema": "scenario-v1", "name": "x", "topology": {small},
+                "traffic": {}}}"#,
+            poisson((1 << 30) - 1)
+        ))
+        .unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! a hard error everywhere instead of silent empty output.
 //!
 //! Simulation-backed artifacts expose a [`Plan`] (cells + deferred
-//! assembly), which is what lets [`run_batched`] splice every requested
+//! assembly), which is what lets [`run_artifacts`] splice every requested
 //! artifact's cells into **one** globally interleaved batch: the worker
 //! pool never drains between artifacts, so a small artifact queued
 //! after a big one no longer waits for a fresh batch. Output stays
@@ -15,7 +15,7 @@
 //! come back in submission order and each assembly is pure.
 
 use irn_core::RunResult;
-use irn_harness::{CellOutcome, Harness, HarnessError, WorkerStats};
+use irn_harness::{Harness, HarnessError, WorkerStats};
 use irn_telemetry::TraceSpec;
 use serde::json::{self, Value};
 use serde::Serialize;
@@ -131,7 +131,7 @@ impl Artifact {
     }
 
     /// Regenerate this artifact on its own (the single-artifact path;
-    /// `repro` uses [`run_batched`] so multiple artifacts share one
+    /// `repro` uses [`run_artifacts`] so multiple artifacts share one
     /// batch).
     pub fn run(&self, scale: Scale, harness: &Harness) -> Report {
         match self.kind {
@@ -311,7 +311,7 @@ pub struct BatchTrace {
     pub dropped: u64,
 }
 
-/// The outcome of [`run_batched`].
+/// The outcome of [`run_batch`].
 pub struct BatchRun {
     /// One report per selected artifact, in selection order.
     pub reports: Vec<Report>,
@@ -362,26 +362,9 @@ impl BatchRun {
 /// The reports are byte-identical to running each artifact alone, at
 /// any job count: the executor returns results in submission order,
 /// each cell is a pure function of its config, and each assembly is a
-/// pure function of its result slice.
-pub fn run_batched(selected: &[&Artifact], scale: Scale, harness: &Harness) -> BatchRun {
-    try_run_batched(selected, scale, harness).unwrap_or_else(|e| panic!("executor failed: {e}"))
-}
-
-/// The fallible form of [`run_batched`]: a degraded distributed backend
-/// surfaces as a typed [`HarnessError`] (carrying completed/total cell
-/// counts) instead of a panic. The in-process executor never errors.
-pub fn try_run_batched(
-    selected: &[&Artifact],
-    scale: Scale,
-    harness: &Harness,
-) -> Result<BatchRun, HarnessError> {
-    try_run_batched_traced(selected, scale, harness, None)
-}
-
-/// [`try_run_batched`] with the flight recorder on when `trace` is
-/// `Some`: every cell runs under a capture and the returned
-/// [`BatchRun::trace`] carries the batch-wide `trace-v1` lines.
-pub fn try_run_batched_traced(
+/// pure function of its result slice. This is [`run_batch`] over the
+/// artifacts' plans; see there for `trace` and the error.
+pub fn run_artifacts(
     selected: &[&Artifact],
     scale: Scale,
     harness: &Harness,
@@ -391,37 +374,23 @@ pub fn try_run_batched_traced(
         .iter()
         .map(|a| (a.name.to_string(), a.plan(scale)))
         .collect();
-    try_run_plan_batch_traced(items, |i| selected[i].run(scale, harness), harness, trace)
+    run_batch(items, |i| selected[i].run(scale, harness), harness, trace)
 }
 
-/// The generic global-batch runner beneath [`run_batched`] (and beneath
-/// `repro run --scenario`): concatenate every item's planned cells into
-/// one submission-ordered batch, execute it once, then demux each
-/// item's slice back through its assembly. Items without a plan are
-/// produced by `inline(index)` *after* the batch, at their position in
-/// the output order.
-pub fn run_plan_batch(
-    items: Vec<(String, Option<Plan>)>,
-    inline: impl Fn(usize) -> Report,
-    harness: &Harness,
-) -> BatchRun {
-    try_run_plan_batch(items, inline, harness).unwrap_or_else(|e| panic!("executor failed: {e}"))
-}
-
-/// The fallible form of [`run_plan_batch`] — see [`try_run_batched`].
-pub fn try_run_plan_batch(
-    items: Vec<(String, Option<Plan>)>,
-    inline: impl Fn(usize) -> Report,
-    harness: &Harness,
-) -> Result<BatchRun, HarnessError> {
-    try_run_plan_batch_traced(items, inline, harness, None)
-}
-
-/// [`try_run_plan_batch`] with an optional [`TraceSpec`]: when `Some`,
-/// every cell runs under the flight recorder and the per-cell trace
-/// chunks are concatenated — in submission order, which is also cell-id
-/// order — into [`BatchRun::trace`].
-pub fn try_run_plan_batch_traced(
+/// The one global-batch runner (beneath [`run_artifacts`] and `repro run
+/// --scenario`): concatenate every item's planned cells into one
+/// submission-ordered batch, execute it once, then demux each item's
+/// slice back through its assembly. Items without a plan are produced
+/// by `inline(index)` *after* the batch, at their position in the
+/// output order.
+///
+/// When `trace` is `Some`, every cell runs under the flight recorder
+/// and the per-cell chunks are concatenated — in submission order, which
+/// is also cell-id order — into [`BatchRun::trace`]. A degraded
+/// distributed backend surfaces as a typed [`HarnessError`] (carrying
+/// completed/total cell counts); the in-process executor never errors,
+/// so a caller that wants the panic writes `.expect(..)`.
+pub fn run_batch(
     items: Vec<(String, Option<Plan>)>,
     inline: impl Fn(usize) -> Report,
     harness: &Harness,
@@ -439,18 +408,7 @@ pub fn try_run_plan_batch_traced(
     // counters are charged to its cell's kind in the telemetry summary.
     let kinds: Vec<_> = batch.iter().map(|c| c.config().transport).collect();
     let t = std::time::Instant::now();
-    let outcomes: Vec<CellOutcome> = match trace {
-        None => harness
-            .try_run_timed(&batch)?
-            .into_iter()
-            .map(|(result, wall)| CellOutcome {
-                result,
-                wall,
-                trace: None,
-            })
-            .collect(),
-        Some(spec) => harness.try_run_traced(&batch, spec)?,
-    };
+    let outcomes = harness.try_run(&batch, trace)?;
     let batch_time = t.elapsed();
     let batch_trace = trace.map(|_| {
         let mut lines = Vec::new();

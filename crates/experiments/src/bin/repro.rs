@@ -66,7 +66,7 @@
 
 use irn_core::Scenario;
 use irn_experiments::artifacts::{self, BatchRun, ARTIFACTS};
-use irn_experiments::{scenario_json, scenario_plan, Harness, Scale, TelemetrySummary};
+use irn_experiments::{scenario_json, scenario_plan, Harness, Report, Scale, TelemetrySummary};
 use irn_harness::{worker, HarnessError, PoolConfig, WorkerOptions, WorkerPool, WorkerSpec};
 use irn_telemetry::{TraceFilter, TraceSpec};
 use serde::json::{self, Value};
@@ -687,12 +687,11 @@ fn report_batch_timing(
 }
 
 fn per_report_stderr(
-    name: &str,
-    class: &str,
-    seeds: usize,
+    label: &ReportLabel,
     timing: &artifacts::ArtifactTiming,
     telemetry: Option<&TelemetrySummary>,
 ) {
+    let ReportLabel { name, class, seeds } = label;
     if timing.cells > 0 {
         // Scheduler health counters ride along when nonzero: past-time
         // clamps and stale-timer skips are benign by design, but a
@@ -714,6 +713,67 @@ fn per_report_stderr(
         );
     } else {
         eprintln!("   [{name}: {class} over {seeds} seed(s)]");
+    }
+}
+
+/// How one report of a batch is labelled: its name (stderr, trace
+/// source, envelope file stem), determinism class and seed count.
+struct ReportLabel {
+    name: String,
+    class: &'static str,
+    seeds: usize,
+}
+
+/// The shared tail of the two batch modes: create the output locations,
+/// pick the backend, launch the one global batch, then report timing,
+/// gauge and trace, and print every report — with its envelope from
+/// `envelope(index, report, telemetry)` when `--json` asked for one.
+fn run_and_report(
+    args: &Args,
+    scale: &Scale,
+    what: &str,
+    labels: &[ReportLabel],
+    launch: impl FnOnce(&Harness, Option<&TraceSpec>) -> Result<BatchRun, HarnessError>,
+    envelope: impl Fn(usize, &Report, Option<&TelemetrySummary>) -> String,
+) {
+    prepare_output_paths(args);
+    validate_memory_json_path(args);
+    let backend = build_backend(args);
+
+    // One global batch: all simulation cells interleave on the worker
+    // pool, then reports assemble and print in presentation order
+    // (byte-identical to sequential runs).
+    let spec = trace_spec(args);
+    let t = std::time::Instant::now();
+    let batch = launch(&backend.harness, spec.as_ref()).unwrap_or_else(|e| fail_batch(e));
+    report_batch_timing(
+        &batch,
+        what,
+        labels.len(),
+        t,
+        &backend,
+        scale,
+        args.timing_json.as_deref(),
+    );
+    write_memory_gauge(args, &batch, scale);
+    let source: Vec<&str> = labels.iter().map(|l| l.name.as_str()).collect();
+    write_trace(args, &source.join(","), &batch);
+
+    let rows = batch
+        .reports
+        .iter()
+        .zip(&batch.timing)
+        .zip(&batch.telemetry);
+    for (i, (label, ((rep, timing), telemetry))) in labels.iter().zip(rows).enumerate() {
+        // Reports go to stdout; progress/timing to stderr so stdout
+        // stays byte-identical run to run (for deterministic artifacts).
+        print!("{}", rep.render());
+        println!();
+        per_report_stderr(label, timing, telemetry.as_ref());
+        if let Some(dir) = &args.json_dir {
+            let text = envelope(i, rep, telemetry.as_ref());
+            write_file(&dir.join(format!("{}.json", label.name)), &text);
+        }
     }
 }
 
@@ -799,14 +859,11 @@ fn list_artifacts(scale: Scale) {
     }
 }
 
-/// Registry-artifact mode: the classic `repro <artifact>... | all`.
-fn artifact_mode(args: &Args, scale: Scale) {
-    if args.positionals.is_empty() {
-        usage();
-    }
-    // Fail loudly on misspelled artifact names instead of silently
-    // printing nothing.
-    let wanted: Vec<&str> = args.positionals.iter().map(String::as_str).collect();
+/// The registry artifacts `names` select (`all` selects every one), in
+/// presentation order. Misspelled names fail loudly — each is reported,
+/// then usage, exit(2) — instead of silently printing nothing.
+fn select_artifacts(names: &[String]) -> Vec<&'static artifacts::Artifact> {
+    let wanted: Vec<&str> = names.iter().map(String::as_str).collect();
     let unknown = artifacts::unknown_names(&wanted);
     if !unknown.is_empty() {
         for name in &unknown {
@@ -814,59 +871,35 @@ fn artifact_mode(args: &Args, scale: Scale) {
         }
         usage();
     }
-
-    prepare_output_paths(args);
-    validate_memory_json_path(args);
-    let backend = build_backend(args);
     let all = wanted.contains(&"all");
-    let selected: Vec<&artifacts::Artifact> = ARTIFACTS
+    ARTIFACTS
         .iter()
         .filter(|a| all || wanted.contains(&a.name))
-        .collect();
+        .collect()
+}
 
-    // One global batch across every selected artifact: all simulation
-    // cells interleave on the worker pool, then reports assemble and
-    // print in presentation order (byte-identical to sequential runs).
-    let spec = trace_spec(args);
-    let t = std::time::Instant::now();
-    let batch =
-        artifacts::try_run_batched_traced(&selected, scale, &backend.harness, spec.as_ref())
-            .unwrap_or_else(|e| fail_batch(e));
-    report_batch_timing(
-        &batch,
-        "artifact(s)",
-        selected.len(),
-        t,
-        &backend,
-        &scale,
-        args.timing_json.as_deref(),
-    );
-    write_memory_gauge(args, &batch, &scale);
-    let source: Vec<&str> = selected.iter().map(|a| a.name).collect();
-    write_trace(args, &source.join(","), &batch);
-
-    for (((artifact, rep), timing), telemetry) in selected
-        .iter()
-        .zip(&batch.reports)
-        .zip(&batch.timing)
-        .zip(&batch.telemetry)
-    {
-        // Reports go to stdout; progress/timing to stderr so stdout
-        // stays byte-identical run to run (for deterministic artifacts).
-        print!("{}", rep.render());
-        println!();
-        per_report_stderr(
-            artifact.name,
-            artifact.determinism.as_str(),
-            artifact.seed_count(&scale),
-            timing,
-            telemetry.as_ref(),
-        );
-        if let Some(dir) = &args.json_dir {
-            let text = artifacts::artifact_json(artifact, &scale, rep, telemetry.as_ref());
-            write_file(&dir.join(format!("{}.json", artifact.name)), &text);
-        }
+/// Registry-artifact mode: the classic `repro <artifact>... | all`.
+fn artifact_mode(args: &Args, scale: Scale) {
+    if args.positionals.is_empty() {
+        usage();
     }
+    let selected = select_artifacts(&args.positionals);
+    let labels: Vec<ReportLabel> = selected
+        .iter()
+        .map(|a| ReportLabel {
+            name: a.name.to_string(),
+            class: a.determinism.as_str(),
+            seeds: a.seed_count(&scale),
+        })
+        .collect();
+    run_and_report(
+        args,
+        &scale,
+        "artifact(s)",
+        &labels,
+        |harness, spec| artifacts::run_artifacts(&selected, scale, harness, spec),
+        |i, rep, telemetry| artifacts::artifact_json(selected[i], &scale, rep, telemetry),
+    );
 }
 
 /// `repro run --scenario FILE...`: execute user scenarios through the
@@ -878,76 +911,46 @@ fn run_scenarios_mode(args: &Args, scale: Scale) {
         fail("run mode needs at least one scenario file (--scenario FILE or positional)");
     }
 
+    let seeds = args.seeds.unwrap_or(scale.seeds);
     let mut scenarios = Vec::with_capacity(files.len());
-    let mut slugs: Vec<String> = Vec::new();
+    let mut labels: Vec<ReportLabel> = Vec::new();
     for file in &files {
         let text = std::fs::read_to_string(file)
             .unwrap_or_else(|e| fail_input(format_args!("cannot read {}: {e}", file.display())));
         let scenario = Scenario::from_json_str(&text)
             .unwrap_or_else(|e| fail_input(format_args!("{}: {e}", file.display())));
         let slug = scenario.slug();
-        if slugs.contains(&slug) {
+        if labels.iter().any(|l| l.name == slug) {
             fail_input(format_args!(
                 "{}: scenario name '{}' collides with an earlier file (slug '{slug}')",
                 file.display(),
                 scenario.name()
             ));
         }
-        slugs.push(slug);
+        labels.push(ReportLabel {
+            name: slug,
+            class: "replicated",
+            seeds,
+        });
         scenarios.push(scenario);
     }
 
-    prepare_output_paths(args);
-    validate_memory_json_path(args);
-    let backend = build_backend(args);
-    let seeds = args.seeds.unwrap_or(scale.seeds);
-    let items: Vec<(String, Option<_>)> = scenarios
+    let items = scenarios
         .iter()
-        .zip(&slugs)
-        .map(|(s, slug)| (slug.clone(), Some(scenario_plan(s, seeds))))
+        .zip(&labels)
+        .map(|(s, label)| (label.name.clone(), Some(scenario_plan(s, seeds))))
         .collect();
-
-    let spec = trace_spec(args);
-    let t = std::time::Instant::now();
-    let batch = artifacts::try_run_plan_batch_traced(
-        items,
-        |i| unreachable!("scenario {i} has a plan"),
-        &backend.harness,
-        spec.as_ref(),
-    )
-    .unwrap_or_else(|e| fail_batch(e));
-    report_batch_timing(
-        &batch,
-        "scenario(s)",
-        scenarios.len(),
-        t,
-        &backend,
+    run_and_report(
+        args,
         &scale,
-        args.timing_json.as_deref(),
+        "scenario(s)",
+        &labels,
+        |harness, spec| {
+            let inline = |i| unreachable!("scenario {i} has a plan");
+            artifacts::run_batch(items, inline, harness, spec)
+        },
+        |i, rep, telemetry| scenario_json(&scenarios[i], seeds, rep, telemetry),
     );
-    write_memory_gauge(args, &batch, &scale);
-    write_trace(args, &slugs.join(","), &batch);
-
-    for (((scenario, rep), timing), telemetry) in scenarios
-        .iter()
-        .zip(&batch.reports)
-        .zip(&batch.timing)
-        .zip(&batch.telemetry)
-    {
-        print!("{}", rep.render());
-        println!();
-        per_report_stderr(
-            &scenario.slug(),
-            "replicated",
-            seeds,
-            timing,
-            telemetry.as_ref(),
-        );
-        if let Some(dir) = &args.json_dir {
-            let text = scenario_json(scenario, seeds, rep, telemetry.as_ref());
-            write_file(&dir.join(format!("{}.json", scenario.slug())), &text);
-        }
-    }
 }
 
 /// `repro worker`: serve the `work-v1` protocol for a coordinator —
@@ -1032,26 +1035,14 @@ fn worker_mode(args: &Args) {
 /// artifact's logical cells (the seed-replicate fan-out deduplicated
 /// away) as editable scenario-v1 files.
 fn emit_scenario_mode(args: &Args, scale: Scale) {
-    let wanted: Vec<&str> = args.positionals[1..].iter().map(String::as_str).collect();
-    if wanted.is_empty() {
+    if args.positionals.len() < 2 {
         fail("emit-scenario needs artifact names (or 'all')");
     }
-    let unknown = artifacts::unknown_names(&wanted);
-    if !unknown.is_empty() {
-        for name in &unknown {
-            eprintln!("error: unknown artifact '{name}'");
-        }
-        usage();
-    }
+    let selected = select_artifacts(&args.positionals[1..]);
     let Some(dir) = &args.json_dir else {
         fail("emit-scenario needs --json DIR for the output directory");
     };
 
-    let all = wanted.contains(&"all");
-    let selected: Vec<&artifacts::Artifact> = ARTIFACTS
-        .iter()
-        .filter(|a| all || wanted.contains(&a.name))
-        .collect();
     for artifact in selected {
         let Some(plan) = artifact.plan(scale) else {
             eprintln!(

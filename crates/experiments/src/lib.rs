@@ -12,7 +12,7 @@
 //! replicates, so each reported metric carries a mean and a
 //! `<metric>_ci95` confidence half-width. `repro` splices the plans of
 //! every requested artifact into **one** globally interleaved batch
-//! ([`artifacts::run_batched`]): independent cells run in parallel
+//! ([`artifacts::run_artifacts`]): independent cells run in parallel
 //! across artifacts while reports render byte-identically at any job
 //! count.
 //!

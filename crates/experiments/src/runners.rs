@@ -11,7 +11,7 @@
 //! aggregating, so common workload noise differences out of the ratio.
 //!
 //! Plans from several artifacts can be spliced into one global batch
-//! (see [`crate::artifacts::run_batched`]); results come back in
+//! (see [`crate::artifacts::run_artifacts`]); results come back in
 //! submission order, which keeps report assembly — and therefore the
 //! rendered output — byte-identical at any job count. Only
 //! `table1`/`table2` run inline: they *time* packet-processing paths on

@@ -18,18 +18,6 @@ use irn_core::RunResult;
 use serde::json::Value;
 use serde::Serialize;
 
-/// The scenario-v1 spelling of a transport kind (the same table
-/// `Scenario` serialization uses).
-pub fn transport_kind_label(kind: TransportKind) -> &'static str {
-    match kind {
-        TransportKind::Irn => "irn",
-        TransportKind::Roce => "roce",
-        TransportKind::IrnGoBackN => "irn_go_back_n",
-        TransportKind::IrnNoBdpFc => "irn_no_bdp_fc",
-        TransportKind::IwarpTcp => "iwarp_tcp",
-    }
-}
-
 /// Counters attributable to one transport kind (each cell runs exactly
 /// one transport, so its fabric counters are charged to that kind).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -258,7 +246,7 @@ impl TelemetrySummary {
                         Value::Array(
                             self.by_kind
                                 .iter()
-                                .map(|(k, c)| c.to_json_value(transport_kind_label(*k)))
+                                .map(|(k, c)| c.to_json_value(irn_core::transport_name(*k)))
                                 .collect(),
                         ),
                     ),
@@ -319,11 +307,5 @@ mod tests {
             .unwrap();
         assert_eq!(by_kind.len(), 1);
         assert_eq!(by_kind[0].get("kind").and_then(Value::as_str), Some("irn"));
-    }
-
-    #[test]
-    fn labels_match_the_scenario_spelling() {
-        assert_eq!(transport_kind_label(TransportKind::Irn), "irn");
-        assert_eq!(transport_kind_label(TransportKind::IwarpTcp), "iwarp_tcp");
     }
 }

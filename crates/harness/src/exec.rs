@@ -10,11 +10,11 @@
 //! output is byte-identical across backends and parallelism levels.
 //!
 //! [`Harness`] is the handle the rest of the workspace holds: a cheap
-//! clonable wrapper over an `Arc<dyn Executor>` whose `run`/`run_timed`
-//! methods are thin forwarding shims. The channel/ordering plumbing
-//! lives in exactly one place — [`ThreadExecutor::run_indexed`] — and
-//! `jobs = 1` bypasses the pool entirely and runs inline, so serial
-//! output is the definitional baseline every backend must match.
+//! clonable wrapper over an `Arc<dyn Executor>` with one fallible,
+//! optionally-traced entry, [`Harness::try_run`]. The channel/ordering
+//! plumbing lives in exactly one place — [`ThreadExecutor::run_indexed`]
+//! — and `jobs = 1` bypasses the pool entirely and runs inline, so
+//! serial output is the definitional baseline every backend must match.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,18 +97,12 @@ impl ThreadExecutor {
         ThreadExecutor { jobs: jobs.max(1) }
     }
 
-    /// The configured worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// The underlying primitive: evaluate `f(0..n)` across the pool and
     /// return the outputs in index order. `f` must be a pure function
     /// of its index for the order guarantee to be meaningful.
     ///
     /// This is the **only** copy of the channel/ordering plumbing; the
-    /// trait method, `Harness::run`, and `Harness::run_timed` are all
-    /// thin wrappers over it.
+    /// trait method is a thin wrapper over it.
     pub fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -242,65 +236,28 @@ impl Harness {
 
     /// Run every cell and return results in submission order:
     /// `results[i]` belongs to `cells[i]`, at any parallelism.
-    /// Panics if the backend fails; use [`Harness::try_run_timed`] for
-    /// the typed-error path (distributed backends can degrade).
+    /// Panics if the backend fails (the in-process one never does); use
+    /// [`Harness::try_run`] where a distributed backend can degrade.
     pub fn run(&self, cells: &[Cell]) -> Vec<RunResult> {
-        self.run_timed(cells).into_iter().map(|(r, _)| r).collect()
+        let outcomes = self.try_run(cells, None);
+        let outcomes = outcomes.unwrap_or_else(|e| panic!("executor failed: {e}"));
+        outcomes.into_iter().map(|o| o.result).collect()
     }
 
-    /// Like [`Harness::run`], additionally returning each cell's
-    /// wall-clock execution time on its worker. The results are
-    /// bit-identical to `run`'s (timing is observed, never fed back).
-    /// With more jobs than cores the workers time-share, so a cell's
-    /// duration includes preemption wait — consumers comparing
-    /// throughput across runs should hold `jobs` (recorded in the
-    /// timing JSON) constant. Panics if the backend fails.
-    pub fn run_timed(&self, cells: &[Cell]) -> Vec<(RunResult, std::time::Duration)> {
-        self.try_run_timed(cells)
-            .unwrap_or_else(|e| panic!("executor failed: {e}"))
-    }
-
-    /// The fallible primitive behind `run`/`run_timed`: every outcome
-    /// in submission order, or the backend's typed error (worker fleet
-    /// degraded, cell permanently failing). The in-process backend
-    /// never errors.
-    pub fn try_run_timed(
+    /// The one fallible entry: every outcome (result, wall-clock time on
+    /// its worker, and — when `trace` is `Some` — its trace-v1 chunk) in
+    /// submission order, or the backend's typed error (worker fleet
+    /// degraded, cell permanently failing). Results are bit-identical
+    /// with and without tracing, at any parallelism; timing is observed,
+    /// never fed back. With more jobs than cores the workers time-share,
+    /// so a cell's duration includes preemption wait — consumers
+    /// comparing throughput across runs should hold `jobs` constant.
+    pub fn try_run(
         &self,
         cells: &[Cell],
-    ) -> Result<Vec<(RunResult, std::time::Duration)>, HarnessError> {
-        Ok(self
-            .exec
-            .run_cells(cells, None)?
-            .into_iter()
-            .map(|o| (o.result, o.wall))
-            .collect())
-    }
-
-    /// Like [`Harness::try_run_timed`], with the flight recorder on:
-    /// every outcome carries its trace-v1 chunk. Results are
-    /// bit-identical to the untraced run at any parallelism — tracing
-    /// is observation only.
-    pub fn try_run_traced(
-        &self,
-        cells: &[Cell],
-        trace: &TraceSpec,
+        trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError> {
-        self.exec.run_cells(cells, Some(trace))
-    }
-
-    /// Evaluate `f(0..n)` across an in-process thread pool sized like
-    /// this harness, returning outputs in index order.
-    ///
-    /// This is a *local compute* primitive (used for generic
-    /// parallelism outside the cell abstraction); it always runs on
-    /// threads in this process, even when the cell backend is a
-    /// distributed pool.
-    pub fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        ThreadExecutor::new(self.jobs()).run_indexed(n, f)
+        self.exec.run_cells(cells, trace)
     }
 }
 
@@ -319,8 +276,7 @@ mod tests {
     #[test]
     fn results_come_back_in_submission_order() {
         // Skewed work so completion order differs from submission order.
-        let h = Harness::new(4);
-        let out = h.run_indexed(64, |i| {
+        let out = ThreadExecutor::new(4).run_indexed(64, |i| {
             let spins = if i % 7 == 0 { 200_000 } else { 10 };
             let mut acc = i as u64;
             for k in 0..spins {
@@ -336,20 +292,20 @@ mod tests {
     fn serial_and_parallel_agree() {
         let f = |i: usize| (i as u64).wrapping_mul(0x9E3779B97F4A7C15);
         assert_eq!(
-            Harness::serial().run_indexed(33, f),
-            Harness::new(8).run_indexed(33, f)
+            ThreadExecutor::new(1).run_indexed(33, f),
+            ThreadExecutor::new(8).run_indexed(33, f)
         );
     }
 
     #[test]
     fn zero_jobs_clamps_to_one() {
         assert_eq!(Harness::new(0).jobs(), 1);
-        assert_eq!(Harness::new(0).run_indexed(3, |i| i), vec![0, 1, 2]);
+        assert_eq!(ThreadExecutor::new(0).run_indexed(3, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let out: Vec<usize> = Harness::new(4).run_indexed(0, |i| i);
+        let out: Vec<usize> = ThreadExecutor::new(4).run_indexed(0, |i| i);
         assert!(out.is_empty());
         assert!(Harness::new(4).run(&[]).is_empty());
     }
@@ -379,7 +335,7 @@ mod tests {
         }
         let h = Harness::with_executor(Arc::new(Failing));
         assert_eq!(h.jobs(), 3);
-        let err = h.try_run_timed(&[]).unwrap_err();
+        let err = h.try_run(&[], None).unwrap_err();
         assert!(matches!(err, HarnessError::QuorumLost { .. }));
     }
 }

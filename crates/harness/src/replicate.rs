@@ -99,15 +99,6 @@ impl ReplicateResult {
                 known: self.runs.iter().map(|(s, _)| *s).collect(),
             })
     }
-
-    /// The run for one seed, `None` when it never ran.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `result_for`, which reports *which* seeds exist"
-    )]
-    pub fn run_for(&self, seed: u64) -> Option<&RunResult> {
-        self.result_for(seed).ok()
-    }
 }
 
 /// Many [`Replicate`]s flattened into **one** harness batch.
@@ -239,12 +230,6 @@ mod tests {
                 assert_eq!(known, &[5, 8, 11]);
             }
             other => panic!("wrong error: {other:?}"),
-        }
-        // The deprecated shim preserves the old Option surface.
-        #[allow(deprecated)]
-        {
-            assert!(a.run_for(8).is_some());
-            assert!(a.run_for(4).is_none());
         }
     }
 }

@@ -35,7 +35,7 @@ use irn_sim::{Duration, SchedulePort, SimRng, Time};
 use crate::arena::{PacketArena, PktId};
 use crate::packet::{FlowId, HostId, Packet};
 use crate::routing::NetTables;
-use crate::switch::{Dequeue, EcnConfig, Enqueue, PfcConfig, SwitchState, SwitchStats};
+use crate::switch::{Dequeue, EcnConfig, Enqueue, PfcConfig, SwitchState};
 use crate::topology::{NodeId, Topology};
 use crate::units::Bandwidth;
 
@@ -97,18 +97,6 @@ impl FabricConfig {
             load_balancing: LoadBalancing::EcmpPerFlow,
             seed: 0xF_AB,
         }
-    }
-
-    /// Same fabric with PFC disabled (drops possible).
-    pub fn without_pfc(mut self) -> FabricConfig {
-        self.pfc = None;
-        self
-    }
-
-    /// Enable ECN marking with the given parameters.
-    pub fn with_ecn(mut self, ecn: EcnConfig) -> FabricConfig {
-        self.ecn = Some(ecn);
-        self
     }
 }
 
@@ -386,15 +374,6 @@ impl Fabric {
         let pkt = *self.arena.get(id);
         self.arena.release(id);
         pkt
-    }
-
-    /// True when `Arrive { link, pkt }` would deliver a **data** packet
-    /// to a host — the shape the engine may batch with deferred NIC
-    /// polling (control deliveries must be handled one at a time; see
-    /// the engine's batching notes).
-    #[inline]
-    pub fn is_host_data_arrival(&self, link: u32, pkt: PktId) -> bool {
-        matches!(self.links[link as usize].dst, Endpoint::Host(_)) && self.arena.get(pkt).is_data()
     }
 
     /// Packets currently in flight through the fabric.
@@ -718,17 +697,6 @@ impl Fabric {
             s.ecn_marked += sw.stats.ecn_marked;
         }
         s
-    }
-
-    /// Per-switch counters (for tests asserting where congestion formed).
-    pub fn switch_stats(&self, sw: usize) -> SwitchStats {
-        self.switches[sw].stats
-    }
-
-    /// Direct read of a switch's egress occupancy (bytes queued toward
-    /// `port`), for tests and debugging.
-    pub fn switch_egress_occupancy(&self, sw: usize, port: u16) -> u64 {
-        self.switches[sw].egress_occupancy(port)
     }
 }
 

@@ -273,11 +273,6 @@ impl Requester {
             .any(|p| p.received < p.total_packets)
     }
 
-    /// True when every posted packet has been transmitted at least once.
-    pub fn fully_transmitted(&self) -> bool {
-        self.tx_msg >= self.msgs.len()
-    }
-
     /// True when every posted WQE has completed.
     pub fn idle(&self) -> bool {
         self.done_msgs == self.msgs.len()

@@ -37,11 +37,6 @@ impl SharedReceiveQueue {
         self.pool.push_back((id, sink_addr));
     }
 
-    /// WQEs waiting in the pool (un-allotted).
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
     /// Highest SN allotted so far (i.e. next to be handed out).
     pub fn next_sn(&self) -> u32 {
         self.next_sn

@@ -462,17 +462,6 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Time and event of the earliest live entry without removing it —
-    /// exactly what the next [`Scheduler::pop`] would return. Same
-    /// `&mut self` rationale as [`Scheduler::peek_time`].
-    pub fn peek(&mut self) -> Option<(Time, &E)> {
-        if self.settle() {
-            self.due.last().map(|e| (e.time, &e.event))
-        } else {
-            None
-        }
-    }
-
     /// Remove and return the earliest live event, advancing "now".
     /// Cancelled timer deadlines never surface here.
     pub fn pop(&mut self) -> Option<(Time, E)> {

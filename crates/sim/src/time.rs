@@ -44,11 +44,6 @@ impl Duration {
         self.0
     }
 
-    /// This duration in (possibly fractional) microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// This duration in (possibly fractional) milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6

@@ -65,11 +65,6 @@ impl HostNic {
         self.active.len()
     }
 
-    /// Control frames waiting.
-    pub fn control_backlog(&self) -> usize {
-        self.control.len()
-    }
-
     /// True when nothing is queued and no QPs are registered.
     pub fn is_quiescent(&self) -> bool {
         self.control.is_empty() && self.active.is_empty()

@@ -515,12 +515,11 @@ impl TrafficModel {
                 if *rounds == 0 {
                     return Err(TrafficError::ZeroRounds);
                 }
-                Ok(())
+                // Every host sends once per round.
+                check_flow_budget(hosts as u128 * *rounds as u128)
             }
             TrafficModel::Explicit(flows) => {
-                if flows.is_empty() {
-                    return Err(TrafficError::NoFlows);
-                }
+                check_flows(flows.len())?;
                 for f in flows {
                     for host in [f.src, f.dst] {
                         if host as usize >= hosts {
@@ -804,7 +803,7 @@ fn check_flows(flow_count: usize) -> Result<(), TrafficError> {
     if flow_count == 0 {
         return Err(TrafficError::NoFlows);
     }
-    Ok(())
+    check_flow_budget(flow_count as u128)
 }
 
 fn check_sizes(sizes: &SizeDistribution) -> Result<(), TrafficError> {

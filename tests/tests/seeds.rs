@@ -90,7 +90,7 @@ fn deterministic_artifact_is_seed_count_invariant() {
 
 /// The global interleaved batch is pure scheduling: for a mixed
 /// selection (small figures, an appendix table, an inline artifact),
-/// `run_batched` must render byte-identically to one-artifact-at-a-time
+/// `run_artifacts` must render byte-identically to one-artifact-at-a-time
 /// runs, and byte-identically between jobs=1 and jobs=8.
 #[test]
 fn global_batch_matches_sequential_at_any_job_count() {
@@ -113,10 +113,11 @@ fn global_batch_matches_sequential_at_any_job_count() {
             .map(|a| a.run(scale, &Harness::new(1)))
             .collect(),
     );
-    let batched_serial =
-        render_all(artifacts::run_batched(&selected, scale, &Harness::new(1)).reports);
-    let batched_parallel =
-        render_all(artifacts::run_batched(&selected, scale, &Harness::new(8)).reports);
+    let batched = |jobs| {
+        let batch = artifacts::run_artifacts(&selected, scale, &Harness::new(jobs), None);
+        render_all(batch.expect("in-process executor").reports)
+    };
+    let (batched_serial, batched_parallel) = (batched(1), batched(8));
 
     assert_eq!(
         sequential, batched_serial,
@@ -128,7 +129,7 @@ fn global_batch_matches_sequential_at_any_job_count() {
     );
 }
 
-/// The batch really is global: the cell count `run_batched` reports is
+/// The batch really is global: the cell count `run_artifacts` reports is
 /// the sum of the per-artifact plans, and demux hands every artifact
 /// exactly its own slice (spot-checked by comparing against the
 /// single-artifact path above).
@@ -137,7 +138,8 @@ fn batch_cell_count_sums_per_artifact_plans() {
     let scale = tiny().with_seeds(2);
     let names = ["fig1", "fig2", "fig9", "state-budget"];
     let selected = select(&names);
-    let batch = artifacts::run_batched(&selected, scale, &Harness::new(8));
+    let batch = artifacts::run_artifacts(&selected, scale, &Harness::new(8), None)
+        .expect("in-process executor");
     assert_eq!(batch.reports.len(), selected.len());
     let total = batch.cell_count;
     let per_artifact: usize = selected
@@ -175,7 +177,8 @@ fn every_deterministic_artifact_is_byte_stable_across_job_counts() {
     assert!(selected.len() >= 20, "registry unexpectedly shrank");
 
     let render = |jobs: usize| -> Vec<(String, String)> {
-        let batch = artifacts::run_batched(&selected, scale, &Harness::new(jobs));
+        let batch = artifacts::run_artifacts(&selected, scale, &Harness::new(jobs), None)
+            .expect("in-process executor");
         selected
             .iter()
             .zip(&batch.reports)

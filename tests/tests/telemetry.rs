@@ -101,12 +101,12 @@ fn trace_bytes_identical_at_jobs_1_and_8() {
 
 #[test]
 fn trace_bytes_identical_through_the_harness_seam() {
-    // `Harness::try_run_traced` is the path `repro run --trace` takes;
+    // `Harness::try_run` is the path `repro run --trace` takes;
     // it must agree byte-for-byte with the raw executor.
     let cells = batch();
     let spec = TraceSpec::default();
     let via_harness = Harness::with_executor(std::sync::Arc::new(ThreadExecutor::new(4)))
-        .try_run_traced(&cells, &spec)
+        .try_run(&cells, Some(&spec))
         .unwrap();
     let direct = ThreadExecutor::new(1)
         .run_cells(&cells, Some(&spec))
