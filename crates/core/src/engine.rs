@@ -16,14 +16,15 @@
 //!
 //! ## Ordering parity with the heap-based loop
 //!
-//! The ladder queue preserves the reference `EventQueue` contract
-//! (nondecreasing time, FIFO among simultaneous events), and arrivals
+//! The ladder queue preserves the contract of the binary-heap
+//! reference queue (`irn-integration`'s `EventQueue`: nondecreasing
+//! time, FIFO among simultaneous events), and arrivals
 //! win ties against queue events — exactly the order the previous
 //! engine produced by pushing every arrival up front with the smallest
 //! sequence numbers. Artifact output was verified byte-identical
 //! across the scheduler swap when it landed; what the suite pins
 //! continuously is jobs=1 vs jobs=8 byte-equality for every
-//! deterministic artifact (`tests/tests/seeds.rs`). Note the same
+//! artifact (`tests/tests/seeds.rs`). Note the same
 //! change also fixed a timeout-race transmit bug in `SenderQp`, which
 //! intentionally moved numbers for the cells that hit it (see
 //! CHANGES.md) — that drift is the bugfix, not the scheduler.

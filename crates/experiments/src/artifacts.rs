@@ -6,9 +6,10 @@
 //! the determinism tests agreeing on what exists — a misspelled name is
 //! a hard error everywhere instead of silent empty output.
 //!
-//! Simulation-backed artifacts expose a [`Plan`] (cells + deferred
-//! assembly), which is what lets [`run_artifacts`] splice every requested
-//! artifact's cells into **one** globally interleaved batch: the worker
+//! Every artifact is a [`Plan`] (cells + deferred assembly; the
+//! analytical `state-budget` plans zero cells), which is what lets
+//! [`run_artifacts`] splice every requested artifact's cells into
+//! **one** globally interleaved batch: the worker
 //! pool never drains between artifacts, so a small artifact queued
 //! after a big one no longer waits for a fresh batch. Output stays
 //! byte-identical to sequential runs at any job count because results
@@ -33,7 +34,9 @@ use crate::telemetry::TelemetrySummary;
 /// the v1 → v2 migration table.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// How an artifact's numbers behave across runs and seeds.
+/// How an artifact's numbers behave across seeds. Both classes are
+/// byte-reproducible run to run: wall clock is measured in exactly one
+/// place, the `BENCHMARK.json` command, never by an artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Determinism {
     /// Random-workload simulation replicated over seeds: rows report
@@ -44,9 +47,6 @@ pub enum Determinism {
     /// (analytical accounting): byte-reproducible and unaffected by
     /// `--seeds`.
     Deterministic,
-    /// CPU wall-clock timing substitute: numbers legitimately vary run
-    /// to run and never enter a parallel batch.
-    Timing,
 }
 
 impl Determinism {
@@ -56,7 +56,6 @@ impl Determinism {
         match self {
             Determinism::Replicated => "replicated",
             Determinism::Deterministic => "deterministic",
-            Determinism::Timing => "timing",
         }
     }
 }
@@ -72,7 +71,7 @@ pub enum WorkloadClass {
     /// Flows spawned in reaction to completions (RPC, allreduce,
     /// replication): a slow fabric slows the offered load itself.
     ClosedLoop,
-    /// No flow workload at all (analytical accounting, CPU timing).
+    /// No flow workload at all (analytical accounting).
     Deterministic,
 }
 
@@ -87,16 +86,6 @@ impl WorkloadClass {
     }
 }
 
-/// How an artifact is produced.
-enum Kind {
-    /// Simulation-backed: expands to a [`Plan`] whose cells can join a
-    /// global batch.
-    Sim(fn(Scale) -> Plan),
-    /// Computed inline (CPU-timing substitutes, analytical accounting);
-    /// never scheduled on the worker pool.
-    Inline(fn() -> Report),
-}
-
 /// One reproducible evaluation artifact (a figure or table).
 pub struct Artifact {
     /// CLI name and JSON file stem, e.g. `"fig1"`.
@@ -105,55 +94,29 @@ pub struct Artifact {
     pub determinism: Determinism,
     /// Workload class (see [`WorkloadClass`]).
     pub workload: WorkloadClass,
-    kind: Kind,
+    plan: fn(Scale) -> Plan,
     seeds: fn(&Scale) -> usize,
 }
 
 impl Artifact {
-    /// True unless this is a CPU-timing substitute — i.e. re-running
-    /// with the same config produces byte-identical output.
-    pub fn deterministic(&self) -> bool {
-        self.determinism != Determinism::Timing
-    }
-
     /// Seed replicates behind each of this artifact's reported values
-    /// at `scale` (1 for seed-independent and timing artifacts).
+    /// at `scale` (1 for seed-independent artifacts).
     pub fn seed_count(&self, scale: &Scale) -> usize {
         (self.seeds)(scale)
     }
 
-    /// The artifact's schedulable plan, or `None` for inline artifacts.
-    pub fn plan(&self, scale: Scale) -> Option<Plan> {
-        match self.kind {
-            Kind::Sim(f) => Some(f(scale)),
-            Kind::Inline(_) => None,
-        }
+    /// The artifact's schedulable plan (zero cells for analytical
+    /// artifacts).
+    pub fn plan(&self, scale: Scale) -> Plan {
+        (self.plan)(scale)
     }
 
     /// Regenerate this artifact on its own (the single-artifact path;
     /// `repro` uses [`run_artifacts`] so multiple artifacts share one
     /// batch).
     pub fn run(&self, scale: Scale, harness: &Harness) -> Report {
-        match self.kind {
-            Kind::Sim(f) => f(scale).run(harness),
-            Kind::Inline(f) => f(),
-        }
+        self.plan(scale).run(harness)
     }
-}
-
-/// The scale's Poisson seed-replicate count (registry metadata hook).
-fn scale_seeds(s: &Scale) -> usize {
-    s.seeds
-}
-
-/// The scale's incast repetition count (fig9's replicate count).
-fn incast_reps(s: &Scale) -> usize {
-    s.incast_reps
-}
-
-/// Seed count for artifacts that never replicate.
-fn one_seed(_: &Scale) -> usize {
-    1
 }
 
 /// Replicated open-loop simulation artifact driven by the scale's seed
@@ -163,8 +126,8 @@ const fn sim(name: &'static str, runner: fn(Scale) -> Plan) -> Artifact {
         name,
         determinism: Determinism::Replicated,
         workload: WorkloadClass::OpenLoop,
-        kind: Kind::Sim(runner),
-        seeds: scale_seeds,
+        plan: runner,
+        seeds: |s| s.seeds,
     }
 }
 
@@ -173,11 +136,8 @@ const fn sim(name: &'static str, runner: fn(Scale) -> Plan) -> Artifact {
 /// reaction to completions (reported by `--list` as `closed-loop`).
 const fn sim_closed(name: &'static str, runner: fn(Scale) -> Plan) -> Artifact {
     Artifact {
-        name,
-        determinism: Determinism::Replicated,
         workload: WorkloadClass::ClosedLoop,
-        kind: Kind::Sim(runner),
-        seeds: scale_seeds,
+        ..sim(name, runner)
     }
 }
 
@@ -195,29 +155,15 @@ pub static ARTIFACTS: &[Artifact] = &[
         name: "fig9",
         determinism: Determinism::Replicated,
         workload: WorkloadClass::OpenLoop,
-        kind: Kind::Sim(runners::fig9),
+        plan: runners::fig9,
         // Incast averaging predates the Poisson replication and keeps
         // its own repetition count (paper: up to 100).
-        seeds: incast_reps,
+        seeds: |s| s.incast_reps,
     },
     sim("incast-cross", runners::incast_cross),
     sim("fig10", runners::fig10),
     sim("fig11", runners::fig11),
     sim("fig12", runners::fig12),
-    Artifact {
-        name: "table1",
-        determinism: Determinism::Timing,
-        workload: WorkloadClass::Deterministic,
-        kind: Kind::Inline(runners::table1),
-        seeds: one_seed,
-    },
-    Artifact {
-        name: "table2",
-        determinism: Determinism::Timing,
-        workload: WorkloadClass::Deterministic,
-        kind: Kind::Inline(runners::table2),
-        seeds: one_seed,
-    },
     sim("table3", runners::table3),
     sim("table4", runners::table4),
     sim("table5", runners::table5),
@@ -229,8 +175,8 @@ pub static ARTIFACTS: &[Artifact] = &[
         name: "state-budget",
         determinism: Determinism::Deterministic,
         workload: WorkloadClass::Deterministic,
-        kind: Kind::Inline(runners::state_budget_report),
-        seeds: one_seed,
+        plan: runners::state_budget,
+        seeds: |_| 1,
     },
     // Closed-loop application workloads (§ traffic models beyond the
     // paper's open-loop sweeps): each sweeps loss rate × {IRN, RoCE}
@@ -238,13 +184,6 @@ pub static ARTIFACTS: &[Artifact] = &[
     sim_closed("rpc-loss", runners::rpc_loss),
     sim_closed("allreduce-loss", runners::allreduce_loss),
     sim_closed("replicate-loss", runners::replicate_loss),
-    // Packet-path stressors for the BENCH trajectory: hop-heavy
-    // cross-pod forwarding churn and an M-to-1 delivery burst. Their
-    // reports are ordinary replicated metrics (a determinism canary);
-    // the payload is their events/sec rows in `--timing-json`, which
-    // `diff-timing` trends across CI runs.
-    sim("bench-fwd-churn", runners::bench_fwd_churn),
-    sim("bench-incast-burst", runners::bench_incast_burst),
 ];
 
 /// Look an artifact up by CLI name.
@@ -261,16 +200,15 @@ pub fn unknown_names<'a>(wanted: &[&'a str]) -> Vec<&'a str> {
         .collect()
 }
 
-/// Per-artifact throughput observations from a batched run. Everything
-/// here is wall-clock instrumentation — determinism class `timing` — so
-/// it is reported on stderr and in the bench-trajectory JSON, never in
-/// the schema-v2 artifact envelopes.
+/// Per-artifact throughput observations from a batched run. The wall
+/// times are executor bookkeeping — reported on stderr and in the
+/// bench-trajectory JSON, never in the schema-v2 artifact envelopes.
 pub struct ArtifactTiming {
     /// Artifact name (registry key), or a scenario slug for
     /// `repro run --scenario` batches.
     pub name: String,
     /// Simulation cells the artifact contributed to the batch (0 for
-    /// inline artifacts).
+    /// analytical artifacts).
     pub cells: usize,
     /// Simulation events processed across those cells (deterministic).
     pub events: u64,
@@ -282,16 +220,20 @@ pub struct ArtifactTiming {
 }
 
 impl ArtifactTiming {
-    /// Events per summed cell-second across this artifact's cells —
-    /// the scheduler-throughput figure the BENCH trend line tracks
+    /// Events per summed cell-second across this artifact's cells
     /// (jobs-sensitive; see [`ArtifactTiming::cell_wall`]).
     pub fn events_per_sec(&self) -> f64 {
-        let s = self.cell_wall.as_secs_f64();
-        if s > 0.0 {
-            self.events as f64 / s
-        } else {
-            0.0
-        }
+        per_sec(self.events, self.cell_wall)
+    }
+}
+
+/// `events / wall`, or 0 for a batch that took no measurable time.
+fn per_sec(events: u64, wall: std::time::Duration) -> f64 {
+    let s = wall.as_secs_f64();
+    if s > 0.0 {
+        events as f64 / s
+    } else {
+        0.0
     }
 }
 
@@ -317,9 +259,9 @@ pub struct BatchRun {
     pub reports: Vec<Report>,
     /// Cells the global batch submitted to the executor.
     pub cell_count: usize,
-    /// Wall-clock time of the executor pass alone. Inline artifacts
-    /// (the CPU-timing tables) run *after* the batch and are excluded,
-    /// so this is the number to judge `--jobs` scaling against.
+    /// Wall-clock time of the executor pass alone (report assembly
+    /// excluded), so this is the number to judge `--jobs` scaling
+    /// against.
     pub batch_time: std::time::Duration,
     /// Simulation events processed across the whole batch.
     pub total_events: u64,
@@ -327,12 +269,13 @@ pub struct BatchRun {
     /// order (aligned with `reports`).
     pub timing: Vec<ArtifactTiming>,
     /// Per-artifact unified counters, in selection order (aligned with
-    /// `reports`; `None` for inline artifacts, which run no cells).
+    /// `reports`; `None` for an artifact that ran no cells).
     /// Deterministic — these feed the envelope's `telemetry` block.
     pub telemetry: Vec<Option<TelemetrySummary>>,
     /// Per-artifact peak-memory gauges, in selection order (aligned
-    /// with `reports`; `None` for inline artifacts). Deterministic —
-    /// these feed the `memory-v1` file behind `--memory-json`.
+    /// with `reports`; `None` for an artifact that ran no cells).
+    /// Deterministic — these feed the `memory-v1` file behind
+    /// `--memory-json`.
     pub memory: Vec<Option<MemorySummary>>,
     /// Captured trace lines when the batch ran with a
     /// [`TraceSpec`]; `None` on untraced runs.
@@ -342,22 +285,15 @@ pub struct BatchRun {
 impl BatchRun {
     /// Batch-wide events per wall-clock second (all workers combined).
     pub fn events_per_sec(&self) -> f64 {
-        let s = self.batch_time.as_secs_f64();
-        if s > 0.0 {
-            self.total_events as f64 / s
-        } else {
-            0.0
-        }
+        per_sec(self.total_events, self.batch_time)
     }
 }
 
 /// Run `selected` artifacts through **one** globally interleaved batch:
-/// every simulation-backed artifact is planned first, all planned cells
-/// are concatenated in selection order into a single submission-ordered
-/// batch, the executor runs it once, and each artifact assembles its
-/// own slice of the results. Inline artifacts run at their position in
-/// the output order, after the batch (so CPU-timing substitutes never
-/// share cores with simulation workers).
+/// every artifact is planned first, all planned cells are concatenated
+/// in selection order into a single submission-ordered batch, the
+/// executor runs it once, and each artifact assembles its own slice of
+/// the results.
 ///
 /// The reports are byte-identical to running each artifact alone, at
 /// any job count: the executor returns results in submission order,
@@ -374,15 +310,14 @@ pub fn run_artifacts(
         .iter()
         .map(|a| (a.name.to_string(), a.plan(scale)))
         .collect();
-    run_batch(items, |i| selected[i].run(scale, harness), harness, trace)
+    run_batch(items, harness, trace)
 }
 
 /// The one global-batch runner (beneath [`run_artifacts`] and `repro run
 /// --scenario`): concatenate every item's planned cells into one
 /// submission-ordered batch, execute it once, then demux each item's
-/// slice back through its assembly. Items without a plan are produced
-/// by `inline(index)` *after* the batch, at their position in the
-/// output order.
+/// slice back through its assembly. An item that planned no cells
+/// contributes no `telemetry` or `memory` entry.
 ///
 /// When `trace` is `Some`, every cell runs under the flight recorder
 /// and the per-cell chunks are concatenated — in submission order, which
@@ -391,17 +326,13 @@ pub fn run_artifacts(
 /// completed/total cell counts); the in-process executor never errors,
 /// so a caller that wants the panic writes `.expect(..)`.
 pub fn run_batch(
-    items: Vec<(String, Option<Plan>)>,
-    inline: impl Fn(usize) -> Report,
+    mut items: Vec<(String, Plan)>,
     harness: &Harness,
     trace: Option<&TraceSpec>,
 ) -> Result<BatchRun, HarnessError> {
-    let mut plans: Vec<(String, Option<Plan>)> = items;
     let mut batch = Vec::new();
-    for (_, plan) in &mut plans {
-        if let Some(plan) = plan {
-            batch.append(&mut plan.take_cells());
-        }
+    for (_, plan) in &mut items {
+        batch.append(&mut plan.take_cells());
     }
     let cell_count = batch.len();
     // The per-cell transport kinds, in submission order: each result's
@@ -423,52 +354,38 @@ pub fn run_batch(
     });
     let mut results = outcomes.into_iter().zip(kinds);
     let mut total_events = 0u64;
-    let mut timing = Vec::with_capacity(plans.len());
-    let mut telemetry = Vec::with_capacity(plans.len());
-    let mut memory = Vec::with_capacity(plans.len());
-    let reports = plans
+    let mut timing = Vec::with_capacity(items.len());
+    let mut telemetry = Vec::with_capacity(items.len());
+    let mut memory = Vec::with_capacity(items.len());
+    let reports = items
         .into_iter()
-        .enumerate()
-        .map(|(i, (name, plan))| match plan {
-            Some(plan) => {
-                let n = plan.cell_count();
-                let mut events = 0u64;
-                let mut cell_wall = std::time::Duration::ZERO;
-                let mut summary = TelemetrySummary::default();
-                let mut gauge = MemorySummary::default();
-                let slice: Vec<RunResult> = results
-                    .by_ref()
-                    .take(n)
-                    .map(|(o, kind)| {
-                        events += o.result.events;
-                        cell_wall += o.wall;
-                        summary.add(kind, &o.result);
-                        gauge.add(&o.result);
-                        o.result
-                    })
-                    .collect();
-                total_events += events;
-                timing.push(ArtifactTiming {
-                    name,
-                    cells: n,
-                    events,
-                    cell_wall,
-                });
-                telemetry.push(Some(summary));
-                memory.push(Some(gauge));
-                plan.assemble(slice)
-            }
-            None => {
-                timing.push(ArtifactTiming {
-                    name,
-                    cells: 0,
-                    events: 0,
-                    cell_wall: std::time::Duration::ZERO,
-                });
-                telemetry.push(None);
-                memory.push(None);
-                inline(i)
-            }
+        .map(|(name, plan)| {
+            let n = plan.cell_count();
+            let mut events = 0u64;
+            let mut cell_wall = std::time::Duration::ZERO;
+            let mut summary = TelemetrySummary::default();
+            let mut gauge = MemorySummary::default();
+            let slice: Vec<RunResult> = results
+                .by_ref()
+                .take(n)
+                .map(|(o, kind)| {
+                    events += o.result.events;
+                    cell_wall += o.wall;
+                    summary.add(kind, &o.result);
+                    gauge.add(&o.result);
+                    o.result
+                })
+                .collect();
+            total_events += events;
+            timing.push(ArtifactTiming {
+                name,
+                cells: n,
+                events,
+                cell_wall,
+            });
+            telemetry.push((n > 0).then_some(summary));
+            memory.push((n > 0).then_some(gauge));
+            plan.assemble(slice)
         })
         .collect();
     Ok(BatchRun {
@@ -486,11 +403,13 @@ pub fn run_batch(
 /// Serialize a batch's throughput observations as the
 /// `bench-trajectory` JSON (pretty-printed, trailing newline): one
 /// record per artifact (cells, events, summed per-cell wall seconds,
-/// events/sec) plus batch-wide totals. Determinism class `timing`:
-/// the numbers legitimately vary run to run, which is exactly why this
-/// file is separate from the schema-v2 artifact envelopes (and why
-/// `--verify-json` ignores it). The CI uploads one of these per run —
-/// the points of the ROADMAP's BENCH trend line.
+/// events/sec) plus batch-wide totals. This is the executor's side
+/// file (its `determinism` tag reads `"timing"`): the seconds vary run
+/// to run, which is exactly why it is separate from the schema-v2
+/// artifact envelopes (and why `--verify-json` ignores it). It is not a
+/// benchmark — perf claims cite the `BENCHMARK.json` command, whose
+/// `repro-fleet-batch` workload reads this file for cell counts and
+/// executor overhead.
 ///
 /// `workers` is the distributed backend's per-worker breakdown
 /// ([`irn_harness::WorkerPool::worker_stats`]); in-process runs pass
@@ -561,8 +480,8 @@ pub fn timing_json(
 /// timings so the bytes depend only on `(artifact, scale, report,
 /// telemetry)` — `--jobs 1` and `--jobs 64` must emit identical files.
 /// `telemetry` is the artifact's unified-counters block
-/// ([`BatchRun::telemetry`]); inline artifacts, which run no cells,
-/// pass `None` and the key is omitted. The full format is documented in
+/// ([`BatchRun::telemetry`]); an artifact that ran no cells passes
+/// `None` and the key is omitted. The full format is documented in
 /// `docs/SCHEMA.md`.
 pub fn artifact_json(
     artifact: &Artifact,
@@ -632,7 +551,7 @@ pub fn verify_artifact_json(name: &str, text: &str) -> Result<(), String> {
     let Some(class) = v.get("determinism").and_then(Value::as_str) else {
         return Err(schema_err(name, "missing 'determinism' field"));
     };
-    if !["replicated", "deterministic", "timing"].contains(&class) {
+    if !["replicated", "deterministic"].contains(&class) {
         return Err(schema_err(name, format!("unknown determinism '{class}'")));
     }
     // Scenario-run envelopes (marked by the embedded scenario document
@@ -784,34 +703,12 @@ mod tests {
             scale.incast_reps,
             "fig9 keeps its incast repetition count"
         );
-        assert_eq!(find("table1").unwrap().seed_count(&scale), 1);
         assert_eq!(find("state-budget").unwrap().seed_count(&scale), 1);
     }
 
     #[test]
-    fn determinism_classes_partition_the_registry() {
-        let timing: Vec<&str> = ARTIFACTS
-            .iter()
-            .filter(|a| a.determinism == Determinism::Timing)
-            .map(|a| a.name)
-            .collect();
-        assert_eq!(timing, ["table1", "table2"]);
-        let det: Vec<&str> = ARTIFACTS
-            .iter()
-            .filter(|a| a.determinism == Determinism::Deterministic)
-            .map(|a| a.name)
-            .collect();
-        assert_eq!(det, ["state-budget"]);
-        for a in ARTIFACTS {
-            assert_eq!(a.deterministic(), a.determinism != Determinism::Timing);
-            // Inline ⇔ no plan; planned ⇔ replicated here.
-            let planned = a.plan(Scale::quick().with_seeds(1)).is_some();
-            assert_eq!(planned, a.determinism == Determinism::Replicated);
-        }
-    }
-
-    #[test]
-    fn workload_classes_partition_the_registry() {
+    fn two_determinism_classes_and_three_workload_classes_partition_the_registry() {
+        assert_eq!(ARTIFACTS.len(), 24);
         let closed: Vec<&str> = ARTIFACTS
             .iter()
             .filter(|a| a.workload == WorkloadClass::ClosedLoop)
@@ -819,15 +716,35 @@ mod tests {
             .collect();
         assert_eq!(closed, ["rpc-loss", "allreduce-loss", "replicate-loss"]);
         for a in ARTIFACTS {
-            // Inline artifacts run no flows; simulation artifacts are
-            // open- or closed-loop, never "deterministic".
-            let planned = a.plan(Scale::quick().with_seeds(1)).is_some();
-            assert_eq!(planned, a.workload != WorkloadClass::Deterministic);
-            // Closed-loop sweeps are still seed-replicated simulations.
-            if a.workload == WorkloadClass::ClosedLoop {
-                assert_eq!(a.determinism, Determinism::Replicated);
-            }
+            // Exactly two determinism classes: everything that
+            // simulates (open- or closed-loop) is seed-replicated, and
+            // the one analytical artifact plans zero cells.
+            let simulates = a.plan(Scale::quick().with_seeds(1)).cell_count() > 0;
+            assert_eq!(simulates, a.name != "state-budget");
+            assert_eq!(simulates, a.determinism == Determinism::Replicated);
+            assert_eq!(!simulates, a.determinism == Determinism::Deterministic);
+            assert_eq!(simulates, a.workload != WorkloadClass::Deterministic);
         }
+    }
+
+    /// `state-budget` rides the batch as a zero-cell plan: no cells, no
+    /// `telemetry` block, no `memory-v1` row, and the envelope bytes it
+    /// had as an inline artifact (literal captured at the parent
+    /// commit).
+    #[test]
+    fn state_budget_is_a_zero_cell_plan_with_the_inline_era_envelope() {
+        let scale = Scale::quick().with_seeds(3);
+        let sb = find("state-budget").unwrap();
+        assert_eq!(sb.plan(scale).cell_count(), 0);
+        let batch = run_artifacts(&[sb], scale, &Harness::new(1), None).unwrap();
+        assert_eq!(batch.cell_count, 0);
+        assert_eq!(batch.telemetry, [None]);
+        assert_eq!(batch.memory, [None]);
+        let gauge = json::from_str(&crate::memory_json(&batch, &scale)).unwrap();
+        assert_eq!(gauge.get("artifacts"), Some(&Value::Array(Vec::new())));
+        let text = artifact_json(sb, &scale, &batch.reports[0], batch.telemetry[0].as_ref());
+        assert_eq!(text, include_str!("../tests/fixtures/state-budget.json"));
+        verify_artifact_json("state-budget", &text).unwrap();
     }
 
     #[test]
@@ -878,12 +795,19 @@ mod tests {
         );
         let err = verify_artifact_json("fig1", &orphan).unwrap_err();
         assert!(err.contains("without its"), "{err}");
-        // Determinism contradicting the registry.
-        let wrong_class = format!(
-            r#"{{"schema_version": {SCHEMA_VERSION}, "artifact": "fig1", "scale": "quick",
-                "seeds": 5, "determinism": "timing",
-                "report": {{"rows": [{{"label": "IRN", "values": [["m", 1.0]]}}]}}}}"#
-        );
-        assert!(verify_artifact_json("fig1", &wrong_class).is_err());
+        // Determinism contradicting the registry, and the retired
+        // wall-clock class, which no envelope may carry any more.
+        let with_class = |class: &str| {
+            format!(
+                r#"{{"schema_version": {SCHEMA_VERSION}, "artifact": "fig1", "scale": "quick",
+                    "seeds": 5, "determinism": "{class}",
+                    "report": {{"rows": [{{"label": "IRN", "values": [["m", 1.0]]}}]}}}}"#
+            )
+        };
+        verify_artifact_json("fig1", &with_class("replicated")).unwrap();
+        let err = verify_artifact_json("fig1", &with_class("deterministic")).unwrap_err();
+        assert!(err.contains("does not match the registry"), "{err}");
+        let err = verify_artifact_json("fig1", &with_class("timing")).unwrap_err();
+        assert!(err.contains("unknown determinism 'timing'"), "{err}");
     }
 }

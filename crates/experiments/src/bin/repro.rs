@@ -9,8 +9,8 @@
 //! repro emit-scenario <artifact>... --json DIR
 //!                                          dump an artifact's cells as
 //!                                          editable scenario files
-//! repro diff-timing OLD.json NEW.json      compare two bench-trajectory
-//!                                          files, warn on drift
+//! repro diff-memory OLD.json NEW.json      compare two memory-v1 gauges,
+//!                                          warn on bytes/flow drift
 //! repro trace-summarize FILE               aggregate a trace-v1 file into
 //!                                          per-kind / per-flow / per-op tables
 //! repro [flags] --list                     registry: name, class, workload,
@@ -49,12 +49,12 @@
 //! artifact or scenario (format: docs/SCHEMA.md; scenario files:
 //! docs/SCENARIOS.md).
 //!
-//! Timing is determinism-class `timing` and stays out of the artifact
-//! envelopes: per-artifact and batch-wide events/sec go to **stderr**,
-//! and `--timing-json FILE` writes the same observations as a
-//! `bench-trajectory-v1` JSON for the CI's BENCH trend line;
-//! `diff-timing` compares two such files (warn-only, for CI
-//! annotations).
+//! Every byte on stdout and in `--json DIR` is a pure function of the
+//! config. Wall time stays out: per-artifact and batch-wide events/sec
+//! go to **stderr**, and `--timing-json FILE` writes the executor's
+//! observations (cells, per-worker shares, batch seconds) as a
+//! `bench-trajectory-v1` side file. Neither is a benchmark — perf
+//! claims cite the `BENCHMARK.json` command (benchmark/README.md).
 //!
 //! Exit codes: 0 success, 1 verification failure, 2 usage error —
 //! including unknown artifact names, unknown flags, and invalid
@@ -139,7 +139,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--timing-json",
         metavar: Some("FILE"),
-        help: "write bench-trajectory-v1 throughput JSON to FILE",
+        help: "write the executor's bench-trajectory-v1 side file to FILE",
     },
     FlagSpec {
         name: "--memory-json",
@@ -165,16 +165,6 @@ const FLAGS: &[FlagSpec] = &[
         name: "--progress-json",
         metavar: Some("FILE"),
         help: "write fleet-progress-v1 NDJSON events (needs --workers/--connect)",
-    },
-    FlagSpec {
-        name: "--drift-pct",
-        metavar: Some("P"),
-        help: "(diff modes) warning threshold in percent (default: 20 timing, 10 memory)",
-    },
-    FlagSpec {
-        name: "--fail-on-drift",
-        metavar: None,
-        help: "(diff modes) exit 1 when drift exceeds the threshold",
     },
     FlagSpec {
         name: "--list",
@@ -204,10 +194,6 @@ const MODES: &[(&str, &str)] = &[
     (
         "repro emit-scenario <artifact>... --json DIR",
         "dump an artifact's logical cells as editable scenario files",
-    ),
-    (
-        "repro diff-timing OLD.json NEW.json",
-        "compare bench-trajectory files; warn on events/sec drift",
     ),
     (
         "repro diff-memory OLD.json NEW.json",
@@ -281,20 +267,13 @@ const MODE_FLAGS: &[(&str, &[&str])] = &[
     ),
     ("worker", &["--listen", "--exit-after"]),
     ("emit-scenario", &["--full", "--seeds", "--json"]),
-    ("diff-timing", &["--drift-pct", "--fail-on-drift"]),
-    ("diff-memory", &["--drift-pct", "--fail-on-drift"]),
+    ("diff-memory", &[]),
     ("trace-summarize", &[]),
 ];
 
 /// Flags only meaningful inside a specific subcommand; rejected in the
 /// default artifact mode.
-const SUBCOMMAND_ONLY_FLAGS: &[&str] = &[
-    "--scenario",
-    "--drift-pct",
-    "--fail-on-drift",
-    "--listen",
-    "--exit-after",
-];
+const SUBCOMMAND_ONLY_FLAGS: &[&str] = &["--scenario", "--listen", "--exit-after"];
 
 #[derive(Default)]
 struct Args {
@@ -314,8 +293,6 @@ struct Args {
     trace: Option<PathBuf>,
     trace_filter: Option<String>,
     progress_json: Option<PathBuf>,
-    drift_pct: Option<f64>,
-    fail_on_drift: bool,
     list: bool,
     verify_dir: Option<PathBuf>,
     positionals: Vec<String>,
@@ -396,18 +373,6 @@ fn parse_args() -> Args {
                 args.trace_filter = Some(expr);
             }
             "--progress-json" => args.progress_json = Some(PathBuf::from(value.unwrap())),
-            "--fail-on-drift" => args.fail_on_drift = true,
-            "--drift-pct" => {
-                let v = value.unwrap();
-                args.drift_pct = Some(v.parse::<f64>().ok().filter(|p| *p > 0.0).unwrap_or_else(
-                    || {
-                        fail(format_args!(
-                            "{} needs a positive number, got '{v}'",
-                            spec.name
-                        ))
-                    },
-                ));
-            }
             "--verify-json" => args.verify_dir = Some(PathBuf::from(value.unwrap())),
             other => unreachable!("flag '{other}' in table but not dispatched"),
         }
@@ -766,7 +731,7 @@ fn run_and_report(
         .zip(&batch.telemetry);
     for (i, (label, ((rep, timing), telemetry))) in labels.iter().zip(rows).enumerate() {
         // Reports go to stdout; progress/timing to stderr so stdout
-        // stays byte-identical run to run (for deterministic artifacts).
+        // stays byte-identical run to run.
         print!("{}", rep.render());
         println!();
         per_report_stderr(label, timing, telemetry.as_ref());
@@ -845,16 +810,13 @@ fn list_artifacts(scale: Scale) {
         scale.label()
     );
     for a in ARTIFACTS {
-        let cells = a
-            .plan(scale)
-            .map_or_else(|| "-".to_string(), |p| p.cell_count().to_string());
         println!(
             "{:<16} {:<14} {:<12} {:>5}  {:>6}",
             a.name,
             a.determinism.as_str(),
             a.workload.as_str(),
             a.seed_count(&scale),
-            cells
+            a.plan(scale).cell_count()
         );
     }
 }
@@ -938,17 +900,14 @@ fn run_scenarios_mode(args: &Args, scale: Scale) {
     let items = scenarios
         .iter()
         .zip(&labels)
-        .map(|(s, label)| (label.name.clone(), Some(scenario_plan(s, seeds))))
+        .map(|(s, label)| (label.name.clone(), scenario_plan(s, seeds)))
         .collect();
     run_and_report(
         args,
         &scale,
         "scenario(s)",
         &labels,
-        |harness, spec| {
-            let inline = |i| unreachable!("scenario {i} has a plan");
-            artifacts::run_batch(items, inline, harness, spec)
-        },
+        |harness, spec| artifacts::run_batch(items, harness, spec),
         |i, rep, telemetry| scenario_json(&scenarios[i], seeds, rep, telemetry),
     );
 }
@@ -1044,13 +1003,7 @@ fn emit_scenario_mode(args: &Args, scale: Scale) {
     };
 
     for artifact in selected {
-        let Some(plan) = artifact.plan(scale) else {
-            eprintln!(
-                "   [{}: inline artifact (no simulation cells), nothing to emit]",
-                artifact.name
-            );
-            continue;
-        };
+        let plan = artifact.plan(scale);
         // The plan's cells are the seed-replicate fan-out; keep one
         // cell per logical cell (same label and same config apart from
         // the seed ⇒ same logical cell, first/base seed wins).
@@ -1090,7 +1043,7 @@ fn emit_scenario_mode(args: &Args, scale: Scale) {
 /// into a per-kind table and a per-flow table (events by kind, sorted
 /// by volume). Doubles as the CI's schema validator: a header with the
 /// wrong schema tag, an unparsable line, or an event missing its
-/// mandatory fields exits 1.
+/// mandatory fields exits 2.
 fn trace_summarize_mode(args: &Args) {
     let rest = &args.positionals[1..];
     if rest.len() != 1 {
@@ -1229,108 +1182,20 @@ fn trace_summarize_mode(args: &Args) {
     }
 }
 
-/// `repro diff-timing OLD NEW`: per-artifact events/sec drift between
-/// two bench-trajectory-v1 files. Warn-only by default (exits 0; drift
-/// beyond the threshold prints a GitHub `::warning` annotation);
-/// `--fail-on-drift` turns threshold violations into exit 1 — the CI's
-/// trace-off overhead gate.
-fn diff_timing_mode(args: &Args) {
-    let rest = &args.positionals[1..];
-    if rest.len() != 2 {
-        fail("diff-timing needs exactly two bench-trajectory JSON files (old, new)");
-    }
-    let threshold = args.drift_pct.unwrap_or(20.0);
-    let load = |path: &str| -> Vec<(String, f64)> {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail_input(format_args!("cannot read {path}: {e}")));
-        let v = json::from_str(&text).unwrap_or_else(|e| fail_input(format_args!("{path}: {e}")));
-        if v.get("schema").and_then(Value::as_str) != Some("bench-trajectory-v1") {
-            fail_input(format_args!("{path}: not a bench-trajectory-v1 file"));
-        }
-        let mut out = vec![(
-            "(batch)".to_string(),
-            v.get("events_per_sec")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0),
-        )];
-        for row in v.get("artifacts").and_then(Value::as_array).unwrap_or(&[]) {
-            let (Some(name), Some(eps)) = (
-                row.get("artifact").and_then(Value::as_str),
-                row.get("events_per_sec").and_then(Value::as_f64),
-            ) else {
-                continue;
-            };
-            out.push((name.to_string(), eps));
-        }
-        out
-    };
-    let old = load(&rest[0]);
-    let new = load(&rest[1]);
-    let mut violations = 0usize;
-    println!(
-        "{:<16} {:>12} {:>12} {:>9}   (warn beyond ±{threshold}%)",
-        "artifact", "old Mev/s", "new Mev/s", "drift"
-    );
-    for (name, new_eps) in &new {
-        let Some((_, old_eps)) = old.iter().find(|(n, _)| n == name) else {
-            println!(
-                "{name:<16} {:>12} {:>12.2} {:>9}",
-                "-",
-                new_eps / 1e6,
-                "new"
-            );
-            continue;
-        };
-        if *old_eps <= 0.0 || *new_eps <= 0.0 {
-            // Inline artifacts contribute no cells; nothing to compare.
-            continue;
-        }
-        let drift = (new_eps - old_eps) / old_eps * 100.0;
-        println!(
-            "{name:<16} {:>12.2} {:>12.2} {:>+8.1}%",
-            old_eps / 1e6,
-            new_eps / 1e6,
-            drift
-        );
-        if drift.abs() > threshold {
-            violations += 1;
-            // GitHub Actions annotation; warn-only by default — timing
-            // on shared CI runners is noisy, a human judges the trend.
-            println!(
-                "::warning title=bench drift::{name} events/sec changed {drift:+.1}% \
-                 ({:.2} -> {:.2} Mev/s)",
-                old_eps / 1e6,
-                new_eps / 1e6
-            );
-        }
-    }
-    for (name, _) in &old {
-        if !new.iter().any(|(n, _)| n == name) {
-            println!("{name:<16} {:>12} {:>12} {:>9}", "-", "-", "gone");
-        }
-    }
-    if args.fail_on_drift && violations > 0 {
-        eprintln!(
-            "error: {violations} comparison(s) drifted beyond ±{threshold}% \
-             and --fail-on-drift is set"
-        );
-        std::process::exit(1);
-    }
-}
+/// Gauge drift, in percent, beyond which `diff-memory` warns.
+const MEMORY_DRIFT_WARN_PCT: f64 = 10.0;
 
 /// `repro diff-memory OLD NEW`: per-artifact bytes/flow drift between
-/// two `memory-v1` gauge files. Warn-only by default (exits 0; drift
-/// beyond the threshold prints a GitHub `::warning` annotation);
-/// `--fail-on-drift` turns threshold violations into exit 1. Doubles
-/// as the gauge validator: `repro diff-memory FILE FILE` exits 0 iff
-/// FILE is a well-formed gauge. The gauge is deterministic, so unlike
-/// timing drift any movement here is a real code change.
+/// two `memory-v1` gauge files. Warn-only (exits 0; drift beyond
+/// [`MEMORY_DRIFT_WARN_PCT`] prints a GitHub `::warning` annotation).
+/// Doubles as the gauge validator: `repro diff-memory FILE FILE` exits
+/// 0 iff FILE is a well-formed gauge. The gauge is deterministic, so
+/// any movement here is a real code change.
 fn diff_memory_mode(args: &Args) {
     let rest = &args.positionals[1..];
     if rest.len() != 2 {
         fail("diff-memory needs exactly two memory-v1 JSON files (old, new)");
     }
-    let threshold = args.drift_pct.unwrap_or(10.0);
     // bytes/flow plus the peak packet-arena occupancy; the pool column
     // is optional so gauges written before the arena existed still diff.
     let load = |path: &str| -> Vec<(String, f64, Option<f64>)> {
@@ -1353,20 +1218,18 @@ fn diff_memory_mode(args: &Args) {
     };
     let old = load(&rest[0]);
     let new = load(&rest[1]);
-    let mut violations = 0usize;
-    // Compare one (old, new) pair of gauges; returns drift violations.
-    let mut compare = |name: &str, what: &str, old_v: f64, new_v: f64| {
+    // Compare one (old, new) pair of gauges.
+    let compare = |name: &str, what: &str, old_v: f64, new_v: f64| {
         if old_v <= 0.0 || new_v <= 0.0 {
             // A zero-flow artifact has no per-flow cost to compare.
             return;
         }
         let drift = (new_v - old_v) / old_v * 100.0;
         println!("{name:<16} {what:<10} {old_v:>12.1} {new_v:>12.1} {drift:>+8.1}%");
-        if drift.abs() > threshold {
-            violations += 1;
-            // GitHub Actions annotation; warn-only by default so a
-            // deliberate state-layout change does not block CI — a
-            // human judges whether the new cost is intended.
+        if drift.abs() > MEMORY_DRIFT_WARN_PCT {
+            // GitHub Actions annotation; warn-only so a deliberate
+            // state-layout change does not block CI — a human judges
+            // whether the new cost is intended.
             println!(
                 "::warning title=memory drift::{name} {what} changed \
                  {drift:+.1}% ({old_v:.1} -> {new_v:.1})"
@@ -1374,7 +1237,7 @@ fn diff_memory_mode(args: &Args) {
         }
     };
     println!(
-        "{:<16} {:<10} {:>12} {:>12} {:>9}   (warn beyond ±{threshold}%)",
+        "{:<16} {:<10} {:>12} {:>12} {:>9}   (warn beyond ±{MEMORY_DRIFT_WARN_PCT}%)",
         "artifact", "gauge", "old", "new", "drift"
     );
     for (name, new_bpf, new_pool) in &new {
@@ -1388,7 +1251,7 @@ fn diff_memory_mode(args: &Args) {
         compare(name, "B/flow", *old_bpf, *new_bpf);
         // Pool occupancy: only when both gauges carry it (old builds
         // pre-date the packet arena). Growth here means more packets
-        // in flight at once — a hot-path regression diff-timing can
+        // in flight at once — a hot-path regression wall time can
         // miss when the extra work is still fast.
         if let (Some(o), Some(n)) = (old_pool, new_pool) {
             compare(name, "pool pkts", *o, *n);
@@ -1401,13 +1264,6 @@ fn diff_memory_mode(args: &Args) {
                 "-", "-", "-", "gone"
             );
         }
-    }
-    if args.fail_on_drift && violations > 0 {
-        eprintln!(
-            "error: {violations} comparison(s) drifted beyond ±{threshold}% \
-             and --fail-on-drift is set"
-        );
-        std::process::exit(1);
     }
 }
 
@@ -1450,8 +1306,7 @@ fn main() {
                 "worker" => worker_mode(&args),
                 "emit-scenario" => emit_scenario_mode(&args, scale),
                 "trace-summarize" => trace_summarize_mode(&args),
-                "diff-memory" => diff_memory_mode(&args),
-                _ => diff_timing_mode(&args),
+                _ => diff_memory_mode(&args),
             }
         }
         _ => {

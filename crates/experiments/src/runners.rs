@@ -1,6 +1,6 @@
 //! One runner per figure/table of the paper's evaluation.
 //!
-//! Every simulation-backed runner expresses its experiment matrix as a
+//! Every runner expresses its experiment matrix as a
 //! [`Plan`]: a batch of [`Cell`]s plus a deferred assembly step that
 //! folds the results into a [`Report`]. Poisson-workload artifacts fan
 //! every logical cell out over [`Scale::seeds`] seed-shifted replicates
@@ -13,9 +13,11 @@
 //! Plans from several artifacts can be spliced into one global batch
 //! (see [`crate::artifacts::run_artifacts`]); results come back in
 //! submission order, which keeps report assembly — and therefore the
-//! rendered output — byte-identical at any job count. Only
-//! `table1`/`table2` run inline: they *time* packet-processing paths on
-//! the CPU, and sharing cores would skew the measurement.
+//! rendered output — byte-identical at any job count. No runner reads
+//! a clock: the paper's Tables 1–2 are NIC-hardware and FPGA
+//! measurements a packet simulator cannot reproduce, §6.1's accounting
+//! is [`state_budget`], and host cost per module is the repo
+//! benchmark's business (`BENCHMARK.json`).
 
 use irn_core::sim::Duration;
 use irn_core::transport::cc::CcKind;
@@ -24,7 +26,6 @@ use irn_core::workload::SizeDistribution;
 use irn_core::{ExperimentConfig, RunResult, TrafficModel};
 use irn_harness::sweep::cc_suffix;
 use irn_harness::{Cell, Replicate, ReplicateResult, ReplicateSet, Stats, SweepGrid, Variant};
-use irn_rdma::modules::{self, QpContext, ReceiverMode};
 use irn_rdma::state_budget::{bitmap_bits_for, irn_state_budget};
 
 use crate::plan::Plan;
@@ -673,303 +674,6 @@ pub fn table9(scale: Scale) -> Plan {
 }
 
 // ---------------------------------------------------------------------
-// Table 1 & 2 substitutes (hardware experiments)
-// ---------------------------------------------------------------------
-
-/// Table 1 substitute: per-packet transport processing cost, IRN/RoCE
-/// vs the iWARP TCP stack, measured on the CPU.
-///
-/// The real Table 1 measures NIC hardware (Chelsio T-580-CR vs Mellanox
-/// MCX416A); we cannot buy NICs, so this reproduces the *architectural*
-/// claim — the TCP stack does more per-packet work — by timing the two
-/// stacks' packet-processing paths in this reproduction. The paper's
-/// hardware numbers are quoted in EXPERIMENTS.md alongside. Runs
-/// inline (never on the worker pool): it measures wall-clock ns/packet.
-pub fn table1() -> Report {
-    use irn_core::net::{FlowId, HostId, Packet};
-    use irn_core::sim::Time;
-    use irn_core::transport::config::TransportConfig;
-    use irn_core::transport::tcp::{TcpReceiver, TcpSender};
-    use irn_core::transport::{ReceiverQp, SenderPoll, SenderQp};
-
-    let mut rep = Report::new(
-        "Table 1 (substitute)",
-        "Per-packet transport processing cost on CPU (ns/packet; lower = leaner stack)",
-        "hardware: iWARP 3x higher latency, 4x lower message rate than RoCE",
-    );
-    const PACKETS: u64 = 2_000_000;
-    let cfg = TransportConfig::irn_default();
-    let bytes = PACKETS * 1000;
-
-    // IRN path: sender poll + receiver on_data + sender on_ack.
-    let t0 = std::time::Instant::now();
-    {
-        let mut s = SenderQp::new(
-            cfg.clone(),
-            FlowId(0),
-            HostId(0),
-            HostId(1),
-            bytes,
-            CcKind::None,
-            Time::ZERO,
-        );
-        let mut r = ReceiverQp::new(
-            &cfg,
-            FlowId(0),
-            HostId(0),
-            HostId(1),
-            s.total_packets(),
-            CcKind::None,
-        );
-        let mut now = Time::ZERO;
-        let mut processed = 0u64;
-        while processed < PACKETS {
-            now += Duration::nanos(210);
-            match s.poll(now) {
-                SenderPoll::Packet(pkt) => {
-                    let out = r.on_data(now, &pkt);
-                    if let Some(ack) = out.ack {
-                        s.on_ack_packet(now, &ack);
-                    }
-                    processed += 1;
-                }
-                _ => {
-                    // Window closed: acks above will reopen it.
-                    unreachable!("lock-step loop never blocks");
-                }
-            }
-        }
-    }
-    let irn_ns = t0.elapsed().as_nanos() as f64 / PACKETS as f64;
-
-    // iWARP path: TCP sender/receiver in the same lock-step loop.
-    let t1 = std::time::Instant::now();
-    {
-        let mut s = TcpSender::new(cfg.clone(), FlowId(0), HostId(0), HostId(1), bytes);
-        let mut r = TcpReceiver::new(&cfg, FlowId(0), HostId(0), HostId(1), s.total_packets());
-        let mut now = Time::ZERO;
-        let mut processed = 0u64;
-        while processed < PACKETS {
-            now += Duration::nanos(210);
-            match s.poll(now) {
-                SenderPoll::Packet(pkt) => {
-                    let (ack, _) = r.on_data(now, &pkt);
-                    s.on_ack_packet(now, &ack);
-                    processed += 1;
-                }
-                _ => unreachable!("cwnd grows; acks keep the loop moving"),
-            }
-        }
-    }
-    let tcp_ns = t1.elapsed().as_nanos() as f64 / PACKETS as f64;
-
-    // RoCE path: go-back-N sender + discard receiver.
-    let t2 = std::time::Instant::now();
-    {
-        let rcfg = TransportConfig::roce_default(true);
-        let mut s = SenderQp::new(
-            rcfg.clone(),
-            FlowId(0),
-            HostId(0),
-            HostId(1),
-            bytes,
-            CcKind::None,
-            Time::ZERO,
-        );
-        let mut r = ReceiverQp::new(
-            &rcfg,
-            FlowId(0),
-            HostId(0),
-            HostId(1),
-            s.total_packets(),
-            CcKind::None,
-        );
-        let mut now = Time::ZERO;
-        let mut processed = 0u64;
-        while processed < PACKETS {
-            now += Duration::nanos(210);
-            match s.poll(now) {
-                SenderPoll::Packet(pkt) => {
-                    let out = r.on_data(now, &pkt);
-                    if let Some(ack) = out.ack {
-                        s.on_ack_packet(now, &ack);
-                    }
-                    processed += 1;
-                }
-                _ => unreachable!(),
-            }
-        }
-        let _ = Packet::data(FlowId(0), HostId(0), HostId(1), 0, 0);
-    }
-    let roce_ns = t2.elapsed().as_nanos() as f64 / PACKETS as f64;
-
-    rep.add(Row::new("RoCE").push("ns_per_packet", roce_ns));
-    rep.add(Row::new("IRN").push("ns_per_packet", irn_ns));
-    rep.add(
-        Row::new("iWARP (TCP)")
-            .push("ns_per_packet", tcp_ns)
-            .push("vs_irn", tcp_ns / irn_ns.max(1e-9)),
-    );
-    rep
-}
-
-/// Table 2 substitute: the four packet-processing modules timed on the
-/// CPU, plus the §6.1 state accounting. Runs inline (never on the
-/// worker pool): it measures wall-clock ns/op.
-pub fn table2() -> Report {
-    let mut rep = Report::new(
-        "Table 2 (substitute)",
-        "Packet-processing modules: ns/op on CPU (paper: FPGA synthesis, 15.9-16.5ns, 45-318 Mpps)",
-        "receiveData is the costliest (bitmap ops); timeout is trivial",
-    );
-    const OPS: u64 = 4_000_000;
-
-    // receiveData over a loss-riddled sequence.
-    let t = std::time::Instant::now();
-    {
-        let mut ctx = QpContext::new(128);
-        let mut psn = 0u32;
-        for i in 0..OPS {
-            // Every 13th packet "lost": arrivals run ahead and backfill.
-            let this = if i % 13 == 12 {
-                psn.saturating_sub(1)
-            } else {
-                psn
-            };
-            modules::receive_data(&mut ctx, this, false, ReceiverMode::Irn);
-            psn = ctx.expected_seq.max(psn) + u32::from(i % 13 != 12);
-            if ctx.expected_seq > 1_000_000 {
-                ctx = QpContext::new(128);
-                psn = 0;
-            }
-        }
-    }
-    let recv_data = t.elapsed().as_nanos() as f64 / OPS as f64;
-
-    // txFree during recovery with a holey SACK bitmap.
-    let t = std::time::Instant::now();
-    {
-        let mut ctx = QpContext::new(128);
-        for _ in 0..100 {
-            modules::tx_free(&mut ctx, true);
-        }
-        modules::receive_ack(&mut ctx, 10, Some(90), true);
-        for i in 0..OPS {
-            if modules::tx_free(&mut ctx, true) == modules::TxFreeOut::Idle {
-                ctx.retx_cursor = ctx.cum_acked; // rewind the scan
-            }
-            if i % 64 == 0 {
-                ctx.in_recovery = true;
-            }
-        }
-    }
-    let tx_free = t.elapsed().as_nanos() as f64 / OPS as f64;
-
-    // receiveAck with alternating cumulative/SACK updates.
-    let t = std::time::Instant::now();
-    {
-        let mut ctx = QpContext::new(128);
-        ctx.next_to_send = u32::MAX / 2;
-        let mut cum = 0u32;
-        for i in 0..OPS {
-            if i % 3 == 0 {
-                cum += 1;
-                modules::receive_ack(&mut ctx, cum, None, false);
-            } else {
-                modules::receive_ack(&mut ctx, cum, Some(cum + 1 + (i % 50) as u32), true);
-            }
-        }
-    }
-    let recv_ack = t.elapsed().as_nanos() as f64 / OPS as f64;
-
-    // timeout checks.
-    let t = std::time::Instant::now();
-    {
-        let mut ctx = QpContext::new(128);
-        ctx.next_to_send = 100;
-        for i in 0..OPS {
-            ctx.rto_low_armed = i % 2 == 0;
-            ctx.in_recovery = false;
-            modules::timeout(&mut ctx, 3);
-        }
-    }
-    let timeout_ns = t.elapsed().as_nanos() as f64 / OPS as f64;
-
-    for (name, ns) in [
-        ("receiveData", recv_data),
-        ("txFree", tx_free),
-        ("receiveAck", recv_ack),
-        ("timeout", timeout_ns),
-    ] {
-        rep.add(
-            Row::new(name)
-                .push("ns_per_op", ns)
-                .push("mops_per_sec", 1000.0 / ns.max(1e-9)),
-        );
-    }
-
-    // §6.1 state accounting rides along (same section of the paper).
-    let b = irn_state_budget(bitmap_bits_for(110));
-    rep.add(
-        Row::new("state/QP (bits)")
-            .push("transport", b.per_qp_state_bits as f64)
-            .push("bitmaps", b.per_qp_bitmap_bits as f64),
-    );
-    rep.add(
-        Row::new("cache frac (2k QPs, 20k WQEs, 4MB)")
-            .push("fraction", b.cache_fraction(2000, 20_000, 4 << 20)),
-    );
-    rep
-}
-
-/// `bench-fwd-churn`: the packet-path stressor behind the BENCH trend
-/// line's forwarding figure. A permutation shuffle keeps every host
-/// sending at once, so most flows cross pods and every packet walks the
-/// full 5-hop fat-tree path — maximum switch enqueue/dequeue churn per
-/// delivered byte, the exact shape the arena/SoA hot path optimizes.
-/// The report rows are ordinary replicated FCT metrics; the artifact's
-/// real payload is its events/sec row in the `--timing-json` file.
-pub fn bench_fwd_churn(scale: Scale) -> Plan {
-    let rep = Report::new(
-        "bench-fwd-churn",
-        "Packet-path bench: cross-pod shuffle (hop-heavy forwarding churn)",
-        "timing artifact for the BENCH trajectory; FCT rows are a determinism canary",
-    );
-    let wl = TrafficModel::Shuffle {
-        flow_bytes: 64_000,
-        rounds: 3,
-        round_gap: Duration::micros(50),
-    };
-    let cells = SweepGrid::new(scale.base().with_traffic(wl))
-        .variants([irn()])
-        .build();
-    metrics_plan(rep, cells, scale, &FCT_METRICS)
-}
-
-/// `bench-incast-burst`: the delivery-burst stressor behind the BENCH
-/// trend line's incast figure. An M-to-1 incast fires every sender at
-/// time zero, concentrating same-timestep arrivals at the fan-in
-/// switch — the shape that exercises VOQ buildup, PFC/ECN bookkeeping,
-/// and the engine's batched switch→host delivery path.
-pub fn bench_incast_burst(scale: Scale) -> Plan {
-    let base = scale.base();
-    let m = if base.topology.hosts() >= 54 { 30 } else { 8 };
-    let rep = Report::new(
-        "bench-incast-burst",
-        "Packet-path bench: M-to-1 incast (delivery burst)",
-        "timing artifact for the BENCH trajectory; RCT rows are a determinism canary",
-    );
-    let wl = TrafficModel::Incast {
-        m,
-        total_bytes: scale.incast_bytes,
-    };
-    let cells = SweepGrid::new(base.with_traffic(wl))
-        .variants([irn()])
-        .build();
-    metrics_plan(rep, cells, scale, &INCAST_METRICS)
-}
-
-// ---------------------------------------------------------------------
 // Closed-loop application artifacts
 // ---------------------------------------------------------------------
 
@@ -1072,8 +776,9 @@ pub fn replicate_loss(scale: Scale) -> Plan {
     app_loss_plan(rep, base, scale)
 }
 
-/// §6.1: the NIC state budget as its own printable report.
-pub fn state_budget_report() -> Report {
+/// §6.1: the NIC state budget as its own printable report — pure
+/// accounting, so the plan has no cells and ignores the scale.
+pub fn state_budget(_scale: Scale) -> Plan {
     let mut rep = Report::new(
         "§6.1",
         "IRN additional NIC state",
@@ -1094,5 +799,5 @@ pub fn state_budget_report() -> Report {
                 .push("fraction", b.cache_fraction(qps, wqes, 4 << 20)),
         );
     }
-    rep
+    Plan::new(Vec::new(), move |_| rep)
 }

@@ -509,6 +509,24 @@ fn cli_diff_memory_rejects_non_gauge_files() {
     assert!(err.contains("memory-v1"), "{err}");
 }
 
+/// The measuring options this registry no longer has are not quietly
+/// accepted: each is a usage error naming the unknown artifact or flag.
+#[test]
+fn cli_retired_measuring_options_exit_2_by_name() {
+    let exits_2 = |argv: &[&str], needle: &str| {
+        let out = Command::new(repro_exe()).args(argv).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed a report");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{argv:?}: {err}");
+    };
+    exits_2(&["diff-timing", "a", "b"], "unknown artifact 'diff-timing'");
+    exits_2(&["fig1", "--drift-pct", "5"], "unknown flag '--drift-pct'");
+    let argv = ["diff-memory", "a", "b", "--fail-on-drift"];
+    exits_2(&argv, "unknown flag '--fail-on-drift'");
+    exits_2(&["table1"], "unknown artifact 'table1'");
+}
+
 /// Read the `listening HOST:PORT` line a `--listen 127.0.0.1:0` worker
 /// prints once bound.
 fn read_listen_addr(worker: &mut Child) -> String {

@@ -25,7 +25,7 @@
 use irn_core::{RunResult, Scenario};
 use irn_telemetry::{TraceChunk, TraceSpec};
 use serde::json::{self, Value};
-use serde::{Deserialize, Serialize};
+use serde::{de_field, Deserialize, Serialize};
 
 /// The protocol identifier carried by every work frame.
 pub const WORK_SCHEMA: &str = "work-v1";
@@ -162,33 +162,57 @@ pub fn encode_error(id: Option<u64>, message: &str) -> String {
     ]))
 }
 
+/// Typed member read for [`decode`], through the same reader that
+/// parses results and scenarios ([`de_field`]): a present member of the
+/// wrong type is an error naming its path — never a silent default —
+/// and an absent one reads as `null`, which only an `Option` accepts.
+fn field<T: Deserialize>(obj: &Value, key: &str, id: Option<u64>) -> Result<T, FrameError> {
+    de_field(obj, key).map_err(|e| FrameError::new(id, e.to_string()))
+}
+
+/// [`field`] for a member of the frame's nested `trace` object.
+fn trace_field<T: Deserialize>(trace: &Value, key: &str, id: u64) -> Result<T, FrameError> {
+    de_field(trace, key).map_err(|e| FrameError::new(Some(id), e.in_field("trace").to_string()))
+}
+
 /// Decode one protocol line into a [`Frame`].
+///
+/// Strict: a duplicated top-level key, a member of the wrong type, and
+/// a `trace` object without its required members are all errors (with
+/// the frame id when it was readable), so a worker answers `error-v1`
+/// against the right cell instead of running something other than what
+/// was asked. Absent optional members keep their meaning: no `trace`
+/// is no tracing, no `wall_s` is 0, no `dropped` is 0.
 pub fn decode(line: &str) -> Result<Frame, FrameError> {
     let v = json::from_str(line).map_err(|e| FrameError::new(None, format!("bad JSON: {e}")))?;
-    let id = v.get("id").and_then(Value::as_u64);
-    let Some(tag) = v.get("frame").and_then(Value::as_str) else {
-        return Err(FrameError::new(id, "missing 'frame' tag"));
-    };
-    match tag {
+    // `"id": null` is how an error frame says "id unreadable".
+    let id: Option<u64> = field(&v, "id", None)?;
+    if let Value::Object(pairs) = &v {
+        for (i, (key, _)) in pairs.iter().enumerate() {
+            if pairs[..i].iter().any(|(seen, _)| seen == key) {
+                // Two ids: neither can be trusted.
+                let id = id.filter(|_| key != "id");
+                return Err(FrameError::new(id, format!("duplicate key '{key}'")));
+            }
+        }
+    }
+    let tag: String = field(&v, "frame", id)?;
+    let need_id = || id.ok_or_else(|| FrameError::new(None, format!("{tag} frame without an id")));
+    match tag.as_str() {
         WORK_SCHEMA => {
-            let id = id.ok_or_else(|| FrameError::new(None, "work frame without numeric id"))?;
+            let id = need_id()?;
             let doc = v
                 .get("scenario")
                 .ok_or_else(|| FrameError::new(Some(id), "work frame without scenario"))?;
             let scenario = Scenario::from_json_value(doc)
                 .map_err(|e| FrameError::new(Some(id), format!("bad scenario: {e}")))?;
-            let trace = v.get("trace").map(|t| TraceSpec {
-                filter: t
-                    .get("filter")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                capacity: t
-                    .get("capacity")
-                    .and_then(Value::as_u64)
-                    .map(|c| c as usize)
-                    .unwrap_or(irn_telemetry::DEFAULT_CAPACITY),
-            });
+            let trace = match v.get("trace") {
+                None => None,
+                Some(t) => Some(TraceSpec {
+                    filter: trace_field(t, "filter", id)?,
+                    capacity: trace_field(t, "capacity", id)?,
+                }),
+            };
             Ok(Frame::Work {
                 id,
                 scenario,
@@ -196,8 +220,8 @@ pub fn decode(line: &str) -> Result<Frame, FrameError> {
             })
         }
         RESULT_SCHEMA => {
-            let id = id.ok_or_else(|| FrameError::new(None, "result frame without numeric id"))?;
-            let wall_s = v.get("wall_s").and_then(Value::as_f64).unwrap_or(0.0);
+            let id = need_id()?;
+            let wall_s: Option<f64> = field(&v, "wall_s", Some(id))?;
             let doc = v
                 .get("result")
                 .ok_or_else(|| FrameError::new(Some(id), "result frame without result"))?;
@@ -205,42 +229,21 @@ pub fn decode(line: &str) -> Result<Frame, FrameError> {
                 .map_err(|e| FrameError::new(Some(id), format!("bad result: {e}")))?;
             let trace = match v.get("trace") {
                 None => None,
-                Some(t) => {
-                    let lines = match t.get("lines") {
-                        Some(Value::Array(items)) => items
-                            .iter()
-                            .map(|l| {
-                                l.as_str().map(str::to_string).ok_or_else(|| {
-                                    FrameError::new(Some(id), "non-string trace line")
-                                })
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                        _ => {
-                            return Err(FrameError::new(
-                                Some(id),
-                                "result trace without a lines array",
-                            ))
-                        }
-                    };
-                    Some(TraceChunk {
-                        lines,
-                        dropped: t.get("dropped").and_then(Value::as_u64).unwrap_or(0),
-                    })
-                }
+                Some(t) => Some(TraceChunk {
+                    lines: trace_field(t, "lines", id)?,
+                    dropped: trace_field::<Option<u64>>(t, "dropped", id)?.unwrap_or(0),
+                }),
             };
             Ok(Frame::Result {
                 id,
-                wall_s,
+                wall_s: wall_s.unwrap_or(0.0),
                 result: Box::new(result),
                 trace,
             })
         }
         ERROR_SCHEMA => {
-            let message = v
-                .get("error")
-                .and_then(Value::as_str)
-                .unwrap_or("unspecified worker error")
-                .to_string();
+            let message: Option<String> = field(&v, "error", id)?;
+            let message = message.unwrap_or_else(|| "unspecified worker error".to_string());
             Ok(Frame::Error { id, message })
         }
         other => Err(FrameError::new(id, format!("unknown frame tag '{other}'"))),
@@ -373,5 +376,114 @@ mod tests {
         // worker can report the failure against the right cell.
         let err = decode(r#"{"frame":"work-v1","id":5,"scenario":{"bad":true}}"#).unwrap_err();
         assert_eq!(err.id, Some(5));
+    }
+
+    /// `base` with `members` spliced in before its closing brace.
+    fn with(base: &str, members: &str) -> String {
+        format!("{},{members}}}", base.strip_suffix('}').unwrap())
+    }
+
+    /// `decode` must fail on `line`, naming `what`, against frame `id`.
+    fn rejects(line: &str, id: Option<u64>, what: &str) {
+        let err = decode(line).expect_err(line);
+        assert_eq!(err.id, id, "{err}");
+        assert!(err.message.contains(what), "{err}");
+    }
+
+    /// A member that is present must have the right type: the old
+    /// decoder swapped each of these for a default and ran (or
+    /// accepted) something other than what the frame said.
+    #[test]
+    fn mistyped_members_are_errors_not_defaults() {
+        let work = encode_work(5, &scenario(), None);
+        let line = with(&work, r#""trace":{"filter":5,"capacity":"x"}"#);
+        rejects(&line, Some(5), "at trace.filter: expected a string");
+        let line = with(&work, r#""trace":{"filter":"","capacity":"x"}"#);
+        rejects(
+            &line,
+            Some(5),
+            "at trace.capacity: expected a non-negative integer",
+        );
+        let line = with(&work, r#""trace":7"#);
+        rejects(&line, Some(5), "at trace: expected an object");
+        let line = r#"{"frame":"work-v1","id":"5","scenario":{}}"#;
+        rejects(line, None, "at id: expected a non-negative integer");
+
+        let run = irn_core::run(scenario().config().clone());
+        let result = encode_result(6, 0.5, &run, None);
+        let line = result.replace(r#""wall_s":0.5"#, r#""wall_s":"fast""#);
+        rejects(&line, Some(6), "at wall_s: expected a number");
+        let line = with(&result, r#""trace":{"dropped":"many","lines":[]}"#);
+        rejects(
+            &line,
+            Some(6),
+            "at trace.dropped: expected a non-negative integer",
+        );
+        let line = with(&result, r#""trace":{"lines":["ok",3]}"#);
+        rejects(&line, Some(6), "at trace.lines.[1]: expected a string");
+        let line = r#"{"frame":"error-v1","id":4,"error":{"code":1}}"#;
+        rejects(line, Some(4), "at error: expected a string");
+    }
+
+    #[test]
+    fn trace_objects_missing_required_members_are_errors() {
+        let work = encode_work(5, &scenario(), None);
+        let line = with(&work, r#""trace":{"capacity":16}"#);
+        rejects(
+            &line,
+            Some(5),
+            "at trace.filter: expected a string, got null",
+        );
+        let line = with(&work, r#""trace":{"filter":""}"#);
+        rejects(
+            &line,
+            Some(5),
+            "at trace.capacity: expected a non-negative integer, got null",
+        );
+        let run = irn_core::run(scenario().config().clone());
+        let line = with(
+            &encode_result(6, 0.5, &run, None),
+            r#""trace":{"dropped":0}"#,
+        );
+        rejects(
+            &line,
+            Some(6),
+            "at trace.lines: expected an array, got null",
+        );
+    }
+
+    #[test]
+    fn duplicate_top_level_keys_are_errors() {
+        let work = encode_work(5, &scenario(), None);
+        // A second id: neither copy can be trusted, so none is reported.
+        rejects(&with(&work, r#""id":6"#), None, "duplicate key 'id'");
+        // Any other repeated key keeps the (single) id.
+        let line = with(&work, r#""frame":"error-v1""#);
+        rejects(&line, Some(5), "duplicate key 'frame'");
+        let trace = r#""trace":{"filter":"","capacity":8}"#;
+        let traced = with(&work, trace);
+        assert!(decode(&traced).is_ok());
+        rejects(&with(&traced, trace), Some(5), "duplicate key 'trace'");
+    }
+
+    /// Optional members that are simply absent keep their meaning.
+    #[test]
+    fn absent_optional_members_keep_their_defaults() {
+        let run = irn_core::run(scenario().config().clone());
+        let no_wall = encode_result(6, 0.5, &run, None).replace(r#""wall_s":0.5,"#, "");
+        match decode(&with(&no_wall, r#""trace":{"lines":[]}"#)).unwrap() {
+            Frame::Result { wall_s, trace, .. } => {
+                assert_eq!(wall_s, 0.0);
+                assert_eq!(trace, Some(TraceChunk::default()));
+            }
+            other => panic!("wrong frame: {other:?}"),
+        }
+        match decode(r#"{"frame":"error-v1","id":null}"#).unwrap() {
+            Frame::Error { id, message } => {
+                assert_eq!(id, None);
+                assert_eq!(message, "unspecified worker error");
+            }
+            other => panic!("wrong frame: {other:?}"),
+        }
     }
 }

@@ -203,6 +203,29 @@ mod tests {
         }
     }
 
+    /// A trace request the worker cannot read as asked is refused
+    /// against its cell — never run with a default filter or capacity.
+    #[test]
+    fn mistyped_trace_request_gets_an_error_reply_with_the_id() {
+        let work = wire::encode_work(3, &scenario(1), None);
+        let body = work.strip_suffix('}').unwrap();
+        let input = format!(
+            "{body},\"trace\":{{\"filter\":5,\"capacity\":\"x\"}}}}\n{body},\"trace\":7}}\n"
+        );
+        let mut out = Vec::new();
+        let summary = serve(input.as_bytes(), &mut out, WorkerOptions::default()).unwrap();
+        assert_eq!((summary.answered, summary.errors), (0, 2));
+        for line in std::str::from_utf8(&out).unwrap().lines() {
+            match wire::decode(line).unwrap() {
+                Frame::Error { id, message } => {
+                    assert_eq!(id, Some(3));
+                    assert!(message.contains("at trace"), "{message}");
+                }
+                other => panic!("wrong frame: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn exit_after_drops_the_fatal_frame_silently() {
         let input = format!(

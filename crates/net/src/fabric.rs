@@ -704,7 +704,7 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::packet::{FlowId, PacketKind};
-    use irn_sim::EventQueue;
+    use irn_sim::Scheduler;
 
     /// Timestamped packet deliveries to hosts.
     type Deliveries = Vec<(Time, HostId, Packet)>;
@@ -714,15 +714,11 @@ mod tests {
     /// Drive a fabric to quiescence, collecting host deliveries.
     /// Returns (deliveries, tx_ready notifications). Asserts the packet
     /// arena drained — every allocated id retired exactly once.
-    fn run(fabric: &mut Fabric, queue: &mut EventQueue<FabricEvent>) -> (Deliveries, TxReadies) {
+    fn run(fabric: &mut Fabric, queue: &mut Scheduler<FabricEvent>) -> (Deliveries, TxReadies) {
         let mut delivered = Vec::new();
         let mut ready = Vec::new();
         while let Some((now, ev)) = queue.pop() {
-            let mut pending: Vec<(Time, FabricEvent)> = Vec::new();
-            let out = fabric.handle(now, ev, &mut pending);
-            for (t, e) in pending {
-                queue.push(t, e);
-            }
+            let out = fabric.handle(now, ev, queue);
             match out {
                 Some(FabricOutput::Deliver { host, pkt }) => {
                     delivered.push((now, host, fabric.take_delivered(pkt)))
@@ -739,7 +735,7 @@ mod tests {
 
     fn send(
         fabric: &mut Fabric,
-        queue: &mut EventQueue<FabricEvent>,
+        queue: &mut Scheduler<FabricEvent>,
         now: Time,
         src: u32,
         dst: u32,
@@ -748,11 +744,7 @@ mod tests {
     ) {
         let mut pkt = Packet::data(FlowId(src), HostId(src), HostId(dst), psn, bytes);
         pkt.ecmp_seed = src;
-        let mut pending: Vec<(Time, FabricEvent)> = Vec::new();
-        fabric.host_start_tx(now, HostId(src), pkt, &mut pending);
-        for (t, e) in pending {
-            queue.push(t, e);
-        }
+        fabric.host_start_tx(now, HostId(src), pkt, queue);
     }
 
     fn small_cfg() -> FabricConfig {
@@ -774,7 +766,7 @@ mod tests {
         // Two links, store-and-forward: 2·(200 + 2000) ns = 4.4 µs.
         let topo = Topology::single_switch(2);
         let mut fabric = Fabric::new(&topo, small_cfg());
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         send(&mut fabric, &mut q, Time::ZERO, 0, 1, 1000, 0);
         let (delivered, ready) = run(&mut fabric, &mut q);
         assert_eq!(delivered.len(), 1);
@@ -792,7 +784,7 @@ mod tests {
         // must wait for the first to serialize on the shared downlink.
         let topo = Topology::single_switch(3);
         let mut fabric = Fabric::new(&topo, small_cfg());
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         send(&mut fabric, &mut q, Time::ZERO, 0, 2, 1000, 0);
         send(&mut fabric, &mut q, Time::ZERO, 1, 2, 1000, 1);
         let (delivered, _) = run(&mut fabric, &mut q);
@@ -817,7 +809,7 @@ mod tests {
             1_048,
         ));
         let mut fabric = Fabric::new(&topo, cfg);
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
 
         // Each sender keeps its uplink saturated: re-send on TxReady.
         let mut sent = [0u32; 8];
@@ -828,11 +820,7 @@ mod tests {
         let per_sender = 60u32;
         let mut delivered = 0u64;
         while let Some((now, ev)) = q.pop() {
-            let mut pending: Vec<(Time, FabricEvent)> = Vec::new();
-            let out = fabric.handle(now, ev, &mut pending);
-            for (t, e) in pending {
-                q.push(t, e);
-            }
+            let out = fabric.handle(now, ev, &mut q);
             match out {
                 Some(FabricOutput::Deliver { pkt, .. }) => {
                     fabric.take_delivered(pkt);
@@ -862,7 +850,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.buffer_bytes = 10_000; // tiny: 10 packets
         let mut fabric = Fabric::new(&topo, cfg);
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         let mut sent = [0u32; 8];
         for s in 0..8u32 {
             send(&mut fabric, &mut q, Time::ZERO, s, 8, 1000, 0);
@@ -871,11 +859,7 @@ mod tests {
         let per_sender = 60u32;
         let mut delivered = 0u64;
         while let Some((now, ev)) = q.pop() {
-            let mut pending: Vec<(Time, FabricEvent)> = Vec::new();
-            let out = fabric.handle(now, ev, &mut pending);
-            for (t, e) in pending {
-                q.push(t, e);
-            }
+            let out = fabric.handle(now, ev, &mut q);
             match out {
                 Some(FabricOutput::Deliver { pkt, .. }) => {
                     fabric.take_delivered(pkt);
@@ -916,7 +900,7 @@ mod tests {
             xon_bytes: 26_000,
         });
         let mut fabric = Fabric::new(&topo, cfg);
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         // Two senders to one host: downlink drains at 1 pkt per 200 ns
         // while 2 pkt per 200 ns arrive; occupancy builds, pause fires.
         let mut sent = [0u32; 2];
@@ -927,11 +911,7 @@ mod tests {
         let mut saw_pause = false;
         let mut budget = 400u32;
         while let Some((now, ev)) = q.pop() {
-            let mut pending: Vec<(Time, FabricEvent)> = Vec::new();
-            let out = fabric.handle(now, ev, &mut pending);
-            for (t, e) in pending {
-                q.push(t, e);
-            }
+            let out = fabric.handle(now, ev, &mut q);
             saw_pause |= fabric.host_tx_paused(HostId(0)) || fabric.host_tx_paused(HostId(1));
             match out {
                 Some(FabricOutput::Deliver { pkt, .. }) => {
@@ -959,18 +939,14 @@ mod tests {
         // consulted per flow by sending two flows and completing).
         let topo = Topology::fat_tree(4);
         let mut fabric = Fabric::new(&topo, small_cfg());
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         let far = (topo.hosts - 1) as u32;
         for f in 0..4u32 {
             let mut pkt = Packet::data(FlowId(f), HostId(0), HostId(far), 0, 1000);
             pkt.ecmp_seed = f;
             // Inject sequentially: wait for uplink to free between sends.
             if fabric.host_tx_idle(HostId(0)) {
-                let mut pending: Vec<(Time, FabricEvent)> = Vec::new();
-                fabric.host_start_tx(q.now(), HostId(0), pkt, &mut pending);
-                for (t, e) in pending {
-                    q.push(t, e);
-                }
+                fabric.host_start_tx(q.now(), HostId(0), pkt, &mut q);
             }
             // Drain fully before next (keeps the test simple).
             let (d, _) = run(&mut fabric, &mut q);
@@ -985,7 +961,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.loss_injection = 1.0; // drop everything at the switch hop
         let mut fabric = Fabric::new(&topo, cfg);
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         send(&mut fabric, &mut q, Time::ZERO, 0, 1, 1000, 0);
         let (delivered, _) = run(&mut fabric, &mut q);
         assert!(delivered.is_empty());
@@ -998,13 +974,9 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.loss_injection = 1.0;
         let mut fabric = Fabric::new(&topo, cfg);
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         let ack = Packet::control(PacketKind::Ack, FlowId(0), HostId(0), HostId(1), 3, 64);
-        let mut pending: Vec<(Time, FabricEvent)> = Vec::new();
-        fabric.host_start_tx(Time::ZERO, HostId(0), ack, &mut pending);
-        for (t, e) in pending {
-            q.push(t, e);
-        }
+        fabric.host_start_tx(Time::ZERO, HostId(0), ack, &mut q);
         let (delivered, _) = run(&mut fabric, &mut q);
         assert_eq!(delivered.len(), 1, "ACKs bypass fault injection");
     }
@@ -1015,13 +987,9 @@ mod tests {
         // fabric in pure propagation time.
         let topo = Topology::single_switch(2);
         let mut fabric = Fabric::new(&topo, small_cfg());
-        let mut q = EventQueue::new();
+        let mut q = Scheduler::new();
         let ack = Packet::control(PacketKind::Ack, FlowId(0), HostId(0), HostId(1), 3, 0);
-        let mut pending: Vec<(Time, FabricEvent)> = Vec::new();
-        fabric.host_start_tx(Time::ZERO, HostId(0), ack, &mut pending);
-        for (t, e) in pending {
-            q.push(t, e);
-        }
+        fabric.host_start_tx(Time::ZERO, HostId(0), ack, &mut q);
         let (delivered, _) = run(&mut fabric, &mut q);
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].0, Time::from_nanos(4_000)); // 2 × 2 µs

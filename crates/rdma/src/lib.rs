@@ -21,8 +21,8 @@
 //!   (Appendix B.3–B.4);
 //! * [`modules`] — the four packet-processing modules the paper
 //!   synthesizes (`receiveData`, `txFree`, `receiveAck`, `timeout`) as
-//!   pure functions over a QP context, benchmarked by `irn-bench` as the
-//!   Table 2 substitute;
+//!   pure functions over a QP context, timed by the repo benchmark's
+//!   `rdma.receive_data_ns` kernel;
 //! * [`state_budget`] — the §6.1 accounting of additional NIC state
 //!   (52/104/160 bits per QP, five BDP-sized bitmaps, 3 B per WQE, 10 B
 //!   shared), reproduced from configuration.

@@ -12,9 +12,9 @@
 //! * the same transport semantics (§3.1's loss-recovery rules).
 //!
 //! `irn-transport` builds its IRN sender/receiver directly on these
-//! functions, so the logic benchmarked by `irn-bench` (the Table 2
-//! substitute) is the logic that produces every simulation result — not
-//! a copy.
+//! functions, so the logic the repo benchmark times
+//! (`rdma.receive_data_ns`) is the logic that produces every
+//! simulation result — not a copy.
 
 use crate::bitmap::{RingBitmap, TwoBitmap};
 

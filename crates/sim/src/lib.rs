@@ -3,10 +3,9 @@
 //! This crate is the substrate every other crate in the workspace builds
 //! on: a virtual clock with nanosecond resolution, a ladder-queue
 //! [`Scheduler`] with deterministic FIFO tie-breaking and O(1)
-//! cancellable timers, a seeded random-number generator — plus the
-//! binary-heap [`EventQueue`] and generation-filtered [`TimerSlot`]
-//! kept as the simple reference model the scheduler is differentially
-//! tested against.
+//! cancellable timers, and a seeded random-number generator. (The
+//! binary-heap queue the scheduler is differentially tested against
+//! lives with the tests, in `irn-integration`.)
 //!
 //! The paper's evaluation ("Revisiting Network Support for RDMA",
 //! SIGCOMM 2018) ran on a vendor-internal OMNET++/INET model. This crate
@@ -23,9 +22,9 @@
 //! ## Example
 //!
 //! ```
-//! use irn_sim::{EventQueue, Time, Duration};
+//! use irn_sim::{Scheduler, Time, Duration};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
+//! let mut q: Scheduler<&'static str> = Scheduler::new();
 //! q.push(Time::ZERO + Duration::micros(5), "second");
 //! q.push(Time::ZERO, "first");
 //! let (t, ev) = q.pop().unwrap();
@@ -35,14 +34,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod event_queue;
 mod rng;
 mod scheduler;
 mod time;
-mod timer;
 
-pub use event_queue::EventQueue;
 pub use rng::SimRng;
 pub use scheduler::{SchedStats, SchedulePort, Scheduler, TimerId};
 pub use time::{Duration, Time};
-pub use timer::TimerSlot;

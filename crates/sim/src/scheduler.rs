@@ -1,10 +1,11 @@
 //! The production event scheduler: a calendar/ladder queue with
 //! amortized O(1) push/pop and first-class cancellable timers.
 //!
-//! [`EventQueue`](crate::EventQueue) (a binary heap) costs O(log n) per
+//! A binary-heap event queue (the reference `EventQueue` kept in
+//! `irn-integration`, `tests/src/event_queue.rs`) costs O(log n) per
 //! operation and has no random-access removal, which forces the layers
-//! above to *filter* stale timer expiries at pop time (the
-//! [`TimerSlot`](crate::TimerSlot) generation trick): every re-armed
+//! above to *filter* stale timer expiries at pop time (the reference
+//! `TimerSlot` generation trick, `tests/src/timer.rs`): every re-armed
 //! retransmission timer leaves a dead event in the heap that is
 //! scheduled, sifted, popped, and discarded. At packet-simulation rates
 //! that is a measurable slice of the event budget. [`Scheduler`]
@@ -27,7 +28,7 @@
 //!
 //! ## Determinism contract
 //!
-//! The scheduler preserves [`EventQueue`](crate::EventQueue)'s contract
+//! The scheduler preserves the reference `EventQueue`'s contract
 //! *exactly*: pops are nondecreasing in time, and events scheduled for
 //! the same instant pop in strict push order (every push — including a
 //! timer arm — is stamped with a monotonically increasing sequence
@@ -36,7 +37,6 @@
 //! against the binary-heap reference over random push/pop/arm/cancel
 //! interleavings.
 
-use crate::event_queue::EventQueue;
 use crate::Time;
 
 /// Number of buckets in the ring (power of two).
@@ -97,23 +97,16 @@ pub struct SchedStats {
 /// Layers that *emit* events without owning the queue (the fabric emits
 /// `FabricEvent`s from inside its handlers) take
 /// `&mut impl SchedulePort<F>` instead of a closure. A [`Scheduler<E>`]
-/// (or the reference [`EventQueue<E>`](crate::EventQueue)) is a port
-/// for any event type `F` that its own `E` has a `From` impl for, so an
-/// embedding simulation with `enum Event { Fabric(FabricEvent), .. }`
-/// passes its scheduler straight through — no closure threading, no
-/// intermediate buffer.
+/// is a port for any event type `F` that its own `E` has a `From` impl
+/// for, so an embedding simulation with
+/// `enum Event { Fabric(FabricEvent), .. }` passes its scheduler
+/// straight through — no closure threading, no intermediate buffer.
 pub trait SchedulePort<F> {
     /// Schedule `ev` to fire at absolute time `at`.
     fn schedule(&mut self, at: Time, ev: F);
 }
 
 impl<F, E: From<F>> SchedulePort<F> for Scheduler<E> {
-    fn schedule(&mut self, at: Time, ev: F) {
-        self.push(at, E::from(ev));
-    }
-}
-
-impl<F, E: From<F>> SchedulePort<F> for EventQueue<E> {
     fn schedule(&mut self, at: Time, ev: F) {
         self.push(at, E::from(ev));
     }

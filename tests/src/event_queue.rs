@@ -2,10 +2,11 @@
 //! deterministic FIFO ordering of simultaneous events.
 //!
 //! The production event loop runs on the ladder-queue
-//! [`Scheduler`](crate::Scheduler) (amortized O(1) per op, cancellable
-//! timers); this heap is the obviously-correct O(log n) model it is
-//! differentially tested against, and remains a fine queue for small
-//! drivers and unit tests.
+//! [`Scheduler`](irn_sim::Scheduler) (amortized O(1) per op,
+//! cancellable timers); this heap is the obviously-correct O(log n)
+//! model it is differentially tested against
+//! (`tests/tests/scheduler.rs`), which is why it lives here with the
+//! other shared test helpers and not in `irn-sim`.
 //!
 //! Determinism matters: the paper's results hinge on packet-level races
 //! (which VOQ a round-robin arbiter visits first, whether a PAUSE frame
@@ -17,7 +18,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::Time;
+use irn_sim::{SchedulePort, Time};
 
 /// Heap entry: ordered by `(time, seq)` ascending. The payload never
 /// participates in ordering.
@@ -69,15 +70,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            next_seq: 0,
-            last_popped: Time::ZERO,
-        }
-    }
-
-    /// An empty queue with pre-reserved capacity for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
             last_popped: Time::ZERO,
         }
@@ -137,10 +129,19 @@ impl<E> EventQueue<E> {
     }
 }
 
+/// The reference queue is a [`SchedulePort`] on the same terms as the
+/// scheduler, so a layer that emits events (the fabric) can be driven
+/// through either.
+impl<F, E: From<F>> SchedulePort<F> for EventQueue<E> {
+    fn schedule(&mut self, at: Time, ev: F) {
+        self.push(at, E::from(ev));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Duration;
+    use irn_sim::Duration;
 
     #[test]
     fn pops_in_time_order() {
@@ -194,6 +195,17 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn schedule_port_converts_and_keeps_push_order() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let t = Time::from_nanos(7);
+        SchedulePort::schedule(&mut q, t, 1u32);
+        SchedulePort::schedule(&mut q, t, 2u32);
+        q.push(t, 3);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, vec![(t, 1), (t, 2), (t, 3)]);
     }
 
     #[test]

@@ -3,9 +3,17 @@
 //! The tests live in `tests/tests/*.rs` and span every crate: paper-claim
 //! assertions over full simulations, losslessness invariants, RDMA
 //! semantic checks under adversarial channels, and determinism sweeps.
-//! This library hosts the shared helpers.
+//! This library hosts the shared helpers, including the binary-heap
+//! [`EventQueue`] and [`TimerSlot`] reference models the production
+//! scheduler is differentially tested against.
 
 #![forbid(unsafe_code)]
+
+mod event_queue;
+mod timer;
+
+pub use event_queue::EventQueue;
+pub use timer::TimerSlot;
 
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;

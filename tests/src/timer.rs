@@ -1,7 +1,7 @@
 //! Lazily-cancellable timers (the reference model).
 //!
-//! Production code uses the [`Scheduler`](crate::Scheduler)'s
-//! first-class timers ([`Scheduler::timer_arm`](crate::Scheduler) /
+//! Production code uses the [`Scheduler`](irn_sim::Scheduler)'s
+//! first-class timers ([`Scheduler::timer_arm`](irn_sim::Scheduler) /
 //! `timer_cancel`), which remove cancelled deadlines in O(1) instead of
 //! scheduling, popping, and discarding them. `TimerSlot` remains as the
 //! simple generation-filtering technique the scheduler is
@@ -15,7 +15,7 @@
 //! standard technique in packet-level simulators, where retransmission
 //! timers are re-armed on almost every ACK.
 
-use crate::Time;
+use irn_sim::Time;
 
 /// State for one logical, re-armable timer.
 ///
@@ -84,7 +84,7 @@ impl TimerSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Duration;
+    use irn_sim::Duration;
 
     #[test]
     fn arm_then_fire() {

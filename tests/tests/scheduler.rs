@@ -19,7 +19,8 @@ use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::SizeDistribution;
 use irn_core::{run, ExperimentConfig, TopologySpec, TrafficModel};
-use irn_sim::{Duration, EventQueue, Scheduler, Time, TimerId, TimerSlot};
+use irn_integration::{EventQueue, TimerSlot};
+use irn_sim::{Duration, Scheduler, Time, TimerId};
 use proptest::prelude::*;
 
 const TIMERS: usize = 4;

@@ -142,38 +142,32 @@ fn batch_cell_count_sums_per_artifact_plans() {
         .expect("in-process executor");
     assert_eq!(batch.reports.len(), selected.len());
     let total = batch.cell_count;
-    let per_artifact: usize = selected
-        .iter()
-        .filter_map(|a| a.plan(scale))
-        .map(|p| p.cell_count())
-        .sum();
+    let per_artifact: usize = selected.iter().map(|a| a.plan(scale).cell_count()).sum();
     assert_eq!(total, per_artifact);
     // fig1 = 2 variants × 2 seeds, fig2 likewise; fig9 = 3cc × 3M × 2
     // transports × 2 reps; state-budget contributes nothing.
     assert_eq!(total, 4 + 4 + 36);
 }
 
-/// The scheduler-swap pin: **every** registered deterministic artifact
-/// — the full `repro all` surface minus the two CPU-timing substitutes
-/// — renders byte-identical stdout and byte-identical schema-v2 JSON
-/// at jobs=1 vs jobs=8, through the global batch. This is the
-/// acceptance gate that lets the event-scheduler implementation change
-/// underneath the artifacts: any drift in event order (tie-breaks,
-/// timer delivery, arrival streaming) shows up here as a byte diff.
+/// The scheduler-swap pin: **every** registered artifact — the full
+/// `repro all` surface, no carve-out — renders byte-identical stdout
+/// and byte-identical schema-v2 JSON at jobs=1 vs jobs=8 and across
+/// two runs at the same job count, through the global batch. This is
+/// the acceptance gate that lets the event-scheduler implementation
+/// change underneath the artifacts: any drift in event order
+/// (tie-breaks, timer delivery, arrival streaming) shows up here as a
+/// byte diff, and so would an artifact that read a clock.
 #[test]
 fn every_deterministic_artifact_is_byte_stable_across_job_counts() {
-    // Debug-profile budget: this runs the whole registry twice (jobs=1
-    // and jobs=8), so the scale is the smallest that still exercises
-    // every artifact's full cell matrix.
+    // Debug-profile budget: this runs the whole registry three times,
+    // so the scale is the smallest that still exercises every
+    // artifact's full cell matrix.
     let scale = Scale {
         flows: 60,
         incast_bytes: 1_000_000,
         ..tiny()
     };
-    let selected: Vec<&'static Artifact> = artifacts::ARTIFACTS
-        .iter()
-        .filter(|a| a.deterministic())
-        .collect();
+    let selected: Vec<&'static Artifact> = artifacts::ARTIFACTS.iter().collect();
     assert!(selected.len() >= 20, "registry unexpectedly shrank");
 
     let render = |jobs: usize| -> Vec<(String, String)> {
@@ -181,16 +175,20 @@ fn every_deterministic_artifact_is_byte_stable_across_job_counts() {
             .expect("in-process executor");
         selected
             .iter()
-            .zip(&batch.reports)
-            .map(|(a, rep)| (rep.render(), artifacts::artifact_json(a, &scale, rep, None)))
+            .zip(batch.reports.iter().zip(&batch.telemetry))
+            .map(|(a, (rep, telemetry))| {
+                let json = artifacts::artifact_json(a, &scale, rep, telemetry.as_ref());
+                artifacts::verify_artifact_json(a.name, &json).unwrap();
+                (rep.render(), json)
+            })
             .collect()
     };
     let serial = render(1);
-    let parallel = render(8);
-    for ((a, (s_txt, s_json)), (p_txt, p_json)) in selected.iter().zip(&serial).zip(&parallel) {
-        assert_eq!(s_txt, p_txt, "{}: stdout differs jobs=1 vs jobs=8", a.name);
-        assert_eq!(s_json, p_json, "{}: JSON differs jobs=1 vs jobs=8", a.name);
-        artifacts::verify_artifact_json(a.name, s_json).unwrap();
+    for (what, other) in [("jobs=8", render(8)), ("a second jobs=8 run", render(8))] {
+        for ((a, (s_txt, s_json)), (o_txt, o_json)) in selected.iter().zip(&serial).zip(&other) {
+            assert_eq!(s_txt, o_txt, "{}: stdout differs jobs=1 vs {what}", a.name);
+            assert_eq!(s_json, o_json, "{}: JSON differs jobs=1 vs {what}", a.name);
+        }
     }
 }
 
