@@ -125,7 +125,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// A scaled-down variant for tests and Criterion benches: k=4
+    /// A scaled-down variant for tests: k=4
     /// fat-tree (16 hosts), same relative parameters.
     pub fn quick(flow_count: usize) -> ExperimentConfig {
         ExperimentConfig {

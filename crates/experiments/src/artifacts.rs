@@ -15,11 +15,11 @@
 //! byte-identical to sequential runs at any job count because results
 //! come back in submission order and each assembly is pure.
 
-use irn_core::RunResult;
+use irn_core::{RunResult, Scenario};
 use irn_harness::{Harness, HarnessError, WorkerStats};
 use irn_telemetry::TraceSpec;
-use serde::json::{self, Value};
-use serde::Serialize;
+use serde::json;
+use serde::{de_field, Deserialize, Serialize};
 
 use crate::memory::MemorySummary;
 use crate::plan::Plan;
@@ -200,31 +200,28 @@ pub fn unknown_names<'a>(wanted: &[&'a str]) -> Vec<&'a str> {
         .collect()
 }
 
-/// Per-artifact throughput observations from a batched run. The wall
-/// times are executor bookkeeping — reported on stderr and in the
-/// bench-trajectory JSON, never in the schema-v2 artifact envelopes.
+/// Per-artifact throughput observations from a batched run — one
+/// `artifacts` row of the bench-trajectory JSON. The wall times are
+/// executor bookkeeping — reported on stderr and in that side file,
+/// never in the schema-v2 artifact envelopes.
+#[derive(Debug, Clone, Serialize)]
 pub struct ArtifactTiming {
-    /// Artifact name (registry key), or a scenario slug for
-    /// `repro run --scenario` batches.
-    pub name: String,
+    /// Artifact name (registry key), or a scenario slug for `repro run`
+    /// batches.
+    pub artifact: String,
     /// Simulation cells the artifact contributed to the batch (0 for
     /// analytical artifacts).
     pub cells: usize,
     /// Simulation events processed across those cells (deterministic).
     pub events: u64,
-    /// Summed per-cell wall-clock execution time on the workers. With
-    /// more jobs than cores this includes time-sharing wait, so
+    /// Summed per-cell wall-clock execution seconds on the workers.
+    /// With more jobs than cores this includes time-sharing wait, so
     /// compare runs at equal `jobs` (recorded alongside it in the
     /// timing JSON).
-    pub cell_wall: std::time::Duration,
-}
-
-impl ArtifactTiming {
+    pub cell_wall_s: f64,
     /// Events per summed cell-second across this artifact's cells
-    /// (jobs-sensitive; see [`ArtifactTiming::cell_wall`]).
-    pub fn events_per_sec(&self) -> f64 {
-        per_sec(self.events, self.cell_wall)
-    }
+    /// (jobs-sensitive; see [`ArtifactTiming::cell_wall_s`]).
+    pub events_per_sec: f64,
 }
 
 /// `events / wall`, or 0 for a batch that took no measurable time.
@@ -313,8 +310,8 @@ pub fn run_artifacts(
     run_batch(items, harness, trace)
 }
 
-/// The one global-batch runner (beneath [`run_artifacts`] and `repro run
-/// --scenario`): concatenate every item's planned cells into one
+/// The one global-batch runner (beneath [`run_artifacts`] and `repro
+/// run`): concatenate every item's planned cells into one
 /// submission-ordered batch, execute it once, then demux each item's
 /// slice back through its assembly. An item that planned no cells
 /// contributes no `telemetry` or `memory` entry.
@@ -364,7 +361,10 @@ pub fn run_batch(
             let mut events = 0u64;
             let mut cell_wall = std::time::Duration::ZERO;
             let mut summary = TelemetrySummary::default();
-            let mut gauge = MemorySummary::default();
+            let mut gauge = MemorySummary {
+                artifact: name.clone(),
+                ..MemorySummary::default()
+            };
             let slice: Vec<RunResult> = results
                 .by_ref()
                 .take(n)
@@ -378,10 +378,11 @@ pub fn run_batch(
                 .collect();
             total_events += events;
             timing.push(ArtifactTiming {
-                name,
+                artifact: name,
                 cells: n,
                 events,
-                cell_wall,
+                cell_wall_s: cell_wall.as_secs_f64(),
+                events_per_sec: per_sec(events, cell_wall),
             });
             telemetry.push((n > 0).then_some(summary));
             memory.push((n > 0).then_some(gauge));
@@ -398,6 +399,40 @@ pub fn run_batch(
         memory,
         trace: batch_trace,
     })
+}
+
+/// The on-disk form of every JSON file `repro` writes: pretty-printed,
+/// trailing newline.
+pub(crate) fn pretty(value: &impl Serialize) -> String {
+    let mut text = json::to_string_pretty(value);
+    text.push('\n');
+    text
+}
+
+/// The `bench-trajectory-v1` side file.
+#[derive(Serialize)]
+struct Trajectory<'a> {
+    schema: &'a str,
+    determinism: &'a str,
+    scale: &'a str,
+    seeds: usize,
+    jobs: usize,
+    cells: usize,
+    total_events: u64,
+    batch_wall_s: f64,
+    events_per_sec: f64,
+    artifacts: &'a [ArtifactTiming],
+    workers: Option<Vec<WorkerRow<'a>>>,
+}
+
+/// One `workers` row of the side file.
+#[derive(Serialize)]
+struct WorkerRow<'a> {
+    worker: &'a str,
+    cells: usize,
+    cell_wall_s: f64,
+    failures: usize,
+    alive: bool,
 }
 
 /// Serialize a batch's throughput observations as the
@@ -420,252 +455,137 @@ pub fn timing_json(
     jobs: usize,
     workers: &[WorkerStats],
 ) -> String {
-    let artifacts: Vec<Value> = batch
-        .timing
+    let rows: Vec<WorkerRow> = workers
         .iter()
-        .map(|t| {
-            Value::Object(vec![
-                ("artifact".to_string(), t.name.to_json()),
-                ("cells".to_string(), (t.cells as u64).to_json()),
-                ("events".to_string(), t.events.to_json()),
-                (
-                    "cell_wall_s".to_string(),
-                    t.cell_wall.as_secs_f64().to_json(),
-                ),
-                ("events_per_sec".to_string(), t.events_per_sec().to_json()),
-            ])
+        .map(|w| WorkerRow {
+            worker: &w.name,
+            cells: w.cells,
+            cell_wall_s: w.cell_wall_s,
+            failures: w.failures,
+            alive: w.alive,
         })
         .collect();
-    let mut fields = vec![
-        ("schema".to_string(), "bench-trajectory-v1".to_json()),
-        ("determinism".to_string(), "timing".to_json()),
-        ("scale".to_string(), scale.label().to_json()),
-        ("seeds".to_string(), (scale.seeds as u64).to_json()),
-        ("jobs".to_string(), (jobs as u64).to_json()),
-        ("cells".to_string(), (batch.cell_count as u64).to_json()),
-        ("total_events".to_string(), batch.total_events.to_json()),
-        (
-            "batch_wall_s".to_string(),
-            batch.batch_time.as_secs_f64().to_json(),
-        ),
-        (
-            "events_per_sec".to_string(),
-            batch.events_per_sec().to_json(),
-        ),
-        ("artifacts".to_string(), Value::Array(artifacts)),
-    ];
-    if !workers.is_empty() {
-        let rows: Vec<Value> = workers
-            .iter()
-            .map(|w| {
-                Value::Object(vec![
-                    ("worker".to_string(), w.name.to_json()),
-                    ("cells".to_string(), (w.cells as u64).to_json()),
-                    ("cell_wall_s".to_string(), w.cell_wall_s.to_json()),
-                    ("failures".to_string(), (w.failures as u64).to_json()),
-                    ("alive".to_string(), w.alive.to_json()),
-                ])
-            })
-            .collect();
-        fields.push(("workers".to_string(), Value::Array(rows)));
-    }
-    let envelope = Value::Object(fields);
-    let mut text = json::to_string_pretty(&envelope);
-    text.push('\n');
-    text
+    pretty(&Trajectory {
+        schema: "bench-trajectory-v1",
+        determinism: "timing",
+        scale: scale.label(),
+        seeds: scale.seeds,
+        jobs,
+        cells: batch.cell_count,
+        total_events: batch.total_events,
+        batch_wall_s: batch.batch_time.as_secs_f64(),
+        events_per_sec: batch.events_per_sec(),
+        artifacts: &batch.timing,
+        workers: (!rows.is_empty()).then_some(rows),
+    })
 }
 
-/// Serialize one artifact as its JSON envelope (pretty-printed, with a
-/// trailing newline). The envelope deliberately excludes job counts and
-/// timings so the bytes depend only on `(artifact, scale, report,
-/// telemetry)` — `--jobs 1` and `--jobs 64` must emit identical files.
-/// `telemetry` is the artifact's unified-counters block
-/// ([`BatchRun::telemetry`]); an artifact that ran no cells passes
-/// `None` and the key is omitted. The full format is documented in
-/// `docs/SCHEMA.md`.
+/// The schema-v2 envelope: the one shape [`artifact_json`] and
+/// [`crate::scenario_json`] write and [`verify_artifact_json`] reads
+/// (field-by-field reference: `docs/SCHEMA.md`). It deliberately
+/// excludes job counts and timings, so the bytes depend only on
+/// `(artifact, scale, report, telemetry)` — `--jobs 1` and `--jobs 64`
+/// must emit identical files.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Envelope {
+    /// [`SCHEMA_VERSION`].
+    pub schema_version: u64,
+    /// Registry name or scenario slug; always the file stem.
+    pub artifact: String,
+    /// [`Scale::label`], or `"scenario"` for a scenario run.
+    pub scale: String,
+    /// Seed replicates behind every reported value (at least 1).
+    pub seeds: u64,
+    /// [`Determinism::as_str`].
+    pub determinism: String,
+    /// The executed `scenario-v1` document (scenario runs only), so a
+    /// result file is self-describing and replayable.
+    pub scenario: Option<Scenario>,
+    /// The rows.
+    pub report: Report,
+    /// The unified counters ([`BatchRun::telemetry`]); absent for an
+    /// artifact that ran no cells.
+    pub telemetry: Option<TelemetrySummary>,
+}
+
+/// Serialize one artifact as its JSON [`Envelope`] (pretty-printed,
+/// with a trailing newline).
 pub fn artifact_json(
     artifact: &Artifact,
     scale: &Scale,
     report: &Report,
     telemetry: Option<&TelemetrySummary>,
 ) -> String {
-    let mut fields = vec![
-        ("schema_version".to_string(), SCHEMA_VERSION.to_json()),
-        ("artifact".to_string(), artifact.name.to_json()),
-        ("scale".to_string(), scale.label().to_json()),
-        (
-            "seeds".to_string(),
-            (artifact.seed_count(scale) as u64).to_json(),
-        ),
-        (
-            "determinism".to_string(),
-            artifact.determinism.as_str().to_json(),
-        ),
-        ("report".to_string(), report.to_json()),
-    ];
-    if let Some(t) = telemetry {
-        fields.push(("telemetry".to_string(), t.to_json_value()));
-    }
-    let envelope = Value::Object(fields);
-    let mut text = json::to_string_pretty(&envelope);
-    text.push('\n');
-    text
+    pretty(&Envelope {
+        schema_version: SCHEMA_VERSION,
+        artifact: artifact.name.to_string(),
+        scale: scale.label().to_string(),
+        seeds: artifact.seed_count(scale) as u64,
+        determinism: artifact.determinism.as_str().to_string(),
+        scenario: None,
+        report: report.clone(),
+        telemetry: telemetry.cloned(),
+    })
 }
 
-/// A verification failure message that points the reader at the schema
-/// reference.
-fn schema_err(name: &str, msg: impl std::fmt::Display) -> String {
-    format!("{name}: {msg} (see docs/SCHEMA.md)")
-}
-
-/// Validate one artifact's JSON text: parse it and check the envelope
-/// shape against schema version [`SCHEMA_VERSION`]. Returns a
+/// Validate one artifact's JSON text: the strict typed read of an
+/// [`Envelope`] (unknown, repeated, missing and mistyped members fail
+/// naming their path), then what the types cannot say. Returns a
 /// human-readable error — referencing `docs/SCHEMA.md` — on failure.
 pub fn verify_artifact_json(name: &str, text: &str) -> Result<(), String> {
-    let v = json::from_str(text).map_err(|e| schema_err(name, e))?;
-    match v.get("schema_version").and_then(Value::as_u64) {
-        Some(SCHEMA_VERSION) => {}
-        Some(found) => {
-            return Err(schema_err(
-                name,
-                format!(
-                    "schema_version {found}, expected {SCHEMA_VERSION} — \
-                     v1 envelopes predate seed metadata; regenerate or migrate"
-                ),
-            ));
-        }
-        None => return Err(schema_err(name, "missing numeric schema_version")),
-    }
-    if v.get("artifact").and_then(Value::as_str) != Some(name) {
-        return Err(schema_err(
-            name,
-            "'artifact' field does not match file name",
+    check_envelope(name, text).map_err(|msg| format!("{name}: {msg} (see docs/SCHEMA.md)"))
+}
+
+fn check_envelope(name: &str, text: &str) -> Result<(), String> {
+    let v = json::from_str(text).map_err(|e| e.to_string())?;
+    // The version says which shape to expect, so it is read first.
+    let version: u64 = de_field(&v, "schema_version").map_err(|e| e.to_string())?;
+    if version != SCHEMA_VERSION {
+        return Err(format!(
+            "schema_version {version}, expected {SCHEMA_VERSION} — \
+             v1 envelopes predate seed metadata; regenerate or migrate"
         ));
     }
-    let Some(seeds) = v.get("seeds").and_then(Value::as_u64) else {
-        return Err(schema_err(name, "missing numeric 'seeds' field"));
-    };
-    if seeds == 0 {
-        return Err(schema_err(name, "'seeds' must be >= 1"));
+    let env = Envelope::from_json(&v).map_err(|e| e.to_string())?;
+    if env.artifact != name {
+        return Err("'artifact' field does not match file name".to_string());
     }
-    let Some(class) = v.get("determinism").and_then(Value::as_str) else {
-        return Err(schema_err(name, "missing 'determinism' field"));
-    };
+    if env.seeds == 0 {
+        return Err("'seeds' must be >= 1".to_string());
+    }
+    let class = env.determinism.as_str();
     if !["replicated", "deterministic"].contains(&class) {
-        return Err(schema_err(name, format!("unknown determinism '{class}'")));
+        return Err(format!("unknown determinism '{class}'"));
     }
     // Scenario-run envelopes (marked by the embedded scenario document
     // and `scale: "scenario"`) are named after the *scenario*, so a
     // name that happens to match a registry artifact must not be held
     // to that artifact's determinism class.
-    let is_scenario_envelope =
-        v.get("scenario").is_some() && v.get("scale").and_then(Value::as_str) == Some("scenario");
-    if !is_scenario_envelope {
-        if let Some(artifact) = find(name) {
-            if class != artifact.determinism.as_str() {
-                return Err(schema_err(
-                    name,
-                    format!(
-                        "determinism '{class}' does not match the registry's '{}'",
-                        artifact.determinism.as_str()
-                    ),
-                ));
+    let is_scenario_envelope = env.scenario.is_some() && env.scale == "scenario";
+    if let Some(artifact) = find(name).filter(|_| !is_scenario_envelope) {
+        if class != artifact.determinism.as_str() {
+            return Err(format!(
+                "determinism '{class}' does not match the registry's '{}'",
+                artifact.determinism.as_str()
+            ));
+        }
+    }
+    if env.report.rows.is_empty() {
+        return Err("report has zero rows".to_string());
+    }
+    // ci95 semantics: every `<metric>_ci95` column must accompany its
+    // `<metric>` mean in the same row.
+    for row in &env.report.rows {
+        for (n, _) in &row.values {
+            let orphan = n
+                .strip_suffix("_ci95")
+                .filter(|base| !row.values.iter().any(|(m, _)| m == base));
+            if let Some(base) = orphan {
+                return Err(format!("row has '{n}' without its '{base}' mean"));
             }
         }
     }
-    let Some(report) = v.get("report") else {
-        return Err(schema_err(name, "no 'report' object"));
-    };
-    let Some(rows) = report.get("rows").and_then(Value::as_array) else {
-        return Err(schema_err(name, "report has no 'rows' array"));
-    };
-    if rows.is_empty() {
-        return Err(schema_err(name, "report has zero rows"));
-    }
-    for row in rows {
-        if row.get("label").and_then(Value::as_str).is_none() {
-            return Err(schema_err(name, "row without a label"));
-        }
-        // ci95 semantics: every `<metric>_ci95` column must accompany
-        // its `<metric>` mean in the same row.
-        let Some(values) = row.get("values").and_then(Value::as_array) else {
-            continue;
-        };
-        let names: Vec<&str> = values
-            .iter()
-            .filter_map(|pair| pair.as_array()?.first()?.as_str())
-            .collect();
-        for n in &names {
-            if let Some(base) = n.strip_suffix("_ci95") {
-                if !names.contains(&base) {
-                    return Err(schema_err(
-                        name,
-                        format!("row has '{n}' without its '{base}' mean"),
-                    ));
-                }
-            }
-        }
-    }
-    if let Some(t) = v.get("telemetry") {
-        verify_telemetry_block(name, t)?;
-    }
-    Ok(())
-}
-
-/// Validate an envelope's optional `telemetry` block: the counters must
-/// be present and the partition invariants must hold — `drops.total =
-/// drops.buffer + drops.injected`, and the per-transport `by_kind` rows
-/// must sum back to the fabric drop total and the cell count.
-fn verify_telemetry_block(name: &str, t: &Value) -> Result<(), String> {
-    let cells = t
-        .get("cells")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| schema_err(name, "telemetry block missing numeric 'cells'"))?;
-    let drops = t
-        .get("fabric")
-        .and_then(|f| f.get("drops"))
-        .ok_or_else(|| schema_err(name, "telemetry block missing 'fabric.drops'"))?;
-    let part = |key: &str| {
-        drops
-            .get(key)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| schema_err(name, format!("telemetry drops missing '{key}'")))
-    };
-    let (total, buffer, injected) = (part("total")?, part("buffer")?, part("injected")?);
-    if total != buffer + injected {
-        return Err(schema_err(
-            name,
-            format!("telemetry drops partition broken: {total} != {buffer} + {injected}"),
-        ));
-    }
-    let by_kind = t
-        .get("transport")
-        .and_then(|tr| tr.get("by_kind"))
-        .and_then(Value::as_array)
-        .ok_or_else(|| schema_err(name, "telemetry block missing 'transport.by_kind'"))?;
-    let mut kind_cells = 0u64;
-    let mut kind_drops = 0u64;
-    for row in by_kind {
-        kind_cells += row.get("cells").and_then(Value::as_u64).unwrap_or(0);
-        kind_drops += row
-            .get("drops")
-            .and_then(|d| d.get("total"))
-            .and_then(Value::as_u64)
-            .unwrap_or(0);
-    }
-    if kind_cells != cells {
-        return Err(schema_err(
-            name,
-            format!("telemetry by_kind cells sum to {kind_cells}, envelope says {cells}"),
-        ));
-    }
-    if kind_drops != total {
-        return Err(schema_err(
-            name,
-            format!("telemetry by_kind drops sum to {kind_drops}, fabric says {total}"),
-        ));
-    }
-    Ok(())
+    env.telemetry.map_or(Ok(()), |t| t.check_partitions())
 }
 
 #[cfg(test)]
@@ -740,8 +660,8 @@ mod tests {
         assert_eq!(batch.cell_count, 0);
         assert_eq!(batch.telemetry, [None]);
         assert_eq!(batch.memory, [None]);
-        let gauge = json::from_str(&crate::memory_json(&batch, &scale)).unwrap();
-        assert_eq!(gauge.get("artifacts"), Some(&Value::Array(Vec::new())));
+        let gauge = crate::verify_memory_json(&crate::memory_json(&batch, &scale)).unwrap();
+        assert_eq!(gauge.artifacts, []);
         let text = artifact_json(sb, &scale, &batch.reports[0], batch.telemetry[0].as_ref());
         assert_eq!(text, include_str!("../tests/fixtures/state-budget.json"));
         verify_artifact_json("state-budget", &text).unwrap();
@@ -755,18 +675,13 @@ mod tests {
         let fig1 = find("fig1").unwrap();
         let text = artifact_json(fig1, &scale, &rep, None);
         verify_artifact_json("fig1", &text).unwrap();
-        // Round-trip at the value level: parse → re-render → re-parse.
-        let v = json::from_str(&text).unwrap();
-        assert_eq!(json::from_str(&json::to_string(&v)).unwrap(), v);
-        assert_eq!(v.get("schema_version").and_then(Value::as_u64), Some(2));
-        assert_eq!(
-            v.get("seeds").and_then(Value::as_u64),
-            Some(scale.seeds as u64)
-        );
-        assert_eq!(
-            v.get("determinism").and_then(Value::as_str),
-            Some("replicated")
-        );
+        // Round-trip through the type: read → re-render is the same file.
+        let env: Envelope = serde::from_json_str(&text).unwrap();
+        assert_eq!(pretty(&env), text);
+        assert_eq!(env.schema_version, 2);
+        assert_eq!(env.seeds, scale.seeds as u64);
+        assert_eq!(env.determinism, "replicated");
+        assert_eq!((env.scenario, env.telemetry), (None, None));
         // Mismatched name, broken text, empty rows all fail, and the
         // errors point at the schema reference.
         assert!(verify_artifact_json("fig2", &text).is_err());
@@ -779,11 +694,75 @@ mod tests {
         );
     }
 
+    /// The envelopes the hand-walked verifier used to wave through:
+    /// each now fails naming the member's dotted path.
+    #[test]
+    fn verifier_reads_strictly_and_checks_every_partition() {
+        let scale = Scale::quick();
+        let fig1 = find("fig1").unwrap();
+        let mut rep = Report::new("Figure 1", "t", "p");
+        rep.add(Row::new("IRN").push("avg_slowdown", 2.5));
+        let kind = irn_core::transport::config::TransportKind::Irn;
+        let run = irn_core::run(irn_core::ExperimentConfig::quick(8).with_transport(kind));
+        let mut telemetry = TelemetrySummary::default();
+        telemetry.add(kind, &run);
+        let text = artifact_json(fig1, &scale, &rep, Some(&telemetry));
+        verify_artifact_json("fig1", &text).unwrap();
+        let rejects = |doctored: String, what: &str| {
+            assert_ne!(doctored, text, "{what}: the edit did not apply");
+            let err = verify_artifact_json("fig1", &doctored).unwrap_err();
+            assert!(err.contains(what), "{err}");
+            assert!(err.contains("docs/SCHEMA.md"), "{err}");
+        };
+        rejects(
+            text.replace("\"seeds\"", "\"stray\": 1,\n  \"seeds\""),
+            "at stray: unknown field",
+        );
+        rejects(
+            text.replace("\"scale\"", "\"seeds\": 5,\n  \"scale\""),
+            "at seeds: duplicate field",
+        );
+        let values = text.find("\"values\": [").unwrap();
+        let end = values + text[values..].find("\n        ]").unwrap() + "\n        ]".len();
+        rejects(
+            format!("{}\"values\": 7{}", &text[..values], &text[end..]),
+            "at report.rows.[0].values: expected an array, got a number",
+        );
+        rejects(
+            text.replace("2.5", "null"),
+            "at report.rows.[0].values.[0].[1]: expected a number, got null",
+        );
+        rejects(
+            text.replace("\"title\": \"t\",\n", ""),
+            "at report.title: expected a string, got null",
+        );
+        rejects(
+            text.replace("\"past_clamps\"", "\"past_clamp\""),
+            "at telemetry.sched.past_clamp: unknown field",
+        );
+        // A by_kind row whose drops do not partition, and one whose
+        // counter no longer sums to `transport.total`.
+        let broken = |edit: fn(&mut TelemetrySummary)| {
+            let mut t = telemetry.clone();
+            edit(&mut t);
+            artifact_json(fig1, &scale, &rep, Some(&t))
+        };
+        rejects(
+            broken(|t| t.transport.by_kind[0].drops.buffer += 5),
+            "at telemetry.transport.by_kind.[0].drops: total",
+        );
+        rejects(
+            broken(|t| t.transport.by_kind[0].nacks += 1),
+            "at telemetry.transport.by_kind: the rows' 'nacks' sum to",
+        );
+    }
+
     #[test]
     fn verifier_rejects_v1_envelopes_and_orphan_ci95() {
         // A v1-shaped envelope (no seeds/determinism, old version).
         let v1 = r#"{"schema_version": 1, "artifact": "fig1", "scale": "quick",
-                     "report": {"rows": [{"label": "IRN", "values": [["m", 1.0]]}]}}"#;
+                     "report": {"id": "f", "title": "t", "paper_expectation": "p",
+                                "rows": [{"label": "IRN", "values": [["m", 1.0]]}]}}"#;
         let err = verify_artifact_json("fig1", v1).unwrap_err();
         assert!(err.contains("schema_version 1"), "{err}");
         assert!(err.contains("docs/SCHEMA.md"), "{err}");
@@ -791,7 +770,8 @@ mod tests {
         let orphan = format!(
             r#"{{"schema_version": {SCHEMA_VERSION}, "artifact": "fig1", "scale": "quick",
                 "seeds": 5, "determinism": "replicated",
-                "report": {{"rows": [{{"label": "IRN", "values": [["m_ci95", 0.1]]}}]}}}}"#
+                "report": {{"id": "f", "title": "t", "paper_expectation": "p",
+                            "rows": [{{"label": "IRN", "values": [["m_ci95", 0.1]]}}]}}}}"#
         );
         let err = verify_artifact_json("fig1", &orphan).unwrap_err();
         assert!(err.contains("without its"), "{err}");
@@ -801,7 +781,8 @@ mod tests {
             format!(
                 r#"{{"schema_version": {SCHEMA_VERSION}, "artifact": "fig1", "scale": "quick",
                     "seeds": 5, "determinism": "{class}",
-                    "report": {{"rows": [{{"label": "IRN", "values": [["m", 1.0]]}}]}}}}"#
+                    "report": {{"id": "f", "title": "t", "paper_expectation": "p",
+                                "rows": [{{"label": "IRN", "values": [["m", 1.0]]}}]}}}}"#
             )
         };
         verify_artifact_json("fig1", &with_class("replicated")).unwrap();

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro [flags] <artifact>... | all        regenerate registry artifacts
-//! repro run [flags] --scenario FILE...     execute scenario-v1 files
+//! repro run [flags] FILE...                execute scenario-v1 files
 //! repro worker [--listen ADDR]             serve work-v1 frames for a
 //!                                          coordinator (stdin/stdout or TCP)
 //! repro emit-scenario <artifact>... --json DIR
@@ -147,11 +147,6 @@ const FLAGS: &[FlagSpec] = &[
         help: "write memory-v1 peak-memory gauge JSON to FILE",
     },
     FlagSpec {
-        name: "--scenario",
-        metavar: Some("FILE"),
-        help: "(run mode) scenario-v1 file to execute; repeatable",
-    },
-    FlagSpec {
         name: "--trace",
         metavar: Some("FILE"),
         help: "record a trace-v1 NDJSON flight-recorder file of the batch",
@@ -183,10 +178,7 @@ const MODES: &[(&str, &str)] = &[
         "repro [flags] <artifact>... | all",
         "regenerate registry artifacts",
     ),
-    (
-        "repro run [flags] --scenario FILE...",
-        "execute scenario-v1 files (positional FILEs work too)",
-    ),
+    ("repro run [flags] FILE...", "execute scenario-v1 files"),
     (
         "repro worker [--listen ADDR]",
         "serve work-v1 frames for a coordinator (stdin/stdout or TCP)",
@@ -259,7 +251,6 @@ const MODE_FLAGS: &[(&str, &[&str])] = &[
             "--json",
             "--timing-json",
             "--memory-json",
-            "--scenario",
             "--trace",
             "--trace-filter",
             "--progress-json",
@@ -273,7 +264,7 @@ const MODE_FLAGS: &[(&str, &[&str])] = &[
 
 /// Flags only meaningful inside a specific subcommand; rejected in the
 /// default artifact mode.
-const SUBCOMMAND_ONLY_FLAGS: &[&str] = &["--scenario", "--listen", "--exit-after"];
+const SUBCOMMAND_ONLY_FLAGS: &[&str] = &["--listen", "--exit-after"];
 
 #[derive(Default)]
 struct Args {
@@ -289,7 +280,6 @@ struct Args {
     json_dir: Option<PathBuf>,
     timing_json: Option<PathBuf>,
     memory_json: Option<PathBuf>,
-    scenarios: Vec<PathBuf>,
     trace: Option<PathBuf>,
     trace_filter: Option<String>,
     progress_json: Option<PathBuf>,
@@ -361,7 +351,6 @@ fn parse_args() -> Args {
             "--json" => args.json_dir = Some(PathBuf::from(value.unwrap())),
             "--timing-json" => args.timing_json = Some(PathBuf::from(value.unwrap())),
             "--memory-json" => args.memory_json = Some(PathBuf::from(value.unwrap())),
-            "--scenario" => args.scenarios.push(PathBuf::from(value.unwrap())),
             "--trace" => args.trace = Some(PathBuf::from(value.unwrap())),
             "--trace-filter" => {
                 let expr = value.unwrap();
@@ -662,11 +651,12 @@ fn per_report_stderr(
         // clamps and stale-timer skips are benign by design, but a
         // sudden jump is the first symptom of a scheduling bug.
         let sched = telemetry
-            .filter(|t| t.past_clamps > 0 || t.stale_timer_reclaims > 0)
-            .map(|t| {
+            .map(|t| t.sched)
+            .filter(|s| s.past_clamps > 0 || s.stale_timer_reclaims > 0)
+            .map(|s| {
                 format!(
                     "; {} past-clamp(s), {} stale-timer skip(s)",
-                    t.past_clamps, t.stale_timer_reclaims
+                    s.past_clamps, s.stale_timer_reclaims
                 )
             })
             .unwrap_or_default();
@@ -674,7 +664,7 @@ fn per_report_stderr(
             "   [{name}: {class} over {seeds} seed(s); {} cells, {} events, {:.2} Mev/s{sched}]",
             timing.cells,
             timing.events,
-            timing.events_per_sec() / 1e6,
+            timing.events_per_sec / 1e6,
         );
     } else {
         eprintln!("   [{name}: {class} over {seeds} seed(s)]");
@@ -864,13 +854,12 @@ fn artifact_mode(args: &Args, scale: Scale) {
     );
 }
 
-/// `repro run --scenario FILE...`: execute user scenarios through the
-/// same global batch executor the registry uses.
+/// `repro run FILE...`: execute user scenarios through the same global
+/// batch executor the registry uses.
 fn run_scenarios_mode(args: &Args, scale: Scale) {
-    let mut files: Vec<PathBuf> = args.positionals[1..].iter().map(PathBuf::from).collect();
-    files.extend(args.scenarios.iter().cloned());
+    let files: Vec<PathBuf> = args.positionals[1..].iter().map(PathBuf::from).collect();
     if files.is_empty() {
-        fail("run mode needs at least one scenario file (--scenario FILE or positional)");
+        fail("run mode needs at least one scenario file");
     }
 
     let seeds = args.seeds.unwrap_or(scale.seeds);
@@ -1196,25 +1185,12 @@ fn diff_memory_mode(args: &Args) {
     if rest.len() != 2 {
         fail("diff-memory needs exactly two memory-v1 JSON files (old, new)");
     }
-    // bytes/flow plus the peak packet-arena occupancy; the pool column
-    // is optional so gauges written before the arena existed still diff.
-    let load = |path: &str| -> Vec<(String, f64, Option<f64>)> {
+    let load = |path: &str| {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail_input(format_args!("cannot read {path}: {e}")));
-        let v = irn_experiments::verify_memory_json(&text)
-            .unwrap_or_else(|e| fail_input(format_args!("{path}: {e}")));
-        v.get("artifacts")
-            .and_then(Value::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|row| {
-                Some((
-                    row.get("artifact")?.as_str()?.to_string(),
-                    row.get("bytes_per_flow")?.as_f64()?,
-                    row.get("pkt_pool_pkts").and_then(Value::as_f64),
-                ))
-            })
-            .collect()
+        irn_experiments::verify_memory_json(&text)
+            .unwrap_or_else(|e| fail_input(format_args!("{path}: {e}")))
+            .artifacts
     };
     let old = load(&rest[0]);
     let new = load(&rest[1]);
@@ -1240,28 +1216,31 @@ fn diff_memory_mode(args: &Args) {
         "{:<16} {:<10} {:>12} {:>12} {:>9}   (warn beyond ±{MEMORY_DRIFT_WARN_PCT}%)",
         "artifact", "gauge", "old", "new", "drift"
     );
-    for (name, new_bpf, new_pool) in &new {
-        let Some((_, old_bpf, old_pool)) = old.iter().find(|(n, _, _)| n == name) else {
+    for n in &new {
+        let name = &n.artifact;
+        let Some(o) = old.iter().find(|o| o.artifact == *name) else {
             println!(
                 "{name:<16} {:<10} {:>12} {:>12.1} {:>9}",
-                "B/flow", "-", new_bpf, "new"
+                "B/flow", "-", n.bytes_per_flow, "new"
             );
             continue;
         };
-        compare(name, "B/flow", *old_bpf, *new_bpf);
-        // Pool occupancy: only when both gauges carry it (old builds
-        // pre-date the packet arena). Growth here means more packets
-        // in flight at once — a hot-path regression wall time can
-        // miss when the extra work is still fast.
-        if let (Some(o), Some(n)) = (old_pool, new_pool) {
-            compare(name, "pool pkts", *o, *n);
-        }
+        compare(name, "B/flow", o.bytes_per_flow, n.bytes_per_flow);
+        // Pool occupancy: growth here means more packets in flight at
+        // once — a hot-path regression wall time can miss when the
+        // extra work is still fast.
+        compare(
+            name,
+            "pool pkts",
+            o.pkt_pool_pkts as f64,
+            n.pkt_pool_pkts as f64,
+        );
     }
-    for (name, _, _) in &old {
-        if !new.iter().any(|(n, _, _)| n == name) {
+    for o in &old {
+        if !new.iter().any(|n| n.artifact == o.artifact) {
             println!(
-                "{name:<16} {:<10} {:>12} {:>12} {:>9}",
-                "-", "-", "-", "gone"
+                "{:<16} {:<10} {:>12} {:>12} {:>9}",
+                o.artifact, "-", "-", "-", "gone"
             );
         }
     }

@@ -31,8 +31,10 @@
 //! Absolute numbers will not match the paper — the substrate is a clean
 //! reimplementation and the exact flow-size CDF of \[19\] is not public —
 //! but the *shape* of each comparison (who wins, roughly by how much,
-//! how trends move across sweeps) is the reproduction target; see
-//! EXPERIMENTS.md for the side-by-side record.
+//! how trends move across sweeps) is the reproduction target; every
+//! report carries the paper's finding beside its rows
+//! (`paper_expectation`), and `tests/tests/paper_claims.rs` asserts the
+//! directions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,9 +48,9 @@ pub mod scale;
 pub mod scenario_run;
 pub mod telemetry;
 
-pub use artifacts::{Artifact, Determinism, WorkloadClass, ARTIFACTS};
+pub use artifacts::{Artifact, Determinism, Envelope, WorkloadClass, ARTIFACTS};
 pub use irn_harness::Harness;
-pub use memory::{memory_json, verify_memory_json, MemorySummary};
+pub use memory::{memory_json, verify_memory_json, MemoryGauge, MemorySummary};
 pub use plan::Plan;
 pub use report::{Report, Row};
 pub use runners::*;

@@ -9,24 +9,26 @@
 //! `size_of`, so they are platform/build-specific, not run-specific).
 //! That is why, unlike the `bench-trajectory-v1` timing file, the
 //! envelope records no job count and carries determinism class
-//! `deterministic`. The serialized shape is documented in
-//! `docs/SCHEMA.md`.
+//! `deterministic`. The structs are the serialized shape, documented
+//! in `docs/SCHEMA.md`.
 
-use crate::artifacts::BatchRun;
+use crate::artifacts::{pretty, BatchRun};
 use crate::scale::Scale;
 use irn_core::{legacy_per_flow_bytes, RunResult};
-use serde::json::{self, Value};
-use serde::Serialize;
+use serde::{de_field, json, Deserialize, Serialize};
 
-/// The memory gauge for one artifact (or one scenario batch): peak
-/// state over every cell's `RunResult`, plus the worst per-flow cost.
+/// The memory gauge for one artifact (or one scenario batch) — one
+/// `artifacts` row of the `memory-v1` file: peak state over every
+/// cell's `RunResult`, plus the worst per-flow cost.
 ///
 /// Peaks take the **max** over cells — cells run concurrently under
 /// `--jobs`, but the gauge tracks the per-cell high-water mark, which
 /// is what bounds a single million-flow simulation. Flows sum, so
 /// `flows` is the artifact's total completed-flow volume.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MemorySummary {
+    /// Artifact name or scenario slug.
+    pub artifact: String,
     /// Cells folded into this gauge.
     pub cells: u64,
     /// Completed flows summed over those cells.
@@ -46,7 +48,7 @@ pub struct MemorySummary {
     pub pkt_pool_pkts: u64,
     /// Worst per-cell `peak_bytes / flows` ratio — the headline the
     /// diet is judged by (see `MemoryStats::bytes_per_flow`).
-    pub worst_bytes_per_flow: f64,
+    pub bytes_per_flow: f64,
 }
 
 impl MemorySummary {
@@ -62,89 +64,57 @@ impl MemorySummary {
         self.hist_buckets = self.hist_buckets.max(r.memory.hist_buckets);
         self.pkt_pool_bytes = self.pkt_pool_bytes.max(r.memory.pkt_pool_bytes);
         self.pkt_pool_pkts = self.pkt_pool_pkts.max(r.memory.pkt_pool_pkts);
-        self.worst_bytes_per_flow = self.worst_bytes_per_flow.max(r.memory.bytes_per_flow());
+        self.bytes_per_flow = self.bytes_per_flow.max(r.memory.bytes_per_flow());
     }
+}
 
-    /// The gauge as one ordered JSON object (one `artifacts` row of the
-    /// `memory-v1` file).
-    pub fn to_json_value(&self, name: &str) -> Value {
-        Value::Object(vec![
-            ("artifact".to_string(), name.to_json()),
-            ("cells".to_string(), self.cells.to_json()),
-            ("flows".to_string(), self.flows.to_json()),
-            ("peak_bytes".to_string(), self.peak_bytes.to_json()),
-            (
-                "peak_flow_state_bytes".to_string(),
-                self.peak_flow_state_bytes.to_json(),
-            ),
-            ("metrics_bytes".to_string(), self.metrics_bytes.to_json()),
-            ("hist_buckets".to_string(), self.hist_buckets.to_json()),
-            ("pkt_pool_bytes".to_string(), self.pkt_pool_bytes.to_json()),
-            ("pkt_pool_pkts".to_string(), self.pkt_pool_pkts.to_json()),
-            (
-                "bytes_per_flow".to_string(),
-                self.worst_bytes_per_flow.to_json(),
-            ),
-        ])
-    }
+/// The `memory-v1` file.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MemoryGauge {
+    /// Always `"memory-v1"`.
+    pub schema: String,
+    /// Always `"deterministic"`.
+    pub determinism: String,
+    /// As in the artifact envelope.
+    pub scale: String,
+    /// As in the artifact envelope.
+    pub seeds: u64,
+    /// The pre-refactor per-flow-record baseline
+    /// ([`legacy_per_flow_bytes`]) the ratios are judged against.
+    pub legacy_per_flow_bytes: u64,
+    /// One row per artifact that ran cells.
+    pub artifacts: Vec<MemorySummary>,
 }
 
 /// Serialize a batch's memory gauges as the `memory-v1` JSON
 /// (pretty-printed, trailing newline): one record per simulation-backed
-/// artifact plus the pre-refactor per-flow-record baseline
-/// ([`legacy_per_flow_bytes`]) the ratios are judged against. Inline
-/// artifacts run no cells and contribute no row. Unlike the timing
-/// file, these bytes are **deterministic**: identical at any `--jobs`
-/// and across any worker fleet of the same build.
+/// artifact; an artifact that ran no cells contributes no row. Unlike
+/// the timing file, these bytes are **deterministic**: identical at any
+/// `--jobs` and across any worker fleet of the same build.
 pub fn memory_json(batch: &BatchRun, scale: &Scale) -> String {
-    let artifacts: Vec<Value> = batch
-        .timing
-        .iter()
-        .zip(&batch.memory)
-        .filter_map(|(t, m)| m.as_ref().map(|m| m.to_json_value(&t.name)))
-        .collect();
-    let envelope = Value::Object(vec![
-        ("schema".to_string(), "memory-v1".to_json()),
-        ("determinism".to_string(), "deterministic".to_json()),
-        ("scale".to_string(), scale.label().to_json()),
-        ("seeds".to_string(), (scale.seeds as u64).to_json()),
-        (
-            "legacy_per_flow_bytes".to_string(),
-            (legacy_per_flow_bytes() as u64).to_json(),
-        ),
-        ("artifacts".to_string(), Value::Array(artifacts)),
-    ]);
-    let mut text = json::to_string_pretty(&envelope);
-    text.push('\n');
-    text
+    pretty(&MemoryGauge {
+        schema: "memory-v1".to_string(),
+        determinism: "deterministic".to_string(),
+        scale: scale.label().to_string(),
+        seeds: scale.seeds as u64,
+        legacy_per_flow_bytes: legacy_per_flow_bytes() as u64,
+        artifacts: batch.memory.iter().flatten().cloned().collect(),
+    })
 }
 
-/// Validate a `memory-v1` file: parse, check the schema tag, and check
-/// every `artifacts` row for the numeric fields `diff-memory` compares.
-/// Returns a human-readable error referencing `docs/SCHEMA.md`.
-pub fn verify_memory_json(text: &str) -> Result<Value, String> {
-    let err = |msg: &str| format!("{msg} (see docs/SCHEMA.md)");
-    let v = json::from_str(text).map_err(|e| err(&e.to_string()))?;
-    if v.get("schema").and_then(Value::as_str) != Some("memory-v1") {
-        return Err(err("not a memory-v1 file"));
-    }
-    let Some(rows) = v.get("artifacts").and_then(Value::as_array) else {
-        return Err(err("missing 'artifacts' array"));
+/// Read a `memory-v1` file: the schema tag, then the strict typed read
+/// every derived format gets. Returns a human-readable error
+/// referencing `docs/SCHEMA.md`.
+pub fn verify_memory_json(text: &str) -> Result<MemoryGauge, String> {
+    let read = || {
+        let v = json::from_str(text).map_err(|e| e.to_string())?;
+        // The tag says which shape to expect, so it is read first.
+        if de_field::<String>(&v, "schema").ok().as_deref() != Some("memory-v1") {
+            return Err("not a memory-v1 file".to_string());
+        }
+        MemoryGauge::from_json(&v).map_err(|e| e.to_string())
     };
-    for row in rows {
-        if row.get("artifact").and_then(Value::as_str).is_none() {
-            return Err(err("artifacts row without an 'artifact' name"));
-        }
-        for field in ["flows", "peak_bytes", "hist_buckets"] {
-            if row.get(field).and_then(Value::as_u64).is_none() {
-                return Err(err(&format!("artifacts row missing numeric '{field}'")));
-            }
-        }
-        if row.get("bytes_per_flow").and_then(Value::as_f64).is_none() {
-            return Err(err("artifacts row missing numeric 'bytes_per_flow'"));
-        }
-    }
-    Ok(v)
+    read().map_err(|msg| format!("{msg} (see docs/SCHEMA.md)"))
 }
 
 #[cfg(test)]
@@ -192,7 +162,7 @@ mod tests {
         assert_eq!(s.pkt_pool_bytes, 64);
         assert_eq!(s.pkt_pool_pkts, 3);
         // Worst ratio is cell 2's 404/5 = 80.8.
-        assert!((s.worst_bytes_per_flow - 80.8).abs() < 1e-12);
+        assert!((s.bytes_per_flow - 80.8).abs() < 1e-12);
     }
 
     #[test]
@@ -207,21 +177,45 @@ mod tests {
                 {"artifact": "fig2", "cells": 4, "flows": 800,
                  "peak_bytes": 40000, "peak_flow_state_bytes": 9000,
                  "metrics_bytes": 31000, "hist_buckets": 120,
+                 "pkt_pool_bytes": 1000, "pkt_pool_pkts": 10,
                  "bytes_per_flow": 200.0}
             ]
         }"#;
-        verify_memory_json(text).expect("valid gauge accepted");
-        assert!(verify_memory_json("{}").is_err(), "missing schema tag");
-        assert!(
-            verify_memory_json(r#"{"schema":"memory-v1"}"#).is_err(),
-            "missing artifacts array"
+        let gauge = verify_memory_json(text).expect("valid gauge accepted");
+        assert_eq!(gauge.artifacts[0].artifact, "fig2");
+        assert_eq!(
+            pretty(&gauge),
+            pretty(&verify_memory_json(&pretty(&gauge)).unwrap())
         );
-        assert!(
-            verify_memory_json(
-                r#"{"schema":"memory-v1","artifacts":[{"artifact":"x","flows":1}]}"#
-            )
-            .is_err(),
-            "row missing peak_bytes"
+        let rejects = |text: &str, what: &str| {
+            let err = verify_memory_json(text).unwrap_err();
+            assert!(err.contains(what), "{err}");
+            assert!(err.contains("docs/SCHEMA.md"), "{err}");
+        };
+        rejects("{", "JSON parse error");
+        rejects("{}", "not a memory-v1 file");
+        rejects(
+            &text.replace("memory-v1", "memory-v2"),
+            "not a memory-v1 file",
+        );
+        rejects(r#"{"schema":"memory-v1"}"#, "at determinism:");
+        // A stray key in a row, a row without `cells`, a row written
+        // before the packet arena existed: each is named by its path.
+        rejects(
+            &text.replace(r#""cells": 4,"#, r#""cells": 4, "extra": 1,"#),
+            "at artifacts.[0].extra: unknown field",
+        );
+        rejects(
+            &text.replace(r#""cells": 4,"#, ""),
+            "at artifacts.[0].cells: expected a non-negative integer, got null",
+        );
+        rejects(
+            &text.replace(r#""pkt_pool_bytes": 1000, "pkt_pool_pkts": 10,"#, ""),
+            "at artifacts.[0].pkt_pool_bytes:",
+        );
+        rejects(
+            &text.replace(r#""seeds": 2,"#, r#""seeds": 2, "seeds": 3,"#),
+            "at seeds: duplicate field",
         );
     }
 }

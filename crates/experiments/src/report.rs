@@ -2,11 +2,11 @@
 //! tables and consumable by tests.
 
 use irn_harness::Stats;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One labelled result row (one bar of a figure / one line of a table).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Row {
     /// Configuration label, e.g. `"IRN"` or `"RoCE + PFC, Timely"`.
     pub label: String,
@@ -53,7 +53,7 @@ impl Row {
 }
 
 /// A full experiment report (one figure or table).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Report {
     /// Artifact id, e.g. `"Figure 1"`.
     pub id: String,

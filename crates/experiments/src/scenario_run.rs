@@ -1,6 +1,6 @@
 //! Executing user `scenario-v1` files through the experiment machinery.
 //!
-//! `repro run --scenario FILE...` is the consumer of the declarative
+//! `repro run FILE...` is the consumer of the declarative
 //! [`Scenario`] API: each file parses into a validated scenario, fans
 //! out over seed replicates exactly like the registry's Poisson
 //! artifacts (strided seeds, mean ± ci95 aggregation), and joins the
@@ -10,10 +10,8 @@
 
 use irn_core::Scenario;
 use irn_harness::{Cell, Replicate, ReplicateSet};
-use serde::json::{self, Value};
-use serde::Serialize;
 
-use crate::artifacts::SCHEMA_VERSION;
+use crate::artifacts::{pretty, Envelope, SCHEMA_VERSION};
 use crate::plan::Plan;
 use crate::report::{Report, Row};
 use crate::runners::{Metric, APP_METRICS, FCT_METRICS, INCAST_METRICS, SEED_STRIDE};
@@ -58,7 +56,7 @@ pub fn scenario_plan(scenario: &Scenario, seeds: usize) -> Plan {
     })
 }
 
-/// Serialize a scenario run as a schema-v2 envelope (pretty-printed,
+/// Serialize a scenario run as a schema-v2 [`Envelope`] (pretty-printed,
 /// trailing newline). Shape matches the registry artifacts' envelopes —
 /// `repro --verify-json` accepts it — with the executed scenario
 /// document embedded under `scenario` so a result file is
@@ -71,22 +69,16 @@ pub fn scenario_json(
     report: &Report,
     telemetry: Option<&crate::telemetry::TelemetrySummary>,
 ) -> String {
-    let mut fields = vec![
-        ("schema_version".to_string(), SCHEMA_VERSION.to_json()),
-        ("artifact".to_string(), scenario.slug().to_json()),
-        ("scale".to_string(), "scenario".to_json()),
-        ("seeds".to_string(), (seeds as u64).to_json()),
-        ("determinism".to_string(), "replicated".to_json()),
-        ("scenario".to_string(), scenario.to_json_value()),
-        ("report".to_string(), report.to_json()),
-    ];
-    if let Some(t) = telemetry {
-        fields.push(("telemetry".to_string(), t.to_json_value()));
-    }
-    let envelope = Value::Object(fields);
-    let mut text = json::to_string_pretty(&envelope);
-    text.push('\n');
-    text
+    pretty(&Envelope {
+        schema_version: SCHEMA_VERSION,
+        artifact: scenario.slug(),
+        scale: "scenario".to_string(),
+        seeds: seeds as u64,
+        determinism: "replicated".to_string(),
+        scenario: Some(scenario.clone()),
+        report: report.clone(),
+        telemetry: telemetry.cloned(),
+    })
 }
 
 #[cfg(test)]
@@ -184,9 +176,8 @@ mod tests {
         let text = scenario_json(&s, 2, &rep, None);
         artifacts::verify_artifact_json(&s.slug(), &text).unwrap();
         // The embedded scenario document round-trips.
-        let v = json::from_str(&text).unwrap();
-        let embedded = v.get("scenario").unwrap();
-        assert_eq!(Scenario::from_json_value(embedded).unwrap(), s);
+        let env: Envelope = serde::from_json_str(&text).unwrap();
+        assert_eq!(env.scenario, Some(s));
     }
 
     /// A scenario whose slug collides with a registry artifact of a

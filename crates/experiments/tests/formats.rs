@@ -1,0 +1,443 @@
+//! The machine-written formats, pinned two ways.
+//!
+//! **Golden bytes.** Every file below `fixtures/` was written by the
+//! hand-paired writers this crate had before its formats became derived
+//! structs (captured at the parent commit, where these tests passed
+//! unchanged): an artifact envelope and a scenario envelope with their
+//! `telemetry` blocks, a `memory-v1` gauge, `bench-trajectory-v1` with
+//! and without a fleet, a `work-v1` frame with and without a trace
+//! request, and an error frame whose id is unreadable. The inputs are
+//! canned — a stub executor hands out one tiny real run with its
+//! counters overwritten — so the bytes depend on the writers alone.
+//!
+//! **docs/SCHEMA.md.** Every key of every format must be spelled,
+//! back-ticked, in the section that documents it, the way
+//! `docs/SCENARIOS.md` is checked against the scenario tables.
+//!
+//! **The built binary** fails each once-lenient input by name:
+//! `--verify-json` exits 1, `diff-memory` exits 2, and `repro worker`
+//! answers every line of `fixtures/hostile-frames.ndjson` with exactly
+//! one `error-v1` (CI's `worker-fanout` job pipes the same file).
+
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
+
+use irn_core::net::FabricStats;
+use irn_core::transport::config::TransportKind;
+use irn_core::{
+    ExperimentConfig, MemoryStats, RunResult, Scenario, SchedCounters, TransportTotals,
+};
+use irn_experiments::artifacts::{self, BatchRun};
+use irn_experiments::{memory_json, scenario_json, Harness, Plan, Report, Row, Scale};
+use irn_harness::{wire, Cell, CellOutcome, Executor, HarnessError, WorkerStats};
+use irn_telemetry::{TraceChunk, TraceSpec};
+use serde::json::{self, Value};
+
+/// One tiny real run whose every counter the formats read is replaced
+/// by a value derived from `salt` (distinct per field, so a swapped
+/// pair of keys shows up in the bytes).
+fn canned(salt: u64) -> RunResult {
+    static RUN: OnceLock<RunResult> = OnceLock::new();
+    let mut r = RUN
+        .get_or_init(|| irn_core::run(ExperimentConfig::quick(4)))
+        .clone();
+    r.events = 1000 + salt;
+    r.sched = SchedCounters {
+        flow_arrivals: 10 + salt,
+        fabric_events: 20 + salt,
+        qp_timer_events: 30 + salt,
+        nic_wake_events: 40 + salt,
+        timer_arms: 50 + salt,
+        timer_cancels: 60 + salt,
+        stale_timer_reclaims: 70 + salt,
+        stale_timer_events: 80 + salt,
+        past_clamps: 90 + salt,
+    };
+    r.fabric = FabricStats {
+        buffer_drops: 100 + salt,
+        injected_drops: 110 + salt,
+        pauses: 120 + salt,
+        resumes: 130 + salt,
+        ecn_marked: 140 + salt,
+        delivered_pkts: 150 + salt,
+        delivered_bytes: 160 + salt,
+    };
+    r.transport = TransportTotals {
+        sent: 200 + salt,
+        retransmitted: 210 + salt,
+        nacks: 220 + salt,
+        timeouts: 230 + salt,
+        cnps: 240 + salt,
+    };
+    r.memory = MemoryStats {
+        peak_flow_state_bytes: 300 + 7 * salt,
+        metrics_bytes: 310 + salt,
+        flows: 3 + salt,
+        hist_buckets: 330 + salt,
+        pkt_pool_bytes: 340 + salt,
+        pkt_pool_pkts: 350 + salt,
+    };
+    r
+}
+
+/// Hands every cell `canned(index)` and a fixed wall time.
+struct Canned;
+
+impl Executor for Canned {
+    fn run_cells(
+        &self,
+        cells: &[Cell],
+        _trace: Option<&TraceSpec>,
+    ) -> Result<Vec<CellOutcome>, HarnessError> {
+        Ok((0..cells.len() as u64)
+            .map(|i| CellOutcome {
+                result: canned(i),
+                wall: Duration::from_millis(250 * (i + 1)),
+                trace: None,
+            })
+            .collect())
+    }
+
+    fn concurrency(&self) -> usize {
+        1
+    }
+}
+
+fn scenario() -> Scenario {
+    Scenario::from_config("Golden Run", ExperimentConfig::quick(4)).unwrap()
+}
+
+/// A plan of one cell per transport in `kinds`, reporting one row.
+fn plan(kinds: &[TransportKind]) -> Plan {
+    let cells = kinds
+        .iter()
+        .map(|k| Cell::new("c", ExperimentConfig::quick(4).with_transport(*k)))
+        .collect();
+    Plan::new(cells, |results| {
+        let mut rep = Report::new("Figure G", "golden", "none");
+        rep.add(
+            Row::new("IRN")
+                .push("cells", results.len() as f64)
+                .push("m", 2.5)
+                .push("m_ci95", 0.125),
+        );
+        rep
+    })
+}
+
+/// Three items through the real batch runner on the stub executor: two
+/// that ran cells (three transports between them, `irn` twice) and a
+/// zero-cell one, which must leave no telemetry and no gauge row.
+fn batch() -> BatchRun {
+    use TransportKind::{Irn, IrnGoBackN, Roce};
+    let items = vec![
+        ("fig1".to_string(), plan(&[Irn, Roce, Irn])),
+        ("golden-run".to_string(), plan(&[IrnGoBackN, Roce])),
+        ("state-budget".to_string(), plan(&[])),
+    ];
+    let harness = Harness::with_executor(Arc::new(Canned));
+    let mut batch = artifacts::run_batch(items, &harness, None).unwrap();
+    batch.batch_time = Duration::from_millis(1500);
+    batch
+}
+
+fn scale() -> Scale {
+    Scale::quick().with_seeds(3)
+}
+
+fn fleet() -> Vec<WorkerStats> {
+    vec![
+        WorkerStats {
+            name: "spawn#0".to_string(),
+            cells: 4,
+            cell_wall_s: 2.25,
+            failures: 0,
+            alive: true,
+            last_error: None,
+        },
+        WorkerStats {
+            name: "127.0.0.1:7401".to_string(),
+            cells: 1,
+            cell_wall_s: 0.5,
+            failures: 2,
+            alive: false,
+            last_error: Some("connection closed".to_string()),
+        },
+    ]
+}
+
+fn work_frames() -> String {
+    let spec = TraceSpec {
+        filter: "kind=pfc.*,flow=3".to_string(),
+        capacity: 4096,
+    };
+    format!(
+        "{}\n{}\n",
+        wire::encode_work(3, &scenario(), None),
+        wire::encode_work(4, &scenario(), Some(&spec)),
+    )
+}
+
+#[test]
+fn envelopes_with_telemetry_keep_the_parent_bytes() {
+    let b = batch();
+    let fig1 = artifacts::find("fig1").unwrap();
+    assert_eq!(
+        artifacts::artifact_json(fig1, &scale(), &b.reports[0], b.telemetry[0].as_ref()),
+        include_str!("fixtures/envelope-artifact.json")
+    );
+    assert_eq!(
+        scenario_json(&scenario(), 3, &b.reports[1], b.telemetry[1].as_ref()),
+        include_str!("fixtures/envelope-scenario.json")
+    );
+    assert_eq!(b.telemetry[2], None);
+}
+
+#[test]
+fn memory_gauge_keeps_the_parent_bytes() {
+    assert_eq!(
+        memory_json(&batch(), &scale()),
+        include_str!("fixtures/memory-v1.json")
+    );
+}
+
+#[test]
+fn bench_trajectory_keeps_the_parent_bytes_with_and_without_a_fleet() {
+    let b = batch();
+    assert_eq!(
+        artifacts::timing_json(&b, &scale(), 4, &[]),
+        include_str!("fixtures/bench-trajectory.json")
+    );
+    assert_eq!(
+        artifacts::timing_json(&b, &scale(), 2, &fleet()),
+        include_str!("fixtures/bench-trajectory-fleet.json")
+    );
+}
+
+#[test]
+fn work_and_error_frames_keep_the_parent_bytes() {
+    assert_eq!(work_frames(), include_str!("fixtures/work-frames.ndjson"));
+    assert_eq!(
+        wire::encode_error(None, "bad \"frame\""),
+        r#"{"frame":"error-v1","id":null,"error":"bad \"frame\""}"#
+    );
+    assert_eq!(
+        wire::encode_error(Some(9), "boom"),
+        r#"{"frame":"error-v1","id":9,"error":"boom"}"#
+    );
+}
+
+/// Every object key in `v`, at any depth, except below the `opaque`
+/// members (documented elsewhere: `scenario-v1`, the `RunResult`).
+fn keys(v: &Value, opaque: &[&str], out: &mut Vec<String>) {
+    match v {
+        Value::Object(pairs) => {
+            for (key, member) in pairs {
+                out.push(key.clone());
+                if !opaque.contains(&key.as_str()) {
+                    keys(member, opaque, out);
+                }
+            }
+        }
+        Value::Array(items) => items.iter().for_each(|item| keys(item, opaque, out)),
+        _ => {}
+    }
+}
+
+/// `docs/SCHEMA.md` spells every key of every format here, back-ticked
+/// (alone or in a path like `rows[].label`), between the heading of
+/// the section that documents it and the next heading.
+#[test]
+fn schema_md_documents_every_key_in_its_section() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/SCHEMA.md");
+    let docs = std::fs::read_to_string(path).unwrap();
+    let b = batch();
+    let chunk = TraceChunk {
+        lines: vec![r#"{"cell":5,"t":0,"kind":"flow.start","flow":0}"#.to_string()],
+        dropped: 1,
+    };
+    let frames = format!(
+        "[{},{},{}]",
+        work_frames().lines().last().unwrap(),
+        wire::encode_result(5, 0.25, &canned(0), Some(&chunk)),
+        wire::encode_error(None, "x"),
+    );
+    let parse = |text: String| json::from_str(&text).unwrap();
+    let envelope = parse(scenario_json(
+        &scenario(),
+        3,
+        &b.reports[1],
+        b.telemetry[1].as_ref(),
+    ));
+    let block = envelope.get("telemetry").unwrap().clone();
+    // (section heading, sample document, members documented elsewhere)
+    let samples: [(&str, Value, &[&str]); 5] = [
+        (
+            "## Field-by-field reference",
+            envelope,
+            &["scenario", "telemetry"],
+        ),
+        ("## The `telemetry` envelope block", block, &[]),
+        (
+            "### The executor's side file (`bench-trajectory-v1`)",
+            parse(artifacts::timing_json(&b, &scale(), 2, &fleet())),
+            &[],
+        ),
+        (
+            "### Peak-memory gauge (`memory-v1`)",
+            parse(memory_json(&b, &scale())),
+            &[],
+        ),
+        (
+            "## The `work-v1` worker protocol",
+            parse(frames),
+            &["scenario", "result"],
+        ),
+    ];
+    for (heading, sample, opaque) in samples {
+        let mut found = Vec::new();
+        keys(&sample, opaque, &mut found);
+        let start = docs
+            .find(&format!("\n{heading}\n"))
+            .unwrap_or_else(|| panic!("no section '{heading}'"));
+        let body = &docs[start + heading.len() + 2..];
+        let body = &body[..body.find("\n#").unwrap_or(body.len())];
+        // Prose only: a key inside a fenced sample is shown, not documented.
+        let mut fenced = false;
+        let prose: Vec<&str> = body
+            .lines()
+            .filter(|line| {
+                let fence = line.trim_start().starts_with("```");
+                fenced ^= fence;
+                !fenced && !fence
+            })
+            .collect();
+        let prose = prose.join("\n");
+        // The words inside back-ticked spans (odd pieces of the split).
+        let ticked: Vec<&str> = prose
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .flat_map(|span| span.split(|c: char| !c.is_alphanumeric() && c != '_'))
+            .collect();
+        assert!(found.len() >= 3, "{heading}: sample has no keys");
+        for key in found {
+            assert!(
+                ticked.contains(&key.as_str()),
+                "docs/SCHEMA.md, section '{heading}': key `{key}` is not documented"
+            );
+        }
+    }
+}
+
+fn repro(args: &[&str], stdin: Option<&str>) -> std::process::Output {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro runs");
+    let mut pipe = child.stdin.take().unwrap();
+    pipe.write_all(stdin.unwrap_or_default().as_bytes())
+        .unwrap();
+    drop(pipe);
+    child.wait_with_output().unwrap()
+}
+
+#[test]
+fn cli_worker_answers_every_hostile_frame_with_one_error_frame() {
+    let hostile = include_str!("fixtures/hostile-frames.ndjson");
+    let out = repro(&["worker"], Some(hostile));
+    assert!(out.status.success());
+    let replies = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(replies.lines().count(), hostile.lines().count());
+    let ids: Vec<Option<u64>> = replies
+        .lines()
+        .map(|line| match wire::decode(line) {
+            Ok(wire::Frame::Error { id, .. }) => id,
+            other => panic!("not an error frame: {line} ({other:?})"),
+        })
+        .collect();
+    // Stray key, stray key in `trace`, repeated key, mistyped member,
+    // truncated JSON (no id to read), unknown tag.
+    assert_eq!(ids, [Some(3), Some(4), Some(5), Some(6), None, Some(8)]);
+    assert!(replies.starts_with(r#"{"frame":"error-v1","id":3,"error":"at bogus: unknown field"}"#));
+}
+
+#[test]
+fn cli_verify_json_and_diff_memory_fail_doctored_files_by_path() {
+    let dir = std::env::temp_dir().join(format!("irn-formats-{}", std::process::id()));
+    let b = batch();
+    let fig1 = artifacts::find("fig1").unwrap();
+    let envelope = artifacts::artifact_json(fig1, &scale(), &b.reports[0], b.telemetry[0].as_ref());
+    let gauge = memory_json(&b, &scale());
+    let check = |sub: &str, file: &str, text: String, args: &[&str], code: i32, what: &str| {
+        let sub = dir.join(sub);
+        std::fs::create_dir_all(&sub).unwrap();
+        std::fs::write(sub.join(file), text).unwrap();
+        let args: Vec<String> = args
+            .iter()
+            .map(|a| a.replace("DIR", sub.to_str().unwrap()))
+            .collect();
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = repro(&args, None);
+        let said = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.status.code(), Some(code), "{sub:?}: {said}");
+        assert!(said.contains(what), "{sub:?}: {said}");
+        assert!(code == 0 || said.contains("docs/SCHEMA.md"), "{said}");
+    };
+    let verify = ["--verify-json", "DIR"];
+    let values = envelope.find("\"values\": [").unwrap();
+    let end = values + envelope[values..].find("\n        ]").unwrap() + "\n        ]".len();
+    check("ok", "fig1.json", envelope.clone(), &verify, 0, "ok ");
+    check(
+        "stray",
+        "fig1.json",
+        envelope.replace("\"seeds\"", "\"stray\": 1,\n  \"seeds\""),
+        &verify,
+        1,
+        "at stray: unknown field",
+    );
+    check(
+        "values",
+        "fig1.json",
+        format!("{}\"values\": 7{}", &envelope[..values], &envelope[end..]),
+        &verify,
+        1,
+        "at report.rows.[0].values: expected an array, got a number",
+    );
+    check(
+        "partition",
+        "fig1.json",
+        envelope.replace("\"buffer\": 202", "\"buffer\": 207"),
+        &verify,
+        1,
+        "at telemetry.transport.by_kind.[0].drops: total 424 != buffer 207 + injected 222",
+    );
+    let diff = ["diff-memory", "DIR/mem.json", "DIR/mem.json"];
+    check("gauge", "mem.json", gauge.clone(), &diff, 0, "fig1");
+    check(
+        "gauge-stray",
+        "mem.json",
+        gauge.replace("\"cells\": 3,", "\"cells\": 3,\n      \"stray\": 1,"),
+        &diff,
+        2,
+        "at artifacts.[0].stray: unknown field",
+    );
+    check(
+        "gauge-no-cells",
+        "mem.json",
+        gauge.replace("\"cells\": 3,", ""),
+        &diff,
+        2,
+        "at artifacts.[0].cells: expected a non-negative integer, got null",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

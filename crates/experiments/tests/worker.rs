@@ -525,6 +525,9 @@ fn cli_retired_measuring_options_exit_2_by_name() {
     let argv = ["diff-memory", "a", "b", "--fail-on-drift"];
     exits_2(&argv, "unknown flag '--fail-on-drift'");
     exits_2(&["table1"], "unknown artifact 'table1'");
+    // Scenario files are positional; the flag that also spelled them is gone.
+    let argv = ["run", "--scenario", "examples/kv-rpc.json"];
+    exits_2(&argv, "unknown flag '--scenario'");
 }
 
 /// Read the `listening HOST:PORT` line a `--listen 127.0.0.1:0` worker

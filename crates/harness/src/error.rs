@@ -1,25 +1,15 @@
 //! The typed error surface of the orchestration layer.
 //!
-//! Everything a caller can mishandle — and everything a degraded worker
-//! fleet can do — funnels into one [`HarnessError`] enum, so the CLI
+//! Everything a degraded worker fleet can do — and every request the
+//! executor cannot honour — funnels into one [`HarnessError`] enum, so the CLI
 //! can map every failure onto its documented exit(2) path with a
 //! message that says what actually happened (which cell, which worker,
 //! how much of the batch completed) instead of a panic backtrace.
 
-/// An orchestration failure: a bad query against a finished result set,
-/// or a distributed batch that could not be completed.
+/// An orchestration failure: a batch that could not be started as asked
+/// or could not be completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HarnessError {
-    /// A seed was queried on a [`crate::ReplicateResult`] that never ran
-    /// it (see [`crate::ReplicateResult::result_for`]).
-    UnknownSeed {
-        /// The replicated cell's label.
-        label: String,
-        /// The seed that was asked for.
-        seed: u64,
-        /// The seeds that actually ran (canonical order).
-        known: Vec<u64>,
-    },
     /// A worker process could not be spawned or a worker address could
     /// not be connected to.
     WorkerUnavailable {
@@ -75,10 +65,6 @@ pub enum HarnessError {
 impl std::fmt::Display for HarnessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HarnessError::UnknownSeed { label, seed, known } => write!(
-                f,
-                "replicate '{label}' never ran seed {seed} (known seeds: {known:?})"
-            ),
             HarnessError::WorkerUnavailable { worker, detail } => {
                 write!(f, "worker {worker} unavailable: {detail}")
             }
@@ -139,13 +125,15 @@ mod tests {
 
     #[test]
     fn messages_name_the_failure_site() {
-        let e = HarnessError::UnknownSeed {
-            label: "incast".into(),
-            seed: 4,
-            known: vec![1, 2],
+        let e = HarnessError::WorkerUnavailable {
+            worker: "spawn#1".into(),
+            detail: "no such file".into(),
         };
         let msg = e.to_string();
-        assert!(msg.contains("incast") && msg.contains("seed 4"), "{msg}");
+        assert!(
+            msg.contains("spawn#1") && msg.contains("no such file"),
+            "{msg}"
+        );
         assert_eq!(e.partial_progress(), None);
 
         let e = HarnessError::QuorumLost {

@@ -30,8 +30,8 @@ use crate::error::HarnessError;
 /// whatever worker ran it.
 ///
 /// The result is deterministic (a pure function of the cell's
-/// scenario); the duration is instrumentation — determinism class
-/// `timing` — and must never feed back into deterministic output. The
+/// scenario); the duration is instrumentation — wall clock, never in
+/// result bytes — and must never feed back into deterministic output. The
 /// trace chunk, when requested, is deterministic too: every line is
 /// stamped with the cell's submission index and virtual time only, so
 /// chunks concatenate into byte-identical files at any parallelism.

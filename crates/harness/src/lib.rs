@@ -10,8 +10,8 @@
 //! - [`Cell`] — one labeled experiment configuration (one bar of a
 //!   figure, one line of a table).
 //! - [`SweepGrid`] — a builder for cartesian parameter sweeps
-//!   (transport/PFC variants × CC schemes × offered loads × seeds) that
-//!   expands into an ordered batch of cells.
+//!   (transport/PFC variants × CC schemes) that expands into an ordered
+//!   batch of cells.
 //! - [`Executor`] — the pluggable backend seam: run a batch of cells,
 //!   return one outcome per cell **in submission order**. Two backends
 //!   ship: the in-process [`ThreadExecutor`] (`std::thread` + channels,

@@ -145,8 +145,8 @@ impl FailReason {
     }
 }
 
-/// Per-worker observations from the last batch (determinism class
-/// `timing`; reported on stderr and in the bench-trajectory JSON,
+/// Per-worker observations from the last batch (wall clock, never in
+/// result bytes: reported on stderr and in the bench-trajectory JSON,
 /// never in artifact envelopes).
 #[derive(Debug, Clone)]
 pub struct WorkerStats {
@@ -403,7 +403,7 @@ pub const PROGRESS_SCHEMA: &str = "fleet-progress-v1";
 /// Fleet progress sink shared by every dispatcher thread: optional
 /// human lines on stderr, optional NDJSON mirror. Failure/warning
 /// lines print regardless of the `progress` knob; the JSON mirror gets
-/// every event. All of it is timing-class observation.
+/// every event. All of it is wall clock, never in result bytes.
 struct Progress {
     stderr: bool,
     json: Mutex<Option<std::io::BufWriter<std::fs::File>>>,

@@ -9,7 +9,6 @@
 use irn_core::RunResult;
 
 use crate::cell::Cell;
-use crate::error::HarnessError;
 use crate::exec::Harness;
 use crate::stats::Stats;
 
@@ -82,22 +81,6 @@ impl ReplicateResult {
     pub fn stats(&self, metric: impl Fn(&RunResult) -> f64) -> Stats {
         let values: Vec<f64> = self.runs.iter().map(|(_, r)| metric(r)).collect();
         Stats::from_values(&values)
-    }
-
-    /// The run for one seed, or a typed [`HarnessError::UnknownSeed`]
-    /// naming the seeds that actually ran — a misspelled seed in a
-    /// report query fails with a message instead of silently rendering
-    /// nothing.
-    pub fn result_for(&self, seed: u64) -> Result<&RunResult, HarnessError> {
-        self.runs
-            .iter()
-            .find(|(s, _)| *s == seed)
-            .map(|(_, r)| r)
-            .ok_or_else(|| HarnessError::UnknownSeed {
-                label: self.label.clone(),
-                seed,
-                known: self.runs.iter().map(|(s, _)| *s).collect(),
-            })
     }
 }
 
@@ -220,16 +203,7 @@ mod tests {
         );
         assert_eq!(sa.mean.to_bits(), sb.mean.to_bits());
         assert_eq!(sa.ci95.to_bits(), sb.ci95.to_bits());
-        assert_eq!(a.runs.len(), 3);
-        assert!(a.result_for(8).is_ok());
-        let err = a.result_for(4).unwrap_err();
-        match &err {
-            HarnessError::UnknownSeed { label, seed, known } => {
-                assert_eq!(label, "incast");
-                assert_eq!(*seed, 4);
-                assert_eq!(known, &[5, 8, 11]);
-            }
-            other => panic!("wrong error: {other:?}"),
-        }
+        let seeds: Vec<u64> = a.runs.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seeds, [5, 8, 11]);
     }
 }

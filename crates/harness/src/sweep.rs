@@ -1,15 +1,16 @@
 //! Cartesian sweep grids: the paper's experiment matrices as data.
 //!
-//! A [`SweepGrid`] expands a base config across up to four axes —
-//! transport/PFC variants, congestion-control schemes, offered loads,
-//! and seeds — into an ordered batch of [`Cell`]s. Expansion order is
-//! fixed (load → cc → variant → seed, outermost first) so a grid
-//! always yields the same cells in the same order, which is what lets
-//! reports built from grid batches render identically at any job count.
+//! A [`SweepGrid`] expands a base config across two axes —
+//! transport/PFC variants and congestion-control schemes — into an
+//! ordered batch of [`Cell`]s. Expansion order is fixed (cc → variant,
+//! outermost first) so a grid always yields the same cells in the same
+//! order, which is what lets reports built from grid batches render
+//! identically at any job count. (Seeds fan out through
+//! [`crate::Replicate`]; the one load sweep, Table 3, lists its loads.)
 
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
-use irn_core::{ExperimentConfig, TrafficModel};
+use irn_core::ExperimentConfig;
 
 use crate::cell::Cell;
 
@@ -46,14 +47,12 @@ pub fn cc_suffix(cc: CcKind) -> String {
     }
 }
 
-/// A cartesian sweep over variants × cc × load × seed.
+/// A cartesian sweep over variants × cc.
 #[derive(Debug, Clone)]
 pub struct SweepGrid {
     base: ExperimentConfig,
     variants: Vec<Variant>,
     ccs: Vec<CcKind>,
-    loads: Vec<f64>,
-    seeds: Vec<u64>,
 }
 
 impl SweepGrid {
@@ -64,8 +63,6 @@ impl SweepGrid {
             base,
             variants: Vec::new(),
             ccs: Vec::new(),
-            loads: Vec::new(),
-            seeds: Vec::new(),
         }
     }
 
@@ -81,85 +78,28 @@ impl SweepGrid {
         self
     }
 
-    /// Sweep offered load (requires a Poisson base workload).
-    pub fn loads(mut self, loads: impl IntoIterator<Item = f64>) -> SweepGrid {
-        self.loads = loads.into_iter().collect();
-        self
-    }
-
-    /// Sweep workload seeds.
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> SweepGrid {
-        self.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// Number of cells [`SweepGrid::build`] will produce.
-    pub fn len(&self) -> usize {
-        [
-            self.loads.len(),
-            self.ccs.len(),
-            self.variants.len(),
-            self.seeds.len(),
-        ]
-        .iter()
-        .map(|&n| n.max(1))
-        .product()
-    }
-
-    /// True when the grid would produce no cells (never: an empty axis
-    /// means "don't sweep it", so the minimum grid is one cell).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Expand into cells, ordered load → cc → variant → seed
-    /// (outermost first). Labels name the variant and CC like the
-    /// paper's rows, and append `load=`/`seed=` coordinates only for
-    /// axes actually swept (more than one value).
+    /// Expand into cells, ordered cc → variant (outermost first).
+    /// Labels name the variant and CC like the paper's rows.
     pub fn build(&self) -> Vec<Cell> {
-        let loads: Vec<Option<f64>> = axis(&self.loads);
-        let ccs: Vec<Option<CcKind>> = axis(&self.ccs);
-        let variants: Vec<Option<&Variant>> = axis_ref(&self.variants);
-        let seeds: Vec<Option<u64>> = axis(&self.seeds);
-
-        let mut cells = Vec::with_capacity(self.len());
-        for &load in &loads {
-            for &cc in &ccs {
-                for &variant in &variants {
-                    for &seed in &seeds {
-                        let mut cfg = self.base.clone();
-                        if let Some(load) = load {
-                            cfg.traffic = with_load(&cfg.traffic, load);
-                        }
-                        if let Some(cc) = cc {
-                            cfg = cfg.with_cc(cc);
-                        }
-                        if let Some(v) = variant {
-                            cfg = cfg.with_transport(v.transport).with_pfc(v.pfc);
-                        }
-                        if let Some(seed) = seed {
-                            cfg = cfg.with_seed(seed);
-                        }
-
-                        let mut label = variant.map_or_else(String::new, |v| v.name.clone());
-                        if let Some(cc) = cc {
-                            label.push_str(&cc_suffix(cc));
-                        }
-                        if self.loads.len() > 1 {
-                            label.push_str(&format!(
-                                "/load={}%",
-                                (load.unwrap() * 100.0).round() as u32
-                            ));
-                        }
-                        if self.seeds.len() > 1 {
-                            label.push_str(&format!("/seed={}", seed.unwrap()));
-                        }
-                        if label.is_empty() {
-                            label.push_str("base");
-                        }
-                        cells.push(Cell::new(label, cfg));
-                    }
+        let mut cells = Vec::new();
+        for cc in axis(&self.ccs) {
+            for variant in axis(&self.variants) {
+                let mut cfg = self.base.clone();
+                let mut label = String::new();
+                if let Some(&cc) = cc {
+                    cfg = cfg.with_cc(cc);
                 }
+                if let Some(v) = variant {
+                    cfg = cfg.with_transport(v.transport).with_pfc(v.pfc);
+                    label.push_str(&v.name);
+                }
+                if let Some(&cc) = cc {
+                    label.push_str(&cc_suffix(cc));
+                }
+                if label.is_empty() {
+                    label.push_str("base");
+                }
+                cells.push(Cell::new(label, cfg));
             }
         }
         cells
@@ -167,47 +107,11 @@ impl SweepGrid {
 }
 
 /// An axis: empty means "hold at base" (one `None` pass-through).
-fn axis<T: Copy>(values: &[T]) -> Vec<Option<T>> {
-    if values.is_empty() {
-        vec![None]
-    } else {
-        values.iter().copied().map(Some).collect()
-    }
-}
-
-fn axis_ref<T>(values: &[T]) -> Vec<Option<&T>> {
+fn axis<T>(values: &[T]) -> Vec<Option<&T>> {
     if values.is_empty() {
         vec![None]
     } else {
         values.iter().map(Some).collect()
-    }
-}
-
-/// Re-target a (possibly bursty) Poisson model at a different offered
-/// load.
-fn with_load(traffic: &TrafficModel, load: f64) -> TrafficModel {
-    match traffic {
-        TrafficModel::Poisson {
-            sizes, flow_count, ..
-        } => TrafficModel::Poisson {
-            load,
-            sizes: *sizes,
-            flow_count: *flow_count,
-        },
-        TrafficModel::BurstyPoisson {
-            sizes,
-            flow_count,
-            duty_cycle,
-            burst_flows,
-            ..
-        } => TrafficModel::BurstyPoisson {
-            load,
-            sizes: *sizes,
-            flow_count: *flow_count,
-            duty_cycle: *duty_cycle,
-            burst_flows: *burst_flows,
-        },
-        other => panic!("load axis requires a Poisson base workload, got {other:?}"),
     }
 }
 
@@ -239,41 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn len_matches_build_and_labels_are_unique() {
-        let grid = SweepGrid::new(base())
-            .variants([
-                Variant::new("A", TransportKind::Irn, false),
-                Variant::new("B", TransportKind::Roce, true),
-                Variant::new("C", TransportKind::Irn, true),
-            ])
-            .ccs([CcKind::None, CcKind::Timely, CcKind::Dcqcn])
-            .loads([0.3, 0.5, 0.7, 0.9])
-            .seeds([1, 2]);
-        let cells = grid.build();
-        assert_eq!(cells.len(), grid.len());
-        assert_eq!(cells.len(), 3 * 3 * 4 * 2);
-        let mut labels: Vec<&str> = cells.iter().map(|c| c.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), cells.len(), "labels must be unique");
-    }
-
-    #[test]
     fn unswept_axes_leave_base_untouched() {
         let cells = SweepGrid::new(base()).build();
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].label(), "base");
         assert_eq!(cells[0].config().seed, base().seed);
-    }
-
-    #[test]
-    #[should_panic(expected = "Poisson")]
-    fn load_axis_rejects_non_poisson() {
-        let mut cfg = base();
-        cfg.traffic = TrafficModel::Incast {
-            m: 4,
-            total_bytes: 1000,
-        };
-        let _ = SweepGrid::new(cfg).loads([0.5, 0.7]).build();
     }
 }

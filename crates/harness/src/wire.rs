@@ -17,15 +17,18 @@
 //! payload is the full [`RunResult`] in its schema-v2 wire form, which
 //! round-trips **bit-exactly** — the byte-identity guarantee of the
 //! distributed executor rests on that. `wall_s` is the worker-side
-//! wall-clock seconds for the cell (determinism class `timing`: it
-//! feeds stderr/bench-trajectory reporting, never result bytes).
+//! wall-clock seconds for the cell (wall clock, never in result bytes:
+//! it feeds stderr/bench-trajectory reporting).
 //!
-//! The full frame reference lives in `docs/SCHEMA.md`.
+//! The work and result frames are derived structs, so [`decode`] reads
+//! them as strictly as every other machine-written format here; the
+//! error frame alone is written by hand, because its `"id":null` must
+//! be spelled out. The full frame reference lives in `docs/SCHEMA.md`.
 
 use irn_core::{RunResult, Scenario};
 use irn_telemetry::{TraceChunk, TraceSpec};
 use serde::json::{self, Value};
-use serde::{de_field, Deserialize, Serialize};
+use serde::{de_field, de_object, DeError, Deserialize, Serialize};
 
 /// The protocol identifier carried by every work frame.
 pub const WORK_SCHEMA: &str = "work-v1";
@@ -52,7 +55,8 @@ pub enum Frame {
     Result {
         /// Echo of the work frame's id.
         id: u64,
-        /// Worker-side wall-clock seconds for the run (timing class).
+        /// Worker-side wall-clock seconds for the run (wall clock, never
+        /// in result bytes).
         wall_s: f64,
         /// The bit-exact run result.
         result: Box<RunResult>,
@@ -103,25 +107,54 @@ impl FrameError {
     }
 }
 
+/// The `work-v1` frame as it travels: `S` is `&Scenario` on the way
+/// out and `Scenario` (validated on parse) on the way in.
+#[derive(Serialize, Deserialize)]
+struct WorkFrame<S> {
+    frame: String,
+    id: u64,
+    scenario: S,
+    trace: Option<TraceRequest>,
+}
+
+/// A [`TraceSpec`] on the wire.
+#[derive(Serialize, Deserialize)]
+struct TraceRequest {
+    filter: String,
+    capacity: usize,
+}
+
+/// The `result-v1` frame as it travels: `R` is `&RunResult` out and
+/// `RunResult` in, `L` the chunk's lines as `&[String]` / `Vec<String>`.
+#[derive(Serialize, Deserialize)]
+struct ResultFrame<R, L> {
+    frame: String,
+    id: u64,
+    wall_s: f64,
+    result: R,
+    trace: Option<TraceEcho<L>>,
+}
+
+/// A [`TraceChunk`] on the wire.
+#[derive(Serialize, Deserialize)]
+struct TraceEcho<L> {
+    dropped: u64,
+    lines: L,
+}
+
 /// Encode a work frame as one compact JSON line (no trailing newline).
 /// `trace` adds the optional flight-recorder request; `None` produces
 /// the pre-trace wire form byte-for-byte.
 pub fn encode_work(id: u64, scenario: &Scenario, trace: Option<&TraceSpec>) -> String {
-    let mut fields = vec![
-        ("frame".to_string(), WORK_SCHEMA.to_json()),
-        ("id".to_string(), id.to_json()),
-        ("scenario".to_string(), scenario.to_json_value()),
-    ];
-    if let Some(spec) = trace {
-        fields.push((
-            "trace".to_string(),
-            Value::Object(vec![
-                ("filter".to_string(), spec.filter.to_json()),
-                ("capacity".to_string(), (spec.capacity as u64).to_json()),
-            ]),
-        ));
-    }
-    json::to_string(&Value::Object(fields))
+    json::to_string(&WorkFrame {
+        frame: WORK_SCHEMA.to_string(),
+        id,
+        scenario,
+        trace: trace.map(|spec| TraceRequest {
+            filter: spec.filter.clone(),
+            capacity: spec.capacity,
+        }),
+    })
 }
 
 /// Encode a result frame as one compact JSON line (no trailing newline).
@@ -132,25 +165,16 @@ pub fn encode_result(
     result: &RunResult,
     trace: Option<&TraceChunk>,
 ) -> String {
-    let mut fields = vec![
-        ("frame".to_string(), RESULT_SCHEMA.to_json()),
-        ("id".to_string(), id.to_json()),
-        ("wall_s".to_string(), wall_s.to_json()),
-        ("result".to_string(), result.to_json()),
-    ];
-    if let Some(chunk) = trace {
-        fields.push((
-            "trace".to_string(),
-            Value::Object(vec![
-                ("dropped".to_string(), chunk.dropped.to_json()),
-                (
-                    "lines".to_string(),
-                    Value::Array(chunk.lines.iter().map(|l| l.to_json()).collect()),
-                ),
-            ]),
-        ));
-    }
-    json::to_string(&Value::Object(fields))
+    json::to_string(&ResultFrame {
+        frame: RESULT_SCHEMA.to_string(),
+        id,
+        wall_s,
+        result,
+        trace: trace.map(|chunk| TraceEcho {
+            dropped: chunk.dropped,
+            lines: chunk.lines.as_slice(),
+        }),
+    })
 }
 
 /// Encode an error frame as one compact JSON line (no trailing newline).
@@ -162,87 +186,52 @@ pub fn encode_error(id: Option<u64>, message: &str) -> String {
     ]))
 }
 
-/// Typed member read for [`decode`], through the same reader that
-/// parses results and scenarios ([`de_field`]): a present member of the
-/// wrong type is an error naming its path — never a silent default —
-/// and an absent one reads as `null`, which only an `Option` accepts.
-fn field<T: Deserialize>(obj: &Value, key: &str, id: Option<u64>) -> Result<T, FrameError> {
-    de_field(obj, key).map_err(|e| FrameError::new(id, e.to_string()))
-}
-
-/// [`field`] for a member of the frame's nested `trace` object.
-fn trace_field<T: Deserialize>(trace: &Value, key: &str, id: u64) -> Result<T, FrameError> {
-    de_field(trace, key).map_err(|e| FrameError::new(Some(id), e.in_field("trace").to_string()))
-}
-
 /// Decode one protocol line into a [`Frame`].
 ///
-/// Strict: a duplicated top-level key, a member of the wrong type, and
-/// a `trace` object without its required members are all errors (with
-/// the frame id when it was readable), so a worker answers `error-v1`
-/// against the right cell instead of running something other than what
-/// was asked. Absent optional members keep their meaning: no `trace`
-/// is no tracing, no `wall_s` is 0, no `dropped` is 0.
+/// Strict, like every derived format: an unknown or repeated key, a
+/// missing member and a member of the wrong type — at the top level or
+/// inside `trace`, `scenario` and `result` — are all errors naming the
+/// dotted path, carrying the frame id when it was readable, so a worker
+/// answers `error-v1` against the right cell instead of running
+/// something other than what was asked. The optional members are the
+/// `trace` objects (absent: no tracing) and an error frame's text.
 pub fn decode(line: &str) -> Result<Frame, FrameError> {
     let v = json::from_str(line).map_err(|e| FrameError::new(None, format!("bad JSON: {e}")))?;
-    // `"id": null` is how an error frame says "id unreadable".
-    let id: Option<u64> = field(&v, "id", None)?;
-    if let Value::Object(pairs) = &v {
-        for (i, (key, _)) in pairs.iter().enumerate() {
-            if pairs[..i].iter().any(|(seen, _)| seen == key) {
-                // Two ids: neither can be trusted.
-                let id = id.filter(|_| key != "id");
-                return Err(FrameError::new(id, format!("duplicate key '{key}'")));
-            }
-        }
-    }
-    let tag: String = field(&v, "frame", id)?;
-    let need_id = || id.ok_or_else(|| FrameError::new(None, format!("{tag} frame without an id")));
+    // The id comes first, to attribute every later error to its cell;
+    // then the tag, which says which shape to expect.
+    let id: Option<u64> = de_field(&v, "id").map_err(|e| FrameError::new(None, e.to_string()))?;
+    // An error about the id itself (repeated, missing): none is reported.
+    let fail = |e: DeError| FrameError::new(id.filter(|_| e.path != "id"), e.to_string());
+    let tag: String = de_field(&v, "frame").map_err(fail)?;
     match tag.as_str() {
         WORK_SCHEMA => {
-            let id = need_id()?;
-            let doc = v
-                .get("scenario")
-                .ok_or_else(|| FrameError::new(Some(id), "work frame without scenario"))?;
-            let scenario = Scenario::from_json_value(doc)
-                .map_err(|e| FrameError::new(Some(id), format!("bad scenario: {e}")))?;
-            let trace = match v.get("trace") {
-                None => None,
-                Some(t) => Some(TraceSpec {
-                    filter: trace_field(t, "filter", id)?,
-                    capacity: trace_field(t, "capacity", id)?,
-                }),
-            };
+            let f = WorkFrame::<Scenario>::from_json(&v).map_err(fail)?;
             Ok(Frame::Work {
-                id,
-                scenario,
-                trace,
+                id: f.id,
+                scenario: f.scenario,
+                trace: f.trace.map(|t| TraceSpec {
+                    filter: t.filter,
+                    capacity: t.capacity,
+                }),
             })
         }
         RESULT_SCHEMA => {
-            let id = need_id()?;
-            let wall_s: Option<f64> = field(&v, "wall_s", Some(id))?;
-            let doc = v
-                .get("result")
-                .ok_or_else(|| FrameError::new(Some(id), "result frame without result"))?;
-            let result = RunResult::from_json(doc)
-                .map_err(|e| FrameError::new(Some(id), format!("bad result: {e}")))?;
-            let trace = match v.get("trace") {
-                None => None,
-                Some(t) => Some(TraceChunk {
-                    lines: trace_field(t, "lines", id)?,
-                    dropped: trace_field::<Option<u64>>(t, "dropped", id)?.unwrap_or(0),
-                }),
-            };
+            let f = ResultFrame::<RunResult, Vec<String>>::from_json(&v).map_err(fail)?;
             Ok(Frame::Result {
-                id,
-                wall_s: wall_s.unwrap_or(0.0),
-                result: Box::new(result),
-                trace,
+                id: f.id,
+                wall_s: f.wall_s,
+                result: Box::new(f.result),
+                trace: f.trace.map(|t| TraceChunk {
+                    lines: t.lines,
+                    dropped: t.dropped,
+                }),
             })
         }
+        // Hand-read as it is hand-written: `"id": null` is how an error
+        // frame says "id unreadable".
         ERROR_SCHEMA => {
-            let message: Option<String> = field(&v, "error", id)?;
+            de_object(&v, &["frame", "id", "error"]).map_err(fail)?;
+            let message: Option<String> = de_field(&v, "error").map_err(fail)?;
             let message = message.unwrap_or_else(|| "unspecified worker error".to_string());
             Ok(Frame::Error { id, message })
         }
@@ -419,7 +408,7 @@ mod tests {
             Some(6),
             "at trace.dropped: expected a non-negative integer",
         );
-        let line = with(&result, r#""trace":{"lines":["ok",3]}"#);
+        let line = with(&result, r#""trace":{"dropped":0,"lines":["ok",3]}"#);
         rejects(&line, Some(6), "at trace.lines.[1]: expected a string");
         let line = r#"{"frame":"error-v1","id":4,"error":{"code":1}}"#;
         rejects(line, Some(4), "at error: expected a string");
@@ -456,28 +445,86 @@ mod tests {
     fn duplicate_top_level_keys_are_errors() {
         let work = encode_work(5, &scenario(), None);
         // A second id: neither copy can be trusted, so none is reported.
-        rejects(&with(&work, r#""id":6"#), None, "duplicate key 'id'");
+        rejects(&with(&work, r#""id":6"#), None, "at id: duplicate field");
         // Any other repeated key keeps the (single) id.
-        let line = with(&work, r#""frame":"error-v1""#);
-        rejects(&line, Some(5), "duplicate key 'frame'");
+        let line = with(&work, r#""frame":"work-v1""#);
+        rejects(&line, Some(5), "at frame: duplicate field");
         let trace = r#""trace":{"filter":"","capacity":8}"#;
         let traced = with(&work, trace);
         assert!(decode(&traced).is_ok());
-        rejects(&with(&traced, trace), Some(5), "duplicate key 'trace'");
+        rejects(&with(&traced, trace), Some(5), "at trace: duplicate field");
+        let line = r#"{"frame":"error-v1","id":4,"error":"a","error":"b"}"#;
+        rejects(line, Some(4), "at error: duplicate field");
     }
 
-    /// Optional members that are simply absent keep their meaning.
+    /// A key the frame does not declare is an error wherever it sits —
+    /// the old decoder ran such a frame as if the key were not there —
+    /// and so is a repeated key below the top level.
+    #[test]
+    fn unknown_keys_and_nested_duplicates_are_errors() {
+        let work = encode_work(3, &scenario(), None);
+        rejects(
+            &with(&work, r#""bogus":1"#),
+            Some(3),
+            "at bogus: unknown field",
+        );
+        let line = with(&work, r#""trace":{"filter":"","capacity":8,"depth":2}"#);
+        rejects(&line, Some(3), "at trace.depth: unknown field");
+        let line = with(&work, r#""trace":{"filter":"","capacity":8,"filter":"x"}"#);
+        rejects(&line, Some(3), "at trace.filter: duplicate field");
+        let line = work.replace(r#""scenario":{"#, r#""scenario":{"stray":0,"#);
+        rejects(&line, Some(3), "at scenario: unknown field 'stray'");
+        let run = irn_core::run(scenario().config().clone());
+        let result = encode_result(6, 0.5, &run, None);
+        rejects(
+            &with(&result, r#""bogus":1"#),
+            Some(6),
+            "at bogus: unknown field",
+        );
+        let line = result.replace(r#""fabric":{"#, r#""fabric":{"stray":0,"#);
+        rejects(&line, Some(6), "at result.fabric.stray: unknown field");
+        let line = r#"{"frame":"error-v1","id":4,"error":"a","code":7}"#;
+        rejects(line, Some(4), "at code: unknown field");
+    }
+
+    /// What may be absent: a `trace` object (no tracing), a result's
+    /// `incast_metrics` / `app`, an error frame's text. Every other
+    /// member is required.
     #[test]
     fn absent_optional_members_keep_their_defaults() {
         let run = irn_core::run(scenario().config().clone());
-        let no_wall = encode_result(6, 0.5, &run, None).replace(r#""wall_s":0.5,"#, "");
-        match decode(&with(&no_wall, r#""trace":{"lines":[]}"#)).unwrap() {
-            Frame::Result { wall_s, trace, .. } => {
-                assert_eq!(wall_s, 0.0);
-                assert_eq!(trace, Some(TraceChunk::default()));
+        let result = encode_result(6, 0.5, &run, None);
+        for absent in ["\"trace\"", "\"incast_metrics\"", "\"app\"", "null"] {
+            assert!(!result.contains(absent), "{absent} in {result}");
+        }
+        match decode(&result).unwrap() {
+            Frame::Result { trace, result, .. } => {
+                assert_eq!(trace, None);
+                assert!(result.incast_metrics.is_none() && result.app.is_none());
             }
             other => panic!("wrong frame: {other:?}"),
         }
+        // The parent build spelled the two out as `null`: reads the same.
+        let spelled = result.replace(
+            r#""fabric":{"#,
+            r#""incast_metrics":null,"app":null,"fabric":{"#,
+        );
+        assert!(matches!(decode(&spelled), Ok(Frame::Result { .. })));
+        let line = result.replace(r#""wall_s":0.5,"#, "");
+        rejects(&line, Some(6), "at wall_s: expected a number, got null");
+        let line = with(&result, r#""trace":{"lines":[]}"#);
+        rejects(
+            &line,
+            Some(6),
+            "at trace.dropped: expected a non-negative integer, got null",
+        );
+        let line = result.replace(r#""events":"#, r#""evts":"#);
+        rejects(&line, Some(6), "at result.evts: unknown field");
+        rejects(
+            r#"{"frame":"work-v1","scenario":{}}"#,
+            None,
+            "at id: expected a non-negative integer, got null",
+        );
         match decode(r#"{"frame":"error-v1","id":null}"#).unwrap() {
             Frame::Error { id, message } => {
                 assert_eq!(id, None);

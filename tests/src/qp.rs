@@ -26,8 +26,9 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use crate::bitmap::TwoBitmap;
-use crate::modules::{self, AckEmit, QpContext, ReceiverMode};
+use irn_rdma::bitmap::TwoBitmap;
+use irn_rdma::modules::{self, AckEmit, QpContext, ReceiverMode};
+
 use crate::verbs::{
     Cqe, CqeKind, PacketOp, RdmaOp, ReadResponsePacket, ReceiveWqe, RequestPacket, RequestWqe,
 };

@@ -3,8 +3,8 @@
 //! delivery with the full requester/responder recovery protocol.
 
 use irn_core::sim::SimRng;
-use irn_rdma::qp::{QpConfig, ReadAckEmit, Requester, Responder, ResponderAction};
-use irn_rdma::verbs::{RdmaOp, RequestWqe};
+use irn_integration::qp::{QpConfig, ReadAckEmit, Requester, Responder, ResponderAction};
+use irn_integration::verbs::{RdmaOp, RequestWqe};
 use proptest::prelude::*;
 
 /// Drive requester → responder over a channel that drops each
@@ -33,8 +33,8 @@ fn run_session(
     }
 
     // The in-flight "wire": packets awaiting delivery (reordered).
-    let mut wire: Vec<irn_rdma::verbs::RequestPacket> = Vec::new();
-    let mut read_wire: Vec<irn_rdma::verbs::ReadResponsePacket> = Vec::new();
+    let mut wire: Vec<irn_integration::verbs::RequestPacket> = Vec::new();
+    let mut read_wire: Vec<irn_integration::verbs::ReadResponsePacket> = Vec::new();
     let mut rounds = 0;
 
     loop {
@@ -203,8 +203,8 @@ proptest! {
 #[test]
 fn srq_and_credit_machinery_compose() {
     // SRQ allotment + credits: exercise the B.2/B.3 paths side by side.
-    use irn_rdma::credits::{ProbeOutcome, ResponderCredits};
-    use irn_rdma::srq::SharedReceiveQueue;
+    use irn_integration::credits::{ProbeOutcome, ResponderCredits};
+    use irn_integration::srq::SharedReceiveQueue;
 
     let mut srq = SharedReceiveQueue::new();
     let mut credits = ResponderCredits::new();

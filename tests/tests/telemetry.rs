@@ -18,7 +18,7 @@ use irn_core::ExperimentConfig;
 use irn_experiments::TelemetrySummary;
 use irn_harness::{Cell, Executor, Harness, ThreadExecutor};
 use irn_telemetry::{TraceFilter, TraceSpec};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 
 /// A small mixed batch: cheap cells over several transports, PFC on and
 /// off, so the trace exercises pause/resume, marks, and drops. Cells
@@ -175,47 +175,25 @@ fn telemetry_summary_partitions_hold_over_a_real_batch() {
         results.iter().map(|r| r.events).sum::<u64>()
     );
     assert_eq!(
-        summary.delivered_pkts,
+        summary.fabric.delivered_pkts,
         results.iter().map(|r| r.fabric.delivered_pkts).sum::<u64>()
     );
-
-    // Drop partition: total = buffer + injected, in the struct and in
-    // the serialized block.
     assert_eq!(
-        summary.drops_total(),
-        summary.buffer_drops + summary.injected_drops
-    );
-    let v = summary.to_json_value();
-    let drops = v.get("fabric").and_then(|f| f.get("drops")).unwrap();
-    let get = |k: &str| drops.get(k).and_then(serde::json::Value::as_u64).unwrap();
-    assert_eq!(get("total"), get("buffer") + get("injected"));
-
-    // Per-kind rows partition the batch totals exactly.
-    let totals = summary.transport_totals();
-    assert_eq!(totals.cells, summary.cells);
-    assert_eq!(
-        totals.sent,
+        summary.transport.total.sent,
         results.iter().map(|r| r.transport.sent).sum::<u64>()
     );
-    assert_eq!(
-        totals.buffer_drops + totals.injected_drops,
-        summary.drops_total()
-    );
-    assert_eq!(totals.pauses, summary.pauses);
-    assert_eq!(totals.ecn_marked, summary.ecn_marked);
+
+    // Every drops object partitions and the per-kind rows partition the
+    // batch totals exactly — in the struct and in the serialized block.
+    summary.check_partitions().unwrap();
+    let block = TelemetrySummary::from_json(&summary.to_json()).unwrap();
+    assert_eq!(block, summary);
 
     // Three distinct kinds in the batch, first-appearance order.
-    let kinds: Vec<TransportKind> = summary.by_kind.iter().map(|(k, _)| *k).collect();
-    assert_eq!(
-        kinds,
-        vec![
-            TransportKind::Irn,
-            TransportKind::Roce,
-            TransportKind::IrnGoBackN
-        ]
-    );
-    let irn_row = &summary.by_kind[0].1;
-    assert_eq!(irn_row.cells, 2, "both IRN cells charged to one row");
+    let rows = &summary.transport.by_kind;
+    let kinds: Vec<&str> = rows.iter().map(|c| c.kind.as_str()).collect();
+    assert_eq!(kinds, ["irn", "roce", "irn_go_back_n"]);
+    assert_eq!(rows[0].cells, 2, "both IRN cells charged to one row");
 }
 
 #[test]
