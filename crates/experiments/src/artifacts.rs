@@ -1,19 +1,21 @@
-//! The artifact registry: every figure/table the `repro` binary can
-//! regenerate, as data.
+//! The artifact registry's machinery: what an [`Artifact`] is, how a
+//! selection of plans runs as one batch, and the JSON envelope each
+//! report is written in and verified against.
 //!
-//! One source of truth for artifact names, determinism classes, and
-//! seed counts keeps the CLI, the JSON emitter, the CI verifier, and
-//! the determinism tests agreeing on what exists — a misspelled name is
-//! a hard error everywhere instead of silent empty output.
+//! One source of truth for artifact names — [`ARTIFACTS`], the table in
+//! [`crate::figures`] — keeps the CLI, the JSON emitter, the CI
+//! verifier, and the determinism tests agreeing on what exists: a
+//! misspelled name is a hard error everywhere instead of silent empty
+//! output. Everything else the registry reports about an artifact
+//! (class, workload, seeds, cells) is derived from its [`Plan`].
 //!
-//! Every artifact is a [`Plan`] (cells + deferred assembly; the
-//! analytical `state-budget` plans zero cells), which is what lets
-//! [`run_artifacts`] splice every requested artifact's cells into
-//! **one** globally interleaved batch: the worker
+//! Every artifact is a [`Plan`] (the analytical `state-budget` plans
+//! zero cells), which is what lets [`run_batch`] splice every requested
+//! artifact's cells into **one** globally interleaved batch: the worker
 //! pool never drains between artifacts, so a small artifact queued
 //! after a big one no longer waits for a fresh batch. Output stays
 //! byte-identical to sequential runs at any job count because results
-//! come back in submission order and each assembly is pure.
+//! come back in submission order and each fold is pure.
 
 use irn_core::{RunResult, Scenario};
 use irn_harness::{Harness, HarnessError, WorkerStats};
@@ -21,10 +23,10 @@ use irn_telemetry::TraceSpec;
 use serde::json;
 use serde::{de_field, Deserialize, Serialize};
 
+pub use crate::figures::ARTIFACTS;
 use crate::memory::MemorySummary;
-use crate::plan::Plan;
+use crate::plan::{Group, Plan};
 use crate::report::Report;
-use crate::runners;
 use crate::scale::Scale;
 use crate::telemetry::TelemetrySummary;
 
@@ -34,157 +36,35 @@ use crate::telemetry::TelemetrySummary;
 /// the v1 → v2 migration table.
 pub const SCHEMA_VERSION: u64 = 2;
 
-/// How an artifact's numbers behave across seeds. Both classes are
-/// byte-reproducible run to run: wall clock is measured in exactly one
-/// place, the `BENCHMARK.json` command, never by an artifact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Determinism {
-    /// Random-workload simulation replicated over seeds: rows report
-    /// mean ± ci95 aggregates. Byte-reproducible run to run (the seed
-    /// set is derived from the config), and sensitive to `--seeds`.
-    Replicated,
-    /// Pure function of the config with seed-independent output
-    /// (analytical accounting): byte-reproducible and unaffected by
-    /// `--seeds`.
-    Deterministic,
-}
-
-impl Determinism {
-    /// The class name as it appears in `--list` output and the JSON
-    /// envelope's `determinism` field.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Determinism::Replicated => "replicated",
-            Determinism::Deterministic => "deterministic",
-        }
-    }
-}
-
-/// How an artifact's workload generates flows — orthogonal to
-/// [`Determinism`] (a closed-loop sweep is still byte-reproducible and
-/// seed-replicated; the class describes *traffic shape*, not noise).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkloadClass {
-    /// Arrivals precomputed up front (Poisson, incast, shuffle):
-    /// offered load is fixed regardless of how the fabric behaves.
-    OpenLoop,
-    /// Flows spawned in reaction to completions (RPC, allreduce,
-    /// replication): a slow fabric slows the offered load itself.
-    ClosedLoop,
-    /// No flow workload at all (analytical accounting).
-    Deterministic,
-}
-
-impl WorkloadClass {
-    /// The class name as printed by `repro --list`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WorkloadClass::OpenLoop => "open-loop",
-            WorkloadClass::ClosedLoop => "closed-loop",
-            WorkloadClass::Deterministic => "deterministic",
-        }
-    }
-}
-
-/// One reproducible evaluation artifact (a figure or table).
+/// One reproducible evaluation artifact (a figure or table): a row of
+/// [`ARTIFACTS`].
 pub struct Artifact {
     /// CLI name and JSON file stem, e.g. `"fig1"`.
     pub name: &'static str,
-    /// Determinism class (see [`Determinism`]).
-    pub determinism: Determinism,
-    /// Workload class (see [`WorkloadClass`]).
-    pub workload: WorkloadClass,
-    plan: fn(Scale) -> Plan,
-    seeds: fn(&Scale) -> usize,
+    /// Report id, e.g. `"Figure 1"`.
+    pub id: &'static str,
+    /// Report title.
+    pub title: &'static str,
+    /// What the paper found (printed beside the rows).
+    pub paper: &'static str,
+    /// Seed replicates per cell at a scale: [`Scale::seeds`], or
+    /// [`Scale::incast_reps`] for the incast figure.
+    pub reps: fn(&Scale) -> usize,
+    /// The logical cells at a scale, grouped by the rows they fold into
+    /// (no cells for analytical artifacts).
+    pub groups: fn(&Scale) -> Vec<Group>,
 }
 
 impl Artifact {
-    /// Seed replicates behind each of this artifact's reported values
-    /// at `scale` (1 for seed-independent artifacts).
-    pub fn seed_count(&self, scale: &Scale) -> usize {
-        (self.seeds)(scale)
-    }
-
-    /// The artifact's schedulable plan (zero cells for analytical
-    /// artifacts).
+    /// The artifact's schedulable plan at `scale`.
     pub fn plan(&self, scale: Scale) -> Plan {
-        (self.plan)(scale)
-    }
-
-    /// Regenerate this artifact on its own (the single-artifact path;
-    /// `repro` uses [`run_artifacts`] so multiple artifacts share one
-    /// batch).
-    pub fn run(&self, scale: Scale, harness: &Harness) -> Report {
-        self.plan(scale).run(harness)
+        Plan {
+            report: Report::new(self.id, self.title, self.paper),
+            groups: (self.groups)(&scale),
+            reps: (self.reps)(&scale),
+        }
     }
 }
-
-/// Replicated open-loop simulation artifact driven by the scale's seed
-/// count.
-const fn sim(name: &'static str, runner: fn(Scale) -> Plan) -> Artifact {
-    Artifact {
-        name,
-        determinism: Determinism::Replicated,
-        workload: WorkloadClass::OpenLoop,
-        plan: runner,
-        seeds: |s| s.seeds,
-    }
-}
-
-/// Replicated **closed-loop** simulation artifact: same batching and
-/// seed replication as [`sim`], but the workload spawns flows in
-/// reaction to completions (reported by `--list` as `closed-loop`).
-const fn sim_closed(name: &'static str, runner: fn(Scale) -> Plan) -> Artifact {
-    Artifact {
-        workload: WorkloadClass::ClosedLoop,
-        ..sim(name, runner)
-    }
-}
-
-/// Every artifact, in presentation order (the order `repro all` prints).
-pub static ARTIFACTS: &[Artifact] = &[
-    sim("fig1", runners::fig1),
-    sim("fig2", runners::fig2),
-    sim("fig3", runners::fig3),
-    sim("fig4", runners::fig4),
-    sim("fig5", runners::fig5),
-    sim("fig6", runners::fig6),
-    sim("fig7", runners::fig7),
-    sim("fig8", runners::fig8),
-    Artifact {
-        name: "fig9",
-        determinism: Determinism::Replicated,
-        workload: WorkloadClass::OpenLoop,
-        plan: runners::fig9,
-        // Incast averaging predates the Poisson replication and keeps
-        // its own repetition count (paper: up to 100).
-        seeds: |s| s.incast_reps,
-    },
-    sim("incast-cross", runners::incast_cross),
-    sim("fig10", runners::fig10),
-    sim("fig11", runners::fig11),
-    sim("fig12", runners::fig12),
-    sim("table3", runners::table3),
-    sim("table4", runners::table4),
-    sim("table5", runners::table5),
-    sim("table6", runners::table6),
-    sim("table7", runners::table7),
-    sim("table8", runners::table8),
-    sim("table9", runners::table9),
-    Artifact {
-        name: "state-budget",
-        determinism: Determinism::Deterministic,
-        workload: WorkloadClass::Deterministic,
-        plan: runners::state_budget,
-        seeds: |_| 1,
-    },
-    // Closed-loop application workloads (§ traffic models beyond the
-    // paper's open-loop sweeps): each sweeps loss rate × {IRN, RoCE}
-    // and reports per-operation latency instead of per-flow FCT.
-    sim_closed("rpc-loss", runners::rpc_loss),
-    sim_closed("allreduce-loss", runners::allreduce_loss),
-    sim_closed("replicate-loss", runners::replicate_loss),
-];
 
 /// Look an artifact up by CLI name.
 pub fn find(name: &str) -> Option<&'static Artifact> {
@@ -198,6 +78,22 @@ pub fn unknown_names<'a>(wanted: &[&'a str]) -> Vec<&'a str> {
         .filter(|n| **n != "all" && find(n).is_none())
         .copied()
         .collect()
+}
+
+/// An artifact's logical cells as `repro emit-scenario` writes them,
+/// each renamed uniquely (artifact + cell index + label): several cells
+/// of one artifact may share a display label (fig9's are all
+/// `"incast"`), and `repro run` rejects scenario-name collisions —
+/// emitted sets must run back as a batch unedited. The file stem is the
+/// new name's slug.
+pub fn emitted_scenarios<'a>(
+    artifact: &'a str,
+    plan: &'a Plan,
+) -> impl Iterator<Item = Scenario> + 'a {
+    plan.logical_cells().enumerate().map(move |(i, cell)| {
+        cell.with_name(format!("{artifact}-{i:02} {}", cell.name()))
+            .expect("artifact names are nonempty")
+    })
 }
 
 /// Per-artifact throughput observations from a batched run — one
@@ -286,35 +182,16 @@ impl BatchRun {
     }
 }
 
-/// Run `selected` artifacts through **one** globally interleaved batch:
-/// every artifact is planned first, all planned cells are concatenated
-/// in selection order into a single submission-ordered batch, the
-/// executor runs it once, and each artifact assembles its own slice of
-/// the results.
-///
-/// The reports are byte-identical to running each artifact alone, at
-/// any job count: the executor returns results in submission order,
-/// each cell is a pure function of its config, and each assembly is a
-/// pure function of its result slice. This is [`run_batch`] over the
-/// artifacts' plans; see there for `trace` and the error.
-pub fn run_artifacts(
-    selected: &[&Artifact],
-    scale: Scale,
-    harness: &Harness,
-    trace: Option<&TraceSpec>,
-) -> Result<BatchRun, HarnessError> {
-    let items = selected
-        .iter()
-        .map(|a| (a.name.to_string(), a.plan(scale)))
-        .collect();
-    run_batch(items, harness, trace)
-}
-
-/// The one global-batch runner (beneath [`run_artifacts`] and `repro
-/// run`): concatenate every item's planned cells into one
+/// The one global-batch runner (beneath `repro <artifact>...` and
+/// `repro run`): concatenate every item's planned cells into one
 /// submission-ordered batch, execute it once, then demux each item's
-/// slice back through its assembly. An item that planned no cells
+/// slice back through its plan. An item that planned no cells
 /// contributes no `telemetry` or `memory` entry.
+///
+/// The reports are byte-identical to running each plan alone, at any
+/// job count: the executor returns results in submission order, each
+/// cell is a pure function of its config, and each fold is a pure
+/// function of its result slice.
 ///
 /// When `trace` is `Some`, every cell runs under the flight recorder
 /// and the per-cell chunks are concatenated — in submission order, which
@@ -323,18 +200,12 @@ pub fn run_artifacts(
 /// completed/total cell counts); the in-process executor never errors,
 /// so a caller that wants the panic writes `.expect(..)`.
 pub fn run_batch(
-    mut items: Vec<(String, Plan)>,
+    items: &[(String, Plan)],
     harness: &Harness,
     trace: Option<&TraceSpec>,
 ) -> Result<BatchRun, HarnessError> {
-    let mut batch = Vec::new();
-    for (_, plan) in &mut items {
-        batch.append(&mut plan.take_cells());
-    }
+    let batch: Vec<Scenario> = items.iter().flat_map(|(_, plan)| plan.cells()).collect();
     let cell_count = batch.len();
-    // The per-cell transport kinds, in submission order: each result's
-    // counters are charged to its cell's kind in the telemetry summary.
-    let kinds: Vec<_> = batch.iter().map(|c| c.config().transport).collect();
     let t = std::time::Instant::now();
     let outcomes = harness.try_run(&batch, trace)?;
     let batch_time = t.elapsed();
@@ -349,13 +220,13 @@ pub fn run_batch(
         }
         BatchTrace { lines, dropped }
     });
-    let mut results = outcomes.into_iter().zip(kinds);
+    let mut results = outcomes.into_iter().zip(&batch);
     let mut total_events = 0u64;
     let mut timing = Vec::with_capacity(items.len());
     let mut telemetry = Vec::with_capacity(items.len());
     let mut memory = Vec::with_capacity(items.len());
     let reports = items
-        .into_iter()
+        .iter()
         .map(|(name, plan)| {
             let n = plan.cell_count();
             let mut events = 0u64;
@@ -368,17 +239,18 @@ pub fn run_batch(
             let slice: Vec<RunResult> = results
                 .by_ref()
                 .take(n)
-                .map(|(o, kind)| {
+                .map(|(o, cell)| {
                     events += o.result.events;
                     cell_wall += o.wall;
-                    summary.add(kind, &o.result);
+                    // Counters are charged to the cell's transport kind.
+                    summary.add(cell.config().transport, &o.result);
                     gauge.add(&o.result);
                     o.result
                 })
                 .collect();
             total_events += events;
             timing.push(ArtifactTiming {
-                artifact: name,
+                artifact: name.clone(),
                 cells: n,
                 events,
                 cell_wall_s: cell_wall.as_secs_f64(),
@@ -386,7 +258,7 @@ pub fn run_batch(
             });
             telemetry.push((n > 0).then_some(summary));
             memory.push((n > 0).then_some(gauge));
-            plan.assemble(slice)
+            plan.assemble(&slice)
         })
         .collect();
     Ok(BatchRun {
@@ -496,7 +368,7 @@ pub struct Envelope {
     pub scale: String,
     /// Seed replicates behind every reported value (at least 1).
     pub seeds: u64,
-    /// [`Determinism::as_str`].
+    /// [`Plan::determinism`].
     pub determinism: String,
     /// The executed `scenario-v1` document (scenario runs only), so a
     /// result file is self-describing and replayable.
@@ -509,19 +381,21 @@ pub struct Envelope {
 }
 
 /// Serialize one artifact as its JSON [`Envelope`] (pretty-printed,
-/// with a trailing newline).
+/// with a trailing newline). The seed count and determinism class are
+/// read from the `plan` the report came from.
 pub fn artifact_json(
-    artifact: &Artifact,
+    name: &str,
     scale: &Scale,
+    plan: &Plan,
     report: &Report,
     telemetry: Option<&TelemetrySummary>,
 ) -> String {
     pretty(&Envelope {
         schema_version: SCHEMA_VERSION,
-        artifact: artifact.name.to_string(),
+        artifact: name.to_string(),
         scale: scale.label().to_string(),
-        seeds: artifact.seed_count(scale) as u64,
-        determinism: artifact.determinism.as_str().to_string(),
+        seeds: plan.seeds() as u64,
+        determinism: plan.determinism().to_string(),
         scenario: None,
         report: report.clone(),
         telemetry: telemetry.cloned(),
@@ -563,10 +437,12 @@ fn check_envelope(name: &str, text: &str) -> Result<(), String> {
     // to that artifact's determinism class.
     let is_scenario_envelope = env.scenario.is_some() && env.scale == "scenario";
     if let Some(artifact) = find(name).filter(|_| !is_scenario_envelope) {
-        if class != artifact.determinism.as_str() {
+        // Whether an artifact simulates anything does not depend on the
+        // scale, so any scale's plan names its class.
+        let expected = artifact.plan(Scale::quick()).determinism();
+        if class != expected {
             return Err(format!(
-                "determinism '{class}' does not match the registry's '{}'",
-                artifact.determinism.as_str()
+                "determinism '{class}' does not match the registry's '{expected}'"
             ));
         }
     }
@@ -616,34 +492,65 @@ mod tests {
     #[test]
     fn seed_counts_follow_the_scale() {
         let scale = Scale::quick().with_seeds(7);
-        assert_eq!(find("fig1").unwrap().seed_count(&scale), 7);
-        assert_eq!(find("table3").unwrap().seed_count(&scale), 7);
+        let seeds = |name| find(name).unwrap().plan(scale).seeds();
+        assert_eq!(seeds("fig1"), 7);
+        assert_eq!(seeds("table3"), 7);
         assert_eq!(
-            find("fig9").unwrap().seed_count(&scale),
+            seeds("fig9"),
             scale.incast_reps,
             "fig9 keeps its incast repetition count"
         );
-        assert_eq!(find("state-budget").unwrap().seed_count(&scale), 1);
+        assert_eq!(seeds("state-budget"), 1);
     }
 
+    /// What `repro --list` prints and `repro emit-scenario all` writes,
+    /// rebuilt from the table at both scales and held to the output of
+    /// the binary that still kept these facts by hand (fixtures
+    /// captured at ISSUE 20's parent commit).
     #[test]
-    fn two_determinism_classes_and_three_workload_classes_partition_the_registry() {
-        assert_eq!(ARTIFACTS.len(), 24);
-        let closed: Vec<&str> = ARTIFACTS
-            .iter()
-            .filter(|a| a.workload == WorkloadClass::ClosedLoop)
-            .map(|a| a.name)
-            .collect();
-        assert_eq!(closed, ["rpc-loss", "allreduce-loss", "replicate-loss"]);
-        for a in ARTIFACTS {
-            // Exactly two determinism classes: everything that
-            // simulates (open- or closed-loop) is seed-replicated, and
-            // the one analytical artifact plans zero cells.
-            let simulates = a.plan(Scale::quick().with_seeds(1)).cell_count() > 0;
-            assert_eq!(simulates, a.name != "state-budget");
-            assert_eq!(simulates, a.determinism == Determinism::Replicated);
-            assert_eq!(!simulates, a.determinism == Determinism::Deterministic);
-            assert_eq!(simulates, a.workload != WorkloadClass::Deterministic);
+    fn the_table_derives_the_registry_listing_and_the_emitted_names() {
+        for (scale, listing, emitted) in [
+            (
+                Scale::quick(),
+                include_str!("../tests/fixtures/registry-quick.txt"),
+                include_str!("../tests/fixtures/emit-names-quick.txt"),
+            ),
+            (
+                Scale::full(),
+                include_str!("../tests/fixtures/registry-full.txt"),
+                include_str!("../tests/fixtures/emit-names-full.txt"),
+            ),
+        ] {
+            let plans: Vec<Plan> = ARTIFACTS.iter().map(|a| a.plan(scale)).collect();
+            // name, class, workload, seeds, cells — the header line aside.
+            let listed: Vec<Vec<&str>> = listing
+                .lines()
+                .skip(1)
+                .map(|l| l.split_whitespace().collect())
+                .collect();
+            let derived: Vec<Vec<String>> = ARTIFACTS
+                .iter()
+                .zip(&plans)
+                .map(|(a, p)| {
+                    vec![
+                        a.name.to_string(),
+                        p.determinism().to_string(),
+                        p.workload().to_string(),
+                        p.seeds().to_string(),
+                        p.cell_count().to_string(),
+                    ]
+                })
+                .collect();
+            assert_eq!(derived, listed, "{} scale", scale.label());
+            let mut names: Vec<String> = ARTIFACTS
+                .iter()
+                .zip(&plans)
+                .flat_map(|(a, p)| {
+                    emitted_scenarios(a.name, p).map(|s| format!("{}.json", s.slug()))
+                })
+                .collect();
+            names.sort();
+            assert_eq!(names, emitted.lines().collect::<Vec<_>>());
         }
     }
 
@@ -654,15 +561,19 @@ mod tests {
     #[test]
     fn state_budget_is_a_zero_cell_plan_with_the_inline_era_envelope() {
         let scale = Scale::quick().with_seeds(3);
-        let sb = find("state-budget").unwrap();
-        assert_eq!(sb.plan(scale).cell_count(), 0);
-        let batch = run_artifacts(&[sb], scale, &Harness::new(1), None).unwrap();
+        let items = [(
+            "state-budget".to_string(),
+            find("state-budget").unwrap().plan(scale),
+        )];
+        let plan = &items[0].1;
+        assert_eq!(plan.cell_count(), 0);
+        let batch = run_batch(&items, &Harness::new(1), None).unwrap();
         assert_eq!(batch.cell_count, 0);
         assert_eq!(batch.telemetry, [None]);
         assert_eq!(batch.memory, [None]);
         let gauge = crate::verify_memory_json(&crate::memory_json(&batch, &scale)).unwrap();
         assert_eq!(gauge.artifacts, []);
-        let text = artifact_json(sb, &scale, &batch.reports[0], batch.telemetry[0].as_ref());
+        let text = artifact_json("state-budget", &scale, plan, &batch.reports[0], None);
         assert_eq!(text, include_str!("../tests/fixtures/state-budget.json"));
         verify_artifact_json("state-budget", &text).unwrap();
     }
@@ -672,8 +583,8 @@ mod tests {
         let scale = Scale::quick();
         let mut rep = Report::new("Figure 1", "t", "p");
         rep.add(Row::new("IRN").push("avg_slowdown", 2.5));
-        let fig1 = find("fig1").unwrap();
-        let text = artifact_json(fig1, &scale, &rep, None);
+        let fig1 = find("fig1").unwrap().plan(scale);
+        let text = artifact_json("fig1", &scale, &fig1, &rep, None);
         verify_artifact_json("fig1", &text).unwrap();
         // Round-trip through the type: read → re-render is the same file.
         let env: Envelope = serde::from_json_str(&text).unwrap();
@@ -686,7 +597,7 @@ mod tests {
         // errors point at the schema reference.
         assert!(verify_artifact_json("fig2", &text).is_err());
         assert!(verify_artifact_json("fig1", "{").is_err());
-        let empty = artifact_json(fig1, &scale, &Report::new("f", "t", "p"), None);
+        let empty = artifact_json("fig1", &scale, &fig1, &Report::new("f", "t", "p"), None);
         let err = verify_artifact_json("fig1", &empty).unwrap_err();
         assert!(
             err.contains("docs/SCHEMA.md"),
@@ -699,14 +610,14 @@ mod tests {
     #[test]
     fn verifier_reads_strictly_and_checks_every_partition() {
         let scale = Scale::quick();
-        let fig1 = find("fig1").unwrap();
+        let fig1 = find("fig1").unwrap().plan(scale);
         let mut rep = Report::new("Figure 1", "t", "p");
         rep.add(Row::new("IRN").push("avg_slowdown", 2.5));
         let kind = irn_core::transport::config::TransportKind::Irn;
         let run = irn_core::run(irn_core::ExperimentConfig::quick(8).with_transport(kind));
         let mut telemetry = TelemetrySummary::default();
         telemetry.add(kind, &run);
-        let text = artifact_json(fig1, &scale, &rep, Some(&telemetry));
+        let text = artifact_json("fig1", &scale, &fig1, &rep, Some(&telemetry));
         verify_artifact_json("fig1", &text).unwrap();
         let rejects = |doctored: String, what: &str| {
             assert_ne!(doctored, text, "{what}: the edit did not apply");
@@ -745,7 +656,7 @@ mod tests {
         let broken = |edit: fn(&mut TelemetrySummary)| {
             let mut t = telemetry.clone();
             edit(&mut t);
-            artifact_json(fig1, &scale, &rep, Some(&t))
+            artifact_json("fig1", &scale, &fig1, &rep, Some(&t))
         };
         rejects(
             broken(|t| t.transport.by_kind[0].drops.buffer += 5),

@@ -6,14 +6,14 @@
 //! repro run [flags] FILE...                execute scenario-v1 files
 //! repro worker [--listen ADDR]             serve work-v1 frames for a
 //!                                          coordinator (stdin/stdout or TCP)
-//! repro emit-scenario <artifact>... --json DIR
-//!                                          dump an artifact's cells as
-//!                                          editable scenario files
+//! repro emit-scenario [--full] <artifact>... --json DIR
+//!                                          dump an artifact's logical cells
+//!                                          as editable scenario files
 //! repro diff-memory OLD.json NEW.json      compare two memory-v1 gauges,
 //!                                          warn on bytes/flow drift
 //! repro trace-summarize FILE               aggregate a trace-v1 file into
 //!                                          per-kind / per-flow / per-op tables
-//! repro [flags] --list                     registry: name, class, workload,
+//! repro [--full] [--seeds N] --list        registry: name, class, workload,
 //!                                          seeds, cells
 //! repro --verify-json DIR                  validate an emitted JSON directory
 //! ```
@@ -61,12 +61,20 @@
 //! scenario files (every user-reachable config mistake is a typed
 //! `ScenarioError`, never a panic).
 //!
-//! The usage text, flag parsing, and flag error messages all derive
-//! from one [`FLAGS`] table, so they cannot drift as modes are added.
+//! The usage text, flag parsing, mode dispatch and flag applicability
+//! all derive from one [`FLAGS`] table and one [`MODES`] table: the
+//! first positional word picks the mode (a subcommand, else artifact
+//! names), `--list` / `--verify-json` pick it when there are no
+//! positionals, and a supplied flag whose `modes` column does not name
+//! the active mode is a usage error — never silently ignored (a
+//! dropped `--timing-json` would read as "timing was captured" when it
+//! wasn't).
 
 use irn_core::Scenario;
 use irn_experiments::artifacts::{self, BatchRun, ARTIFACTS};
-use irn_experiments::{scenario_json, scenario_plan, Harness, Report, Scale, TelemetrySummary};
+use irn_experiments::{
+    scenario_json, scenario_plan, Harness, Plan, Report, Scale, TelemetrySummary,
+};
 use irn_harness::{worker, HarnessError, PoolConfig, WorkerOptions, WorkerPool, WorkerSpec};
 use irn_telemetry::{TraceFilter, TraceSpec};
 use serde::json::{self, Value};
@@ -74,141 +82,202 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
-// The flag table: single source for usage text, parsing, and errors
+// The mode and flag tables: single source for usage text, parsing,
+// dispatch, and errors
 // ---------------------------------------------------------------------
 
-/// One command-line flag: its spelling, value shape, and help line.
+/// One way to invoke `repro`: the word that selects it (a subcommand,
+/// or `--list` / `--verify-json` themselves), its usage line, and its
+/// entry point.
+struct Mode {
+    word: &'static str,
+    synopsis: &'static str,
+    what: &'static str,
+    run: fn(&Args),
+}
+
+/// The default mode (artifact names, no subcommand word) comes first.
+const MODES: &[Mode] = &[
+    Mode {
+        word: "artifact",
+        synopsis: "repro [flags] <artifact>... | all",
+        what: "regenerate registry artifacts",
+        run: artifact_mode,
+    },
+    Mode {
+        word: "run",
+        synopsis: "repro run [flags] FILE...",
+        what: "execute scenario-v1 files",
+        run: run_scenarios_mode,
+    },
+    Mode {
+        word: "worker",
+        synopsis: "repro worker [--listen ADDR]",
+        what: "serve work-v1 frames for a coordinator (stdin/stdout or TCP)",
+        run: worker_mode,
+    },
+    Mode {
+        word: "emit-scenario",
+        synopsis: "repro emit-scenario <artifact>... --json DIR",
+        what: "dump an artifact's logical cells as editable scenario files",
+        run: emit_scenario_mode,
+    },
+    Mode {
+        word: "diff-memory",
+        synopsis: "repro diff-memory OLD.json NEW.json",
+        what: "compare memory-v1 gauges; warn on bytes/flow drift",
+        run: diff_memory_mode,
+    },
+    Mode {
+        word: "trace-summarize",
+        synopsis: "repro trace-summarize FILE",
+        what: "aggregate a trace-v1 file into per-kind / per-flow / per-op tables",
+        run: trace_summarize_mode,
+    },
+    Mode {
+        word: "--list",
+        synopsis: "repro [--full] [--seeds N] --list",
+        what: "print the artifact registry: name, class, workload, seeds, cells",
+        run: list_mode,
+    },
+    Mode {
+        word: "--verify-json",
+        synopsis: "repro --verify-json DIR",
+        what: "validate every *.json envelope in DIR",
+        run: verify_json_mode,
+    },
+];
+
+/// One command-line flag: its spelling, value shape, help line, and the
+/// modes (by [`Mode::word`]) it applies to.
 struct FlagSpec {
     name: &'static str,
     /// `Some(metavar)` when the flag consumes a value.
     metavar: Option<&'static str>,
     help: &'static str,
+    modes: &'static [&'static str],
 }
+
+/// The two modes that run a batch.
+const BATCH: &[&str] = &["artifact", "run"];
 
 const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--full",
         metavar: None,
         help: "paper scale (k=6 fat-tree, 54 hosts) instead of quick",
+        modes: &["artifact", "run", "emit-scenario", "--list"],
     },
     FlagSpec {
         name: "--seeds",
         metavar: Some("N"),
         help: "seed replicates per Poisson/scenario cell (default 5)",
+        modes: &["artifact", "run", "--list"],
     },
     FlagSpec {
         name: "--jobs",
         metavar: Some("N"),
         help: "worker threads for the global batch (default: all cores)",
+        modes: BATCH,
     },
     FlagSpec {
         name: "--workers",
         metavar: Some("N"),
         help: "shard the batch across N spawned 'repro worker' processes",
+        modes: BATCH,
     },
     FlagSpec {
         name: "--connect",
         metavar: Some("ADDR"),
         help: "add a listening worker at HOST:PORT to the fleet; repeatable",
+        modes: BATCH,
     },
     FlagSpec {
         name: "--cell-timeout",
         metavar: Some("SECS"),
         help: "per-cell worker timeout before reassignment (default 300)",
+        modes: BATCH,
     },
     FlagSpec {
         name: "--quorum",
         metavar: Some("N"),
         help: "min live workers before the batch is abandoned (default 1)",
+        modes: BATCH,
     },
     FlagSpec {
         name: "--listen",
         metavar: Some("ADDR"),
-        help: "(worker mode) serve coordinators over TCP instead of stdin",
+        help: "serve coordinators over TCP instead of stdin",
+        modes: &["worker"],
     },
     FlagSpec {
         name: "--exit-after",
         metavar: Some("N"),
-        help: "(worker mode) die mid-cell after N answers (fault-injection)",
+        help: "die mid-cell after N answers (fault-injection)",
+        modes: &["worker"],
     },
     FlagSpec {
         name: "--json",
         metavar: Some("DIR"),
         help: "write one schema-v2 JSON envelope per report into DIR",
+        modes: &["artifact", "run", "emit-scenario"],
     },
     FlagSpec {
         name: "--timing-json",
         metavar: Some("FILE"),
         help: "write the executor's bench-trajectory-v1 side file to FILE",
+        modes: BATCH,
     },
     FlagSpec {
         name: "--memory-json",
         metavar: Some("FILE"),
         help: "write memory-v1 peak-memory gauge JSON to FILE",
+        modes: BATCH,
     },
     FlagSpec {
         name: "--trace",
         metavar: Some("FILE"),
         help: "record a trace-v1 NDJSON flight-recorder file of the batch",
+        modes: BATCH,
     },
     FlagSpec {
         name: "--trace-filter",
         metavar: Some("SPEC"),
         help: "event selection for --trace, e.g. kind=pfc.*,flow=3 (docs/TRACING.md)",
+        modes: BATCH,
     },
     FlagSpec {
         name: "--progress-json",
         metavar: Some("FILE"),
         help: "write fleet-progress-v1 NDJSON events (needs --workers/--connect)",
+        modes: BATCH,
     },
     FlagSpec {
         name: "--list",
         metavar: None,
         help: "print the artifact registry and exit",
+        modes: &["--list"],
     },
     FlagSpec {
         name: "--verify-json",
         metavar: Some("DIR"),
         help: "validate every *.json envelope in DIR and exit",
+        modes: &["--verify-json"],
     },
-];
-
-const MODES: &[(&str, &str)] = &[
-    (
-        "repro [flags] <artifact>... | all",
-        "regenerate registry artifacts",
-    ),
-    ("repro run [flags] FILE...", "execute scenario-v1 files"),
-    (
-        "repro worker [--listen ADDR]",
-        "serve work-v1 frames for a coordinator (stdin/stdout or TCP)",
-    ),
-    (
-        "repro emit-scenario <artifact>... --json DIR",
-        "dump an artifact's logical cells as editable scenario files",
-    ),
-    (
-        "repro diff-memory OLD.json NEW.json",
-        "compare memory-v1 gauges; warn on bytes/flow drift",
-    ),
-    (
-        "repro trace-summarize FILE",
-        "aggregate a trace-v1 file into per-kind / per-flow / per-op tables",
-    ),
 ];
 
 fn usage() -> ! {
     eprintln!("usage:");
-    for (synopsis, what) in MODES {
-        eprintln!("  {synopsis:<44} {what}");
+    for m in MODES {
+        eprintln!("  {:<44} {}", m.synopsis, m.what);
     }
-    eprintln!("flags:");
+    eprintln!("flags (and the modes each applies to):");
     for f in FLAGS {
         let head = match f.metavar {
             Some(m) => format!("{} {m}", f.name),
             None => f.name.to_string(),
         };
-        eprintln!("  {head:<20} {}", f.help);
+        eprintln!("  {head:<20} {} [{}]", f.help, f.modes.join(" "));
     }
     eprintln!("artifacts:");
     for chunk in ARTIFACTS.chunks(8) {
@@ -232,40 +301,6 @@ fn fail_input(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
-/// Flags each subcommand accepts. A supplied flag outside its mode's
-/// set is a usage error — never silently ignored (a dropped
-/// `--timing-json` would read as "timing was captured" when it
-/// wasn't). The default artifact mode accepts everything except the
-/// entries here marked mode-specific.
-const MODE_FLAGS: &[(&str, &[&str])] = &[
-    (
-        "run",
-        &[
-            "--full",
-            "--seeds",
-            "--jobs",
-            "--workers",
-            "--connect",
-            "--cell-timeout",
-            "--quorum",
-            "--json",
-            "--timing-json",
-            "--memory-json",
-            "--trace",
-            "--trace-filter",
-            "--progress-json",
-        ],
-    ),
-    ("worker", &["--listen", "--exit-after"]),
-    ("emit-scenario", &["--full", "--seeds", "--json"]),
-    ("diff-memory", &[]),
-    ("trace-summarize", &[]),
-];
-
-/// Flags only meaningful inside a specific subcommand; rejected in the
-/// default artifact mode.
-const SUBCOMMAND_ONLY_FLAGS: &[&str] = &["--listen", "--exit-after"];
-
 #[derive(Default)]
 struct Args {
     full: bool,
@@ -283,21 +318,46 @@ struct Args {
     trace: Option<PathBuf>,
     trace_filter: Option<String>,
     progress_json: Option<PathBuf>,
-    list: bool,
     verify_dir: Option<PathBuf>,
     positionals: Vec<String>,
-    /// Names of the flags actually supplied, for per-mode validation.
-    supplied: Vec<&'static str>,
+    /// The flags actually supplied, in command-line order.
+    supplied: Vec<&'static FlagSpec>,
 }
 
 impl Args {
-    /// Reject supplied flags outside `allowed` (the active mode's set).
-    fn restrict_flags(&self, mode: &str, allowed: &[&str]) {
+    /// The mode this command line selects: the first positional word
+    /// when there is one (a subcommand, else artifact names), otherwise
+    /// the first supplied flag that is itself a mode.
+    fn mode(&self) -> &'static Mode {
+        let by_word = |word: &str| MODES.iter().find(|m| m.word == word);
+        match self.positionals.first() {
+            Some(word) => by_word(word),
+            None => self.supplied.iter().find_map(|f| by_word(f.name)),
+        }
+        .unwrap_or(&MODES[0])
+    }
+
+    /// Reject every supplied flag whose `modes` column does not name
+    /// `mode`.
+    fn restrict_flags(&self, mode: &str) {
         for f in &self.supplied {
-            if !allowed.contains(f) {
-                fail(format_args!("{f} does not apply to the '{mode}' mode"));
+            if !f.modes.contains(&mode) {
+                fail(format_args!(
+                    "{} does not apply to the '{mode}' mode",
+                    f.name
+                ));
             }
         }
+    }
+
+    /// The experiment scale `--full` and `--seeds` select.
+    fn scale(&self) -> Scale {
+        let scale = if self.full {
+            Scale::full()
+        } else {
+            Scale::quick()
+        };
+        self.seeds.map_or(scale, |seeds| scale.with_seeds(seeds))
     }
 }
 
@@ -312,14 +372,14 @@ fn parse_args() -> Args {
         let Some(spec) = FLAGS.iter().find(|f| f.name == arg) else {
             fail(format_args!("unknown flag '{arg}'"));
         };
-        args.supplied.push(spec.name);
+        args.supplied.push(spec);
         let value = spec.metavar.map(|m| {
             it.next()
                 .unwrap_or_else(|| fail(format_args!("{} needs {m}", spec.name)))
         });
         match spec.name {
             "--full" => args.full = true,
-            "--list" => args.list = true,
+            "--list" => {}
             "--seeds" => args.seeds = Some(positive_int(spec, &value.unwrap())),
             "--jobs" => args.jobs = Some(positive_int(spec, &value.unwrap())),
             "--workers" => args.workers = Some(positive_int(spec, &value.unwrap())),
@@ -406,7 +466,7 @@ impl Backend {
 fn build_backend(args: &Args) -> Backend {
     if args.workers.is_none() && args.connect.is_empty() {
         for f in ["--cell-timeout", "--quorum", "--progress-json"] {
-            if args.supplied.contains(&f) {
+            if args.supplied.iter().any(|s| s.name == f) {
                 fail(format_args!(
                     "{f} needs a worker fleet (--workers/--connect)"
                 ));
@@ -641,11 +701,12 @@ fn report_batch_timing(
 }
 
 fn per_report_stderr(
-    label: &ReportLabel,
+    name: &str,
+    plan: &Plan,
     timing: &artifacts::ArtifactTiming,
     telemetry: Option<&TelemetrySummary>,
 ) {
-    let ReportLabel { name, class, seeds } = label;
+    let (class, seeds) = (plan.determinism(), plan.seeds());
     if timing.cells > 0 {
         // Scheduler health counters ride along when nonzero: past-time
         // clamps and stale-timer skips are benign by design, but a
@@ -671,24 +732,17 @@ fn per_report_stderr(
     }
 }
 
-/// How one report of a batch is labelled: its name (stderr, trace
-/// source, envelope file stem), determinism class and seed count.
-struct ReportLabel {
-    name: String,
-    class: &'static str,
-    seeds: usize,
-}
-
 /// The shared tail of the two batch modes: create the output locations,
-/// pick the backend, launch the one global batch, then report timing,
-/// gauge and trace, and print every report — with its envelope from
-/// `envelope(index, report, telemetry)` when `--json` asked for one.
+/// pick the backend, run `items` — each report's name (stderr, trace
+/// source, envelope file stem) with its plan — as the one global batch,
+/// then report timing, gauge and trace, and print every report — with
+/// its envelope from `envelope(index, report, telemetry)` when `--json`
+/// asked for one.
 fn run_and_report(
     args: &Args,
     scale: &Scale,
     what: &str,
-    labels: &[ReportLabel],
-    launch: impl FnOnce(&Harness, Option<&TraceSpec>) -> Result<BatchRun, HarnessError>,
+    items: &[(String, Plan)],
     envelope: impl Fn(usize, &Report, Option<&TelemetrySummary>) -> String,
 ) {
     prepare_output_paths(args);
@@ -700,18 +754,19 @@ fn run_and_report(
     // (byte-identical to sequential runs).
     let spec = trace_spec(args);
     let t = std::time::Instant::now();
-    let batch = launch(&backend.harness, spec.as_ref()).unwrap_or_else(|e| fail_batch(e));
+    let batch = artifacts::run_batch(items, &backend.harness, spec.as_ref())
+        .unwrap_or_else(|e| fail_batch(e));
     report_batch_timing(
         &batch,
         what,
-        labels.len(),
+        items.len(),
         t,
         &backend,
         scale,
         args.timing_json.as_deref(),
     );
     write_memory_gauge(args, &batch, scale);
-    let source: Vec<&str> = labels.iter().map(|l| l.name.as_str()).collect();
+    let source: Vec<&str> = items.iter().map(|(name, _)| name.as_str()).collect();
     write_trace(args, &source.join(","), &batch);
 
     let rows = batch
@@ -719,15 +774,15 @@ fn run_and_report(
         .iter()
         .zip(&batch.timing)
         .zip(&batch.telemetry);
-    for (i, (label, ((rep, timing), telemetry))) in labels.iter().zip(rows).enumerate() {
+    for (i, ((name, plan), ((rep, timing), telemetry))) in items.iter().zip(rows).enumerate() {
         // Reports go to stdout; progress/timing to stderr so stdout
         // stays byte-identical run to run.
         print!("{}", rep.render());
         println!();
-        per_report_stderr(label, timing, telemetry.as_ref());
+        per_report_stderr(name, plan, timing, telemetry.as_ref());
         if let Some(dir) = &args.json_dir {
             let text = envelope(i, rep, telemetry.as_ref());
-            write_file(&dir.join(format!("{}.json", label.name)), &text);
+            write_file(&dir.join(format!("{name}.json")), &text);
         }
     }
 }
@@ -736,17 +791,16 @@ fn run_and_report(
 // Modes
 // ---------------------------------------------------------------------
 
-/// Validate every `*.json` file in `dir` (registry artifacts and
-/// scenario-run envelopes alike). Prints one line per file; failure
-/// messages reference docs/SCHEMA.md.
-fn verify_json_dir(dir: &Path) -> i32 {
-    let entries = match std::fs::read_dir(dir) {
-        Err(e) => {
-            eprintln!("error: cannot read {}: {e}", dir.display());
-            return 1;
-        }
-        Ok(rd) => rd,
-    };
+/// `repro --verify-json DIR`: validate every `*.json` file in DIR
+/// (registry artifacts and scenario-run envelopes alike). Prints one
+/// line per file; failure messages reference docs/SCHEMA.md; exit 1 on
+/// any failure.
+fn verify_json_mode(args: &Args) {
+    let dir = args.verify_dir.as_deref().expect("mode flag supplied");
+    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| {
+        eprintln!("error: cannot read {}: {e}", dir.display());
+        std::process::exit(1);
+    });
     let mut paths: Vec<PathBuf> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "json"))
@@ -754,7 +808,7 @@ fn verify_json_dir(dir: &Path) -> i32 {
     paths.sort();
     if paths.is_empty() {
         eprintln!("error: no .json files in {}", dir.display());
-        return 1;
+        std::process::exit(1);
     }
     let mut failures = 0;
     for path in &paths {
@@ -781,15 +835,15 @@ fn verify_json_dir(dir: &Path) -> i32 {
              (schema reference: docs/SCHEMA.md)",
             dir.display()
         );
-        1
-    } else {
-        0
+        std::process::exit(1);
     }
 }
 
-/// The registry as a table: name, determinism class, workload class,
-/// seed count, and batch cell count at the active scale.
-fn list_artifacts(scale: Scale) {
+/// `repro --list`: the registry as a table — name, determinism class,
+/// workload class, seed count, and batch cell count at the active
+/// scale, every column but the first read from the artifact's plan.
+fn list_mode(args: &Args) {
+    let scale = args.scale();
     println!(
         "{:<16} {:<14} {:<12} {:>5}  {:>6}   (scale: {})",
         "artifact",
@@ -800,13 +854,14 @@ fn list_artifacts(scale: Scale) {
         scale.label()
     );
     for a in ARTIFACTS {
+        let plan = a.plan(scale);
         println!(
             "{:<16} {:<14} {:<12} {:>5}  {:>6}",
             a.name,
-            a.determinism.as_str(),
-            a.workload.as_str(),
-            a.seed_count(&scale),
-            a.plan(scale).cell_count()
+            plan.determinism(),
+            plan.workload(),
+            plan.seeds(),
+            plan.cell_count()
         );
     }
 }
@@ -831,74 +886,53 @@ fn select_artifacts(names: &[String]) -> Vec<&'static artifacts::Artifact> {
 }
 
 /// Registry-artifact mode: the classic `repro <artifact>... | all`.
-fn artifact_mode(args: &Args, scale: Scale) {
+fn artifact_mode(args: &Args) {
     if args.positionals.is_empty() {
         usage();
     }
-    let selected = select_artifacts(&args.positionals);
-    let labels: Vec<ReportLabel> = selected
+    let scale = args.scale();
+    let items: Vec<(String, Plan)> = select_artifacts(&args.positionals)
         .iter()
-        .map(|a| ReportLabel {
-            name: a.name.to_string(),
-            class: a.determinism.as_str(),
-            seeds: a.seed_count(&scale),
-        })
+        .map(|a| (a.name.to_string(), a.plan(scale)))
         .collect();
-    run_and_report(
-        args,
-        &scale,
-        "artifact(s)",
-        &labels,
-        |harness, spec| artifacts::run_artifacts(&selected, scale, harness, spec),
-        |i, rep, telemetry| artifacts::artifact_json(selected[i], &scale, rep, telemetry),
-    );
+    run_and_report(args, &scale, "artifact(s)", &items, |i, rep, telemetry| {
+        let (name, plan) = &items[i];
+        artifacts::artifact_json(name, &scale, plan, rep, telemetry)
+    });
 }
 
 /// `repro run FILE...`: execute user scenarios through the same global
 /// batch executor the registry uses.
-fn run_scenarios_mode(args: &Args, scale: Scale) {
+fn run_scenarios_mode(args: &Args) {
     let files: Vec<PathBuf> = args.positionals[1..].iter().map(PathBuf::from).collect();
     if files.is_empty() {
         fail("run mode needs at least one scenario file");
     }
 
-    let seeds = args.seeds.unwrap_or(scale.seeds);
+    let scale = args.scale();
+    let seeds = scale.seeds;
     let mut scenarios = Vec::with_capacity(files.len());
-    let mut labels: Vec<ReportLabel> = Vec::new();
+    let mut items: Vec<(String, Plan)> = Vec::new();
     for file in &files {
         let text = std::fs::read_to_string(file)
             .unwrap_or_else(|e| fail_input(format_args!("cannot read {}: {e}", file.display())));
         let scenario = Scenario::from_json_str(&text)
             .unwrap_or_else(|e| fail_input(format_args!("{}: {e}", file.display())));
         let slug = scenario.slug();
-        if labels.iter().any(|l| l.name == slug) {
+        if items.iter().any(|(name, _)| *name == slug) {
             fail_input(format_args!(
                 "{}: scenario name '{}' collides with an earlier file (slug '{slug}')",
                 file.display(),
                 scenario.name()
             ));
         }
-        labels.push(ReportLabel {
-            name: slug,
-            class: "replicated",
-            seeds,
-        });
+        items.push((slug, scenario_plan(&scenario, seeds)));
         scenarios.push(scenario);
     }
 
-    let items = scenarios
-        .iter()
-        .zip(&labels)
-        .map(|(s, label)| (label.name.clone(), scenario_plan(s, seeds)))
-        .collect();
-    run_and_report(
-        args,
-        &scale,
-        "scenario(s)",
-        &labels,
-        |harness, spec| artifacts::run_batch(items, harness, spec),
-        |i, rep, telemetry| scenario_json(&scenarios[i], seeds, rep, telemetry),
-    );
+    run_and_report(args, &scale, "scenario(s)", &items, |i, rep, telemetry| {
+        scenario_json(&scenarios[i], seeds, rep, telemetry)
+    });
 }
 
 /// `repro worker`: serve the `work-v1` protocol for a coordinator —
@@ -980,9 +1014,9 @@ fn worker_mode(args: &Args) {
 }
 
 /// `repro emit-scenario <artifact>... --json DIR`: dump each selected
-/// artifact's logical cells (the seed-replicate fan-out deduplicated
-/// away) as editable scenario-v1 files.
-fn emit_scenario_mode(args: &Args, scale: Scale) {
+/// artifact's logical cells (before the seed fan-out) as editable
+/// scenario-v1 files.
+fn emit_scenario_mode(args: &Args) {
     if args.positionals.len() < 2 {
         fail("emit-scenario needs artifact names (or 'all')");
     }
@@ -991,38 +1025,18 @@ fn emit_scenario_mode(args: &Args, scale: Scale) {
         fail("emit-scenario needs --json DIR for the output directory");
     };
 
+    let scale = args.scale();
     for artifact in selected {
         let plan = artifact.plan(scale);
-        // The plan's cells are the seed-replicate fan-out; keep one
-        // cell per logical cell (same label and same config apart from
-        // the seed ⇒ same logical cell, first/base seed wins).
-        let mut logical: Vec<&irn_harness::Cell> = Vec::new();
-        for cell in plan.cells() {
-            let dup = logical.iter().any(|kept| {
-                kept.label() == cell.label()
-                    && kept.config().clone().with_seed(0) == cell.config().clone().with_seed(0)
-            });
-            if !dup {
-                logical.push(cell);
-            }
-        }
-        for (i, cell) in logical.iter().enumerate() {
-            // Re-name each emitted scenario uniquely (artifact + cell
-            // index + label): several cells of one artifact may share a
-            // display label (fig9's are all "incast"), and `repro run`
-            // rejects scenario-name collisions — emitted sets must run
-            // back as a batch unedited. File stem == slug(name).
-            let scenario = cell
-                .scenario()
-                .with_name(format!("{}-{i:02} {}", artifact.name, cell.label()))
-                .expect("artifact names are nonempty");
+        let mut written = 0;
+        for scenario in artifacts::emitted_scenarios(artifact.name, &plan) {
             let path = dir.join(format!("{}.json", scenario.slug()));
             write_file(&path, &scenario.to_json_string());
+            written += 1;
         }
         eprintln!(
-            "   [{}: wrote {} scenario file(s) to {}]",
+            "   [{}: wrote {written} scenario file(s) to {}]",
             artifact.name,
-            logical.len(),
             dir.display()
         );
     }
@@ -1248,55 +1262,7 @@ fn diff_memory_mode(args: &Args) {
 
 fn main() {
     let args = parse_args();
-
-    // Timing output only exists for batch runs; accepting the flag in
-    // --list/--verify-json modes would silently never write it.
-    if args.timing_json.is_some() && (args.list || args.verify_dir.is_some()) {
-        fail("--timing-json requires running artifacts or scenarios (not --list/--verify-json)");
-    }
-    if args.memory_json.is_some() && (args.list || args.verify_dir.is_some()) {
-        fail("--memory-json requires running artifacts or scenarios (not --list/--verify-json)");
-    }
-
-    if let Some(dir) = &args.verify_dir {
-        std::process::exit(verify_json_dir(dir));
-    }
-
-    let mut scale = if args.full {
-        Scale::full()
-    } else {
-        Scale::quick()
-    };
-    if let Some(seeds) = args.seeds {
-        scale = scale.with_seeds(seeds);
-    }
-
-    if args.list {
-        list_artifacts(scale);
-        return;
-    }
-
-    match args.positionals.first().map(String::as_str) {
-        Some(mode) if MODE_FLAGS.iter().any(|(m, _)| *m == mode) => {
-            let (_, allowed) = MODE_FLAGS.iter().find(|(m, _)| *m == mode).unwrap();
-            args.restrict_flags(mode, allowed);
-            match mode {
-                "run" => run_scenarios_mode(&args, scale),
-                "worker" => worker_mode(&args),
-                "emit-scenario" => emit_scenario_mode(&args, scale),
-                "trace-summarize" => trace_summarize_mode(&args),
-                _ => diff_memory_mode(&args),
-            }
-        }
-        _ => {
-            for f in SUBCOMMAND_ONLY_FLAGS {
-                if args.supplied.contains(f) {
-                    fail(format_args!(
-                        "{f} requires a subcommand mode (see usage), not the artifact mode"
-                    ));
-                }
-            }
-            artifact_mode(&args, scale);
-        }
-    }
+    let mode = args.mode();
+    args.restrict_flags(mode.word);
+    (mode.run)(&args);
 }

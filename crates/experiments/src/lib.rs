@@ -1,20 +1,20 @@
 //! # irn-experiments — regenerating every figure and table of the paper
 //!
-//! One runner per evaluation artifact of "Revisiting Network Support for
-//! RDMA" (SIGCOMM 2018). Each runner builds its experiment matrix from
-//! [`irn_core::ExperimentConfig`], runs the simulations, and returns a
-//! [`Report`] that prints rows shaped like the paper's (and that tests
-//! can assert directional claims against).
+//! Every evaluation artifact of "Revisiting Network Support for RDMA"
+//! (SIGCOMM 2018) is one row of a table ([`ARTIFACTS`], in
+//! [`figures`]): its report header and the logical cells it compares,
+//! grouped by the rows they produce. A row evaluates, at a [`Scale`],
+//! into a [`Plan`] — plain data, and the only place that knows how a
+//! figure becomes a batch: it fans every cell out over the seed
+//! replicates, flattens the batch, demuxes the results and folds them
+//! into a [`Report`] that prints rows shaped like the paper's (and that
+//! tests can assert directional claims against). Each reported metric
+//! carries a mean and a `<metric>_ci95` confidence half-width.
 //!
-//! Each simulation-backed runner expresses its experiment matrix as a
-//! [`Plan`] — cells plus a deferred assembly — with every
-//! Poisson-workload cell fanned out over [`Scale::seeds`] seed
-//! replicates, so each reported metric carries a mean and a
-//! `<metric>_ci95` confidence half-width. `repro` splices the plans of
-//! every requested artifact into **one** globally interleaved batch
-//! ([`artifacts::run_artifacts`]): independent cells run in parallel
-//! across artifacts while reports render byte-identically at any job
-//! count.
+//! `repro` splices the plans of every requested artifact into **one**
+//! globally interleaved batch ([`artifacts::run_batch`]): independent
+//! cells run in parallel across artifacts while reports render
+//! byte-identically at any job count.
 //!
 //! Run them through the `repro` binary:
 //!
@@ -24,7 +24,7 @@
 //! repro all --jobs 8             # everything, one global batch, 8 workers
 //! repro all --seeds 3            # 3 seed replicates per Poisson cell
 //! repro all --json out/          # also persist one JSON file per artifact
-//! repro --list                   # names + determinism class + seed counts
+//! repro --list                   # name, class, workload, seeds, cells
 //! repro --verify-json out/       # validate a previously emitted JSON dir
 //! ```
 //!
@@ -40,20 +40,19 @@
 #![warn(missing_docs)]
 
 pub mod artifacts;
+pub mod figures;
 pub mod memory;
 pub mod plan;
 pub mod report;
-pub mod runners;
 pub mod scale;
 pub mod scenario_run;
 pub mod telemetry;
 
-pub use artifacts::{Artifact, Determinism, Envelope, WorkloadClass, ARTIFACTS};
+pub use artifacts::{Artifact, Envelope, ARTIFACTS};
 pub use irn_harness::Harness;
 pub use memory::{memory_json, verify_memory_json, MemoryGauge, MemorySummary};
-pub use plan::Plan;
+pub use plan::{Group, Plan};
 pub use report::{Report, Row};
-pub use runners::*;
 pub use scale::Scale;
 pub use scenario_run::{scenario_json, scenario_plan};
 pub use telemetry::TelemetrySummary;

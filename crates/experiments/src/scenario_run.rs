@@ -9,12 +9,11 @@
 //! runs just as they do with registry artifacts.
 
 use irn_core::Scenario;
-use irn_harness::{Cell, Replicate, ReplicateSet};
 
 use crate::artifacts::{pretty, Envelope, SCHEMA_VERSION};
-use crate::plan::Plan;
-use crate::report::{Report, Row};
-use crate::runners::{Metric, APP_METRICS, FCT_METRICS, INCAST_METRICS, SEED_STRIDE};
+use crate::figures::{app_row, fct_row, incast_row};
+use crate::plan::{Group, Plan};
+use crate::report::Report;
 
 /// The plan for one scenario: its cell fanned out over `seeds` strided
 /// replicates (base = the scenario's own seed), assembled into a
@@ -23,37 +22,22 @@ use crate::runners::{Metric, APP_METRICS, FCT_METRICS, INCAST_METRICS, SEED_STRI
 /// population, plain FCT otherwise.
 pub fn scenario_plan(scenario: &Scenario, seeds: usize) -> Plan {
     let traffic = &scenario.config().traffic;
-    let metrics: &'static [Metric] = if traffic.is_closed_loop() {
-        &APP_METRICS
+    let fold = if traffic.is_closed_loop() {
+        app_row
     } else if traffic.has_incast_population() {
-        &INCAST_METRICS
+        incast_row
     } else {
-        &FCT_METRICS
+        fct_row
     };
-    let cell = Cell::from_scenario(scenario.clone());
-    let base_seed = cell.config().seed;
-    let set = ReplicateSet::new(vec![Replicate::strided(
-        cell,
-        base_seed,
-        seeds,
-        SEED_STRIDE,
-    )]);
-    let flat = set.cells();
-    let rep = Report::new(
-        scenario.name(),
-        "user scenario (scenario-v1)",
-        "user-defined scenario; no paper counterpart",
-    );
-    Plan::new(flat, move |results| {
-        let mut rep = rep;
-        let rr = &set.collect(results)[0];
-        let mut row = Row::new(rr.label.clone());
-        for (name, f) in metrics {
-            row = row.push_stats(name, &rr.stats(*f));
-        }
-        rep.add(row);
-        rep
-    })
+    Plan {
+        report: Report::new(
+            scenario.name(),
+            "user scenario (scenario-v1)",
+            "user-defined scenario; no paper counterpart",
+        ),
+        groups: vec![Group::of(scenario.clone(), fold)],
+        reps: seeds,
+    }
 }
 
 /// Serialize a scenario run as a schema-v2 [`Envelope`] (pretty-printed,
@@ -111,6 +95,22 @@ mod tests {
         assert_eq!(row.label, "tiny incast");
         assert!(row.values.iter().any(|(n, _)| n == "incast_rct_ms"));
         assert!(row.values.iter().any(|(n, _)| n == "incast_rct_ms_ci95"));
+    }
+
+    /// A `scenario-v1` seed within the fan-out's reach of `u64::MAX`
+    /// (a debug build used to panic on the add, a release build wrapped
+    /// and then re-sorted the file's own seed out of first place): the
+    /// doctored example replicates by wrapping and runs to a report.
+    #[test]
+    fn a_seed_at_u64_max_replicates_by_wrapping() {
+        let text = include_str!("../../../examples/poisson-quick.json");
+        let doctored = text.replace("\"seed\": 1", "\"seed\": 18446744073709551615");
+        assert_ne!(doctored, text, "the edit did not apply");
+        let plan = scenario_plan(&Scenario::from_json_str(&doctored).unwrap(), 2);
+        let seeds: Vec<u64> = plan.cells().iter().map(|c| c.config().seed).collect();
+        assert_eq!(seeds, [u64::MAX, 100]);
+        let rep = plan.run(&Harness::new(2));
+        assert!(rep.rows[0].get("avg_slowdown_ci95") > 0.0);
     }
 
     /// An Incast-*shaped* part declared `primary` has no incast metric

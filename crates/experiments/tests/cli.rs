@@ -1,0 +1,218 @@
+//! The `repro` command line, driven the way users drive it.
+//!
+//! **Flag applicability is one table.** The usage text prints, per flag,
+//! the modes it applies to; this suite reads that table back and tries
+//! every (flag, mode) pair on the built binary: outside the flag's modes
+//! the run exits 2 naming the flag and the mode and writes nothing,
+//! inside them it never says so. The six command lines ISSUE 20 showed
+//! exiting 0 with their output silently dropped are pinned by name.
+//!
+//! **Emitted scenario sets run back unedited**: `emit-scenario` → `run`
+//! → `--verify-json`, with the emitted file names held to the fixture
+//! the library test rebuilds from the artifact table.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+
+fn repro<S: AsRef<std::ffi::OsStr>>(args: &[S]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("repro runs")
+}
+
+/// A scratch path no test shares (never created here).
+fn scratch(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("irn-cli-test-{tag}-{}", std::process::id()))
+}
+
+/// Per mode word, a command line that selects the mode, passes the flag
+/// check when the flag applies, and then stops before any work: an
+/// unknown artifact, a missing operand, a stray positional, a directory
+/// that does not exist. `DIR` stands for a path under the scratch
+/// directory.
+const MODE_ARGV: &[(&str, &[&str])] = &[
+    ("artifact", &["no-such-artifact"]),
+    ("run", &["run"]),
+    ("worker", &["worker", "stray"]),
+    ("emit-scenario", &["emit-scenario"]),
+    ("diff-memory", &["diff-memory"]),
+    ("trace-summarize", &["trace-summarize"]),
+    ("--list", &["--list"]),
+    ("--verify-json", &["--verify-json", "DIR/envelopes"]),
+];
+
+/// A well-formed value for a flag's metavar.
+fn value_for(metavar: &str) -> &'static str {
+    match metavar {
+        "N" | "SECS" => "1",
+        "ADDR" => "127.0.0.1:1",
+        "SPEC" => "kind=pfc.*",
+        "DIR" | "FILE" => "DIR/out",
+        other => panic!("no sample value for metavar {other}"),
+    }
+}
+
+/// `(flag, metavar, modes)` per row of the usage text's flag table.
+fn flag_table() -> Vec<(String, Option<String>, Vec<String>)> {
+    let out = repro::<&str>(&[]);
+    assert_eq!(out.status.code(), Some(2), "bare `repro` prints usage");
+    let usage = String::from_utf8(out.stderr).unwrap();
+    let rows: Vec<_> = usage
+        .lines()
+        .skip_while(|l| !l.starts_with("flags"))
+        .skip(1)
+        .take_while(|l| l.starts_with("  --"))
+        .map(|line| {
+            let mut words = line.split_whitespace();
+            let flag = words.next().unwrap().to_string();
+            let metavar = words
+                .next()
+                .filter(|w| w.chars().all(|c| c.is_ascii_uppercase()))
+                .map(str::to_string);
+            let (open, close) = (line.rfind('[').unwrap(), line.rfind(']').unwrap());
+            let modes = line[open + 1..close]
+                .split(' ')
+                .map(str::to_string)
+                .collect();
+            (flag, metavar, modes)
+        })
+        .collect();
+    assert!(rows.len() >= 17, "flag table not found in:\n{usage}");
+    rows
+}
+
+#[test]
+fn every_flag_is_rejected_outside_its_modes_and_only_there() {
+    let dir = scratch("flags");
+    let at = |arg: &str| arg.replace("DIR", dir.to_str().unwrap());
+    for (flag, metavar, modes) in flag_table() {
+        for mode in &modes {
+            assert!(
+                MODE_ARGV.iter().any(|(word, _)| word == mode),
+                "{flag} names a mode this suite has no command line for: {mode}"
+            );
+        }
+        for (mode, base) in MODE_ARGV {
+            let mut argv: Vec<String> = base.iter().map(|a| at(a)).collect();
+            argv.push(flag.clone());
+            argv.extend(metavar.as_deref().map(|m| at(value_for(m))));
+            let out = repro(&argv);
+            let said = String::from_utf8_lossy(&out.stderr).into_owned();
+            let stray = format!("error: {flag} does not apply to the '{mode}' mode");
+            if modes.iter().any(|m| m == mode) {
+                assert!(!said.contains("does not apply"), "{argv:?}: {said}");
+            } else {
+                assert_eq!(out.status.code(), Some(2), "{argv:?}: {said}");
+                assert!(said.contains(&stray), "{argv:?}: {said}");
+                assert!(out.stdout.is_empty(), "{argv:?} printed to stdout");
+            }
+        }
+    }
+    assert!(!dir.exists(), "a rejected command line wrote something");
+}
+
+/// The command lines that used to exit 0 having dropped a flag (or,
+/// the last two, named the mode wrongly): each now fails naming the
+/// flag and the mode.
+#[test]
+fn the_silently_dropped_flags_of_issue_20_fail_by_name() {
+    let dir = scratch("exhibits");
+    let at = |arg: &str| arg.replace("DIR", dir.to_str().unwrap());
+    let exhibits: &[(&[&str], &str)] = &[
+        (
+            &["--list", "--json", "DIR"],
+            "--json does not apply to the '--list' mode",
+        ),
+        (
+            &["--list", "--trace", "DIR/t.ndjson", "--workers", "3"],
+            "--trace does not apply to the '--list' mode",
+        ),
+        (
+            &["--verify-json", "DIR", "--seeds", "3"],
+            "--seeds does not apply to the '--verify-json' mode",
+        ),
+        (
+            &["--list", "--timing-json", "DIR/t.json"],
+            "--timing-json does not apply to the '--list' mode",
+        ),
+        (
+            &["fig1", "--exit-after", "3"],
+            "--exit-after does not apply to the 'artifact' mode",
+        ),
+        (
+            &["emit-scenario", "fig1", "--json", "DIR", "--seeds", "9"],
+            "--seeds does not apply to the 'emit-scenario' mode",
+        ),
+    ];
+    for (argv, message) in exhibits {
+        let argv: Vec<String> = argv.iter().map(|a| at(a)).collect();
+        let out = repro(&argv);
+        let said = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {said}");
+        assert!(said.contains(message), "{argv:?}: {said}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed to stdout");
+    }
+    assert!(!dir.exists(), "a rejected command line wrote something");
+}
+
+fn json_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn emitted_scenario_sets_run_back_unedited() {
+    let dir = scratch("emit");
+    let (emitted, envelopes) = (dir.join("emitted"), dir.join("envelopes"));
+    let out = repro(&[
+        "emit-scenario".as_ref(),
+        "fig1".as_ref(),
+        "fig9".as_ref(),
+        "table3".as_ref(),
+        "--json".as_ref(),
+        emitted.as_os_str(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let names = json_names(&emitted);
+    let expected: Vec<&str> = include_str!("fixtures/emit-names-quick.txt")
+        .lines()
+        .filter(|n| {
+            ["fig1-", "fig9-", "table3-"]
+                .iter()
+                .any(|p| n.starts_with(p))
+        })
+        .collect();
+    assert_eq!(names, expected);
+
+    let mut run = vec!["run".into()];
+    run.extend(names.iter().map(|n| emitted.join(n).into_os_string()));
+    run.extend(["--seeds".into(), "1".into(), "--json".into()]);
+    run.push(envelopes.clone().into_os_string());
+    let out = repro(&run);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stems = |names: Vec<String>| -> Vec<String> {
+        names.iter().map(|n| n.replace(".json", "")).collect()
+    };
+    assert_eq!(stems(json_names(&envelopes)), stems(names));
+    let out = repro(&["--verify-json".as_ref(), envelopes.as_os_str()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

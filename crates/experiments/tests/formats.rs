@@ -28,8 +28,8 @@ use irn_core::{
     ExperimentConfig, MemoryStats, RunResult, Scenario, SchedCounters, TransportTotals,
 };
 use irn_experiments::artifacts::{self, BatchRun};
-use irn_experiments::{memory_json, scenario_json, Harness, Plan, Report, Row, Scale};
-use irn_harness::{wire, Cell, CellOutcome, Executor, HarnessError, WorkerStats};
+use irn_experiments::{memory_json, scenario_json, Group, Harness, Plan, Report, Row, Scale};
+use irn_harness::{wire, CellOutcome, Executor, HarnessError, WorkerStats};
 use irn_telemetry::{TraceChunk, TraceSpec};
 use serde::json::{self, Value};
 
@@ -86,7 +86,7 @@ struct Canned;
 impl Executor for Canned {
     fn run_cells(
         &self,
-        cells: &[Cell],
+        cells: &[Scenario],
         _trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError> {
         Ok((0..cells.len() as u64)
@@ -107,22 +107,27 @@ fn scenario() -> Scenario {
     Scenario::from_config("Golden Run", ExperimentConfig::quick(4)).unwrap()
 }
 
-/// A plan of one cell per transport in `kinds`, reporting one row.
+/// A plan of one cell per transport in `kinds` (one group, one
+/// replicate), reporting one row.
 fn plan(kinds: &[TransportKind]) -> Plan {
     let cells = kinds
         .iter()
-        .map(|k| Cell::new("c", ExperimentConfig::quick(4).with_transport(*k)))
+        .map(|k| Scenario::from_config("c", ExperimentConfig::quick(4).with_transport(*k)).unwrap())
         .collect();
-    Plan::new(cells, |results| {
-        let mut rep = Report::new("Figure G", "golden", "none");
-        rep.add(
-            Row::new("IRN")
-                .push("cells", results.len() as f64)
-                .push("m", 2.5)
-                .push("m_ci95", 0.125),
-        );
-        rep
-    })
+    Plan {
+        report: Report::new("Figure G", "golden", "none"),
+        groups: vec![Group {
+            label: "IRN".to_string(),
+            cells,
+            fold: |label, runs| {
+                vec![Row::new(label)
+                    .push("cells", runs.len() as f64)
+                    .push("m", 2.5)
+                    .push("m_ci95", 0.125)]
+            },
+        }],
+        reps: 1,
+    }
 }
 
 /// Three items through the real batch runner on the stub executor: two
@@ -130,13 +135,13 @@ fn plan(kinds: &[TransportKind]) -> Plan {
 /// zero-cell one, which must leave no telemetry and no gauge row.
 fn batch() -> BatchRun {
     use TransportKind::{Irn, IrnGoBackN, Roce};
-    let items = vec![
+    let items = [
         ("fig1".to_string(), plan(&[Irn, Roce, Irn])),
         ("golden-run".to_string(), plan(&[IrnGoBackN, Roce])),
         ("state-budget".to_string(), plan(&[])),
     ];
     let harness = Harness::with_executor(Arc::new(Canned));
-    let mut batch = artifacts::run_batch(items, &harness, None).unwrap();
+    let mut batch = artifacts::run_batch(&items, &harness, None).unwrap();
     batch.batch_time = Duration::from_millis(1500);
     batch
 }
@@ -181,9 +186,10 @@ fn work_frames() -> String {
 #[test]
 fn envelopes_with_telemetry_keep_the_parent_bytes() {
     let b = batch();
-    let fig1 = artifacts::find("fig1").unwrap();
+    let fig1 = artifacts::find("fig1").unwrap().plan(scale());
+    let telemetry = b.telemetry[0].as_ref();
     assert_eq!(
-        artifacts::artifact_json(fig1, &scale(), &b.reports[0], b.telemetry[0].as_ref()),
+        artifacts::artifact_json("fig1", &scale(), &fig1, &b.reports[0], telemetry),
         include_str!("fixtures/envelope-artifact.json")
     );
     assert_eq!(
@@ -371,8 +377,9 @@ fn cli_worker_answers_every_hostile_frame_with_one_error_frame() {
 fn cli_verify_json_and_diff_memory_fail_doctored_files_by_path() {
     let dir = std::env::temp_dir().join(format!("irn-formats-{}", std::process::id()));
     let b = batch();
-    let fig1 = artifacts::find("fig1").unwrap();
-    let envelope = artifacts::artifact_json(fig1, &scale(), &b.reports[0], b.telemetry[0].as_ref());
+    let fig1 = artifacts::find("fig1").unwrap().plan(scale());
+    let telemetry = b.telemetry[0].as_ref();
+    let envelope = artifacts::artifact_json("fig1", &scale(), &fig1, &b.reports[0], telemetry);
     let gauge = memory_json(&b, &scale());
     let check = |sub: &str, file: &str, text: String, args: &[&str], code: i32, what: &str| {
         let sub = dir.join(sub);

@@ -16,9 +16,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 
-use irn_core::ExperimentConfig;
+use irn_core::{ExperimentConfig, Scenario};
 use irn_harness::{
-    Cell, Executor, Harness, HarnessError, PoolConfig, ThreadExecutor, WorkerPool, WorkerSpec,
+    Executor, Harness, HarnessError, PoolConfig, ThreadExecutor, WorkerPool, WorkerSpec,
 };
 use serde::Serialize;
 
@@ -35,15 +35,16 @@ fn spawn_spec(extra: &[&str]) -> WorkerSpec {
 }
 
 /// A small mixed batch: cheap cells, several distinct scenarios.
-fn batch(n: usize) -> Vec<Cell> {
+fn batch(n: usize) -> Vec<Scenario> {
     (0..n)
         .map(|i| {
-            Cell::new(
+            Scenario::from_config(
                 format!("cell{i}"),
                 ExperimentConfig::quick(30 + i)
                     .with_seed(i as u64 + 1)
                     .with_pfc(i % 2 == 0),
             )
+            .unwrap()
         })
         .collect()
 }
@@ -118,8 +119,8 @@ fn closed_loop_fleet_with_rigged_death_is_byte_identical() {
         }
         .with_seed(seed)
     };
-    let cells: Vec<Cell> = vec![
-        Cell::new(
+    let cells: Vec<Scenario> = vec![
+        Scenario::from_config(
             "rpc",
             mk(
                 TrafficModel::RpcClosedLoop {
@@ -133,8 +134,9 @@ fn closed_loop_fleet_with_rigged_death_is_byte_identical() {
                 },
                 11,
             ),
-        ),
-        Cell::new(
+        )
+        .unwrap(),
+        Scenario::from_config(
             "allreduce",
             mk(
                 TrafficModel::Allreduce {
@@ -145,8 +147,9 @@ fn closed_loop_fleet_with_rigged_death_is_byte_identical() {
                 },
                 12,
             ),
-        ),
-        Cell::new(
+        )
+        .unwrap(),
+        Scenario::from_config(
             "replicate",
             mk(
                 TrafficModel::LeaderReplicate {
@@ -160,10 +163,11 @@ fn closed_loop_fleet_with_rigged_death_is_byte_identical() {
                 },
                 13,
             ),
-        ),
+        )
+        .unwrap(),
         // One open-loop cell mixed in: reassignment order must not
         // depend on workload class.
-        Cell::new("poisson", ExperimentConfig::quick(30).with_seed(14)),
+        Scenario::from_config("poisson", ExperimentConfig::quick(30).with_seed(14)).unwrap(),
     ];
     let reference = ThreadExecutor::new(2).run_cells(&cells, None).unwrap();
     for (_, wall) in reference.iter().map(|o| (&o.result, o.wall)) {

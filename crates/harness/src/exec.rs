@@ -3,7 +3,7 @@
 //!
 //! [`Executor`] is the pluggable backend API: give it cells, get one
 //! [`CellOutcome`] per cell **in submission order**. Everything above
-//! this seam (plans, replicates, the global cross-artifact batch) is
+//! this seam (plans, the seed fan-out, the global cross-artifact batch) is
 //! backend-agnostic — the same code runs on the in-process
 //! [`ThreadExecutor`] or on a multi-process [`crate::WorkerPool`], and
 //! because every cell is a pure function of its scenario, the rendered
@@ -20,10 +20,9 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use irn_core::RunResult;
+use irn_core::{RunResult, Scenario};
 use irn_telemetry::{TraceChunk, TraceFilter, TraceSpec};
 
-use crate::cell::Cell;
 use crate::error::HarnessError;
 
 /// One executed cell: its result plus the wall-clock time it took on
@@ -67,7 +66,7 @@ pub trait Executor: Send + Sync {
     /// bounded per the spec. Tracing must never change result bytes.
     fn run_cells(
         &self,
-        cells: &[Cell],
+        cells: &[Scenario],
         trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError>;
 
@@ -154,7 +153,7 @@ impl Executor for ThreadExecutor {
     /// to lose.
     fn run_cells(
         &self,
-        cells: &[Cell],
+        cells: &[Scenario],
         trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError> {
         let filter = match trace {
@@ -238,7 +237,7 @@ impl Harness {
     /// `results[i]` belongs to `cells[i]`, at any parallelism.
     /// Panics if the backend fails (the in-process one never does); use
     /// [`Harness::try_run`] where a distributed backend can degrade.
-    pub fn run(&self, cells: &[Cell]) -> Vec<RunResult> {
+    pub fn run(&self, cells: &[Scenario]) -> Vec<RunResult> {
         let outcomes = self.try_run(cells, None);
         let outcomes = outcomes.unwrap_or_else(|e| panic!("executor failed: {e}"));
         outcomes.into_iter().map(|o| o.result).collect()
@@ -254,7 +253,7 @@ impl Harness {
     /// comparing throughput across runs should hold `jobs` constant.
     pub fn try_run(
         &self,
-        cells: &[Cell],
+        cells: &[Scenario],
         trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError> {
         self.exec.run_cells(cells, trace)
@@ -319,7 +318,7 @@ mod tests {
         impl Executor for Failing {
             fn run_cells(
                 &self,
-                _: &[Cell],
+                _: &[Scenario],
                 _: Option<&TraceSpec>,
             ) -> Result<Vec<CellOutcome>, HarnessError> {
                 Err(HarnessError::QuorumLost {

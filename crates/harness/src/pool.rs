@@ -35,11 +35,11 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use irn_core::Scenario;
 use irn_telemetry::{TraceFilter, TraceSpec};
 use serde::json::{self, Value};
 use serde::Serialize;
 
-use crate::cell::Cell;
 use crate::error::HarnessError;
 use crate::exec::{CellOutcome, Executor};
 use crate::wire::{self, Frame};
@@ -325,12 +325,12 @@ impl AttemptError {
 fn attempt(
     conn: &mut Conn,
     id: usize,
-    cell: &Cell,
+    cell: &Scenario,
     timeout: Duration,
     trace: Option<&TraceSpec>,
 ) -> Result<CellOutcome, AttemptError> {
     let fail = |reason: FailReason, detail: String| AttemptError { detail, reason };
-    let frame = wire::encode_work(id as u64, cell.scenario(), trace);
+    let frame = wire::encode_work(id as u64, cell, trace);
     conn.writer
         .write_all(frame.as_bytes())
         .and_then(|()| conn.writer.write_all(b"\n"))
@@ -459,7 +459,7 @@ struct BatchState {
 impl Executor for WorkerPool {
     fn run_cells(
         &self,
-        cells: &[Cell],
+        cells: &[Scenario],
         trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError> {
         // Fail fast on a malformed filter instead of letting every
@@ -564,7 +564,7 @@ impl Executor for WorkerPool {
 fn dispatch(
     w: usize,
     spec: &WorkerSpec,
-    cells: &[Cell],
+    cells: &[Scenario],
     cfg: &PoolConfig,
     state: &Mutex<BatchState>,
     cvar: &Condvar,
@@ -654,12 +654,12 @@ fn dispatch(
                     &format!(
                         "[pool] {}: cell #{idx} '{}' done in {wall_s:.2}s [{done}/{total}]",
                         stats.name,
-                        cells[idx].label()
+                        cells[idx].name()
                     ),
                     vec![
                         ("worker".to_string(), stats.name.to_json()),
                         ("cell".to_string(), (idx as u64).to_json()),
-                        ("label".to_string(), cells[idx].label().to_json()),
+                        ("label".to_string(), cells[idx].name().to_json()),
                         ("wall_s".to_string(), wall_s.to_json()),
                         ("done".to_string(), (done as u64).to_json()),
                         ("total".to_string(), (total as u64).to_json()),
@@ -674,13 +674,13 @@ fn dispatch(
                              the {:.0?} timeout — a reassignment of this cell would be \
                              expensive",
                             stats.name,
-                            cells[idx].label(),
+                            cells[idx].name(),
                             cfg.cell_timeout
                         ),
                         vec![
                             ("worker".to_string(), stats.name.to_json()),
                             ("cell".to_string(), (idx as u64).to_json()),
-                            ("label".to_string(), cells[idx].label().to_json()),
+                            ("label".to_string(), cells[idx].name().to_json()),
                             ("wall_s".to_string(), wall_s.to_json()),
                             (
                                 "timeout_s".to_string(),
@@ -703,7 +703,7 @@ fn dispatch(
                     if st.fatal.is_none() {
                         st.fatal = Some(HarnessError::CellFailed {
                             index: idx,
-                            label: cells[idx].label().to_string(),
+                            label: cells[idx].name().to_string(),
                             attempts: st.attempts[idx],
                             detail: err.detail.clone(),
                             completed: st.done,
@@ -732,7 +732,7 @@ fn dispatch(
                         "[pool] worker {}: cell #{idx} '{}' attempt {attempt_no}/{} failed \
                          (reason: {}): {}{}",
                         stats.name,
-                        cells[idx].label(),
+                        cells[idx].name(),
                         cfg.max_attempts,
                         reason.label(),
                         err.detail,
@@ -747,7 +747,7 @@ fn dispatch(
                     vec![
                         ("worker".to_string(), stats.name.to_json()),
                         ("cell".to_string(), (idx as u64).to_json()),
-                        ("label".to_string(), cells[idx].label().to_json()),
+                        ("label".to_string(), cells[idx].name().to_json()),
                         ("reason".to_string(), reason.label().to_json()),
                         ("attempt".to_string(), (attempt_no as u64).to_json()),
                         (
@@ -808,10 +808,8 @@ mod tests {
                 addr: "127.0.0.1:1".into(),
             },
         ]));
-        let cells = vec![crate::Cell::new(
-            "unreachable",
-            irn_core::ExperimentConfig::quick(10),
-        )];
+        let cfg = irn_core::ExperimentConfig::quick(10);
+        let cells = vec![Scenario::from_config("unreachable", cfg).unwrap()];
         let err = pool.run_cells(&cells, None).unwrap_err();
         assert!(
             matches!(

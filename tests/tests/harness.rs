@@ -2,13 +2,12 @@
 //!
 //! The tentpole guarantee: a report assembled from a harness batch —
 //! and the JSON artifact serialized from it — is **byte-identical** at
-//! any `--jobs` value, and multi-seed aggregation does not depend on
-//! seed order. These tests run a deliberately small scale (the point is
-//! scheduling, not statistics).
+//! any `--jobs` value. These tests run a deliberately small scale (the
+//! point is scheduling, not statistics).
 
-use irn_experiments::artifacts::{self, Determinism};
-use irn_experiments::{runners, Scale};
-use irn_harness::{Cell, Harness, Replicate};
+use irn_experiments::artifacts;
+use irn_experiments::Scale;
+use irn_harness::Harness;
 use serde::json;
 use serde::Serialize;
 
@@ -26,22 +25,21 @@ fn tiny() -> Scale {
     }
 }
 
-/// The representative figure: fig4 exercises the sweep grid (variants ×
-/// cc), seed replication, batched submission, and metrics-row assembly.
-/// It is run through the registry, and must be flagged replicated there
-/// — that class is the registry's promise this byte-identity test
-/// relies on.
+/// The representative figure: fig4 exercises the grid (variants × cc),
+/// seed replication, batched submission, and metrics-row assembly. It
+/// is planned through the registry, and its plan must derive the
+/// replicated class — that class is the registry's promise this
+/// byte-identity test relies on.
 #[test]
 fn report_render_is_byte_identical_across_job_counts() {
-    let scale = tiny();
-    let artifact = artifacts::find("fig4").unwrap();
+    let plan = artifacts::find("fig4").unwrap().plan(tiny());
     assert_eq!(
-        artifact.determinism,
-        Determinism::Replicated,
+        plan.determinism(),
+        "replicated",
         "fig4 must be a replicated simulation artifact"
     );
-    let serial = artifact.run(scale, &Harness::new(1));
-    let parallel = artifact.run(scale, &Harness::new(8));
+    let serial = plan.run(&Harness::new(1));
+    let parallel = plan.run(&Harness::new(8));
     assert_eq!(
         serial.render(),
         parallel.render(),
@@ -55,19 +53,12 @@ fn report_render_is_byte_identical_across_job_counts() {
 #[test]
 fn json_artifact_is_byte_identical_across_job_counts() {
     let scale = tiny();
-    let fig4 = artifacts::find("fig4").unwrap();
-    let serial = artifacts::artifact_json(
-        fig4,
-        &scale,
-        &runners::fig4(scale).run(&Harness::new(1)),
-        None,
-    );
-    let parallel = artifacts::artifact_json(
-        fig4,
-        &scale,
-        &runners::fig4(scale).run(&Harness::new(8)),
-        None,
-    );
+    let fig4 = artifacts::find("fig4").unwrap().plan(scale);
+    let json = |jobs| {
+        let report = fig4.run(&Harness::new(jobs));
+        artifacts::artifact_json("fig4", &scale, &fig4, &report, None)
+    };
+    let (serial, parallel) = (json(1), json(8));
     assert_eq!(serial, parallel);
     artifacts::verify_artifact_json("fig4", &serial).unwrap();
     // Full value-level round-trip through the vendored serde.
@@ -81,29 +72,6 @@ fn json_artifact_is_byte_identical_across_job_counts() {
         v.get("seeds").and_then(json::Value::as_u64),
         Some(tiny().seeds as u64)
     );
-}
-
-/// Replicate aggregation over an incast traffic: the order seeds are
-/// supplied in must not change any aggregate bit.
-#[test]
-fn replicate_aggregation_is_seed_order_independent() {
-    let base = irn_core::ExperimentConfig {
-        topology: irn_core::TopologySpec::FatTree(4),
-        traffic: irn_core::TrafficModel::Incast {
-            m: 6,
-            total_bytes: 2_000_000,
-        },
-        ..irn_core::ExperimentConfig::paper_default(6)
-    };
-    let h = Harness::new(4);
-    let forward = Replicate::new(Cell::new("incast", base.clone()), [1, 102, 203]).run(&h);
-    let shuffled = Replicate::new(Cell::new("incast", base), [203, 1, 102]).run(&h);
-    let f = forward.stats(|r| r.rct().as_nanos() as f64);
-    let s = shuffled.stats(|r| r.rct().as_nanos() as f64);
-    assert_eq!(f.mean.to_bits(), s.mean.to_bits());
-    assert_eq!(f.std_dev.to_bits(), s.std_dev.to_bits());
-    assert_eq!(f.ci95.to_bits(), s.ci95.to_bits());
-    assert_eq!(f.n, 3);
 }
 
 /// A full RunResult round-trips through the vendored serde at the

@@ -10,8 +10,8 @@
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::SizeDistribution;
-use irn_core::{ExperimentConfig, TrafficModel};
-use irn_harness::{Cell, Executor, PoolConfig, ThreadExecutor, WorkerPool, WorkerSpec};
+use irn_core::{ExperimentConfig, Scenario, TrafficModel};
+use irn_harness::{Executor, PoolConfig, ThreadExecutor, WorkerPool, WorkerSpec};
 use irn_metrics::{
     FlowRecord, LogHistogram, MetricsCollector, MAX_RELATIVE_ERROR, QUANTILE_RELATIVE_ERROR,
 };
@@ -221,37 +221,42 @@ proptest! {
 /// A small mixed batch exercising every streaming population: Poisson
 /// heavy-tailed (single- and multi-packet flows), an incast (the
 /// secondary collector), and a lossy cell (retransmission paths).
-fn differential_batch() -> Vec<Cell> {
+fn differential_batch() -> Vec<Scenario> {
     let mut cells = vec![
-        Cell::new(
+        Scenario::from_config(
             "poisson-irn",
             ExperimentConfig::quick(60)
                 .with_transport(TransportKind::Irn)
                 .with_pfc(false)
                 .with_seed(3),
-        ),
-        Cell::new(
+        )
+        .unwrap(),
+        Scenario::from_config(
             "poisson-roce",
             ExperimentConfig::quick(50)
                 .with_transport(TransportKind::Roce)
                 .with_pfc(true)
                 .with_cc(CcKind::Dcqcn)
                 .with_seed(5),
-        ),
+        )
+        .unwrap(),
     ];
     let mut incast = ExperimentConfig::quick(40);
     incast.traffic =
         TrafficModel::incast_with_cross(6, 600_000, 0.5, SizeDistribution::HeavyTailed, 40);
-    cells.push(Cell::new("incast", incast.with_seed(7)));
+    cells.push(Scenario::from_config("incast", incast.with_seed(7)).unwrap());
     let mut lossy = ExperimentConfig::quick(40);
     lossy.loss_injection = 0.01;
-    cells.push(Cell::new(
-        "lossy",
-        lossy
-            .with_transport(TransportKind::Irn)
-            .with_pfc(false)
-            .with_seed(9),
-    ));
+    cells.push(
+        Scenario::from_config(
+            "lossy",
+            lossy
+                .with_transport(TransportKind::Irn)
+                .with_pfc(false)
+                .with_seed(9),
+        )
+        .unwrap(),
+    );
     cells
 }
 

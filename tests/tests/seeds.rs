@@ -1,6 +1,6 @@
 //! Seed-count sensitivity and global-scheduler equivalence.
 //!
-//! Two promises from the replicate-everywhere layer are pinned here:
+//! Two promises of seed replication and the global batch are pinned here:
 //!
 //! 1. **Seed semantics.** Raising `--seeds` on a Poisson artifact adds
 //!    `<metric>_ci95` columns with genuinely nonzero run-to-run
@@ -10,8 +10,8 @@
 //!    batch produces byte-identical reports to running each artifact
 //!    sequentially, at any job count.
 
-use irn_experiments::artifacts::{self, Artifact};
-use irn_experiments::{Harness, Scale};
+use irn_experiments::artifacts::{self, Artifact, BatchRun};
+use irn_experiments::{Harness, Plan, Scale};
 
 /// Debug-profile-friendly scale (CI runs these tests unoptimized too).
 fn tiny() -> Scale {
@@ -31,6 +31,19 @@ fn select(names: &[&str]) -> Vec<&'static Artifact> {
         .collect()
 }
 
+/// Each selected artifact's name and plan — the items of one global
+/// batch, as `repro` builds them.
+fn plans(selected: &[&Artifact], scale: Scale) -> Vec<(String, Plan)> {
+    selected
+        .iter()
+        .map(|a| (a.name.to_string(), a.plan(scale)))
+        .collect()
+}
+
+fn run_batch(items: &[(String, Plan)], jobs: usize) -> BatchRun {
+    artifacts::run_batch(items, &Harness::new(jobs), None).expect("in-process executor")
+}
+
 /// fig1 at `--seeds 1` has the classic single-value rows (no ci95
 /// columns); at `--seeds 5` every metric gains a ci95 companion that is
 /// nonzero — Poisson workload realizations genuinely differ by seed.
@@ -40,10 +53,9 @@ fn select(names: &[&str]) -> Vec<&'static Artifact> {
 #[test]
 fn poisson_artifact_gains_nonzero_ci95_with_seeds() {
     let h = Harness::new(4);
-    let one = artifacts::find("fig1").unwrap().run(tiny(), &h);
-    let five = artifacts::find("fig1")
-        .unwrap()
-        .run(tiny().with_seeds(5), &h);
+    let fig1 = artifacts::find("fig1").unwrap();
+    let one = fig1.plan(tiny()).run(&h);
+    let five = fig1.plan(tiny().with_seeds(5)).run(&h);
 
     assert_eq!(one.rows.len(), five.rows.len());
     for (r1, r5) in one.rows.iter().zip(&five.rows) {
@@ -83,20 +95,20 @@ fn poisson_artifact_gains_nonzero_ci95_with_seeds() {
 fn deterministic_artifact_is_seed_count_invariant() {
     let h = Harness::new(2);
     let budget = artifacts::find("state-budget").unwrap();
-    let one = budget.run(tiny(), &h).render();
-    let five = budget.run(tiny().with_seeds(5), &h).render();
+    let one = budget.plan(tiny()).run(&h).render();
+    let five = budget.plan(tiny().with_seeds(5)).run(&h).render();
     assert_eq!(one, five, "state-budget must ignore --seeds entirely");
 }
 
 /// The global interleaved batch is pure scheduling: for a mixed
 /// selection (small figures, an appendix table, an inline artifact),
-/// `run_artifacts` must render byte-identically to one-artifact-at-a-time
+/// `run_batch` must render byte-identically to one-artifact-at-a-time
 /// runs, and byte-identically between jobs=1 and jobs=8.
 #[test]
 fn global_batch_matches_sequential_at_any_job_count() {
     let scale = tiny().with_seeds(2);
     let names = ["fig1", "fig3", "table9", "state-budget"];
-    let selected = select(&names);
+    let items = plans(&select(&names), scale);
 
     let render_all = |reports: Vec<irn_experiments::Report>| -> String {
         reports
@@ -108,15 +120,12 @@ fn global_batch_matches_sequential_at_any_job_count() {
 
     // Sequential baseline: each artifact runs alone on a serial harness.
     let sequential: String = render_all(
-        selected
+        items
             .iter()
-            .map(|a| a.run(scale, &Harness::new(1)))
+            .map(|(_, plan)| plan.run(&Harness::new(1)))
             .collect(),
     );
-    let batched = |jobs| {
-        let batch = artifacts::run_artifacts(&selected, scale, &Harness::new(jobs), None);
-        render_all(batch.expect("in-process executor").reports)
-    };
+    let batched = |jobs| render_all(run_batch(&items, jobs).reports);
     let (batched_serial, batched_parallel) = (batched(1), batched(8));
 
     assert_eq!(
@@ -129,7 +138,7 @@ fn global_batch_matches_sequential_at_any_job_count() {
     );
 }
 
-/// The batch really is global: the cell count `run_artifacts` reports is
+/// The batch really is global: the cell count `run_batch` reports is
 /// the sum of the per-artifact plans, and demux hands every artifact
 /// exactly its own slice (spot-checked by comparing against the
 /// single-artifact path above).
@@ -137,12 +146,11 @@ fn global_batch_matches_sequential_at_any_job_count() {
 fn batch_cell_count_sums_per_artifact_plans() {
     let scale = tiny().with_seeds(2);
     let names = ["fig1", "fig2", "fig9", "state-budget"];
-    let selected = select(&names);
-    let batch = artifacts::run_artifacts(&selected, scale, &Harness::new(8), None)
-        .expect("in-process executor");
-    assert_eq!(batch.reports.len(), selected.len());
+    let items = plans(&select(&names), scale);
+    let batch = run_batch(&items, 8);
+    assert_eq!(batch.reports.len(), items.len());
     let total = batch.cell_count;
-    let per_artifact: usize = selected.iter().map(|a| a.plan(scale).cell_count()).sum();
+    let per_artifact: usize = items.iter().map(|(_, plan)| plan.cell_count()).sum();
     assert_eq!(total, per_artifact);
     // fig1 = 2 variants × 2 seeds, fig2 likewise; fig9 = 3cc × 3M × 2
     // transports × 2 reps; state-budget contributes nothing.
@@ -157,6 +165,11 @@ fn batch_cell_count_sums_per_artifact_plans() {
 /// change underneath the artifacts: any drift in event order
 /// (tie-breaks, timer delivery, arrival streaming) shows up here as a
 /// byte diff, and so would an artifact that read a clock.
+///
+/// The serial pass also pins every report's *shape* — row labels ×
+/// column names, per artifact — against `report-shapes.txt`, captured
+/// from the hand-written runners at ISSUE 20's parent commit: a table
+/// row that groups or folds its cells differently fails here by name.
 #[test]
 fn every_deterministic_artifact_is_byte_stable_across_job_counts() {
     // Debug-profile budget: this runs the whole registry three times,
@@ -169,25 +182,40 @@ fn every_deterministic_artifact_is_byte_stable_across_job_counts() {
     };
     let selected: Vec<&'static Artifact> = artifacts::ARTIFACTS.iter().collect();
     assert!(selected.len() >= 20, "registry unexpectedly shrank");
+    let items = plans(&selected, scale);
 
-    let render = |jobs: usize| -> Vec<(String, String)> {
-        let batch = artifacts::run_artifacts(&selected, scale, &Harness::new(jobs), None)
-            .expect("in-process executor");
-        selected
+    let render = |batch: &BatchRun| -> Vec<(String, String)> {
+        items
             .iter()
             .zip(batch.reports.iter().zip(&batch.telemetry))
-            .map(|(a, (rep, telemetry))| {
-                let json = artifacts::artifact_json(a, &scale, rep, telemetry.as_ref());
-                artifacts::verify_artifact_json(a.name, &json).unwrap();
+            .map(|((name, plan), (rep, telemetry))| {
+                let json = artifacts::artifact_json(name, &scale, plan, rep, telemetry.as_ref());
+                artifacts::verify_artifact_json(name, &json).unwrap();
                 (rep.render(), json)
             })
             .collect()
     };
-    let serial = render(1);
-    for (what, other) in [("jobs=8", render(8)), ("a second jobs=8 run", render(8))] {
-        for ((a, (s_txt, s_json)), (o_txt, o_json)) in selected.iter().zip(&serial).zip(&other) {
-            assert_eq!(s_txt, o_txt, "{}: stdout differs jobs=1 vs {what}", a.name);
-            assert_eq!(s_json, o_json, "{}: JSON differs jobs=1 vs {what}", a.name);
+    let serial_batch = run_batch(&items, 1);
+    let mut shapes = String::new();
+    for ((name, _), rep) in items.iter().zip(&serial_batch.reports) {
+        for row in &rep.rows {
+            let cols: Vec<&str> = row.values.iter().map(|(n, _)| n.as_str()).collect();
+            shapes.push_str(&format!("{name}\t{}\t{}\n", row.label, cols.join(" ")));
+        }
+    }
+    assert_eq!(
+        shapes,
+        include_str!("../../crates/experiments/tests/fixtures/report-shapes.txt"),
+        "artifact, row label, column names"
+    );
+
+    let serial = render(&serial_batch);
+    for what in ["jobs=8", "a second jobs=8 run"] {
+        let other = render(&run_batch(&items, 8));
+        for (((name, _), (s_txt, s_json)), (o_txt, o_json)) in items.iter().zip(&serial).zip(&other)
+        {
+            assert_eq!(s_txt, o_txt, "{name}: stdout differs jobs=1 vs {what}");
+            assert_eq!(s_json, o_json, "{name}: JSON differs jobs=1 vs {what}");
         }
     }
 }
@@ -198,10 +226,10 @@ fn every_deterministic_artifact_is_byte_stable_across_job_counts() {
 fn seeds_override_lands_in_envelope_not_scale_label() {
     let scale = Scale::quick().with_seeds(3);
     assert_eq!(scale.label(), "quick");
-    let fig1 = artifacts::find("fig1").unwrap();
+    let fig1 = artifacts::find("fig1").unwrap().plan(scale);
     let mut rep = irn_experiments::Report::new("Figure 1", "t", "p");
     rep.add(irn_experiments::Row::new("IRN").push("avg_slowdown", 1.0));
-    let text = artifacts::artifact_json(fig1, &scale, &rep, None);
+    let text = artifacts::artifact_json("fig1", &scale, &fig1, &rep, None);
     let v = serde::json::from_str(&text).unwrap();
     assert_eq!(v.get("seeds").and_then(serde::json::Value::as_u64), Some(3));
     assert_eq!(

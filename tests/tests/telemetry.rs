@@ -14,9 +14,9 @@
 //!    batch totals.
 
 use irn_core::transport::config::TransportKind;
-use irn_core::ExperimentConfig;
+use irn_core::{ExperimentConfig, Scenario};
 use irn_experiments::TelemetrySummary;
-use irn_harness::{Cell, Executor, Harness, ThreadExecutor};
+use irn_harness::{Executor, Harness, ThreadExecutor};
 use irn_telemetry::{TraceFilter, TraceSpec};
 use serde::{Deserialize, Serialize};
 
@@ -25,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// are kept well under the default flight-recorder capacity so the
 /// *unfiltered* traces here are never truncated (truncation gets its
 /// own dedicated test below).
-fn batch() -> Vec<Cell> {
+fn batch() -> Vec<Scenario> {
     let kinds = [
         TransportKind::Irn,
         TransportKind::Roce,
@@ -40,7 +40,7 @@ fn batch() -> Vec<Cell> {
                 .with_seed(i as u64 + 1)
                 .with_pfc(i % 2 == 0);
             cfg.transport = *kind;
-            Cell::new(format!("cell{i}"), cfg)
+            Scenario::from_config(format!("cell{i}"), cfg).unwrap()
         })
         .collect()
 }
