@@ -38,6 +38,17 @@ pub enum SenderPoll {
     Wait(Time),
     /// Window/BDP-FC full, or all data sent: an ACK must arrive before
     /// anything more can happen.
+    ///
+    /// **Sticky until the sender is fed.** `Blocked` is a function of
+    /// sender state alone, and that state changes only through
+    /// `on_ack_packet`, `on_cnp`, `on_timer` or a `poll` that returns a
+    /// packet; a sender that answered `Blocked` answers `Blocked` again,
+    /// at any later time and without changing state, until one of the
+    /// first three is called. The engine relies on this to stop polling
+    /// such a sender (`FlowSlab::poll_sender` in `irn-core`; its debug
+    /// builds assert it at every skipped poll). Anything that the clock
+    /// alone can unblock — a pacing gap, the retransmission-fetch delay
+    /// — must be [`SenderPoll::Wait`], never `Blocked`.
     Blocked,
     /// Flow fully acknowledged; the QP can be torn down.
     Done,
@@ -204,7 +215,10 @@ impl SenderQp {
         bdp.min(cwnd)
     }
 
-    /// Ask for the next packet to put on the wire.
+    /// Ask for the next packet to put on the wire. Keeps the
+    /// stickiness contract on [`SenderPoll::Blocked`]: the two clock
+    /// gates below answer `Wait`, and every `Blocked` comes from window
+    /// and cursor state only.
     #[inline]
     pub fn poll(&mut self, now: Time) -> SenderPoll {
         if self.done {

@@ -148,7 +148,10 @@ impl TcpSender {
         self.cwnd as u32
     }
 
-    /// Ask for the next packet.
+    /// Ask for the next packet. There is no clock gate here (no pacing,
+    /// no fetch delay), so `Blocked` — window full or everything sent —
+    /// is sticky until the next ACK or timer expiry, as the contract on
+    /// [`SenderPoll::Blocked`] requires.
     pub fn poll(&mut self, now: Time) -> SenderPoll {
         if self.done {
             return SenderPoll::Done;
