@@ -5,7 +5,7 @@ use irn_net::switch::EcnConfig;
 use irn_net::{Bandwidth, PfcConfig};
 use irn_sim::Duration;
 use irn_transport::cc::CcKind;
-use irn_transport::config::{TransportConfig, TransportKind};
+use irn_transport::config::{TransportConfig, TransportKind, DATA_HEADER_BYTES};
 use irn_workload::{SizeDistribution, TrafficModel};
 
 /// Which network to build.
@@ -179,7 +179,7 @@ impl ExperimentConfig {
 
     /// BDP cap in MTU-sized packets (§3.2/§4.1: ≈110 for the default).
     pub fn bdp_cap_packets(&self, diameter_hops: usize) -> u32 {
-        (self.bdp_bytes(diameter_hops) / (self.mtu as u64 + 48)) as u32
+        (self.bdp_bytes(diameter_hops) / (self.mtu as u64 + DATA_HEADER_BYTES as u64)) as u32
     }
 
     /// RTO_high per §4.1: "the sum of the propagation delay on the
@@ -220,7 +220,7 @@ impl ExperimentConfig {
 
     /// Build the fabric configuration.
     pub fn fabric_config(&self) -> irn_net::FabricConfig {
-        let max_frame = (self.mtu + 48 + self.extra_header) as u64;
+        let max_frame = (self.mtu + DATA_HEADER_BYTES + self.extra_header) as u64;
         irn_net::FabricConfig {
             bandwidth: self.bandwidth,
             prop_delay: self.prop_delay,

@@ -1,33 +1,28 @@
 //! The simulation engine: fabric + transports + workload + metrics under
 //! one deterministic event loop.
 //!
-//! The loop owns a single ladder-queue [`Scheduler`] over [`Event`];
-//! every subsystem is a passive state machine (the smoltcp idiom): the
-//! fabric consumes [`FabricEvent`]s (scheduling its own follow-ups
-//! straight into the typed queue via `From<FabricEvent> for Event`) and
-//! reports deliveries; senders/receivers are polled and fed packets;
-//! retransmission timers and NIC pacing wake-ups are first-class
-//! scheduler timers, so a cancelled or re-armed deadline is removed in
-//! O(1) and **never surfaces** — the engine sees no stale timer events.
-//! Flow arrivals are not queue events at all: they stream from the
-//! (sorted-once) flow list, so queue occupancy tracks in-flight work,
-//! not workload size. Nothing blocks, nothing is hidden — a run is a
-//! pure function of its [`ExperimentConfig`].
+//! The loop owns a single ladder-queue [`Scheduler`]; every subsystem is
+//! a passive state machine (the smoltcp idiom): the fabric consumes
+//! [`FabricEvent`]s (scheduling its own follow-ups straight into the
+//! queue) and reports deliveries; flow endpoints are polled and fed
+//! packets; retransmission timers and NIC pacing wake-ups are
+//! first-class scheduler timers, so a cancelled or re-armed deadline is
+//! removed in O(1) and **never surfaces** — the engine sees no stale
+//! timer events. Flow arrivals are not queue events at all: they stream
+//! from the (sorted-once) flow list, so queue occupancy tracks in-flight
+//! work, not workload size. Nothing blocks, nothing is hidden — a run is
+//! a pure function of its [`ExperimentConfig`].
 //!
-//! ## Ordering parity with the heap-based loop
+//! Ordering: nondecreasing time, FIFO among simultaneous queue events
+//! (the contract of `irn-integration`'s binary-heap reference queue),
+//! and arrivals win ties against queue events. Every pinned byte was
+//! taken under that order; `tests/tests/seeds.rs` pins jobs=1 vs jobs=8
+//! byte-equality for every artifact.
 //!
-//! The ladder queue preserves the contract of the binary-heap
-//! reference queue (`irn-integration`'s `EventQueue`: nondecreasing
-//! time, FIFO among simultaneous events), and arrivals
-//! win ties against queue events — exactly the order the previous
-//! engine produced by pushing every arrival up front with the smallest
-//! sequence numbers. Artifact output was verified byte-identical
-//! across the scheduler swap when it landed; what the suite pins
-//! continuously is jobs=1 vs jobs=8 byte-equality for every
-//! artifact (`tests/tests/seeds.rs`). Note the same
-//! change also fixed a timeout-race transmit bug in `SenderQp`, which
-//! intentionally moved numbers for the cells that hit it (see
-//! CHANGES.md) — that drift is the bugfix, not the scheduler.
+//! The engine drives flow endpoints, not transports: one
+//! `irn_transport::endpoints` pair per live flow, built from the run's
+//! `TransportKind`. No concrete sender or receiver type is named in
+//! this file (CI's size-ledger step checks).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -38,9 +33,8 @@ use irn_net::{
     Topology,
 };
 use irn_sim::{Scheduler, Time, TimerId};
-use irn_transport::config::{TransportConfig, TransportKind};
-use irn_transport::tcp::{TcpReceiver, TcpSender};
-use irn_transport::{HostNic, NicPoll, ReceiverQp, SenderPoll, SenderQp, TimerCmd};
+use irn_transport::config::{TransportConfig, DATA_HEADER_BYTES};
+use irn_transport::{endpoints, HostNic, NicPoll, Receiver, Sender, SenderPoll, TimerCmd};
 use irn_workload::{AppDriver, AppEvent, AppSink, FlowSpec, TrafficCtx};
 
 use crate::config::{ExperimentConfig, TopologySpec};
@@ -68,33 +62,18 @@ fn net_tables_for(spec: TopologySpec, topo: &Topology) -> Arc<NetTables> {
 /// Events driving the simulation. Timer events carry no generation
 /// tokens: the scheduler's cancellable timers guarantee only live
 /// expiries are delivered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
+#[derive(Debug, Clone, Copy)]
+enum Event {
     /// Network-internal event (arrivals, transmit completions, PFC).
     Fabric(FabricEvent),
-    /// A sender's retransmission timer expired (live).
-    QpTimer {
-        /// Flow index.
-        flow: u32,
-    },
-    /// A host NIC's pacing wake-up (live).
-    NicWake {
-        /// Host index.
-        host: u32,
-    },
+    /// The retransmission timer of flow `flow` expired.
+    QpTimer { flow: u32 },
+    /// The pacing wake-up of host `host`'s NIC.
+    NicWake { host: u32 },
     /// A closed-loop driver's spawned flow reaches its start time. The
     /// flow is already in the flow table; this event starts it exactly
     /// like a streamed arrival would.
-    AppSpawn {
-        /// Flow index.
-        flow: u32,
-    },
-}
-
-impl From<FabricEvent> for Event {
-    fn from(fe: FabricEvent) -> Event {
-        Event::Fabric(fe)
-    }
+    AppSpawn { flow: u32 },
 }
 
 /// [`Event`] packed into one word, the type the scheduler actually
@@ -106,7 +85,7 @@ impl From<FabricEvent> for Event {
 /// fields are comfortably below 2^30 (`a` is a directed-link / flow /
 /// host index, `b` an arena slot index); debug builds assert it.
 #[derive(Debug, Clone, Copy)]
-pub struct PackedEvent(u64);
+struct PackedEvent(u64);
 
 const TAG_TX_DONE: u64 = 0;
 const TAG_ARRIVE: u64 = 1;
@@ -125,7 +104,7 @@ impl PackedEvent {
 
     /// Decode back to the enum the engine matches on.
     #[inline]
-    pub fn unpack(self) -> Event {
+    fn unpack(self) -> Event {
         let a = (self.0 >> 3) as u32 & 0x3fff_ffff;
         let b = (self.0 >> 33) as u32;
         match self.0 & 0x7 {
@@ -163,47 +142,10 @@ impl From<FabricEvent> for PackedEvent {
     }
 }
 
-impl From<Event> for PackedEvent {
-    #[inline]
-    fn from(ev: Event) -> PackedEvent {
-        match ev {
-            Event::Fabric(fe) => fe.into(),
-            Event::QpTimer { flow } => PackedEvent::pack(TAG_QP_TIMER, flow, 0),
-            Event::NicWake { host } => PackedEvent::pack(TAG_NIC_WAKE, host, 0),
-            Event::AppSpawn { flow } => PackedEvent::pack(TAG_APP_SPAWN, flow, 0),
-        }
-    }
-}
-
-/// Sender variants (RDMA transports vs the iWARP TCP stack). The size
-/// skew between the variants is accepted: senders live in one flat Vec
-/// for the whole run, and boxing the large variant would put an
-/// indirection on the per-packet poll path.
-#[allow(clippy::large_enum_variant)]
-enum FlowSender {
-    Rdma(SenderQp),
-    Tcp(TcpSender),
-}
-
-impl FlowSender {
-    #[inline]
-    fn poll(&mut self, t: Time) -> SenderPoll {
-        match self {
-            FlowSender::Rdma(s) => s.poll(t),
-            FlowSender::Tcp(s) => s.poll(t),
-        }
-    }
-}
-
-enum FlowReceiver {
-    Rdma(ReceiverQp),
-    Tcp(TcpReceiver),
-}
-
 /// Live state of one in-progress flow: the slab's unit of allocation.
 struct FlowSlot {
-    sender: Option<FlowSender>,
-    receiver: Option<FlowReceiver>,
+    sender: Option<Sender>,
+    receiver: Option<Receiver>,
     /// Retransmission timer, created lazily and **owned by the slot**,
     /// not the flow: re-arming overwrites the payload, so a recycled
     /// slot safely reuses its timer for the next occupant.
@@ -222,7 +164,7 @@ const RETIRED: u32 = u32::MAX - 1;
 /// [`SenderPoll::Blocked`] and has not been handed out since. `Blocked`
 /// is sticky until the sender is fed (the contract on the variant), so
 /// [`FlowSlab::poll_sender`] answers for a parked sender from this dense
-/// map alone, without touching the ~900-byte [`FlowSlot`]. Slot indices
+/// map alone, without touching the ~700-byte [`FlowSlot`]. Slot indices
 /// stay below the bit (and so below the two sentinels above, which
 /// carry it).
 const PARKED: u32 = 1 << 31;
@@ -264,7 +206,7 @@ impl FlowSlab {
     }
 
     /// Allocate a slot for an arriving flow.
-    fn insert(&mut self, flow: usize, sender: FlowSender, receiver: FlowReceiver) {
+    fn insert(&mut self, flow: usize, sender: Sender, receiver: Receiver) {
         debug_assert_eq!(self.slot_of[flow], NOT_STARTED, "flow started twice");
         debug_assert!(
             self.slots.len() < (PARKED >> 1) as usize,
@@ -302,10 +244,10 @@ impl FlowSlab {
     }
 
     /// The flow's live sender, if any. This is the only way to a
-    /// `&mut FlowSender` outside [`FlowSlab::poll_sender`], and it
+    /// `&mut Sender` outside [`FlowSlab::poll_sender`], and it
     /// unparks the flow: whoever feeds the sender an ACK, a CNP or a
     /// timer expiry wakes it by construction.
-    fn sender_mut(&mut self, flow: usize) -> Option<&mut FlowSender> {
+    fn sender_mut(&mut self, flow: usize) -> Option<&mut Sender> {
         let si = live_slot(self.slot_of[flow])?;
         self.slot_of[flow] = si as u32;
         self.slots[si].sender.as_mut()
@@ -325,7 +267,7 @@ impl FlowSlab {
             // Debug builds poll anyway and check the stickiness contract
             // at every skipped poll. A `Blocked` poll is idempotent on
             // sender state (`tx_free`'s `Idle` path, `poll_gbn`'s early
-            // returns, `TcpSender::poll`'s fall-through), so debug and
+            // returns, the TCP sender's fall-through), so debug and
             // release runs stay byte-identical.
             debug_assert_eq!(
                 self.slots[si].sender.as_mut().map(|s| s.poll(t)),
@@ -343,11 +285,6 @@ impl FlowSlab {
             self.slot_of[flow] = entry | PARKED;
         }
         poll
-    }
-
-    /// The slot's (possibly unarmed) timer id.
-    fn timer(&mut self, flow: usize) -> Option<TimerId> {
-        self.slot_mut(flow).and_then(|s| s.timer)
     }
 
     /// True when the flow never reached [`FlowSlab::insert`].
@@ -380,17 +317,6 @@ impl FlowSlab {
         let idx = std::mem::size_of::<u32>() as u64;
         self.slots.len() as u64 * (slot + idx) + self.slot_of.len() as u64 * idx
     }
-}
-
-/// Per-flow bytes of the pre-slab engine layout, kept as the
-/// memory-gauge baseline: a retained `FlowRecord` plus run-length
-/// `Option<sender>` / `Option<receiver>` / `Option<TimerId>` slots, all
-/// sized to the total flow count regardless of concurrency.
-pub fn legacy_per_flow_bytes() -> u64 {
-    (std::mem::size_of::<FlowRecord>()
-        + std::mem::size_of::<Option<FlowSender>>()
-        + std::mem::size_of::<Option<FlowReceiver>>()
-        + std::mem::size_of::<Option<TimerId>>()) as u64
 }
 
 /// The closed-loop application runtime riding on the engine: the
@@ -590,7 +516,7 @@ impl Simulation {
         // before the sender saw its final ack). Slot order, not flow
         // order — the totals are commutative sums.
         for s in self.slab.slots.iter().filter_map(|s| s.sender.as_ref()) {
-            accumulate(&mut self.totals, s);
+            self.totals += s.stats();
         }
 
         let (primary, incast_metrics) = match self.incast_from {
@@ -648,19 +574,10 @@ impl Simulation {
     fn on_flow_arrival(&mut self, now: Time, i: usize) {
         let spec = self.flows[i];
         debug_assert_eq!(spec.at, now);
-        let tcfg = &self.tcfg;
         let flow = FlowId(i as u32);
         let (src, dst) = (HostId(spec.src), HostId(spec.dst));
-
-        let (snd, rcv) = if self.cfg.transport == TransportKind::IwarpTcp {
-            let s = TcpSender::new(tcfg.clone(), flow, src, dst, spec.bytes);
-            let r = TcpReceiver::new(tcfg, flow, src, dst, s.total_packets());
-            (FlowSender::Tcp(s), FlowReceiver::Tcp(r))
-        } else {
-            let s = SenderQp::new(tcfg.clone(), flow, src, dst, spec.bytes, self.cfg.cc, now);
-            let r = ReceiverQp::new(tcfg, flow, src, dst, s.total_packets(), self.cfg.cc);
-            (FlowSender::Rdma(s), FlowReceiver::Rdma(r))
-        };
+        let kind = self.cfg.transport;
+        let (snd, rcv) = endpoints(kind, &self.tcfg, flow, src, dst, spec.bytes, now);
         self.slab.insert(i, snd, rcv);
         irn_telemetry::trace!(
             "flow.start",
@@ -722,47 +639,37 @@ impl Simulation {
                     !self.slab.never_started(idx),
                     "data for a flow that never started"
                 );
-                let completed = match self
+                let out = self
                     .slab
                     .slot_mut(idx)
                     .expect("data for a retired flow")
                     .receiver
                     .as_mut()
                     .expect("data for a flow that never started")
-                {
-                    FlowReceiver::Rdma(r) => {
-                        let out = r.on_data(now, &pkt);
-                        if let Some(ack) = out.ack {
-                            if ack.kind == PacketKind::Nack {
-                                irn_telemetry::trace!(
-                                    "nack.tx",
-                                    t = now.as_nanos(),
-                                    flow = pkt.flow.0,
-                                    host = host.0,
-                                    psn = ack.psn,
-                                    sack = ack.sack,
-                                );
-                            }
-                            self.nics[host.idx()].push_control(ack);
-                        }
-                        if let Some(cnp) = out.cnp {
-                            irn_telemetry::trace!(
-                                "cnp.tx",
-                                t = now.as_nanos(),
-                                flow = pkt.flow.0,
-                                host = host.0,
-                            );
-                            self.nics[host.idx()].push_control(cnp);
-                        }
-                        out.completed
+                    .on_data(now, &pkt);
+                if let Some(ack) = out.ack {
+                    if ack.kind == PacketKind::Nack {
+                        irn_telemetry::trace!(
+                            "nack.tx",
+                            t = now.as_nanos(),
+                            flow = pkt.flow.0,
+                            host = host.0,
+                            psn = ack.psn,
+                            sack = ack.sack,
+                        );
                     }
-                    FlowReceiver::Tcp(r) => {
-                        let (ack, completed) = r.on_data(now, &pkt);
-                        self.nics[host.idx()].push_control(ack);
-                        completed
-                    }
-                };
-                if completed {
+                    self.nics[host.idx()].push_control(ack);
+                }
+                if let Some(cnp) = out.cnp {
+                    irn_telemetry::trace!(
+                        "cnp.tx",
+                        t = now.as_nanos(),
+                        flow = pkt.flow.0,
+                        host = host.0,
+                    );
+                    self.nics[host.idx()].push_control(cnp);
+                }
+                if out.completed {
                     self.record_completion(now, idx);
                     self.slab
                         .slot_mut(idx)
@@ -773,16 +680,16 @@ impl Simulation {
                 self.try_send(now, host);
             }
             PacketKind::Ack | PacketKind::Nack => {
-                let done = self.slab.sender_mut(idx).map(|sender| match sender {
-                    FlowSender::Rdma(s) => s.on_ack_packet(now, &pkt),
-                    FlowSender::Tcp(s) => s.on_ack_packet(now, &pkt),
-                });
+                let done = self
+                    .slab
+                    .sender_mut(idx)
+                    .map(|s| s.on_ack_packet(now, &pkt));
                 if let Some(done) = done {
                     self.drain_timer(now, idx);
                     if done {
                         let slot = self.slab.slot_mut(idx).expect("acked flow is live");
-                        let s = slot.sender.take().unwrap();
-                        accumulate(&mut self.totals, &s);
+                        let s = slot.sender.take().expect("it just completed");
+                        self.totals += s.stats();
                     }
                 }
                 // Retire even when the sender is already gone: a
@@ -795,7 +702,7 @@ impl Simulation {
                 self.try_send(now, host);
             }
             PacketKind::Cnp => {
-                if let Some(FlowSender::Rdma(s)) = self.slab.sender_mut(idx) {
+                if let Some(s) = self.slab.sender_mut(idx) {
                     s.on_cnp(now);
                 }
                 // Rate drop needs no immediate send attempt.
@@ -883,7 +790,7 @@ impl Simulation {
             self.flows.push(spec);
             self.slab.grow();
             self.sched
-                .push(spec.at, Event::AppSpawn { flow: idx }.into());
+                .push(spec.at, PackedEvent::pack(TAG_APP_SPAWN, idx, 0));
         }
         // Hand the drained buffer back so the sink reuses its capacity.
         self.app
@@ -903,11 +810,7 @@ impl Simulation {
             return;
         };
         irn_telemetry::trace!("timer.fire", t = now.as_nanos(), flow = idx);
-        let acted = match sender {
-            FlowSender::Rdma(s) => s.on_timer(now),
-            FlowSender::Tcp(s) => s.on_timer(now),
-        };
-        if acted {
+        if sender.on_timer(now) {
             self.drain_timer(now, idx);
             let src = HostId(self.flows[idx].src);
             self.try_send(now, src);
@@ -917,39 +820,26 @@ impl Simulation {
     /// Apply any timer request the sender produced to the slot's
     /// scheduler timer.
     fn drain_timer(&mut self, now: Time, idx: usize) {
-        let Some(sender) = self.slab.sender_mut(idx) else {
+        let sender = self.slab.sender_mut(idx);
+        let Some(req) = sender.and_then(Sender::take_timer_request) else {
             return;
         };
-        let req = match sender {
-            FlowSender::Rdma(s) => s.take_timer_request(),
-            FlowSender::Tcp(s) => s.take_timer_request(),
-        };
+        let slot = self.slab.slot_mut(idx).expect("a live sender has a slot");
         match req {
-            None => {}
-            Some(TimerCmd::Arm(deadline)) => {
+            TimerCmd::Arm(deadline) => {
                 irn_telemetry::trace!(
                     "timer.arm",
                     t = now.as_nanos(),
                     flow = idx,
                     deadline = deadline.as_nanos(),
                 );
-                let id = match self.slab.timer(idx) {
-                    Some(id) => id,
-                    None => {
-                        let id = self.sched.timer_create();
-                        self.slab
-                            .slot_mut(idx)
-                            .expect("arming sender is live")
-                            .timer = Some(id);
-                        id
-                    }
-                };
-                self.sched
-                    .timer_arm(id, deadline, Event::QpTimer { flow: idx as u32 }.into());
+                let sched = &mut self.sched;
+                let id = *slot.timer.get_or_insert_with(|| sched.timer_create());
+                sched.timer_arm(id, deadline, PackedEvent::pack(TAG_QP_TIMER, idx as u32, 0));
             }
-            Some(TimerCmd::Cancel) => {
+            TimerCmd::Cancel => {
                 irn_telemetry::trace!("timer.cancel", t = now.as_nanos(), flow = idx);
-                if let Some(id) = self.slab.timer(idx) {
+                if let Some(id) = slot.timer {
                     self.sched.timer_cancel(id);
                 }
             }
@@ -997,14 +887,14 @@ impl Simulation {
         let better = self.sched.timer_deadline(id).is_none_or(|d| at < d);
         if better {
             self.sched
-                .timer_arm(id, at, Event::NicWake { host: host.0 }.into());
+                .timer_arm(id, at, PackedEvent::pack(TAG_NIC_WAKE, host.0, 0));
         }
     }
 
     fn record_completion(&mut self, now: Time, idx: usize) {
         let spec = self.flows[idx];
         let hops = self.fabric.path_hops(HostId(spec.src), HostId(spec.dst));
-        let header = 48 + self.cfg.extra_header as u64;
+        let header = (DATA_HEADER_BYTES + self.cfg.extra_header) as u64;
         let packets = spec.bytes.max(1).div_ceil(self.cfg.mtu as u64);
         let wire_total = spec.bytes + packets * header;
         let one_pkt = (self.cfg.mtu as u64 + header).min(wire_total);
@@ -1040,23 +930,6 @@ impl Simulation {
     }
 }
 
-fn accumulate(t: &mut TransportTotals, s: &FlowSender) {
-    match s {
-        FlowSender::Rdma(s) => {
-            t.sent += s.stats.sent;
-            t.retransmitted += s.stats.retransmitted;
-            t.nacks += s.stats.nacks;
-            t.timeouts += s.stats.timeouts;
-            t.cnps += s.stats.cnps;
-        }
-        FlowSender::Tcp(s) => {
-            t.sent += s.stats.sent;
-            t.retransmitted += s.stats.fast_retransmits;
-            t.timeouts += s.stats.timeouts;
-        }
-    }
-}
-
 /// A poll reached a sender through [`FlowSlab::poll_sender`]: counted by
 /// this crate's unit tests, nothing in any other build. (A function
 /// pair down here rather than a `cfg` attribute at the call site: CI's
@@ -1071,6 +944,7 @@ use tests::count_real_poll;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use irn_transport::TransportKind;
     use irn_workload::{SizeDistribution, TrafficModel};
     use std::cell::Cell;
 
@@ -1084,13 +958,10 @@ mod tests {
         REAL_POLLS.with(|c| c.set(c.get() + 1));
     }
 
-    fn one_packet_flow(flow: u32) -> (FlowSender, FlowReceiver) {
+    fn one_packet_flow(flow: u32) -> (Sender, Receiver) {
         let tcfg = TransportConfig::irn_default();
         let (id, src, dst) = (FlowId(flow), HostId(0), HostId(1));
-        let cc = tcfg.cc;
-        let s = SenderQp::new(tcfg.clone(), id, src, dst, 1_000, cc, Time::ZERO);
-        let r = ReceiverQp::new(&tcfg, id, src, dst, s.total_packets(), cc);
-        (FlowSender::Rdma(s), FlowReceiver::Rdma(r))
+        endpoints(TransportKind::Irn, &tcfg, id, src, dst, 1_000, Time::ZERO)
     }
 
     /// Insert `flow` and poll it until its sender parks.
@@ -1130,7 +1001,7 @@ mod tests {
         let mut slab = FlowSlab::new(1);
         insert_parked(&mut slab, 0);
         slab.slot_mut(0).expect("live").inflight += 1;
-        assert!(slab.timer(0).is_none());
+        assert!(slab.slot_mut(0).expect("live").timer.is_none());
         assert_ne!(slab.slot_of[0] & PARKED, 0, "slot access leaves it parked");
         assert!(slab.sender_mut(0).is_some());
         assert_eq!(slab.slot_of[0], 0, "sender_mut hands out an unparked flow");

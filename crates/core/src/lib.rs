@@ -38,7 +38,7 @@ pub mod result;
 pub mod scenario;
 
 pub use config::{ExperimentConfig, TopologySpec};
-pub use engine::{legacy_per_flow_bytes, Simulation};
+pub use engine::Simulation;
 pub use irn_workload::{
     AllreduceAlgo, AppDriver, AppEvent, AppSink, ClosedLoop, Component, Population, Start,
     TrafficCtx, TrafficError, TrafficModel,

@@ -14,8 +14,15 @@
 
 use crate::artifacts::{pretty, BatchRun};
 use crate::scale::Scale;
-use irn_core::{legacy_per_flow_bytes, RunResult};
+use irn_core::RunResult;
 use serde::{de_field, json, Deserialize, Serialize};
+
+/// Per-flow bytes of the pre-slab engine layout, the baseline the gauge
+/// is judged against: a retained `FlowRecord` plus `Option<sender>` /
+/// `Option<receiver>` / `Option<TimerId>` slots sized to the total flow
+/// count. A recorded number, not a `size_of` sum: a baseline must not
+/// move when today's sender and receiver types do.
+pub const LEGACY_PER_FLOW_BYTES: u64 = 840;
 
 /// The memory gauge for one artifact (or one scenario batch) — one
 /// `artifacts` row of the `memory-v1` file: peak state over every
@@ -80,7 +87,7 @@ pub struct MemoryGauge {
     /// As in the artifact envelope.
     pub seeds: u64,
     /// The pre-refactor per-flow-record baseline
-    /// ([`legacy_per_flow_bytes`]) the ratios are judged against.
+    /// ([`LEGACY_PER_FLOW_BYTES`]) the ratios are judged against.
     pub legacy_per_flow_bytes: u64,
     /// One row per artifact that ran cells.
     pub artifacts: Vec<MemorySummary>,
@@ -97,7 +104,7 @@ pub fn memory_json(batch: &BatchRun, scale: &Scale) -> String {
         determinism: "deterministic".to_string(),
         scale: scale.label().to_string(),
         seeds: scale.seeds as u64,
-        legacy_per_flow_bytes: legacy_per_flow_bytes() as u64,
+        legacy_per_flow_bytes: LEGACY_PER_FLOW_BYTES,
         artifacts: batch.memory.iter().flatten().cloned().collect(),
     })
 }

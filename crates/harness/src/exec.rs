@@ -20,7 +20,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use irn_core::{RunResult, Scenario};
+use irn_core::{ExperimentConfig, RunResult, Scenario};
 use irn_telemetry::{TraceChunk, TraceFilter, TraceSpec};
 
 use crate::error::HarnessError;
@@ -44,6 +44,36 @@ pub struct CellOutcome {
     pub wall: std::time::Duration,
     /// The cell's trace-v1 chunk, when the batch ran with tracing.
     pub trace: Option<TraceChunk>,
+}
+
+/// Run one cell where the caller stands — a pool thread or a worker
+/// process: parse the trace filter (before any runtime is spent on the
+/// cell), start the clock, run — capturing the flight recorder when
+/// asked to, every line stamped with `id`, the cell's submission index
+/// in its batch — and build the outcome. The error is the filter
+/// parser's detail.
+pub(crate) fn run_cell(
+    id: u64,
+    cfg: ExperimentConfig,
+    trace: Option<&TraceSpec>,
+) -> Result<CellOutcome, String> {
+    let filter = trace
+        .map(|t| TraceFilter::parse(&t.filter).map(|f| (f, t.capacity)))
+        .transpose()?;
+    let start = std::time::Instant::now();
+    let (result, trace) = match filter {
+        None => (irn_core::run(cfg), None),
+        Some((filter, capacity)) => {
+            let (result, chunk) =
+                irn_telemetry::capture(id, filter, capacity, || irn_core::run(cfg));
+            (result, Some(chunk))
+        }
+    };
+    Ok(CellOutcome {
+        result,
+        wall: start.elapsed(),
+        trace,
+    })
 }
 
 /// A batch executor backend.
@@ -156,35 +186,12 @@ impl Executor for ThreadExecutor {
         cells: &[Scenario],
         trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError> {
-        let filter = match trace {
-            None => None,
-            Some(spec) => Some((
-                TraceFilter::parse(&spec.filter)
-                    .map_err(|detail| HarnessError::BadTraceFilter { detail })?,
-                spec.capacity,
-            )),
-        };
-        Ok(self.run_indexed(cells.len(), |i| {
-            let start = std::time::Instant::now();
-            match &filter {
-                None => CellOutcome {
-                    result: irn_core::run(cells[i].config().clone()),
-                    wall: start.elapsed(),
-                    trace: None,
-                },
-                Some((f, capacity)) => {
-                    let (result, chunk) =
-                        irn_telemetry::capture(i as u64, f.clone(), *capacity, || {
-                            irn_core::run(cells[i].config().clone())
-                        });
-                    CellOutcome {
-                        result,
-                        wall: start.elapsed(),
-                        trace: Some(chunk),
-                    }
-                }
-            }
-        }))
+        self.run_indexed(cells.len(), |i| {
+            run_cell(i as u64, cells[i].config().clone(), trace)
+        })
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .map_err(|detail| HarnessError::BadTraceFilter { detail })
     }
 
     fn concurrency(&self) -> usize {

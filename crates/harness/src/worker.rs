@@ -10,6 +10,7 @@
 
 use std::io::{BufRead, Write};
 
+use crate::exec::run_cell;
 use crate::wire::{self, Frame};
 
 /// Worker behavior knobs.
@@ -70,39 +71,21 @@ pub fn serve(
                     summary.aborted = true;
                     return Ok(summary);
                 }
-                // Validate the filter before burning the cell's runtime.
-                let filter = match &trace {
-                    None => Ok(None),
-                    Some(spec) => irn_telemetry::TraceFilter::parse(&spec.filter)
-                        .map(|f| Some((f, spec.capacity))),
-                };
-                match filter {
+                // The frame id is the cell's submission index in the
+                // coordinator's batch, so chunks captured anywhere in
+                // the fleet stamp the same cell numbers.
+                match run_cell(id, scenario.into_config(), trace.as_ref()) {
                     Err(detail) => {
                         summary.errors += 1;
                         wire::encode_error(Some(id), &format!("bad trace filter: {detail}"))
                     }
-                    Ok(filter) => {
-                        let start = std::time::Instant::now();
-                        let (result, chunk) = match filter {
-                            None => (irn_core::run(scenario.into_config()), None),
-                            Some((f, capacity)) => {
-                                // The frame id is the cell's submission
-                                // index in the coordinator's batch, so
-                                // chunks captured anywhere in the fleet
-                                // stamp the same cell numbers.
-                                let (result, chunk) =
-                                    irn_telemetry::capture(id, f, capacity, || {
-                                        irn_core::run(scenario.into_config())
-                                    });
-                                (result, Some(chunk))
-                            }
-                        };
+                    Ok(out) => {
                         summary.answered += 1;
                         wire::encode_result(
                             id,
-                            start.elapsed().as_secs_f64(),
-                            &result,
-                            chunk.as_ref(),
+                            out.wall.as_secs_f64(),
+                            &out.result,
+                            out.trace.as_ref(),
                         )
                     }
                 }

@@ -21,12 +21,11 @@
 use irn_net::Bandwidth;
 use irn_sim::Time;
 
-use super::params::DcqcnParams;
+use super::params::dcqcn as p;
 
 /// Per-flow DCQCN reaction-point state.
 #[derive(Debug, Clone)]
 pub struct Dcqcn {
-    p: DcqcnParams,
     line_mbps: f64,
     /// Current rate Rc.
     rc: f64,
@@ -44,16 +43,13 @@ pub struct Dcqcn {
     alpha_clock: Time,
     /// Last time the increase timer was serviced.
     inc_clock: Time,
-    /// CNPs received (stats).
-    pub cnps: u64,
 }
 
 impl Dcqcn {
     /// A flow starting at line rate (§4.1) at time `now`.
-    pub fn new(p: DcqcnParams, line_rate: Bandwidth, now: Time) -> Dcqcn {
+    pub fn new(line_rate: Bandwidth, now: Time) -> Dcqcn {
         let line_mbps = line_rate.as_mbps() as f64;
         Dcqcn {
-            p,
             line_mbps,
             rc: line_mbps,
             rt: line_mbps,
@@ -63,29 +59,28 @@ impl Dcqcn {
             bytes_since: 0,
             alpha_clock: now,
             inc_clock: now,
-            cnps: 0,
         }
     }
 
     /// Apply lazily-elapsed alpha decays and timer-driven increases.
     pub fn touch(&mut self, now: Time) {
         // Alpha decay: α ← (1-g)α per elapsed period, in closed form.
-        let periods = now.saturating_since(self.alpha_clock).as_nanos()
-            / self.p.alpha_timer.as_nanos().max(1);
+        let periods =
+            now.saturating_since(self.alpha_clock).as_nanos() / p::ALPHA_TIMER.as_nanos().max(1);
         if periods > 0 {
-            let decay = (1.0 - self.p.g).powi(periods.min(10_000) as i32);
+            let decay = (1.0 - p::G).powi(periods.min(10_000) as i32);
             self.alpha *= decay;
-            self.alpha_clock += self.p.alpha_timer * periods;
+            self.alpha_clock += p::ALPHA_TIMER * periods;
         }
         // Timer-driven increase events, one step per period.
-        let inc_periods = now.saturating_since(self.inc_clock).as_nanos()
-            / self.p.increase_timer.as_nanos().max(1);
+        let inc_periods =
+            now.saturating_since(self.inc_clock).as_nanos() / p::INCREASE_TIMER.as_nanos().max(1);
         for _ in 0..inc_periods.min(1_000) {
             self.timer_events += 1;
             self.increase_step();
         }
         if inc_periods > 0 {
-            self.inc_clock += self.p.increase_timer * inc_periods;
+            self.inc_clock += p::INCREASE_TIMER * inc_periods;
         }
     }
 
@@ -93,8 +88,8 @@ impl Dcqcn {
     pub fn on_send(&mut self, now: Time, bytes: u64) {
         self.touch(now);
         self.bytes_since += bytes;
-        while self.bytes_since >= self.p.byte_counter {
-            self.bytes_since -= self.p.byte_counter;
+        while self.bytes_since >= p::BYTE_COUNTER {
+            self.bytes_since -= p::BYTE_COUNTER;
             self.byte_events += 1;
             self.increase_step();
         }
@@ -103,10 +98,9 @@ impl Dcqcn {
     /// A CNP arrived: cut the rate (§ the RP decrease rule).
     pub fn on_cnp(&mut self, now: Time) {
         self.touch(now);
-        self.cnps += 1;
-        self.alpha = (1.0 - self.p.g) * self.alpha + self.p.g;
+        self.alpha = (1.0 - p::G) * self.alpha + p::G;
         self.rt = self.rc;
-        self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(self.p.min_rate_mbps);
+        self.rc = (self.rc * (1.0 - self.alpha / 2.0)).max(p::MIN_RATE_MBPS);
         // Reset the increase state machine.
         self.timer_events = 0;
         self.byte_events = 0;
@@ -117,15 +111,15 @@ impl Dcqcn {
 
     /// One rate-increase event (from either clock).
     fn increase_step(&mut self) {
-        let f = self.p.fast_recovery_threshold;
+        let f = p::FAST_RECOVERY_THRESHOLD;
         let t = self.timer_events;
         let b = self.byte_events;
         if t > f && b > f {
             // Hyper increase.
-            self.rt = (self.rt + self.p.rhai_mbps).min(self.line_mbps);
+            self.rt = (self.rt + p::RHAI_MBPS).min(self.line_mbps);
         } else if t > f || b > f {
             // Additive increase.
-            self.rt = (self.rt + self.p.rai_mbps).min(self.line_mbps);
+            self.rt = (self.rt + p::RAI_MBPS).min(self.line_mbps);
         }
         // Fast recovery and both increase stages converge Rc toward Rt.
         self.rc = ((self.rt + self.rc) / 2.0).min(self.line_mbps);
@@ -134,7 +128,7 @@ impl Dcqcn {
     /// Current pacing rate.
     pub fn rate_mbps(&mut self, now: Time) -> f64 {
         self.touch(now);
-        self.rc.clamp(self.p.min_rate_mbps, self.line_mbps)
+        self.rc.clamp(p::MIN_RATE_MBPS, self.line_mbps)
     }
 
     /// Current α (tests / introspection).
@@ -144,30 +138,20 @@ impl Dcqcn {
 }
 
 /// Notification-point state: CNP pacing at the receiver (one CNP per
-/// `cnp_interval` at most, per flow).
-#[derive(Debug, Clone)]
+/// [`p::CNP_INTERVAL`] at most, per flow).
+#[derive(Debug, Clone, Default)]
 pub struct CnpGenerator {
-    interval: irn_sim::Duration,
     last: Option<Time>,
     /// CNPs emitted (stats).
     pub emitted: u64,
 }
 
 impl CnpGenerator {
-    /// Notification point with the given minimum CNP spacing.
-    pub fn new(interval: irn_sim::Duration) -> CnpGenerator {
-        CnpGenerator {
-            interval,
-            last: None,
-            emitted: 0,
-        }
-    }
-
     /// An ECN-marked data packet arrived; should a CNP go out?
     pub fn on_marked_packet(&mut self, now: Time) -> bool {
         let due = match self.last {
             None => true,
-            Some(t) => now.saturating_since(t) >= self.interval,
+            Some(t) => now.saturating_since(t) >= p::CNP_INTERVAL,
         };
         if due {
             self.last = Some(now);
@@ -183,7 +167,7 @@ mod tests {
     use irn_sim::Duration;
 
     fn mk(now: Time) -> Dcqcn {
-        Dcqcn::new(DcqcnParams::paper(), Bandwidth::from_gbps(40), now)
+        Dcqcn::new(Bandwidth::from_gbps(40), now)
     }
 
     #[test]
@@ -240,7 +224,7 @@ mod tests {
         }
         let r = d.rate_mbps(t);
         assert!(r < 1_000.0, "sustained congestion must throttle: {r}");
-        assert!(r >= DcqcnParams::paper().min_rate_mbps);
+        assert!(r >= p::MIN_RATE_MBPS);
     }
 
     #[test]
@@ -257,7 +241,7 @@ mod tests {
 
     #[test]
     fn cnp_generator_paces() {
-        let mut g = CnpGenerator::new(Duration::micros(50));
+        let mut g = CnpGenerator::default();
         assert!(g.on_marked_packet(Time::from_nanos(0)));
         assert!(!g.on_marked_packet(Time::from_nanos(1_000)));
         assert!(!g.on_marked_packet(Time::ZERO + Duration::micros(49)));

@@ -26,7 +26,6 @@ use irn_net::Bandwidth;
 use irn_sim::{Duration, Time};
 
 pub use dcqcn::Dcqcn;
-pub use params::{AimdParams, DcqcnParams, DctcpParams, TimelyParams};
 pub use timely::Timely;
 pub use window::{Aimd, Dctcp};
 
@@ -87,10 +86,10 @@ impl CcState {
     pub fn new(kind: CcKind, line_rate: Bandwidth, bdp_packets: u32, now: Time) -> CcState {
         match kind {
             CcKind::None => CcState::None,
-            CcKind::Timely => CcState::Timely(Timely::new(TimelyParams::paper(), line_rate)),
-            CcKind::Dcqcn => CcState::Dcqcn(Dcqcn::new(DcqcnParams::paper(), line_rate, now)),
-            CcKind::Aimd => CcState::Aimd(Aimd::new(AimdParams::default_params(), bdp_packets)),
-            CcKind::Dctcp => CcState::Dctcp(Dctcp::new(DctcpParams::default_params(), bdp_packets)),
+            CcKind::Timely => CcState::Timely(Timely::new(line_rate)),
+            CcKind::Dcqcn => CcState::Dcqcn(Dcqcn::new(line_rate, now)),
+            CcKind::Aimd => CcState::Aimd(Aimd::new(bdp_packets)),
+            CcKind::Dctcp => CcState::Dctcp(Dctcp::new(bdp_packets)),
         }
     }
 
@@ -99,7 +98,7 @@ impl CcState {
     pub fn on_ack(&mut self, now: Time, newly_acked: u32, rtt: Duration, ecn_echo: bool) {
         match self {
             CcState::None => {}
-            CcState::Timely(t) => t.on_ack(now, rtt),
+            CcState::Timely(t) => t.on_completion(rtt),
             CcState::Dcqcn(d) => d.touch(now),
             CcState::Aimd(a) => a.on_ack(newly_acked),
             CcState::Dctcp(d) => d.on_ack(newly_acked, ecn_echo),

@@ -6,160 +6,102 @@
 //! papers give them; where a paper gives only a 10 Gbps configuration we
 //! keep the value and note it (the reproduction target is the *shape* of
 //! the comparisons, and every transport under test shares the same
-//! parameters).
-
-use irn_sim::Duration;
+//! parameters). They are constants, not per-flow state: no experiment
+//! varies one.
 
 /// DCQCN \[37\] reaction-point / notification-point parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DcqcnParams {
+pub mod dcqcn {
+    use irn_sim::Duration;
+
     /// EWMA gain for the alpha estimate (g = 1/256 in \[37\]).
-    pub g: f64,
+    pub const G: f64 = 1.0 / 256.0;
     /// Alpha update timer: alpha decays every such period without CNPs
     /// (55 µs in \[37\]).
-    pub alpha_timer: Duration,
+    pub const ALPHA_TIMER: Duration = Duration::micros(55);
     /// Rate-increase timer period (55 µs, the fast-recovery clock).
-    pub increase_timer: Duration,
+    pub const INCREASE_TIMER: Duration = Duration::micros(55);
     /// Byte counter: a rate-increase event per this many bytes sent
     /// (10 MB in \[37\]).
-    pub byte_counter: u64,
+    pub const BYTE_COUNTER: u64 = 10 * 1024 * 1024;
     /// Fast-recovery threshold F: increase events before leaving fast
     /// recovery (5 in \[37\]).
-    pub fast_recovery_threshold: u32,
+    pub const FAST_RECOVERY_THRESHOLD: u32 = 5;
     /// Additive-increase step (40 Mbps in \[37\]).
-    pub rai_mbps: f64,
+    pub const RAI_MBPS: f64 = 40.0;
     /// Hyper-increase step (400 Mbps in \[37\]).
-    pub rhai_mbps: f64,
+    pub const RHAI_MBPS: f64 = 400.0;
     /// Rate floor — DCQCN never pushes a flow below this.
-    pub min_rate_mbps: f64,
+    pub const MIN_RATE_MBPS: f64 = 40.0;
     /// Notification point: minimum gap between CNPs per flow (50 µs).
-    pub cnp_interval: Duration,
+    pub const CNP_INTERVAL: Duration = Duration::micros(50);
 }
 
-impl DcqcnParams {
-    /// The values from the DCQCN paper \[37\].
-    pub fn paper() -> DcqcnParams {
-        DcqcnParams {
-            g: 1.0 / 256.0,
-            alpha_timer: Duration::micros(55),
-            increase_timer: Duration::micros(55),
-            byte_counter: 10 * 1024 * 1024,
-            fast_recovery_threshold: 5,
-            rai_mbps: 40.0,
-            rhai_mbps: 400.0,
-            min_rate_mbps: 40.0,
-            cnp_interval: Duration::micros(50),
-        }
-    }
-}
+/// Timely \[29\] parameters. Rates update on every ACK: Timely updates
+/// per completion event, and with 1 KB MTU segments every ACK *is* one.
+pub mod timely {
+    use irn_sim::Duration;
 
-/// Timely \[29\] parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelyParams {
     /// Additive increment δ (10 Mbps in \[29\]).
-    pub delta_mbps: f64,
+    pub const DELTA_MBPS: f64 = 10.0;
     /// Multiplicative-decrease factor β (0.8 in \[29\]).
-    pub beta: f64,
+    pub const BETA: f64 = 0.8;
     /// EWMA weight α for the RTT-difference filter (0.46 per \[29\]'s
     /// patched implementation).
-    pub ewma_alpha: f64,
+    pub const EWMA_ALPHA: f64 = 0.46;
     /// Below this RTT: pure additive increase (50 µs in \[29\]).
-    pub t_low: Duration,
+    pub const T_LOW: Duration = Duration::micros(50);
     /// Above this RTT: multiplicative decrease independent of gradient
     /// (500 µs in \[29\]).
-    pub t_high: Duration,
+    pub const T_HIGH: Duration = Duration::micros(500);
     /// Consecutive negative-gradient completions before hyperactive
     /// increase (5 in \[29\]).
-    pub hai_threshold: u32,
+    pub const HAI_THRESHOLD: u32 = 5;
     /// Minimum RTT used to normalize the gradient (the paper's fabric
     /// floor; 20 µs here ≈ the 24 µs propagation RTT minus queuing-free
     /// slack).
-    pub min_rtt: Duration,
+    pub const MIN_RTT: Duration = Duration::micros(20);
     /// Rate floor.
-    pub min_rate_mbps: f64,
-    /// Minimum spacing between rate updates; `ZERO` = update on every
-    /// ACK (each MTU-sized segment is a completion event, \[29\]).
-    pub update_interval: Duration,
+    pub const MIN_RATE_MBPS: f64 = 10.0;
 }
 
-impl TimelyParams {
-    /// The values from the Timely paper \[29\].
-    pub fn paper() -> TimelyParams {
-        TimelyParams {
-            delta_mbps: 10.0,
-            beta: 0.8,
-            ewma_alpha: 0.46,
-            t_low: Duration::micros(50),
-            t_high: Duration::micros(500),
-            hai_threshold: 5,
-            min_rtt: Duration::micros(20),
-            min_rate_mbps: 10.0,
-            update_interval: Duration::ZERO,
-        }
-    }
-}
-
-/// TCP-style AIMD window parameters (§4.4.4).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AimdParams {
+/// TCP-style AIMD window parameters (§4.4.4): standard Reno-style
+/// constants.
+pub mod aimd {
     /// Additive increase per window's worth of ACKs, in packets.
-    pub increase_per_rtt: f64,
+    pub const INCREASE_PER_RTT: f64 = 1.0;
     /// Multiplicative-decrease factor on a loss event.
-    pub decrease_factor: f64,
+    pub const DECREASE_FACTOR: f64 = 0.5;
     /// Window floor, packets.
-    pub min_cwnd: f64,
-}
-
-impl AimdParams {
-    /// Standard Reno-style constants.
-    pub fn default_params() -> AimdParams {
-        AimdParams {
-            increase_per_rtt: 1.0,
-            decrease_factor: 0.5,
-            min_cwnd: 1.0,
-        }
-    }
+    pub const MIN_CWND: f64 = 1.0;
 }
 
 /// DCTCP \[15\] parameters (§4.4.4).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DctcpParams {
+pub mod dctcp {
     /// EWMA gain for the marked fraction (1/16 in \[15\]).
-    pub g: f64,
+    pub const G: f64 = 1.0 / 16.0;
     /// Window floor, packets.
-    pub min_cwnd: f64,
-}
-
-impl DctcpParams {
-    /// The values from the DCTCP paper \[15\].
-    pub fn default_params() -> DctcpParams {
-        DctcpParams {
-            g: 1.0 / 16.0,
-            min_cwnd: 1.0,
-        }
-    }
+    pub const MIN_CWND: f64 = 1.0;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use irn_sim::Duration;
 
     #[test]
     fn dcqcn_paper_values() {
-        let p = DcqcnParams::paper();
-        assert!((p.g - 0.00390625).abs() < 1e-12);
-        assert_eq!(p.alpha_timer, Duration::micros(55));
-        assert_eq!(p.byte_counter, 10 * 1024 * 1024);
-        assert_eq!(p.fast_recovery_threshold, 5);
-        assert_eq!(p.cnp_interval, Duration::micros(50));
+        assert!((dcqcn::G - 0.00390625).abs() < 1e-12);
+        assert_eq!(dcqcn::ALPHA_TIMER, Duration::micros(55));
+        assert_eq!(dcqcn::BYTE_COUNTER, 10 * 1024 * 1024);
+        assert_eq!(dcqcn::FAST_RECOVERY_THRESHOLD, 5);
+        assert_eq!(dcqcn::CNP_INTERVAL, Duration::micros(50));
     }
 
     #[test]
     fn timely_paper_values() {
-        let p = TimelyParams::paper();
-        assert_eq!(p.t_low, Duration::micros(50));
-        assert_eq!(p.t_high, Duration::micros(500));
-        assert_eq!(p.beta, 0.8);
-        assert_eq!(p.delta_mbps, 10.0);
+        assert_eq!(timely::T_LOW, Duration::micros(50));
+        assert_eq!(timely::T_HIGH, Duration::micros(500));
+        assert_eq!(timely::BETA, 0.8);
+        assert_eq!(timely::DELTA_MBPS, 10.0);
     }
 }

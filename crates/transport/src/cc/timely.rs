@@ -13,14 +13,13 @@
 //! timestamps the paper's implementation relies on.
 
 use irn_net::Bandwidth;
-use irn_sim::{Duration, Time};
+use irn_sim::Duration;
 
-use super::params::TimelyParams;
+use super::params::timely as p;
 
 /// Per-flow Timely state.
 #[derive(Debug, Clone)]
 pub struct Timely {
-    p: TimelyParams,
     line_mbps: f64,
     rate: f64,
     prev_rtt_ns: Option<f64>,
@@ -28,50 +27,22 @@ pub struct Timely {
     rtt_diff_ns: f64,
     /// Consecutive completions with non-positive gradient.
     negative_streak: u32,
-    /// Last rate-update instant: Timely reacts per *completion event*
-    /// (a segment of data, not every ACK \[29\]); we rate-limit updates
-    /// to one per minimum RTT, matching the paper's 16–64 KB segments.
-    last_update: Option<Time>,
-    /// Completion events seen (stats).
-    pub completions: u64,
 }
 
 impl Timely {
     /// A flow starting at line rate (§4.1).
-    pub fn new(p: TimelyParams, line_rate: Bandwidth) -> Timely {
+    pub fn new(line_rate: Bandwidth) -> Timely {
         Timely {
-            p,
             line_mbps: line_rate.as_mbps() as f64,
             rate: line_rate.as_mbps() as f64,
             prev_rtt_ns: None,
             rtt_diff_ns: 0.0,
             negative_streak: 0,
-            last_update: None,
-            completions: 0,
         }
     }
 
-    /// Feed an ACK's RTT sample at time `now`. When
-    /// `TimelyParams::update_interval` is nonzero, samples arriving
-    /// within the interval of the previous update are dropped
-    /// (per-completion-event cadence). The default is per-ACK updates:
-    /// Timely \[29\] updates per completion event, and with 1 KB MTU
-    /// segments every ACK *is* a completion event.
-    pub fn on_ack(&mut self, now: Time, rtt: Duration) {
-        if !self.p.update_interval.is_zero() {
-            if let Some(last) = self.last_update {
-                if now.saturating_since(last) < self.p.update_interval {
-                    return;
-                }
-            }
-        }
-        self.last_update = Some(now);
-        self.on_completion(rtt);
-    }
-
-    /// Feed one completion's RTT sample (unconditional update).
+    /// Feed one completion's RTT sample — an arriving ACK's.
     pub fn on_completion(&mut self, rtt: Duration) {
-        self.completions += 1;
         let rtt_ns = rtt.as_nanos() as f64;
 
         let new_diff = match self.prev_rtt_ns {
@@ -79,43 +50,41 @@ impl Timely {
             None => 0.0,
         };
         self.prev_rtt_ns = Some(rtt_ns);
-        self.rtt_diff_ns =
-            (1.0 - self.p.ewma_alpha) * self.rtt_diff_ns + self.p.ewma_alpha * new_diff;
-        let gradient = self.rtt_diff_ns / self.p.min_rtt.as_nanos() as f64;
+        self.rtt_diff_ns = (1.0 - p::EWMA_ALPHA) * self.rtt_diff_ns + p::EWMA_ALPHA * new_diff;
+        let gradient = self.rtt_diff_ns / p::MIN_RTT.as_nanos() as f64;
 
-        if rtt < self.p.t_low {
+        if rtt < p::T_LOW {
             // Below the floor: unconditional additive increase.
             self.negative_streak = self.negative_streak.saturating_add(1);
             self.additive_increase(1.0);
             return;
         }
-        if rtt > self.p.t_high {
+        if rtt > p::T_HIGH {
             // Above the ceiling: decrease regardless of gradient,
             // proportional to how far past T_high we are.
             self.negative_streak = 0;
-            let factor = 1.0 - self.p.beta * (1.0 - self.p.t_high.as_nanos() as f64 / rtt_ns);
-            self.rate = (self.rate * factor).max(self.p.min_rate_mbps);
+            let factor = 1.0 - p::BETA * (1.0 - p::T_HIGH.as_nanos() as f64 / rtt_ns);
+            self.rate = (self.rate * factor).max(p::MIN_RATE_MBPS);
             return;
         }
         if gradient <= 0.0 {
             self.negative_streak += 1;
             // HAI mode: after N consecutive decreases in RTT, climb in
             // multiples of δ.
-            let scale = if self.negative_streak >= self.p.hai_threshold {
-                self.p.hai_threshold as f64
+            let scale = if self.negative_streak >= p::HAI_THRESHOLD {
+                p::HAI_THRESHOLD as f64
             } else {
                 1.0
             };
             self.additive_increase(scale);
         } else {
             self.negative_streak = 0;
-            self.rate =
-                (self.rate * (1.0 - self.p.beta * gradient.min(1.0))).max(self.p.min_rate_mbps);
+            self.rate = (self.rate * (1.0 - p::BETA * gradient.min(1.0))).max(p::MIN_RATE_MBPS);
         }
     }
 
     fn additive_increase(&mut self, scale: f64) {
-        self.rate = (self.rate + scale * self.p.delta_mbps).min(self.line_mbps);
+        self.rate = (self.rate + scale * p::DELTA_MBPS).min(self.line_mbps);
     }
 
     /// Current pacing rate.
@@ -129,7 +98,7 @@ mod tests {
     use super::*;
 
     fn mk() -> Timely {
-        Timely::new(TimelyParams::paper(), Bandwidth::from_gbps(40))
+        Timely::new(Bandwidth::from_gbps(40))
     }
 
     #[test]
@@ -183,7 +152,7 @@ mod tests {
             t.on_completion(Duration::micros(300u64.saturating_sub(i) + 60));
         }
         assert!(
-            t.rate_mbps() > low + 5.0 * TimelyParams::paper().delta_mbps,
+            t.rate_mbps() > low + 5.0 * p::DELTA_MBPS,
             "HAI must speed recovery: {low} → {}",
             t.rate_mbps()
         );
@@ -195,6 +164,6 @@ mod tests {
         for _ in 0..1000 {
             t.on_completion(Duration::millis(5));
         }
-        assert!(t.rate_mbps() >= TimelyParams::paper().min_rate_mbps);
+        assert!(t.rate_mbps() >= p::MIN_RATE_MBPS);
     }
 }

@@ -10,52 +10,45 @@
 //! congestion unit) and start at the line-rate window (the BDP) per
 //! §4.1's flows-start-at-line-rate rule.
 
-use super::params::{AimdParams, DctcpParams};
+use super::params::{aimd, dctcp};
 
 /// TCP-style additive-increase / multiplicative-decrease window.
 #[derive(Debug, Clone)]
 pub struct Aimd {
-    p: AimdParams,
     cwnd: f64,
-    /// Loss events taken (stats).
-    pub losses: u64,
 }
 
 impl Aimd {
     /// Start with a window of `initial` packets (the BDP for line-rate
     /// start).
-    pub fn new(p: AimdParams, initial: u32) -> Aimd {
+    pub fn new(initial: u32) -> Aimd {
         Aimd {
-            p,
             cwnd: initial.max(1) as f64,
-            losses: 0,
         }
     }
 
     /// `n` packets newly acknowledged: congestion-avoidance increase
     /// (`increase_per_rtt / cwnd` per packet ⇒ ≈ +1 per RTT).
     pub fn on_ack(&mut self, n: u32) {
-        self.cwnd += n as f64 * self.p.increase_per_rtt / self.cwnd.max(1.0);
+        self.cwnd += n as f64 * aimd::INCREASE_PER_RTT / self.cwnd.max(1.0);
     }
 
     /// A loss event (NACK-detected or timeout): multiplicative decrease.
     /// The sender reports one event per recovery episode, not per lost
     /// packet (standard fast-recovery semantics).
     pub fn on_loss(&mut self) {
-        self.losses += 1;
-        self.cwnd = (self.cwnd * self.p.decrease_factor).max(self.p.min_cwnd);
+        self.cwnd = (self.cwnd * aimd::DECREASE_FACTOR).max(aimd::MIN_CWND);
     }
 
     /// Current window, whole packets.
     pub fn cwnd_packets(&self) -> u32 {
-        self.cwnd.max(self.p.min_cwnd) as u32
+        self.cwnd.max(aimd::MIN_CWND) as u32
     }
 }
 
 /// DCTCP \[15\]: window scaled by the EWMA fraction of ECN-marked ACKs.
 #[derive(Debug, Clone)]
 pub struct Dctcp {
-    p: DctcpParams,
     cwnd: f64,
     alpha: f64,
     /// Marked / total ACKs in the current observation window.
@@ -63,21 +56,17 @@ pub struct Dctcp {
     marked: u32,
     /// Window boundary: when `acked` crosses `cwnd`, fold the estimate.
     window_acked: f64,
-    /// Loss events (DCTCP falls back to halving on loss).
-    pub losses: u64,
 }
 
 impl Dctcp {
     /// Start with a window of `initial` packets.
-    pub fn new(p: DctcpParams, initial: u32) -> Dctcp {
+    pub fn new(initial: u32) -> Dctcp {
         Dctcp {
-            p,
             cwnd: initial.max(1) as f64,
             alpha: 0.0,
             acked: 0,
             marked: 0,
             window_acked: 0.0,
-            losses: 0,
         }
     }
 
@@ -98,9 +87,9 @@ impl Dctcp {
             } else {
                 0.0
             };
-            self.alpha = (1.0 - self.p.g) * self.alpha + self.p.g * f;
+            self.alpha = (1.0 - dctcp::G) * self.alpha + dctcp::G * f;
             if self.marked > 0 {
-                self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(self.p.min_cwnd);
+                self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(dctcp::MIN_CWND);
             }
             self.acked = 0;
             self.marked = 0;
@@ -110,13 +99,12 @@ impl Dctcp {
 
     /// Loss event: Reno-style halving.
     pub fn on_loss(&mut self) {
-        self.losses += 1;
-        self.cwnd = (self.cwnd * 0.5).max(self.p.min_cwnd);
+        self.cwnd = (self.cwnd * 0.5).max(dctcp::MIN_CWND);
     }
 
     /// Current window, whole packets.
     pub fn cwnd_packets(&self) -> u32 {
-        self.cwnd.max(self.p.min_cwnd) as u32
+        self.cwnd.max(dctcp::MIN_CWND) as u32
     }
 
     /// The marked-fraction estimate (tests).
@@ -131,7 +119,7 @@ mod tests {
 
     #[test]
     fn aimd_grows_one_per_window() {
-        let mut a = Aimd::new(AimdParams::default_params(), 10);
+        let mut a = Aimd::new(10);
         // Two windows' worth of ACKs grow cwnd by ≈2 (10 → ≈12).
         for _ in 0..21 {
             a.on_ack(1);
@@ -145,7 +133,7 @@ mod tests {
 
     #[test]
     fn aimd_halves_on_loss() {
-        let mut a = Aimd::new(AimdParams::default_params(), 100);
+        let mut a = Aimd::new(100);
         a.on_loss();
         assert_eq!(a.cwnd_packets(), 50);
         for _ in 0..10 {
@@ -156,7 +144,7 @@ mod tests {
 
     #[test]
     fn dctcp_unmarked_traffic_keeps_growing() {
-        let mut d = Dctcp::new(DctcpParams::default_params(), 10);
+        let mut d = Dctcp::new(10);
         for _ in 0..100 {
             d.on_ack(1, false);
         }
@@ -166,7 +154,7 @@ mod tests {
 
     #[test]
     fn dctcp_fully_marked_traffic_throttles_gently_then_hard() {
-        let mut d = Dctcp::new(DctcpParams::default_params(), 64);
+        let mut d = Dctcp::new(64);
         let start = d.cwnd_packets();
         for _ in 0..2000 {
             d.on_ack(1, true);
@@ -177,7 +165,7 @@ mod tests {
 
     #[test]
     fn dctcp_partial_marking_scales_proportionally() {
-        let mut d = Dctcp::new(DctcpParams::default_params(), 64);
+        let mut d = Dctcp::new(64);
         // ~12.5 % marks.
         for i in 0..4000u32 {
             d.on_ack(1, i % 8 == 0);
@@ -191,7 +179,7 @@ mod tests {
 
     #[test]
     fn dctcp_loss_halves() {
-        let mut d = Dctcp::new(DctcpParams::default_params(), 40);
+        let mut d = Dctcp::new(40);
         d.on_loss();
         assert_eq!(d.cwnd_packets(), 20);
     }

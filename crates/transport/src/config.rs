@@ -5,6 +5,10 @@ use irn_sim::Duration;
 
 use crate::cc::CcKind;
 
+/// Header bytes on every data packet: the RoCEv2 stack
+/// (Eth+IP+UDP+BTH+ICRC ≈ 48 B in our accounting).
+pub const DATA_HEADER_BYTES: u32 = 48;
+
 /// Loss-recovery scheme of a sender/receiver pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossRecovery {
@@ -15,31 +19,8 @@ pub enum LossRecovery {
     GoBackN,
 }
 
-/// How much reverse bandwidth acknowledgements consume.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AckMode {
-    /// Per-packet ACKs occupying wire bytes (IRN pays this overhead —
-    /// §5.2: "our results take into account the overhead of per-packet
-    /// ACKs in IRN").
-    PerPacket {
-        /// ACK/NACK frame size on the wire.
-        wire_bytes: u32,
-    },
-    /// Signalling-only acknowledgements consuming no bandwidth — the
-    /// paper's RoCE baseline ("did not use ACKs … modelling the extreme
-    /// case of all Reads", §5.2). Loss-recovery state still flows.
-    Free,
-}
-
-impl AckMode {
-    /// Wire size of one acknowledgement frame.
-    pub fn bytes(self) -> u32 {
-        match self {
-            AckMode::PerPacket { wire_bytes } => wire_bytes,
-            AckMode::Free => 0,
-        }
-    }
-}
+/// Wire size of a per-packet ACK/NACK frame.
+pub const ACK_WIRE_BYTES: u32 = 64;
 
 /// Named transport presets from the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,14 +47,15 @@ pub struct TransportConfig {
     pub bdp_cap: Option<u32>,
     /// MTU payload bytes per data packet (§3.2: typically 1 KB).
     pub mtu: u32,
-    /// Header overhead added to every data packet (RoCEv2 stack:
-    /// Eth+IP+UDP+BTH+ICRC ≈ 48 B in our accounting).
-    pub data_header: u32,
     /// Extra per-packet header for IRN's OOO support (Fig 12: worst case
     /// +16 B RETH on every Write packet; 0 in the no-overhead model).
     pub extra_header: u32,
-    /// Acknowledgement accounting.
-    pub ack_mode: AckMode,
+    /// Wire bytes of one acknowledgement frame. IRN pays for per-packet
+    /// ACKs ([`ACK_WIRE_BYTES`]; §5.2: "our results take into account
+    /// the overhead of per-packet ACKs in IRN"); the paper's RoCE
+    /// baseline signals for free (0: "did not use ACKs … modelling the
+    /// extreme case of all Reads") — loss-recovery state still flows.
+    pub ack_bytes: u32,
     /// Retransmission timeout when many packets are in flight, and the
     /// only timeout for RoCE (§4.1: ≈320 µs default).
     pub rto_high: Duration,
@@ -107,9 +89,8 @@ impl TransportConfig {
             recovery: LossRecovery::SelectiveRepeat,
             bdp_cap: Some(110),
             mtu: 1000,
-            data_header: 48,
             extra_header: 0,
-            ack_mode: AckMode::PerPacket { wire_bytes: 64 },
+            ack_bytes: ACK_WIRE_BYTES,
             rto_high: Duration::micros(320),
             rto_low: Duration::micros(100),
             rto_low_n: 3,
@@ -128,7 +109,7 @@ impl TransportConfig {
         TransportConfig {
             recovery: LossRecovery::GoBackN,
             bdp_cap: None,
-            ack_mode: AckMode::Free,
+            ack_bytes: 0,
             timeouts_enabled: !with_pfc,
             ..TransportConfig::irn_default()
         }
@@ -150,9 +131,7 @@ impl TransportConfig {
             // The TCP stack has its own state machine; the shared fields
             // (MTU, headers, acks, line rate) still come from here.
             TransportKind::IwarpTcp => TransportConfig {
-                recovery: LossRecovery::SelectiveRepeat,
                 bdp_cap: None,
-                ack_mode: AckMode::PerPacket { wire_bytes: 64 },
                 ..TransportConfig::irn_default()
             },
         }
@@ -160,7 +139,7 @@ impl TransportConfig {
 
     /// Wire bytes of the data packet carrying `payload` bytes.
     pub fn data_wire_bytes(&self, payload: u32) -> u32 {
-        payload + self.data_header + self.extra_header
+        payload + DATA_HEADER_BYTES + self.extra_header
     }
 
     /// Number of data packets for a flow of `bytes`.
@@ -192,7 +171,7 @@ mod tests {
         assert_eq!(c.rto_high, Duration::micros(320));
         assert_eq!(c.rto_low, Duration::micros(100));
         assert_eq!(c.rto_low_n, 3);
-        assert_eq!(c.ack_mode.bytes(), 64);
+        assert_eq!(c.ack_bytes, 64);
         assert_eq!(c.recovery, LossRecovery::SelectiveRepeat);
     }
 
@@ -200,7 +179,7 @@ mod tests {
     fn roce_default_matches_paper() {
         let with_pfc = TransportConfig::roce_default(true);
         assert!(!with_pfc.timeouts_enabled, "§4.1: timeouts off with PFC");
-        assert_eq!(with_pfc.ack_mode.bytes(), 0, "§5.2: no ACK overhead");
+        assert_eq!(with_pfc.ack_bytes, 0, "§5.2: no ACK overhead");
         assert_eq!(with_pfc.bdp_cap, None);
         let without = TransportConfig::roce_default(false);
         assert!(without.timeouts_enabled, "§4.1: RTO_high without PFC");
@@ -223,7 +202,7 @@ mod tests {
         let gbn = TransportConfig::preset(TransportKind::IrnGoBackN, false);
         assert_eq!(gbn.recovery, LossRecovery::GoBackN);
         assert_eq!(gbn.bdp_cap, Some(110), "ablation keeps BDP-FC");
-        assert_eq!(gbn.ack_mode.bytes(), 64, "ablations keep IRN's acks");
+        assert_eq!(gbn.ack_bytes, 64, "ablations keep IRN's acks");
         let nofc = TransportConfig::preset(TransportKind::IrnNoBdpFc, false);
         assert_eq!(nofc.bdp_cap, None);
         assert_eq!(nofc.recovery, LossRecovery::SelectiveRepeat);

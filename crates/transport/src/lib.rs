@@ -19,12 +19,19 @@
 //!   modelled as a NewReno sender/receiver pair ([`tcp`]) with slow
 //!   start, fast retransmit/recovery and RTO estimation.
 //!
-//! [`sender::SenderQp`] / [`receiver::ReceiverQp`] expose a poll-based
-//! interface: the embedding simulation asks for the next packet when the
-//! NIC port is free ([`nic::HostNic`] arbitrates control-priority and
-//! per-QP round-robin like the ConnectX model in §4.1), and feeds
-//! arriving packets and timer expirations back in. Everything is
-//! clock-explicit and deterministic.
+//! Every sender is one private core — flow identity, the packetizer
+//! with its retransmission accounting, the retransmission timer's
+//! plumbing — under a policy: [`sender::SenderQp`] adds SACK or
+//! go-back-N recovery, BDP-FC and congestion control, [`tcp::TcpSender`]
+//! NewReno and the RTT-estimated RTO. The embedding simulation names
+//! neither: [`endpoints`] builds a [`Sender`] / [`Receiver`] pair for a
+//! [`TransportKind`], and drives those two enums.
+//!
+//! The interface is poll-based: the embedding simulation asks for the
+//! next packet when the NIC port is free ([`nic::HostNic`] arbitrates
+//! control-priority and per-QP round-robin like the ConnectX model in
+//! §4.1), and feeds arriving packets and timer expirations back in.
+//! Everything is clock-explicit and deterministic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +43,33 @@ pub mod receiver;
 pub mod sender;
 pub mod tcp;
 
-pub use config::{AckMode, LossRecovery, TransportConfig, TransportKind};
+pub use config::{LossRecovery, TransportConfig, TransportKind};
 pub use nic::{HostNic, NicPoll};
-pub use receiver::{ReceiverQp, RecvOutcome};
-pub use sender::{SenderPoll, SenderQp, TimerCmd};
+pub use receiver::{Receiver, ReceiverQp, RecvOutcome};
+pub use sender::{Sender, SenderPoll, SenderQp, SenderStats, TimerCmd};
+
+use irn_net::{FlowId, HostId};
+use irn_sim::Time;
+
+/// Build both endpoints of a flow of `size_bytes` from `src` to `dst`
+/// starting at `now`: the one place that knows which concrete sender
+/// and receiver a [`TransportKind`] means. The sender copies `cfg`.
+pub fn endpoints(
+    kind: TransportKind,
+    cfg: &TransportConfig,
+    flow: FlowId,
+    src: HostId,
+    dst: HostId,
+    size_bytes: u64,
+    now: Time,
+) -> (Sender, Receiver) {
+    if kind == TransportKind::IwarpTcp {
+        let s = tcp::TcpSender::new(cfg.clone(), flow, src, dst, size_bytes);
+        let r = tcp::TcpReceiver::new(cfg, flow, src, dst, s.total_packets());
+        (Sender::Tcp(s), Receiver::Tcp(r))
+    } else {
+        let s = SenderQp::new(cfg.clone(), flow, src, dst, size_bytes, cfg.cc, now);
+        let r = ReceiverQp::new(cfg, flow, src, dst, s.total_packets(), cfg.cc);
+        (Sender::Rdma(s), Receiver::Rdma(r))
+    }
+}

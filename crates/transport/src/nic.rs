@@ -66,16 +66,6 @@ impl HostNic {
         self.active.push(flow);
     }
 
-    /// Number of registered sender QPs.
-    pub fn active_flows(&self) -> usize {
-        self.active.len()
-    }
-
-    /// True when nothing is queued and no QPs are registered.
-    pub fn is_quiescent(&self) -> bool {
-        self.control.is_empty() && self.active.is_empty()
-    }
-
     /// Pick the next frame: control first, then round-robin over sender
     /// QPs via the `poll_sender` callback (which forwards to
     /// [`crate::SenderQp::poll`]). Senders reporting
@@ -227,13 +217,13 @@ mod tests {
             }
         });
         assert_eq!(got, NicPoll::Idle);
-        assert_eq!(nic.active_flows(), 1);
+        assert_eq!(nic.active.len(), 1);
     }
 
     #[test]
     fn idle_when_empty() {
         let mut nic = HostNic::new();
-        assert!(nic.is_quiescent());
+        assert!(nic.control.is_empty() && nic.active.is_empty());
         assert_eq!(nic.poll(Time::ZERO, |_, _| unreachable!()), NicPoll::Idle);
     }
 
@@ -261,7 +251,7 @@ mod tests {
         });
         let got = nic.poll(Time::ZERO, |f, _| SenderPoll::Packet(dat(f.0, 1)));
         assert!(matches!(got, NicPoll::Packet(_)));
-        assert_eq!(nic.active_flows(), 2);
+        assert_eq!(nic.active.len(), 2);
     }
 
     #[derive(Clone, Copy)]

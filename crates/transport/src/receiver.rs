@@ -18,6 +18,7 @@ use irn_sim::Time;
 use crate::cc::dcqcn::CnpGenerator;
 use crate::cc::CcKind;
 use crate::config::{LossRecovery, TransportConfig};
+use crate::tcp::TcpReceiver;
 
 /// What a data arrival produced.
 #[derive(Debug, Clone, Default)]
@@ -81,17 +82,39 @@ impl ReceiverQp {
             LossRecovery::SelectiveRepeat => ReceiverMode::Irn,
             LossRecovery::GoBackN => ReceiverMode::RoceGoBackN,
         };
-        let bitmap_bits = cfg.bdp_cap.unwrap_or(0).clamp(256, 4096);
+        let bitmap_bits = cfg.bdp_cap.unwrap_or(0).clamp(256, 4096) as usize;
+        let mut r = ReceiverQp::with(
+            mode,
+            bitmap_bits,
+            cfg.ack_bytes,
+            flow,
+            sender,
+            me,
+            total_packets,
+        );
+        r.cnp_gen = (cc_kind == CcKind::Dcqcn).then(CnpGenerator::default);
+        r
+    }
+
+    /// A receiver that sends no CNPs, from its parts.
+    pub(crate) fn with(
+        mode: ReceiverMode,
+        bitmap_bits: usize,
+        ack_bytes: u32,
+        flow: FlowId,
+        sender: HostId,
+        me: HostId,
+        total_packets: u32,
+    ) -> ReceiverQp {
         ReceiverQp {
             flow,
             sender,
             me,
             total_packets,
             mode,
-            ack_bytes: cfg.ack_mode.bytes(),
-            ctx: QpContext::new(bitmap_bits as usize),
-            cnp_gen: (cc_kind == CcKind::Dcqcn)
-                .then(|| CnpGenerator::new(crate::cc::DcqcnParams::paper().cnp_interval)),
+            ack_bytes,
+            ctx: QpContext::new(bitmap_bits),
+            cnp_gen: None,
             completed_at: None,
             stats: ReceiverStats::default(),
         }
@@ -100,11 +123,6 @@ impl ReceiverQp {
     /// When the flow completed, if it has.
     pub fn completed_at(&self) -> Option<Time> {
         self.completed_at
-    }
-
-    /// Next expected sequence number (tests).
-    pub fn expected_seq(&self) -> u32 {
-        self.ctx.expected_seq
     }
 
     /// Process an arriving data packet.
@@ -164,12 +182,38 @@ impl ReceiverQp {
         out
     }
 
+    /// The cumulative ACK of everything in order so far, answering `data`.
+    pub(crate) fn cumulative_ack(&self, data: &Packet) -> Packet {
+        self.make_ack(PacketKind::Ack, self.ctx.expected_seq, 0, data)
+    }
+
     fn make_ack(&self, kind: PacketKind, cum: u32, sack: u32, data: &Packet) -> Packet {
         let mut ack = Packet::control(kind, self.flow, self.me, self.sender, cum, self.ack_bytes);
         ack.sack = sack;
         ack.sent_at = data.sent_at; // RTT echo
         ack.ecn_echo = data.ecn_ce; // DCTCP echo
         ack
+    }
+}
+
+/// The receiving endpoint of one flow, whichever transport runs it:
+/// [`crate::Sender`]'s counterpart, built with it by [`crate::endpoints`].
+#[derive(Debug)]
+pub enum Receiver {
+    /// RoCE, IRN and the Figure 7 ablations.
+    Rdma(ReceiverQp),
+    /// The iWARP-style TCP stack.
+    Tcp(TcpReceiver),
+}
+
+impl Receiver {
+    /// Process an arriving data packet.
+    #[inline]
+    pub fn on_data(&mut self, now: Time, pkt: &Packet) -> RecvOutcome {
+        match self {
+            Receiver::Rdma(r) => r.on_data(now, pkt),
+            Receiver::Tcp(r) => r.on_data(now, pkt),
+        }
     }
 }
 

@@ -27,6 +27,7 @@ use irn_sim::{Duration, Time};
 
 use crate::cc::{CcKind, CcState};
 use crate::config::{LossRecovery, TransportConfig};
+use crate::tcp::TcpSender;
 
 /// Result of asking the sender for its next packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,16 +66,6 @@ pub enum TimerCmd {
     Cancel,
 }
 
-impl TimerCmd {
-    /// The armed deadline, if this is an arm request (test helper).
-    pub fn deadline(self) -> Option<Time> {
-        match self {
-            TimerCmd::Arm(t) => Some(t),
-            TimerCmd::Cancel => None,
-        }
-    }
-}
-
 /// Per-flow sender statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SenderStats {
@@ -90,22 +81,142 @@ pub struct SenderStats {
     pub cnps: u64,
 }
 
-/// The sending half of one flow.
+/// The flow's retransmission timer as its sender sees it: the deadline
+/// mirror of the one cancellable scheduler timer the embedding
+/// simulation keeps per flow, the one-slot mailbox of requests for it,
+/// and the lazy reset. Which timeout applies is the policy's argument.
+#[derive(Debug, Default)]
+pub(crate) struct RetxTimer {
+    /// `Some` while an expiry is pending out in the simulation.
+    deadline: Option<Time>,
+    pending: Option<TimerCmd>,
+    /// Last acknowledgement progress; an expiry earlier than
+    /// `last_progress + RTO` re-arms instead of firing (the standard
+    /// lazy-reset optimization — avoids scheduling an event per ACK).
+    last_progress: Time,
+}
+
+impl RetxTimer {
+    /// No expiry is pending: the next send or progress must arm.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.deadline.is_none()
+    }
+
+    /// Arm (or re-arm) for `at`, superseding any pending deadline.
+    pub(crate) fn arm(&mut self, at: Time) {
+        self.deadline = Some(at);
+        self.pending = Some(TimerCmd::Arm(at));
+    }
+
+    /// Acknowledgement progress: the pending expiry defers against it.
+    pub(crate) fn progress(&mut self, now: Time) {
+        self.last_progress = now;
+    }
+
+    /// Start a full `rto` from `now`.
+    pub(crate) fn restart(&mut self, now: Time, rto: Duration) {
+        self.progress(now);
+        self.arm(now + rto);
+    }
+
+    /// The pending expiry was delivered (only live ones ever are).
+    pub(crate) fn expired(&mut self) {
+        self.deadline = None;
+    }
+
+    /// Lazy reset: with progress less than `rto` ago, push the deadline
+    /// out instead of firing. Returns `true` when it re-armed.
+    pub(crate) fn defer(&mut self, now: Time, rto: Duration) -> bool {
+        let effective_deadline = self.last_progress + rto;
+        if effective_deadline > now {
+            self.arm(effective_deadline);
+        }
+        effective_deadline > now
+    }
+
+    /// Drain the request the last call left, if any.
+    pub(crate) fn take_request(&mut self) -> Option<TimerCmd> {
+        self.pending.take()
+    }
+}
+
+/// What every sender is, whatever recovers its losses: the flow's
+/// identity and length, the `psn → Packet` packetizer with its
+/// retransmission accounting, the retransmission timer's plumbing, and
+/// completion. [`SenderQp`] and [`TcpSender`] are this plus a policy.
 #[derive(Debug)]
-pub struct SenderQp {
-    cfg: TransportConfig,
+pub(crate) struct SenderCore {
+    pub(crate) cfg: TransportConfig,
     flow: FlowId,
     src: HostId,
     dst: HostId,
     size_bytes: u64,
-    total_packets: u32,
+    pub(crate) total_packets: u32,
+    /// Highest sequence ever transmitted + 1 (for retransmit marking).
+    pub(crate) highest_sent: u32,
+    pub(crate) timer: RetxTimer,
+    pub(crate) done: bool,
+    pub(crate) stats: SenderStats,
+}
+
+impl SenderCore {
+    pub(crate) fn new(
+        cfg: TransportConfig,
+        flow: FlowId,
+        src: HostId,
+        dst: HostId,
+        size_bytes: u64,
+    ) -> SenderCore {
+        SenderCore {
+            flow,
+            src,
+            dst,
+            size_bytes,
+            total_packets: cfg.packets_for(size_bytes),
+            highest_sent: 0,
+            timer: RetxTimer::default(),
+            done: false,
+            stats: SenderStats::default(),
+            cfg,
+        }
+    }
+
+    /// Data packet `psn`, sent at `now`. A sequence below the high-water
+    /// mark is a retransmission, and is counted as one.
+    pub(crate) fn packet(&mut self, now: Time, psn: u32) -> Packet {
+        let payload = self.cfg.payload_of(self.size_bytes, psn);
+        let wire = self.cfg.data_wire_bytes(payload);
+        let mut pkt = Packet::data(self.flow, self.src, self.dst, psn, wire);
+        pkt.sent_at = now;
+        pkt.is_last = psn + 1 == self.total_packets;
+        pkt.is_retx = psn < self.highest_sent;
+        if pkt.is_retx {
+            self.stats.retransmitted += 1;
+        }
+        self.highest_sent = self.highest_sent.max(psn + 1);
+        self.stats.sent += 1;
+        pkt
+    }
+
+    /// Every packet is cumulatively acknowledged: finish, and cancel the
+    /// pending deadline (the scheduler removes it in O(1) — it will
+    /// never pop). Returns `true`: "the flow just completed".
+    pub(crate) fn complete(&mut self) -> bool {
+        self.timer.pending = self.timer.deadline.take().map(|_| TimerCmd::Cancel);
+        self.done = true;
+        true
+    }
+}
+
+/// The sending half of one flow.
+#[derive(Debug)]
+pub struct SenderQp {
+    core: SenderCore,
     /// Transport context (SACK bitmap, cumulative state, recovery FSM).
     ctx: QpContext,
     /// Go-back-N transmit cursor (rewinds on NACK); mirrors
     /// `ctx.next_to_send` in selective-repeat mode.
     gbn_cursor: u32,
-    /// Highest sequence ever transmitted + 1 (for retransmit marking).
-    highest_sent: u32,
     /// Congestion-control state.
     cc: CcState,
     /// Pacing: earliest next transmission.
@@ -116,14 +227,6 @@ pub struct SenderQp {
     /// Pending head retransmission forced by a timeout (§3.1: timeout
     /// retransmits from the cumulative ack even without SACKs).
     force_head_retx: bool,
-    /// Deadline mirror of the flow's scheduler timer (`Some` while an
-    /// expiry is pending out in the simulation).
-    timer_deadline: Option<Time>,
-    pending_timer: Option<TimerCmd>,
-    /// Last acknowledgement progress; timer expiries earlier than
-    /// `last_progress + RTO` re-arm instead of firing (the standard
-    /// lazy-reset optimization — avoids scheduling an event per ACK).
-    last_progress: Time,
     /// In a loss episode for window-CC purposes (one `on_loss` per
     /// episode).
     cc_loss_reported: bool,
@@ -133,9 +236,6 @@ pub struct SenderQp {
     /// touched while tracing is enabled, so behaviour is identical when
     /// it is off.
     last_traced_cwnd: Option<u32>,
-    done: bool,
-    /// Counters.
-    pub stats: SenderStats,
 }
 
 impl SenderQp {
@@ -150,67 +250,47 @@ impl SenderQp {
         cc_kind: CcKind,
         now: Time,
     ) -> SenderQp {
-        let total_packets = cfg.packets_for(size_bytes);
+        let core = SenderCore::new(cfg, flow, src, dst, size_bytes);
+        let cfg = &core.cfg;
         let bitmap_bits = cfg
             .bdp_cap
             .unwrap_or(0)
             .max(256)
-            .max(total_packets.min(4096));
+            .max(core.total_packets.min(4096));
         let cc = CcState::new(cc_kind, cfg.line_rate, cfg.bdp_cap.unwrap_or(110), now);
         SenderQp {
-            flow,
-            src,
-            dst,
-            size_bytes,
-            total_packets,
             ctx: QpContext::new(bitmap_bits as usize),
             gbn_cursor: 0,
-            highest_sent: 0,
             cc,
             next_allowed: Time::ZERO,
             retx_ready_at: Time::ZERO,
             force_head_retx: false,
-            timer_deadline: None,
-            pending_timer: None,
-            last_progress: now,
             cc_loss_reported: false,
             nacks_outside_recovery: 0,
             last_traced_cwnd: None,
-            done: false,
-            cfg,
-            stats: SenderStats::default(),
+            core,
         }
-    }
-
-    /// The flow this sender drives.
-    pub fn flow(&self) -> FlowId {
-        self.flow
     }
 
     /// Total data packets in the flow.
     pub fn total_packets(&self) -> u32 {
-        self.total_packets
-    }
-
-    /// Flow size in payload bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.size_bytes
+        self.core.total_packets
     }
 
     /// True once every packet is cumulatively acknowledged.
     pub fn is_done(&self) -> bool {
-        self.done
+        self.core.done
     }
 
-    /// Packets currently unacknowledged.
-    pub fn in_flight(&self) -> u32 {
-        self.ctx.in_flight()
+    /// The flow's counters so far.
+    pub fn stats(&self) -> SenderStats {
+        self.core.stats
     }
 
     /// Effective window: the tightest of BDP-FC (§3.2) and the CC
     /// window (§4.4.4). `u32::MAX` when unbounded (plain RoCE).
     fn window(&self) -> u32 {
-        let bdp = self.cfg.bdp_cap.unwrap_or(u32::MAX);
+        let bdp = self.core.cfg.bdp_cap.unwrap_or(u32::MAX);
         let cwnd = self.cc.cwnd().unwrap_or(u32::MAX);
         bdp.min(cwnd)
     }
@@ -221,7 +301,7 @@ impl SenderQp {
     /// and cursor state only.
     #[inline]
     pub fn poll(&mut self, now: Time) -> SenderPoll {
-        if self.done {
+        if self.core.done {
             return SenderPoll::Done;
         }
         // Pacing gate (rate-based CC).
@@ -249,7 +329,7 @@ impl SenderQp {
             }
         }
 
-        match self.cfg.recovery {
+        match self.core.cfg.recovery {
             LossRecovery::SelectiveRepeat => self.poll_sack(now),
             LossRecovery::GoBackN => self.poll_gbn(now),
         }
@@ -257,7 +337,7 @@ impl SenderQp {
 
     fn poll_sack(&mut self, now: Time) -> SenderPoll {
         let can_send_new =
-            self.ctx.in_flight() < self.window() && self.ctx.next_to_send < self.total_packets;
+            self.ctx.in_flight() < self.window() && self.ctx.next_to_send < self.core.total_packets;
         match modules::tx_free(&mut self.ctx, can_send_new) {
             TxFreeOut::Retransmit { psn } => {
                 if now < self.retx_ready_at {
@@ -274,13 +354,13 @@ impl SenderQp {
     }
 
     fn poll_gbn(&mut self, now: Time) -> SenderPoll {
-        if self.gbn_cursor >= self.total_packets {
+        if self.gbn_cursor >= self.core.total_packets {
             return SenderPoll::Blocked;
         }
         if self.gbn_cursor.saturating_sub(self.ctx.cum_acked) >= self.window() {
             return SenderPoll::Blocked;
         }
-        if self.gbn_cursor < self.highest_sent && now < self.retx_ready_at {
+        if self.gbn_cursor < self.core.highest_sent && now < self.retx_ready_at {
             return SenderPoll::Wait(self.retx_ready_at);
         }
         let psn = self.gbn_cursor;
@@ -294,52 +374,43 @@ impl SenderQp {
     }
 
     fn make_packet(&mut self, now: Time, psn: u32) -> Packet {
-        let payload = self.cfg.payload_of(self.size_bytes, psn);
-        let wire = self.cfg.data_wire_bytes(payload);
-        let mut pkt = Packet::data(self.flow, self.src, self.dst, psn, wire);
-        pkt.sent_at = now;
-        pkt.is_last = psn + 1 == self.total_packets;
-        pkt.is_retx = psn < self.highest_sent;
-        if pkt.is_retx {
-            self.stats.retransmitted += 1;
-        }
-        self.highest_sent = self.highest_sent.max(psn + 1);
-        self.stats.sent += 1;
+        let pkt = self.core.packet(now, psn);
 
         // Pacing: open the next slot per the current rate.
         if let Some(rate) = self.cc.pacing_rate_mbps(now) {
-            let gap_ns = (wire as f64 * 8000.0 / rate).ceil() as u64;
+            let gap_ns = (pkt.wire_bytes as f64 * 8000.0 / rate).ceil() as u64;
             self.next_allowed = now + Duration::nanos(gap_ns);
         }
-        self.cc.on_send(now, wire as u64);
+        self.cc.on_send(now, pkt.wire_bytes as u64);
 
         // Make sure a retransmission timer is running.
-        if self.cfg.timeouts_enabled && self.timer_deadline.is_none() {
-            self.last_progress = now;
+        if self.core.cfg.timeouts_enabled && self.core.timer.is_idle() {
             self.arm_timer(now);
         }
         pkt
     }
 
-    /// Pick the §3.1 timeout: RTO_low only when few packets are in
-    /// flight (and only for IRN-style recovery).
+    /// The §3.1 timeout for the current flight, and whether it is
+    /// RTO_low: only when few packets are in flight, and only for
+    /// IRN-style recovery.
+    fn rto(&self) -> (Duration, bool) {
+        let cfg = &self.core.cfg;
+        let low =
+            cfg.recovery == LossRecovery::SelectiveRepeat && self.ctx.in_flight() < cfg.rto_low_n;
+        (if low { cfg.rto_low } else { cfg.rto_high }, low)
+    }
+
+    /// Start a full timeout from `now`.
     fn arm_timer(&mut self, now: Time) {
-        let low = self.cfg.recovery == LossRecovery::SelectiveRepeat
-            && self.ctx.in_flight() < self.cfg.rto_low_n;
-        let dur = if low {
-            self.cfg.rto_low
-        } else {
-            self.cfg.rto_high
-        };
+        let (rto, low) = self.rto();
         self.ctx.rto_low_armed = low;
-        self.timer_deadline = Some(now + dur);
-        self.pending_timer = Some(TimerCmd::Arm(now + dur));
+        self.core.timer.restart(now, rto);
     }
 
     /// Drain the timer request produced by the last call, if any. The
     /// embedding simulation applies it to this flow's scheduler timer.
     pub fn take_timer_request(&mut self) -> Option<TimerCmd> {
-        self.pending_timer.take()
+        self.core.timer.take_request()
     }
 
     /// Feed an arriving ACK or NACK. Returns `true` if the flow just
@@ -350,16 +421,17 @@ impl SenderQp {
         let cum = pkt.psn;
         let sack = is_nack.then_some(pkt.sack);
         if is_nack {
-            self.stats.nacks += 1;
+            self.core.stats.nacks += 1;
         }
 
         // §7 reordering robustness: with a threshold > 1, the first
         // NACKs outside recovery record their SACK information but do
         // not trigger retransmission — spraying fabrics NACK benignly.
         let mut effective_nack = is_nack;
-        if is_nack && self.cfg.recovery == LossRecovery::SelectiveRepeat && !self.ctx.in_recovery {
+        let cfg = &self.core.cfg;
+        if is_nack && cfg.recovery == LossRecovery::SelectiveRepeat && !self.ctx.in_recovery {
             self.nacks_outside_recovery += 1;
-            if self.nacks_outside_recovery < self.cfg.nack_threshold {
+            if self.nacks_outside_recovery < cfg.nack_threshold {
                 effective_nack = false;
             }
         }
@@ -369,14 +441,14 @@ impl SenderQp {
             self.nacks_outside_recovery = 0;
         }
         if out.entered_recovery {
-            self.retx_ready_at = now + self.cfg.retx_fetch_delay;
+            self.retx_ready_at = now + self.core.cfg.retx_fetch_delay;
             self.report_cc_loss(now);
         }
         if out.exited_recovery {
             self.cc_loss_reported = false;
         }
 
-        match self.cfg.recovery {
+        match self.core.cfg.recovery {
             LossRecovery::SelectiveRepeat => {}
             LossRecovery::GoBackN => {
                 if is_nack {
@@ -384,7 +456,7 @@ impl SenderQp {
                     // acknowledged one.
                     if cum < self.gbn_cursor {
                         self.gbn_cursor = cum.max(self.ctx.cum_acked);
-                        self.retx_ready_at = now + self.cfg.retx_fetch_delay;
+                        self.retx_ready_at = now + self.core.cfg.retx_fetch_delay;
                         self.report_cc_loss(now);
                     }
                 } else if cum > self.gbn_cursor {
@@ -398,18 +470,13 @@ impl SenderQp {
         self.cc.on_ack(now, out.newly_acked, rtt, pkt.ecn_echo);
         self.trace_cwnd(now);
 
-        // Timer discipline: progress re-arms, completion cancels (the
-        // scheduler removes the pending deadline in O(1) — it will
-        // never pop).
-        if self.ctx.cum_acked >= self.total_packets {
-            self.pending_timer = self.timer_deadline.take().map(|_| TimerCmd::Cancel);
-            self.done = true;
-            return true;
+        // Timer discipline: progress re-arms, completion cancels.
+        if self.ctx.cum_acked >= self.core.total_packets {
+            return self.core.complete();
         }
         if out.newly_acked > 0 {
-            // Lazy timer reset: the expiry handler defers against this.
-            self.last_progress = now;
-            if self.cfg.timeouts_enabled && self.timer_deadline.is_none() {
+            self.core.timer.progress(now);
+            if self.core.cfg.timeouts_enabled && self.core.timer.is_idle() {
                 self.arm_timer(now);
             }
         }
@@ -437,8 +504,8 @@ impl SenderQp {
                 irn_telemetry::trace!(
                     "cc.cwnd",
                     t = now.as_nanos(),
-                    flow = self.flow.0,
-                    host = self.src.0,
+                    flow = self.core.flow.0,
+                    host = self.core.src.0,
                     cwnd = cwnd,
                 );
             }
@@ -447,7 +514,7 @@ impl SenderQp {
 
     /// Feed a DCQCN congestion-notification packet.
     pub fn on_cnp(&mut self, now: Time) {
-        self.stats.cnps += 1;
+        self.core.stats.cnps += 1;
         self.cc.on_cnp(now);
         self.trace_cwnd(now);
     }
@@ -457,68 +524,130 @@ impl SenderQp {
     /// deadlines never reach here. Returns `true` if the sender acted
     /// (fired or re-armed) — i.e. a follow-up poll/drain is warranted.
     pub fn on_timer(&mut self, now: Time) -> bool {
-        if self.done {
+        if self.core.done {
             return false;
         }
-        self.timer_deadline = None; // the pending expiry was consumed
-        if self.ctx.in_flight() == 0 && self.ctx.next_to_send >= self.total_packets {
+        self.core.timer.expired();
+        if self.ctx.in_flight() == 0 && self.ctx.next_to_send >= self.core.total_packets {
             return false; // nothing outstanding; quiescent
         }
-        // Lazy reset: if progress happened since this expiry was armed,
-        // push the deadline out instead of firing.
-        let rto_now = if self.cfg.recovery == LossRecovery::SelectiveRepeat
-            && self.ctx.in_flight() < self.cfg.rto_low_n
-        {
-            self.cfg.rto_low
-        } else {
-            self.cfg.rto_high
-        };
-        let effective_deadline = self.last_progress + rto_now;
-        if effective_deadline > now {
-            self.ctx.rto_low_armed = rto_now == self.cfg.rto_low;
-            self.timer_deadline = Some(effective_deadline);
-            self.pending_timer = Some(TimerCmd::Arm(effective_deadline));
+        let (rto_now, low) = self.rto();
+        if self.core.timer.defer(now, rto_now) {
+            self.ctx.rto_low_armed = low;
             return true;
         }
-        match self.cfg.recovery {
+        match self.core.cfg.recovery {
             LossRecovery::SelectiveRepeat => {
-                match modules::timeout(&mut self.ctx, self.cfg.rto_low_n) {
+                match modules::timeout(&mut self.ctx, self.core.cfg.rto_low_n) {
                     TimeoutOut::ExtendToHigh => {
                         // Re-arm with the long timeout; no action (§6.2).
-                        self.ctx.rto_low_armed = false;
-                        self.timer_deadline = Some(now + self.cfg.rto_high);
-                        self.pending_timer = Some(TimerCmd::Arm(now + self.cfg.rto_high));
+                        self.core.timer.arm(now + self.core.cfg.rto_high);
                         return true;
                     }
                     TimeoutOut::Fired { .. } => {
-                        self.stats.timeouts += 1;
+                        self.core.stats.timeouts += 1;
                         self.force_head_retx = true;
-                        self.retx_ready_at = now + self.cfg.retx_fetch_delay;
+                        self.retx_ready_at = now + self.core.cfg.retx_fetch_delay;
                         self.report_cc_loss(now);
                     }
                 }
             }
             LossRecovery::GoBackN => {
-                self.stats.timeouts += 1;
+                self.core.stats.timeouts += 1;
                 self.gbn_cursor = self.ctx.cum_acked;
-                self.retx_ready_at = now + self.cfg.retx_fetch_delay;
+                self.retx_ready_at = now + self.core.cfg.retx_fetch_delay;
                 self.report_cc_loss(now);
             }
         }
-        self.last_progress = now;
         self.arm_timer(now);
         true
     }
+}
 
-    /// Expose the congestion-control state (tests, ablation metrics).
-    pub fn cc(&self) -> &CcState {
-        &self.cc
+/// The sending endpoint of one flow, whichever transport runs it: what
+/// the embedding simulation holds, polls and feeds. Built by
+/// [`crate::endpoints`]; each method is its namesake on [`SenderQp`] /
+/// [`TcpSender`].
+///
+/// A plain enum, not a trait object: senders live by value in one flat
+/// slab and `poll` is the per-packet path. The size skew between the
+/// variants is accepted for the same reason — boxing the large one
+/// would put an indirection on that path.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+pub enum Sender {
+    /// RoCE, IRN and the Figure 7 ablations.
+    Rdma(SenderQp),
+    /// The iWARP-style TCP stack.
+    Tcp(TcpSender),
+}
+
+impl Sender {
+    /// Ask for the next packet to put on the wire.
+    #[inline]
+    pub fn poll(&mut self, now: Time) -> SenderPoll {
+        match self {
+            Sender::Rdma(s) => s.poll(now),
+            Sender::Tcp(s) => s.poll(now),
+        }
+    }
+
+    /// Feed an arriving ACK or NACK; `true` if the flow just completed.
+    #[inline]
+    pub fn on_ack_packet(&mut self, now: Time, pkt: &Packet) -> bool {
+        match self {
+            Sender::Rdma(s) => s.on_ack_packet(now, pkt),
+            Sender::Tcp(s) => s.on_ack_packet(now, pkt),
+        }
+    }
+
+    /// Feed a DCQCN congestion-notification packet (TCP never gets one).
+    #[inline]
+    pub fn on_cnp(&mut self, now: Time) {
+        if let Sender::Rdma(s) = self {
+            s.on_cnp(now);
+        }
+    }
+
+    /// The flow's (live) retransmission timer expired; `true` if the
+    /// sender acted (fired or re-armed).
+    #[inline]
+    pub fn on_timer(&mut self, now: Time) -> bool {
+        match self {
+            Sender::Rdma(s) => s.on_timer(now),
+            Sender::Tcp(s) => s.on_timer(now),
+        }
+    }
+
+    /// Drain the timer request produced by the last call, if any.
+    #[inline]
+    pub fn take_timer_request(&mut self) -> Option<TimerCmd> {
+        match self {
+            Sender::Rdma(s) => s.take_timer_request(),
+            Sender::Tcp(s) => s.take_timer_request(),
+        }
+    }
+
+    /// The flow's counters so far, in the one shape every transport has.
+    pub fn stats(&self) -> SenderStats {
+        match self {
+            Sender::Rdma(s) => s.stats(),
+            Sender::Tcp(s) => s.stats(),
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The deadline the sender just asked its timer to be armed for.
+    pub(crate) fn armed_deadline(cmd: Option<TimerCmd>) -> Time {
+        match cmd {
+            Some(TimerCmd::Arm(t)) => t,
+            other => panic!("expected a timer arm, got {other:?}"),
+        }
+    }
     fn irn_sender(size: u64) -> SenderQp {
         SenderQp::new(
             TransportConfig::irn_default(),
@@ -614,7 +743,7 @@ mod tests {
         let done = s.on_ack_packet(Time::from_nanos(20_000), &ack(10, t1));
         assert!(done);
         assert!(s.is_done());
-        assert_eq!(s.stats.retransmitted, 1);
+        assert_eq!(s.stats().retransmitted, 1);
     }
 
     #[test]
@@ -631,7 +760,7 @@ mod tests {
         assert_eq!(retx.len(), 8, "§2.1: all packets after the loss resend");
         assert_eq!(retx[0].psn, 2);
         assert!(retx.iter().all(|p| p.is_retx));
-        assert_eq!(s.stats.retransmitted, 8);
+        assert_eq!(s.stats().retransmitted, 8);
     }
 
     #[test]
@@ -639,11 +768,10 @@ mod tests {
         let mut s = irn_sender(2_000); // 2 packets: in-flight 2 < N=3 → RTO_low
         let pkts = drain(&mut s, Time::ZERO);
         assert_eq!(pkts.len(), 2);
-        let req = s.take_timer_request().expect("timer armed on send");
-        let deadline = req.deadline().expect("arm, not cancel");
+        let deadline = armed_deadline(s.take_timer_request());
         assert_eq!(deadline, Time::ZERO + Duration::micros(100), "RTO_low");
         assert!(s.on_timer(deadline));
-        assert_eq!(s.stats.timeouts, 1);
+        assert_eq!(s.stats().timeouts, 1);
         let retx = drain(&mut s, deadline);
         assert_eq!(retx[0].psn, 0, "§3.1: timeout retransmits the cum. ack");
         assert!(retx[0].is_retx);
@@ -654,15 +782,14 @@ mod tests {
         let mut s = irn_sender(200_000); // 200 packets
         drain(&mut s, Time::ZERO);
         // Timer armed at the first send while in-flight was 0 → RTO_low.
-        let deadline = s.take_timer_request().unwrap().deadline().unwrap();
+        let deadline = armed_deadline(s.take_timer_request());
         assert_eq!(deadline, Time::ZERO + Duration::micros(100));
         // At expiry 110 packets are in flight (≥ N): must extend to
         // RTO_high (measured from the arming point), not fire.
         assert!(s.on_timer(deadline));
-        assert_eq!(s.stats.timeouts, 0, "no spurious timeout");
-        let req2 = s.take_timer_request().expect("re-armed with RTO_high");
+        assert_eq!(s.stats().timeouts, 0, "no spurious timeout");
         assert_eq!(
-            req2.deadline().unwrap(),
+            armed_deadline(s.take_timer_request()),
             Time::ZERO + Duration::micros(320),
             "extended to RTO_high"
         );
@@ -672,21 +799,17 @@ mod tests {
     fn ack_progress_defers_timeout() {
         let mut s = irn_sender(5_000);
         drain(&mut s, Time::ZERO);
-        let d1 = s.take_timer_request().unwrap().deadline().unwrap();
+        let d1 = armed_deadline(s.take_timer_request());
         // Progress at 5 µs: the expiry at the original deadline must
         // defer (re-arm), not fire a timeout.
         s.on_ack_packet(Time::ZERO + Duration::micros(5), &ack(2, Time::ZERO));
         assert!(s.on_timer(d1), "live but deferred");
-        assert_eq!(s.stats.timeouts, 0);
-        let d2 = s
-            .take_timer_request()
-            .expect("deferred re-arm")
-            .deadline()
-            .expect("arm");
+        assert_eq!(s.stats().timeouts, 0);
+        let d2 = armed_deadline(s.take_timer_request());
         assert!(d2 > d1);
         // The deferred deadline eventually fires for real.
         assert!(s.on_timer(d2));
-        assert_eq!(s.stats.timeouts, 1);
+        assert_eq!(s.stats().timeouts, 1);
     }
 
     #[test]
@@ -838,9 +961,8 @@ mod tests {
         let mut s = irn_sender(100);
         let pkts = drain(&mut s, Time::ZERO);
         assert_eq!(pkts.len(), 1);
-        let req = s.take_timer_request().unwrap();
         assert_eq!(
-            req.deadline().unwrap(),
+            armed_deadline(s.take_timer_request()),
             Time::ZERO + Duration::micros(100),
             "§3.1: short messages recover via RTO_low"
         );

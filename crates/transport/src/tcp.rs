@@ -17,11 +17,12 @@
 //! comparison is about.
 
 use irn_net::{FlowId, HostId, Packet, PacketKind};
-use irn_rdma::modules::{self, AckEmit, QpContext, ReceiverMode};
+use irn_rdma::modules::ReceiverMode;
 use irn_sim::{Duration, Time};
 
-use crate::config::TransportConfig;
-use crate::sender::{SenderPoll, TimerCmd};
+use crate::config::{TransportConfig, ACK_WIRE_BYTES};
+use crate::receiver::{ReceiverQp, RecvOutcome};
+use crate::sender::{SenderCore, SenderPoll, SenderStats, TimerCmd};
 
 /// TCP sender congestion state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,26 +42,11 @@ const DUPACK_THRESHOLD: u32 = 3;
 const MIN_RTO: Duration = Duration::micros(320);
 const MAX_RTO: Duration = Duration::millis(16);
 
-/// Per-flow TCP sender statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TcpStats {
-    /// Packets transmitted, including retransmissions.
-    pub sent: u64,
-    /// Fast retransmits triggered.
-    pub fast_retransmits: u64,
-    /// RTO events.
-    pub timeouts: u64,
-}
-
-/// The sending half of an iWARP-style TCP connection carrying one flow.
+/// The sending half of an iWARP-style TCP connection carrying one flow:
+/// the shared sender core under NewReno and an RTT-estimated RTO.
 #[derive(Debug)]
 pub struct TcpSender {
-    cfg: TransportConfig,
-    flow: FlowId,
-    src: HostId,
-    dst: HostId,
-    size_bytes: u64,
-    total_packets: u32,
+    core: SenderCore,
 
     cwnd: f64,
     ssthresh: f64,
@@ -68,7 +54,6 @@ pub struct TcpSender {
 
     cum_acked: u32,
     next_to_send: u32,
-    highest_sent: u32,
     dup_acks: u32,
     /// NewReno recovery point: highest sequence sent at FR entry.
     recover: u32,
@@ -82,16 +67,6 @@ pub struct TcpSender {
     /// Karn's algorithm: suppress sampling while retransmissions are in
     /// the window.
     tainted_until: u32,
-
-    /// Deadline mirror of the flow's scheduler timer (`Some` while an
-    /// expiry is pending out in the simulation).
-    timer_deadline: Option<Time>,
-    pending_timer: Option<TimerCmd>,
-    /// Lazy timer reset: expiries before `last_progress + rto` re-arm.
-    last_progress: Time,
-    done: bool,
-    /// Counters.
-    pub stats: TcpStats,
 }
 
 impl TcpSender {
@@ -104,19 +79,13 @@ impl TcpSender {
         dst: HostId,
         size_bytes: u64,
     ) -> TcpSender {
-        let total_packets = cfg.packets_for(size_bytes);
         TcpSender {
-            flow,
-            src,
-            dst,
-            size_bytes,
-            total_packets,
+            core: SenderCore::new(cfg, flow, src, dst, size_bytes),
             cwnd: INITIAL_WINDOW,
             ssthresh: f64::INFINITY,
             state: TcpState::SlowStart,
             cum_acked: 0,
             next_to_send: 0,
-            highest_sent: 0,
             dup_acks: 0,
             recover: 0,
             retx_pending: None,
@@ -124,82 +93,54 @@ impl TcpSender {
             rttvar_ns: 0.0,
             rto: MIN_RTO,
             tainted_until: 0,
-            timer_deadline: None,
-            pending_timer: None,
-            last_progress: Time::ZERO,
-            done: false,
-            cfg,
-            stats: TcpStats::default(),
         }
     }
 
     /// Total packets in the flow.
     pub fn total_packets(&self) -> u32 {
-        self.total_packets
+        self.core.total_packets
     }
 
-    /// True once fully acknowledged.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Current congestion window in packets (tests).
-    pub fn cwnd_packets(&self) -> u32 {
-        self.cwnd as u32
+    /// The flow's counters so far (`nacks` and `cnps` stay zero).
+    pub fn stats(&self) -> SenderStats {
+        self.core.stats
     }
 
     /// Ask for the next packet. There is no clock gate here (no pacing,
     /// no fetch delay), so `Blocked` — window full or everything sent —
     /// is sticky until the next ACK or timer expiry, as the contract on
     /// [`SenderPoll::Blocked`] requires.
+    #[inline]
     pub fn poll(&mut self, now: Time) -> SenderPoll {
-        if self.done {
+        if self.core.done {
             return SenderPoll::Done;
         }
         if let Some(psn) = self.retx_pending.take() {
-            return SenderPoll::Packet(self.make_packet(now, psn));
+            return SenderPoll::Packet(self.send(now, psn));
         }
         let in_flight = self.next_to_send.saturating_sub(self.cum_acked);
-        if (in_flight as f64) < self.cwnd.max(1.0) && self.next_to_send < self.total_packets {
+        if (in_flight as f64) < self.cwnd.max(1.0) && self.next_to_send < self.core.total_packets {
             let psn = self.next_to_send;
             self.next_to_send += 1;
-            return SenderPoll::Packet(self.make_packet(now, psn));
+            return SenderPoll::Packet(self.send(now, psn));
         }
         SenderPoll::Blocked
     }
 
-    fn make_packet(&mut self, now: Time, psn: u32) -> Packet {
-        let payload = self.cfg.payload_of(self.size_bytes, psn);
-        let mut pkt = Packet::data(
-            self.flow,
-            self.src,
-            self.dst,
-            psn,
-            self.cfg.data_wire_bytes(payload),
-        );
-        pkt.sent_at = now;
-        pkt.is_last = psn + 1 == self.total_packets;
-        pkt.is_retx = psn < self.highest_sent;
+    fn send(&mut self, now: Time, psn: u32) -> Packet {
+        let pkt = self.core.packet(now, psn);
         if pkt.is_retx {
-            self.tainted_until = self.highest_sent; // Karn
+            self.tainted_until = self.core.highest_sent; // Karn
         }
-        self.highest_sent = self.highest_sent.max(psn + 1);
-        self.stats.sent += 1;
-        if self.timer_deadline.is_none() {
-            self.last_progress = now;
-            self.arm_timer(now);
+        if self.core.timer.is_idle() {
+            self.core.timer.restart(now, self.rto);
         }
         pkt
     }
 
-    fn arm_timer(&mut self, now: Time) {
-        self.timer_deadline = Some(now + self.rto);
-        self.pending_timer = Some(TimerCmd::Arm(now + self.rto));
-    }
-
     /// Drain a pending timer arm/cancel request.
     pub fn take_timer_request(&mut self) -> Option<TimerCmd> {
-        self.pending_timer.take()
+        self.core.timer.take_request()
     }
 
     /// Feed a (cumulative) ACK. Returns `true` when the flow completes.
@@ -242,16 +183,14 @@ impl TcpSender {
                 }
             }
 
-            if self.cum_acked >= self.total_packets {
-                self.pending_timer = self.timer_deadline.take().map(|_| TimerCmd::Cancel);
-                self.done = true;
-                return true;
+            if self.cum_acked >= self.core.total_packets {
+                return self.core.complete();
             }
-            self.last_progress = now;
-            if self.timer_deadline.is_none() {
-                self.arm_timer(now);
+            self.core.timer.progress(now);
+            if self.core.timer.is_idle() {
+                self.core.timer.restart(now, self.rto);
             }
-        } else if cum == self.cum_acked && self.highest_sent > cum {
+        } else if cum == self.cum_acked && self.core.highest_sent > cum {
             // Duplicate ACK.
             match self.state {
                 TcpState::FastRecovery => {
@@ -261,11 +200,10 @@ impl TcpSender {
                     self.dup_acks += 1;
                     if self.dup_acks == DUPACK_THRESHOLD {
                         // Fast retransmit + enter fast recovery.
-                        self.stats.fast_retransmits += 1;
                         let flight = (self.next_to_send - self.cum_acked) as f64;
                         self.ssthresh = (flight / 2.0).max(2.0);
                         self.cwnd = self.ssthresh + DUPACK_THRESHOLD as f64;
-                        self.recover = self.highest_sent;
+                        self.recover = self.core.highest_sent;
                         self.retx_pending = Some(cum);
                         self.state = TcpState::FastRecovery;
                     }
@@ -295,23 +233,18 @@ impl TcpSender {
     /// The connection's (live) retransmission timer expired; cancelled
     /// deadlines never reach here. Returns `true` if the sender acted.
     pub fn on_timer(&mut self, now: Time) -> bool {
-        if self.done {
+        if self.core.done {
             return false;
         }
-        self.timer_deadline = None; // the pending expiry was consumed
-        if self.cum_acked >= self.highest_sent {
+        self.core.timer.expired();
+        if self.cum_acked >= self.core.highest_sent {
             return false; // nothing outstanding
         }
-        // Lazy reset: defer if acknowledgements arrived since arming.
-        let effective_deadline = self.last_progress + self.rto;
-        if effective_deadline > now {
-            self.timer_deadline = Some(effective_deadline);
-            self.pending_timer = Some(TimerCmd::Arm(effective_deadline));
+        if self.core.timer.defer(now, self.rto) {
             return true;
         }
-        self.last_progress = now;
         // RTO: multiplicative backoff, collapse to slow start, go-back-N.
-        self.stats.timeouts += 1;
+        self.core.stats.timeouts += 1;
         let flight = (self.next_to_send - self.cum_acked) as f64;
         self.ssthresh = (flight / 2.0).max(2.0);
         self.cwnd = 1.0;
@@ -319,23 +252,16 @@ impl TcpSender {
         self.next_to_send = self.cum_acked;
         self.dup_acks = 0;
         self.rto = (self.rto * 2).min(MAX_RTO);
-        self.arm_timer(now);
+        self.core.timer.restart(now, self.rto);
         true
     }
 }
 
-/// The receiving half: buffers out-of-order segments, emits cumulative
-/// (duplicate) ACKs per packet.
+/// The receiving half: IRN's receiver — out-of-order segments are
+/// buffered, never discarded — answering every segment with a
+/// cumulative ACK and nothing else.
 #[derive(Debug)]
-pub struct TcpReceiver {
-    flow: FlowId,
-    sender: HostId,
-    me: HostId,
-    total_packets: u32,
-    ack_bytes: u32,
-    ctx: QpContext,
-    completed_at: Option<Time>,
-}
+pub struct TcpReceiver(ReceiverQp);
 
 impl TcpReceiver {
     /// Receiver for `total_packets` from `sender`.
@@ -346,56 +272,34 @@ impl TcpReceiver {
         me: HostId,
         total_packets: u32,
     ) -> TcpReceiver {
-        TcpReceiver {
+        TcpReceiver(ReceiverQp::with(
+            ReceiverMode::Irn,
+            4096,
+            cfg.ack_bytes.max(ACK_WIRE_BYTES),
             flow,
             sender,
             me,
             total_packets,
-            ack_bytes: cfg.ack_mode.bytes().max(64),
-            ctx: QpContext::new(4096),
-            completed_at: None,
-        }
+        ))
     }
 
-    /// When the flow completed, if it has.
-    pub fn completed_at(&self) -> Option<Time> {
-        self.completed_at
-    }
-
-    /// Process a data segment; returns `(ack, completed_now)`.
-    pub fn on_data(&mut self, now: Time, pkt: &Packet) -> (Packet, bool) {
-        let r = modules::receive_data(&mut self.ctx, pkt.psn, pkt.is_last, ReceiverMode::Irn);
-        // TCP acks are always cumulative; an OOO arrival yields a
-        // duplicate ACK (same cum), which is what drives dupack counting.
-        let cum = match r.ack {
-            AckEmit::Ack { cum } => cum,
-            AckEmit::Nack { cum, .. } => cum,
-            AckEmit::None => self.ctx.expected_seq,
-        };
-        let mut ack = Packet::control(
-            PacketKind::Ack,
-            self.flow,
-            self.me,
-            self.sender,
-            cum,
-            self.ack_bytes,
-        );
-        ack.sent_at = pkt.sent_at;
-        ack.ecn_echo = pkt.ecn_ce;
-        let completed =
-            if self.completed_at.is_none() && self.ctx.expected_seq >= self.total_packets {
-                self.completed_at = Some(now);
-                true
-            } else {
-                false
-            };
-        (ack, completed)
+    /// Process a data segment: always one cumulative ACK, never a CNP.
+    /// An out-of-order arrival's NACK goes out as the duplicate ACK it
+    /// is to TCP (same `cum`), which is what drives dupack counting.
+    #[inline]
+    pub fn on_data(&mut self, now: Time, pkt: &Packet) -> RecvOutcome {
+        let mut out = self.0.on_data(now, pkt);
+        let ack = out.ack.get_or_insert_with(|| self.0.cumulative_ack(pkt));
+        ack.kind = PacketKind::Ack;
+        ack.sack = 0;
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sender::tests::armed_deadline;
 
     fn sender(size: u64) -> TcpSender {
         TcpSender::new(
@@ -473,21 +377,21 @@ mod tests {
         for _ in 0..3 {
             s.on_ack_packet(t, &ack_at(lost, burst2[1].sent_at));
         }
-        assert_eq!(s.stats.fast_retransmits, 1);
         let retx = drain(&mut s, t);
         assert!(!retx.is_empty());
         assert_eq!(retx[0].psn, lost);
         assert!(retx[0].is_retx);
+        assert_eq!(s.stats().retransmitted, 1, "one fast retransmit");
     }
 
     #[test]
     fn rto_collapses_to_slow_start() {
         let mut s = sender(50_000);
         drain(&mut s, Time::ZERO);
-        let deadline = s.take_timer_request().unwrap().deadline().unwrap();
+        let deadline = armed_deadline(s.take_timer_request());
         assert!(s.on_timer(deadline));
-        assert_eq!(s.stats.timeouts, 1);
-        assert_eq!(s.cwnd_packets(), 1, "RTO ⇒ loss window of 1");
+        assert_eq!(s.stats().timeouts, 1);
+        assert_eq!(s.cwnd as u32, 1, "RTO ⇒ loss window of 1");
         let retx = drain(&mut s, deadline);
         assert_eq!(retx.len(), 1, "cwnd=1 allows exactly the head");
         assert_eq!(retx[0].psn, 0);
@@ -497,9 +401,9 @@ mod tests {
     fn rto_backs_off_exponentially() {
         let mut s = sender(50_000);
         drain(&mut s, Time::ZERO);
-        let d1 = s.take_timer_request().unwrap().deadline().unwrap();
+        let d1 = armed_deadline(s.take_timer_request());
         s.on_timer(d1);
-        let d2 = s.take_timer_request().unwrap().deadline().unwrap();
+        let d2 = armed_deadline(s.take_timer_request());
         assert!(d2.since(d1) >= MIN_RTO * 2, "backoff must double the RTO");
     }
 
@@ -512,15 +416,21 @@ mod tests {
             p.is_last = last;
             p
         };
-        let (a0, _) = r.on_data(Time::ZERO, &mk(0, false));
-        assert_eq!(a0.psn, 1);
+        let mut ack_of = |t: Time, pkt: Packet| {
+            let out = r.on_data(t, &pkt);
+            (
+                out.ack.expect("every segment is acknowledged").psn,
+                out.completed,
+            )
+        };
+        assert_eq!(ack_of(Time::ZERO, mk(0, false)).0, 1);
         // 1 lost; 2 and 3 arrive → duplicate ACKs at cum=1.
-        let (a1, _) = r.on_data(Time::ZERO, &mk(2, false));
-        let (a2, _) = r.on_data(Time::ZERO, &mk(3, true));
-        assert_eq!((a1.psn, a2.psn), (1, 1), "duplicate cumulative ACKs");
+        let a1 = ack_of(Time::ZERO, mk(2, false)).0;
+        let a2 = ack_of(Time::ZERO, mk(3, true)).0;
+        assert_eq!((a1, a2), (1, 1), "duplicate cumulative ACKs");
         // Retransmitted 1 completes everything (2,3 were buffered).
-        let (a3, done) = r.on_data(Time::from_nanos(10), &mk(1, false));
-        assert_eq!(a3.psn, 4);
+        let (a3, done) = ack_of(Time::from_nanos(10), mk(1, false));
+        assert_eq!(a3, 4);
         assert!(done, "OOO segments were buffered, not discarded");
     }
 

@@ -5,8 +5,9 @@ use irn_core::sim::Duration;
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::SizeDistribution;
-use irn_core::{run, TopologySpec, TrafficModel};
+use irn_core::{run, TopologySpec, TrafficCtx, TrafficModel};
 use irn_integration::{quick_cfg, run_cell};
+use irn_telemetry::TraceFilter;
 
 #[test]
 fn pfc_is_lossless_for_every_transport() {
@@ -80,6 +81,55 @@ fn tcp_survives_fault_injection() {
     cfg.loss_injection = 0.005;
     let r = run(cfg.with_transport(TransportKind::IwarpTcp).with_pfc(false));
     assert_eq!(r.summary.flows, 100);
+}
+
+/// `retransmitted` means one thing for every transport: data packets
+/// put on the wire marked `is_retx`, which is what the fabric traces as
+/// `pkt.retx`. What is left of `sent` is then each flow's packets, sent
+/// first exactly once — the identity `benchmark/src/check.rs` leans on.
+/// (The TCP stack used to report fast-retransmit *events* here, a
+/// quarter of its retransmitted packets under loss.)
+#[test]
+fn retransmitted_counts_the_traced_retx_packets_for_every_transport() {
+    for t in [
+        TransportKind::Irn,
+        TransportKind::Roce,
+        TransportKind::IrnGoBackN,
+        TransportKind::IrnNoBdpFc,
+        TransportKind::IwarpTcp,
+    ] {
+        for loss in [0.0, 0.01] {
+            let mut cfg = quick_cfg(60).with_transport(t).with_seed(3);
+            cfg.loss_injection = loss;
+            let ctx = TrafficCtx {
+                hosts: cfg.topology.hosts(),
+                line_rate_bps: cfg.bandwidth.as_bps_f64(),
+                seed: cfg.seed,
+            };
+            let first_sends: u64 = cfg
+                .traffic
+                .generate(&ctx)
+                .flows
+                .iter()
+                .map(|f| f.bytes.max(1).div_ceil(cfg.mtu as u64))
+                .sum();
+            // A one-line recorder: the count is the line it kept plus
+            // those it dropped, so a go-back-N storm costs no memory.
+            let only_retx = TraceFilter::parse("kind=pkt.retx").unwrap();
+            let (r, chunk) = irn_telemetry::capture(0, only_retx, 1, || run(cfg));
+            let kept = chunk.lines.iter().filter(|l| l.contains("\"pkt.retx\""));
+            let traced = kept.count() as u64 + chunk.dropped;
+            let what = format!("{t:?} at loss {loss}");
+            assert_eq!(r.summary.flows, 60, "{what}");
+            assert_eq!(r.transport.retransmitted, traced, "{what}");
+            assert_eq!(
+                r.transport.sent - r.transport.retransmitted,
+                first_sends,
+                "{what}: first transmissions"
+            );
+            assert_eq!(loss > 0.0, r.fabric.injected_drops > 0, "{what}");
+        }
+    }
 }
 
 #[test]

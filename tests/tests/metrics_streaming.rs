@@ -297,7 +297,7 @@ fn committed_k16_scenario_meets_the_memory_diet_budget() {
     let scenario = irn_core::Scenario::from_json_str(&text).expect("scenario parses");
     let r = irn_core::run(scenario.into_config());
     assert_eq!(r.summary.flows, 20_000, "every flow must complete");
-    let legacy = irn_core::legacy_per_flow_bytes() as f64;
+    let legacy = irn_experiments::memory::LEGACY_PER_FLOW_BYTES as f64;
     let bpf = r.memory.bytes_per_flow();
     assert!(
         bpf <= 0.10 * legacy,
