@@ -30,7 +30,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use irn_metrics::{ideal_fct, AppMetrics, FlowRecord, MetricsCollector};
 use irn_net::{
     Fabric, FabricEvent, FabricOutput, FlowId, HostId, NetTables, Packet, PacketKind, PktId,
-    Topology,
 };
 use irn_sim::{Scheduler, Time, TimerId};
 use irn_transport::config::{TransportConfig, DATA_HEADER_BYTES};
@@ -42,20 +41,21 @@ use crate::result::{MemoryStats, RunResult, SchedCounters, TransportTotals};
 
 /// Process-wide cache of routing tables keyed by [`TopologySpec`].
 ///
-/// `NetTables::build` runs a BFS per destination host — cheap once, but
-/// registry batches instantiate thousands of cells over a handful of
-/// distinct geometries, and the tables are a pure function of the spec.
-/// Sharing them is invisible to results (the fabric never mutates its
-/// tables), so determinism is unaffected by cache hits, ordering, or
-/// which worker process computed them.
+/// `NetTables::build` walks the cable list and runs a BFS per
+/// destination host — cheap once, but registry batches instantiate
+/// thousands of cells over a handful of distinct geometries, and the
+/// tables are a pure function of the spec: only a miss builds the
+/// topology at all. Sharing them is invisible to results (the fabric
+/// never mutates its tables), so determinism is unaffected by cache
+/// hits, ordering, or which worker process computed them.
 static NET_TABLES: OnceLock<Mutex<HashMap<TopologySpec, Arc<NetTables>>>> = OnceLock::new();
 
-fn net_tables_for(spec: TopologySpec, topo: &Topology) -> Arc<NetTables> {
+fn net_tables_for(spec: TopologySpec) -> Arc<NetTables> {
     let cache = NET_TABLES.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().expect("net-tables cache poisoned");
     Arc::clone(
         map.entry(spec)
-            .or_insert_with(|| Arc::new(NetTables::build(topo))),
+            .or_insert_with(|| Arc::new(NetTables::build(&spec.build()))),
     )
 }
 
@@ -164,7 +164,7 @@ const RETIRED: u32 = u32::MAX - 1;
 /// [`SenderPoll::Blocked`] and has not been handed out since. `Blocked`
 /// is sticky until the sender is fed (the contract on the variant), so
 /// [`FlowSlab::poll_sender`] answers for a parked sender from this dense
-/// map alone, without touching the ~700-byte [`FlowSlot`]. Slot indices
+/// map alone, without touching the 528-byte [`FlowSlot`]. Slot indices
 /// stay below the bit (and so below the two sentinels above, which
 /// carry it).
 const PARKED: u32 = 1 << 31;
@@ -363,9 +363,7 @@ pub struct Simulation {
 impl Simulation {
     /// Build the simulation for `cfg` (generates the workload).
     pub fn new(cfg: ExperimentConfig) -> Simulation {
-        let topo = cfg.topology.build();
-        let tables = net_tables_for(cfg.topology, &topo);
-        let fabric = Fabric::with_tables(&topo, tables, cfg.fabric_config());
+        let fabric = Fabric::with_tables(net_tables_for(cfg.topology), cfg.fabric_config());
         let hosts = fabric.hosts();
         let tcfg = cfg.transport_config(fabric.diameter_hops());
 
@@ -983,6 +981,18 @@ mod tests {
         slot.sender = None;
         slot.receiver_done = true;
         slab.retire(flow);
+    }
+
+    #[test]
+    fn flow_slot_holds_half_a_qp_context_per_endpoint() {
+        // 728 B when each endpoint carried both halves; the slab's
+        // footprint and the memory-v1 gauge scale with this.
+        let (slot, s, r) = (
+            std::mem::size_of::<FlowSlot>(),
+            std::mem::size_of::<Sender>(),
+            std::mem::size_of::<Receiver>(),
+        );
+        assert!(slot <= 560, "FlowSlot {slot} B (Sender {s}, Receiver {r})");
     }
 
     #[test]

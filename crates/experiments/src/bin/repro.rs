@@ -301,6 +301,24 @@ fn fail_input(msg: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// The one writer to stdout. A reader that closed early (`repro all |
+/// head`) ends the process quietly with exit 0, as SIGPIPE would end a
+/// filter; any other stdout error is exit 2 with the message.
+fn emit(text: std::fmt::Arguments) {
+    use std::io::{ErrorKind, Write as _};
+    match std::io::stdout().write_fmt(text) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => fail_input(format_args!("cannot write to stdout: {e}")),
+    }
+}
+
+/// `println!` for this binary: through [`emit`].
+macro_rules! outln {
+    () => { emit(format_args!("\n")) };
+    ($($t:tt)*) => { emit(format_args!("{}\n", format_args!($($t)*))) };
+}
+
 #[derive(Default)]
 struct Args {
     full: bool,
@@ -769,21 +787,25 @@ fn run_and_report(
     let source: Vec<&str> = items.iter().map(|(name, _)| name.as_str()).collect();
     write_trace(args, &source.join(","), &batch);
 
+    // Every envelope before the first report: a stdout reader that
+    // closes early ends the process (see `emit`) and must not cost a file.
+    if let Some(dir) = &args.json_dir {
+        let rows = batch.reports.iter().zip(&batch.telemetry);
+        for (i, ((name, _), (rep, telemetry))) in items.iter().zip(rows).enumerate() {
+            let text = envelope(i, rep, telemetry.as_ref());
+            write_file(&dir.join(format!("{name}.json")), &text);
+        }
+    }
     let rows = batch
         .reports
         .iter()
         .zip(&batch.timing)
         .zip(&batch.telemetry);
-    for (i, ((name, plan), ((rep, timing), telemetry))) in items.iter().zip(rows).enumerate() {
+    for ((name, plan), ((rep, timing), telemetry)) in items.iter().zip(rows) {
         // Reports go to stdout; progress/timing to stderr so stdout
         // stays byte-identical run to run.
-        print!("{}", rep.render());
-        println!();
+        outln!("{}", rep.render());
         per_report_stderr(name, plan, timing, telemetry.as_ref());
-        if let Some(dir) = &args.json_dir {
-            let text = envelope(i, rep, telemetry.as_ref());
-            write_file(&dir.join(format!("{name}.json")), &text);
-        }
     }
 }
 
@@ -822,9 +844,9 @@ fn verify_json_mode(args: &Args) {
             Ok(text) => artifacts::verify_artifact_json(&name, &text),
         };
         match outcome {
-            Ok(()) => println!("ok   {}", path.display()),
+            Ok(()) => outln!("ok   {}", path.display()),
             Err(msg) => {
-                println!("FAIL {msg}");
+                outln!("FAIL {msg}");
                 failures += 1;
             }
         }
@@ -844,7 +866,7 @@ fn verify_json_mode(args: &Args) {
 /// scale, every column but the first read from the artifact's plan.
 fn list_mode(args: &Args) {
     let scale = args.scale();
-    println!(
+    outln!(
         "{:<16} {:<14} {:<12} {:>5}  {:>6}   (scale: {})",
         "artifact",
         "class",
@@ -855,7 +877,7 @@ fn list_mode(args: &Args) {
     );
     for a in ARTIFACTS {
         let plan = a.plan(scale);
-        println!(
+        outln!(
             "{:<16} {:<14} {:<12} {:>5}  {:>6}",
             a.name,
             plan.determinism(),
@@ -974,7 +996,7 @@ fn worker_mode(args: &Args) {
         .map_or_else(|_| addr.clone(), |a| a.to_string());
     // In listen mode stdout carries no protocol frames, so announce the
     // bound address there — scripts bind port 0 and read the real port.
-    println!("listening {local}");
+    outln!("listening {local}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
     for conn in listener.incoming() {
@@ -1129,7 +1151,7 @@ fn trace_summarize_mode(args: &Args) {
         }
     }
 
-    println!(
+    outln!(
         "trace {path}: {events} event(s) across {cells} cell(s), filter '{filter}'{}",
         if truncated > 0 {
             format!(", {truncated} dropped by ring-buffer overflow")
@@ -1137,23 +1159,23 @@ fn trace_summarize_mode(args: &Args) {
             String::new()
         },
     );
-    println!();
-    println!("{:<16} {:>10} {:>8}", "kind", "events", "share");
+    outln!();
+    outln!("{:<16} {:>10} {:>8}", "kind", "events", "share");
     by_kind.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     for (kind, count) in &by_kind {
-        println!(
+        outln!(
             "{kind:<16} {count:>10} {:>7.1}%",
             *count as f64 / events.max(1) as f64 * 100.0
         );
     }
-    println!();
-    println!("{:<8} {:>10}   top flows by event volume", "flow", "events");
+    outln!();
+    outln!("{:<8} {:>10}   top flows by event volume", "flow", "events");
     by_flow.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     for (flow, count) in by_flow.iter().take(20) {
-        println!("{flow:<8} {count:>10}");
+        outln!("{flow:<8} {count:>10}");
     }
     if by_flow.len() > 20 {
-        println!("... and {} more flow(s)", by_flow.len() - 20);
+        outln!("... and {} more flow(s)", by_flow.len() - 20);
     }
 
     // Per-operation view: only printed when the trace carries
@@ -1161,26 +1183,29 @@ fn trace_summarize_mode(args: &Args) {
     if !ops.is_empty() {
         let sum: u64 = ops.iter().map(|(_, _, _, l)| l).sum();
         let mean_ns = sum / ops.len() as u64;
-        println!();
-        println!(
+        outln!();
+        outln!(
             "operations: {} completed, {} phase barrier(s), mean latency {:.3} ms",
             ops.len(),
             phases,
             mean_ns as f64 / 1e6
         );
-        println!(
+        outln!(
             "{:<6} {:<8} {:<8} {:>12}   slowest operations",
-            "cell", "op", "client", "latency_ms"
+            "cell",
+            "op",
+            "client",
+            "latency_ms"
         );
         ops.sort_by(|a, b| b.3.cmp(&a.3).then_with(|| (a.0, a.1).cmp(&(b.0, b.1))));
         for (cell, op, client, latency_ns) in ops.iter().take(10) {
-            println!(
+            outln!(
                 "{cell:<6} {op:<8} {client:<8} {:>12.3}",
                 *latency_ns as f64 / 1e6
             );
         }
         if ops.len() > 10 {
-            println!("... and {} more operation(s)", ops.len() - 10);
+            outln!("... and {} more operation(s)", ops.len() - 10);
         }
     }
 }
@@ -1215,27 +1240,34 @@ fn diff_memory_mode(args: &Args) {
             return;
         }
         let drift = (new_v - old_v) / old_v * 100.0;
-        println!("{name:<16} {what:<10} {old_v:>12.1} {new_v:>12.1} {drift:>+8.1}%");
+        outln!("{name:<16} {what:<10} {old_v:>12.1} {new_v:>12.1} {drift:>+8.1}%");
         if drift.abs() > MEMORY_DRIFT_WARN_PCT {
             // GitHub Actions annotation; warn-only so a deliberate
             // state-layout change does not block CI — a human judges
             // whether the new cost is intended.
-            println!(
+            outln!(
                 "::warning title=memory drift::{name} {what} changed \
                  {drift:+.1}% ({old_v:.1} -> {new_v:.1})"
             );
         }
     };
-    println!(
+    outln!(
         "{:<16} {:<10} {:>12} {:>12} {:>9}   (warn beyond ±{MEMORY_DRIFT_WARN_PCT}%)",
-        "artifact", "gauge", "old", "new", "drift"
+        "artifact",
+        "gauge",
+        "old",
+        "new",
+        "drift"
     );
     for n in &new {
         let name = &n.artifact;
         let Some(o) = old.iter().find(|o| o.artifact == *name) else {
-            println!(
+            outln!(
                 "{name:<16} {:<10} {:>12} {:>12.1} {:>9}",
-                "B/flow", "-", n.bytes_per_flow, "new"
+                "B/flow",
+                "-",
+                n.bytes_per_flow,
+                "new"
             );
             continue;
         };
@@ -1252,9 +1284,13 @@ fn diff_memory_mode(args: &Args) {
     }
     for o in &old {
         if !new.iter().any(|n| n.artifact == o.artifact) {
-            println!(
+            outln!(
                 "{:<16} {:<10} {:>12} {:>12} {:>9}",
-                o.artifact, "-", "-", "-", "gone"
+                o.artifact,
+                "-",
+                "-",
+                "-",
+                "gone"
             );
         }
     }

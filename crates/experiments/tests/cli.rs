@@ -216,3 +216,43 @@ fn emitted_scenario_sets_run_back_unedited() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `repro … | head`: the reader is gone before the reports are printed
+/// (the batch runs first, and the read end is dropped while it does), so
+/// the first line written meets a broken pipe. The process ends quietly
+/// with exit 0 — no panic — and every envelope is already on disk. A
+/// stdout that fails any other way is exit 2 with the message.
+#[test]
+fn stdout_closing_early_is_quiet_and_any_other_stdout_error_exits_2() {
+    let dir = scratch("pipe");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["fig1", "state-budget", "--seeds", "1", "--json"])
+        .arg(&dir)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("repro exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+        "{stderr}"
+    );
+    assert_eq!(json_names(&dir), ["fig1.json", "state-budget.json"]);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    if let Ok(full) = std::fs::OpenOptions::new().write(true).open("/dev/full") {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg("--list")
+            .stdin(Stdio::null())
+            .stdout(full)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("cannot write to stdout"), "{stderr}");
+    }
+}

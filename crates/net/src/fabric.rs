@@ -34,9 +34,9 @@ use irn_sim::{Duration, SchedulePort, SimRng, Time};
 
 use crate::arena::{PacketArena, PktId};
 use crate::packet::{FlowId, HostId, Packet};
-use crate::routing::NetTables;
+use crate::routing::{Endpoint, NetTables};
 use crate::switch::{Dequeue, EcnConfig, Enqueue, PfcConfig, SwitchState};
-use crate::topology::{NodeId, Topology};
+use crate::topology::Topology;
 use crate::units::Bandwidth;
 
 /// How the fabric spreads traffic over equal-cost paths.
@@ -100,18 +100,10 @@ impl FabricConfig {
     }
 }
 
-/// Transmitter endpoint of a directed link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Endpoint {
-    Host(u32),
-    SwitchPort { sw: u32, port: u16 },
-}
-
-/// One direction of a cable.
-#[derive(Debug)]
-struct DirLink {
-    src: Endpoint,
-    dst: Endpoint,
+/// Run state of one directed link; its two ends are wiring, in
+/// [`NetTables`].
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkState {
     /// Transmitter currently serializing a frame.
     busy: bool,
     /// Transmitter held paused by the receiver (PFC X-OFF).
@@ -193,151 +185,59 @@ pub struct FabricStats {
     pub delivered_bytes: u64,
 }
 
-/// The simulated network: topology + switches + links + host ports.
+/// The simulated network: the run state over one topology's wiring.
 pub struct Fabric {
     cfg: FabricConfig,
-    links: Vec<DirLink>,
+    /// Wiring and routes (see [`NetTables`]): per-topology, not
+    /// per-fabric, so seed replicates skip the cable walk and the BFS.
+    tables: Arc<NetTables>,
+    /// Per directed link, indexed like `tables.ports.links`.
+    links: Vec<LinkState>,
     switches: Vec<SwitchState>,
-    /// Directed link leaving each switch port, flattened to
-    /// `sw * port_stride + port` (one load instead of a pointer chase
-    /// per forwarded packet).
-    switch_out_link: Vec<u32>,
-    /// Directed link entering each switch port, same layout.
-    switch_in_link: Vec<u32>,
-    /// Row width of the two link tables: max ports on any switch.
-    port_stride: usize,
     /// Precomputed `cfg.bandwidth.serialize(bytes)` for small frames.
     /// Every data/control packet fits; the table turns a per-hop u64
     /// division into a load. Larger frames fall back to the division.
     ser_lut: Vec<Duration>,
-    /// Directed link host → edge switch.
-    host_uplink: Vec<u32>,
-    /// Shared routing tables (see [`NetTables`]): per-topology, not
-    /// per-fabric, so seed replicates skip the BFS rebuild.
-    tables: Arc<NetTables>,
     /// Every packet in flight, addressed by [`PktId`].
     arena: PacketArena,
     rng: SimRng,
     injected_drops: u64,
     delivered_pkts: u64,
     delivered_bytes: u64,
-    hosts: usize,
 }
 
 impl Fabric {
     /// Instantiate the fabric for `topo` under `cfg`, building fresh
-    /// routing tables. Use [`Fabric::with_tables`] to share tables
-    /// across fabrics over the same topology.
+    /// tables. Use [`Fabric::with_tables`] to share tables across
+    /// fabrics over the same topology.
     pub fn new(topo: &Topology, cfg: FabricConfig) -> Fabric {
-        let tables = Arc::new(NetTables::build(topo));
-        Fabric::with_tables(topo, tables, cfg)
+        Fabric::with_tables(Arc::new(NetTables::build(topo)), cfg)
     }
 
-    /// Instantiate the fabric for `topo` under `cfg` with precomputed
-    /// routing tables. `tables` must have been built from this exact
-    /// topology ([`NetTables::build`]).
-    pub fn with_tables(topo: &Topology, tables: Arc<NetTables>, cfg: FabricConfig) -> Fabric {
-        topo.check();
-
-        let mut links = Vec::with_capacity(topo.cables.len() * 2);
-        let mut out_rows: Vec<Vec<u32>> = vec![Vec::new(); topo.switches];
-        let mut in_rows: Vec<Vec<u32>> = vec![Vec::new(); topo.switches];
-        let mut host_uplink = vec![u32::MAX; topo.hosts];
-
-        // Port numbers must match PortMap: cable order per switch.
-        let mut next_port = vec![0u16; topo.switches];
-        let endpoint = |n: NodeId, next_port: &mut Vec<u16>| match n {
-            NodeId::Host(h) => Endpoint::Host(h),
-            NodeId::Switch(s) => {
-                let port = next_port[s as usize];
-                next_port[s as usize] += 1;
-                Endpoint::SwitchPort { sw: s, port }
-            }
-        };
-
-        for cable in &topo.cables {
-            let ea = endpoint(cable.a, &mut next_port);
-            let eb = endpoint(cable.b, &mut next_port);
-            for (src, dst) in [(ea, eb), (eb, ea)] {
-                let id = links.len() as u32;
-                links.push(DirLink {
-                    src,
-                    dst,
-                    busy: false,
-                    paused: false,
-                });
-                match src {
-                    Endpoint::Host(h) => host_uplink[h as usize] = id,
-                    Endpoint::SwitchPort { sw, port } => {
-                        let v = &mut out_rows[sw as usize];
-                        if v.len() <= port as usize {
-                            v.resize(port as usize + 1, u32::MAX);
-                        }
-                        v[port as usize] = id;
-                    }
-                }
-                match dst {
-                    Endpoint::Host(_) => {}
-                    Endpoint::SwitchPort { sw, port } => {
-                        let v = &mut in_rows[sw as usize];
-                        if v.len() <= port as usize {
-                            v.resize(port as usize + 1, u32::MAX);
-                        }
-                        v[port as usize] = id;
-                    }
-                }
-            }
-        }
-
-        let switches = (0..topo.switches)
-            .map(|s| SwitchState::new(tables.ports.radix(s), cfg.buffer_bytes, cfg.pfc, cfg.ecn))
+    /// Instantiate the fabric over precomputed `tables`
+    /// ([`NetTables::build`]) under `cfg`.
+    pub fn with_tables(tables: Arc<NetTables>, cfg: FabricConfig) -> Fabric {
+        let ports = &tables.ports;
+        let switches = (0..ports.switch_ports.len())
+            .map(|s| SwitchState::new(ports.radix(s), cfg.buffer_bytes, cfg.pfc, cfg.ecn))
             .collect();
-
-        let rng = SimRng::new(cfg.seed ^ 0x5EED_F00D);
-
-        // Flatten the per-switch port→link rows into uniform-stride
-        // tables so the hot path indexes once instead of chasing a
-        // per-switch Vec pointer.
-        let port_stride = out_rows
-            .iter()
-            .chain(in_rows.iter())
-            .map(Vec::len)
-            .max()
-            .unwrap_or(0);
-        let flatten = |rows: Vec<Vec<u32>>| -> Vec<u32> {
-            let mut flat = vec![u32::MAX; rows.len() * port_stride];
-            for (sw, row) in rows.into_iter().enumerate() {
-                flat[sw * port_stride..sw * port_stride + row.len()].copy_from_slice(&row);
-            }
-            flat
-        };
-        let switch_out_link = flatten(out_rows);
-        let switch_in_link = flatten(in_rows);
-
-        let ser_lut: Vec<Duration> = (0..2048u64).map(|b| cfg.bandwidth.serialize(b)).collect();
-
         Fabric {
-            cfg,
-            links,
+            links: vec![LinkState::default(); ports.links.len()],
             switches,
-            switch_out_link,
-            switch_in_link,
-            port_stride,
-            ser_lut,
-            host_uplink,
-            tables,
+            ser_lut: (0..2048u64).map(|b| cfg.bandwidth.serialize(b)).collect(),
             arena: PacketArena::new(),
-            rng,
+            rng: SimRng::new(cfg.seed ^ 0x5EED_F00D),
             injected_drops: 0,
             delivered_pkts: 0,
             delivered_bytes: 0,
-            hosts: topo.hosts,
+            tables,
+            cfg,
         }
     }
 
     /// Number of hosts.
     pub fn hosts(&self) -> usize {
-        self.hosts
+        self.tables.ports.host_uplink.len()
     }
 
     /// Link rate.
@@ -391,22 +291,12 @@ impl Fabric {
         self.arena.pool_bytes()
     }
 
-    /// Lifetime (allocated, released) counts — equal at quiescence.
-    pub fn pkt_pool_churn(&self) -> (u64, u64) {
-        (self.arena.allocated(), self.arena.released())
-    }
-
     /// True when `host` may start a transmission: uplink idle and not
     /// PFC-paused.
     #[inline]
     pub fn host_tx_idle(&self, host: HostId) -> bool {
-        let l = &self.links[self.host_uplink[host.idx()] as usize];
+        let l = &self.links[self.tables.ports.host_uplink[host.idx()] as usize];
         !l.busy && !l.paused
-    }
-
-    /// True when `host`'s uplink is paused by PFC.
-    pub fn host_tx_paused(&self, host: HostId) -> bool {
-        self.links[self.host_uplink[host.idx()] as usize].paused
     }
 
     /// Begin serializing `pkt` from `host` onto its uplink. The packet
@@ -423,13 +313,10 @@ impl Fabric {
         mut pkt: Packet,
         port: &mut impl SchedulePort<FabricEvent>,
     ) {
-        let link_id = self.host_uplink[host.idx()];
-        let link = &mut self.links[link_id as usize];
         assert!(
-            !link.busy && !link.paused,
+            self.host_tx_idle(host),
             "host {host:?} started tx on a busy/paused uplink"
         );
-        link.busy = true;
         pkt.sent_at = if pkt.is_data() { now } else { pkt.sent_at };
         irn_telemetry::trace!(
             if pkt.is_retx { "pkt.retx" } else { "pkt.tx" },
@@ -441,16 +328,8 @@ impl Fabric {
             psn = pkt.psn,
             bytes = pkt.wire_bytes,
         );
-        let ser = self.serialize_wire(pkt.wire_bytes as u64);
         let id = self.arena.alloc(pkt);
-        port.schedule(now + ser, FabricEvent::TxDone { link: link_id });
-        port.schedule(
-            now + ser + self.cfg.prop_delay,
-            FabricEvent::Arrive {
-                link: link_id,
-                pkt: id,
-            },
-        );
+        self.start_tx(now, self.tables.ports.host_uplink[host.idx()], id, port);
     }
 
     /// Process one fabric event.
@@ -475,7 +354,7 @@ impl Fabric {
         id: PktId,
         port: &mut impl SchedulePort<FabricEvent>,
     ) -> Option<FabricOutput> {
-        match self.links[link_id as usize].dst {
+        match self.tables.ports.links[link_id as usize].dst {
             Endpoint::Host(h) => {
                 self.delivered_pkts += 1;
                 self.delivered_bytes += self.arena.get(id).wire_bytes as u64;
@@ -591,13 +470,7 @@ impl Fabric {
         if link.paused {
             return None; // the pause owner will kick us on resume
         }
-        match link.src {
-            Endpoint::Host(h) => Some(FabricOutput::HostTxReady { host: HostId(h) }),
-            Endpoint::SwitchPort { sw, port: p } => {
-                self.try_switch_tx(now, sw as usize, p, port);
-                None
-            }
-        }
+        self.kick(now, link_id, port)
     }
 
     fn on_pfc(
@@ -609,15 +482,23 @@ impl Fabric {
     ) -> Option<FabricOutput> {
         let link = &mut self.links[link_id as usize];
         link.paused = xoff;
-        if xoff {
-            return None;
-        }
         // Resume: restart the transmitter if it has gone idle while
         // paused (if it is mid-frame, TxDone will pick up from here).
-        if link.busy {
+        if xoff || link.busy {
             return None;
         }
-        match link.src {
+        self.kick(now, link_id, port)
+    }
+
+    /// The transmitter of idle, unpaused `link_id` may go again: tell a
+    /// host so, serve a switch port.
+    fn kick(
+        &mut self,
+        now: Time,
+        link_id: u32,
+        port: &mut impl SchedulePort<FabricEvent>,
+    ) -> Option<FabricOutput> {
+        match self.tables.ports.links[link_id as usize].src {
             Endpoint::Host(h) => Some(FabricOutput::HostTxReady { host: HostId(h) }),
             Endpoint::SwitchPort { sw, port: p } => {
                 self.try_switch_tx(now, sw as usize, p, port);
@@ -646,7 +527,8 @@ impl Fabric {
         out_port: u16,
         port: &mut impl SchedulePort<FabricEvent>,
     ) {
-        let out_link_id = self.switch_out_link[sw * self.port_stride + out_port as usize];
+        let ports = &self.tables.ports;
+        let out_link_id = ports.switch_out_link[sw * ports.port_stride + out_port as usize];
         let link = &self.links[out_link_id as usize];
         if link.busy || link.paused {
             return;
@@ -661,7 +543,8 @@ impl Fabric {
         };
         if send_xon {
             irn_telemetry::trace!("pfc.resume", t = now.as_nanos(), sw = sw, port = in_port,);
-            let in_link = self.switch_in_link[sw * self.port_stride + in_port as usize];
+            let ports = &self.tables.ports;
+            let in_link = ports.switch_in_link[sw * ports.port_stride + in_port as usize];
             port.schedule(
                 now + self.cfg.prop_delay,
                 FabricEvent::PfcArrive {
@@ -670,15 +553,26 @@ impl Fabric {
                 },
             );
         }
-        self.links[out_link_id as usize].busy = true;
+        self.start_tx(now, out_link_id, pkt, port);
+    }
+
+    /// Put `pkt` on the wire of idle `link`: the transmitter is busy
+    /// for the frame's serialization time, and its last bit lands one
+    /// propagation delay after that.
+    #[inline]
+    fn start_tx(
+        &mut self,
+        now: Time,
+        link: u32,
+        pkt: PktId,
+        port: &mut impl SchedulePort<FabricEvent>,
+    ) {
+        self.links[link as usize].busy = true;
         let ser = self.serialize_wire(self.arena.get(pkt).wire_bytes as u64);
-        port.schedule(now + ser, FabricEvent::TxDone { link: out_link_id });
+        port.schedule(now + ser, FabricEvent::TxDone { link });
         port.schedule(
             now + ser + self.cfg.prop_delay,
-            FabricEvent::Arrive {
-                link: out_link_id,
-                pkt,
-            },
+            FabricEvent::Arrive { link, pkt },
         );
     }
 
@@ -728,8 +622,7 @@ mod tests {
             }
         }
         assert_eq!(fabric.pkt_pool_live(), 0, "arena must drain at quiescence");
-        let (allocated, released) = fabric.pkt_pool_churn();
-        assert_eq!(allocated, released);
+        assert_eq!(fabric.arena.allocated(), fabric.arena.released());
         (delivered, ready)
     }
 
@@ -912,7 +805,8 @@ mod tests {
         let mut budget = 400u32;
         while let Some((now, ev)) = q.pop() {
             let out = fabric.handle(now, ev, &mut q);
-            saw_pause |= fabric.host_tx_paused(HostId(0)) || fabric.host_tx_paused(HostId(1));
+            // Single switch: links 0 and 2 are the uplinks of hosts 0 and 1.
+            saw_pause |= fabric.links[0].paused || fabric.links[2].paused;
             match out {
                 Some(FabricOutput::Deliver { pkt, .. }) => {
                     fabric.take_delivered(pkt);
@@ -930,6 +824,55 @@ mod tests {
         }
         assert!(saw_pause, "host uplinks should have been paused");
         assert_eq!(fabric.stats().buffer_drops, 0);
+    }
+
+    #[test]
+    fn start_tx_schedules_tx_done_then_arrive_after_any_xon() {
+        // Thresholds below one frame: the first packet to reach the
+        // switch pauses its input, and its dequeue owes the X-ON.
+        let topo = Topology::single_switch(2);
+        let mut cfg = small_cfg();
+        cfg.pfc = Some(PfcConfig {
+            xoff_bytes: 500,
+            xon_bytes: 400,
+        });
+        let mut fabric = Fabric::new(&topo, cfg);
+        let (ser, prop) = (Duration::nanos(200), Duration::micros(2));
+
+        // Host uplink (link 0 = host 0 → switch).
+        let mut port: Vec<(Time, FabricEvent)> = Vec::new();
+        let data = Packet::data(FlowId(0), HostId(0), HostId(1), 0, 1000);
+        fabric.host_start_tx(Time::ZERO, HostId(0), data, &mut port);
+        let (t, FabricEvent::Arrive { link: 0, pkt }) = port[1] else {
+            panic!("second event must be the arrival on link 0: {port:?}");
+        };
+        assert_eq!(
+            port,
+            vec![
+                (Time::ZERO + ser, FabricEvent::TxDone { link: 0 }),
+                (
+                    Time::ZERO + ser + prop,
+                    FabricEvent::Arrive { link: 0, pkt }
+                ),
+            ]
+        );
+
+        // Switch port (link 3 = switch → host 1).
+        port.clear();
+        assert_eq!(
+            fabric.handle(t, FabricEvent::Arrive { link: 0, pkt }, &mut port),
+            None
+        );
+        let pfc = |xoff| FabricEvent::PfcArrive { link: 0, xoff };
+        assert_eq!(
+            port,
+            vec![
+                (t + prop, pfc(true)),
+                (t + prop, pfc(false)),
+                (t + ser, FabricEvent::TxDone { link: 3 }),
+                (t + ser + prop, FabricEvent::Arrive { link: 3, pkt }),
+            ]
+        );
     }
 
     #[test]

@@ -46,5 +46,5 @@ pub use fabric::{Fabric, FabricConfig, FabricEvent, FabricOutput, FabricStats, L
 pub use packet::{FlowId, HostId, Packet, PacketKind};
 pub use routing::NetTables;
 pub use switch::{EcnConfig, PfcConfig};
-pub use topology::{fat_tree_hosts, NodeId, SwitchId, Topology};
+pub use topology::{fat_tree_hosts, NodeId, Topology};
 pub use units::{bdp_bytes, Bandwidth};

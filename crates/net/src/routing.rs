@@ -10,61 +10,127 @@
 
 use crate::topology::{NodeId, Topology};
 
-/// Port-level view of a [`Topology`]: who is plugged into which port.
+/// One end of a directed link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Endpoint {
+    /// An endhost's only port.
+    Host(u32),
+    /// Port `port` of switch `sw`.
+    SwitchPort {
+        /// Switch index.
+        sw: u32,
+        /// Port index on that switch.
+        port: u16,
+    },
+}
+
+/// One direction of a cable: who transmits onto it and who receives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Link {
+    /// Transmitting end.
+    pub(crate) src: Endpoint,
+    /// Receiving end.
+    pub(crate) dst: Endpoint,
+}
+
+/// Port- and link-level view of a [`Topology`]: who is plugged into
+/// which port, and which directed link joins them.
 ///
 /// Port numbers follow cable order (the convention documented on
-/// [`Topology`]): a switch's n-th cable occupies its port n.
+/// [`Topology`]): a switch's n-th cable occupies its port n. Cable `c`
+/// is the directed links `2c` (a → b) and `2c + 1` (b → a). Every
+/// other table here is an index over `links`.
 #[derive(Debug, Clone)]
 pub struct PortMap {
     /// For each switch, the neighbor on each port (indexed by port).
     pub switch_ports: Vec<Vec<NodeId>>,
-    /// For each host: the switch it is attached to and the port index on
-    /// that switch.
-    pub host_attachment: Vec<(u32, u16)>,
+    /// Both ends of every directed link.
+    pub(crate) links: Vec<Link>,
+    /// Directed link host → edge switch.
+    pub(crate) host_uplink: Vec<u32>,
+    /// Directed link leaving each switch port, flattened to
+    /// `sw * port_stride + port` (one load instead of a pointer chase
+    /// per forwarded packet); `u32::MAX` pads short rows.
+    pub(crate) switch_out_link: Vec<u32>,
+    /// Directed link entering each switch port, same layout.
+    pub(crate) switch_in_link: Vec<u32>,
+    /// Row width of the two link tables: max ports on any switch.
+    pub(crate) port_stride: usize,
 }
 
 impl PortMap {
     /// Build the port map from a topology (validates host degree).
     pub fn new(topo: &Topology) -> PortMap {
         let mut switch_ports: Vec<Vec<NodeId>> = vec![Vec::new(); topo.switches];
-        let mut host_attachment: Vec<Option<(u32, u16)>> = vec![None; topo.hosts];
+        let mut links = Vec::with_capacity(topo.cables.len() * 2);
 
         for cable in &topo.cables {
-            // Register each switch end; record host attachments.
-            let ends = [(cable.a, cable.b), (cable.b, cable.a)];
-            for (me, other) in ends {
-                if let NodeId::Switch(s) = me {
-                    let port = switch_ports[s as usize].len() as u16;
-                    switch_ports[s as usize].push(other);
-                    if let NodeId::Host(h) = other {
-                        assert!(
-                            host_attachment[h as usize].is_none(),
-                            "host {h} attached more than once"
-                        );
-                        host_attachment[h as usize] = Some((s, port));
-                    }
-                }
-            }
             if let (NodeId::Host(a), NodeId::Host(b)) = (cable.a, cable.b) {
                 panic!("direct host-host cable ({a}-{b}) is not supported");
             }
+            // Each switch end takes that switch's next port.
+            let [a, b] = [(cable.a, cable.b), (cable.b, cable.a)].map(|(me, other)| match me {
+                NodeId::Host(h) => Endpoint::Host(h),
+                NodeId::Switch(sw) => {
+                    let ports = &mut switch_ports[sw as usize];
+                    ports.push(other);
+                    Endpoint::SwitchPort {
+                        sw,
+                        port: (ports.len() - 1) as u16,
+                    }
+                }
+            });
+            links.push(Link { src: a, dst: b });
+            links.push(Link { src: b, dst: a });
         }
 
-        let host_attachment = host_attachment
-            .into_iter()
-            .enumerate()
-            .map(|(h, a)| a.unwrap_or_else(|| panic!("host {h} is not attached to any switch")))
-            .collect();
+        let port_stride = switch_ports.iter().map(Vec::len).max().unwrap_or(0);
+        let mut host_uplink = vec![u32::MAX; topo.hosts];
+        let mut switch_out_link = vec![u32::MAX; topo.switches * port_stride];
+        let mut switch_in_link = switch_out_link.clone();
+        for (id, link) in links.iter().enumerate() {
+            match link.src {
+                Endpoint::Host(h) => {
+                    assert_eq!(
+                        host_uplink[h as usize],
+                        u32::MAX,
+                        "host {h} attached more than once"
+                    );
+                    host_uplink[h as usize] = id as u32;
+                }
+                Endpoint::SwitchPort { sw, port } => {
+                    switch_out_link[sw as usize * port_stride + port as usize] = id as u32;
+                }
+            }
+            if let Endpoint::SwitchPort { sw, port } = link.dst {
+                switch_in_link[sw as usize * port_stride + port as usize] = id as u32;
+            }
+        }
+        if let Some(h) = host_uplink.iter().position(|&l| l == u32::MAX) {
+            panic!("host {h} is not attached to any switch");
+        }
 
         PortMap {
             switch_ports,
-            host_attachment,
+            links,
+            host_uplink,
+            switch_out_link,
+            switch_in_link,
+            port_stride,
         }
     }
 
     /// Number of ports on switch `s`.
     pub fn radix(&self, s: usize) -> usize {
         self.switch_ports[s].len()
+    }
+
+    /// The edge switch host `h` is attached to.
+    fn host_switch(&self, h: usize) -> usize {
+        match self.links[self.host_uplink[h] as usize].dst {
+            Endpoint::SwitchPort { sw, .. } => sw as usize,
+            Endpoint::Host(_) => unreachable!("host-host cables are rejected"),
+        }
     }
 }
 
@@ -107,15 +173,15 @@ impl Routes {
 
         for dst in 0..h_count {
             // BFS over switches, seeded at the destination's edge switch.
-            let (attach_sw, _) = ports.host_attachment[dst];
+            let attach_sw = ports.host_switch(dst);
             let mut dist = vec![usize::MAX; s_count];
             let mut queue = std::collections::VecDeque::new();
-            dist[attach_sw as usize] = 1; // one link: edge switch → host
-            queue.push_back(attach_sw as usize);
+            dist[attach_sw] = 1; // one link: edge switch → host
+            queue.push_back(attach_sw);
             while let Some(s) = queue.pop_front() {
                 for n in &ports.switch_ports[s] {
                     if let NodeId::Switch(t) = n {
-                        let t = t.idx_usize();
+                        let t = *t as usize;
                         if dist[t] == usize::MAX {
                             dist[t] = dist[s] + 1;
                             queue.push_back(t);
@@ -134,7 +200,7 @@ impl Routes {
                     let closer = match n {
                         NodeId::Host(h) => *h as usize == dst,
                         NodeId::Switch(t) => {
-                            let td = dist[t.idx_usize()];
+                            let td = dist[*t as usize];
                             td != usize::MAX && td + 1 == dist[s]
                         }
                     };
@@ -151,8 +217,7 @@ impl Routes {
                 if src == dst {
                     continue;
                 }
-                let (src_sw, _) = ports.host_attachment[src];
-                let d = dist[src_sw as usize] + 1; // + host→edge link
+                let d = dist[ports.host_switch(src)] + 1; // + host→edge link
                 host_dist[src * h_count + dst] = d as u16;
                 diameter = diameter.max(d);
             }
@@ -213,11 +278,6 @@ impl Routes {
         cands[(h % cands.len() as u64) as usize]
     }
 
-    /// All equal-cost ports (for tests and path-diversity assertions).
-    pub fn candidates(&self, switch: usize, dst_host: usize) -> &[u16] {
-        self.cands(switch, dst_host)
-    }
-
     /// Per-packet spraying (§7 "Reordering due to load-balancing"):
     /// like [`Routes::out_port`] but mixes a per-packet `nonce` into the
     /// hash, so consecutive packets of one flow spread over all
@@ -242,10 +302,9 @@ impl Routes {
     }
 }
 
-/// SplitMix64: a tiny, high-quality 64-bit mixer (public domain), used
-/// only for ECMP hashing — never for workload randomness.
 /// The precomputed, topology-derived routing state a [`crate::Fabric`]
-/// needs: the port map plus the ECMP shortest-path tables.
+/// needs: the port map and link wiring plus the ECMP shortest-path
+/// tables.
 ///
 /// Both are pure functions of the [`Topology`], so one `NetTables` can
 /// be shared (via `Arc`) by every fabric instantiated over the same
@@ -253,7 +312,7 @@ impl Routes {
 /// the per-destination BFS for every cell.
 #[derive(Debug)]
 pub struct NetTables {
-    /// Who is plugged into which switch port.
+    /// Who is plugged into which switch port, over which link.
     pub ports: PortMap,
     /// ECMP shortest-path tables.
     pub routes: Routes,
@@ -269,20 +328,13 @@ impl NetTables {
     }
 }
 
+/// SplitMix64: a tiny, high-quality 64-bit mixer (public domain), used
+/// only for ECMP hashing — never for workload randomness.
 fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-trait SwitchIdxExt {
-    fn idx_usize(&self) -> usize;
-}
-impl SwitchIdxExt for u32 {
-    fn idx_usize(&self) -> usize {
-        *self as usize
-    }
 }
 
 #[cfg(test)]
@@ -293,6 +345,45 @@ mod tests {
         let ports = PortMap::new(topo);
         let routes = Routes::build(topo, &ports);
         (ports, routes)
+    }
+
+    #[test]
+    fn wiring_tables_index_the_link_list() {
+        let topos = [
+            Topology::fat_tree(4),
+            Topology::fat_tree(6),
+            Topology::fat_tree(8),
+            Topology::single_switch(5),
+            Topology::dumbbell(2, 3),
+        ];
+        for t in &topos {
+            let p = PortMap::new(t);
+            assert_eq!(p.links.len(), 2 * t.cables.len());
+            for c in 0..t.cables.len() {
+                let (fwd, rev) = (p.links[2 * c], p.links[2 * c + 1]);
+                assert_eq!((fwd.src, fwd.dst), (rev.dst, rev.src), "cable {c}");
+            }
+            let at = |sw: u32, port: u16| sw as usize * p.port_stride + port as usize;
+            for (id, link) in p.links.iter().enumerate() {
+                if let Endpoint::SwitchPort { sw, port } = link.src {
+                    assert_eq!(p.switch_out_link[at(sw, port)], id as u32);
+                }
+                if let Endpoint::SwitchPort { sw, port } = link.dst {
+                    assert_eq!(p.switch_in_link[at(sw, port)], id as u32);
+                }
+            }
+            // Nothing but padding beside the links' own entries.
+            let wired = |table: &[u32]| table.iter().filter(|&&l| l != u32::MAX).count();
+            let switch_ends = p.links.len() - t.hosts;
+            assert_eq!(wired(&p.switch_out_link), switch_ends);
+            assert_eq!(wired(&p.switch_in_link), switch_ends);
+            for h in 0..t.hosts {
+                let up = p.links[p.host_uplink[h] as usize];
+                assert_eq!(up.src, Endpoint::Host(h as u32));
+            }
+            let max_radix = (0..t.switches).map(|s| p.radix(s)).max().unwrap();
+            assert_eq!(p.port_stride, max_radix);
+        }
     }
 
     #[test]
@@ -316,8 +407,8 @@ mod tests {
         assert_eq!(routes.diameter_hops, 3);
         // From switch 0, hosts 2 and 3 must route via the inter-switch
         // port (the only non-host port on switch 0: port index 2).
-        assert_eq!(routes.candidates(0, 2), &[2]);
-        assert_eq!(routes.candidates(0, 3), &[2]);
+        assert_eq!(routes.cands(0, 2), &[2]);
+        assert_eq!(routes.cands(0, 3), &[2]);
     }
 
     #[test]
@@ -327,11 +418,11 @@ mod tests {
         assert_eq!(routes.diameter_hops, 6);
         // From an edge switch, a host in a different pod has k/2 = 2
         // equal-cost uplinks.
-        let (edge_of_h0, _) = ports.host_attachment[0];
+        let edge_of_h0 = ports.host_switch(0);
         let far_host = t.hosts - 1;
-        assert_eq!(routes.candidates(edge_of_h0 as usize, far_host).len(), 2);
+        assert_eq!(routes.cands(edge_of_h0, far_host).len(), 2);
         // A host on the same switch has exactly one candidate (its port).
-        assert_eq!(routes.candidates(edge_of_h0 as usize, 1).len(), 1);
+        assert_eq!(routes.cands(edge_of_h0, 1).len(), 1);
     }
 
     #[test]
@@ -345,17 +436,17 @@ mod tests {
     fn ecmp_is_deterministic_and_spreads() {
         let t = Topology::fat_tree(4);
         let (ports, routes) = routes_for(&t);
-        let (edge, _) = ports.host_attachment[0];
+        let edge = ports.host_switch(0);
         let dst = t.hosts - 1;
         // Deterministic: same seed, same port.
-        let p1 = routes.out_port(edge as usize, dst, 5);
-        let p2 = routes.out_port(edge as usize, dst, 5);
+        let p1 = routes.out_port(edge, dst, 5);
+        let p2 = routes.out_port(edge, dst, 5);
         assert_eq!(p1, p2);
         // Spreads: many seeds should cover all candidates.
-        let cands = routes.candidates(edge as usize, dst);
+        let cands = routes.cands(edge, dst);
         let mut seen = std::collections::HashSet::new();
         for seed in 0..64 {
-            seen.insert(routes.out_port(edge as usize, dst, seed));
+            seen.insert(routes.out_port(edge, dst, seed));
         }
         assert_eq!(seen.len(), cands.len(), "ECMP must use all candidate ports");
     }
@@ -367,7 +458,7 @@ mod tests {
         for s in 0..t.switches {
             for h in 0..t.hosts {
                 assert!(
-                    !routes.candidates(s, h).is_empty(),
+                    !routes.cands(s, h).is_empty(),
                     "switch {s} cannot reach host {h}"
                 );
             }

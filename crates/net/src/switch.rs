@@ -156,8 +156,6 @@ pub struct SwitchStats {
     pub ecn_marked: u64,
     /// Packets forwarded.
     pub forwarded: u64,
-    /// High-water mark of any input port's occupancy, bytes.
-    pub max_input_occupancy: u64,
 }
 
 /// Run-time state of one input-queued switch.
@@ -261,7 +259,6 @@ impl SwitchState {
         self.input_occ[inp] += size;
         self.egress_bytes[out] += size;
         self.egress_pkts[out] += 1;
-        self.stats.max_input_occupancy = self.stats.max_input_occupancy.max(self.input_occ[inp]);
         self.voq[out * self.radix + inp].push(arena, pkt);
 
         let mut send_xoff = false;

@@ -12,17 +12,6 @@
 //! edge and k/2 aggregation switches, (k/2)² core switches, and k²/4·k
 //! hosts.
 
-/// Identifies a switch: dense index `0..switches`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SwitchId(pub u32);
-
-impl SwitchId {
-    /// The switch index as a usize.
-    pub fn idx(self) -> usize {
-        self.0 as usize
-    }
-}
-
 /// A node endpoint: either an endhost NIC or a switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeId {
@@ -54,10 +43,6 @@ pub struct Topology {
     pub switches: usize,
     /// All bidirectional cables.
     pub cables: Vec<Cable>,
-    /// Hop count of the longest shortest path between any two hosts
-    /// (links traversed); used for BDP computation. Filled by builders;
-    /// `None` for hand-built topologies until computed by the fabric.
-    pub diameter_hops: Option<usize>,
 }
 
 impl Topology {
@@ -67,7 +52,6 @@ impl Topology {
             hosts,
             switches,
             cables: Vec::new(),
-            diameter_hops: None,
         }
     }
 
@@ -98,7 +82,6 @@ impl Topology {
         for h in 0..hosts as u32 {
             t.wire_host(h, 0);
         }
-        t.diameter_hops = Some(2);
         t
     }
 
@@ -113,7 +96,6 @@ impl Topology {
             t.wire_host(h, 1);
         }
         t.wire_switches(0, 1);
-        t.diameter_hops = Some(3);
         t
     }
 
@@ -130,7 +112,6 @@ impl Topology {
         for s in 0..(n - 1) as u32 {
             t.wire_switches(s, s + 1);
         }
-        t.diameter_hops = Some(n + 1);
         t
     }
 
@@ -189,20 +170,11 @@ impl Topology {
                 }
             }
         }
-        t.diameter_hops = Some(6);
         t
     }
 
     /// The host attached to nothing is a configuration bug; validate all
-    /// invariants and panic with a description if violated. Returns
-    /// `self` for chaining.
-    pub fn validate(self) -> Topology {
-        self.check();
-        self
-    }
-
-    /// The by-reference form of [`Topology::validate`]: run the same
-    /// assertions without consuming (or cloning) the topology.
+    /// invariants and panic with a description if violated.
     pub fn check(&self) {
         let mut host_deg = vec![0usize; self.hosts];
         for c in &self.cables {
@@ -241,10 +213,10 @@ mod tests {
     #[test]
     fn fat_tree_k6_matches_paper_default() {
         // §4.1: 54 servers, 45 switches (6-port), 6 pods.
-        let t = Topology::fat_tree(6).validate();
+        let t = Topology::fat_tree(6);
+        t.check();
         assert_eq!(t.hosts, 54);
         assert_eq!(t.switches, 45);
-        assert_eq!(t.diameter_hops, Some(6));
         // Every switch in a k-ary fat-tree has exactly k ports.
         let mut deg = vec![0usize; t.switches];
         for c in &t.cables {
@@ -277,15 +249,18 @@ mod tests {
 
     #[test]
     fn single_switch_and_dumbbell() {
-        let t = Topology::single_switch(4).validate();
+        let t = Topology::single_switch(4);
+        t.check();
         assert_eq!((t.hosts, t.switches, t.cables.len()), (4, 1, 4));
-        let d = Topology::dumbbell(3, 2).validate();
+        let d = Topology::dumbbell(3, 2);
+        d.check();
         assert_eq!((d.hosts, d.switches, d.cables.len()), (5, 2, 6));
     }
 
     #[test]
     fn linear_chain() {
-        let t = Topology::linear(4, 2).validate();
+        let t = Topology::linear(4, 2);
+        t.check();
         assert_eq!(t.hosts, 8);
         assert_eq!(t.switches, 4);
         assert_eq!(t.cables.len(), 8 + 3);
@@ -300,6 +275,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn dangling_host_fails_validation() {
-        Topology::custom(1, 1).validate();
+        Topology::custom(1, 1).check();
     }
 }

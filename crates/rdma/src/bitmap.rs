@@ -146,24 +146,9 @@ impl RingBitmap {
         self.head = (self.head + n) % self.cap;
     }
 
-    /// Set-and-slide helper used by receivers: set `offset`, then return
-    /// how many contiguous bits from the head are now set (callers
-    /// advance the cumulative sequence by that amount and then call
-    /// [`RingBitmap::advance`]).
-    pub fn set_and_count_ready(&mut self, offset: usize) -> usize {
-        self.set(offset);
-        self.leading_ones()
-    }
-
     /// True if no bit is set.
     pub fn is_empty(&self) -> bool {
         self.chunks.iter().all(|&c| c == 0)
-    }
-
-    /// Iterate over the offsets of all set bits (ascending). For tests
-    /// and debugging; O(capacity).
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.cap).filter(move |&i| self.get(i))
     }
 }
 
@@ -325,9 +310,13 @@ mod tests {
 
     #[test]
     fn set_and_count_ready_reports_run() {
+        // The receiver's set-then-slide step: set, then count the run
+        // of ready bits at the head.
         let mut b = RingBitmap::new(64);
-        assert_eq!(b.set_and_count_ready(1), 0); // hole at 0
-        assert_eq!(b.set_and_count_ready(0), 2); // run of two
+        b.set(1);
+        assert_eq!(b.leading_ones(), 0); // hole at 0
+        b.set(0);
+        assert_eq!(b.leading_ones(), 2); // run of two
     }
 
     #[test]
@@ -336,7 +325,7 @@ mod tests {
         for &i in &[3usize, 17, 40, 63] {
             b.set(i);
         }
-        let ones: Vec<usize> = b.iter_ones().collect();
+        let ones: Vec<usize> = (0..b.capacity()).filter(|&i| b.get(i)).collect();
         assert_eq!(ones, vec![3, 17, 40, 63]);
     }
 

@@ -18,14 +18,11 @@
 
 use crate::bitmap::{RingBitmap, TwoBitmap};
 
-/// Transport-level queue-pair context: the per-QP state §6.1 budgets.
-///
-/// One side of a QP holds sender state (`cum_acked`, `next_to_send`,
-/// recovery fields, SACK bitmap) and receiver state (`expected_seq`,
-/// `msn`, receive 2-bitmap); both live here since a QP is bidirectional.
+/// Sender half of the transport-level queue-pair context — the per-QP
+/// state §6.1 budgets, per side: what `txFree`, `receiveAck` and
+/// `timeout` stream in and out.
 #[derive(Debug, Clone)]
-pub struct QpContext {
-    // ---- sender-side ----
+pub struct SenderContext {
     /// Cumulative acknowledgement: everything below is delivered.
     pub cum_acked: u32,
     /// Next fresh sequence number to assign.
@@ -43,8 +40,47 @@ pub struct QpContext {
     pub highest_sacked: u32,
     /// Selective-ack bitmap, head at `cum_acked`.
     pub sack: RingBitmap,
+    /// The armed timer is the short RTO_low one (§3.1/§6.2 timeout
+    /// module contract).
+    pub rto_low_armed: bool,
+}
 
-    // ---- receiver-side ----
+impl SenderContext {
+    /// Fresh context with an all-zero sequence space; `bdp_cap` sizes
+    /// the SACK bitmap (in packets).
+    pub fn new(bdp_cap: usize) -> SenderContext {
+        SenderContext {
+            cum_acked: 0,
+            next_to_send: 0,
+            retx_cursor: 0,
+            recovery_seq: 0,
+            in_recovery: false,
+            highest_sacked: 0,
+            sack: RingBitmap::new(bdp_cap),
+            rto_low_armed: false,
+        }
+    }
+
+    /// Packets in flight as the sender sees them (§3.2: "computed as the
+    /// difference between current packet's sequence number and last
+    /// acknowledged sequence number").
+    pub fn in_flight(&self) -> u32 {
+        self.next_to_send - self.cum_acked
+    }
+
+    /// Shared recovery-entry bookkeeping (NACK or timeout): start
+    /// retransmitting from the cumulative ack, remember the last regular
+    /// packet sent (§3.1's recovery sequence).
+    fn entered_recovery_reset(&mut self) {
+        self.retx_cursor = self.cum_acked;
+        self.recovery_seq = self.next_to_send.saturating_sub(1).max(self.cum_acked);
+    }
+}
+
+/// Receiver half of the queue-pair context: what `receiveData` streams
+/// in and out ([`SenderContext`] is the other half).
+#[derive(Debug, Clone)]
+pub struct QpContext {
     /// Next expected sequence number.
     pub expected_seq: u32,
     /// Message sequence number (completed messages, §5.3.3).
@@ -56,38 +92,18 @@ pub struct QpContext {
     /// receivers use it to avoid NACK storms (IRN NACKs every OOO
     /// arrival and keeps it `false`).
     pub nack_outstanding: bool,
-
-    // ---- timeout ----
-    /// The armed timer is the short RTO_low one (§3.1/§6.2 timeout
-    /// module contract).
-    pub rto_low_armed: bool,
 }
 
 impl QpContext {
-    /// Fresh context with all-zero sequence spaces; `bdp_cap` sizes the
-    /// bitmaps (in packets).
+    /// Fresh context with an all-zero sequence space; `bdp_cap` sizes
+    /// the receive bitmaps (in packets).
     pub fn new(bdp_cap: usize) -> QpContext {
         QpContext {
-            cum_acked: 0,
-            next_to_send: 0,
-            retx_cursor: 0,
-            recovery_seq: 0,
-            in_recovery: false,
-            highest_sacked: 0,
-            sack: RingBitmap::new(bdp_cap),
             expected_seq: 0,
             msn: 0,
             recv: TwoBitmap::new(bdp_cap),
             nack_outstanding: false,
-            rto_low_armed: false,
         }
-    }
-
-    /// Packets in flight as the sender sees them (§3.2: "computed as the
-    /// difference between current packet's sequence number and last
-    /// acknowledged sequence number").
-    pub fn in_flight(&self) -> u32 {
-        self.next_to_send - self.cum_acked
     }
 }
 
@@ -249,7 +265,7 @@ pub enum TxFreeOut {
 /// for the next sequence to retransmit.
 ///
 /// `can_send_new` is the caller's BDP-FC / window / pending-data gate.
-pub fn tx_free(ctx: &mut QpContext, can_send_new: bool) -> TxFreeOut {
+pub fn tx_free(ctx: &mut SenderContext, can_send_new: bool) -> TxFreeOut {
     if ctx.in_recovery {
         // §3.1: first retransmission is the cumulative ack; a later
         // packet is lost only if a higher sequence was SACKed.
@@ -294,7 +310,7 @@ pub struct ReceiveAckOut {
 /// cumulative state, shifts the SACK bitmap, records selective acks, and
 /// drives recovery entry/exit.
 pub fn receive_ack(
-    ctx: &mut QpContext,
+    ctx: &mut SenderContext,
     cum: u32,
     sack: Option<u32>,
     is_nack: bool,
@@ -342,16 +358,6 @@ pub fn receive_ack(
     out
 }
 
-impl QpContext {
-    /// Shared recovery-entry bookkeeping (NACK or timeout): start
-    /// retransmitting from the cumulative ack, remember the last regular
-    /// packet sent (§3.1's recovery sequence).
-    fn entered_recovery_reset(&mut self) {
-        self.retx_cursor = self.cum_acked;
-        self.recovery_seq = self.next_to_send.saturating_sub(1).max(self.cum_acked);
-    }
-}
-
 /// Output of the `timeout` module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimeoutOut {
@@ -372,7 +378,7 @@ pub enum TimeoutOut {
 /// `n_threshold` is the paper's `N` (default 3): RTO_low applies only
 /// when fewer than `N` packets are in flight, keeping spurious
 /// retransmissions negligible (§3.1).
-pub fn timeout(ctx: &mut QpContext, n_threshold: u32) -> TimeoutOut {
+pub fn timeout(ctx: &mut SenderContext, n_threshold: u32) -> TimeoutOut {
     if ctx.rto_low_armed && ctx.in_flight() >= n_threshold {
         // Condition for the short timeout does not hold any more.
         ctx.rto_low_armed = false;
@@ -392,8 +398,14 @@ mod tests {
 
     const CAP: usize = 128;
 
+    /// A fresh receiver half.
     fn ctx() -> QpContext {
         QpContext::new(CAP)
+    }
+
+    /// A fresh sender half.
+    fn sctx() -> SenderContext {
+        SenderContext::new(CAP)
     }
 
     // ---- receiveData ----
@@ -499,7 +511,7 @@ mod tests {
     /// Drive a sender through: send 10, lose 2 and 5, recover.
     #[test]
     fn sack_recovery_retransmits_exactly_the_lost() {
-        let mut c = ctx();
+        let mut c = sctx();
         // "Send" 10 packets.
         for _ in 0..10 {
             assert!(matches!(tx_free(&mut c, true), TxFreeOut::SendNew { .. }));
@@ -527,7 +539,7 @@ mod tests {
 
     #[test]
     fn recovery_exit_requires_passing_recovery_seq() {
-        let mut c = ctx();
+        let mut c = sctx();
         for _ in 0..5 {
             tx_free(&mut c, true);
         }
@@ -546,7 +558,7 @@ mod tests {
     #[test]
     fn no_spurious_retransmit_without_higher_sack() {
         // §3.1: a packet is lost only if a *higher* sequence was SACKed.
-        let mut c = ctx();
+        let mut c = sctx();
         for _ in 0..6 {
             tx_free(&mut c, true);
         }
@@ -562,7 +574,7 @@ mod tests {
 
     #[test]
     fn cum_ack_shifts_sack_bitmap() {
-        let mut c = ctx();
+        let mut c = sctx();
         for _ in 0..8 {
             tx_free(&mut c, true);
         }
@@ -576,13 +588,13 @@ mod tests {
 
     #[test]
     fn idle_when_nothing_to_do() {
-        let mut c = ctx();
+        let mut c = sctx();
         assert_eq!(tx_free(&mut c, false), TxFreeOut::Idle);
     }
 
     #[test]
     fn duplicate_nack_does_not_reenter_recovery() {
-        let mut c = ctx();
+        let mut c = sctx();
         for _ in 0..4 {
             tx_free(&mut c, true);
         }
@@ -596,7 +608,7 @@ mod tests {
 
     #[test]
     fn timeout_extends_when_rto_low_condition_fails() {
-        let mut c = ctx();
+        let mut c = sctx();
         for _ in 0..5 {
             tx_free(&mut c, true);
         }
@@ -609,7 +621,7 @@ mod tests {
 
     #[test]
     fn timeout_fires_and_enters_recovery() {
-        let mut c = ctx();
+        let mut c = sctx();
         for _ in 0..2 {
             tx_free(&mut c, true);
         }
@@ -635,7 +647,7 @@ mod tests {
 
     #[test]
     fn high_timeout_always_fires() {
-        let mut c = ctx();
+        let mut c = sctx();
         for _ in 0..50 {
             tx_free(&mut c, true);
         }
@@ -660,7 +672,7 @@ mod tests {
             #[test]
             fn sender_receiver_converge(loss_mask in proptest::collection::vec(prop::bool::ANY, 1..60)) {
                 let total = loss_mask.len() as u32;
-                let mut s = QpContext::new(128);
+                let mut s = SenderContext::new(128);
                 let mut r = QpContext::new(128);
 
                 // Channel: in-order but lossy on first transmission.
@@ -719,7 +731,7 @@ mod tests {
                 sacks in proptest::collection::vec(1u32..100, 1..30),
                 cum in 0u32..20,
             ) {
-                let mut s = QpContext::new(128);
+                let mut s = SenderContext::new(128);
                 for _ in 0..100 { tx_free(&mut s, true); }
                 receive_ack(&mut s, cum, None, false);
                 for sk in &sacks {

@@ -285,11 +285,6 @@ impl<E> Scheduler<E> {
         self.timers[timer.0 as usize].deadline
     }
 
-    /// True while an expiry is pending for `timer`.
-    pub fn timer_is_armed(&self, timer: TimerId) -> bool {
-        self.timer_deadline(timer).is_some()
-    }
-
     fn insert(&mut self, at: Time, event: E, timer_id: u32, timer_gen: u32) {
         debug_assert!(
             at >= self.now,
@@ -585,7 +580,11 @@ mod tests {
         assert_eq!(s.len(), 1);
         let all: Vec<_> = drain(&mut s);
         assert_eq!(all, vec![(Time::from_nanos(50), 2)]);
-        assert!(!s.timer_is_armed(t), "a popped expiry consumes the arm");
+        assert_eq!(
+            s.timer_deadline(t),
+            None,
+            "a popped expiry consumes the arm"
+        );
     }
 
     #[test]

@@ -33,23 +33,6 @@ pub struct RecvOutcome {
     pub completed: bool,
 }
 
-/// Per-flow receiver statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReceiverStats {
-    /// Data packets accepted (in order or buffered).
-    pub accepted: u64,
-    /// Out-of-order packets buffered (IRN only).
-    pub buffered_ooo: u64,
-    /// Out-of-order packets discarded (RoCE only).
-    pub discarded_ooo: u64,
-    /// Duplicates seen.
-    pub duplicates: u64,
-    /// NACKs emitted.
-    pub nacks_sent: u64,
-    /// CNPs emitted.
-    pub cnps_sent: u64,
-}
-
 /// The receiving half of one flow.
 #[derive(Debug)]
 pub struct ReceiverQp {
@@ -64,8 +47,6 @@ pub struct ReceiverQp {
     ctx: QpContext,
     cnp_gen: Option<CnpGenerator>,
     completed_at: Option<Time>,
-    /// Counters.
-    pub stats: ReceiverStats,
 }
 
 impl ReceiverQp {
@@ -116,7 +97,6 @@ impl ReceiverQp {
             ctx: QpContext::new(bitmap_bits),
             cnp_gen: None,
             completed_at: None,
-            stats: ReceiverStats::default(),
         }
     }
 
@@ -134,26 +114,11 @@ impl ReceiverQp {
 
         let r = modules::receive_data(&mut self.ctx, pkt.psn, pkt.is_last, self.mode);
 
-        // Stats bookkeeping.
-        if r.duplicate {
-            self.stats.duplicates += 1;
-        } else if r.advanced > 0 || r.buffered_ooo {
-            self.stats.accepted += 1;
-            if r.buffered_ooo {
-                self.stats.buffered_ooo += 1;
-            }
-        } else if !r.beyond_window && self.mode == ReceiverMode::RoceGoBackN {
-            self.stats.discarded_ooo += 1;
-        }
-
         // Build the acknowledgement. It echoes the data packet's send
         // timestamp (Timely RTT) and its ECN mark (DCTCP).
         out.ack = match r.ack {
             AckEmit::Ack { cum } => Some(self.make_ack(PacketKind::Ack, cum, 0, pkt)),
-            AckEmit::Nack { cum, sack } => {
-                self.stats.nacks_sent += 1;
-                Some(self.make_ack(PacketKind::Nack, cum, sack, pkt))
-            }
+            AckEmit::Nack { cum, sack } => Some(self.make_ack(PacketKind::Nack, cum, sack, pkt)),
             AckEmit::None => None,
         };
 
@@ -161,7 +126,6 @@ impl ReceiverQp {
         if pkt.ecn_ce {
             if let Some(gen) = &mut self.cnp_gen {
                 if gen.on_marked_packet(now) {
-                    self.stats.cnps_sent += 1;
                     out.cnp = Some(Packet::control(
                         PacketKind::Cnp,
                         self.flow,
@@ -284,10 +248,12 @@ mod tests {
         let nack = out.ack.unwrap();
         assert_eq!(nack.kind, PacketKind::Nack);
         assert_eq!((nack.psn, nack.sack), (0, 2));
-        assert_eq!(r.stats.buffered_ooo, 1);
-        // Filling the holes completes without re-delivering psn 2.
+        // Filling the holes completes without re-delivering psn 2: it
+        // was buffered, not discarded.
         r.on_data(Time::from_nanos(10), &data(0, false));
         let out = r.on_data(Time::from_nanos(20), &data(1, false));
+        let ack = out.ack.unwrap();
+        assert_eq!((ack.kind, ack.psn), (PacketKind::Ack, 3));
         assert!(out.completed);
     }
 
@@ -296,10 +262,12 @@ mod tests {
         let mut r = roce_receiver(3);
         let out = r.on_data(Time::ZERO, &data(2, true));
         assert_eq!(out.ack.unwrap().kind, PacketKind::Nack);
-        assert_eq!(r.stats.discarded_ooo, 1);
         r.on_data(Time::from_nanos(10), &data(0, false));
-        r.on_data(Time::from_nanos(20), &data(1, false));
-        // Packet 2 was discarded: not complete until it arrives again.
+        let out = r.on_data(Time::from_nanos(20), &data(1, false));
+        // Packet 2 was discarded: the cumulative ACK stops short of it,
+        // and the flow is not complete until it arrives again.
+        let ack = out.ack.unwrap();
+        assert_eq!((ack.kind, ack.psn), (PacketKind::Ack, 2));
         assert_eq!(r.completed_at(), None);
         let out = r.on_data(Time::from_nanos(30), &data(2, true));
         assert!(out.completed);
@@ -334,7 +302,6 @@ mod tests {
         marked2.ecn_ce = true;
         let out = r.on_data(Time::from_nanos(1000), &marked2);
         assert!(out.cnp.is_none(), "within 50 µs → suppressed");
-        assert_eq!(r.stats.cnps_sent, 1);
         let cnp = r
             .on_data(Time::ZERO + irn_sim::Duration::micros(51), &{
                 let mut d = data(2, false);
@@ -361,7 +328,11 @@ mod tests {
         assert!(out.completed);
         let out = r.on_data(Time::from_nanos(10), &data(1, true));
         assert!(!out.completed, "completion fires exactly once");
-        assert_eq!(out.ack.unwrap().psn, 2, "duplicates still re-ACK");
-        assert_eq!(r.stats.duplicates, 1);
+        let ack = out.ack.unwrap();
+        assert_eq!(
+            (ack.kind, ack.psn),
+            (PacketKind::Ack, 2),
+            "duplicates still re-ACK"
+        );
     }
 }

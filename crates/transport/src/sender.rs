@@ -22,7 +22,7 @@
 //! only ever invoked for live expiries (no generation filtering).
 
 use irn_net::{FlowId, HostId, Packet, PacketKind};
-use irn_rdma::modules::{self, QpContext, TimeoutOut, TxFreeOut};
+use irn_rdma::modules::{self, SenderContext, TimeoutOut, TxFreeOut};
 use irn_sim::{Duration, Time};
 
 use crate::cc::{CcKind, CcState};
@@ -81,14 +81,14 @@ pub struct SenderStats {
     pub cnps: u64,
 }
 
-/// The flow's retransmission timer as its sender sees it: the deadline
+/// The flow's retransmission timer as its sender sees it: the armed
 /// mirror of the one cancellable scheduler timer the embedding
 /// simulation keeps per flow, the one-slot mailbox of requests for it,
 /// and the lazy reset. Which timeout applies is the policy's argument.
 #[derive(Debug, Default)]
 pub(crate) struct RetxTimer {
-    /// `Some` while an expiry is pending out in the simulation.
-    deadline: Option<Time>,
+    /// An expiry is pending out in the simulation.
+    armed: bool,
     pending: Option<TimerCmd>,
     /// Last acknowledgement progress; an expiry earlier than
     /// `last_progress + RTO` re-arms instead of firing (the standard
@@ -99,12 +99,12 @@ pub(crate) struct RetxTimer {
 impl RetxTimer {
     /// No expiry is pending: the next send or progress must arm.
     pub(crate) fn is_idle(&self) -> bool {
-        self.deadline.is_none()
+        !self.armed
     }
 
     /// Arm (or re-arm) for `at`, superseding any pending deadline.
     pub(crate) fn arm(&mut self, at: Time) {
-        self.deadline = Some(at);
+        self.armed = true;
         self.pending = Some(TimerCmd::Arm(at));
     }
 
@@ -121,7 +121,7 @@ impl RetxTimer {
 
     /// The pending expiry was delivered (only live ones ever are).
     pub(crate) fn expired(&mut self) {
-        self.deadline = None;
+        self.armed = false;
     }
 
     /// Lazy reset: with progress less than `rto` ago, push the deadline
@@ -202,7 +202,7 @@ impl SenderCore {
     /// pending deadline (the scheduler removes it in O(1) — it will
     /// never pop). Returns `true`: "the flow just completed".
     pub(crate) fn complete(&mut self) -> bool {
-        self.timer.pending = self.timer.deadline.take().map(|_| TimerCmd::Cancel);
+        self.timer.pending = std::mem::take(&mut self.timer.armed).then_some(TimerCmd::Cancel);
         self.done = true;
         true
     }
@@ -213,7 +213,7 @@ impl SenderCore {
 pub struct SenderQp {
     core: SenderCore,
     /// Transport context (SACK bitmap, cumulative state, recovery FSM).
-    ctx: QpContext,
+    ctx: SenderContext,
     /// Go-back-N transmit cursor (rewinds on NACK); mirrors
     /// `ctx.next_to_send` in selective-repeat mode.
     gbn_cursor: u32,
@@ -259,7 +259,7 @@ impl SenderQp {
             .max(core.total_packets.min(4096));
         let cc = CcState::new(cc_kind, cfg.line_rate, cfg.bdp_cap.unwrap_or(110), now);
         SenderQp {
-            ctx: QpContext::new(bitmap_bits as usize),
+            ctx: SenderContext::new(bitmap_bits as usize),
             gbn_cursor: 0,
             cc,
             next_allowed: Time::ZERO,

@@ -27,20 +27,11 @@ pub use timer::TimerSlot;
 
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
-use irn_core::workload::SizeDistribution;
-use irn_core::{ExperimentConfig, RunResult, TopologySpec, TrafficModel};
+use irn_core::{ExperimentConfig, RunResult};
 
 /// A small fat-tree scenario sized for CI: 16 hosts, heavy-tailed flows.
 pub fn quick_cfg(flows: usize) -> ExperimentConfig {
-    ExperimentConfig {
-        topology: TopologySpec::FatTree(4),
-        traffic: TrafficModel::Poisson {
-            load: 0.7,
-            sizes: SizeDistribution::HeavyTailed,
-            flow_count: flows,
-        },
-        ..ExperimentConfig::paper_default(flows)
-    }
+    ExperimentConfig::quick(flows)
 }
 
 /// Run a (transport, pfc, cc) cell on the quick scenario.

@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use irn_rdma::bitmap::TwoBitmap;
-use irn_rdma::modules::{self, AckEmit, QpContext, ReceiverMode};
+use irn_rdma::modules::{self, AckEmit, QpContext, ReceiverMode, SenderContext};
 
 use crate::verbs::{
     Cqe, CqeKind, PacketOp, RdmaOp, ReadResponsePacket, ReceiveWqe, RequestPacket, RequestWqe,
@@ -149,7 +149,7 @@ struct PendingRead {
 pub struct Requester {
     cfg: QpConfig,
     /// Sender-side transport context (shared logic with `irn-transport`).
-    pub ctx: QpContext,
+    pub ctx: SenderContext,
     msgs: Vec<MsgSpan>,
     /// Index of the first not-fully-transmitted message + packet offset.
     tx_msg: usize,
@@ -192,7 +192,7 @@ impl Requester {
     pub fn new(cfg: QpConfig) -> Requester {
         Requester {
             cfg,
-            ctx: QpContext::new(cfg.bdp_cap as usize),
+            ctx: SenderContext::new(cfg.bdp_cap as usize),
             msgs: Vec::new(),
             tx_msg: 0,
             tx_pkt: 0,
