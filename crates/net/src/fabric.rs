@@ -100,14 +100,35 @@ impl FabricConfig {
     }
 }
 
+/// Where the `TxDone` of the frame a link sent last stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum Completion {
+    /// It fired, or no frame was ever sent: the transmitter is idle.
+    #[default]
+    Fired,
+    /// Only its sequence number is held. The frame left a switch port
+    /// that had nothing else queued, so at [`LinkState::until`] the
+    /// event would clear a flag, find the VOQs empty and return: it is
+    /// not scheduled unless traffic turns up while the frame is on the
+    /// wire. Through `until` the transmitter is busy; after it, idle.
+    Reserved,
+    /// It is in the queue: the transmitter is busy until it fires.
+    Scheduled,
+}
+
 /// Run state of one directed link; its two ends are wiring, in
 /// [`NetTables`].
 #[derive(Debug, Clone, Copy, Default)]
 struct LinkState {
-    /// Transmitter currently serializing a frame.
-    busy: bool,
+    completion: Completion,
     /// Transmitter held paused by the receiver (PFC X-OFF).
     paused: bool,
+    /// When the frame sent last finishes serializing: the time of its
+    /// `TxDone`.
+    until: Time,
+    /// The sequence number reserved for that `TxDone` when the frame
+    /// went out, so that scheduling it late changes no pop order.
+    seq: u64,
 }
 
 /// Events the fabric schedules for itself via the caller's queue.
@@ -295,8 +316,10 @@ impl Fabric {
     /// PFC-paused.
     #[inline]
     pub fn host_tx_idle(&self, host: HostId) -> bool {
+        // A host uplink's `TxDone` is always scheduled (see `start_tx`),
+        // so this needs no clock.
         let l = &self.links[self.tables.ports.host_uplink[host.idx()] as usize];
-        !l.busy && !l.paused
+        l.completion == Completion::Fired && !l.paused
     }
 
     /// Begin serializing `pkt` from `host` onto its uplink. The packet
@@ -329,7 +352,8 @@ impl Fabric {
             bytes = pkt.wire_bytes,
         );
         let id = self.arena.alloc(pkt);
-        self.start_tx(now, self.tables.ports.host_uplink[host.idx()], id, port);
+        let uplink = self.tables.ports.host_uplink[host.idx()];
+        self.start_tx(now, uplink, id, true, port);
     }
 
     /// Process one fabric event.
@@ -466,7 +490,12 @@ impl Fabric {
         port: &mut impl SchedulePort<FabricEvent>,
     ) -> Option<FabricOutput> {
         let link = &mut self.links[link_id as usize];
-        link.busy = false;
+        debug_assert_eq!(
+            (link.completion, link.until),
+            (Completion::Scheduled, now),
+            "TxDone on link {link_id} that owed none"
+        );
+        link.completion = Completion::Fired;
         if link.paused {
             return None; // the pause owner will kick us on resume
         }
@@ -480,14 +509,34 @@ impl Fabric {
         xoff: bool,
         port: &mut impl SchedulePort<FabricEvent>,
     ) -> Option<FabricOutput> {
+        debug_assert!(
+            !self.waits_unscheduled(now, link_id),
+            "traffic waits behind a frame on link {link_id} whose TxDone is not scheduled"
+        );
         let link = &mut self.links[link_id as usize];
         link.paused = xoff;
         // Resume: restart the transmitter if it has gone idle while
-        // paused (if it is mid-frame, TxDone will pick up from here).
-        if xoff || link.busy {
+        // paused (if a TxDone is scheduled, it will pick up from here;
+        // one that is only reserved has no traffic to pick up).
+        if xoff || link.completion == Completion::Scheduled {
             return None;
         }
         self.kick(now, link_id, port)
+    }
+
+    /// Does traffic wait behind a frame that is on `link_id`'s wire
+    /// with its `TxDone` only reserved? Never: `try_switch_tx` runs on
+    /// every enqueue and schedules it (and a host uplink's is
+    /// scheduled from the start).
+    fn waits_unscheduled(&self, now: Time, link_id: u32) -> bool {
+        let link = &self.links[link_id as usize];
+        let on_wire = link.completion == Completion::Reserved && now <= link.until;
+        match self.tables.ports.links[link_id as usize].src {
+            Endpoint::SwitchPort { sw, port } => {
+                on_wire && self.switches[sw as usize].has_traffic(port)
+            }
+            Endpoint::Host(_) => on_wire,
+        }
     }
 
     /// The transmitter of idle, unpaused `link_id` may go again: tell a
@@ -529,8 +578,21 @@ impl Fabric {
     ) {
         let ports = &self.tables.ports;
         let out_link_id = ports.switch_out_link[sw * ports.port_stride + out_port as usize];
-        let link = &self.links[out_link_id as usize];
-        if link.busy || link.paused {
+        let link = self.links[out_link_id as usize];
+        match link.completion {
+            Completion::Scheduled => return,
+            // The frame is still on the wire (a tie counts: the event
+            // then pops next, before anything else can run), so the
+            // `TxDone` skipped when it left is owed after all.
+            Completion::Reserved if now <= link.until => {
+                if self.switches[sw].has_traffic(out_port) {
+                    self.arm_tx_done(out_link_id, port);
+                }
+                return;
+            }
+            Completion::Reserved | Completion::Fired => {}
+        }
+        if link.paused {
             return;
         }
         let Some(Dequeue {
@@ -553,27 +615,50 @@ impl Fabric {
                 },
             );
         }
-        self.start_tx(now, out_link_id, pkt, port);
+        let more = self.switches[sw].has_traffic(out_port);
+        self.start_tx(now, out_link_id, pkt, more, port);
     }
 
     /// Put `pkt` on the wire of idle `link`: the transmitter is busy
     /// for the frame's serialization time, and its last bit lands one
     /// propagation delay after that.
+    ///
+    /// The `TxDone` always takes its sequence number here, ahead of the
+    /// `Arrive`'s. It is scheduled only if `eager`: for a switch port
+    /// with more queued, which it will serve, and for every host
+    /// uplink, because [`Fabric::host_tx_idle`] is asked without a
+    /// clock and so cannot tell a reserved completion that has passed
+    /// from one that has not. Otherwise `try_switch_tx` schedules it if
+    /// traffic arrives in time, and if none does it never exists.
     #[inline]
     fn start_tx(
         &mut self,
         now: Time,
         link: u32,
         pkt: PktId,
+        eager: bool,
         port: &mut impl SchedulePort<FabricEvent>,
     ) {
-        self.links[link as usize].busy = true;
         let ser = self.serialize_wire(self.arena.get(pkt).wire_bytes as u64);
-        port.schedule(now + ser, FabricEvent::TxDone { link });
+        let state = &mut self.links[link as usize];
+        state.completion = Completion::Reserved;
+        state.until = now + ser;
+        state.seq = port.reserve();
+        if eager {
+            self.arm_tx_done(link, port);
+        }
         port.schedule(
             now + ser + self.cfg.prop_delay,
             FabricEvent::Arrive { link, pkt },
         );
+    }
+
+    /// Schedule the reserved `TxDone` of the frame on `link`'s wire.
+    #[inline]
+    fn arm_tx_done(&mut self, link: u32, port: &mut impl SchedulePort<FabricEvent>) {
+        let state = &mut self.links[link as usize];
+        state.completion = Completion::Scheduled;
+        port.schedule_reserved(state.until, state.seq, FabricEvent::TxDone { link });
     }
 
     /// Aggregated counters across all switches plus fabric-level ones.
@@ -826,53 +911,377 @@ mod tests {
         assert_eq!(fabric.stats().buffer_drops, 0);
     }
 
+    // -----------------------------------------------------------------
+    // The lazy `TxDone`. One switch; host `h`'s uplink is link `2h`,
+    // its downlink (the switch port toward it) link `2h + 1`. At
+    // 40 Gbps a 1000-byte frame serializes in 200 ns.
+    // -----------------------------------------------------------------
+
+    const SER: Duration = Duration::nanos(200);
+    const PROP: Duration = Duration::micros(2);
+
+    fn at(ns: u64) -> Time {
+        Time::from_nanos(ns)
+    }
+
+    fn tx_done(link: u32) -> FabricEvent {
+        FabricEvent::TxDone { link }
+    }
+
+    fn pfc(link: u32, xoff: bool) -> FabricEvent {
+        FabricEvent::PfcArrive { link, xoff }
+    }
+
+    /// Send a 1000-byte frame `src` → `dst` up `src`'s uplink, complete
+    /// the uplink, and hand back the frame's `Arrive` at the switch for
+    /// the test to feed at a time of its choosing.
+    fn uplink(fabric: &mut Fabric, src: u32, dst: u32) -> FabricEvent {
+        let mut port: Vec<(Time, FabricEvent)> = Vec::new();
+        let data = Packet::data(FlowId(src), HostId(src), HostId(dst), 0, 1000);
+        fabric.host_start_tx(Time::ZERO, HostId(src), data, &mut port);
+        let [(done_at, done), (_, arrive)] = port[..] else {
+            panic!("a host uplink schedules TxDone, then Arrive: {port:?}");
+        };
+        assert_eq!(done, tx_done(2 * src));
+        let ready = fabric.handle(done_at, done, &mut port);
+        assert_eq!(ready, Some(FabricOutput::HostTxReady { host: HostId(src) }));
+        arrive
+    }
+
+    /// What handling `ev` at `now` schedules; nothing may be output.
+    fn emits(fabric: &mut Fabric, now: Time, ev: FabricEvent) -> Vec<(Time, FabricEvent)> {
+        let mut port = Vec::new();
+        assert_eq!(fabric.handle(now, ev, &mut port), None);
+        port
+    }
+
+    /// The forwarded copy of `arrive` landing at the far end of `link`.
+    fn forwarded(t: Time, link: u32, arrive: FabricEvent) -> (Time, FabricEvent) {
+        let FabricEvent::Arrive { pkt, .. } = arrive else {
+            panic!("not an arrival: {arrive:?}");
+        };
+        (t + PROP, FabricEvent::Arrive { link, pkt })
+    }
+
+    #[test]
+    fn link_state_stays_within_three_words() {
+        assert!(std::mem::size_of::<LinkState>() <= 24);
+    }
+
     #[test]
     fn start_tx_schedules_tx_done_then_arrive_after_any_xon() {
-        // Thresholds below one frame: the first packet to reach the
+        // Thresholds below one frame: every packet that reaches the
         // switch pauses its input, and its dequeue owes the X-ON.
-        let topo = Topology::single_switch(2);
+        let topo = Topology::single_switch(3);
         let mut cfg = small_cfg();
         cfg.pfc = Some(PfcConfig {
             xoff_bytes: 500,
             xon_bytes: 400,
         });
         let mut fabric = Fabric::new(&topo, cfg);
-        let (ser, prop) = (Duration::nanos(200), Duration::micros(2));
 
-        // Host uplink (link 0 = host 0 → switch).
+        // A host uplink (link 0) schedules its TxDone, then the Arrive.
         let mut port: Vec<(Time, FabricEvent)> = Vec::new();
-        let data = Packet::data(FlowId(0), HostId(0), HostId(1), 0, 1000);
+        let data = Packet::data(FlowId(0), HostId(0), HostId(2), 0, 1000);
         fabric.host_start_tx(Time::ZERO, HostId(0), data, &mut port);
-        let (t, FabricEvent::Arrive { link: 0, pkt }) = port[1] else {
-            panic!("second event must be the arrival on link 0: {port:?}");
-        };
+        let (t, a) = port[1];
+        assert_eq!(port[0], (Time::ZERO + SER, tx_done(0)));
+        assert_eq!((t, a), forwarded(Time::ZERO + SER, 0, a));
+        fabric.handle(Time::ZERO + SER, tx_done(0), &mut port);
+
+        // An idle switch port (link 5) with nothing else queued: the
+        // X-ON first, then the Arrive, and no TxDone.
         assert_eq!(
-            port,
+            emits(&mut fabric, t, a),
             vec![
-                (Time::ZERO + ser, FabricEvent::TxDone { link: 0 }),
-                (
-                    Time::ZERO + ser + prop,
-                    FabricEvent::Arrive { link: 0, pkt }
-                ),
+                (t + PROP, pfc(0, true)),
+                (t + PROP, pfc(0, false)),
+                forwarded(t + SER, 5, a),
             ]
         );
 
-        // Switch port (link 3 = switch → host 1).
-        port.clear();
+        // Two more queue behind that frame, from inputs 1 and 0: the
+        // first schedules the skipped TxDone, the second finds it there.
+        let (b, c) = (uplink(&mut fabric, 1, 2), uplink(&mut fabric, 0, 2));
+        let mid = t + Duration::nanos(50);
         assert_eq!(
-            fabric.handle(t, FabricEvent::Arrive { link: 0, pkt }, &mut port),
-            None
+            emits(&mut fabric, mid, b),
+            vec![(mid + PROP, pfc(2, true)), (t + SER, tx_done(5))]
         );
-        let pfc = |xoff| FabricEvent::PfcArrive { link: 0, xoff };
+        assert_eq!(emits(&mut fabric, mid, c), vec![(mid + PROP, pfc(0, true))]);
+
+        // Serving `b` with `c` still queued: X-ON, TxDone, Arrive.
+        let t = t + SER;
         assert_eq!(
-            port,
+            emits(&mut fabric, t, tx_done(5)),
             vec![
-                (t + prop, pfc(true)),
-                (t + prop, pfc(false)),
-                (t + ser, FabricEvent::TxDone { link: 3 }),
-                (t + ser + prop, FabricEvent::Arrive { link: 3, pkt }),
+                (t + PROP, pfc(2, false)),
+                (t + SER, tx_done(5)),
+                forwarded(t + SER, 5, b),
             ]
         );
+        // Serving `c` empties the port: no TxDone again.
+        let t = t + SER;
+        assert_eq!(
+            emits(&mut fabric, t, tx_done(5)),
+            vec![(t + PROP, pfc(0, false)), forwarded(t + SER, 5, c)]
+        );
+    }
+
+    #[test]
+    fn mid_frame_arrivals_schedule_one_tx_done_at_the_end_of_the_frame() {
+        let topo = Topology::single_switch(4);
+        let mut fabric = Fabric::new(&topo, small_cfg());
+        let [a, b, c] = [0, 1, 2].map(|src| uplink(&mut fabric, src, 3));
+        let t = at(10_000);
+        assert_eq!(emits(&mut fabric, t, a), vec![forwarded(t + SER, 7, a)]);
+        // On the frame's last nanosecond it is still on the wire.
+        assert_eq!(emits(&mut fabric, t + SER, b), vec![(t + SER, tx_done(7))]);
+        assert_eq!(emits(&mut fabric, t + SER, c), vec![]);
+        // One nanosecond past its frame a port is idle, though no
+        // TxDone ever fired on it: the next arrival starts at once.
+        let [d, e] = [3, 3].map(|src| uplink(&mut fabric, src, 0));
+        let t = t + SER;
+        assert_eq!(emits(&mut fabric, t, d), vec![forwarded(t + SER, 1, d)]);
+        let t = t + SER + Duration::nanos(1);
+        assert_eq!(emits(&mut fabric, t, e), vec![forwarded(t + SER, 1, e)]);
+    }
+
+    /// Every event a run handled, with its time, in pop order.
+    type Handled = Vec<(Time, FabricEvent)>;
+
+    /// Frames for [`tie_at_the_end_of_a_frame`]: `(send time, src, dst,
+    /// bytes)`, sorted by time.
+    type Sends = [(u64, u32, u32, u32)];
+
+    /// Drive `sends` through one switch with 100 ns links the way the
+    /// engine drives flow arrivals (a send due at or before the next
+    /// queue event goes first) and return every event handled and
+    /// every delivery, in order.
+    fn drive(sends: &Sends) -> (Handled, Vec<(Time, HostId)>) {
+        let mut cfg = small_cfg();
+        cfg.prop_delay = Duration::nanos(100);
+        let mut fabric = Fabric::new(&Topology::single_switch(5), cfg);
+        let mut q: Scheduler<FabricEvent> = Scheduler::new();
+        let (mut handled, mut delivered) = (Vec::new(), Vec::new());
+        let mut next = 0;
+        loop {
+            let send_at = sends.get(next).map(|s| at(s.0));
+            let send = match (send_at, q.peek_time()) {
+                (Some(s), Some(e)) => s <= e,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if send {
+                let (_, src, dst, bytes) = sends[next];
+                next += 1;
+                let now = send_at.expect("a send is due");
+                q.advance_to(now);
+                let data = Packet::data(FlowId(src), HostId(src), HostId(dst), 0, bytes);
+                fabric.host_start_tx(now, HostId(src), data, &mut q);
+            } else {
+                let (now, ev) = q.pop().expect("peeked");
+                handled.push((now, ev));
+                if let Some(FabricOutput::Deliver { host, pkt }) = fabric.handle(now, ev, &mut q) {
+                    fabric.take_delivered(pkt);
+                    delivered.push((now, host));
+                }
+            }
+        }
+        assert_eq!(fabric.pkt_pool_live(), 0);
+        assert_eq!(q.stats().past_clamps, 0);
+        (handled, delivered)
+    }
+
+    #[test]
+    fn tie_at_the_end_of_a_frame() {
+        // Frame F (0 → 2) reaches the switch at 300 and is on port 5's
+        // wire through 500 with its TxDone reserved. G (1 → 2) and H
+        // (3 → 4, an idle port) reach the switch at 500 exactly, G
+        // first. Had the TxDone been scheduled at 300, it would pop at
+        // 500 after every arrival sent before 300 and before every one
+        // sent after.
+        // The links of what was handled at 500: G's and H's arrivals
+        // at the switch (links 2 and 6) and port 5's TxDone.
+        let at_500 = |handled: &Handled| -> Vec<u32> {
+            handled
+                .iter()
+                .filter(|(t, _)| *t == at(500))
+                .filter_map(|&(_, ev)| match ev {
+                    FabricEvent::Arrive { link, .. } if link == 2 || link == 6 => Some(link),
+                    FabricEvent::TxDone { link: 5 } => Some(5),
+                    _ => None,
+                })
+                .collect()
+        };
+
+        // G and H sent at 200, before F's frame left: their arrivals
+        // hold lower numbers than the reserved one. G finds the port
+        // busy, H's port starts at once, and the TxDone then serves G:
+        // H's copy is scheduled first and is delivered first.
+        let early = [(0, 0, 2, 1000), (200, 1, 2, 1000), (200, 3, 4, 1000)];
+        let (handled, delivered) = drive(&early);
+        assert_eq!(at_500(&handled), vec![2, 6, 5]);
+        assert_eq!(
+            delivered[1..],
+            [(at(800), HostId(4)), (at(800), HostId(2))],
+            "{handled:?}"
+        );
+
+        // G and H sent at 350, after: higher numbers. The TxDone G
+        // schedules holds a number below G's own and still pops next,
+        // ahead of H — G's copy goes out where an eager TxDone popped
+        // before G would have let G itself send it, before H's.
+        let late = [(0, 0, 2, 1000), (350, 1, 2, 250), (350, 3, 4, 250)];
+        let (handled, delivered) = drive(&late);
+        assert_eq!(at_500(&handled), vec![2, 5, 6]);
+        assert_eq!(
+            delivered[1..],
+            [(at(650), HostId(2)), (at(650), HostId(4))],
+            "{handled:?}"
+        );
+    }
+
+    #[test]
+    fn pause_and_resume_around_a_reserved_tx_done() {
+        let t = at(10_000);
+        let [early, end, late] = [50, 200, 300].map(|ns| t + Duration::nanos(ns));
+        // Port 7's frame `a` is on the wire through `end`, its TxDone
+        // reserved, when an X-OFF lands; `b` is to follow it.
+        let paused = || {
+            let mut fabric = Fabric::new(&Topology::single_switch(4), small_cfg());
+            let [a, b] = [0, 1].map(|src| uplink(&mut fabric, src, 3));
+            assert_eq!(emits(&mut fabric, t, a), vec![forwarded(t + SER, 7, a)]);
+            assert_eq!(emits(&mut fabric, early, pfc(7, true)), vec![]);
+            (fabric, b)
+        };
+
+        // X-ON before the end of the frame, nothing queued: nothing to
+        // do; `b` then schedules the TxDone as if no pause had been.
+        let (mut fabric, b) = paused();
+        assert_eq!(emits(&mut fabric, early, pfc(7, false)), vec![]);
+        assert_eq!(emits(&mut fabric, early, b), vec![(end, tx_done(7))]);
+        assert_eq!(
+            emits(&mut fabric, end, tx_done(7)),
+            vec![forwarded(end + SER, 7, b)]
+        );
+
+        // `b` queues mid-frame under the pause: the TxDone is scheduled
+        // all the same, fires into the pause, and the X-ON sends `b`.
+        let (mut fabric, b) = paused();
+        assert_eq!(emits(&mut fabric, early, b), vec![(end, tx_done(7))]);
+        assert_eq!(emits(&mut fabric, end, tx_done(7)), vec![]);
+        assert_eq!(
+            emits(&mut fabric, late, pfc(7, false)),
+            vec![forwarded(late + SER, 7, b)]
+        );
+
+        // The same with the X-ON in the frame's last nanosecond, ahead
+        // of the TxDone: the TxDone sends `b`.
+        let (mut fabric, b) = paused();
+        assert_eq!(emits(&mut fabric, early, b), vec![(end, tx_done(7))]);
+        assert_eq!(emits(&mut fabric, end, pfc(7, false)), vec![]);
+        assert_eq!(
+            emits(&mut fabric, end, tx_done(7)),
+            vec![forwarded(end + SER, 7, b)]
+        );
+
+        // X-ON in the last nanosecond with nothing queued, then `b` in
+        // the same nanosecond: still a tie, still through the TxDone.
+        let (mut fabric, b) = paused();
+        assert_eq!(emits(&mut fabric, end, pfc(7, false)), vec![]);
+        assert_eq!(emits(&mut fabric, end, b), vec![(end, tx_done(7))]);
+
+        // `b` arrives after the frame has left, under the pause: no
+        // TxDone is owed, and the X-ON sends `b`.
+        let (mut fabric, b) = paused();
+        assert_eq!(emits(&mut fabric, late, b), vec![]);
+        assert_eq!(
+            emits(&mut fabric, late, pfc(7, false)),
+            vec![forwarded(late + SER, 7, b)]
+        );
+    }
+
+    #[test]
+    fn recorded_calls_replay_into_a_port_that_only_schedules() {
+        /// The benchmark's replay port: `schedule` alone, and it keeps
+        /// nothing — the fabric must decide from `now` and its links.
+        struct Discard;
+        impl SchedulePort<FabricEvent> for Discard {
+            fn schedule(&mut self, _at: Time, _ev: FabricEvent) {}
+        }
+        enum Op {
+            Tx(Time, Packet),
+            Event(Time, FabricEvent),
+        }
+        struct Recorder {
+            fabric: Fabric,
+            q: Scheduler<FabricEvent>,
+            left: [u32; 8],
+            log: Vec<Op>,
+        }
+        impl Recorder {
+            /// Keep sender `s`'s uplink busy while it has frames left.
+            fn pump(&mut self, now: Time, s: usize) {
+                let host = HostId(s as u32);
+                if s < 8 && self.left[s] > 0 && self.fabric.host_tx_idle(host) {
+                    self.left[s] -= 1;
+                    let data = Packet::data(FlowId(host.0), host, HostId(8), self.left[s], 1000);
+                    self.log.push(Op::Tx(now, data));
+                    self.fabric.host_start_tx(now, host, data, &mut self.q);
+                }
+            }
+        }
+
+        // Eight saturating senders into one receiver through buffers
+        // that pause them, under the real scheduler.
+        let topo = Topology::single_switch(9);
+        let mut cfg = small_cfg();
+        cfg.buffer_bytes = 30_000;
+        cfg.pfc = Some(PfcConfig::for_buffer(
+            cfg.buffer_bytes,
+            cfg.bandwidth,
+            cfg.prop_delay,
+            1_048,
+        ));
+        let mut rec = Recorder {
+            fabric: Fabric::new(&topo, cfg.clone()),
+            q: Scheduler::new(),
+            left: [40; 8],
+            log: Vec::new(),
+        };
+        for s in 0..8 {
+            rec.pump(Time::ZERO, s);
+        }
+        while let Some((now, ev)) = rec.q.pop() {
+            rec.log.push(Op::Event(now, ev));
+            match rec.fabric.handle(now, ev, &mut rec.q) {
+                Some(FabricOutput::Deliver { pkt, .. }) => {
+                    rec.fabric.take_delivered(pkt);
+                }
+                Some(FabricOutput::HostTxReady { host }) => rec.pump(now, host.idx()),
+                Some(FabricOutput::Dropped { .. }) | None => {}
+            }
+        }
+        let recorded = rec.fabric.stats();
+        assert!(recorded.pauses > 0 && recorded.delivered_pkts == 320);
+
+        let mut replay = Fabric::new(&topo, cfg);
+        for op in rec.log {
+            match op {
+                Op::Tx(now, pkt) => replay.host_start_tx(now, pkt.src, pkt, &mut Discard),
+                Op::Event(now, ev) => {
+                    if let Some(FabricOutput::Deliver { pkt, .. }) =
+                        replay.handle(now, ev, &mut Discard)
+                    {
+                        replay.take_delivered(pkt);
+                    }
+                }
+            }
+        }
+        assert_eq!(replay.pkt_pool_live(), 0, "replay left packets in flight");
+        assert_eq!(replay.stats(), recorded);
     }
 
     #[test]

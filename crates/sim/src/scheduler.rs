@@ -30,11 +30,17 @@
 //!
 //! The scheduler preserves the reference `EventQueue`'s contract
 //! *exactly*: pops are nondecreasing in time, and events scheduled for
-//! the same instant pop in strict push order (every push — including a
-//! timer arm — is stamped with a monotonically increasing sequence
-//! number; internal layout never participates in ordering). The
-//! differential property suite in `tests/tests/scheduler.rs` pins this
-//! against the binary-heap reference over random push/pop/arm/cancel
+//! the same instant pop in order of their sequence numbers (every push
+//! — including a timer arm — is stamped with the next number of one
+//! monotonically increasing counter; internal layout never
+//! participates in ordering). A caller may also take a number with
+//! [`Scheduler::reserve`] and decide later whether the event it stands
+//! for is needed: [`Scheduler::push_reserved`] enters it under that
+//! number, so it pops exactly where a push made at reservation time
+//! would have — next, if every pending entry at its instant is younger
+//! — and a number never pushed leaves no trace. The differential
+//! property suite in `tests/tests/scheduler.rs` pins this against the
+//! binary-heap reference over random push/pop/arm/cancel/reserve
 //! interleavings.
 
 use crate::Time;
@@ -101,14 +107,41 @@ pub struct SchedStats {
 /// for, so an embedding simulation with
 /// `enum Event { Fabric(FabricEvent), .. }` passes its scheduler
 /// straight through — no closure threading, no intermediate buffer.
+///
+/// `reserve` / `schedule_reserved` let an emitter hold the place of an
+/// event it may never need (see [`Scheduler::reserve`]). They have
+/// default bodies because only a port that *orders* events has places
+/// to hold: a sink that records or discards emissions keeps
+/// implementing `schedule` alone, and sees a reserved event when (and
+/// if) it is scheduled. An emitter must therefore treat the number as
+/// opaque and never branch on it.
 pub trait SchedulePort<F> {
     /// Schedule `ev` to fire at absolute time `at`.
     fn schedule(&mut self, at: Time, ev: F);
+
+    /// Take the sequence number a `schedule` made now would get.
+    fn reserve(&mut self) -> u64 {
+        0
+    }
+
+    /// Schedule `ev` at `at` under a number from [`SchedulePort::reserve`].
+    fn schedule_reserved(&mut self, at: Time, seq: u64, ev: F) {
+        let _ = seq;
+        self.schedule(at, ev);
+    }
 }
 
 impl<F, E: From<F>> SchedulePort<F> for Scheduler<E> {
     fn schedule(&mut self, at: Time, ev: F) {
         self.push(at, E::from(ev));
+    }
+
+    fn reserve(&mut self) -> u64 {
+        Scheduler::reserve(self)
+    }
+
+    fn schedule_reserved(&mut self, at: Time, seq: u64, ev: F) {
+        self.push_reserved(at, seq, E::from(ev));
     }
 }
 
@@ -236,7 +269,33 @@ impl<E> Scheduler<E> {
     /// "now" **and count the clamp** in [`SchedStats::past_clamps`] so
     /// the violation stays observable (`RunResult` surfaces it).
     pub fn push(&mut self, at: Time, event: E) {
-        self.insert(at, event, NO_TIMER, 0);
+        let seq = self.reserve();
+        self.insert(at, seq, event, NO_TIMER, 0);
+    }
+
+    /// Take the sequence number the next push would be stamped with,
+    /// without scheduling anything. Pass it to
+    /// [`Scheduler::push_reserved`] to enter the event later in the
+    /// place a push made now would have had, or drop it: an unused
+    /// number costs nothing and is never seen again.
+    pub fn reserve(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `at` under `seq`, a number from
+    /// [`Scheduler::reserve`] not used before. Among events at `at` it
+    /// pops in `seq` order — ahead of every pending one pushed since
+    /// the reservation, so at the current instant it may pop next even
+    /// though younger events of that instant already have. A past `at`
+    /// is clamped and counted exactly as in [`Scheduler::push`].
+    pub fn push_reserved(&mut self, at: Time, seq: u64, event: E) {
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
+        self.insert(at, seq, event, NO_TIMER, 0);
     }
 
     /// Create a fresh, unarmed timer.
@@ -266,7 +325,8 @@ impl<E> Scheduler<E> {
         self.timers[idx].deadline = Some(deadline.max(self.now));
         let generation = self.timers[idx].generation;
         self.stats.timer_arms += 1;
-        self.insert(deadline, event, timer.0, generation);
+        let seq = self.reserve();
+        self.insert(deadline, seq, event, timer.0, generation);
     }
 
     /// Cancel whatever is armed on `timer` in O(1). A no-op (beyond the
@@ -285,7 +345,7 @@ impl<E> Scheduler<E> {
         self.timers[timer.0 as usize].deadline
     }
 
-    fn insert(&mut self, at: Time, event: E, timer_id: u32, timer_gen: u32) {
+    fn insert(&mut self, at: Time, seq: u64, event: E, timer_id: u32, timer_gen: u32) {
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: {at} < {}",
@@ -297,8 +357,6 @@ impl<E> Scheduler<E> {
         } else {
             at
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.stats.pushes += 1;
         self.live += 1;
         let entry = Entry {
@@ -311,8 +369,7 @@ impl<E> Scheduler<E> {
         let bucket = Self::bucket_of(at);
         if bucket <= self.cursor {
             // The cursor already opened this bucket: merge into the
-            // sorted due run (descending; the new entry has the largest
-            // seq so it lands after same-time entries in pop order).
+            // sorted due run (descending, so the back pops first).
             let key = entry.key();
             let idx = self.due.partition_point(|e| e.key() > key);
             self.due.insert(idx, entry);
@@ -653,6 +710,63 @@ mod tests {
     }
 
     #[test]
+    fn reserved_push_pops_where_a_push_at_reservation_would_have() {
+        // The same instant reached through the due run, the ring and
+        // the overflow: a reserved entry sorts by its number in each.
+        let far = Time::from_nanos((NUM_BUCKETS as u64) << (BUCKET_SHIFT + 2));
+        for t in [Time::from_nanos(5), Time::from_nanos(5_000), far] {
+            let mut s = Scheduler::new();
+            s.push(t, 0);
+            let held = s.reserve();
+            s.push(t, 2);
+            s.push_reserved(t, held, 1);
+            let order: Vec<_> = drain(&mut s).into_iter().map(|(_, e)| e).collect();
+            assert_eq!(order, vec![0, 1, 2], "at {t}");
+        }
+    }
+
+    #[test]
+    fn reserved_push_at_now_below_the_last_popped_key_pops_next() {
+        let mut s = Scheduler::new();
+        let t = Time::from_nanos(700);
+        let held = s.reserve();
+        for i in 1..=3 {
+            s.push(t, i);
+        }
+        assert_eq!(s.pop(), Some((t, 1)));
+        assert_eq!(s.pop(), Some((t, 2)));
+        s.push_reserved(t, held, 0);
+        assert_eq!(s.peek_time(), Some(t));
+        assert_eq!(s.pop(), Some((t, 0)), "ahead of the younger pending 3");
+        assert_eq!(s.now(), t);
+        assert_eq!(s.pop(), Some((t, 3)));
+    }
+
+    #[test]
+    fn unused_reservation_leaves_no_trace() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let _ = s.reserve();
+        assert!(s.is_empty());
+        assert_eq!(s.peek_time(), None);
+        assert_eq!(s.pop(), None);
+        assert_eq!(s.stats(), SchedStats::default());
+    }
+
+    #[test]
+    fn past_reserved_push_clamps_and_counts_in_release() {
+        if cfg!(debug_assertions) {
+            return;
+        }
+        let mut s = Scheduler::new();
+        let held = s.reserve();
+        s.push(Time::from_nanos(100), 1);
+        s.pop();
+        s.push_reserved(Time::from_nanos(50), held, 2);
+        assert_eq!(s.stats().past_clamps, 1);
+        assert_eq!(s.pop(), Some((Time::from_nanos(100), 2)), "clamped to now");
+    }
+
+    #[test]
     #[should_panic]
     #[cfg(debug_assertions)]
     fn scheduling_in_the_past_panics_in_debug() {
@@ -712,5 +826,25 @@ mod tests {
         let mut sink: Vec<(Time, u32)> = Vec::new();
         emit(&mut sink);
         assert_eq!(sink, vec![(Time::from_nanos(5), 7)]);
+    }
+
+    #[test]
+    fn reserving_through_the_port_orders_a_scheduler_and_passes_through_a_sink() {
+        fn emit(port: &mut impl SchedulePort<u32>) {
+            let held = port.reserve();
+            port.schedule(Time::from_nanos(5), 2);
+            port.schedule_reserved(Time::from_nanos(5), held, 1);
+        }
+        let mut s: Scheduler<u32> = Scheduler::new();
+        emit(&mut s);
+        let order: Vec<_> = drain(&mut s).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(order, vec![1, 2], "a scheduler honours the reservation");
+        // A sink implements `schedule` alone: emission order.
+        let mut sink: Vec<(Time, u32)> = Vec::new();
+        emit(&mut sink);
+        assert_eq!(
+            sink,
+            vec![(Time::from_nanos(5), 2), (Time::from_nanos(5), 1)]
+        );
     }
 }

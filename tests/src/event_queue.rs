@@ -13,7 +13,8 @@
 //! beats a data packet). A plain `BinaryHeap<(Time, E)>` would order
 //! simultaneous events by `E`'s `Ord`, which is arbitrary and fragile;
 //! instead every push is stamped with a monotonically increasing sequence
-//! number so ties break strictly in insertion order.
+//! number so ties break strictly in insertion order — or, for an event
+//! whose number was reserved ahead of its push, in reservation order.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -81,13 +82,28 @@ impl<E> EventQueue<E> {
     /// error in the caller and panics in debug builds; in release builds
     /// the event fires "now" (time never runs backwards).
     pub fn push(&mut self, at: Time, event: E) {
+        let seq = self.reserve();
+        self.push_reserved(at, seq, event);
+    }
+
+    /// Take the sequence number the next push would get, to push under
+    /// it later ([`EventQueue::push_reserved`]) or never.
+    pub fn reserve(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `at` under a reserved `seq`: it pops where a
+    /// push made at reservation time would have. The heap orders by
+    /// `(time, seq)` whatever order entries enter in. The past is
+    /// handled as in [`EventQueue::push`].
+    pub fn push_reserved(&mut self, at: Time, seq: u64, event: E) {
         debug_assert!(
             at >= self.last_popped,
             "scheduled event in the past: {at} < {}",
             self.last_popped
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.heap.push(Entry {
             time: at.max(self.last_popped),
             seq,
@@ -135,6 +151,14 @@ impl<E> EventQueue<E> {
 impl<F, E: From<F>> SchedulePort<F> for EventQueue<E> {
     fn schedule(&mut self, at: Time, ev: F) {
         self.push(at, E::from(ev));
+    }
+
+    fn reserve(&mut self) -> u64 {
+        EventQueue::reserve(self)
+    }
+
+    fn schedule_reserved(&mut self, at: Time, seq: u64, ev: F) {
+        self.push_reserved(at, seq, E::from(ev));
     }
 }
 
@@ -206,6 +230,25 @@ mod tests {
         q.push(t, 3);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(order, vec![(t, 1), (t, 2), (t, 3)]);
+    }
+
+    #[test]
+    fn reserved_push_pops_in_its_reserved_place() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let t = Time::from_nanos(7);
+        q.push(t, 1);
+        let held = SchedulePort::<u32>::reserve(&mut q);
+        let _never_pushed = q.reserve();
+        q.push(t, 3);
+        assert_eq!(q.pop(), Some((t, 1)));
+        assert_eq!(q.pop(), Some((t, 3)));
+        // Entered late, at the instant of the last pop, under a number
+        // below that pop's: next out, the clock where it was.
+        q.push(t, 4);
+        SchedulePort::schedule_reserved(&mut q, t, held, 2u32);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, vec![(t, 2), (t, 4)]);
+        assert_eq!(q.now(), t);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! binary-heap `EventQueue` whose timer expiries carry generation
 //! tokens that are filtered at pop (exactly the `TimerSlot` mechanism
 //! the engine used before the swap). Random interleavings of
-//! push/pop/arm/cancel/peek must produce identical delivered sequences
-//! on both implementations.
+//! push/pop/arm/cancel/peek, and of sequence numbers reserved and
+//! pushed under later (or never), must produce identical delivered
+//! sequences on both implementations.
 //!
 //! The integration half asserts the engine-level guarantees the
 //! scheduler buys: steady-state runs deliver **zero** stale timer
@@ -45,6 +46,10 @@ impl Reference {
 
     fn push(&mut self, at: Time, tag: u64) {
         self.queue.push(at, (tag, None));
+    }
+
+    fn push_reserved(&mut self, at: Time, seq: u64, tag: u64) {
+        self.queue.push_reserved(at, seq, (tag, None));
     }
 
     fn arm(&mut self, k: usize, deadline: Time, tag: u64) {
@@ -104,6 +109,9 @@ fn run_differential(ops: &[(usize, usize, u64)]) {
     // reference heap's past-clamp out of play.
     let mut frontier = Time::ZERO;
     let mut tag = 0u64;
+    // Sequence numbers taken and not yet pushed under. Whatever is
+    // left here at the end was never scheduled and must not show.
+    let mut reserved: Vec<u64> = Vec::new();
 
     for &(sel, k, gap) in ops {
         let at = frontier + Duration::nanos(gap);
@@ -137,12 +145,29 @@ fn run_differential(ops: &[(usize, usize, u64)]) {
                 }
             }
             // Peek the next live timestamp.
-            _ => {
+            4 => {
                 let got = sched.peek_time();
                 let want = reference.peek_live();
                 assert_eq!(got, want, "peek diverged");
                 if let Some(t) = got {
                     frontier = frontier.max(t);
+                }
+            }
+            // Reserve a sequence number; both sides hand out the same.
+            5 => {
+                let seq = sched.reserve();
+                assert_eq!(seq, reference.queue.reserve(), "reserve diverged");
+                reserved.push(seq);
+            }
+            // Push under a reserved number. With `gap == 0` after a pop
+            // this lands at "now" below the key just popped: it must
+            // come out next, which the following pops check.
+            _ => {
+                if !reserved.is_empty() {
+                    let seq = reserved.swap_remove(k % reserved.len());
+                    tag += 1;
+                    sched.push_reserved(at, seq, tag);
+                    reference.push_reserved(at, seq, tag);
                 }
             }
         }
@@ -175,17 +200,22 @@ fn run_differential(ops: &[(usize, usize, u64)]) {
         }
     }
     assert!(sched.is_empty());
+    // Every entry that went in came out or was a reclaimed tombstone:
+    // unused reservations are in neither count.
+    let stats = sched.stats();
+    assert_eq!(stats.pushes, stats.pops + stats.stale_skips);
+    assert_eq!(stats.pushes, tag);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random push/pop/arm/cancel/peek interleavings: the ladder queue
+    /// Random push/pop/arm/cancel/peek/reserve interleavings: the ladder queue
     /// and the heap+generation reference must deliver identical event
     /// sequences (times, payloads, and FIFO tie-breaks).
     #[test]
     fn scheduler_matches_heap_reference(
-        ops in proptest::collection::vec((0usize..5, 0usize..TIMERS, 0u64..3_000), 1..400),
+        ops in proptest::collection::vec((0usize..7, 0usize..TIMERS, 0u64..3_000), 1..400),
     ) {
         run_differential(&ops);
     }
@@ -195,7 +225,7 @@ proptest! {
     /// due-run merges, and the heap's sequence numbers.
     #[test]
     fn scheduler_matches_reference_under_heavy_ties(
-        ops in proptest::collection::vec((0usize..5, 0usize..TIMERS, 0u64..3), 1..400),
+        ops in proptest::collection::vec((0usize..7, 0usize..TIMERS, 0u64..3), 1..400),
     ) {
         run_differential(&ops);
     }
@@ -205,7 +235,7 @@ proptest! {
     /// reference.
     #[test]
     fn scheduler_matches_reference_across_cascades(
-        ops in proptest::collection::vec((0usize..5, 0usize..TIMERS, 0u64..3_000_000), 1..200),
+        ops in proptest::collection::vec((0usize..7, 0usize..TIMERS, 0u64..3_000_000), 1..200),
     ) {
         run_differential(&ops);
     }
