@@ -218,9 +218,15 @@ impl ExperimentConfig {
         t
     }
 
+    /// Wire bytes of one maximum-size data frame: a full MTU payload
+    /// plus its headers.
+    pub(crate) fn max_frame_bytes(&self) -> u64 {
+        self.mtu as u64 + DATA_HEADER_BYTES as u64 + self.extra_header as u64
+    }
+
     /// Build the fabric configuration.
     pub fn fabric_config(&self) -> irn_net::FabricConfig {
-        let max_frame = (self.mtu + DATA_HEADER_BYTES + self.extra_header) as u64;
+        let max_frame = self.max_frame_bytes();
         irn_net::FabricConfig {
             bandwidth: self.bandwidth,
             prop_delay: self.prop_delay,

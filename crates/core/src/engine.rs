@@ -32,7 +32,7 @@ use irn_net::{
     Fabric, FabricEvent, FabricOutput, FlowId, HostId, NetTables, Packet, PacketKind, PktId,
 };
 use irn_sim::{Scheduler, Time, TimerId};
-use irn_transport::config::{TransportConfig, DATA_HEADER_BYTES};
+use irn_transport::config::TransportConfig;
 use irn_transport::{endpoints, HostNic, NicPoll, Receiver, Sender, SenderPoll, TimerCmd};
 use irn_workload::{AppDriver, AppEvent, AppSink, FlowSpec, TrafficCtx};
 
@@ -892,10 +892,10 @@ impl Simulation {
     fn record_completion(&mut self, now: Time, idx: usize) {
         let spec = self.flows[idx];
         let hops = self.fabric.path_hops(HostId(spec.src), HostId(spec.dst));
-        let header = (DATA_HEADER_BYTES + self.cfg.extra_header) as u64;
-        let packets = spec.bytes.max(1).div_ceil(self.cfg.mtu as u64);
-        let wire_total = spec.bytes + packets * header;
-        let one_pkt = (self.cfg.mtu as u64 + header).min(wire_total);
+        let header = self.tcfg.data_wire_bytes(0) as u64;
+        let packets = self.tcfg.packets_for(spec.bytes);
+        let wire_total = spec.bytes + packets as u64 * header;
+        let one_pkt = (self.tcfg.data_wire_bytes(self.tcfg.mtu) as u64).min(wire_total);
         let ideal = ideal_fct(
             wire_total,
             one_pkt,
@@ -906,7 +906,7 @@ impl Simulation {
         let record = FlowRecord {
             flow: idx as u32,
             bytes: spec.bytes,
-            packets: packets as u32,
+            packets,
             start: spec.at,
             finish: now,
             ideal,

@@ -24,10 +24,10 @@ use irn_net::{Bandwidth, LoadBalancing};
 use irn_sim::{Duration, Time};
 use irn_transport::cc::CcKind;
 use irn_transport::config::TransportKind;
-use irn_workload::model::MAX_FLOWS;
+use irn_workload::model::{HORIZON_NS, MAX_FLOWS};
 use irn_workload::{
-    AllreduceAlgo, Component, FlowSpec, Population, SizeDistribution, Start, TrafficError,
-    TrafficModel,
+    AllreduceAlgo, Component, FlowSpec, Population, SizeDistribution, Start, TrafficCtx,
+    TrafficError, TrafficModel,
 };
 use serde::json::{self, Value};
 use serde::{DeError, Deserialize, Serialize};
@@ -210,6 +210,27 @@ pub enum ScenarioError {
     ZeroBandwidth,
     /// Per-port buffering must be positive.
     ZeroBuffer,
+    /// Per-port buffering must hold one maximum-size frame, else no
+    /// packet can cross a switch and the run never completes.
+    BufferBelowFrame {
+        /// The offending buffer size.
+        buffer_bytes: u64,
+        /// One maximum frame: `mtu + 48 + extra_header`.
+        frame: u64,
+    },
+    /// A stated instant or duration lies beyond the virtual-time
+    /// horizon ([`HORIZON_NS`]).
+    BeyondHorizon {
+        /// The offending field.
+        field: &'static str,
+        /// Its value in nanoseconds.
+        ns: u64,
+    },
+    /// A retransmission timeout must be at least 1 ns.
+    ZeroRto {
+        /// The offending field.
+        field: &'static str,
+    },
     /// Loss injection is a probability below 1 (1 would drop every
     /// packet and the run could never complete).
     LossOutOfRange {
@@ -262,6 +283,19 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::ZeroMtu => write!(f, "mtu must be at least 1 byte"),
             ScenarioError::ZeroBandwidth => write!(f, "bandwidth_mbps must be positive"),
             ScenarioError::ZeroBuffer => write!(f, "buffer_bytes must be positive"),
+            ScenarioError::BufferBelowFrame {
+                buffer_bytes,
+                frame,
+            } => write!(
+                f,
+                "buffer_bytes {buffer_bytes} cannot hold one maximum frame of {frame} bytes \
+                 (mtu + 48 + extra_header)"
+            ),
+            ScenarioError::BeyondHorizon { field, ns } => {
+                let (field, ns) = (*field, *ns as u128);
+                write!(f, "{}", TrafficError::BeyondHorizon { field, ns })
+            }
+            ScenarioError::ZeroRto { field } => write!(f, "{field} must be at least 1 ns"),
             ScenarioError::LossOutOfRange { loss } => {
                 write!(f, "loss_injection must be in [0, 1), got {loss}")
             }
@@ -375,6 +409,34 @@ fn validate(name: &str, cfg: &ExperimentConfig) -> Result<(), ScenarioError> {
     if cfg.buffer_bytes == 0 {
         return Err(ScenarioError::ZeroBuffer);
     }
+    let frame = cfg.max_frame_bytes();
+    if cfg.buffer_bytes < frame {
+        return Err(ScenarioError::BufferBelowFrame {
+            buffer_bytes: cfg.buffer_bytes,
+            frame,
+        });
+    }
+    let rtos = [
+        ("rto_high_ns", cfg.rto_high),
+        ("rto_low_ns", Some(cfg.rto_low)),
+    ];
+    for (field, rto) in rtos {
+        if rto == Some(Duration::ZERO) {
+            return Err(ScenarioError::ZeroRto { field });
+        }
+    }
+    let stated = [
+        ("prop_delay_ns", cfg.prop_delay),
+        ("rto_high_ns", cfg.rto_high.unwrap_or(Duration::ZERO)),
+        ("rto_low_ns", cfg.rto_low),
+        ("retx_fetch_delay_ns", cfg.retx_fetch_delay),
+    ];
+    for (field, d) in stated {
+        let ns = d.as_nanos();
+        if ns > HORIZON_NS {
+            return Err(ScenarioError::BeyondHorizon { field, ns });
+        }
+    }
     if !(cfg.loss_injection >= 0.0 && cfg.loss_injection < 1.0) {
         return Err(ScenarioError::LossOutOfRange {
             loss: cfg.loss_injection,
@@ -386,7 +448,11 @@ fn validate(name: &str, cfg: &ExperimentConfig) -> Result<(), ScenarioError> {
     if cfg.nack_threshold == 0 {
         return Err(ScenarioError::ZeroNackThreshold);
     }
-    cfg.traffic.validate(hosts)?;
+    cfg.traffic.validate_in(&TrafficCtx {
+        hosts,
+        line_rate_bps: cfg.bandwidth.as_bps_f64(),
+        seed: cfg.seed,
+    })?;
     Ok(())
 }
 
@@ -926,7 +992,6 @@ tables! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use irn_workload::TrafficCtx;
 
     fn paper_scenario() -> Scenario {
         Scenario::from_config("paper default", ExperimentConfig::paper_default(400)).unwrap()
@@ -1059,7 +1124,7 @@ mod tests {
             ))
             .unwrap_err()
         };
-        // Think time that would overflow Time arithmetic.
+        // Think times a client could sum past the virtual-time horizon.
         let err = parse(&format!(
             r#"{{"rpc_closed_loop": {{"clients": 2, "ops_per_client": 100,
                 "request_bytes": 1000, "response_bytes": 100,
@@ -1068,7 +1133,10 @@ mod tests {
         ));
         assert!(matches!(
             err,
-            ScenarioError::Traffic(TrafficError::ThinkTimeOverflow { .. })
+            ScenarioError::Traffic(TrafficError::BeyondHorizon {
+                field: "think_ns × ops_per_client",
+                ..
+            })
         ));
         // Quorum larger than the follower set.
         let err = parse(

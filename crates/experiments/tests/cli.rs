@@ -217,6 +217,88 @@ fn emitted_scenario_sets_run_back_unedited() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Scenario times past the virtual-time horizon (2^50 ns), zero RTOs and
+/// a buffer smaller than one frame: each used to run — wrapping time,
+/// clamping events into the past, or never finishing — and is now a
+/// typed error, exit 2, naming the field, with nothing on stdout.
+#[test]
+fn hostile_times_and_knobs_exit_2_naming_the_field() {
+    let dir = scratch("hostile");
+    std::fs::create_dir_all(&dir).unwrap();
+    let poisson = r#"{"poisson": {"load": 0.7, "sizes": "heavy_tailed", "flows": 300}}"#;
+    let probes: &[(&str, String, &str)] = &[
+        (
+            "shuffle",
+            r#""traffic": {"shuffle": {"flow_bytes": 1000, "rounds": 3,
+                "round_gap_ns": 9223372036854775808}}"#
+                .into(),
+            "round_gap_ns",
+        ),
+        (
+            "explicit",
+            r#""traffic": {"explicit": [{"src": 0, "dst": 1, "bytes": 1000,
+                "at_ns": 18446744073709551000}]}"#
+                .into(),
+            "at_ns",
+        ),
+        (
+            "compose",
+            format!(
+                r#""traffic": {{"compose": [{{"traffic": {poisson}}},
+                {{"traffic": {{"incast": {{"m": 4, "total_bytes": 100000}}}},
+                "population": "incast", "start": {{"at_ns": 18446744073709551000}}}}]}}"#
+            ),
+            "start.at_ns",
+        ),
+        (
+            "load",
+            r#""traffic": {"poisson": {"load": 1e-12, "sizes": "heavy_tailed", "flows": 300}}"#
+                .into(),
+            "flows at load",
+        ),
+        (
+            "prop",
+            format!(r#""traffic": {poisson}, "prop_delay_ns": 18446744073709551000"#),
+            "prop_delay_ns",
+        ),
+        (
+            "rto-high",
+            format!(r#""traffic": {poisson}, "rto_high_ns": 0"#),
+            "rto_high_ns",
+        ),
+        (
+            "rto-low",
+            format!(r#""traffic": {poisson}, "rto_low_ns": 0"#),
+            "rto_low_ns",
+        ),
+        (
+            "buffer",
+            format!(r#""traffic": {poisson}, "buffer_bytes": 1"#),
+            "buffer_bytes",
+        ),
+    ];
+    for (name, fields, field) in probes {
+        let path = dir.join(format!("{name}.json"));
+        let doc = format!(
+            r#"{{"schema": "scenario-v1", "name": "{name}",
+                "topology": {{"fat_tree": {{"k": 4}}}}, {fields}}}"#
+        );
+        std::fs::write(&path, doc).unwrap();
+        let out = repro(&[
+            "run".as_ref(),
+            path.as_os_str(),
+            "--seeds".as_ref(),
+            "1".as_ref(),
+        ]);
+        let said = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {said}");
+        assert!(said.contains(field), "{name}: {said}");
+        assert!(!said.contains("panicked"), "{name}: {said}");
+        assert!(out.stdout.is_empty(), "{name} printed to stdout");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `repro … | head`: the reader is gone before the reports are printed
 /// (the batch runs first, and the read end is dropped while it does), so
 /// the first line written meets a broken pipe. The process ends quietly

@@ -33,8 +33,9 @@
 //!   The *rank* itself is exact — the histogram loses value
 //!   resolution, never counts.
 //!
-//! The collector also exposes the Figure 8 tail CDF for single-packet
-//! messages and the incast request-completion time (RCT, §4.4.3).
+//! The collector also exposes the single-packet-message population
+//! Figure 8 reads its tail from and the incast request-completion time
+//! (RCT, §4.4.3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -358,13 +359,6 @@ impl TailPopulation {
     /// when empty.
     pub fn percentile_fct(&self, q: f64) -> Duration {
         percentile_ns(&self.fct_hist, q, self.min_fct_ns, self.max_fct_ns)
-    }
-
-    /// Tail CDF of FCT between quantiles `from` and `to` (Figure 8
-    /// plots 90%–99.9%): `(quantile, latency)` points, nondecreasing
-    /// in latency.
-    pub fn tail_cdf(&self, from: f64, to: f64, points: usize) -> Vec<(f64, Duration)> {
-        tail_cdf_points(from, to, points, |q| self.percentile_fct(q))
     }
 }
 
@@ -768,13 +762,6 @@ impl MetricsCollector {
         &self.single_packet
     }
 
-    /// Tail CDF of FCT between quantiles `from` and `to` (Figure 8
-    /// plots 90%–99.9%): `(quantile, latency)` points, nondecreasing
-    /// in latency (bucketed interior, exact boundaries).
-    pub fn tail_cdf(&self, from: f64, to: f64, points: usize) -> Vec<(f64, Duration)> {
-        tail_cdf_points(from, to, points, |q| self.percentile_fct(q))
-    }
-
     /// Request completion time: first flow start to last flow finish
     /// (incast, §4.4.3). Exact. Panics when empty.
     pub fn rct(&self) -> Duration {
@@ -819,21 +806,6 @@ fn percentile_ns(hist: &LogHistogram, q: f64, min_ns: u64, max_ns: u64) -> Durat
     }
     let v = hist.value_at_quantile(q).expect("non-empty histogram");
     Duration::nanos(v.clamp(min_ns, max_ns))
-}
-
-fn tail_cdf_points(
-    from: f64,
-    to: f64,
-    points: usize,
-    f: impl Fn(f64) -> Duration,
-) -> Vec<(f64, Duration)> {
-    assert!(points >= 2 && from < to);
-    (0..points)
-        .map(|i| {
-            let q = from + (to - from) * i as f64 / (points - 1) as f64;
-            (q, f(q))
-        })
-        .collect()
 }
 
 fn nearest_rank(q: f64, n: usize) -> usize {
@@ -998,19 +970,6 @@ mod tests {
         let sp = m.single_packet_messages();
         assert_eq!(sp.len(), 2);
         assert_eq!(sp.percentile_fct(1.0), Duration::micros(7));
-    }
-
-    #[test]
-    fn tail_cdf_is_monotone() {
-        let mut m = MetricsCollector::new();
-        for i in 1..=1000 {
-            m.record(rec(i, 1, 0, (i * i) as u64 % 977 + 1, 1));
-        }
-        let cdf = m.tail_cdf(0.90, 0.999, 20);
-        assert_eq!(cdf.len(), 20);
-        for w in cdf.windows(2) {
-            assert!(w[1].1 >= w[0].1, "CDF must be nondecreasing");
-        }
     }
 
     #[test]

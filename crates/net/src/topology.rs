@@ -99,22 +99,6 @@ impl Topology {
         t
     }
 
-    /// A chain of `n` switches each with `hosts_per` hosts; useful for
-    /// demonstrating PFC congestion spreading across multiple hops.
-    pub fn linear(n: usize, hosts_per: usize) -> Topology {
-        assert!(n >= 1);
-        let mut t = Topology::custom(n * hosts_per, n);
-        for s in 0..n as u32 {
-            for i in 0..hosts_per as u32 {
-                t.wire_host(s * hosts_per as u32 + i, s);
-            }
-        }
-        for s in 0..(n - 1) as u32 {
-            t.wire_switches(s, s + 1);
-        }
-        t
-    }
-
     /// The classic k-ary three-tier fat-tree (k even).
     ///
     /// * `k` pods, each with `k/2` edge switches and `k/2` aggregation
@@ -255,15 +239,6 @@ mod tests {
         let d = Topology::dumbbell(3, 2);
         d.check();
         assert_eq!((d.hosts, d.switches, d.cables.len()), (5, 2, 6));
-    }
-
-    #[test]
-    fn linear_chain() {
-        let t = Topology::linear(4, 2);
-        t.check();
-        assert_eq!(t.hosts, 8);
-        assert_eq!(t.switches, 4);
-        assert_eq!(t.cables.len(), 8 + 3);
     }
 
     #[test]

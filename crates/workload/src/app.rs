@@ -8,6 +8,10 @@
 //! stalls all the work that depends on it — the result axis the paper
 //! never measured.
 //!
+//! [`crate::TrafficModel::closed_loop`] builds the private drivers: RPC
+//! and leader replication share one client `Ledger`, each with its own
+//! `Operation`; allreduce is a phase-barrier driver of its own.
+//!
 //! ## The determinism contract
 //!
 //! Every driver is a pure state machine over `(seed, retire order)`:
@@ -28,12 +32,12 @@
 //!   ordinary event queue, so a run is byte-identical at any `--jobs`
 //!   and across worker fleets.
 
-use crate::FlowSpec;
+use crate::{FlowSpec, TrafficCtx, TrafficModel};
 use irn_sim::{Duration, SimRng, Time};
 
-/// Domain seed salt for [`RpcDriver`] randomness.
+/// Domain seed salt for RPC randomness.
 const RPC_SALT: u64 = 0x5250_4301;
-/// Domain seed salt for [`LeaderReplicateDriver`] randomness.
+/// Domain seed salt for leader-replication randomness.
 const REPLICATE_SALT: u64 = 0x5245_5001;
 
 /// An application-level event emitted by a driver alongside spawned
@@ -127,100 +131,154 @@ pub struct ClosedLoop {
     pub driver: Box<dyn AppDriver>,
 }
 
-// ---------------------------------------------------------------------------
-// RPC request/response
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-enum RpcRole {
-    /// A request flow; completion spawns the response from `server`.
-    Request { client: u32, op: u32, server: u32 },
-    /// A response flow; completion retires one unit of the op's fanout.
-    Response { client: u32, op: u32 },
+/// Build the closed-loop runtime of `model`, or `None` for an open-loop
+/// model (see [`TrafficModel::closed_loop`]).
+pub(crate) fn closed_loop(model: &TrafficModel, ctx: &TrafficCtx) -> Option<ClosedLoop> {
+    Some(match *model {
+        TrafficModel::RpcClosedLoop {
+            clients,
+            ops_per_client,
+            window,
+            request_bytes,
+            response_bytes,
+            think,
+            fanout,
+        } => {
+            let servers_avail = ctx.hosts - clients as usize;
+            let mut servers = Vec::new();
+            let seed = ctx.seed ^ RPC_SALT;
+            let ledger = Ledger::draw(clients, ops_per_client, think, seed, |rng| {
+                for s in rng.sample_distinct(servers_avail, fanout as usize) {
+                    servers.push(clients + s as u32);
+                }
+            });
+            let op_pending = vec![0; ledger.op_started.len()];
+            let rpc = Rpc {
+                request_bytes,
+                response_bytes,
+                fanout,
+                servers,
+                roles: Vec::new(),
+                op_pending,
+            };
+            ClientDriver::start(ledger, window, rpc)
+        }
+        TrafficModel::Allreduce {
+            algorithm,
+            participants,
+            bytes,
+            iterations,
+        } => Allreduce::start(algorithm, participants, bytes, iterations),
+        TrafficModel::LeaderReplicate {
+            clients,
+            followers,
+            quorum,
+            ops_per_client,
+            request_bytes,
+            ack_bytes,
+            think,
+        } => {
+            let seed = ctx.seed ^ REPLICATE_SALT;
+            let ledger = Ledger::draw(clients, ops_per_client, think, seed, |_| {});
+            let replicate = Replicate {
+                followers,
+                quorum,
+                request_bytes,
+                ack_bytes,
+                roles: Vec::new(),
+                op_acks: vec![0; ledger.op_started.len()],
+            };
+            // One outstanding operation per client.
+            ClientDriver::start(ledger, 1, replicate)
+        }
+        _ => return None,
+    })
 }
 
-/// Closed-loop request/response RPC with per-client windows, optional
-/// fanout, and exponential think times.
-///
-/// Hosts `0..clients` are clients; hosts `clients..hosts` are servers.
-/// Each client keeps up to `window` operations outstanding. An
-/// operation issues `fanout` request flows to distinct servers; each
-/// request's completion spawns the matching response; the operation
-/// completes when all responses retire, whereupon the client thinks
-/// (exponential, mean `think`) and issues its next operation.
-pub struct RpcDriver {
-    clients: u32,
+// ---------------------------------------------------------------------------
+// Client drivers: one ledger, two kinds of operation
+// ---------------------------------------------------------------------------
+
+/// The client-operation ledger: which operation each client issues
+/// next, when every operation started, and every operation's pre-drawn
+/// think time. Operation `op` of `client` is `slot`
+/// `client × ops_per_client + op`, which indexes the per-operation
+/// vectors and is the operation's global id.
+struct Ledger {
     ops_per_client: u32,
-    request_bytes: u64,
-    response_bytes: u64,
-    fanout: u32,
-    /// Pre-drawn think time for (client, op); consumed at issue time.
+    /// Pre-drawn think time for each slot; consumed at issue time.
     think: Vec<Duration>,
-    /// Pre-drawn server host ids, `fanout` per (client, op).
-    servers: Vec<u32>,
-    /// Role of every global flow, appended in spawn order.
-    roles: Vec<RpcRole>,
     /// Per-client index of the next unissued operation.
     next_op: Vec<u32>,
-    /// Issue time of each (client, op).
+    /// Issue time of each slot.
     op_started: Vec<Time>,
-    /// Outstanding response count of each (client, op).
-    op_pending: Vec<u32>,
 }
 
-impl RpcDriver {
-    /// Build the driver and its seed flows (the initial window of every
-    /// client). `hosts` must exceed `clients` by at least `fanout`.
-    #[allow(clippy::too_many_arguments)] // mirrors the scenario field list
-    pub fn build(
-        hosts: usize,
+impl Ledger {
+    /// Pre-draw each client's think times from its own forked stream of
+    /// `seed`, an operation at a time, `per_op` drawing whatever else
+    /// the operation needs right after its think time.
+    fn draw(
         clients: u32,
         ops_per_client: u32,
-        window: u32,
-        request_bytes: u64,
-        response_bytes: u64,
         think: Duration,
-        fanout: u32,
         seed: u64,
-    ) -> ClosedLoop {
-        let servers_avail = hosts as u32 - clients;
+        mut per_op: impl FnMut(&mut SimRng),
+    ) -> Ledger {
         let ops = clients as usize * ops_per_client as usize;
-        let mut root = SimRng::new(seed ^ RPC_SALT);
+        let mut root = SimRng::new(seed);
         let mut think_v = Vec::with_capacity(ops);
-        let mut servers = Vec::with_capacity(ops * fanout as usize);
         for c in 0..clients {
             let mut rng = root.fork(c as u64);
             for _ in 0..ops_per_client {
                 think_v.push(rng.exp_duration(think));
-                for s in rng.sample_distinct(servers_avail as usize, fanout as usize) {
-                    servers.push(clients + s as u32);
-                }
+                per_op(&mut rng);
             }
         }
-        let mut d = RpcDriver {
-            clients,
+        Ledger {
             ops_per_client,
-            request_bytes,
-            response_bytes,
-            fanout,
             think: think_v,
-            servers,
-            roles: Vec::new(),
             next_op: vec![0; clients as usize],
             op_started: vec![Time::ZERO; ops],
-            op_pending: vec![0; ops],
-        };
-        // Seed flows: each client issues its initial window, separated
-        // by its pre-drawn think times (cumulative, so issue order is
-        // well defined even with identical draws).
+        }
+    }
+
+    fn slot(&self, client: u32, op: u32) -> usize {
+        client as usize * self.ops_per_client as usize + op as usize
+    }
+}
+
+/// What a client operation sends, between the issue the [`Ledger`]
+/// schedules and the completion it reports back.
+trait Operation: Send + 'static {
+    /// Push the flows that issue `client`'s operation `slot` at `at`.
+    fn issue(&mut self, client: u32, slot: u32, at: Time, out: &mut Vec<FlowSpec>);
+
+    /// React to global flow `flow` retiring at `now`, spawning into
+    /// `out` (see [`AppDriver::on_flow_retired`]); the operation's slot
+    /// when that completes it.
+    fn retire(&mut self, now: Time, flow: u32, next: u32, out: &mut Vec<FlowSpec>) -> Option<u32>;
+}
+
+/// A closed-loop client driver: every client issues its operations in
+/// order, up to a window at a time, each after its think time.
+struct ClientDriver<O> {
+    ledger: Ledger,
+    ops: O,
+}
+
+impl<O: Operation> ClientDriver<O> {
+    /// Issue each client's initial window, separated by its pre-drawn
+    /// think times (cumulative, so issue order is well defined even
+    /// with identical draws), and box the driver.
+    fn start(ledger: Ledger, window: u32, ops: O) -> ClosedLoop {
+        let mut d = ClientDriver { ledger, ops };
         let mut seed_flows = Vec::new();
-        let initial = window.min(ops_per_client);
-        for c in 0..clients {
+        for c in 0..d.ledger.next_op.len() as u32 {
             let mut at = Time::ZERO;
-            for _ in 0..initial {
-                let j = d.next_op[c as usize];
-                at += d.think[Self::slot(&d, c, j)];
-                d.issue(c, j, at, &mut seed_flows);
+            for op in 0..window.min(d.ledger.ops_per_client) {
+                at += d.ledger.think[d.ledger.slot(c, op)];
+                d.issue(c, op, at, &mut seed_flows);
             }
         }
         ClosedLoop {
@@ -229,85 +287,238 @@ impl RpcDriver {
         }
     }
 
-    fn slot(&self, client: u32, op: u32) -> usize {
-        client as usize * self.ops_per_client as usize + op as usize
-    }
-
-    /// Record issuance of (client, op) at `at` and push its request
-    /// flows (one per fanout unit) onto `flows`.
-    fn issue(&mut self, client: u32, op: u32, at: Time, flows: &mut Vec<FlowSpec>) {
-        let slot = self.slot(client, op);
-        self.next_op[client as usize] = op + 1;
-        self.op_started[slot] = at;
-        self.op_pending[slot] = self.fanout;
-        let base = slot * self.fanout as usize;
-        for f in 0..self.fanout as usize {
-            let server = self.servers[base + f];
-            flows.push(FlowSpec {
-                src: client,
-                dst: server,
-                bytes: self.request_bytes,
-                at,
-            });
-            self.roles.push(RpcRole::Request { client, op, server });
-        }
-    }
-
-    fn op_id(&self, client: u32, op: u32) -> u64 {
-        client as u64 * self.ops_per_client as u64 + op as u64
+    /// Record issuance of (client, op) at `at` and push its flows.
+    fn issue(&mut self, client: u32, op: u32, at: Time, out: &mut Vec<FlowSpec>) {
+        let slot = self.ledger.slot(client, op);
+        self.ledger.next_op[client as usize] = op + 1;
+        self.ledger.op_started[slot] = at;
+        self.ops.issue(client, slot as u32, at, out);
     }
 }
 
-impl AppDriver for RpcDriver {
+impl<O: Operation> AppDriver for ClientDriver<O> {
     fn on_start(&mut self, sink: &mut AppSink) {
         // One OpStart per seed operation, in (client, op) order.
-        for c in 0..self.clients {
-            for j in 0..self.next_op[c as usize] {
+        let l = &self.ledger;
+        for c in 0..l.next_op.len() as u32 {
+            for op in 0..l.next_op[c as usize] {
+                let slot = l.slot(c, op);
+                let at = l.op_started[slot];
                 sink.events.push(AppEvent::OpStart {
-                    op: self.op_id(c, j),
+                    op: slot as u64,
                     client: c,
-                    at: self.op_started[self.slot(c, j)],
+                    at,
                 });
             }
         }
     }
 
     fn on_flow_retired(&mut self, now: Time, flow: u32, next_index: u32, sink: &mut AppSink) {
-        debug_assert_eq!(self.roles.len(), next_index as usize);
+        let Some(slot) = self.ops.retire(now, flow, next_index, &mut sink.flows) else {
+            return;
+        };
+        let l = &self.ledger;
+        let client = slot / l.ops_per_client;
+        sink.events.push(AppEvent::OpDone {
+            op: slot as u64,
+            client,
+            started: l.op_started[slot as usize],
+            at: now,
+        });
+        let next = l.next_op[client as usize];
+        if next < l.ops_per_client {
+            let next_slot = l.slot(client, next);
+            let at = now + l.think[next_slot];
+            sink.events.push(AppEvent::OpStart {
+                op: next_slot as u64,
+                client,
+                at,
+            });
+            self.issue(client, next, at, &mut sink.flows);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// RPC request/response
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum RpcRole {
+    /// A request flow; completion spawns the response from `server`.
+    Request { client: u32, slot: u32, server: u32 },
+    /// A response flow; completion retires one unit of the op's fanout.
+    Response { slot: u32 },
+}
+
+/// Closed-loop request/response RPC with per-client windows, optional
+/// fanout, and exponential think times.
+///
+/// Hosts `0..clients` are clients; hosts `clients..hosts` are servers.
+/// An operation issues `fanout` request flows to distinct servers; each
+/// request's completion spawns the matching response; the operation
+/// completes when all responses retire.
+struct Rpc {
+    request_bytes: u64,
+    response_bytes: u64,
+    fanout: u32,
+    /// Pre-drawn server host ids, `fanout` per slot.
+    servers: Vec<u32>,
+    /// Role of every global flow, appended in spawn order.
+    roles: Vec<RpcRole>,
+    /// Outstanding response count of each slot.
+    op_pending: Vec<u32>,
+}
+
+impl Operation for Rpc {
+    fn issue(&mut self, client: u32, slot: u32, at: Time, out: &mut Vec<FlowSpec>) {
+        self.op_pending[slot as usize] = self.fanout;
+        let base = slot as usize * self.fanout as usize;
+        for &server in &self.servers[base..base + self.fanout as usize] {
+            out.push(FlowSpec {
+                src: client,
+                dst: server,
+                bytes: self.request_bytes,
+                at,
+            });
+            self.roles.push(RpcRole::Request {
+                client,
+                slot,
+                server,
+            });
+        }
+    }
+
+    fn retire(&mut self, now: Time, flow: u32, next: u32, out: &mut Vec<FlowSpec>) -> Option<u32> {
+        debug_assert_eq!(self.roles.len(), next as usize);
         match self.roles[flow as usize] {
-            RpcRole::Request { client, op, server } => {
-                sink.flows.push(FlowSpec {
+            RpcRole::Request {
+                client,
+                slot,
+                server,
+            } => {
+                out.push(FlowSpec {
                     src: server,
                     dst: client,
                     bytes: self.response_bytes,
                     at: now,
                 });
-                self.roles.push(RpcRole::Response { client, op });
+                self.roles.push(RpcRole::Response { slot });
+                None
             }
-            RpcRole::Response { client, op } => {
-                let slot = self.slot(client, op);
-                self.op_pending[slot] -= 1;
-                if self.op_pending[slot] > 0 {
-                    return;
-                }
-                sink.events.push(AppEvent::OpDone {
-                    op: self.op_id(client, op),
-                    client,
-                    started: self.op_started[slot],
-                    at: now,
-                });
-                let next = self.next_op[client as usize];
-                if next < self.ops_per_client {
-                    let at = now + self.think[self.slot(client, next)];
-                    sink.events.push(AppEvent::OpStart {
-                        op: self.op_id(client, next),
-                        client,
-                        at,
-                    });
-                    self.issue(client, next, at, &mut sink.flows);
-                }
+            RpcRole::Response { slot } => {
+                let pending = &mut self.op_pending[slot as usize];
+                *pending -= 1;
+                (*pending == 0).then_some(slot)
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Leader-based replication
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum ReplicateRole {
+    /// Client request reached the leader; fan out to followers.
+    Request { client: u32, slot: u32 },
+    /// Leader's replicate reached `follower`; send the ack back.
+    Replicate {
+        client: u32,
+        slot: u32,
+        follower: u32,
+    },
+    /// A follower ack reached the leader; count toward quorum.
+    Ack { client: u32, slot: u32 },
+    /// Leader's response reached the client; the op is committed.
+    Response { slot: u32 },
+}
+
+/// Leader-based replication: client → leader → followers → quorum-ack
+/// → client.
+///
+/// Host 0 is the leader, hosts `1..=followers` are followers, and
+/// client `c` is host `1 + followers + c`. An operation commits when
+/// `quorum` follower acks have retired at the leader; replicate and
+/// ack flows beyond the quorum retire as stragglers with no effect.
+struct Replicate {
+    followers: u32,
+    quorum: u32,
+    request_bytes: u64,
+    ack_bytes: u64,
+    /// Role of every global flow, appended in spawn order.
+    roles: Vec<ReplicateRole>,
+    /// Follower acks retired so far for each slot.
+    op_acks: Vec<u32>,
+}
+
+impl Replicate {
+    fn client_host(&self, client: u32) -> u32 {
+        1 + self.followers + client
+    }
+}
+
+impl Operation for Replicate {
+    fn issue(&mut self, client: u32, slot: u32, at: Time, out: &mut Vec<FlowSpec>) {
+        self.op_acks[slot as usize] = 0;
+        out.push(FlowSpec {
+            src: self.client_host(client),
+            dst: 0,
+            bytes: self.request_bytes,
+            at,
+        });
+        self.roles.push(ReplicateRole::Request { client, slot });
+    }
+
+    fn retire(&mut self, now: Time, flow: u32, next: u32, out: &mut Vec<FlowSpec>) -> Option<u32> {
+        debug_assert_eq!(self.roles.len(), next as usize);
+        match self.roles[flow as usize] {
+            ReplicateRole::Request { client, slot } => {
+                for follower in 1..=self.followers {
+                    out.push(FlowSpec {
+                        src: 0,
+                        dst: follower,
+                        bytes: self.request_bytes,
+                        at: now,
+                    });
+                    self.roles.push(ReplicateRole::Replicate {
+                        client,
+                        slot,
+                        follower,
+                    });
+                }
+            }
+            ReplicateRole::Replicate {
+                client,
+                slot,
+                follower,
+            } => {
+                out.push(FlowSpec {
+                    src: follower,
+                    dst: 0,
+                    bytes: self.ack_bytes,
+                    at: now,
+                });
+                self.roles.push(ReplicateRole::Ack { client, slot });
+            }
+            ReplicateRole::Ack { client, slot } => {
+                let acks = &mut self.op_acks[slot as usize];
+                *acks += 1;
+                // Below quorum: keep waiting. Beyond: straggler.
+                if *acks == self.quorum {
+                    out.push(FlowSpec {
+                        src: 0,
+                        dst: self.client_host(client),
+                        bytes: self.ack_bytes,
+                        at: now,
+                    });
+                    self.roles.push(ReplicateRole::Response { slot });
+                }
+            }
+            ReplicateRole::Response { slot } => return Some(slot),
+        }
+        None
     }
 }
 
@@ -315,7 +526,7 @@ impl AppDriver for RpcDriver {
 // Allreduce collectives
 // ---------------------------------------------------------------------------
 
-/// Communication schedule of an [`AllreduceDriver`].
+/// Communication schedule of a [`TrafficModel::Allreduce`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllreduceAlgo {
     /// Ring allreduce: `2(N-1)` phases of `N` chunk flows each, every
@@ -334,7 +545,7 @@ pub enum AllreduceAlgo {
 /// barrier), so one straggling chunk delays the whole collective — the
 /// canonical closed-loop sensitivity. One iteration is one operation
 /// for metrics purposes.
-pub struct AllreduceDriver {
+struct Allreduce {
     /// Flow lists per phase within one iteration: `(src, dst, bytes)`.
     phase_flows: Vec<Vec<(u32, u32, u64)>>,
     iterations: u32,
@@ -347,10 +558,10 @@ pub struct AllreduceDriver {
     iter_started: Time,
 }
 
-impl AllreduceDriver {
+impl Allreduce {
     /// Build the driver and its seed flows (phase 0 of iteration 0).
     /// `participants` must be at least 2 and at most `hosts`.
-    pub fn build(
+    fn start(
         algorithm: AllreduceAlgo,
         participants: u32,
         bytes: u64,
@@ -402,7 +613,7 @@ impl AllreduceDriver {
         let pending = seed_flows.len() as u32;
         ClosedLoop {
             seed_flows,
-            driver: Box::new(AllreduceDriver {
+            driver: Box::new(Allreduce {
                 phase_flows,
                 iterations,
                 iter: 0,
@@ -429,7 +640,7 @@ impl AllreduceDriver {
     }
 }
 
-impl AppDriver for AllreduceDriver {
+impl AppDriver for Allreduce {
     fn on_start(&mut self, sink: &mut AppSink) {
         sink.events.push(AppEvent::OpStart {
             op: 0,
@@ -475,205 +686,57 @@ impl AppDriver for AllreduceDriver {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Leader-based replication
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-enum ReplicateRole {
-    /// Client request reached the leader; fan out to followers.
-    Request { client: u32, op: u32 },
-    /// Leader's replicate reached `follower`; send the ack back.
-    Replicate { client: u32, op: u32, follower: u32 },
-    /// A follower ack reached the leader; count toward quorum.
-    Ack { client: u32, op: u32 },
-    /// Leader's response reached the client; the op is committed.
-    Response { client: u32, op: u32 },
-}
-
-/// Leader-based replication: client → leader → followers → quorum-ack
-/// → client, one outstanding operation per client.
-///
-/// Host 0 is the leader, hosts `1..=followers` are followers, and
-/// client `c` is host `1 + followers + c`. An operation commits when
-/// `quorum` follower acks have retired at the leader; replicate and
-/// ack flows beyond the quorum retire as stragglers with no effect.
-pub struct LeaderReplicateDriver {
-    followers: u32,
-    quorum: u32,
-    ops_per_client: u32,
-    request_bytes: u64,
-    ack_bytes: u64,
-    /// Pre-drawn think time for (client, op); consumed at issue time.
-    think: Vec<Duration>,
-    /// Role of every global flow, appended in spawn order.
-    roles: Vec<ReplicateRole>,
-    /// Per-client index of the next unissued operation.
-    next_op: Vec<u32>,
-    /// Issue time of each (client, op).
-    op_started: Vec<Time>,
-    /// Follower acks retired so far for each (client, op).
-    op_acks: Vec<u32>,
-}
-
-impl LeaderReplicateDriver {
-    /// Build the driver and its seed flows (the first request of every
-    /// client). Requires `1 + followers + clients` hosts.
-    #[allow(clippy::too_many_arguments)] // mirrors the scenario field list
-    pub fn build(
-        clients: u32,
-        followers: u32,
-        quorum: u32,
-        ops_per_client: u32,
-        request_bytes: u64,
-        ack_bytes: u64,
-        think: Duration,
-        seed: u64,
-    ) -> ClosedLoop {
-        let ops = clients as usize * ops_per_client as usize;
-        let mut root = SimRng::new(seed ^ REPLICATE_SALT);
-        let mut think_v = Vec::with_capacity(ops);
-        for c in 0..clients {
-            let mut rng = root.fork(c as u64);
-            for _ in 0..ops_per_client {
-                think_v.push(rng.exp_duration(think));
-            }
-        }
-        let mut d = LeaderReplicateDriver {
-            followers,
-            quorum,
-            ops_per_client,
-            request_bytes,
-            ack_bytes,
-            think: think_v,
-            roles: Vec::new(),
-            next_op: vec![0; clients as usize],
-            op_started: vec![Time::ZERO; ops],
-            op_acks: vec![0; ops],
-        };
-        let mut seed_flows = Vec::new();
-        for c in 0..clients {
-            let at = Time::ZERO + d.think[d.slot(c, 0)];
-            d.issue(c, 0, at, &mut seed_flows);
-        }
-        ClosedLoop {
-            seed_flows,
-            driver: Box::new(d),
-        }
-    }
-
-    fn slot(&self, client: u32, op: u32) -> usize {
-        client as usize * self.ops_per_client as usize + op as usize
-    }
-
-    fn client_host(&self, client: u32) -> u32 {
-        1 + self.followers + client
-    }
-
-    /// Record issuance of (client, op) at `at` and push its request
-    /// flow onto `flows`.
-    fn issue(&mut self, client: u32, op: u32, at: Time, flows: &mut Vec<FlowSpec>) {
-        let slot = self.slot(client, op);
-        self.next_op[client as usize] = op + 1;
-        self.op_started[slot] = at;
-        self.op_acks[slot] = 0;
-        flows.push(FlowSpec {
-            src: self.client_host(client),
-            dst: 0,
-            bytes: self.request_bytes,
-            at,
-        });
-        self.roles.push(ReplicateRole::Request { client, op });
-    }
-
-    fn op_id(&self, client: u32, op: u32) -> u64 {
-        client as u64 * self.ops_per_client as u64 + op as u64
-    }
-}
-
-impl AppDriver for LeaderReplicateDriver {
-    fn on_start(&mut self, sink: &mut AppSink) {
-        for c in 0..self.next_op.len() as u32 {
-            sink.events.push(AppEvent::OpStart {
-                op: self.op_id(c, 0),
-                client: c,
-                at: self.op_started[self.slot(c, 0)],
-            });
-        }
-    }
-
-    fn on_flow_retired(&mut self, now: Time, flow: u32, next_index: u32, sink: &mut AppSink) {
-        debug_assert_eq!(self.roles.len(), next_index as usize);
-        match self.roles[flow as usize] {
-            ReplicateRole::Request { client, op } => {
-                for f in 1..=self.followers {
-                    sink.flows.push(FlowSpec {
-                        src: 0,
-                        dst: f,
-                        bytes: self.request_bytes,
-                        at: now,
-                    });
-                    self.roles.push(ReplicateRole::Replicate {
-                        client,
-                        op,
-                        follower: f,
-                    });
-                }
-            }
-            ReplicateRole::Replicate {
-                client,
-                op,
-                follower,
-            } => {
-                sink.flows.push(FlowSpec {
-                    src: follower,
-                    dst: 0,
-                    bytes: self.ack_bytes,
-                    at: now,
-                });
-                self.roles.push(ReplicateRole::Ack { client, op });
-            }
-            ReplicateRole::Ack { client, op } => {
-                let slot = self.slot(client, op);
-                self.op_acks[slot] += 1;
-                if self.op_acks[slot] != self.quorum {
-                    // Below quorum: keep waiting. Beyond: straggler.
-                    return;
-                }
-                sink.flows.push(FlowSpec {
-                    src: 0,
-                    dst: self.client_host(client),
-                    bytes: self.ack_bytes,
-                    at: now,
-                });
-                self.roles.push(ReplicateRole::Response { client, op });
-            }
-            ReplicateRole::Response { client, op } => {
-                let slot = self.slot(client, op);
-                sink.events.push(AppEvent::OpDone {
-                    op: self.op_id(client, op),
-                    client,
-                    started: self.op_started[slot],
-                    at: now,
-                });
-                let next = self.next_op[client as usize];
-                if next < self.ops_per_client {
-                    let at = now + self.think[self.slot(client, next)];
-                    sink.events.push(AppEvent::OpStart {
-                        op: self.op_id(client, next),
-                        client,
-                        at,
-                    });
-                    self.issue(client, next, at, &mut sink.flows);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn build(model: TrafficModel, hosts: usize, seed: u64) -> ClosedLoop {
+        let ctx = TrafficCtx {
+            hosts,
+            line_rate_bps: 40e9,
+            seed,
+        };
+        closed_loop(&model, &ctx).expect("a closed-loop model")
+    }
+
+    #[allow(clippy::too_many_arguments)] // mirrors the scenario field list
+    fn rpc(
+        hosts: usize,
+        clients: u32,
+        ops_per_client: u32,
+        window: u32,
+        request_bytes: u64,
+        response_bytes: u64,
+        think: Duration,
+        fanout: u32,
+        seed: u64,
+    ) -> ClosedLoop {
+        let model = TrafficModel::RpcClosedLoop {
+            clients,
+            ops_per_client,
+            window,
+            request_bytes,
+            response_bytes,
+            think,
+            fanout,
+        };
+        build(model, hosts, seed)
+    }
+
+    fn allreduce(
+        algorithm: AllreduceAlgo,
+        participants: u32,
+        bytes: u64,
+        iterations: u32,
+    ) -> ClosedLoop {
+        let model = TrafficModel::Allreduce {
+            algorithm,
+            participants,
+            bytes,
+            iterations,
+        };
+        build(model, participants as usize, 0)
+    }
 
     /// Drive a ClosedLoop to completion with a toy "network" that
     /// retires the earliest-starting flow first (FIFO on ties), adding
@@ -731,7 +794,7 @@ mod tests {
 
     #[test]
     fn rpc_completes_every_op_and_flow_count_is_exact() {
-        let cl = RpcDriver::build(8, 2, 5, 2, 4096, 256, Duration::micros(50), 3, 7);
+        let cl = rpc(8, 2, 5, 2, 4096, 256, Duration::micros(50), 3, 7);
         assert_eq!(
             cl.seed_flows.len(),
             2 * 2 * 3,
@@ -754,7 +817,7 @@ mod tests {
     fn rpc_window_limits_outstanding_ops() {
         // Window 1 serialises each client's ops: with zero think time
         // op k's start must not precede op k-1's completion.
-        let cl = RpcDriver::build(4, 1, 4, 1, 1000, 100, Duration::ZERO, 1, 3);
+        let cl = rpc(4, 1, 4, 1, 1000, 100, Duration::ZERO, 1, 3);
         assert_eq!(cl.seed_flows.len(), 1);
         let (_, events) = drain(cl);
         let mut last_done = Time::ZERO;
@@ -771,7 +834,7 @@ mod tests {
     fn allreduce_ring_phase_and_flow_accounting() {
         let n = 4u32;
         let iters = 2u32;
-        let cl = AllreduceDriver::build(AllreduceAlgo::Ring, n, 4000, iters);
+        let cl = allreduce(AllreduceAlgo::Ring, n, 4000, iters);
         assert_eq!(cl.seed_flows.len(), n as usize);
         assert_eq!(cl.seed_flows[0].bytes, 1000, "chunk = bytes / n");
         let (flows, events) = drain(cl);
@@ -787,7 +850,7 @@ mod tests {
     #[test]
     fn allreduce_tree_schedule_is_reduce_then_broadcast() {
         // 5 participants: node 0 root; 1,2 at depth 1; 3,4 at depth 2.
-        let cl = AllreduceDriver::build(AllreduceAlgo::Tree, 5, 1 << 20, 1);
+        let cl = allreduce(AllreduceAlgo::Tree, 5, 1 << 20, 1);
         // Phase 0 = deepest reduce level: 3→1 and 4→1.
         assert_eq!(cl.seed_flows.len(), 2);
         assert_eq!((cl.seed_flows[0].src, cl.seed_flows[0].dst), (3, 1));
@@ -805,16 +868,16 @@ mod tests {
     #[test]
     fn leader_replicate_quorum_commits_before_stragglers() {
         let (clients, followers, quorum, ops) = (2u32, 3u32, 2u32, 3u32);
-        let cl = LeaderReplicateDriver::build(
+        let model = TrafficModel::LeaderReplicate {
             clients,
             followers,
             quorum,
-            ops,
-            2048,
-            64,
-            Duration::micros(20),
-            11,
-        );
+            ops_per_client: ops,
+            request_bytes: 2048,
+            ack_bytes: 64,
+            think: Duration::micros(20),
+        };
+        let cl = build(model, (1 + followers + clients) as usize, 11);
         assert_eq!(cl.seed_flows.len(), clients as usize);
         let (flows, events) = drain(cl);
         // Per op: 1 request + F replicates + F acks + 1 response.
@@ -828,13 +891,13 @@ mod tests {
 
     #[test]
     fn drivers_are_deterministic_given_seed() {
-        let mk = || RpcDriver::build(10, 3, 6, 2, 8192, 512, Duration::micros(100), 2, 42);
+        let mk = || rpc(10, 3, 6, 2, 8192, 512, Duration::micros(100), 2, 42);
         let (fa, ea) = drain(mk());
         let (fb, eb) = drain(mk());
         assert_eq!(fa, fb);
         assert_eq!(ea, eb);
         // A different seed draws different think times.
-        let other = RpcDriver::build(10, 3, 6, 2, 8192, 512, Duration::micros(100), 2, 43);
+        let other = rpc(10, 3, 6, 2, 8192, 512, Duration::micros(100), 2, 43);
         assert_ne!(mk().seed_flows, other.seed_flows);
     }
 }

@@ -11,16 +11,12 @@
 //!   RPC-like single-packet messages of 32 B–1 KB, 15 % large 200 KB–3 MB
 //!   background/storage transfers, the rest in between) and the Table 6
 //!   uniform 500 KB–5 MB alternative, plus fixed sizes for tests;
-//! * [`WorkloadSpec::generate`] — Poisson open-loop flow arrival
-//!   schedules calibrated so offered load hits a target fraction of each
-//!   host's line rate;
-//! * [`incast`] — the §4.4.3 incast pattern: a 150 MB response striped
-//!   over M randomly-chosen senders toward one destination, optionally
-//!   on top of cross-traffic;
 //! * [`TrafficModel`] — the pluggable, validated, composable traffic
 //!   API every experiment describes its workload with: the paper's
 //!   shapes plus bursty on/off Poisson, permutation shuffles, explicit
-//!   flow lists, and general composition (see [`model`]).
+//!   flow lists, and general composition (see [`model`]), and the
+//!   closed-loop applications behind the [`AppDriver`] seam (see
+//!   [`app`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,13 +24,10 @@
 pub mod app;
 pub mod model;
 
-pub use app::{
-    AllreduceAlgo, AllreduceDriver, AppDriver, AppEvent, AppSink, ClosedLoop,
-    LeaderReplicateDriver, RpcDriver,
-};
+pub use app::{AllreduceAlgo, AppDriver, AppEvent, AppSink, ClosedLoop};
 pub use model::{Component, FlowStream, Population, Start, TrafficCtx, TrafficError, TrafficModel};
 
-use irn_sim::{Duration, SimRng, Time};
+use irn_sim::{SimRng, Time};
 
 /// One flow to simulate: who, whom, how much, when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,119 +104,6 @@ fn log_uniform(rng: &mut SimRng, lo: u64, hi: u64) -> u64 {
 /// Mean of a log-uniform distribution on `[a, b]`: `(b-a)/ln(b/a)`.
 fn log_uniform_mean(a: f64, b: f64) -> f64 {
     (b - a) / (b / a).ln()
-}
-
-/// An open-loop Poisson workload over a set of hosts.
-#[derive(Debug, Clone)]
-pub struct WorkloadSpec {
-    /// Number of hosts generating (and receiving) traffic.
-    pub hosts: usize,
-    /// Target average utilization of each host's access link (0, 1].
-    pub load: f64,
-    /// Host line rate in bits per second.
-    pub line_rate_bps: f64,
-    /// Flow sizes.
-    pub sizes: SizeDistribution,
-    /// Total number of flows to generate across all hosts.
-    pub flow_count: usize,
-    /// RNG seed (workloads are reproducible).
-    pub seed: u64,
-}
-
-impl WorkloadSpec {
-    /// The paper's default-case workload at the given scale: heavy-tailed
-    /// sizes, 70 % load, 40 Gbps access links.
-    pub fn paper_default(hosts: usize, flow_count: usize, seed: u64) -> WorkloadSpec {
-        WorkloadSpec {
-            hosts,
-            load: 0.7,
-            line_rate_bps: 40e9,
-            sizes: SizeDistribution::HeavyTailed,
-            flow_count,
-            seed,
-        }
-    }
-
-    /// Mean inter-arrival time per *host* for the configured load.
-    ///
-    /// Load calibration: each host must *send* `load × line_rate` on
-    /// average, so the per-host flow rate is `load × rate / (8 × E[size])`
-    /// flows per second.
-    pub fn mean_interarrival(&self) -> Duration {
-        assert!(self.load > 0.0 && self.load <= 1.0, "load must be in (0,1]");
-        let flows_per_sec = self.load * self.line_rate_bps / (8.0 * self.sizes.mean_bytes());
-        Duration::from_secs_f64(1.0 / flows_per_sec)
-    }
-
-    /// Generate the flow schedule: every host runs an independent
-    /// Poisson process; destinations are uniform over the other hosts.
-    /// The result is sorted by arrival time.
-    pub fn generate(&self) -> Vec<FlowSpec> {
-        assert!(self.hosts >= 2, "need at least two hosts for traffic");
-        let mut rng = SimRng::new(self.seed);
-        let mean_gap = self.mean_interarrival();
-        let per_host = self.flow_count.div_ceil(self.hosts);
-
-        let mut flows = Vec::with_capacity(per_host * self.hosts);
-        for src in 0..self.hosts as u32 {
-            let mut host_rng = rng.fork(src as u64);
-            let mut t = Time::ZERO;
-            for _ in 0..per_host {
-                t += host_rng.exp_duration(mean_gap);
-                let mut dst = host_rng.range(0, self.hosts as u64 - 1) as u32;
-                if dst >= src {
-                    dst += 1; // skip self
-                }
-                flows.push(FlowSpec {
-                    src,
-                    dst,
-                    bytes: self.sizes.sample(&mut host_rng).max(1),
-                    at: t,
-                });
-            }
-        }
-        flows.sort_by_key(|f| (f.at, f.src, f.dst));
-        flows.truncate(self.flow_count);
-        flows
-    }
-}
-
-/// The §4.4.3 incast pattern: `total_bytes` striped equally across `m`
-/// distinct senders, all answering `dst` at `at`.
-///
-/// "We simulate the incast workload on our default topology by striping
-/// 150MB of data across M randomly chosen sender nodes that send it to a
-/// fixed destination node."
-pub fn incast(
-    hosts: usize,
-    m: usize,
-    dst: u32,
-    total_bytes: u64,
-    at: Time,
-    seed: u64,
-) -> Vec<FlowSpec> {
-    assert!(m >= 1 && m < hosts, "need 1 ≤ M < hosts senders");
-    assert!((dst as usize) < hosts);
-    let mut rng = SimRng::new(seed);
-    // Sample senders from the hosts other than dst.
-    let senders = rng.sample_distinct(hosts - 1, m);
-    let per_sender = total_bytes / m as u64;
-    senders
-        .into_iter()
-        .map(|raw| {
-            let src = if (raw as u32) >= dst {
-                raw as u32 + 1
-            } else {
-                raw as u32
-            };
-            FlowSpec {
-                src,
-                dst,
-                bytes: per_sender,
-                at,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -303,11 +183,24 @@ mod tests {
         }
     }
 
+    fn paper_default(hosts: usize, flow_count: usize, seed: u64) -> Vec<FlowSpec> {
+        let model = TrafficModel::Poisson {
+            load: 0.7,
+            sizes: SizeDistribution::HeavyTailed,
+            flow_count,
+        };
+        let ctx = TrafficCtx {
+            hosts,
+            line_rate_bps: 40e9,
+            seed,
+        };
+        model.generate(&ctx).flows
+    }
+
     #[test]
     fn load_calibration_hits_target() {
         // Generated traffic over the horizon must offer ≈70 % load.
-        let spec = WorkloadSpec::paper_default(16, 4000, 11);
-        let flows = spec.generate();
+        let flows = paper_default(16, 4000, 11);
         assert_eq!(flows.len(), 4000);
         let horizon = flows.last().unwrap().at.as_nanos() as f64 / 1e9;
         let bytes: u64 = flows.iter().map(|f| f.bytes).sum();
@@ -322,8 +215,7 @@ mod tests {
 
     #[test]
     fn flows_never_self_target() {
-        let spec = WorkloadSpec::paper_default(8, 2000, 5);
-        for f in spec.generate() {
+        for f in paper_default(8, 2000, 5) {
             assert_ne!(f.src, f.dst);
             assert!((f.dst as usize) < 8);
         }
@@ -331,31 +223,45 @@ mod tests {
 
     #[test]
     fn schedule_is_sorted_and_deterministic() {
-        let spec = WorkloadSpec::paper_default(8, 500, 42);
-        let a = spec.generate();
-        let b = spec.generate();
-        assert_eq!(a, b, "same seed ⇒ same workload");
+        let a = paper_default(8, 500, 42);
+        assert_eq!(a, paper_default(8, 500, 42), "same seed ⇒ same workload");
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
-        let spec2 = WorkloadSpec { seed: 43, ..spec };
-        assert_ne!(a, spec2.generate());
+        assert_ne!(a, paper_default(8, 500, 43));
     }
 
     #[test]
     fn incast_stripes_evenly_excluding_dst() {
-        let flows = incast(54, 30, 7, 150_000_000, Time::ZERO, 1);
-        assert_eq!(flows.len(), 30);
+        let model = TrafficModel::Incast {
+            m: 30,
+            total_bytes: 150_000_000,
+        };
+        let ctx = TrafficCtx {
+            hosts: 54,
+            line_rate_bps: 40e9,
+            seed: 1,
+        };
+        let stream = model.generate(&ctx);
+        assert_eq!(stream.flows.len(), 30);
+        assert_eq!(stream.incast_from, Some(0));
         let mut seen = std::collections::HashSet::new();
-        for f in &flows {
-            assert_eq!(f.dst, 7);
-            assert_ne!(f.src, 7, "destination must not send to itself");
+        for f in &stream.flows {
+            assert_eq!(f.dst, 0);
+            assert_ne!(f.src, 0, "destination must not send to itself");
             assert!(seen.insert(f.src), "senders must be distinct");
             assert_eq!(f.bytes, 5_000_000);
+            assert_eq!(f.at, Time::ZERO);
         }
     }
 
     #[test]
-    #[should_panic]
-    fn incast_with_too_many_senders_panics() {
-        incast(10, 10, 0, 1000, Time::ZERO, 1);
+    fn incast_with_too_many_senders_is_a_typed_error() {
+        let model = TrafficModel::Incast {
+            m: 10,
+            total_bytes: 1000,
+        };
+        assert_eq!(
+            model.validate(10),
+            Err(TrafficError::IncastFanIn { m: 10, hosts: 10 })
+        );
     }
 }

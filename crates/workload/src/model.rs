@@ -9,25 +9,27 @@
 //! `scenario-v1` JSON schema), composable ([`TrafficModel::Compose`]),
 //! and independently testable.
 //!
-//! Validation is typed: [`TrafficModel::validate`] returns a
+//! Validation is typed: [`TrafficModel::validate_in`] returns a
 //! [`TrafficError`] describing exactly which parameter is out of range
 //! instead of panicking mid-run. Generation assumes a validated model
 //! (the scenario layer guarantees it for every user-reachable path).
 
 use irn_sim::{Duration, SimRng, Time};
 
-use crate::app::{AllreduceAlgo, AllreduceDriver, ClosedLoop, LeaderReplicateDriver, RpcDriver};
-use crate::{incast, FlowSpec, SizeDistribution, WorkloadSpec};
+use crate::app::{self, AllreduceAlgo, ClosedLoop};
+use crate::{FlowSpec, SizeDistribution};
 
 /// The engine packs flow ids into 30-bit event payload fields, so no
 /// model may describe a workload that can exceed this many flows.
 pub const MAX_FLOWS: u128 = 1 << 30;
 
-/// Closed-loop think times are exponential; a double-precision inverse
-/// CDF draw cannot exceed ~37× the mean, so 64× bounds any single draw.
-/// Validation uses it to prove the per-client virtual clock cannot
-/// overflow `Time`.
-const THINK_DRAW_BOUND: u128 = 64;
+/// The virtual-time horizon, 2⁵⁰ ns (about 13 days): every instant or
+/// duration a scenario states, and the span Poisson and bursty arrivals
+/// are predicted to cover, must lie within it. A double-precision
+/// inverse-CDF exponential draw cannot exceed ~37× its mean, so the
+/// times a validated model generates stay below 2⁵⁶ ns and no sum a run
+/// forms from them can wrap `Time`'s 64 bits.
+pub const HORIZON_NS: u64 = 1 << 50;
 
 /// Seed salt applied to the incast burst of
 /// [`TrafficModel::incast_with_cross`], keeping the burst's sender
@@ -321,11 +323,13 @@ pub enum TrafficError {
         /// The host count on offer.
         hosts: usize,
     },
-    /// The mean think time is so large that a client's cumulative
-    /// virtual clock could overflow `Time` arithmetic.
-    ThinkTimeOverflow {
-        /// The offending mean think time in nanoseconds.
-        think_ns: u64,
+    /// A stated instant or duration, or the span arrivals are predicted
+    /// to cover, lies beyond [`HORIZON_NS`].
+    BeyondHorizon {
+        /// The scenario field (or product of fields) that states it.
+        field: &'static str,
+        /// Its value in nanoseconds.
+        ns: u128,
     },
     /// The model would describe more flows than the engine's 30-bit
     /// flow ids can address.
@@ -397,10 +401,10 @@ impl std::fmt::Display for TrafficError {
                 "leader replication needs {needed} hosts \
                  (1 leader + followers + clients), topology has {hosts}"
             ),
-            TrafficError::ThinkTimeOverflow { think_ns } => write!(
+            TrafficError::BeyondHorizon { field, ns } => write!(
                 f,
-                "mean think time {think_ns} ns is large enough to overflow \
-                 virtual-time arithmetic"
+                "{field} reaches {ns} ns, beyond the virtual-time horizon \
+                 of 2^50 = {HORIZON_NS} ns"
             ),
             TrafficError::TooManyFlows { flows } => write!(
                 f,
@@ -446,10 +450,10 @@ impl TrafficModel {
     }
 
     /// Does any part of this model feed the incast metric population?
-    /// Must agree exactly with [`TrafficModel::generate`]'s
-    /// `incast_from`: inside a `Compose` only the part's declared
-    /// `population` counts — an `Incast`-shaped part marked `primary`
-    /// is measured as ordinary foreground flows.
+    /// [`TrafficModel::generate`] sets `incast_from` from this answer:
+    /// inside a `Compose` only the part's declared `population` counts —
+    /// an `Incast`-shaped part marked `primary` is measured as ordinary
+    /// foreground flows.
     pub fn has_incast_population(&self) -> bool {
         match self {
             TrafficModel::Incast { .. } => true,
@@ -461,77 +465,62 @@ impl TrafficModel {
     }
 
     /// Check every parameter against `hosts`; returns the first typed
-    /// error found. A model that validates generates without panicking.
+    /// error found. The virtual-time horizon needs the line rate too:
+    /// [`TrafficModel::validate_in`] checks both.
     pub fn validate(&self, hosts: usize) -> Result<(), TrafficError> {
-        match self {
+        use TrafficError as E;
+        if !matches!(self, TrafficModel::Explicit(_) | TrafficModel::Compose(_)) {
+            ensure(hosts >= 2, E::TooFewHosts { hosts })?;
+        }
+        match *self {
             TrafficModel::Poisson {
                 load,
                 sizes,
                 flow_count,
-            } => {
-                check_hosts(hosts)?;
-                check_load(*load)?;
-                check_sizes(sizes)?;
-                check_flows(*flow_count)
             }
-            TrafficModel::BurstyPoisson {
+            | TrafficModel::BurstyPoisson {
                 load,
                 sizes,
                 flow_count,
-                duty_cycle,
-                burst_flows,
+                ..
             } => {
-                check_hosts(hosts)?;
-                check_load(*load)?;
-                check_sizes(sizes)?;
-                check_flows(*flow_count)?;
-                if !(*duty_cycle > 0.0 && *duty_cycle <= 1.0) {
-                    return Err(TrafficError::DutyCycleOutOfRange {
-                        duty_cycle: *duty_cycle,
-                    });
-                }
-                if *burst_flows == 0 {
-                    return Err(TrafficError::EmptyBurst);
+                ensure(load > 0.0 && load <= 1.0, E::LoadOutOfRange { load })?;
+                ensure(sizes != SizeDistribution::Fixed(0), E::ZeroBytes)?;
+                check_flows(flow_count)?;
+                if let TrafficModel::BurstyPoisson {
+                    duty_cycle,
+                    burst_flows,
+                    ..
+                } = *self
+                {
+                    ensure(
+                        duty_cycle > 0.0 && duty_cycle <= 1.0,
+                        E::DutyCycleOutOfRange { duty_cycle },
+                    )?;
+                    ensure(burst_flows > 0, E::EmptyBurst)?;
                 }
                 Ok(())
             }
             TrafficModel::Incast { m, total_bytes } => {
-                check_hosts(hosts)?;
-                if *m == 0 || *m >= hosts {
-                    return Err(TrafficError::IncastFanIn { m: *m, hosts });
-                }
-                if *total_bytes == 0 {
-                    return Err(TrafficError::ZeroBytes);
-                }
-                Ok(())
+                ensure(m > 0 && m < hosts, E::IncastFanIn { m, hosts })?;
+                ensure(total_bytes > 0, E::ZeroBytes)
             }
             TrafficModel::Shuffle {
                 flow_bytes, rounds, ..
             } => {
-                check_hosts(hosts)?;
-                if *flow_bytes == 0 {
-                    return Err(TrafficError::ZeroBytes);
-                }
-                if *rounds == 0 {
-                    return Err(TrafficError::ZeroRounds);
-                }
+                ensure(flow_bytes > 0, E::ZeroBytes)?;
+                ensure(rounds > 0, E::ZeroRounds)?;
                 // Every host sends once per round.
-                check_flow_budget(hosts as u128 * *rounds as u128)
+                check_flow_budget(hosts as u128 * rounds as u128)
             }
-            TrafficModel::Explicit(flows) => {
+            TrafficModel::Explicit(ref flows) => {
                 check_flows(flows.len())?;
                 for f in flows {
                     for host in [f.src, f.dst] {
-                        if host as usize >= hosts {
-                            return Err(TrafficError::HostOutOfRange { host, hosts });
-                        }
+                        ensure((host as usize) < hosts, E::HostOutOfRange { host, hosts })?;
                     }
-                    if f.src == f.dst {
-                        return Err(TrafficError::SelfFlow { host: f.src });
-                    }
-                    if f.bytes == 0 {
-                        return Err(TrafficError::ZeroBytes);
-                    }
+                    ensure(f.src != f.dst, E::SelfFlow { host: f.src })?;
+                    ensure(f.bytes > 0, E::ZeroBytes)?;
                 }
                 Ok(())
             }
@@ -541,58 +530,40 @@ impl TrafficModel {
                 window,
                 request_bytes,
                 response_bytes,
-                think,
                 fanout,
+                ..
             } => {
-                check_hosts(hosts)?;
-                if *clients == 0 || *clients as usize >= hosts {
-                    return Err(TrafficError::ClientsOutOfRange {
-                        clients: *clients,
-                        hosts,
-                    });
-                }
-                let servers = (hosts - *clients as usize) as u32;
-                if *fanout == 0 || *fanout > servers {
-                    return Err(TrafficError::FanoutTooLarge {
-                        fanout: *fanout,
-                        servers,
-                    });
-                }
-                if *ops_per_client == 0 {
-                    return Err(TrafficError::ZeroOps);
-                }
-                if *window == 0 {
-                    return Err(TrafficError::ZeroWindow);
-                }
-                if *request_bytes == 0 || *response_bytes == 0 {
-                    return Err(TrafficError::ZeroBytes);
-                }
-                check_think(*think, *ops_per_client)?;
-                check_flow_budget(*clients as u128 * *ops_per_client as u128 * *fanout as u128 * 2)
+                ensure(
+                    clients > 0 && (clients as usize) < hosts,
+                    E::ClientsOutOfRange { clients, hosts },
+                )?;
+                let servers = (hosts - clients as usize) as u32;
+                ensure(
+                    fanout > 0 && fanout <= servers,
+                    E::FanoutTooLarge { fanout, servers },
+                )?;
+                ensure(ops_per_client > 0, E::ZeroOps)?;
+                ensure(window > 0, E::ZeroWindow)?;
+                ensure(request_bytes > 0 && response_bytes > 0, E::ZeroBytes)?;
+                check_flow_budget(clients as u128 * ops_per_client as u128 * fanout as u128 * 2)
             }
             TrafficModel::Allreduce {
-                participants,
+                participants: n,
                 bytes,
                 iterations,
                 ..
             } => {
-                check_hosts(hosts)?;
-                if *participants < 2 || *participants as usize > hosts {
-                    return Err(TrafficError::ParticipantsOutOfRange {
-                        participants: *participants,
+                ensure(
+                    n >= 2 && n as usize <= hosts,
+                    E::ParticipantsOutOfRange {
+                        participants: n,
                         hosts,
-                    });
-                }
-                if *bytes == 0 {
-                    return Err(TrafficError::ZeroBytes);
-                }
-                if *iterations == 0 {
-                    return Err(TrafficError::ZeroIterations);
-                }
+                    },
+                )?;
+                ensure(bytes > 0, E::ZeroBytes)?;
+                ensure(iterations > 0, E::ZeroIterations)?;
                 // Ring is the worst case: 2(N-1) phases of N flows.
-                check_flow_budget(
-                    *iterations as u128 * 2 * (*participants as u128 - 1) * *participants as u128,
-                )
+                check_flow_budget(iterations as u128 * 2 * (n as u128 - 1) * n as u128)
             }
             TrafficModel::LeaderReplicate {
                 clients,
@@ -601,52 +572,106 @@ impl TrafficModel {
                 ops_per_client,
                 request_bytes,
                 ack_bytes,
-                think,
+                ..
             } => {
-                check_hosts(hosts)?;
-                if *clients == 0 {
-                    return Err(TrafficError::ClientsOutOfRange {
-                        clients: *clients,
-                        hosts,
-                    });
-                }
-                if *quorum == 0 || *quorum > *followers {
-                    return Err(TrafficError::QuorumOutOfRange {
-                        quorum: *quorum,
-                        followers: *followers,
-                    });
-                }
-                let needed = 1 + *followers as u64 + *clients as u64;
-                if needed > hosts as u64 {
-                    return Err(TrafficError::ReplicationHosts { needed, hosts });
-                }
-                if *ops_per_client == 0 {
-                    return Err(TrafficError::ZeroOps);
-                }
-                if *request_bytes == 0 || *ack_bytes == 0 {
-                    return Err(TrafficError::ZeroBytes);
-                }
-                check_think(*think, *ops_per_client)?;
-                check_flow_budget(
-                    *clients as u128 * *ops_per_client as u128 * (2 * *followers as u128 + 2),
-                )
+                ensure(clients > 0, E::ClientsOutOfRange { clients, hosts })?;
+                ensure(
+                    quorum > 0 && quorum <= followers,
+                    E::QuorumOutOfRange { quorum, followers },
+                )?;
+                let needed = 1 + followers as u64 + clients as u64;
+                ensure(
+                    needed <= hosts as u64,
+                    E::ReplicationHosts { needed, hosts },
+                )?;
+                ensure(ops_per_client > 0, E::ZeroOps)?;
+                ensure(request_bytes > 0 && ack_bytes > 0, E::ZeroBytes)?;
+                let per_op = 2 * followers as u128 + 2;
+                check_flow_budget(clients as u128 * ops_per_client as u128 * per_op)
             }
-            TrafficModel::Compose(parts) => {
-                if parts.is_empty() {
-                    return Err(TrafficError::EmptyCompose);
-                }
+            TrafficModel::Compose(ref parts) => {
+                ensure(!parts.is_empty(), E::EmptyCompose)?;
                 for part in parts {
-                    if matches!(part.model, TrafficModel::Compose(_)) {
-                        return Err(TrafficError::NestedCompose);
-                    }
-                    if part.model.is_closed_loop() {
-                        return Err(TrafficError::ClosedLoopInCompose);
-                    }
+                    let nested = matches!(part.model, TrafficModel::Compose(_));
+                    ensure(!nested, E::NestedCompose)?;
+                    ensure(!part.model.is_closed_loop(), E::ClosedLoopInCompose)?;
                     part.model.validate(hosts)?;
                 }
                 Ok(())
             }
         }
+    }
+
+    /// [`TrafficModel::validate`] on `ctx.hosts`, then the virtual-time
+    /// horizon: every instant or duration the model states and the span
+    /// its arrivals are predicted to cover must lie within
+    /// [`HORIZON_NS`]. A model that passes generates without panicking.
+    pub fn validate_in(&self, ctx: &TrafficCtx) -> Result<(), TrafficError> {
+        self.validate(ctx.hosts)?;
+        self.reach_ns(ctx).map(drop)
+    }
+
+    /// How far into virtual time this model reaches, in ns, checked
+    /// against [`HORIZON_NS`] under the name of the field that states
+    /// it: Poisson and bursty hosts at their mean rate, a shuffle's last
+    /// round, an explicit list's last flow, a client's think times
+    /// summed, and a composition part after part (a `prior_median` part
+    /// starting no later than everything before it).
+    fn reach_ns(&self, ctx: &TrafficCtx) -> Result<u128, TrafficError> {
+        let (field, ns) = match *self {
+            TrafficModel::Poisson {
+                load,
+                ref sizes,
+                flow_count,
+            }
+            | TrafficModel::BurstyPoisson {
+                load,
+                ref sizes,
+                flow_count,
+                ..
+            } => {
+                let per_host = flow_count.div_ceil(ctx.hosts) as f64;
+                let span = per_host * 1e9 * mean_gap_s(load, ctx.line_rate_bps, sizes);
+                ("flows at load (predicted arrival span)", span as u128)
+            }
+            TrafficModel::Shuffle {
+                rounds, round_gap, ..
+            } => {
+                let last = round_gap.as_nanos() as u128 * (rounds as u128 - 1).max(1);
+                ("round_gap_ns × (rounds - 1)", last)
+            }
+            TrafficModel::Explicit(ref flows) => {
+                let last = flows.iter().map(|f| f.at.as_nanos()).max();
+                ("at_ns", last.unwrap_or(0) as u128)
+            }
+            TrafficModel::RpcClosedLoop {
+                think,
+                ops_per_client,
+                ..
+            }
+            | TrafficModel::LeaderReplicate {
+                think,
+                ops_per_client,
+                ..
+            } => {
+                let ns = think.as_nanos() as u128 * ops_per_client as u128;
+                ("think_ns × ops_per_client", ns)
+            }
+            TrafficModel::Compose(ref parts) => {
+                let mut end = 0u128;
+                for part in parts {
+                    let start = match part.start {
+                        Start::Zero => 0,
+                        Start::PriorMedian => end,
+                        Start::At(d) => check_horizon("start.at_ns", d.as_nanos() as u128)?,
+                    };
+                    end = end.max(start + part.model.reach_ns(ctx)?);
+                }
+                ("compose parts end to end", end)
+            }
+            TrafficModel::Incast { .. } | TrafficModel::Allreduce { .. } => return Ok(0),
+        };
+        check_horizon(field, ns)
     }
 
     /// Does this model spawn flows in reaction to completions? Such
@@ -666,177 +691,101 @@ impl TrafficModel {
     /// all randomness is pre-drawn from `ctx.seed` at construction.
     /// Assumes [`TrafficModel::validate`] passed.
     pub fn closed_loop(&self, ctx: &TrafficCtx) -> Option<ClosedLoop> {
-        match self {
-            TrafficModel::RpcClosedLoop {
-                clients,
-                ops_per_client,
-                window,
-                request_bytes,
-                response_bytes,
-                think,
-                fanout,
-            } => Some(RpcDriver::build(
-                ctx.hosts,
-                *clients,
-                *ops_per_client,
-                *window,
-                *request_bytes,
-                *response_bytes,
-                *think,
-                *fanout,
-                ctx.seed,
-            )),
-            TrafficModel::Allreduce {
-                algorithm,
-                participants,
-                bytes,
-                iterations,
-            } => Some(AllreduceDriver::build(
-                *algorithm,
-                *participants,
-                *bytes,
-                *iterations,
-            )),
-            TrafficModel::LeaderReplicate {
-                clients,
-                followers,
-                quorum,
-                ops_per_client,
-                request_bytes,
-                ack_bytes,
-                think,
-            } => Some(LeaderReplicateDriver::build(
-                *clients,
-                *followers,
-                *quorum,
-                *ops_per_client,
-                *request_bytes,
-                *ack_bytes,
-                *think,
-                ctx.seed,
-            )),
-            _ => None,
-        }
+        app::closed_loop(self, ctx)
     }
 
     /// Materialize the flow stream. Deterministic: a pure function of
-    /// `(self, ctx)`. Assumes [`TrafficModel::validate`] passed — the
+    /// `(self, ctx)`. Assumes [`TrafficModel::validate_in`] passed — the
     /// scenario layer guarantees it for every user-reachable path.
     pub fn generate(&self, ctx: &TrafficCtx) -> FlowStream {
-        match self {
+        // A leaf model's flows are all of one population, so its
+        // boundary is 0; a composition orders primary flows first.
+        let (flows, primary) = match self {
             TrafficModel::Poisson {
                 load,
                 sizes,
                 flow_count,
-            } => {
-                let spec = WorkloadSpec {
-                    hosts: ctx.hosts,
-                    load: *load,
-                    line_rate_bps: ctx.line_rate_bps,
-                    sizes: *sizes,
-                    flow_count: *flow_count,
-                    seed: ctx.seed,
-                };
-                FlowStream {
-                    flows: spec.generate(),
-                    incast_from: None,
-                }
-            }
+            } => (arrivals(ctx, *load, *sizes, *flow_count, 1.0, 1), 0),
             TrafficModel::BurstyPoisson {
                 load,
                 sizes,
                 flow_count,
                 duty_cycle,
                 burst_flows,
-            } => FlowStream {
-                flows: generate_bursty(ctx, *load, *sizes, *flow_count, *duty_cycle, *burst_flows),
-                incast_from: None,
-            },
-            TrafficModel::Incast { m, total_bytes } => FlowStream {
-                flows: incast(ctx.hosts, *m, 0, *total_bytes, Time::ZERO, ctx.seed),
-                incast_from: Some(0),
-            },
+            } => (
+                arrivals(ctx, *load, *sizes, *flow_count, *duty_cycle, *burst_flows),
+                0,
+            ),
+            TrafficModel::Incast { m, total_bytes } => (striped(ctx, *m, *total_bytes), 0),
             TrafficModel::Shuffle {
                 flow_bytes,
                 rounds,
                 round_gap,
-            } => FlowStream {
-                flows: generate_shuffle(ctx, *flow_bytes, *rounds, *round_gap),
-                incast_from: None,
-            },
-            TrafficModel::Explicit(flows) => FlowStream {
-                flows: flows.clone(),
-                incast_from: None,
-            },
+            } => (shuffle(ctx, *flow_bytes, *rounds, *round_gap), 0),
+            TrafficModel::Explicit(flows) => (flows.clone(), 0),
+            // A closed-loop model's precomputable prefix is its seed
+            // flows; the rest exist only in reaction to completions (the
+            // engine spawns them via the driver).
             TrafficModel::RpcClosedLoop { .. }
             | TrafficModel::Allreduce { .. }
-            | TrafficModel::LeaderReplicate { .. } => FlowStream {
-                // A closed-loop model's precomputable prefix is its
-                // seed flows; the rest exist only in reaction to
-                // completions (the engine spawns them via the driver).
-                flows: self
-                    .closed_loop(ctx)
-                    .expect("variant is closed-loop")
-                    .seed_flows,
-                incast_from: None,
-            },
-            TrafficModel::Compose(parts) => generate_compose(ctx, parts),
+            | TrafficModel::LeaderReplicate { .. } => {
+                let cl = self.closed_loop(ctx).expect("variant is closed-loop");
+                (cl.seed_flows, 0)
+            }
+            TrafficModel::Compose(parts) => compose(ctx, parts),
+        };
+        FlowStream {
+            flows,
+            incast_from: self.has_incast_population().then_some(primary),
         }
     }
 }
 
-fn check_hosts(hosts: usize) -> Result<(), TrafficError> {
-    if hosts < 2 {
-        return Err(TrafficError::TooFewHosts { hosts });
-    }
-    Ok(())
-}
-
-fn check_load(load: f64) -> Result<(), TrafficError> {
-    if !(load > 0.0 && load <= 1.0) {
-        return Err(TrafficError::LoadOutOfRange { load });
-    }
-    Ok(())
-}
-
 fn check_flows(flow_count: usize) -> Result<(), TrafficError> {
-    if flow_count == 0 {
-        return Err(TrafficError::NoFlows);
-    }
+    ensure(flow_count > 0, TrafficError::NoFlows)?;
     check_flow_budget(flow_count as u128)
-}
-
-fn check_sizes(sizes: &SizeDistribution) -> Result<(), TrafficError> {
-    if matches!(sizes, SizeDistribution::Fixed(0)) {
-        return Err(TrafficError::ZeroBytes);
-    }
-    Ok(())
-}
-
-/// Prove a client's cumulative think clock cannot overflow `Time`:
-/// every exponential draw is bounded by [`THINK_DRAW_BOUND`]× the
-/// mean, and a client makes at most `ops` draws.
-fn check_think(think: Duration, ops: u32) -> Result<(), TrafficError> {
-    let think_ns = think.as_nanos();
-    if think_ns as u128 * ops as u128 * THINK_DRAW_BOUND > u64::MAX as u128 {
-        return Err(TrafficError::ThinkTimeOverflow { think_ns });
-    }
-    Ok(())
 }
 
 /// Reject models whose predicted total flow count exceeds the engine's
 /// 30-bit flow-id space.
 fn check_flow_budget(flows: u128) -> Result<(), TrafficError> {
-    if flows >= MAX_FLOWS {
-        return Err(TrafficError::TooManyFlows { flows });
-    }
-    Ok(())
+    ensure(flows < MAX_FLOWS, TrafficError::TooManyFlows { flows })
 }
 
-/// On/off Poisson generation. Structure mirrors [`WorkloadSpec::generate`]
-/// (per-host forked RNG streams, final stable sort + truncate) so the
-/// stream stays deterministic and order-stable.
-fn generate_bursty(
+/// `ns`, unless it lies beyond [`HORIZON_NS`]: then an error naming
+/// the `field` that states it.
+fn check_horizon(field: &'static str, ns: u128) -> Result<u128, TrafficError> {
+    ensure(
+        ns <= HORIZON_NS as u128,
+        TrafficError::BeyondHorizon { field, ns },
+    )?;
+    Ok(ns)
+}
+
+fn ensure(ok: bool, err: TrafficError) -> Result<(), TrafficError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(err)
+    }
+}
+
+/// Mean inter-arrival time per host, in seconds, for `load`: each host
+/// must send `load × line_rate` on average, so its flow rate is
+/// `load × rate / (8 × E[size])` flows per second.
+fn mean_gap_s(load: f64, line_rate_bps: f64, sizes: &SizeDistribution) -> f64 {
+    let flows_per_sec = load * line_rate_bps / (8.0 * sizes.mean_bytes());
+    1.0 / flows_per_sec
+}
+
+/// The one per-host arrival loop, on/off Poisson: every host runs an
+/// independent process (its own forked RNG stream) that alternates ON
+/// bursts of back-to-back arrivals with OFF silences, and sends each
+/// flow to a uniformly drawn other host; the result is stably sorted by
+/// arrival time and cut to `flow_count`. Poisson is the case
+/// `duty_cycle = 1`, `burst_flows = 1`: one-flow bursts, no OFF phase,
+/// and no draw but the flow's own.
+fn arrivals(
     ctx: &TrafficCtx,
     load: f64,
     sizes: SizeDistribution,
@@ -844,17 +793,13 @@ fn generate_bursty(
     duty_cycle: f64,
     burst_flows: usize,
 ) -> Vec<FlowSpec> {
-    let spec = WorkloadSpec {
-        hosts: ctx.hosts,
-        load,
-        line_rate_bps: ctx.line_rate_bps,
-        sizes,
-        flow_count,
-        seed: ctx.seed,
-    };
-    let mean_gap = spec.mean_interarrival();
-    // During a burst the arrival rate is inflated by 1/duty_cycle…
-    let on_gap = Duration::from_secs_f64(mean_gap.as_secs_f64() * duty_cycle);
+    let mean_gap = Duration::from_secs_f64(mean_gap_s(load, ctx.line_rate_bps, &sizes));
+    let gap_s = mean_gap.as_secs_f64();
+    // During a burst the arrival rate is inflated by 1/duty_cycle (at
+    // duty 1 this rounds back to `mean_gap` exactly: within the horizon
+    // a nanosecond count survives the trip through seconds)…
+    let on_gap = Duration::from_secs_f64(gap_s * duty_cycle);
+    let off_share = 1.0 - duty_cycle;
     let per_host = flow_count.div_ceil(ctx.hosts);
 
     let mut rng = SimRng::new(ctx.seed);
@@ -862,13 +807,11 @@ fn generate_bursty(
     for src in 0..ctx.hosts as u32 {
         let mut host_rng = rng.fork(src as u64);
         let mut t = Time::ZERO;
-        let mut emitted = 0usize;
-        while emitted < per_host {
-            let burst = sample_geometric(&mut host_rng, burst_flows);
+        let mut left = per_host;
+        while left > 0 {
+            let burst = sample_geometric(&mut host_rng, burst_flows).min(left);
+            left -= burst;
             for _ in 0..burst {
-                if emitted == per_host {
-                    break;
-                }
                 t += host_rng.exp_duration(on_gap);
                 let mut dst = host_rng.range(0, ctx.hosts as u64 - 1) as u32;
                 if dst >= src {
@@ -880,15 +823,16 @@ fn generate_bursty(
                     bytes: sizes.sample(&mut host_rng).max(1),
                     at: t,
                 });
-                emitted += 1;
             }
             // …and the OFF silence restores the long-run average: a
             // burst of n flows spent n·duty·gap ON, so the cycle owes
-            // n·(1−duty)·gap of silence to average out to n·gap.
-            let off_mean =
-                Duration::from_secs_f64(burst as f64 * mean_gap.as_secs_f64() * (1.0 - duty_cycle));
-            if !off_mean.is_zero() {
-                t += host_rng.exp_duration(off_mean);
+            // n·(1−duty)·gap of silence to average out to n·gap. The
+            // last burst's silence precedes nothing and is not drawn.
+            if off_share > 0.0 && left > 0 {
+                let off_mean = Duration::from_secs_f64(burst as f64 * gap_s * off_share);
+                if !off_mean.is_zero() {
+                    t += host_rng.exp_duration(off_mean);
+                }
             }
         }
     }
@@ -899,7 +843,7 @@ fn generate_bursty(
 
 /// Geometric burst length with the given mean (support `1..`), via
 /// inverse-CDF sampling. A mean of 1 is the degenerate single-flow
-/// burst.
+/// burst and draws nothing.
 fn sample_geometric(rng: &mut SimRng, mean: usize) -> usize {
     if mean <= 1 {
         return 1;
@@ -910,14 +854,31 @@ fn sample_geometric(rng: &mut SimRng, mean: usize) -> usize {
     (n as usize).max(1)
 }
 
+/// §4.4.3's incast: `total_bytes` striped equally over `m` distinct
+/// random senders, all answering host 0 at time zero.
+///
+/// "We simulate the incast workload on our default topology by striping
+/// 150MB of data across M randomly chosen sender nodes that send it to a
+/// fixed destination node."
+fn striped(ctx: &TrafficCtx, m: usize, total_bytes: u64) -> Vec<FlowSpec> {
+    let mut rng = SimRng::new(ctx.seed);
+    // Sample senders from the hosts other than host 0.
+    let senders = rng.sample_distinct(ctx.hosts - 1, m);
+    let bytes = total_bytes / m as u64;
+    senders
+        .into_iter()
+        .map(|raw| FlowSpec {
+            src: raw as u32 + 1,
+            dst: 0,
+            bytes,
+            at: Time::ZERO,
+        })
+        .collect()
+}
+
 /// Permutation-shuffle generation: one fresh random derangement per
 /// round.
-fn generate_shuffle(
-    ctx: &TrafficCtx,
-    flow_bytes: u64,
-    rounds: usize,
-    round_gap: Duration,
-) -> Vec<FlowSpec> {
+fn shuffle(ctx: &TrafficCtx, flow_bytes: u64, rounds: usize, round_gap: Duration) -> Vec<FlowSpec> {
     let n = ctx.hosts;
     let mut rng = SimRng::new(ctx.seed);
     let mut flows = Vec::with_capacity(rounds * n);
@@ -953,26 +914,21 @@ fn generate_shuffle(
 /// Composition: generate each part with its salted seed and start
 /// offset, then order primary-population flows before incast-population
 /// flows (the engine's single boundary index separates the two metric
-/// populations).
-fn generate_compose(ctx: &TrafficCtx, parts: &[Component]) -> FlowStream {
-    let mut primary = Vec::new();
+/// populations). Returns the flows and the count of primary ones.
+fn compose(ctx: &TrafficCtx, parts: &[Component]) -> (Vec<FlowSpec>, usize) {
+    let mut primary: Vec<FlowSpec> = Vec::new();
     let mut burst = Vec::new();
-    let mut generated: Vec<FlowSpec> = Vec::new();
-    let mut any_incast = false;
     for part in parts {
         let offset = match part.start {
             Start::Zero => Duration::ZERO,
+            Start::PriorMedian if primary.is_empty() && burst.is_empty() => Duration::ZERO,
             Start::PriorMedian => {
-                if generated.is_empty() {
-                    Duration::ZERO
-                } else {
-                    // The median *arrival time* of the prior flows —
-                    // their generation order is not necessarily
-                    // time-sorted (explicit lists, multiple parts).
-                    let mut times: Vec<Time> = generated.iter().map(|f| f.at).collect();
-                    times.sort_unstable();
-                    Duration::nanos(times[times.len() / 2].as_nanos())
-                }
+                // The median *arrival time* of the prior flows — their
+                // generation order is not necessarily time-sorted
+                // (explicit lists, multiple parts).
+                let mut times: Vec<Time> = primary.iter().chain(&burst).map(|f| f.at).collect();
+                times.sort_unstable();
+                Duration::nanos(times[times.len() / 2].as_nanos())
             }
             Start::At(d) => d,
         };
@@ -986,21 +942,14 @@ fn generate_compose(ctx: &TrafficCtx, parts: &[Component]) -> FlowStream {
                 f.at += offset;
             }
         }
-        generated.extend_from_slice(&flows);
         match part.population {
             Population::Primary => primary.append(&mut flows),
-            Population::Incast => {
-                any_incast = true;
-                burst.append(&mut flows);
-            }
+            Population::Incast => burst.append(&mut flows),
         }
     }
-    let incast_from = any_incast.then_some(primary.len());
+    let boundary = primary.len();
     primary.append(&mut burst);
-    FlowStream {
-        flows: primary,
-        incast_from,
-    }
+    (primary, boundary)
 }
 
 #[cfg(test)]
@@ -1016,16 +965,26 @@ mod tests {
     }
 
     #[test]
-    fn poisson_model_matches_workload_spec() {
-        let model = TrafficModel::Poisson {
+    fn poisson_is_bursty_at_duty_one_with_single_flow_bursts() {
+        let sizes = SizeDistribution::HeavyTailed;
+        let poisson = TrafficModel::Poisson {
             load: 0.7,
-            sizes: SizeDistribution::HeavyTailed,
+            sizes,
             flow_count: 500,
         };
-        let stream = model.generate(&ctx(8, 42));
-        let spec = WorkloadSpec::paper_default(8, 500, 42);
-        assert_eq!(stream.flows, spec.generate());
-        assert_eq!(stream.incast_from, None);
+        let bursty = TrafficModel::BurstyPoisson {
+            load: 0.7,
+            sizes,
+            flow_count: 500,
+            duty_cycle: 1.0,
+            burst_flows: 1,
+        };
+        for c in [ctx(2, 1), ctx(8, 42), ctx(54, 7)] {
+            let stream = poisson.generate(&c);
+            assert_eq!(stream, bursty.generate(&c));
+            assert_eq!(stream.flows.len(), 500);
+            assert_eq!(stream.incast_from, None);
+        }
     }
 
     #[test]
@@ -1038,19 +997,23 @@ mod tests {
             TrafficModel::incast_with_cross(8, 15_000_000, 0.5, SizeDistribution::HeavyTailed, 200);
         let stream = model.generate(&c);
 
-        let spec = WorkloadSpec {
-            hosts: 16,
+        let cross = TrafficModel::Poisson {
             load: 0.5,
-            line_rate_bps: 40e9,
             sizes: SizeDistribution::HeavyTailed,
             flow_count: 200,
-            seed: 7,
         };
-        let mut expect = spec.generate();
+        let mut expect = cross.generate(&c).flows;
         let boundary = expect.len();
-        let mid = expect[boundary / 2].at;
-        let mut legacy_burst = incast(16, 8, 0, 15_000_000, mid, 7 ^ INCAST_CROSS_SALT);
-        expect.append(&mut legacy_burst);
+        let mid = Duration::nanos(expect[boundary / 2].at.as_nanos());
+        let burst = TrafficModel::Incast {
+            m: 8,
+            total_bytes: 15_000_000,
+        };
+        let salted = ctx(16, 7 ^ INCAST_CROSS_SALT);
+        expect.extend(burst.generate(&salted).flows.into_iter().map(|f| FlowSpec {
+            at: f.at + mid,
+            ..f
+        }));
 
         assert_eq!(stream.flows, expect);
         assert_eq!(stream.incast_from, Some(boundary));
@@ -1307,10 +1270,12 @@ mod tests {
         // A think time near u64::MAX nanoseconds must be a typed
         // error, not a Time-arithmetic panic mid-run.
         let huge = Duration::nanos(u64::MAX / 2);
+        assert_eq!(rpc(4, 10, 2, 2, huge).validate(16), Ok(()));
         assert_eq!(
-            rpc(4, 10, 2, 2, huge).validate(16),
-            Err(E::ThinkTimeOverflow {
-                think_ns: u64::MAX / 2
+            rpc(4, 10, 2, 2, huge).validate_in(&ctx(16, 1)),
+            Err(E::BeyondHorizon {
+                field: "think_ns × ops_per_client",
+                ns: (u64::MAX / 2) as u128 * 10
             })
         );
         // More flows than 30-bit flow ids can address.
@@ -1496,5 +1461,67 @@ mod tests {
         let stream = model.generate(&ctx(4, 1));
         assert_eq!(stream.flows[0].at, Time::from_nanos(3_005));
         assert_eq!(stream.incast_from, None);
+    }
+
+    #[test]
+    fn everything_a_model_states_or_predicts_lies_within_the_horizon() {
+        use TrafficError as E;
+        let c = ctx(16, 1);
+        let past = |field, ns| Err(E::BeyondHorizon { field, ns });
+        let at = |ns| FlowSpec {
+            src: 0,
+            dst: 1,
+            bytes: 1,
+            at: Time::from_nanos(ns),
+        };
+        let shuffle = |rounds, gap| TrafficModel::Shuffle {
+            flow_bytes: 1,
+            rounds,
+            round_gap: Duration::nanos(gap),
+        };
+        let poisson = |load| TrafficModel::Poisson {
+            load,
+            sizes: SizeDistribution::HeavyTailed,
+            flow_count: 1000,
+        };
+        let part = |model, start| Component {
+            model,
+            population: Population::Primary,
+            seed_salt: 0,
+            start,
+        };
+
+        // Exactly at the horizon is fine; one nanosecond beyond is not.
+        let h = HORIZON_NS;
+        assert_eq!(TrafficModel::Explicit(vec![at(h)]).validate_in(&c), Ok(()));
+        let beyond = TrafficModel::Explicit(vec![at(0), at(h + 1)]);
+        assert_eq!(beyond.validate(16), Ok(()));
+        assert_eq!(beyond.validate_in(&c), past("at_ns", h as u128 + 1));
+        // Round 2 of 3 starting at 2^64 used to wrap to t = 0.
+        assert_eq!(
+            shuffle(3, 1 << 63).validate_in(&c),
+            past("round_gap_ns × (rounds - 1)", 1 << 64)
+        );
+        assert_eq!(shuffle(3, h / 2).validate_in(&c), Ok(()));
+        assert!(shuffle(1, h + 1).validate_in(&c).is_err());
+        // Poisson arrivals: ~3 ms at 70 % load, ~245 days at 1e-10.
+        assert_eq!(poisson(0.7).validate_in(&c), Ok(()));
+        assert!(matches!(
+            poisson(1e-10).validate_in(&c),
+            Err(E::BeyondHorizon { field, .. }) if field.starts_with("flows at load")
+        ));
+        assert!(poisson(f64::MIN_POSITIVE).validate_in(&c).is_err());
+        // Composed parts: a stated start, then the parts end to end.
+        let stated =
+            TrafficModel::Compose(vec![part(poisson(0.7), Start::At(Duration::nanos(h + 1)))]);
+        assert_eq!(stated.validate_in(&c), past("start.at_ns", h as u128 + 1));
+        let chained = TrafficModel::Compose(vec![
+            part(TrafficModel::Explicit(vec![at(h / 2 + 1)]), Start::Zero),
+            part(TrafficModel::Explicit(vec![at(h / 2)]), Start::PriorMedian),
+        ]);
+        assert_eq!(
+            chained.validate_in(&c),
+            past("compose parts end to end", h as u128 + 1)
+        );
     }
 }
