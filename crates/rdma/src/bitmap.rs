@@ -64,12 +64,6 @@ impl RingBitmap {
         was
     }
 
-    /// Clear the bit at head-relative `offset`.
-    pub fn clear(&mut self, offset: usize) {
-        let (c, m) = self.phys(offset);
-        self.chunks[c] &= !m;
-    }
-
     /// Read the bit at head-relative `offset`.
     pub fn get(&self, offset: usize) -> bool {
         let (c, m) = self.phys(offset);
@@ -210,11 +204,6 @@ impl TwoBitmap {
         (n, completions)
     }
 
-    /// Number of out-of-order packets currently buffered past the head.
-    pub fn out_of_order_count(&self) -> usize {
-        self.arrived.popcount()
-    }
-
     /// Capacity in bits of each plane.
     pub fn capacity(&self) -> usize {
         self.arrived.capacity()
@@ -247,8 +236,6 @@ mod tests {
         assert!(!b.set(5));
         assert!(b.get(5));
         assert!(b.set(5), "second set reports previous value");
-        b.clear(5);
-        assert!(!b.get(5));
     }
 
     #[test]
@@ -360,11 +347,9 @@ mod tests {
         t.record(1, false);
         t.record(2, true);
         assert_eq!(t.slide(), (0, 0), "hole at 0 blocks everything");
-        assert_eq!(t.out_of_order_count(), 2);
         // Packet 0 (its own message) fills the hole: everything releases.
         t.record(0, true);
         assert_eq!(t.slide(), (3, 2), "two message boundaries release");
-        assert_eq!(t.out_of_order_count(), 0);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!   (52/104/160 bits per QP, five BDP-sized bitmaps, 3 B per WQE, 10 B
 //!   shared), reproduced from configuration.
 //!
-//! The verbs layer above them (WQEs and CQEs, the requester/responder
-//! queue-pair state machines, shared receive queues, credits) is a
-//! protocol oracle no production crate calls; it lives with the tests
-//! that drive it, in `irn-integration` (`tests/src/`).
+//! The verbs layer above them (WQEs and CQEs, shared receive queues,
+//! credits) is not modelled. The one trace of it here is the message
+//! sequence number: `receive_data` takes an `is_last` flag and
+//! [`modules::QpContext`] counts completed messages in `msn`, which the
+//! benchmark's `receiveData` kernel pins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -127,25 +127,6 @@ pub enum AckEmit {
     None,
 }
 
-/// Output of the `receiveData` module.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReceiveDataOut {
-    /// Acknowledgement to send back.
-    pub ack: AckEmit,
-    /// How far the in-order window advanced (0 for OOO arrivals).
-    pub advanced: u32,
-    /// MSN increment = completed messages = "number of Receive WQEs to
-    /// be expired" upper bound (§6.2 module description).
-    pub msn_increment: u32,
-    /// The packet was newly buffered out-of-order.
-    pub buffered_ooo: bool,
-    /// The packet was a duplicate (already delivered or buffered).
-    pub duplicate: bool,
-    /// The packet fell outside the BDP-sized tracking window and must be
-    /// discarded (cannot happen when BDP-FC is honoured, §3.2/§6.1).
-    pub beyond_window: bool,
-}
-
 /// Receiver policy: how the receiver treats out-of-order arrivals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReceiverMode {
@@ -158,30 +139,14 @@ pub enum ReceiverMode {
 }
 
 /// `receiveData` (§6.2): triggered on a data-packet arrival; updates the
-/// receive bitmaps and produces the (N)ACK plus WQE-expiry counts.
-pub fn receive_data(
-    ctx: &mut QpContext,
-    psn: u32,
-    is_last: bool,
-    mode: ReceiverMode,
-) -> ReceiveDataOut {
-    let mut out = ReceiveDataOut {
-        ack: AckEmit::None,
-        advanced: 0,
-        msn_increment: 0,
-        buffered_ooo: false,
-        duplicate: false,
-        beyond_window: false,
-    };
-
+/// receive bitmaps and the MSN, and produces the (N)ACK to send back.
+pub fn receive_data(ctx: &mut QpContext, psn: u32, is_last: bool, mode: ReceiverMode) -> AckEmit {
     if psn < ctx.expected_seq {
         // Already delivered (retransmitted duplicate): re-ACK so the
         // sender's cumulative state can advance.
-        out.duplicate = true;
-        out.ack = AckEmit::Ack {
+        return AckEmit::Ack {
             cum: ctx.expected_seq,
         };
-        return out;
     }
 
     let offset = (psn - ctx.expected_seq) as usize;
@@ -193,12 +158,9 @@ pub fn receive_data(
         ctx.expected_seq += advanced as u32;
         ctx.msn += completions as u32;
         ctx.nack_outstanding = false;
-        out.advanced = advanced as u32;
-        out.msn_increment = completions as u32;
-        out.ack = AckEmit::Ack {
+        return AckEmit::Ack {
             cum: ctx.expected_seq,
         };
-        return out;
     }
 
     // Out of order.
@@ -207,39 +169,33 @@ pub fn receive_data(
             if offset >= ctx.recv.capacity() {
                 // BDP-FC bounds OOO arrivals to the bitmap size (§6.1);
                 // anything beyond is discarded defensively.
-                out.beyond_window = true;
-                return out;
+                return AckEmit::None;
             }
-            if ctx.recv.has(offset) {
-                out.duplicate = true;
-            } else {
+            if !ctx.recv.has(offset) {
                 ctx.recv.record(offset, is_last);
-                out.buffered_ooo = true;
             }
             // §3.1: "Upon every out-of-order packet arrival, an IRN
             // receiver sends a NACK, which carries both the cumulative
             // acknowledgment … and the sequence number of the packet
             // that triggered the NACK."
-            out.ack = AckEmit::Nack {
+            AckEmit::Nack {
                 cum: ctx.expected_seq,
                 sack: psn,
-            };
+            }
         }
         ReceiverMode::RoceGoBackN => {
             // §2.1: discard and NACK (once per sequence-error episode).
-            out.duplicate = false;
             if ctx.nack_outstanding {
-                out.ack = AckEmit::None;
+                AckEmit::None
             } else {
                 ctx.nack_outstanding = true;
-                out.ack = AckEmit::Nack {
+                AckEmit::Nack {
                     cum: ctx.expected_seq,
                     sack: psn,
-                };
+                }
             }
         }
     }
-    out
 }
 
 /// Output of the `txFree` module.
@@ -408,34 +364,40 @@ mod tests {
         SenderContext::new(CAP)
     }
 
+    /// Head-relative offsets the receiver holds out of order.
+    fn held(c: &QpContext) -> Vec<usize> {
+        (0..c.recv.capacity()).filter(|&i| c.recv.has(i)).collect()
+    }
+
     // ---- receiveData ----
 
     #[test]
     fn in_order_stream_acks_cumulatively() {
         let mut c = ctx();
         for psn in 0..5 {
-            let out = receive_data(&mut c, psn, false, ReceiverMode::Irn);
-            assert_eq!(out.ack, AckEmit::Ack { cum: psn + 1 });
-            assert_eq!(out.advanced, 1);
-            assert!(!out.buffered_ooo && !out.duplicate);
+            let ack = receive_data(&mut c, psn, false, ReceiverMode::Irn);
+            assert_eq!(ack, AckEmit::Ack { cum: psn + 1 });
+            assert_eq!(c.expected_seq, psn + 1);
+            assert!(held(&c).is_empty());
         }
-        assert_eq!(c.expected_seq, 5);
     }
 
     #[test]
     fn irn_ooo_arrival_nacks_with_sack() {
         let mut c = ctx();
         receive_data(&mut c, 0, false, ReceiverMode::Irn);
-        // Packet 1 lost; 2 and 3 arrive.
-        let out = receive_data(&mut c, 2, false, ReceiverMode::Irn);
-        assert_eq!(out.ack, AckEmit::Nack { cum: 1, sack: 2 });
-        assert!(out.buffered_ooo);
-        let out = receive_data(&mut c, 3, false, ReceiverMode::Irn);
-        assert_eq!(out.ack, AckEmit::Nack { cum: 1, sack: 3 });
+        // Packet 1 lost; 2 and 3 arrive and are buffered.
+        let ack = receive_data(&mut c, 2, false, ReceiverMode::Irn);
+        assert_eq!(ack, AckEmit::Nack { cum: 1, sack: 2 });
+        let ack = receive_data(&mut c, 3, false, ReceiverMode::Irn);
+        assert_eq!(ack, AckEmit::Nack { cum: 1, sack: 3 });
+        assert_eq!(c.expected_seq, 1);
+        assert_eq!(held(&c), vec![1, 2]);
         // Retransmitted 1 fills the hole: window slides over 1,2,3.
-        let out = receive_data(&mut c, 1, false, ReceiverMode::Irn);
-        assert_eq!(out.ack, AckEmit::Ack { cum: 4 });
-        assert_eq!(out.advanced, 3);
+        let ack = receive_data(&mut c, 1, false, ReceiverMode::Irn);
+        assert_eq!(ack, AckEmit::Ack { cum: 4 });
+        assert_eq!(c.expected_seq, 4);
+        assert!(held(&c).is_empty());
     }
 
     #[test]
@@ -445,18 +407,19 @@ mod tests {
         receive_data(&mut c, 1, true, ReceiverMode::Irn);
         receive_data(&mut c, 2, true, ReceiverMode::Irn);
         assert_eq!(c.msn, 0, "completions held until the hole fills");
-        let out = receive_data(&mut c, 0, false, ReceiverMode::Irn);
-        assert_eq!(out.msn_increment, 2);
+        receive_data(&mut c, 0, false, ReceiverMode::Irn);
         assert_eq!(c.msn, 2);
+        assert_eq!(c.expected_seq, 3);
     }
 
     #[test]
     fn irn_duplicate_ooo_is_flagged() {
         let mut c = ctx();
         receive_data(&mut c, 2, false, ReceiverMode::Irn);
-        let out = receive_data(&mut c, 2, false, ReceiverMode::Irn);
-        assert!(out.duplicate);
-        assert_eq!(out.ack, AckEmit::Nack { cum: 0, sack: 2 });
+        let ack = receive_data(&mut c, 2, false, ReceiverMode::Irn);
+        assert_eq!(ack, AckEmit::Nack { cum: 0, sack: 2 });
+        assert_eq!(c.expected_seq, 0);
+        assert_eq!(held(&c), vec![2], "held once, not twice");
     }
 
     #[test]
@@ -465,34 +428,36 @@ mod tests {
         for psn in 0..3 {
             receive_data(&mut c, psn, false, ReceiverMode::Irn);
         }
-        let out = receive_data(&mut c, 1, false, ReceiverMode::Irn);
-        assert!(out.duplicate);
-        assert_eq!(out.ack, AckEmit::Ack { cum: 3 });
+        let ack = receive_data(&mut c, 1, false, ReceiverMode::Irn);
+        assert_eq!(ack, AckEmit::Ack { cum: 3 });
+        assert_eq!(c.expected_seq, 3);
+        assert!(held(&c).is_empty());
     }
 
     #[test]
     fn irn_beyond_window_discarded() {
         let mut c = ctx();
-        let out = receive_data(&mut c, CAP as u32 + 5, false, ReceiverMode::Irn);
-        assert!(out.beyond_window);
-        assert_eq!(out.ack, AckEmit::None);
+        let ack = receive_data(&mut c, CAP as u32 + 5, true, ReceiverMode::Irn);
+        assert_eq!(ack, AckEmit::None);
+        assert_eq!((c.expected_seq, c.msn, c.nack_outstanding), (0, 0, false));
+        assert!(held(&c).is_empty(), "nothing recorded");
     }
 
     #[test]
     fn roce_discards_ooo_and_nacks_once() {
         let mut c = ctx();
         receive_data(&mut c, 0, false, ReceiverMode::RoceGoBackN);
-        let out = receive_data(&mut c, 2, false, ReceiverMode::RoceGoBackN);
-        assert_eq!(out.ack, AckEmit::Nack { cum: 1, sack: 2 });
-        assert!(!out.buffered_ooo, "RoCE receivers discard OOO packets");
+        let ack = receive_data(&mut c, 2, false, ReceiverMode::RoceGoBackN);
+        assert_eq!(ack, AckEmit::Nack { cum: 1, sack: 2 });
+        assert!(held(&c).is_empty(), "RoCE receivers discard OOO packets");
         // Further OOO arrivals in the same episode: silent.
-        let out = receive_data(&mut c, 3, false, ReceiverMode::RoceGoBackN);
-        assert_eq!(out.ack, AckEmit::None);
+        let ack = receive_data(&mut c, 3, false, ReceiverMode::RoceGoBackN);
+        assert_eq!(ack, AckEmit::None);
         // In-order progress resets the episode.
-        let out = receive_data(&mut c, 1, false, ReceiverMode::RoceGoBackN);
-        assert_eq!(out.ack, AckEmit::Ack { cum: 2 });
-        let out = receive_data(&mut c, 3, false, ReceiverMode::RoceGoBackN);
-        assert_eq!(out.ack, AckEmit::Nack { cum: 2, sack: 3 });
+        let ack = receive_data(&mut c, 1, false, ReceiverMode::RoceGoBackN);
+        assert_eq!(ack, AckEmit::Ack { cum: 2 });
+        let ack = receive_data(&mut c, 3, false, ReceiverMode::RoceGoBackN);
+        assert_eq!(ack, AckEmit::Nack { cum: 2, sack: 3 });
     }
 
     #[test]
@@ -635,14 +600,9 @@ mod tests {
         );
         assert!(c.in_recovery);
         assert_eq!(c.retx_cursor, 0);
-        // With no SACKs, only the cumulative-ack packet retransmits...
+        // With no SACK above the head nothing is known-lost, so txFree is
+        // idle; the transport retransmits `cum_acked` itself on `Fired`.
         assert_eq!(tx_free(&mut c, false), TxFreeOut::Idle);
-        // ...wait: no higher sack exists, so nothing is known-lost; the
-        // cursor rule still sends nothing. Timeout-driven retransmission
-        // of the head happens because highest_sacked == 0 means txFree
-        // yields Idle; the transport layer retransmits `cum_acked`
-        // explicitly on Fired (mirrors §3.1's "retransmits packets ...
-        // starting with the cumulative acknowledgement").
     }
 
     #[test]
@@ -670,13 +630,28 @@ mod tests {
             /// for (plus the head on timeout) eventually delivers all
             /// packets in order.
             #[test]
-            fn sender_receiver_converge(loss_mask in proptest::collection::vec(prop::bool::ANY, 1..60)) {
+            fn sender_receiver_converge(
+                loss_mask in proptest::collection::vec(prop::bool::ANY, 1..60),
+                window in 1usize..12,
+                picks in proptest::collection::vec(0usize..1 << 16, 1..64),
+            ) {
                 let total = loss_mask.len() as u32;
                 let mut s = SenderContext::new(128);
                 let mut r = QpContext::new(128);
+                // Channel: lossy on first transmission, and each delivery
+                // takes a random one of the first `window` packets queued.
+                let mut picks = picks.iter().cycle();
+                let mut deliver = |wire: &mut Vec<u32>| {
+                    let k = picks.next().expect("cycle") % wire.len().min(window);
+                    let psn = wire.remove(k);
+                    match receive_data(&mut r, psn, psn == total - 1, ReceiverMode::Irn) {
+                        AckEmit::Ack { cum } => Some((cum, None, false)),
+                        AckEmit::Nack { cum, sack } => Some((cum, Some(sack), true)),
+                        AckEmit::None => None,
+                    }
+                };
 
-                // Channel: in-order but lossy on first transmission.
-                let mut acks: Vec<(u32, Option<u32>, bool)> = Vec::new();
+                let mut wire = Vec::new();
                 for (i, lost) in loss_mask.iter().enumerate() {
                     let psn = match tx_free(&mut s, true) {
                         TxFreeOut::SendNew { psn } => psn,
@@ -684,15 +659,16 @@ mod tests {
                     };
                     prop_assert_eq!(psn, i as u32);
                     if !lost {
-                        let out = receive_data(&mut r, psn, psn == total - 1, ReceiverMode::Irn);
-                        match out.ack {
-                            AckEmit::Ack { cum } => acks.push((cum, None, false)),
-                            AckEmit::Nack { cum, sack } => acks.push((cum, Some(sack), true)),
-                            AckEmit::None => {}
-                        }
+                        wire.push(psn);
                     }
                 }
-                for (cum, sack, nack) in acks.drain(..) {
+                // The sender hears nothing until every first transmission
+                // is out, so txFree above only ever sends new data.
+                let mut acks = Vec::new();
+                while !wire.is_empty() {
+                    acks.extend(deliver(&mut wire));
+                }
+                for (cum, sack, nack) in acks {
                     receive_ack(&mut s, cum, sack, nack);
                 }
 
@@ -709,12 +685,9 @@ mod tests {
                         timeout(&mut s, 3);
                         to_send.push(s.cum_acked);
                     }
-                    for psn in to_send {
-                        let out = receive_data(&mut r, psn, psn == total - 1, ReceiverMode::Irn);
-                        match out.ack {
-                            AckEmit::Ack { cum } => { receive_ack(&mut s, cum, None, false); }
-                            AckEmit::Nack { cum, sack } => { receive_ack(&mut s, cum, Some(sack), true); }
-                            AckEmit::None => {}
+                    while !to_send.is_empty() {
+                        if let Some((cum, sack, nack)) = deliver(&mut to_send) {
+                            receive_ack(&mut s, cum, sack, nack);
                         }
                     }
                 }

@@ -112,11 +112,11 @@ impl ReceiverQp {
         debug_assert_eq!(pkt.flow, self.flow);
         let mut out = RecvOutcome::default();
 
-        let r = modules::receive_data(&mut self.ctx, pkt.psn, pkt.is_last, self.mode);
+        let ack = modules::receive_data(&mut self.ctx, pkt.psn, pkt.is_last, self.mode);
 
         // Build the acknowledgement. It echoes the data packet's send
         // timestamp (Timely RTT) and its ECN mark (DCTCP).
-        out.ack = match r.ack {
+        out.ack = match ack {
             AckEmit::Ack { cum } => Some(self.make_ack(PacketKind::Ack, cum, 0, pkt)),
             AckEmit::Nack { cum, sack } => Some(self.make_ack(PacketKind::Nack, cum, sack, pkt)),
             AckEmit::None => None,

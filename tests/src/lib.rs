@@ -1,26 +1,22 @@
 //! # irn-integration — workspace-level integration tests
 //!
 //! The tests live in `tests/tests/*.rs` and span every crate: paper-claim
-//! assertions over full simulations, losslessness invariants, RDMA
-//! semantic checks under adversarial channels, and determinism sweeps.
-//! This library hosts the shared helpers and the reference models that
-//! no production crate needs: the binary-heap [`EventQueue`] and
-//! [`TimerSlot`] the production scheduler is differentially tested
-//! against, and the §5 / Appendix B verbs-layer protocol oracle —
-//! [`verbs`] (operations, WQEs, CQEs), [`qp`] (requester and responder
-//! state machines over `irn_rdma`'s bitmaps and packet-processing
-//! modules), [`srq`] (shared receive queues) and [`credits`]
-//! (end-to-end credits and RNR rules) — which `tests/rdma_semantics.rs`
-//! drives through lossy, reordering channels.
+//! assertions over full simulations, losslessness invariants, fixtures
+//! that pin simulated bytes, and determinism sweeps. This library hosts
+//! the shared helpers and the two reference models no production crate
+//! needs: the binary-heap [`EventQueue`] and the [`TimerSlot`] that the
+//! production scheduler is differentially tested against in
+//! `tests/scheduler.rs`.
+//!
+//! The simulator does not model verbs (WQEs, CQEs, shared receive
+//! queues, credits), so no verbs-layer model lives here either; one
+//! returns only together with a differential client that compares it
+//! against the simulator's transport.
 
 #![forbid(unsafe_code)]
 
-pub mod credits;
 mod event_queue;
-pub mod qp;
-pub mod srq;
 mod timer;
-pub mod verbs;
 
 pub use event_queue::EventQueue;
 pub use timer::TimerSlot;
