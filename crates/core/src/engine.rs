@@ -328,6 +328,52 @@ struct AppRuntime {
     metrics: AppMetrics,
 }
 
+/// Why a run could not finish. Scenario validation cannot rule these
+/// out: whether a run completes is known only by running it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunError {
+    /// The workload generated no flows.
+    NoFlows,
+    /// `max_events` events ran out before every flow completed: a
+    /// livelock, or a budget set too low.
+    EventBudget {
+        /// Virtual time of the event over budget.
+        at: Time,
+        /// Flows completed by then.
+        completed: usize,
+        /// Flows in the run.
+        flows: usize,
+    },
+    /// No event was left while flows were still incomplete (RoCE under
+    /// PFC has no timeout: one lost packet can strand a flow).
+    Deadlock {
+        /// Flows completed.
+        completed: usize,
+        /// Flows in the run.
+        flows: usize,
+    },
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::NoFlows => write!(f, "workload generated no flows"),
+            RunError::EventBudget {
+                at,
+                completed,
+                flows,
+            } => write!(
+                f,
+                "event budget exceeded at {at} with {completed}/{flows} flows complete — livelock?"
+            ),
+            RunError::Deadlock { completed, flows } => write!(
+                f,
+                "simulation deadlocked: {completed}/{flows} flows completed (no events left)"
+            ),
+        }
+    }
+}
+
 /// One experiment in flight.
 pub struct Simulation {
     cfg: ExperimentConfig,
@@ -390,7 +436,6 @@ impl Simulation {
                 (stream.flows, stream.incast_from, None)
             }
         };
-        assert!(!flows.is_empty(), "workload generated no flows");
         let n = flows.len();
 
         // Arrival stream: indices sorted by time; the stable sort keeps
@@ -424,8 +469,19 @@ impl Simulation {
         }
     }
 
-    /// Run to completion (all flows delivered) and report.
-    pub fn run(mut self) -> RunResult {
+    /// [`Simulation::try_run`] for a run that is known to finish; panics
+    /// with the [`RunError`] otherwise.
+    pub fn run(self) -> RunResult {
+        self.try_run().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Run to completion (all flows delivered) and report, or say why
+    /// the run cannot finish. The error is a pure function of the
+    /// config, like the result: rerunning it anywhere fails the same way.
+    pub fn try_run(mut self) -> Result<RunResult, RunError> {
+        if self.flows.is_empty() {
+            return Err(RunError::NoFlows);
+        }
         // Give a closed-loop driver its time-zero callback (trace
         // records for the seed operations; never any flows).
         if let Some(app) = self.app.as_mut() {
@@ -460,12 +516,13 @@ impl Simulation {
                 queue_at.expect("queue event taken")
             };
             events += 1;
-            assert!(
-                events <= self.cfg.max_events,
-                "event budget exceeded at {at} with {}/{} flows complete — livelock?",
-                self.completed,
-                self.flows.len()
-            );
+            if events > self.cfg.max_events {
+                return Err(RunError::EventBudget {
+                    at,
+                    completed: self.completed,
+                    flows: self.flows.len(),
+                });
+            }
             if take_arrival {
                 let i = self.arrival_order[self.next_arrival] as usize;
                 self.next_arrival += 1;
@@ -502,13 +559,12 @@ impl Simulation {
                 break;
             }
         }
-        assert_eq!(
-            self.completed,
-            self.flows.len(),
-            "simulation deadlocked: {}/{} flows completed (no events left)",
-            self.completed,
-            self.flows.len()
-        );
+        if self.completed != self.flows.len() {
+            return Err(RunError::Deadlock {
+                completed: self.completed,
+                flows: self.flows.len(),
+            });
+        }
 
         // Sweep stats from any sender still alive (receiver finished
         // before the sender saw its final ack). Slot order, not flow
@@ -555,7 +611,7 @@ impl Simulation {
         self.counters.timer_cancels = sstats.timer_cancels;
         self.counters.stale_timer_reclaims = sstats.stale_skips;
 
-        RunResult {
+        Ok(RunResult {
             summary: primary.summary(),
             metrics: primary,
             incast_metrics,
@@ -566,7 +622,7 @@ impl Simulation {
             sched: self.counters,
             finished_at: self.finished_at,
             memory,
-        }
+        })
     }
 
     fn on_flow_arrival(&mut self, now: Time, i: usize) {

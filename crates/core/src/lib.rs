@@ -38,7 +38,7 @@ pub mod result;
 pub mod scenario;
 
 pub use config::{ExperimentConfig, TopologySpec};
-pub use engine::Simulation;
+pub use engine::{RunError, Simulation};
 pub use irn_workload::{
     AllreduceAlgo, AppDriver, AppEvent, AppSink, ClosedLoop, Component, Population, Start,
     TrafficCtx, TrafficError, TrafficModel,
@@ -93,6 +93,19 @@ mod tests {
         assert!(r.summary.avg_slowdown >= 1.0 && r.summary.avg_slowdown < 1.2);
         assert_eq!(r.fabric.buffer_drops, 0);
         assert_eq!(r.transport.retransmitted, 0);
+    }
+
+    /// A config that skips `Scenario` validation can describe no flows;
+    /// the run says so instead of panicking.
+    #[test]
+    fn an_empty_workload_is_a_typed_run_error() {
+        let cfg = ExperimentConfig {
+            topology: TopologySpec::SingleSwitch(2),
+            traffic: TrafficModel::Explicit(vec![]),
+            ..ExperimentConfig::paper_default(1)
+        };
+        let err = Simulation::new(cfg).try_run().err();
+        assert_eq!(err, Some(RunError::NoFlows));
     }
 
     /// Every transport preset must complete a small workload.

@@ -42,9 +42,10 @@
 //! worker --listen ADDR`, and the two compose. Results assemble in
 //! submission order, so coordinator output is **byte-identical** to the
 //! in-process executor at any fleet size — even when a worker dies
-//! mid-batch and its cells are reassigned (`--cell-timeout`,
-//! `--quorum` tune the failure policy). A batch the degraded fleet
-//! cannot finish reports its partial progress and exits 2.
+//! mid-batch and its cells are reassigned (`--cell-timeout` bounds a
+//! hung worker). A run that cannot finish (event budget, deadlock)
+//! fails the batch once, with one `error:` line on every executor, as
+//! does losing every worker; both report partial progress and exit 2.
 //! `--json DIR` additionally writes one schema-versioned JSON file per
 //! artifact or scenario (format: docs/SCHEMA.md; scenario files:
 //! docs/SCENARIOS.md).
@@ -56,10 +57,10 @@
 //! `bench-trajectory-v1` side file. Neither is a benchmark — perf
 //! claims cite the `BENCHMARK.json` command (benchmark/README.md).
 //!
-//! Exit codes: 0 success, 1 verification failure, 2 usage error —
-//! including unknown artifact names, unknown flags, and invalid
-//! scenario files (every user-reachable config mistake is a typed
-//! `ScenarioError`, never a panic).
+//! Exit codes: 0 success, 1 verification failure, 2 usage error or a
+//! batch that cannot finish — including unknown artifact names, unknown
+//! flags, and invalid scenario files (every user-reachable config
+//! mistake is a typed `ScenarioError`, never a panic).
 //!
 //! The usage text, flag parsing, mode dispatch and flag applicability
 //! all derive from one [`FLAGS`] table and one [`MODES`] table: the
@@ -199,12 +200,6 @@ const FLAGS: &[FlagSpec] = &[
         modes: BATCH,
     },
     FlagSpec {
-        name: "--quorum",
-        metavar: Some("N"),
-        help: "min live workers before the batch is abandoned (default 1)",
-        modes: BATCH,
-    },
-    FlagSpec {
         name: "--listen",
         metavar: Some("ADDR"),
         help: "serve coordinators over TCP instead of stdin",
@@ -327,7 +322,6 @@ struct Args {
     workers: Option<usize>,
     connect: Vec<String>,
     cell_timeout: Option<u64>,
-    quorum: Option<usize>,
     listen: Option<String>,
     exit_after: Option<usize>,
     json_dir: Option<PathBuf>,
@@ -414,7 +408,6 @@ fn parse_args() -> Args {
             "--cell-timeout" => {
                 args.cell_timeout = Some(positive_int(spec, &value.unwrap()) as u64)
             }
-            "--quorum" => args.quorum = Some(positive_int(spec, &value.unwrap())),
             "--listen" => args.listen = Some(value.unwrap()),
             "--exit-after" => {
                 // 0 is meaningful here (die on the very first cell), so
@@ -483,7 +476,7 @@ impl Backend {
 
 fn build_backend(args: &Args) -> Backend {
     if args.workers.is_none() && args.connect.is_empty() {
-        for f in ["--cell-timeout", "--quorum", "--progress-json"] {
+        for f in ["--cell-timeout", "--progress-json"] {
             if args.supplied.iter().any(|s| s.name == f) {
                 fail(format_args!(
                     "{f} needs a worker fleet (--workers/--connect)"
@@ -519,15 +512,6 @@ fn build_backend(args: &Args) -> Backend {
     cfg.progress_json = args.progress_json.clone();
     if let Some(secs) = args.cell_timeout {
         cfg.cell_timeout = std::time::Duration::from_secs(secs);
-    }
-    if let Some(q) = args.quorum {
-        if q > cfg.specs.len() {
-            fail(format_args!(
-                "--quorum {q} can never be met by a fleet of {}",
-                cfg.specs.len()
-            ));
-        }
-        cfg.quorum = q;
     }
     let pool = Arc::new(WorkerPool::new(cfg));
     Backend {

@@ -18,7 +18,7 @@
 //! the worker pool never drains between artifacts.
 
 use irn_core::{RunResult, Scenario};
-use irn_harness::Harness;
+use irn_harness::{Harness, HarnessError};
 
 use crate::report::{Report, Row};
 
@@ -159,9 +159,12 @@ impl Plan {
         report
     }
 
-    /// Run this plan alone on `harness` (the single-artifact path).
-    pub fn run(&self, harness: &Harness) -> Report {
-        self.assemble(&harness.run(&self.cells()))
+    /// Run this plan alone on `harness` (the single-artifact path), or
+    /// say why the batch could not be assembled.
+    pub fn run(&self, harness: &Harness) -> Result<Report, HarnessError> {
+        let outcomes = harness.try_run(&self.cells(), None)?;
+        let results: Vec<RunResult> = outcomes.into_iter().map(|o| o.result).collect();
+        Ok(self.assemble(&results))
     }
 }
 
@@ -215,9 +218,10 @@ mod tests {
         let seeds: Vec<u64> = both.cells().iter().map(|c| c.config().seed).collect();
         assert_eq!(seeds, [1, 102, 10, 111, 20, 121]);
         let h = Harness::new(2);
-        let merged = both.run(&h);
-        let mut solo = toy_plan(vec![first], 2).run(&h);
-        solo.rows.extend(toy_plan(vec![second], 2).run(&h).rows);
+        let merged = both.run(&h).unwrap();
+        let mut solo = toy_plan(vec![first], 2).run(&h).unwrap();
+        solo.rows
+            .extend(toy_plan(vec![second], 2).run(&h).unwrap().rows);
         assert_eq!(merged, solo);
         assert_eq!(merged.rows.len(), 3);
     }
@@ -241,7 +245,7 @@ mod tests {
             (none.determinism(), none.workload(), none.seeds()),
             ("deterministic", "deterministic", 1)
         );
-        assert_eq!(none.run(&Harness::new(1)).rows.len(), 1);
+        assert_eq!(none.run(&Harness::new(1)).unwrap().rows.len(), 1);
     }
 
     #[test]
@@ -253,8 +257,9 @@ mod tests {
             1,
         );
         let h = Harness::new(2);
-        let a = plan.run(&h);
-        let b = plan.assemble(&h.run(&plan.cells()));
+        let a = plan.run(&h).unwrap();
+        let outcomes = h.try_run(&plan.cells(), None).unwrap();
+        let b = plan.assemble(&outcomes.into_iter().map(|o| o.result).collect::<Vec<_>>());
         assert_eq!(a.render(), b.render());
     }
 

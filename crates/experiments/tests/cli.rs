@@ -79,7 +79,7 @@ fn flag_table() -> Vec<(String, Option<String>, Vec<String>)> {
             (flag, metavar, modes)
         })
         .collect();
-    assert!(rows.len() >= 17, "flag table not found in:\n{usage}");
+    assert!(rows.len() >= 16, "flag table not found in:\n{usage}");
     rows
 }
 
@@ -297,6 +297,82 @@ fn hostile_times_and_knobs_exit_2_naming_the_field() {
         assert!(out.stdout.is_empty(), "{name} printed to stdout");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The committed regression inputs: scenarios that validate but whose
+/// run cannot finish. Each is one failure, reported once, in the same
+/// words at any `--jobs` and on a worker fleet: exit 2, nothing on
+/// stdout, the cell and the cause named, no panic, no worker dropped.
+#[test]
+fn runs_that_cannot_finish_exit_2_naming_cell_and_cause() {
+    let regressions = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/regressions");
+    let cases = [
+        ("event-budget", "event budget exceeded at"),
+        (
+            "roce-pfc-loss-deadlock",
+            "simulation deadlocked: 17/20 flows",
+        ),
+    ];
+    for (name, cause) in cases {
+        let file = regressions.join(format!("{name}.json"));
+        let mut error_lines = Vec::new();
+        // In pairs that must print the same `error:` line.
+        for executor in [
+            &["--jobs", "1", "--seeds", "1"][..],
+            &["--workers", "2", "--seeds", "1"],
+            &["--jobs", "1", "--seeds", "2"],
+            &["--jobs", "4", "--seeds", "2"],
+        ] {
+            let mut argv = vec!["run".as_ref(), file.as_os_str()];
+            argv.extend(executor.iter().map(std::ffi::OsStr::new));
+            let out = repro(&argv);
+            let said = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {executor:?}: {said}");
+            assert!(
+                out.stdout.is_empty(),
+                "{name} {executor:?} printed a report"
+            );
+            let error = said
+                .lines()
+                .find(|l| l.starts_with("error: "))
+                .unwrap_or("");
+            assert!(error.contains(&format!("cell #0 '{name}'")), "{said}");
+            assert!(error.contains(cause), "{name} {executor:?}: {said}");
+            assert!(!said.contains("panicked"), "{name} {executor:?}: {said}");
+            assert!(!said.contains("dropped from the fleet"), "{said}");
+            error_lines.push(error.to_string());
+        }
+        for pair in error_lines.chunks(2) {
+            assert_eq!(pair[0], pair[1], "one message per cause");
+        }
+    }
+
+    // Next to a healthy cell on three workers: one attempt, no worker lost.
+    let progress = scratch("regression-progress.ndjson");
+    let out = repro(&[
+        "run".as_ref(),
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../examples/poisson-quick.json")
+            .as_os_str(),
+        regressions.join("event-budget.json").as_os_str(),
+        "--seeds".as_ref(),
+        "1".as_ref(),
+        "--workers".as_ref(),
+        "3".as_ref(),
+        "--progress-json".as_ref(),
+        progress.as_os_str(),
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let events = std::fs::read_to_string(&progress).unwrap();
+    let _ = std::fs::remove_file(&progress);
+    let retries: Vec<&str> = events
+        .lines()
+        .filter(|l| l.contains(r#""event":"retry""#))
+        .collect();
+    assert_eq!(retries.len(), 1, "{events}");
+    assert!(retries[0].contains(r#""attempt":1,"#), "{events}");
+    assert!(retries[0].contains(r#""exhausted":true"#), "{events}");
+    assert!(!events.contains(r#""event":"worker-dropped""#), "{events}");
 }
 
 /// `repro … | head`: the reader is gone before the reports are printed

@@ -283,18 +283,21 @@ fn hung_worker_times_out_and_batch_completes() {
 }
 
 #[test]
-fn persistently_failing_cell_exhausts_attempts_with_typed_error() {
+fn an_answered_error_is_final() {
     // An in-test "worker" that answers every work frame with an error
-    // frame: the connection stays healthy, so the pool retries the cell
-    // until max_attempts, then fails the batch with CellFailed.
+    // frame: the connection stays healthy and the answer is final, so
+    // the pool sends the cell once, keeps the worker, and fails the
+    // batch with CellFailed. The server counts the work frames it saw.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let server = std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
         let reader = BufReader::new(stream.try_clone().unwrap());
         let mut out = stream;
+        let mut frames = 0;
         for line in reader.lines() {
             let Ok(line) = line else { break };
+            frames += 1;
             let id = serde::json::from_str(&line)
                 .ok()
                 .and_then(|v| v.get("id").and_then(serde::json::Value::as_u64));
@@ -306,11 +309,10 @@ fn persistently_failing_cell_exhausts_attempts_with_typed_error() {
                 break;
             }
         }
+        frames
     });
 
-    let mut cfg = PoolConfig::new(vec![WorkerSpec::Connect { addr }]);
-    cfg.max_attempts = 2;
-    let pool = WorkerPool::new(cfg);
+    let pool = WorkerPool::new(PoolConfig::new(vec![WorkerSpec::Connect { addr }]));
     let err = pool.run_cells(&batch(1), None).unwrap_err();
     match &err {
         HarnessError::CellFailed {
@@ -321,15 +323,17 @@ fn persistently_failing_cell_exhausts_attempts_with_typed_error() {
             total,
             ..
         } => {
-            assert_eq!((*index, *attempts), (0, 2));
-            assert!(detail.contains("synthetic refusal"), "{err}");
+            assert_eq!((*index, *attempts), (0, 1));
+            assert_eq!(detail, "synthetic refusal", "{err}");
             assert_eq!((*completed, *total), (0, 1));
         }
         other => panic!("wrong error: {other}"),
     }
     assert_eq!(err.partial_progress(), Some((0, 1)));
+    let stats = pool.worker_stats();
+    assert!(stats[0].alive, "an answering worker stays in the fleet");
     drop(pool);
-    server.join().unwrap();
+    assert_eq!(server.join().unwrap(), 1, "the cell was sent once");
 }
 
 #[test]
@@ -342,12 +346,9 @@ fn pool_plugs_into_harness_and_replicate_layers() {
     ])));
     let distributed = Harness::with_executor(pool);
     let cells = batch(4);
-    let a = distributed.run(&cells);
-    let b = Harness::serial().run(&cells);
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(x.to_json(), y.to_json());
-    }
+    let a = distributed.try_run(&cells, None).unwrap();
+    let b = Harness::serial().try_run(&cells, None).unwrap();
+    assert_eq!(result_trees(&a), result_trees(&b));
 }
 
 // ---------------------------------------------------------------------
@@ -431,7 +432,8 @@ fn cli_coordinator_survives_worker_killed_mid_batch() {
 #[test]
 fn cli_quorum_loss_exits_2_with_partial_report() {
     // Port 1 refuses connections: the whole (single-worker) fleet is
-    // gone before the first cell, which must be the typed exit(2) path.
+    // gone before the first cell, which must be the typed exit(2) path
+    // (the batch ends when no worker is left).
     let out = Command::new(repro_exe())
         .args(["fig1", "--seeds", "2", "--connect", "127.0.0.1:1"])
         .output()
@@ -439,7 +441,7 @@ fn cli_quorum_loss_exits_2_with_partial_report() {
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty(), "no partial report rows on stdout");
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("quorum"), "{err}");
+    assert!(err.contains("every worker was lost"), "{err}");
     assert!(err.contains("0/4 cells"), "partial progress missing: {err}");
 }
 
@@ -532,6 +534,8 @@ fn cli_retired_measuring_options_exit_2_by_name() {
     // Scenario files are positional; the flag that also spelled them is gone.
     let argv = ["run", "--scenario", "examples/kv-rpc.json"];
     exits_2(&argv, "unknown flag '--scenario'");
+    // The batch ends when no worker is left; there is no quorum to set.
+    exits_2(&["fig1", "--quorum", "2"], "unknown flag '--quorum'");
 }
 
 /// Read the `listening HOST:PORT` line a `--listen 127.0.0.1:0` worker

@@ -10,25 +10,20 @@
 /// or could not be completed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HarnessError {
-    /// A worker process could not be spawned or a worker address could
-    /// not be connected to.
-    WorkerUnavailable {
-        /// The worker's display name (`spawn[i]`/`connect addr`).
-        worker: String,
-        /// The underlying I/O error text.
-        detail: String,
-    },
-    /// One cell failed on every attempt it was allowed (worker deaths,
-    /// timeouts, or worker-reported errors), so the batch cannot be
-    /// assembled.
+    /// One cell cannot produce an outcome, so the batch cannot be
+    /// assembled: its run failed (a [`irn_core::RunError`], or a
+    /// worker's answer to a frame it refused), or workers were lost on
+    /// every attempt the pool allows it.
     CellFailed {
         /// Submission index of the cell in the batch.
         index: usize,
         /// The cell's display label.
         label: String,
-        /// Attempts consumed (== the pool's `max_attempts`).
+        /// Attempts made. An answer is final, so a failed run ends on
+        /// its first answered attempt (1 unless workers were lost).
         attempts: usize,
-        /// The last failure's description.
+        /// The failure: the answer's text (for a failed run, the
+        /// `RunError`'s), or the lost attempts with the last cause.
         detail: String,
         /// Cells that did complete before the batch was abandoned.
         completed: usize,
@@ -48,14 +43,10 @@ pub enum HarnessError {
         /// The underlying I/O error text.
         detail: String,
     },
-    /// Live workers dropped below the pool's quorum while work
-    /// remained, so the batch was abandoned.
-    QuorumLost {
-        /// Workers still alive when the batch was abandoned.
-        live: usize,
-        /// The configured minimum.
-        quorum: usize,
-        /// Cells that completed before the fleet degraded.
+    /// Every worker was lost while work remained, so the batch was
+    /// abandoned.
+    FleetLost {
+        /// Cells that completed before the last worker was lost.
         completed: usize,
         /// Total cells in the batch.
         total: usize,
@@ -65,20 +56,16 @@ pub enum HarnessError {
 impl std::fmt::Display for HarnessError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HarnessError::WorkerUnavailable { worker, detail } => {
-                write!(f, "worker {worker} unavailable: {detail}")
-            }
             HarnessError::CellFailed {
                 index,
                 label,
-                attempts,
                 detail,
                 completed,
                 total,
+                ..
             } => write!(
                 f,
-                "cell #{index} '{label}' failed on all {attempts} attempt(s): {detail} \
-                 [{completed}/{total} cells completed]"
+                "cell #{index} '{label}' failed: {detail} [{completed}/{total} cells completed]"
             ),
             HarnessError::BadTraceFilter { detail } => {
                 write!(f, "bad trace filter: {detail}")
@@ -86,15 +73,9 @@ impl std::fmt::Display for HarnessError {
             HarnessError::ProgressUnavailable { path, detail } => {
                 write!(f, "cannot write progress JSON to {path}: {detail}")
             }
-            HarnessError::QuorumLost {
-                live,
-                quorum,
-                completed,
-                total,
-            } => write!(
+            HarnessError::FleetLost { completed, total } => write!(
                 f,
-                "worker fleet degraded below quorum ({live} live < {quorum} required) \
-                 with work remaining [{completed}/{total} cells completed]"
+                "every worker was lost with work remaining [{completed}/{total} cells completed]"
             ),
         }
     }
@@ -111,9 +92,7 @@ impl HarnessError {
             HarnessError::CellFailed {
                 completed, total, ..
             }
-            | HarnessError::QuorumLost {
-                completed, total, ..
-            } => Some((*completed, *total)),
+            | HarnessError::FleetLost { completed, total } => Some((*completed, *total)),
             _ => None,
         }
     }
@@ -125,20 +104,18 @@ mod tests {
 
     #[test]
     fn messages_name_the_failure_site() {
-        let e = HarnessError::WorkerUnavailable {
-            worker: "spawn#1".into(),
+        let e = HarnessError::ProgressUnavailable {
+            path: "out/progress.ndjson".into(),
             detail: "no such file".into(),
         };
         let msg = e.to_string();
         assert!(
-            msg.contains("spawn#1") && msg.contains("no such file"),
+            msg.contains("out/progress.ndjson") && msg.contains("no such file"),
             "{msg}"
         );
         assert_eq!(e.partial_progress(), None);
 
-        let e = HarnessError::QuorumLost {
-            live: 0,
-            quorum: 1,
+        let e = HarnessError::FleetLost {
             completed: 7,
             total: 36,
         };

@@ -20,7 +20,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use irn_core::{ExperimentConfig, RunResult, Scenario};
+use irn_core::{ExperimentConfig, RunError, RunResult, Scenario, Simulation};
 use irn_telemetry::{TraceChunk, TraceFilter, TraceSpec};
 
 use crate::error::HarnessError;
@@ -46,31 +46,37 @@ pub struct CellOutcome {
     pub trace: Option<TraceChunk>,
 }
 
+/// The flight-recorder filter and capacity `trace` asks for, parsed
+/// before any runtime is spent on a cell.
+pub(crate) fn parse_trace(
+    trace: Option<&TraceSpec>,
+) -> Result<Option<(TraceFilter, usize)>, HarnessError> {
+    let parse = |t: &TraceSpec| TraceFilter::parse(&t.filter).map(|f| (f, t.capacity));
+    let filter = trace.map(parse).transpose();
+    filter.map_err(|detail| HarnessError::BadTraceFilter { detail })
+}
+
 /// Run one cell where the caller stands — a pool thread or a worker
-/// process: parse the trace filter (before any runtime is spent on the
-/// cell), start the clock, run — capturing the flight recorder when
+/// process: start the clock, run — capturing the flight recorder when
 /// asked to, every line stamped with `id`, the cell's submission index
-/// in its batch — and build the outcome. The error is the filter
-/// parser's detail.
+/// in its batch — and build the outcome, or return why the run could
+/// not finish.
 pub(crate) fn run_cell(
     id: u64,
     cfg: ExperimentConfig,
-    trace: Option<&TraceSpec>,
-) -> Result<CellOutcome, String> {
-    let filter = trace
-        .map(|t| TraceFilter::parse(&t.filter).map(|f| (f, t.capacity)))
-        .transpose()?;
+    trace: Option<(TraceFilter, usize)>,
+) -> Result<CellOutcome, RunError> {
     let start = std::time::Instant::now();
-    let (result, trace) = match filter {
-        None => (irn_core::run(cfg), None),
+    let run = || Simulation::new(cfg).try_run();
+    let (result, trace) = match trace {
+        None => (run(), None),
         Some((filter, capacity)) => {
-            let (result, chunk) =
-                irn_telemetry::capture(id, filter, capacity, || irn_core::run(cfg));
+            let (result, chunk) = irn_telemetry::capture(id, filter, capacity, run);
             (result, Some(chunk))
         }
     };
     Ok(CellOutcome {
-        result,
+        result: result?,
         wall: start.elapsed(),
         trace,
     })
@@ -84,11 +90,13 @@ pub(crate) fn run_cell(
 ///    `cells.len()` outcomes with `outcomes[i]` belonging to
 ///    `cells[i]`, regardless of completion order.
 /// 2. **Purity.** Each cell's result depends only on its scenario, so
-///    *where* and *when* a cell runs — and whether it was retried —
+///    *where* and *when* a cell runs — and whether it was reassigned —
 ///    cannot change any result byte.
 /// 3. **Fail loudly.** A backend that cannot produce every outcome
-///    (worker fleet degraded, cell permanently failing) returns a
-///    typed [`HarnessError`] instead of a partial vector.
+///    (a cell's run failed, every worker lost) returns a typed
+///    [`HarnessError`] instead of a partial vector. A failed run is
+///    reported once, for the lowest failing index the backend saw; it
+///    is never retried, since by 2. a rerun fails the same way.
 pub trait Executor: Send + Sync {
     /// Run every cell; outcomes in submission order. When `trace` is
     /// `Some`, each outcome carries the cell's flight-recorder chunk
@@ -178,20 +186,31 @@ impl ThreadExecutor {
 }
 
 impl Executor for ThreadExecutor {
-    /// Run every cell on the thread pool. The only failure mode is a
-    /// malformed trace filter — the in-process backend has no workers
-    /// to lose.
+    /// Run every cell on the thread pool, then report the lowest
+    /// failing index: every cell ran, so the error (and its completed
+    /// count) is the same at any `jobs`.
     fn run_cells(
         &self,
         cells: &[Scenario],
         trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError> {
-        self.run_indexed(cells.len(), |i| {
-            run_cell(i as u64, cells[i].config().clone(), trace)
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .map_err(|detail| HarnessError::BadTraceFilter { detail })
+        let trace = parse_trace(trace)?;
+        let outcomes = self.run_indexed(cells.len(), |i| {
+            run_cell(i as u64, cells[i].config().clone(), trace.clone())
+        });
+        let completed = outcomes.iter().filter(|o| o.is_ok()).count();
+        (outcomes.into_iter().enumerate())
+            .map(|(index, outcome)| {
+                outcome.map_err(|e| HarnessError::CellFailed {
+                    index,
+                    label: cells[index].name().to_string(),
+                    attempts: 1,
+                    detail: e.to_string(),
+                    completed,
+                    total: cells.len(),
+                })
+            })
+            .collect()
     }
 
     fn concurrency(&self) -> usize {
@@ -240,20 +259,11 @@ impl Harness {
         self.exec.concurrency()
     }
 
-    /// Run every cell and return results in submission order:
-    /// `results[i]` belongs to `cells[i]`, at any parallelism.
-    /// Panics if the backend fails (the in-process one never does); use
-    /// [`Harness::try_run`] where a distributed backend can degrade.
-    pub fn run(&self, cells: &[Scenario]) -> Vec<RunResult> {
-        let outcomes = self.try_run(cells, None);
-        let outcomes = outcomes.unwrap_or_else(|e| panic!("executor failed: {e}"));
-        outcomes.into_iter().map(|o| o.result).collect()
-    }
-
-    /// The one fallible entry: every outcome (result, wall-clock time on
-    /// its worker, and — when `trace` is `Some` — its trace-v1 chunk) in
-    /// submission order, or the backend's typed error (worker fleet
-    /// degraded, cell permanently failing). Results are bit-identical
+    /// The one entry: every outcome (result, wall-clock time on its
+    /// worker, and — when `trace` is `Some` — its trace-v1 chunk) in
+    /// submission order, `outcomes[i]` for `cells[i]` at any
+    /// parallelism, or the backend's typed error (a cell's run failed,
+    /// every worker lost). Results are bit-identical
     /// with and without tracing, at any parallelism; timing is observed,
     /// never fed back. With more jobs than cores the workers time-share,
     /// so a cell's duration includes preemption wait — consumers
@@ -313,10 +323,10 @@ mod tests {
     fn empty_batch_is_fine() {
         let out: Vec<usize> = ThreadExecutor::new(4).run_indexed(0, |i| i);
         assert!(out.is_empty());
-        assert!(Harness::new(4).run(&[]).is_empty());
+        assert!(Harness::new(4).try_run(&[], None).unwrap().is_empty());
     }
 
-    /// A custom backend plugs in through the trait seam: `Harness::run`
+    /// A custom backend plugs in through the trait seam: `Harness::try_run`
     /// observes its outcomes (here: a stub that fails), proving the
     /// forwarding shims really delegate.
     #[test]
@@ -328,9 +338,7 @@ mod tests {
                 _: &[Scenario],
                 _: Option<&TraceSpec>,
             ) -> Result<Vec<CellOutcome>, HarnessError> {
-                Err(HarnessError::QuorumLost {
-                    live: 0,
-                    quorum: 1,
+                Err(HarnessError::FleetLost {
                     completed: 0,
                     total: 0,
                 })
@@ -342,6 +350,6 @@ mod tests {
         let h = Harness::with_executor(Arc::new(Failing));
         assert_eq!(h.jobs(), 3);
         let err = h.try_run(&[], None).unwrap_err();
-        assert!(matches!(err, HarnessError::QuorumLost { .. }));
+        assert!(matches!(err, HarnessError::FleetLost { .. }));
     }
 }

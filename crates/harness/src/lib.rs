@@ -18,10 +18,11 @@
 //!   ship: the in-process [`ThreadExecutor`] (`std::thread` + channels,
 //!   no external deps) and the multi-process [`WorkerPool`] coordinator,
 //!   which shards a batch across spawned or remote `work-v1` workers
-//!   with per-cell timeouts, bounded retry/reassignment, and quorum
-//!   tracking. Because cells are pure functions of their scenarios,
-//!   downstream reports render byte-identically at any job count on
-//!   any backend.
+//!   with per-cell timeouts and bounded reassignment of lost cells. A
+//!   run that cannot finish fails the batch once, in the same words on
+//!   every backend. Because cells are pure functions of their
+//!   scenarios, downstream reports render byte-identically at any job
+//!   count on any backend.
 //! - [`Harness`] — the cheap clonable handle over an executor that the
 //!   rest of the workspace passes around.
 //! - [`Stats`] — mean / std-dev / 95% CI over replicate samples,
@@ -36,8 +37,8 @@
 //!     Scenario::from_config("irn", base.clone().with_pfc(false)).unwrap(),
 //!     Scenario::from_config("irn+pfc", base.with_pfc(true)).unwrap(),
 //! ];
-//! let results = Harness::new(2).run(&cells);
-//! assert_eq!(results.len(), 2); // results[i] belongs to cells[i]
+//! let outcomes = Harness::new(2).try_run(&cells, None).unwrap();
+//! assert_eq!(outcomes.len(), 2); // outcomes[i] belongs to cells[i]
 //! ```
 
 #![forbid(unsafe_code)]

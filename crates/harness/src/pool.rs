@@ -14,17 +14,18 @@
 //! Robustness is first-class, not best-effort:
 //!
 //! - **Per-cell timeout** — a hung worker forfeits its cell.
-//! - **Bounded retry with reassignment** — a cell lost to a worker
-//!   death or timeout goes back to the front of the queue for the next
-//!   live worker; each cell gets at most `max_attempts` tries.
-//! - **Quorum** — when live workers drop below `quorum` with work
-//!   remaining, the batch is abandoned with a typed
-//!   [`HarnessError::QuorumLost`] carrying the completed/total counts
-//!   for the caller's partial-results report.
+//! - **An answer is final** — an `error-v1` answer (the run cannot
+//!   finish, or the frame was refused) fails the batch at once with
+//!   [`HarnessError::CellFailed`]; the worker stays in the fleet.
+//! - **Bounded reassignment** — a cell lost to a worker death, timeout
+//!   or garbage goes to the front of the queue for the next live
+//!   worker, three attempts in all; the worker is dropped. When none is
+//!   left with work remaining, the batch fails with
+//!   [`HarnessError::FleetLost`] and its completed/total counts.
 //!
-//! Because cells are pure functions of their scenarios, a retried cell
-//! cannot change any byte; duplicated late results are dropped
-//! first-write-wins.
+//! Cells are pure functions of their scenarios: a rerun of an answered
+//! cell would fail the same way, and a reassigned cell cannot change
+//! any byte (duplicated late results are dropped first-write-wins).
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -36,12 +37,12 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use irn_core::Scenario;
-use irn_telemetry::{TraceFilter, TraceSpec};
+use irn_telemetry::TraceSpec;
 use serde::json::{self, Value};
 use serde::Serialize;
 
 use crate::error::HarnessError;
-use crate::exec::{CellOutcome, Executor};
+use crate::exec::{parse_trace, CellOutcome, Executor};
 use crate::wire::{self, Frame};
 
 /// How to reach one worker.
@@ -78,12 +79,6 @@ pub struct PoolConfig {
     /// forfeited and reassigned (and the worker is presumed hung and
     /// dropped from the fleet).
     pub cell_timeout: Duration,
-    /// Maximum tries per cell across the whole fleet before the batch
-    /// fails with [`HarnessError::CellFailed`].
-    pub max_attempts: usize,
-    /// Minimum live workers; below this (with work remaining) the
-    /// batch is abandoned with [`HarnessError::QuorumLost`].
-    pub quorum: usize,
     /// Emit live per-cell progress lines on stderr (`[pool] …`).
     /// Retry/reassignment and worker-drop warnings are printed
     /// regardless — failures are never silent.
@@ -96,15 +91,12 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// A config with the default policy: 300 s per cell, 3 attempts,
-    /// quorum 1 (the batch survives down to a single live worker),
-    /// progress lines off.
+    /// A config with the default policy: 300 s per cell, progress lines
+    /// off.
     pub fn new(specs: Vec<WorkerSpec>) -> PoolConfig {
         PoolConfig {
             specs,
             cell_timeout: Duration::from_secs(300),
-            max_attempts: 3,
-            quorum: 1,
             progress: false,
             progress_json: None,
         }
@@ -123,7 +115,8 @@ pub enum FailReason {
     Timeout,
     /// The worker sent something undecodable or protocol-violating.
     Garbage,
-    /// The worker stayed healthy but answered with an error frame.
+    /// The worker stayed healthy but answered with an error frame:
+    /// final for the cell.
     ErrorFrame,
 }
 
@@ -137,13 +130,11 @@ impl FailReason {
             FailReason::ErrorFrame => "error-frame",
         }
     }
-
-    /// Whether the connection can be trusted for further work. Only a
-    /// worker-reported error frame leaves it healthy.
-    fn conn_dead(self) -> bool {
-        self != FailReason::ErrorFrame
-    }
 }
+
+/// Attempts a cell gets when workers are lost running it (deaths,
+/// timeouts, garbage). An answered error gets one.
+const MAX_ATTEMPTS: usize = 3;
 
 /// Per-worker observations from the last batch (wall clock, never in
 /// result bytes: reported on stderr and in the bench-trajectory JSON,
@@ -186,21 +177,13 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Build a pool. Panics on an empty fleet or a quorum the fleet
-    /// can never satisfy — both are caller (CLI-layer) validation
-    /// bugs, not runtime conditions.
+    /// Build a pool. Panics on an empty fleet — a caller (CLI-layer)
+    /// validation bug, not a runtime condition.
     pub fn new(cfg: PoolConfig) -> WorkerPool {
         assert!(
             !cfg.specs.is_empty(),
             "worker pool needs at least one worker"
         );
-        assert!(
-            (1..=cfg.specs.len()).contains(&cfg.quorum),
-            "quorum {} impossible with {} worker(s)",
-            cfg.quorum,
-            cfg.specs.len()
-        );
-        assert!(cfg.max_attempts >= 1, "cells need at least one attempt");
         WorkerPool {
             stats: Mutex::new(
                 cfg.specs
@@ -314,12 +297,6 @@ struct AttemptError {
     reason: FailReason,
 }
 
-impl AttemptError {
-    fn conn_dead(&self) -> bool {
-        self.reason.conn_dead()
-    }
-}
-
 /// Run one cell on one worker: ship the work frame, wait (bounded) for
 /// the matching result.
 fn attempt(
@@ -375,10 +352,7 @@ fn attempt(
             Ok(Frame::Error { id: eid, message }) if eid.is_none() || eid == Some(id as u64) => {
                 // The worker answered: the connection is healthy, the
                 // cell (or our frame) is the problem.
-                return Err(AttemptError {
-                    detail: format!("worker reported: {message}"),
-                    reason: FailReason::ErrorFrame,
-                });
+                return Err(fail(FailReason::ErrorFrame, message));
             }
             Ok(other) => {
                 return Err(fail(
@@ -464,10 +438,7 @@ impl Executor for WorkerPool {
     ) -> Result<Vec<CellOutcome>, HarnessError> {
         // Fail fast on a malformed filter instead of letting every
         // worker report it back per-cell.
-        if let Some(spec) = trace {
-            TraceFilter::parse(&spec.filter)
-                .map_err(|detail| HarnessError::BadTraceFilter { detail })?;
-        }
+        parse_trace(trace)?;
         let progress = Progress::open(&self.cfg)?;
         let total = cells.len();
         let mut run_stats: Vec<WorkerStats> = self
@@ -574,14 +545,12 @@ fn dispatch(
     let total = cells.len();
     let mut stats = WorkerStats::new(spec.label(w));
 
-    /// Drop this worker from the fleet, failing the batch if the
-    /// remaining fleet is below quorum with work left.
-    fn retire(st: &mut BatchState, quorum: usize, total: usize) {
+    /// Drop this worker from the fleet, failing the batch if it was the
+    /// last one with work left.
+    fn retire(st: &mut BatchState, total: usize) {
         st.live -= 1;
-        if st.live < quorum && st.done < total && st.fatal.is_none() {
-            st.fatal = Some(HarnessError::QuorumLost {
-                live: st.live,
-                quorum,
+        if st.live == 0 && st.done < total && st.fatal.is_none() {
+            st.fatal = Some(HarnessError::FleetLost {
                 completed: st.done,
                 total,
             });
@@ -592,15 +561,9 @@ fn dispatch(
         Ok(conn) => conn,
         Err(e) => {
             stats.alive = false;
-            stats.last_error = Some(
-                HarnessError::WorkerUnavailable {
-                    worker: stats.name.clone(),
-                    detail: e.to_string(),
-                }
-                .to_string(),
-            );
+            stats.last_error = Some(format!("unavailable: {e}"));
             let mut st = state.lock().expect("state lock");
-            retire(&mut st, cfg.quorum, total);
+            retire(&mut st, total);
             cvar.notify_all();
             drop(st);
             progress.emit(
@@ -693,35 +656,37 @@ fn dispatch(
             Err(err) => {
                 stats.failures += 1;
                 stats.last_error = Some(err.detail.clone());
-                let reason = err.reason;
-                let conn_dead = err.conn_dead();
+                // Only an answer leaves the connection fit for more work.
+                let (reason, conn_dead) = (err.reason, err.reason != FailReason::ErrorFrame);
                 let mut st = state.lock().expect("state lock");
                 st.attempts[idx] += 1;
                 let attempt_no = st.attempts[idx];
-                let exhausted = attempt_no >= cfg.max_attempts;
-                if exhausted {
-                    if st.fatal.is_none() {
-                        st.fatal = Some(HarnessError::CellFailed {
-                            index: idx,
-                            label: cells[idx].name().to_string(),
-                            attempts: st.attempts[idx],
-                            detail: err.detail.clone(),
-                            completed: st.done,
-                            total,
-                        });
-                    }
-                } else if conn_dead {
+                // An answer is final; a lost cell gets MAX_ATTEMPTS.
+                let exhausted = !conn_dead || attempt_no >= MAX_ATTEMPTS;
+                if !exhausted {
                     // Reassign at the front so a live worker picks the
                     // orphan up before new work.
                     st.pending.push_front(idx);
-                } else {
-                    // Healthy connection, failing cell: retry later,
-                    // preferably elsewhere.
-                    st.pending.push_back(idx);
+                } else if st.fatal.is_none() {
+                    st.fatal = Some(HarnessError::CellFailed {
+                        index: idx,
+                        label: cells[idx].name().to_string(),
+                        attempts: attempt_no,
+                        detail: if conn_dead {
+                            format!(
+                                "lost on all {attempt_no} attempts, the last: {}",
+                                err.detail
+                            )
+                        } else {
+                            err.detail.clone()
+                        },
+                        completed: st.done,
+                        total,
+                    });
                 }
                 if conn_dead {
                     stats.alive = false;
-                    retire(&mut st, cfg.quorum, total);
+                    retire(&mut st, total);
                 }
                 cvar.notify_all();
                 drop(st);
@@ -729,19 +694,16 @@ fn dispatch(
                     true,
                     "retry",
                     &format!(
-                        "[pool] worker {}: cell #{idx} '{}' attempt {attempt_no}/{} failed \
-                         (reason: {}): {}{}",
+                        "[pool] worker {}: cell #{idx} '{}' attempt {attempt_no}/{MAX_ATTEMPTS} \
+                         failed (reason: {}): {}{}",
                         stats.name,
                         cells[idx].name(),
-                        cfg.max_attempts,
                         reason.label(),
                         err.detail,
                         if exhausted {
-                            "; attempts exhausted — batch fails"
-                        } else if conn_dead {
-                            "; reassigning to the next live worker"
+                            "; batch fails"
                         } else {
-                            "; requeued for retry"
+                            "; reassigning to the next live worker"
                         },
                     ),
                     vec![
@@ -750,10 +712,7 @@ fn dispatch(
                         ("label".to_string(), cells[idx].name().to_json()),
                         ("reason".to_string(), reason.label().to_json()),
                         ("attempt".to_string(), (attempt_no as u64).to_json()),
-                        (
-                            "max_attempts".to_string(),
-                            (cfg.max_attempts as u64).to_json(),
-                        ),
+                        ("max_attempts".to_string(), (MAX_ATTEMPTS as u64).to_json()),
                         ("detail".to_string(), err.detail.to_json()),
                         ("exhausted".to_string(), exhausted.to_json()),
                     ],
@@ -811,16 +770,12 @@ mod tests {
         let cfg = irn_core::ExperimentConfig::quick(10);
         let cells = vec![Scenario::from_config("unreachable", cfg).unwrap()];
         let err = pool.run_cells(&cells, None).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                HarnessError::QuorumLost {
-                    live: 0,
-                    completed: 0,
-                    ..
-                }
-            ),
-            "{err}"
+        assert_eq!(
+            err,
+            HarnessError::FleetLost {
+                completed: 0,
+                total: 1
+            }
         );
         let stats = pool.worker_stats();
         assert_eq!(stats.len(), 2);
@@ -835,15 +790,5 @@ mod tests {
         }]));
         assert!(pool.run_cells(&[], None).unwrap().is_empty());
         assert!(pool.worker_stats().iter().all(|s| s.alive));
-    }
-
-    #[test]
-    #[should_panic(expected = "quorum")]
-    fn impossible_quorum_is_a_construction_error() {
-        let mut cfg = PoolConfig::new(vec![WorkerSpec::Connect {
-            addr: "127.0.0.1:1".into(),
-        }]);
-        cfg.quorum = 2;
-        let _ = WorkerPool::new(cfg);
     }
 }

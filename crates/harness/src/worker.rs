@@ -10,16 +10,16 @@
 
 use std::io::{BufRead, Write};
 
-use crate::exec::run_cell;
+use crate::exec::{parse_trace, run_cell};
 use crate::wire::{self, Frame};
 
 /// Worker behavior knobs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WorkerOptions {
-    /// Testing hook for the coordinator's retry path: after answering
-    /// this many work frames, read one more and exit **without
-    /// responding** — simulating a worker dying mid-cell. `None` (the
-    /// default) serves until EOF.
+    /// Testing hook for the coordinator's reassignment path: after
+    /// answering this many work frames, read one more and exit
+    /// **without responding** — simulating a worker dying mid-cell.
+    /// `None` (the default) serves until EOF.
     pub exit_after: Option<usize>,
 }
 
@@ -29,7 +29,7 @@ pub struct ServeSummary {
     /// Work frames answered with a result frame.
     pub answered: usize,
     /// Frames answered with an error frame (bad scenario, protocol
-    /// misuse, garbage lines).
+    /// misuse, garbage lines, a run that cannot finish).
     pub errors: usize,
     /// True when the loop ended via the [`WorkerOptions::exit_after`]
     /// hook rather than EOF.
@@ -40,9 +40,10 @@ pub struct ServeSummary {
 /// (or error) frame per incoming line, flushed after every frame so a
 /// pipelined coordinator never stalls.
 ///
-/// Malformed lines and invalid scenarios are answered with error
-/// frames — the worker stays up; killing it is the coordinator's
-/// decision. I/O failure on either side ends the loop with the error.
+/// Malformed lines, invalid scenarios and runs that cannot finish are
+/// answered with error frames — the worker stays up; killing it is the
+/// coordinator's decision. I/O failure on either side ends the loop
+/// with the error.
 pub fn serve(
     input: impl BufRead,
     mut output: impl Write,
@@ -74,10 +75,15 @@ pub fn serve(
                 // The frame id is the cell's submission index in the
                 // coordinator's batch, so chunks captured anywhere in
                 // the fleet stamp the same cell numbers.
-                match run_cell(id, scenario.into_config(), trace.as_ref()) {
-                    Err(detail) => {
+                let outcome = parse_trace(trace.as_ref())
+                    .map_err(|e| e.to_string())
+                    .and_then(|trace| {
+                        run_cell(id, scenario.into_config(), trace).map_err(|e| e.to_string())
+                    });
+                match outcome {
+                    Err(message) => {
                         summary.errors += 1;
-                        wire::encode_error(Some(id), &format!("bad trace filter: {detail}"))
+                        wire::encode_error(Some(id), &message)
                     }
                     Ok(out) => {
                         summary.answered += 1;

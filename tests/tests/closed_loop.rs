@@ -85,8 +85,8 @@ fn closed_loop_runs_are_bit_identical() {
 fn closed_loop_reports_are_byte_identical_at_jobs_1_vs_8() {
     for (name, traffic) in models() {
         let s = scenario(name, traffic);
-        let a = scenario_plan(&s, 2).run(&Harness::new(1));
-        let b = scenario_plan(&s, 2).run(&Harness::new(8));
+        let a = scenario_plan(&s, 2).run(&Harness::new(1)).unwrap();
+        let b = scenario_plan(&s, 2).run(&Harness::new(8)).unwrap();
         assert_eq!(
             a.render(),
             b.render(),

@@ -38,8 +38,8 @@ fn report_render_is_byte_identical_across_job_counts() {
         "replicated",
         "fig4 must be a replicated simulation artifact"
     );
-    let serial = plan.run(&Harness::new(1));
-    let parallel = plan.run(&Harness::new(8));
+    let serial = plan.run(&Harness::new(1)).unwrap();
+    let parallel = plan.run(&Harness::new(8)).unwrap();
     assert_eq!(
         serial.render(),
         parallel.render(),
@@ -55,7 +55,7 @@ fn json_artifact_is_byte_identical_across_job_counts() {
     let scale = tiny();
     let fig4 = artifacts::find("fig4").unwrap().plan(scale);
     let json = |jobs| {
-        let report = fig4.run(&Harness::new(jobs));
+        let report = fig4.run(&Harness::new(jobs)).unwrap();
         artifacts::artifact_json("fig4", &scale, &fig4, &report, None)
     };
     let (serial, parallel) = (json(1), json(8));

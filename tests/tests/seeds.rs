@@ -54,8 +54,8 @@ fn run_batch(items: &[(String, Plan)], jobs: usize) -> BatchRun {
 fn poisson_artifact_gains_nonzero_ci95_with_seeds() {
     let h = Harness::new(4);
     let fig1 = artifacts::find("fig1").unwrap();
-    let one = fig1.plan(tiny()).run(&h);
-    let five = fig1.plan(tiny().with_seeds(5)).run(&h);
+    let one = fig1.plan(tiny()).run(&h).unwrap();
+    let five = fig1.plan(tiny().with_seeds(5)).run(&h).unwrap();
 
     assert_eq!(one.rows.len(), five.rows.len());
     for (r1, r5) in one.rows.iter().zip(&five.rows) {
@@ -95,8 +95,8 @@ fn poisson_artifact_gains_nonzero_ci95_with_seeds() {
 fn deterministic_artifact_is_seed_count_invariant() {
     let h = Harness::new(2);
     let budget = artifacts::find("state-budget").unwrap();
-    let one = budget.plan(tiny()).run(&h).render();
-    let five = budget.plan(tiny().with_seeds(5)).run(&h).render();
+    let one = budget.plan(tiny()).run(&h).unwrap().render();
+    let five = budget.plan(tiny().with_seeds(5)).run(&h).unwrap().render();
     assert_eq!(one, five, "state-budget must ignore --seeds entirely");
 }
 
@@ -122,7 +122,7 @@ fn global_batch_matches_sequential_at_any_job_count() {
     let sequential: String = render_all(
         items
             .iter()
-            .map(|(_, plan)| plan.run(&Harness::new(1)))
+            .map(|(_, plan)| plan.run(&Harness::new(1)).unwrap())
             .collect(),
     );
     let batched = |jobs| render_all(run_batch(&items, jobs).reports);

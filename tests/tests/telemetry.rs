@@ -162,7 +162,8 @@ fn trace_filter_grammar_round_trips() {
 #[test]
 fn telemetry_summary_partitions_hold_over_a_real_batch() {
     let cells = batch();
-    let results = Harness::serial().run(&cells);
+    let outcomes = Harness::serial().try_run(&cells, None).unwrap();
+    let results: Vec<_> = outcomes.into_iter().map(|o| o.result).collect();
     let mut summary = TelemetrySummary::default();
     for (cell, r) in cells.iter().zip(&results) {
         summary.add(cell.config().transport, r);
