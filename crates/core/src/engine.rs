@@ -243,14 +243,14 @@ impl FlowSlab {
         live_slot(self.slot_of[flow]).map(|si| &mut self.slots[si])
     }
 
-    /// The flow's live sender, if any. This is the only way to a
-    /// `&mut Sender` outside [`FlowSlab::poll_sender`], and it
-    /// unparks the flow: whoever feeds the sender an ACK, a CNP or a
-    /// timer expiry wakes it by construction.
-    fn sender_mut(&mut self, flow: usize) -> Option<&mut Sender> {
+    /// The flow's live slot, unparked. This is the only way to a
+    /// `&mut Sender` outside [`FlowSlab::poll_sender`]: whoever feeds
+    /// the sender an ACK, a CNP or a timer expiry, or drains its timer
+    /// request, wakes it by construction.
+    fn wake(&mut self, flow: usize) -> Option<&mut FlowSlot> {
         let si = live_slot(self.slot_of[flow])?;
         self.slot_of[flow] = si as u32;
-        self.slots[si].sender.as_mut()
+        Some(&mut self.slots[si])
     }
 
     /// The host NIC asks the flow's sender for its next packet. A parked
@@ -287,26 +287,39 @@ impl FlowSlab {
         poll
     }
 
-    /// True when the flow never reached [`FlowSlab::insert`].
-    fn never_started(&self, flow: usize) -> bool {
-        self.slot_of[flow] == NOT_STARTED
-    }
-
     /// Extend the dense flow→slot map for one driver-spawned flow
     /// (closed-loop workloads grow the flow table mid-run).
     fn grow(&mut self) {
         self.slot_of.push(NOT_STARTED);
     }
 
-    /// Recycle the flow's slot (drops sender/receiver state; keeps the
-    /// timer for the next occupant). The flow id can never come back.
-    fn retire(&mut self, flow: usize) {
-        let si = live_slot(self.slot_of[flow]).expect("retiring a dead flow");
+    /// Recycle the flow's slot if it is live and nothing of it remains:
+    /// sender finished, receiver delivered everything, and no packet of
+    /// the flow inside the fabric (so no event can ever need this state
+    /// again; late control packets to a retired flow are ignored).
+    /// Drops sender/receiver state and keeps the timer, disarmed, for
+    /// the next occupant. The flow id can never come back. Returns
+    /// whether the flow retired.
+    fn retire(&mut self, flow: usize, sched: &mut Scheduler<PackedEvent>) -> bool {
+        let Some(si) = live_slot(self.slot_of[flow]) else {
+            return false;
+        };
         let slot = &mut self.slots[si];
-        debug_assert!(slot.sender.is_none() && slot.receiver_done && slot.inflight == 0);
+        if slot.sender.is_some() || !slot.receiver_done || slot.inflight > 0 {
+            return false;
+        }
+        // The completing sender already cancelled its timer through
+        // `drain_timer`; the deadline guard keeps the scheduler's
+        // cancel counters identical to the pre-slab engine.
+        if let Some(id) = slot.timer {
+            if sched.timer_deadline(id).is_some() {
+                sched.timer_cancel(id);
+            }
+        }
         slot.receiver = None;
         self.slot_of[flow] = RETIRED;
         self.free.push(si as u32);
+        true
     }
 
     /// Analytic peak bytes: every slot ever allocated (`slots.len()` is
@@ -326,6 +339,91 @@ struct AppRuntime {
     driver: Box<dyn AppDriver>,
     sink: AppSink,
     metrics: AppMetrics,
+}
+
+impl AppRuntime {
+    /// Apply a driver callback's output: fold application events into
+    /// traces and per-operation metrics, then append each spawned flow
+    /// to the flow table and schedule its start.
+    fn drain_sink(
+        &mut self,
+        now: Time,
+        flows: &mut Vec<FlowSpec>,
+        slab: &mut FlowSlab,
+        sched: &mut Scheduler<PackedEvent>,
+    ) {
+        for ev in self.sink.events.drain(..) {
+            match ev {
+                AppEvent::OpStart { op, client, at } => {
+                    irn_telemetry::trace!(
+                        "app.op.start",
+                        t = at.as_nanos(),
+                        op = op,
+                        client = client,
+                    );
+                }
+                AppEvent::OpDone {
+                    op,
+                    client,
+                    started,
+                    at,
+                } => {
+                    let latency_ns = at.saturating_since(started).as_nanos();
+                    self.metrics.record_op(latency_ns);
+                    irn_telemetry::trace!(
+                        "app.op.done",
+                        t = at.as_nanos(),
+                        op = op,
+                        client = client,
+                        latency_ns = latency_ns,
+                    );
+                }
+                AppEvent::Phase { phase, at } => {
+                    self.metrics.record_phase();
+                    irn_telemetry::trace!("app.phase", t = at.as_nanos(), phase = phase);
+                }
+            }
+        }
+        for spec in self.sink.flows.drain(..) {
+            debug_assert!(spec.at >= now, "driver spawned a flow in the past");
+            let idx = flows.len() as u32;
+            flows.push(spec);
+            slab.grow();
+            sched.push(spec.at, PackedEvent::pack(TAG_APP_SPAWN, idx, 0));
+        }
+    }
+}
+
+/// Apply any timer request the flow's sender produced to the slot's
+/// scheduler timer.
+fn drain_timer(
+    sender: &mut Sender,
+    timer: &mut Option<TimerId>,
+    sched: &mut Scheduler<PackedEvent>,
+    now: Time,
+    idx: usize,
+) {
+    let Some(req) = sender.take_timer_request() else {
+        return;
+    };
+    match req {
+        TimerCmd::Arm(deadline) => {
+            irn_telemetry::trace!(
+                "timer.arm",
+                t = now.as_nanos(),
+                flow = idx,
+                deadline = deadline.as_nanos(),
+            );
+            let id = *timer.get_or_insert_with(|| sched.timer_create());
+            sched.timer_arm(id, deadline, PackedEvent::pack(TAG_QP_TIMER, idx as u32, 0));
+        }
+        TimerCmd::Cancel => {
+            irn_telemetry::trace!("timer.cancel", t = now.as_nanos(), flow = idx);
+            if let Some(id) = *timer {
+                sched.timer_cancel(id);
+            }
+        }
+    }
 }
 
 /// Why a run could not finish. Scenario validation cannot rule these
@@ -488,7 +586,7 @@ impl Simulation {
             app.sink.clear();
             app.driver.on_start(&mut app.sink);
             debug_assert!(app.sink.flows.is_empty(), "on_start must not spawn");
-            self.drain_app_sink(Time::ZERO);
+            app.drain_sink(Time::ZERO, &mut self.flows, &mut self.slab, &mut self.sched);
         }
         let mut events: u64 = 0;
         loop {
@@ -500,38 +598,25 @@ impl Simulation {
                 .arrival_order
                 .get(self.next_arrival)
                 .map(|&i| self.flows[i as usize].at);
-            let queue_at = self.sched.peek_time();
-            let take_arrival = match (arrival_at, queue_at) {
-                (Some(a), Some(q)) => a <= q,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            // The time of the event about to be processed (not the
-            // stale last-pop time — a livelock report must point at the
-            // right instant).
-            let at = if take_arrival {
-                arrival_at.expect("arrival taken")
-            } else {
-                queue_at.expect("queue event taken")
+            // The next event and its time (not the stale last-pop time —
+            // a livelock report must point at the right instant); a
+            // `None` event is the next arrival.
+            let (now, queued) = match (arrival_at, self.sched.peek_time()) {
+                (Some(a), q) if q.is_none_or(|q| a <= q) => (a, None),
+                _ => match self.sched.pop() {
+                    Some((q, ev)) => (q, Some(ev)),
+                    None => break,
+                },
             };
             events += 1;
             if events > self.cfg.max_events {
                 return Err(RunError::EventBudget {
-                    at,
+                    at: now,
                     completed: self.completed,
                     flows: self.flows.len(),
                 });
             }
-            if take_arrival {
-                let i = self.arrival_order[self.next_arrival] as usize;
-                self.next_arrival += 1;
-                let now = self.flows[i].at;
-                self.sched.advance_to(now);
-                self.counters.flow_arrivals += 1;
-                self.on_flow_arrival(now, i);
-            } else {
-                let (now, ev) = self.sched.pop().expect("peeked nonempty");
+            if let Some(ev) = queued {
                 match ev.unpack() {
                     Event::Fabric(fe) => {
                         self.counters.fabric_events += 1;
@@ -550,6 +635,12 @@ impl Simulation {
                         self.on_flow_arrival(now, flow as usize);
                     }
                 }
+            } else {
+                let i = self.arrival_order[self.next_arrival] as usize;
+                self.next_arrival += 1;
+                self.sched.advance_to(now);
+                self.counters.flow_arrivals += 1;
+                self.on_flow_arrival(now, i);
             }
             // With a closed-loop driver every completion may spawn more
             // work, so the run ends only when the queue truly drains;
@@ -689,18 +780,19 @@ impl Simulation {
         }
         match pkt.kind {
             PacketKind::Data => {
-                assert!(
-                    !self.slab.never_started(idx),
-                    "data for a flow that never started"
-                );
-                let out = self
-                    .slab
-                    .slot_mut(idx)
-                    .expect("data for a retired flow")
-                    .receiver
-                    .as_mut()
-                    .expect("data for a flow that never started")
-                    .on_data(now, &pkt);
+                // A data packet counts against its flow's in-flight total
+                // until here, so its flow has started and cannot have
+                // retired: the slot is live and holds the receiver.
+                let Some(FlowSlot {
+                    receiver: Some(receiver),
+                    receiver_done,
+                    ..
+                }) = self.slab.slot_mut(idx)
+                else {
+                    panic!("data for flow {idx}, which has no live receiver");
+                };
+                let out = receiver.on_data(now, &pkt);
+                *receiver_done |= out.completed;
                 if let Some(ack) = out.ack {
                     if ack.kind == PacketKind::Nack {
                         irn_telemetry::trace!(
@@ -725,25 +817,19 @@ impl Simulation {
                 }
                 if out.completed {
                     self.record_completion(now, idx);
-                    self.slab
-                        .slot_mut(idx)
-                        .expect("completing flow is live")
-                        .receiver_done = true;
                 }
                 self.maybe_retire(now, idx);
                 self.try_send(now, host);
             }
             PacketKind::Ack | PacketKind::Nack => {
-                let done = self
-                    .slab
-                    .sender_mut(idx)
-                    .map(|s| s.on_ack_packet(now, &pkt));
-                if let Some(done) = done {
-                    self.drain_timer(now, idx);
-                    if done {
-                        let slot = self.slab.slot_mut(idx).expect("acked flow is live");
-                        let s = slot.sender.take().expect("it just completed");
-                        self.totals += s.stats();
+                if let Some(slot) = self.slab.wake(idx) {
+                    if let Some(s) = slot.sender.as_mut() {
+                        let done = s.on_ack_packet(now, &pkt);
+                        drain_timer(s, &mut slot.timer, &mut self.sched, now, idx);
+                        if done {
+                            self.totals += s.stats();
+                            slot.sender = None;
+                        }
                     }
                 }
                 // Retire even when the sender is already gone: a
@@ -756,7 +842,7 @@ impl Simulation {
                 self.try_send(now, host);
             }
             PacketKind::Cnp => {
-                if let Some(s) = self.slab.sender_mut(idx) {
+                if let Some(s) = self.slab.wake(idx).and_then(|s| s.sender.as_mut()) {
                     s.on_cnp(now);
                 }
                 // Rate drop needs no immediate send attempt.
@@ -765,28 +851,13 @@ impl Simulation {
         }
     }
 
-    /// Recycle the flow's slot once nothing remains: sender finished,
-    /// receiver delivered everything, and no packet of the flow is
-    /// inside the fabric (so no event can ever need this state again —
-    /// late control packets to a retired flow were already ignored
-    /// before this refactor, because the sender slot was empty).
+    /// Retire the flow if it is finished ([`FlowSlab::retire`]), and
+    /// tell a closed-loop driver.
     fn maybe_retire(&mut self, now: Time, idx: usize) {
-        let Some(slot) = self.slab.slot_mut(idx) else {
+        if !self.slab.retire(idx, &mut self.sched) {
             return;
-        };
-        if slot.sender.is_some() || !slot.receiver_done || slot.inflight > 0 {
-            return;
-        }
-        // The completing sender already cancelled its timer through
-        // `drain_timer`; the deadline guard keeps the scheduler's
-        // cancel counters identical to the pre-slab engine.
-        if let Some(id) = slot.timer {
-            if self.sched.timer_deadline(id).is_some() {
-                self.sched.timer_cancel(id);
-            }
         }
         irn_telemetry::trace!("flow.retire", t = now.as_nanos(), flow = idx);
-        self.slab.retire(idx);
         // The closed-loop seam: a retired flow is the one event an
         // application reacts to. The driver sees only (now, flow id,
         // flow count) — virtual time, no wall clock — so its spawns are
@@ -796,67 +867,18 @@ impl Simulation {
             let next_index = self.flows.len() as u32;
             app.driver
                 .on_flow_retired(now, idx as u32, next_index, &mut app.sink);
-            self.drain_app_sink(now);
+            app.drain_sink(now, &mut self.flows, &mut self.slab, &mut self.sched);
         }
-    }
-
-    /// Apply a driver callback's output: fold application events into
-    /// traces and per-operation metrics, then insert each spawned flow
-    /// into the live flow table and schedule its start.
-    fn drain_app_sink(&mut self, now: Time) {
-        let app = self.app.as_mut().expect("drain without a driver");
-        for ev in app.sink.events.drain(..) {
-            match ev {
-                AppEvent::OpStart { op, client, at } => {
-                    irn_telemetry::trace!(
-                        "app.op.start",
-                        t = at.as_nanos(),
-                        op = op,
-                        client = client,
-                    );
-                }
-                AppEvent::OpDone {
-                    op,
-                    client,
-                    started,
-                    at,
-                } => {
-                    let latency_ns = at.saturating_since(started).as_nanos();
-                    app.metrics.record_op(latency_ns);
-                    irn_telemetry::trace!(
-                        "app.op.done",
-                        t = at.as_nanos(),
-                        op = op,
-                        client = client,
-                        latency_ns = latency_ns,
-                    );
-                }
-                AppEvent::Phase { phase, at } => {
-                    app.metrics.record_phase();
-                    irn_telemetry::trace!("app.phase", t = at.as_nanos(), phase = phase);
-                }
-            }
-        }
-        let mut spawned = std::mem::take(&mut app.sink.flows);
-        for spec in spawned.drain(..) {
-            debug_assert!(spec.at >= now, "driver spawned a flow in the past");
-            let idx = self.flows.len() as u32;
-            self.flows.push(spec);
-            self.slab.grow();
-            self.sched
-                .push(spec.at, PackedEvent::pack(TAG_APP_SPAWN, idx, 0));
-        }
-        // Hand the drained buffer back so the sink reuses its capacity.
-        self.app
-            .as_mut()
-            .expect("drain without a driver")
-            .sink
-            .flows = spawned;
     }
 
     fn on_qp_timer(&mut self, now: Time, flow: u32) {
         let idx = flow as usize;
-        let Some(sender) = self.slab.sender_mut(idx) else {
+        let Some(FlowSlot {
+            sender: Some(sender),
+            timer,
+            ..
+        }) = self.slab.wake(idx)
+        else {
             // Structurally impossible: completion cancels the timer in
             // the scheduler. Counted (and asserted zero in the
             // integration suite) rather than silently tolerated.
@@ -865,38 +887,9 @@ impl Simulation {
         };
         irn_telemetry::trace!("timer.fire", t = now.as_nanos(), flow = idx);
         if sender.on_timer(now) {
-            self.drain_timer(now, idx);
+            drain_timer(sender, timer, &mut self.sched, now, idx);
             let src = HostId(self.flows[idx].src);
             self.try_send(now, src);
-        }
-    }
-
-    /// Apply any timer request the sender produced to the slot's
-    /// scheduler timer.
-    fn drain_timer(&mut self, now: Time, idx: usize) {
-        let sender = self.slab.sender_mut(idx);
-        let Some(req) = sender.and_then(Sender::take_timer_request) else {
-            return;
-        };
-        let slot = self.slab.slot_mut(idx).expect("a live sender has a slot");
-        match req {
-            TimerCmd::Arm(deadline) => {
-                irn_telemetry::trace!(
-                    "timer.arm",
-                    t = now.as_nanos(),
-                    flow = idx,
-                    deadline = deadline.as_nanos(),
-                );
-                let sched = &mut self.sched;
-                let id = *slot.timer.get_or_insert_with(|| sched.timer_create());
-                sched.timer_arm(id, deadline, PackedEvent::pack(TAG_QP_TIMER, idx as u32, 0));
-            }
-            TimerCmd::Cancel => {
-                irn_telemetry::trace!("timer.cancel", t = now.as_nanos(), flow = idx);
-                if let Some(id) = slot.timer {
-                    self.sched.timer_cancel(id);
-                }
-            }
         }
     }
 
@@ -918,11 +911,13 @@ impl Simulation {
                     // against its flow (live flows only — a retired
                     // flow's late control packets go uncounted, and
                     // their delivery is uncounted symmetrically).
-                    if let Some(slot) = self.slab.slot_mut(flow_idx) {
+                    if let Some(slot) = self.slab.wake(flow_idx) {
                         slot.inflight += 1;
+                        // The sender may have armed its timer in poll().
+                        if let Some(s) = slot.sender.as_mut() {
+                            drain_timer(s, &mut slot.timer, &mut self.sched, now, flow_idx);
+                        }
                     }
-                    // The sender may have armed its timer in poll().
-                    self.drain_timer(now, flow_idx);
                 }
                 NicPoll::Wait(t) => {
                     self.schedule_wake(host, t.max(now));
@@ -1033,10 +1028,14 @@ mod tests {
 
     /// Finish `flow` the way the engine does and recycle its slot.
     fn finish(slab: &mut FlowSlab, flow: usize) {
+        assert!(
+            !slab.retire(flow, &mut Scheduler::new()),
+            "sender still live"
+        );
         let slot = slab.slot_mut(flow).expect("live");
         slot.sender = None;
         slot.receiver_done = true;
-        slab.retire(flow);
+        assert!(slab.retire(flow, &mut Scheduler::new()));
     }
 
     #[test]
@@ -1063,14 +1062,14 @@ mod tests {
     }
 
     #[test]
-    fn sender_mut_unparks_and_slot_mut_does_not() {
+    fn wake_unparks_and_slot_mut_does_not() {
         let mut slab = FlowSlab::new(1);
         insert_parked(&mut slab, 0);
         slab.slot_mut(0).expect("live").inflight += 1;
         assert!(slab.slot_mut(0).expect("live").timer.is_none());
         assert_ne!(slab.slot_of[0] & PARKED, 0, "slot access leaves it parked");
-        assert!(slab.sender_mut(0).is_some());
-        assert_eq!(slab.slot_of[0], 0, "sender_mut hands out an unparked flow");
+        assert!(slab.wake(0).is_some_and(|s| s.sender.is_some()));
+        assert_eq!(slab.slot_of[0], 0, "wake hands out an unparked flow");
         let before = REAL_POLLS.with(Cell::get);
         assert_eq!(slab.poll_sender(0, Time::ZERO), SenderPoll::Blocked);
         assert_eq!(
@@ -1084,15 +1083,16 @@ mod tests {
     fn retire_and_never_started_see_through_the_parked_bit() {
         let mut slab = FlowSlab::new(2);
         insert_parked(&mut slab, 0);
-        assert!(!slab.never_started(0));
-        assert!(slab.never_started(1));
+        assert_ne!(slab.slot_of[0], NOT_STARTED);
+        assert_eq!(slab.slot_of[1], NOT_STARTED);
+        assert!(!slab.retire(1, &mut Scheduler::new()), "never started");
         // Retire straight from the parked state (the engine always
-        // passes through `sender_mut` first; the slab does not rely on
-        // it).
+        // passes through `wake` first; the slab does not rely on it).
         finish(&mut slab, 0);
         assert_eq!(slab.slot_of[0], RETIRED);
         assert_eq!(slab.free, vec![0], "the index is recycled without the bit");
-        assert!(slab.slot_mut(0).is_none() && slab.sender_mut(0).is_none());
+        assert!(slab.slot_mut(0).is_none() && slab.wake(0).is_none());
+        assert!(!slab.retire(0, &mut Scheduler::new()), "retired once");
         assert_eq!(slab.poll_sender(0, Time::ZERO), SenderPoll::Done);
         assert_eq!(slab.poll_sender(1, Time::ZERO), SenderPoll::Done);
     }
@@ -1133,7 +1133,7 @@ mod tests {
         let mut slab = FlowSlab::new(1);
         insert_parked(&mut slab, 0);
         slab.grow();
-        assert!(slab.never_started(1));
+        assert_eq!(slab.slot_of[1], NOT_STARTED);
         let (s, r) = one_packet_flow(1);
         slab.insert(1, s, r);
         assert_eq!(slab.slot_of[1], 1);

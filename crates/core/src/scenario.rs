@@ -20,7 +20,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::TopologySpec;
-use irn_net::{Bandwidth, LoadBalancing};
+use irn_net::{Bandwidth, LoadBalancing, PfcConfig};
 use irn_sim::{Duration, Time};
 use irn_transport::cc::CcKind;
 use irn_transport::config::TransportKind;
@@ -218,6 +218,14 @@ pub enum ScenarioError {
         /// One maximum frame: `mtu + 48 + extra_header`.
         frame: u64,
     },
+    /// Under PFC, per-port buffering must exceed the pause headroom
+    /// ([`PfcConfig::headroom`]), else no X-OFF threshold fits below it.
+    BufferBelowPfcHeadroom {
+        /// The offending buffer size.
+        buffer_bytes: u64,
+        /// `bandwidth × 2 × prop_delay` in bytes, plus two maximum frames.
+        headroom: u64,
+    },
     /// A stated instant or duration lies beyond the virtual-time
     /// horizon ([`HORIZON_NS`]).
     BeyondHorizon {
@@ -290,6 +298,14 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "buffer_bytes {buffer_bytes} cannot hold one maximum frame of {frame} bytes \
                  (mtu + 48 + extra_header)"
+            ),
+            ScenarioError::BufferBelowPfcHeadroom {
+                buffer_bytes,
+                headroom,
+            } => write!(
+                f,
+                "buffer_bytes {buffer_bytes} must exceed the PFC headroom of {headroom} bytes \
+                 (bandwidth × 2 × prop_delay + 2 maximum frames) when pfc is on"
             ),
             ScenarioError::BeyondHorizon { field, ns } => {
                 let (field, ns) = (*field, *ns as u128);
@@ -436,6 +452,15 @@ fn validate(name: &str, cfg: &ExperimentConfig) -> Result<(), ScenarioError> {
         if ns > HORIZON_NS {
             return Err(ScenarioError::BeyondHorizon { field, ns });
         }
+    }
+    // The fabric provisions every port with this rule; the delay is
+    // within the horizon here, so the product cannot overflow.
+    let headroom = PfcConfig::headroom(cfg.bandwidth, cfg.prop_delay, frame);
+    if cfg.pfc && cfg.buffer_bytes <= headroom {
+        return Err(ScenarioError::BufferBelowPfcHeadroom {
+            buffer_bytes: cfg.buffer_bytes,
+            headroom,
+        });
     }
     if !(cfg.loss_injection >= 0.0 && cfg.loss_injection < 1.0) {
         return Err(ScenarioError::LossOutOfRange {
@@ -1097,6 +1122,23 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, ScenarioError::ZeroMtu);
+        // PFC headroom (§4.1): 40 Gbps × 2 × 50 µs + 2 × 1048 B frames,
+        // which the buffer must exceed; without PFC the rule is moot.
+        let pfc = |pfc: bool, buffer_bytes: u64| {
+            Scenario::builder("x")
+                .pfc(pfc)
+                .configure(|c| c.prop_delay = Duration::micros(50))
+                .configure(|c| c.buffer_bytes = buffer_bytes)
+                .build()
+        };
+        assert_eq!(
+            pfc(true, 502_096).unwrap_err(),
+            ScenarioError::BufferBelowPfcHeadroom {
+                buffer_bytes: 502_096,
+                headroom: 502_096
+            }
+        );
+        assert!(pfc(true, 502_097).is_ok() && pfc(false, 240_000).is_ok());
         // empty name
         assert_eq!(
             Scenario::builder("").build().unwrap_err(),

@@ -149,14 +149,22 @@ const MODES: &[Mode] = &[
     },
 ];
 
-/// One command-line flag: its spelling, value shape, help line, and the
-/// modes (by [`Mode::word`]) it applies to.
+/// One command-line flag: its spelling, how it sets [`Args`], help
+/// line, and the modes (by [`Mode::word`]) it applies to.
 struct FlagSpec {
     name: &'static str,
-    /// `Some(metavar)` when the flag consumes a value.
-    metavar: Option<&'static str>,
+    takes: Takes,
     help: &'static str,
     modes: &'static [&'static str],
+}
+
+/// How a flag sets [`Args`]: on its own, or from the next word (named by
+/// the metavar in the usage text), which it checks as it parses — a bad
+/// value dies here, before anything is planned. The value setter gets
+/// the flag's name for its messages.
+enum Takes {
+    Nothing(fn(&mut Args)),
+    Value(&'static str, fn(&mut Args, &str, String)),
 }
 
 /// The two modes that run a batch.
@@ -165,97 +173,119 @@ const BATCH: &[&str] = &["artifact", "run"];
 const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--full",
-        metavar: None,
+        takes: Takes::Nothing(|a| a.full = true),
         help: "paper scale (k=6 fat-tree, 54 hosts) instead of quick",
         modes: &["artifact", "run", "emit-scenario", "--list"],
     },
     FlagSpec {
         name: "--seeds",
-        metavar: Some("N"),
+        takes: Takes::Value("N", |a, flag, v| a.seeds = Some(positive_int(flag, &v))),
         help: "seed replicates per Poisson/scenario cell (default 5)",
         modes: &["artifact", "run", "--list"],
     },
     FlagSpec {
         name: "--jobs",
-        metavar: Some("N"),
+        takes: Takes::Value("N", |a, flag, v| a.jobs = Some(positive_int(flag, &v))),
         help: "worker threads for the global batch (default: all cores)",
         modes: BATCH,
     },
     FlagSpec {
         name: "--workers",
-        metavar: Some("N"),
+        takes: Takes::Value("N", |a, flag, v| a.workers = Some(positive_int(flag, &v))),
         help: "shard the batch across N spawned 'repro worker' processes",
         modes: BATCH,
     },
     FlagSpec {
         name: "--connect",
-        metavar: Some("ADDR"),
+        takes: Takes::Value("ADDR", |a, flag, addr| {
+            // A portless address would otherwise surface later as a
+            // confusing connection failure mid-coordinator-start.
+            if !addr.contains(':') {
+                fail(format_args!("{flag} needs HOST:PORT, got '{addr}'"));
+            }
+            a.connect.push(addr);
+        }),
         help: "add a listening worker at HOST:PORT to the fleet; repeatable",
         modes: BATCH,
     },
     FlagSpec {
         name: "--cell-timeout",
-        metavar: Some("SECS"),
+        takes: Takes::Value("SECS", |a, flag, v| {
+            a.cell_timeout = Some(positive_int(flag, &v) as u64)
+        }),
         help: "per-cell worker timeout before reassignment (default 300)",
         modes: BATCH,
     },
     FlagSpec {
         name: "--listen",
-        metavar: Some("ADDR"),
+        takes: Takes::Value("ADDR", |a, _, v| a.listen = Some(v)),
         help: "serve coordinators over TCP instead of stdin",
         modes: &["worker"],
     },
     FlagSpec {
         name: "--exit-after",
-        metavar: Some("N"),
+        // 0 is meaningful here (die on the very first cell), so this is
+        // the one numeric flag that admits it.
+        takes: Takes::Value("N", |a, flag, v| {
+            a.exit_after = Some(v.parse::<usize>().unwrap_or_else(|_| {
+                fail(format_args!(
+                    "{flag} needs a non-negative integer, got '{v}'"
+                ))
+            }))
+        }),
         help: "die mid-cell after N answers (fault-injection)",
         modes: &["worker"],
     },
     FlagSpec {
         name: "--json",
-        metavar: Some("DIR"),
+        takes: Takes::Value("DIR", |a, _, v| a.json_dir = Some(v.into())),
         help: "write one schema-v2 JSON envelope per report into DIR",
         modes: &["artifact", "run", "emit-scenario"],
     },
     FlagSpec {
         name: "--timing-json",
-        metavar: Some("FILE"),
+        takes: Takes::Value("FILE", |a, _, v| a.timing_json = Some(v.into())),
         help: "write the executor's bench-trajectory-v1 side file to FILE",
         modes: BATCH,
     },
     FlagSpec {
         name: "--memory-json",
-        metavar: Some("FILE"),
+        takes: Takes::Value("FILE", |a, _, v| a.memory_json = Some(v.into())),
         help: "write memory-v1 peak-memory gauge JSON to FILE",
         modes: BATCH,
     },
     FlagSpec {
         name: "--trace",
-        metavar: Some("FILE"),
+        takes: Takes::Value("FILE", |a, _, v| a.trace = Some(v.into())),
         help: "record a trace-v1 NDJSON flight-recorder file of the batch",
         modes: BATCH,
     },
     FlagSpec {
         name: "--trace-filter",
-        metavar: Some("SPEC"),
+        takes: Takes::Value("SPEC", |a, flag, expr| {
+            if let Err(e) = TraceFilter::parse(&expr) {
+                fail(format_args!("{flag}: {e}"));
+            }
+            a.trace_filter = Some(expr);
+        }),
         help: "event selection for --trace, e.g. kind=pfc.*,flow=3 (docs/TRACING.md)",
         modes: BATCH,
     },
     FlagSpec {
         name: "--progress-json",
-        metavar: Some("FILE"),
+        takes: Takes::Value("FILE", |a, _, v| a.progress_json = Some(v.into())),
         help: "write fleet-progress-v1 NDJSON events (needs --workers/--connect)",
         modes: BATCH,
     },
     FlagSpec {
         name: "--list",
-        metavar: None,
+        takes: Takes::Nothing(|_| {}),
         help: "print the artifact registry and exit",
         modes: &["--list"],
     },
     FlagSpec {
         name: "--verify-json",
-        metavar: Some("DIR"),
+        takes: Takes::Value("DIR", |a, _, v| a.verify_dir = Some(v.into())),
         help: "validate every *.json envelope in DIR and exit",
         modes: &["--verify-json"],
     },
@@ -268,9 +298,9 @@ fn usage() -> ! {
     }
     eprintln!("flags (and the modes each applies to):");
     for f in FLAGS {
-        let head = match f.metavar {
-            Some(m) => format!("{} {m}", f.name),
-            None => f.name.to_string(),
+        let head = match f.takes {
+            Takes::Value(metavar, _) => format!("{} {metavar}", f.name),
+            Takes::Nothing(_) => f.name.to_string(),
         };
         eprintln!("  {head:<20} {} [{}]", f.help, f.modes.join(" "));
     }
@@ -385,71 +415,24 @@ fn parse_args() -> Args {
             fail(format_args!("unknown flag '{arg}'"));
         };
         args.supplied.push(spec);
-        let value = spec.metavar.map(|m| {
-            it.next()
-                .unwrap_or_else(|| fail(format_args!("{} needs {m}", spec.name)))
-        });
-        match spec.name {
-            "--full" => args.full = true,
-            "--list" => {}
-            "--seeds" => args.seeds = Some(positive_int(spec, &value.unwrap())),
-            "--jobs" => args.jobs = Some(positive_int(spec, &value.unwrap())),
-            "--workers" => args.workers = Some(positive_int(spec, &value.unwrap())),
-            "--connect" => {
-                let addr = value.unwrap();
-                // Same parse-time strictness as the numeric flags: a
-                // portless address would otherwise surface later as a
-                // confusing connection failure mid-coordinator-start.
-                if !addr.contains(':') {
-                    fail(format_args!("--connect needs HOST:PORT, got '{addr}'"));
-                }
-                args.connect.push(addr);
+        match spec.takes {
+            Takes::Nothing(set) => set(&mut args),
+            Takes::Value(metavar, set) => {
+                let Some(value) = it.next() else {
+                    fail(format_args!("{} needs {metavar}", spec.name));
+                };
+                set(&mut args, spec.name, value);
             }
-            "--cell-timeout" => {
-                args.cell_timeout = Some(positive_int(spec, &value.unwrap()) as u64)
-            }
-            "--listen" => args.listen = Some(value.unwrap()),
-            "--exit-after" => {
-                // 0 is meaningful here (die on the very first cell), so
-                // this is the one numeric flag that admits it.
-                let v = value.unwrap();
-                args.exit_after = Some(v.parse::<usize>().unwrap_or_else(|_| {
-                    fail(format_args!(
-                        "--exit-after needs a non-negative integer, got '{v}'"
-                    ))
-                }));
-            }
-            "--json" => args.json_dir = Some(PathBuf::from(value.unwrap())),
-            "--timing-json" => args.timing_json = Some(PathBuf::from(value.unwrap())),
-            "--memory-json" => args.memory_json = Some(PathBuf::from(value.unwrap())),
-            "--trace" => args.trace = Some(PathBuf::from(value.unwrap())),
-            "--trace-filter" => {
-                let expr = value.unwrap();
-                // Parse-time strictness: a bad filter must die here, not
-                // after the batch has been planned.
-                if let Err(e) = TraceFilter::parse(&expr) {
-                    fail(format_args!("--trace-filter: {e}"));
-                }
-                args.trace_filter = Some(expr);
-            }
-            "--progress-json" => args.progress_json = Some(PathBuf::from(value.unwrap())),
-            "--verify-json" => args.verify_dir = Some(PathBuf::from(value.unwrap())),
-            other => unreachable!("flag '{other}' in table but not dispatched"),
         }
     }
     args
 }
 
-fn positive_int(spec: &FlagSpec, v: &str) -> usize {
+fn positive_int(flag: &str, v: &str) -> usize {
     v.parse::<usize>()
         .ok()
         .filter(|n| *n >= 1)
-        .unwrap_or_else(|| {
-            fail(format_args!(
-                "{} needs a positive integer, got '{v}'",
-                spec.name
-            ))
-        })
+        .unwrap_or_else(|| fail(format_args!("{flag} needs a positive integer, got '{v}'")))
 }
 
 // ---------------------------------------------------------------------

@@ -217,10 +217,12 @@ fn emitted_scenario_sets_run_back_unedited() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Scenario times past the virtual-time horizon (2^50 ns), zero RTOs and
-/// a buffer smaller than one frame: each used to run — wrapping time,
-/// clamping events into the past, or never finishing — and is now a
-/// typed error, exit 2, naming the field, with nothing on stdout.
+/// Scenario times past the virtual-time horizon (2^50 ns), zero RTOs, a
+/// buffer smaller than one frame and, under PFC, one the pause headroom
+/// does not fit under: each used to run — wrapping time, clamping events
+/// into the past, never finishing or panicking in the switch — and is
+/// now a typed error, exit 2, with one `error:` line naming the field
+/// and nothing on stdout, in-process and on a worker fleet.
 #[test]
 fn hostile_times_and_knobs_exit_2_naming_the_field() {
     let dir = scratch("hostile");
@@ -276,6 +278,13 @@ fn hostile_times_and_knobs_exit_2_naming_the_field() {
             format!(r#""traffic": {poisson}, "buffer_bytes": 1"#),
             "buffer_bytes",
         ),
+        (
+            // 40 Gbps × 2 × 50 µs + 2 frames = 502 096 B of headroom
+            // over the 240 000 B default buffer.
+            "pfc-headroom",
+            format!(r#""traffic": {poisson}, "pfc": true, "prop_delay_ns": 50000"#),
+            "buffer_bytes 240000 must exceed the PFC headroom of 502096 bytes",
+        ),
     ];
     for (name, fields, field) in probes {
         let path = dir.join(format!("{name}.json"));
@@ -284,17 +293,19 @@ fn hostile_times_and_knobs_exit_2_naming_the_field() {
                 "topology": {{"fat_tree": {{"k": 4}}}}, {fields}}}"#
         );
         std::fs::write(&path, doc).unwrap();
-        let out = repro(&[
-            "run".as_ref(),
-            path.as_os_str(),
-            "--seeds".as_ref(),
-            "1".as_ref(),
-        ]);
-        let said = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{name}: {said}");
-        assert!(said.contains(field), "{name}: {said}");
-        assert!(!said.contains("panicked"), "{name}: {said}");
-        assert!(out.stdout.is_empty(), "{name} printed to stdout");
+        // Validation runs before any executor starts, so a fleet ends
+        // the same way as one thread.
+        for executor in [["--jobs", "1"], ["--workers", "2"]] {
+            let mut argv = vec!["run".as_ref(), path.as_os_str(), "--seeds".as_ref()];
+            argv.extend(["1"].iter().chain(&executor).map(std::ffi::OsStr::new));
+            let out = repro(&argv);
+            let said = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {executor:?}: {said}");
+            assert!(said.contains(field), "{name}: {said}");
+            assert_eq!(said.matches("error:").count(), 1, "{name}: {said}");
+            assert!(!said.contains("panicked"), "{name}: {said}");
+            assert!(out.stdout.is_empty(), "{name} printed to stdout");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -337,6 +337,54 @@ fn an_answered_error_is_final() {
 }
 
 #[test]
+fn a_worker_lying_about_wall_time_is_dropped_not_fatal() {
+    // An in-test "worker" that runs each cell for real but reports 1e20
+    // seconds, more than a `Duration` holds. The frame is garbage: the
+    // liar is dropped and, as the only worker, the batch ends with a
+    // typed FleetLost — no panicked dispatcher, no supervisor waiting
+    // forever. The pool runs on its own thread so a hang fails the test.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let cells = batch(1);
+    let run = irn_core::run(cells[0].config().clone());
+    let liar = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut out = stream;
+        let mut work = String::new();
+        while reader.read_line(&mut work).is_ok_and(|n| n > 0) {
+            let reply = irn_harness::wire::encode_result(0, 1e20, &run, None);
+            if writeln!(out, "{reply}").is_err() {
+                break;
+            }
+            work.clear();
+        }
+    });
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let coordinator = std::thread::spawn(move || {
+        let pool = WorkerPool::new(PoolConfig::new(vec![WorkerSpec::Connect { addr }]));
+        let outcome = pool.run_cells(&cells, None).map(|_| ());
+        let _ = tx.send((outcome, pool.worker_stats()));
+    });
+    let (outcome, stats) = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the batch hung: no outcome within 60 s");
+    coordinator.join().unwrap();
+    liar.join().unwrap(); // the dropped connection ends its loop
+    assert_eq!(
+        outcome,
+        Err(HarnessError::FleetLost {
+            completed: 0,
+            total: 1
+        })
+    );
+    assert!(!stats[0].alive, "{stats:?}");
+    let said = stats[0].last_error.as_deref().unwrap_or("");
+    assert!(said.contains("at wall_s"), "{said}");
+}
+
+#[test]
 fn pool_plugs_into_harness_and_replicate_layers() {
     // The whole orchestration stack above the seam — Harness, batches —
     // runs unchanged on the distributed backend.

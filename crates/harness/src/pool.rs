@@ -167,6 +167,12 @@ impl WorkerStats {
             last_error: None,
         }
     }
+
+    /// Zeroed counters for each worker of a fleet.
+    fn fresh(specs: &[WorkerSpec]) -> Vec<WorkerStats> {
+        let named = specs.iter().enumerate();
+        named.map(|(i, s)| WorkerStats::new(s.label(i))).collect()
+    }
 }
 
 /// The distributed [`Executor`]: shards each batch across the
@@ -185,13 +191,7 @@ impl WorkerPool {
             "worker pool needs at least one worker"
         );
         WorkerPool {
-            stats: Mutex::new(
-                cfg.specs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| WorkerStats::new(s.label(i)))
-                    .collect(),
-            ),
+            stats: Mutex::new(WorkerStats::fresh(&cfg.specs)),
             cfg,
         }
     }
@@ -314,9 +314,11 @@ fn attempt(
         .and_then(|()| conn.writer.flush())
         .map_err(|e| fail(FailReason::Death, format!("write failed: {e}")))?;
 
-    let deadline = Instant::now() + timeout;
+    // Counted down from the send, never added to a clock: a timeout no
+    // instant can represent just waits (`recv_timeout` takes any length).
+    let sent = Instant::now();
     loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
+        let remaining = timeout.saturating_sub(sent.elapsed());
         let line = match conn.lines.recv_timeout(remaining) {
             Ok(Ok(line)) => line,
             Ok(Err(e)) => return Err(fail(FailReason::Death, format!("read failed: {e}"))),
@@ -345,9 +347,10 @@ fn attempt(
             }) if rid == id as u64 => {
                 return Ok(CellOutcome {
                     result: *result,
-                    wall: Duration::from_secs_f64(wall_s.max(0.0)),
+                    // `wire::decode` admits only a `wall_s` that fits.
+                    wall: Duration::from_secs_f64(wall_s),
                     trace: chunk,
-                })
+                });
             }
             Ok(Frame::Error { id: eid, message }) if eid.is_none() || eid == Some(id as u64) => {
                 // The worker answered: the connection is healthy, the
@@ -441,15 +444,8 @@ impl Executor for WorkerPool {
         parse_trace(trace)?;
         let progress = Progress::open(&self.cfg)?;
         let total = cells.len();
-        let mut run_stats: Vec<WorkerStats> = self
-            .cfg
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| WorkerStats::new(s.label(i)))
-            .collect();
         if total == 0 {
-            *self.stats.lock().expect("stats lock") = run_stats;
+            *self.stats.lock().expect("stats lock") = WorkerStats::fresh(&self.cfg.specs);
             return Ok(Vec::new());
         }
 
@@ -462,21 +458,17 @@ impl Executor for WorkerPool {
             fatal: None,
         });
         let cvar = Condvar::new();
-        let stats_out: Vec<Mutex<Option<WorkerStats>>> =
-            self.cfg.specs.iter().map(|_| Mutex::new(None)).collect();
 
-        std::thread::scope(|scope| {
-            for (w, spec) in self.cfg.specs.iter().enumerate() {
-                let state = &state;
-                let cvar = &cvar;
-                let stats_out = &stats_out;
-                let cfg = &self.cfg;
-                let progress = &progress;
-                scope.spawn(move || {
-                    let stats = dispatch(w, spec, cells, cfg, state, cvar, progress, trace);
-                    *stats_out[w].lock().expect("stats slot") = Some(stats);
-                });
-            }
+        let run_stats = std::thread::scope(|scope| {
+            let (state, cvar, cfg, progress) = (&state, &cvar, &self.cfg, &progress);
+            let dispatchers: Vec<_> = cfg
+                .specs
+                .iter()
+                .enumerate()
+                .map(|(w, spec)| {
+                    scope.spawn(move || dispatch(w, spec, cells, cfg, state, cvar, progress, trace))
+                })
+                .collect();
             // Supervise: wake on every completion or fleet change.
             let mut st = state.lock().expect("state lock");
             while st.fatal.is_none() && st.done < total {
@@ -487,13 +479,13 @@ impl Executor for WorkerPool {
             // set, so they exit at their next state check. Nothing to
             // force here — their connections die with their Conn drop.
             drop(st);
+            // Each dispatcher returns its worker's stats; a panic in one
+            // is re-raised here, as the scope would raise it.
+            dispatchers
+                .into_iter()
+                .map(|d| d.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
-
-        for (dst, src) in run_stats.iter_mut().zip(&stats_out) {
-            if let Some(s) = src.lock().expect("stats slot").take() {
-                *dst = s;
-            }
-        }
         *self.stats.lock().expect("stats lock") = run_stats;
 
         let mut st = state.into_inner().expect("state lock");
@@ -600,7 +592,7 @@ fn dispatch(
                 stats.cells += 1;
                 stats.cell_wall_s += outcome.wall.as_secs_f64();
                 let wall_s = outcome.wall.as_secs_f64();
-                let slow = outcome.wall * 2 >= cfg.cell_timeout;
+                let slow = outcome.wall.saturating_mul(2) >= cfg.cell_timeout;
                 let mut st = state.lock().expect("state lock");
                 // First write wins: a reassigned twin of this cell may
                 // already have landed; results are identical anyway.

@@ -194,7 +194,9 @@ pub fn encode_error(id: Option<u64>, message: &str) -> String {
 /// dotted path, carrying the frame id when it was readable, so a worker
 /// answers `error-v1` against the right cell instead of running
 /// something other than what was asked. The optional members are the
-/// `trace` objects (absent: no tracing) and an error frame's text.
+/// `trace` objects (absent: no tracing) and an error frame's text. A
+/// result's `wall_s` must be seconds a `std::time::Duration` holds:
+/// finite, non-negative and below about 1.8e19.
 pub fn decode(line: &str) -> Result<Frame, FrameError> {
     let v = json::from_str(line).map_err(|e| FrameError::new(None, format!("bad JSON: {e}")))?;
     // The id comes first, to attribute every later error to its cell;
@@ -217,6 +219,11 @@ pub fn decode(line: &str) -> Result<Frame, FrameError> {
         }
         RESULT_SCHEMA => {
             let f = ResultFrame::<RunResult, Vec<String>>::from_json(&v).map_err(fail)?;
+            // The coordinator turns it into a `Duration`.
+            if std::time::Duration::try_from_secs_f64(f.wall_s).is_err() {
+                let e = format!("at wall_s: {} s does not fit a Duration", f.wall_s);
+                return Err(FrameError::new(id, e));
+            }
             Ok(Frame::Result {
                 id: f.id,
                 wall_s: f.wall_s,
@@ -402,6 +409,12 @@ mod tests {
         let result = encode_result(6, 0.5, &run, None);
         let line = result.replace(r#""wall_s":0.5"#, r#""wall_s":"fast""#);
         rejects(&line, Some(6), "at wall_s: expected a number");
+        // A number, but not one a `Duration` holds: negative, or past
+        // its range (about 1.8e19 s).
+        for lie in ["-1.0", "1e20", "1e400"] {
+            let line = result.replace(r#""wall_s":0.5"#, &format!(r#""wall_s":{lie}"#));
+            rejects(&line, Some(6), "s does not fit a Duration");
+        }
         let line = with(&result, r#""trace":{"dropped":"many","lines":[]}"#);
         rejects(
             &line,

@@ -716,45 +716,16 @@ impl MetricsCollector {
     /// Returns `0.0` when empty (slowdowns are ≥ 1, so the sentinel is
     /// unambiguous).
     pub fn percentile_slowdown(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.flows == 0 {
+        let Some(scaled) = self.slowdown_hist.value_at_quantile(q) else {
             return 0.0;
-        }
+        };
         if q == 0.0 {
             return self.min_slowdown;
         }
         if q == 1.0 {
             return self.max_slowdown;
         }
-        let scaled = self
-            .slowdown_hist
-            .value_at_quantile(q)
-            .expect("non-empty histogram");
         (scaled as f64 / SLOWDOWN_SCALE).clamp(self.min_slowdown, self.max_slowdown)
-    }
-
-    /// Exact minimum FCT. Panics when empty.
-    pub fn min_fct(&self) -> Duration {
-        assert!(self.flows > 0, "no flows completed");
-        Duration::nanos(self.min_fct_ns)
-    }
-
-    /// Exact maximum FCT. Panics when empty.
-    pub fn max_fct(&self) -> Duration {
-        assert!(self.flows > 0, "no flows completed");
-        Duration::nanos(self.max_fct_ns)
-    }
-
-    /// Exact minimum slowdown. Panics when empty.
-    pub fn min_slowdown(&self) -> f64 {
-        assert!(self.flows > 0, "no flows completed");
-        self.min_slowdown
-    }
-
-    /// Exact maximum slowdown. Panics when empty.
-    pub fn max_slowdown(&self) -> f64 {
-        assert!(self.flows > 0, "no flows completed");
-        self.max_slowdown
     }
 
     /// The single-packet-message sub-population (Figure 8).
@@ -794,17 +765,15 @@ fn scale_slowdown(s: f64) -> u64 {
 /// Shared quantile logic: exact boundaries, clamped bucket
 /// representative in the interior, total on empty input.
 fn percentile_ns(hist: &LogHistogram, q: f64, min_ns: u64, max_ns: u64) -> Duration {
-    assert!((0.0..=1.0).contains(&q), "quantile out of range");
-    if hist.total() == 0 {
+    let Some(v) = hist.value_at_quantile(q) else {
         return Duration::ZERO;
-    }
+    };
     if q == 0.0 {
         return Duration::nanos(min_ns);
     }
     if q == 1.0 {
         return Duration::nanos(max_ns);
     }
-    let v = hist.value_at_quantile(q).expect("non-empty histogram");
     Duration::nanos(v.clamp(min_ns, max_ns))
 }
 

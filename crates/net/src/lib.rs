@@ -47,4 +47,4 @@ pub use packet::{FlowId, HostId, Packet, PacketKind};
 pub use routing::NetTables;
 pub use switch::{EcnConfig, PfcConfig};
 pub use topology::{fat_tree_hosts, NodeId, Topology};
-pub use units::{bdp_bytes, Bandwidth};
+pub use units::Bandwidth;

@@ -42,22 +42,27 @@ pub struct PfcConfig {
 }
 
 impl PfcConfig {
+    /// The bytes an input port must keep free above X-OFF (§4.1): the
+    /// upstream link's bandwidth-delay product over the pause's round
+    /// trip, `upstream_bw × 2 × prop_delay`, which absorbs everything in
+    /// flight while the pause propagates, plus two maximum-size frames of
+    /// slop for the frame that may be mid-serialization when the pause
+    /// lands and the one crossing the wire — the standard 802.1Qbb
+    /// worst-case provisioning — so PFC is genuinely lossless (asserted
+    /// by tests). A buffer must exceed it.
+    pub fn headroom(upstream_bw: Bandwidth, prop_delay: Duration, max_frame_bytes: u64) -> u64 {
+        upstream_bw.bytes_in(prop_delay * 2) + 2 * max_frame_bytes
+    }
+
     /// The paper's provisioning rule (§4.1): threshold = buffer −
-    /// headroom, headroom = the upstream link's bandwidth-delay product
-    /// (it must absorb everything in flight while the pause propagates).
-    ///
-    /// We add two maximum-size frames of slop for the frame that may be
-    /// mid-serialization when the pause lands plus the one crossing the
-    /// wire — the standard 802.1Qbb worst-case provisioning — so PFC is
-    /// genuinely lossless (asserted by tests).
+    /// [`PfcConfig::headroom`].
     pub fn for_buffer(
         buffer_bytes: u64,
         upstream_bw: Bandwidth,
         prop_delay: Duration,
         max_frame_bytes: u64,
     ) -> PfcConfig {
-        let in_flight = upstream_bw.bytes_in(prop_delay * 2);
-        let headroom = in_flight + 2 * max_frame_bytes;
+        let headroom = PfcConfig::headroom(upstream_bw, prop_delay, max_frame_bytes);
         assert!(
             buffer_bytes > headroom,
             "buffer ({buffer_bytes} B) must exceed PFC headroom ({headroom} B)"

@@ -64,15 +64,6 @@ impl std::fmt::Display for Bandwidth {
     }
 }
 
-/// Bandwidth-delay product in bytes for a path with round-trip time
-/// `rtt` at rate `bw`.
-///
-/// For the paper's default (40 Gbps, 6-hop longest path with 2 µs
-/// per-link propagation ⇒ 24 µs RTT) this is 120 KB (§4.1).
-pub fn bdp_bytes(bw: Bandwidth, rtt: Duration) -> u64 {
-    bw.bytes_in(rtt)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,7 +93,7 @@ mod tests {
     fn paper_default_bdp_is_120kb() {
         // §4.1: 40 Gbps, longest path 6 hops, 2 µs propagation per link
         // ⇒ RTT 24 µs ⇒ BDP 120 KB.
-        let bdp = bdp_bytes(Bandwidth::from_gbps(40), Duration::micros(24));
+        let bdp = Bandwidth::from_gbps(40).bytes_in(Duration::micros(24));
         assert_eq!(bdp, 120_000);
     }
 

@@ -215,18 +215,19 @@ impl TcpSender {
 
     fn rtt_sample(&mut self, rtt: Duration) {
         let r = rtt.as_nanos() as f64;
-        match self.srtt_ns {
+        let srtt = match self.srtt_ns {
             None => {
-                self.srtt_ns = Some(r);
                 self.rttvar_ns = r / 2.0;
+                r
             }
             Some(srtt) => {
                 // RFC 6298 constants.
                 self.rttvar_ns = 0.75 * self.rttvar_ns + 0.25 * (srtt - r).abs();
-                self.srtt_ns = Some(0.875 * srtt + 0.125 * r);
+                0.875 * srtt + 0.125 * r
             }
-        }
-        let rto_ns = self.srtt_ns.unwrap() + 4.0 * self.rttvar_ns;
+        };
+        self.srtt_ns = Some(srtt);
+        let rto_ns = srtt + 4.0 * self.rttvar_ns;
         self.rto = Duration::nanos(rto_ns as u64).max(MIN_RTO).min(MAX_RTO);
     }
 

@@ -698,6 +698,15 @@ impl TrafficModel {
     /// `(self, ctx)`. Assumes [`TrafficModel::validate_in`] passed — the
     /// scenario layer guarantees it for every user-reachable path.
     pub fn generate(&self, ctx: &TrafficCtx) -> FlowStream {
+        // A closed-loop model's precomputable prefix is its seed flows;
+        // the rest exist only in reaction to completions (the engine
+        // spawns them via the driver).
+        if let Some(cl) = self.closed_loop(ctx) {
+            return FlowStream {
+                flows: cl.seed_flows,
+                incast_from: None,
+            };
+        }
         // A leaf model's flows are all of one population, so its
         // boundary is 0; a composition orders primary flows first.
         let (flows, primary) = match self {
@@ -723,16 +732,13 @@ impl TrafficModel {
                 round_gap,
             } => (shuffle(ctx, *flow_bytes, *rounds, *round_gap), 0),
             TrafficModel::Explicit(flows) => (flows.clone(), 0),
-            // A closed-loop model's precomputable prefix is its seed
-            // flows; the rest exist only in reaction to completions (the
-            // engine spawns them via the driver).
+            TrafficModel::Compose(parts) => compose(ctx, parts),
+            // Answered above: `closed_loop` builds exactly these. A
+            // variant it missed would stream no flows, which the engine
+            // reports as a typed `RunError::NoFlows`.
             TrafficModel::RpcClosedLoop { .. }
             | TrafficModel::Allreduce { .. }
-            | TrafficModel::LeaderReplicate { .. } => {
-                let cl = self.closed_loop(ctx).expect("variant is closed-loop");
-                (cl.seed_flows, 0)
-            }
-            TrafficModel::Compose(parts) => compose(ctx, parts),
+            | TrafficModel::LeaderReplicate { .. } => (Vec::new(), 0),
         };
         FlowStream {
             flows,

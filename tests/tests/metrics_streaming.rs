@@ -143,10 +143,6 @@ proptest! {
 
         // Exact paths: bit-identical, no tolerance.
         prop_assert_eq!(c.len(), n);
-        prop_assert_eq!(c.min_fct().as_nanos(), exact.fcts_ns[0]);
-        prop_assert_eq!(c.max_fct().as_nanos(), exact.fcts_ns[n - 1]);
-        prop_assert_eq!(c.min_slowdown().to_bits(), exact.slowdowns[0].to_bits());
-        prop_assert_eq!(c.max_slowdown().to_bits(), exact.slowdowns[n - 1].to_bits());
         prop_assert_eq!(
             c.summary().avg_slowdown.to_bits(),
             (exact.slowdown_sum / n as f64).to_bits()
@@ -161,7 +157,7 @@ proptest! {
             c.rct().as_nanos(),
             exact.last_finish_ns - exact.first_start_ns
         );
-        // Quantile boundaries are exact by contract.
+        // Quantile boundaries are the exact minimum and maximum.
         prop_assert_eq!(c.percentile_fct(0.0).as_nanos(), exact.fcts_ns[0]);
         prop_assert_eq!(c.percentile_fct(1.0).as_nanos(), exact.fcts_ns[n - 1]);
         prop_assert_eq!(c.percentile_slowdown(0.0).to_bits(), exact.slowdowns[0].to_bits());

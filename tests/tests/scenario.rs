@@ -3,13 +3,14 @@
 //! traffic models (bursty on/off Poisson, permutation shuffle) are
 //! deterministic and correctly calibrated end to end.
 
+use irn_core::net::PfcConfig;
 use irn_core::sim::{Duration, SimRng, Time};
 use irn_core::transport::cc::CcKind;
-use irn_core::transport::config::TransportKind;
+use irn_core::transport::config::{TransportKind, DATA_HEADER_BYTES};
 use irn_core::workload::{FlowSpec, SizeDistribution};
 use irn_core::{
-    run, AllreduceAlgo, Component, Population, Scenario, ScenarioError, Start, TopologySpec,
-    TrafficError, TrafficModel,
+    run, AllreduceAlgo, Component, Population, Scenario, ScenarioError, Simulation, Start,
+    TopologySpec, TrafficError, TrafficModel,
 };
 use proptest::prelude::*;
 use serde::json;
@@ -173,12 +174,17 @@ fn arb_scenario(seed: u64) -> Scenario {
             c.prop_delay = Duration::nanos(rng.range(1, 100_000));
             c.buffer_bytes = 1 + rng.range(1, 1_000_000);
             c.mtu = 1 + rng.range(1, 9000) as u32;
+            c.extra_header = rng.range(0, 64) as u32;
+            if c.pfc {
+                // Above the pause headroom the fabric provisions (§4.1).
+                let frame = (c.mtu + DATA_HEADER_BYTES + c.extra_header) as u64;
+                c.buffer_bytes += PfcConfig::headroom(c.bandwidth, c.prop_delay, frame);
+            }
             c.rto_high = rng
                 .chance(0.5)
                 .then(|| Duration::nanos(rng.range(1, 10_000_000)));
             c.rto_low = Duration::nanos(rng.range(1, 1_000_000));
             c.rto_low_n = 1 + rng.range(0, 20) as u32;
-            c.extra_header = rng.range(0, 64) as u32;
             c.retx_fetch_delay = Duration::nanos(rng.range(0, 10_000));
             c.loss_injection = if rng.chance(0.3) {
                 0.9 * rng.uniform()
@@ -211,6 +217,15 @@ proptest! {
         let parsed = Scenario::from_json_str(&text).expect("own output must parse");
         prop_assert_eq!(&parsed, &scenario);
         prop_assert_eq!(parsed.to_json_string(), text);
+    }
+
+    /// What validation admits, the engine can build: the fabric, its PFC
+    /// thresholds and the workload, without a panic (not run: a random
+    /// draw can take minutes).
+    #[test]
+    fn every_validated_scenario_constructs(seed in 0u64..1_000_000) {
+        let scenario = arb_scenario(seed);
+        drop(Simulation::new(scenario.config().clone()));
     }
 }
 
