@@ -179,20 +179,28 @@ const FLAGS: &[FlagSpec] = &[
     },
     FlagSpec {
         name: "--seeds",
-        takes: Takes::Value("N", |a, flag, v| a.seeds = Some(positive_int(flag, &v))),
-        help: "seed replicates per Poisson/scenario cell (default 5)",
+        takes: Takes::Value("N", |a, flag, v| {
+            a.seeds = Some(positive_int(flag, &v, 1_000))
+        }),
+        help: "seed replicates per Poisson/scenario cell (default 5, at most 1000)",
         modes: &["artifact", "run", "--list"],
     },
     FlagSpec {
         name: "--jobs",
-        takes: Takes::Value("N", |a, flag, v| a.jobs = Some(positive_int(flag, &v))),
+        // Unbounded: the thread pool never starts more threads than the
+        // batch has cells.
+        takes: Takes::Value("N", |a, flag, v| {
+            a.jobs = Some(positive_int(flag, &v, usize::MAX))
+        }),
         help: "worker threads for the global batch (default: all cores)",
         modes: BATCH,
     },
     FlagSpec {
         name: "--workers",
-        takes: Takes::Value("N", |a, flag, v| a.workers = Some(positive_int(flag, &v))),
-        help: "shard the batch across N spawned 'repro worker' processes",
+        takes: Takes::Value("N", |a, flag, v| {
+            a.workers = Some(positive_int(flag, &v, 256))
+        }),
+        help: "shard the batch across N spawned 'repro worker' processes (at most 256)",
         modes: BATCH,
     },
     FlagSpec {
@@ -211,7 +219,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--cell-timeout",
         takes: Takes::Value("SECS", |a, flag, v| {
-            a.cell_timeout = Some(positive_int(flag, &v) as u64)
+            a.cell_timeout = Some(positive_int(flag, &v, usize::MAX) as u64)
         }),
         help: "per-cell worker timeout before reassignment (default 300)",
         modes: BATCH,
@@ -428,11 +436,17 @@ fn parse_args() -> Args {
     args
 }
 
-fn positive_int(flag: &str, v: &str) -> usize {
-    v.parse::<usize>()
+/// `v` as an integer in `1..=max`; anything else exits 2 naming `flag`.
+fn positive_int(flag: &str, v: &str, max: usize) -> usize {
+    let n = v
+        .parse::<usize>()
         .ok()
         .filter(|n| *n >= 1)
-        .unwrap_or_else(|| fail(format_args!("{flag} needs a positive integer, got '{v}'")))
+        .unwrap_or_else(|| fail(format_args!("{flag} needs a positive integer, got '{v}'")));
+    if n > max {
+        fail(format_args!("{flag} takes at most {max}, got {n}"));
+    }
+    n
 }
 
 // ---------------------------------------------------------------------

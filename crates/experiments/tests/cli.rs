@@ -310,6 +310,54 @@ fn hostile_times_and_knobs_exit_2_naming_the_field() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Count flags past their bound. `--seeds` near `usize::MAX` died on a
+/// capacity overflow (exit 101), `--seeds 100000000000` aborted on an
+/// allocation failure (exit 134), `--workers` near `usize::MAX` overflowed
+/// too and `--workers 100000` went on spawning. Each is now one `error:`
+/// line naming the flag and its bound, exit 2, before anything is planned
+/// or spawned. `--jobs` needs no bound — the thread pool never starts
+/// more threads than the batch has cells — so its largest value runs.
+#[test]
+fn count_flags_past_their_bound_exit_2_naming_it() {
+    let quick = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/poisson-quick.json");
+    let quick = quick.to_str().unwrap();
+    let max = "18446744073709551615";
+    let probes: &[(&[&str], &str)] = &[
+        (&["fig1", "--seeds", max], "--seeds takes at most 1000"),
+        (
+            &["run", quick, "--seeds", max],
+            "--seeds takes at most 1000",
+        ),
+        (
+            &["run", quick, "--seeds", "100000000000"],
+            "--seeds takes at most 1000",
+        ),
+        (&["--list", "--seeds", "1001"], "--seeds takes at most 1000"),
+        (
+            &["run", quick, "--workers", max],
+            "--workers takes at most 256",
+        ),
+        (
+            &["run", quick, "--workers", "100000"],
+            "--workers takes at most 256",
+        ),
+        (&["fig1", "--workers", "257"], "--workers takes at most 256"),
+    ];
+    for (argv, message) in probes {
+        let out = repro(argv);
+        let said = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {said}");
+        assert!(said.contains(message), "{argv:?}: {said}");
+        assert_eq!(said.matches("error:").count(), 1, "{argv:?}: {said}");
+        assert!(!said.contains("panicked"), "{argv:?}: {said}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed to stdout");
+    }
+    let out = repro(&["run", quick, "--seeds", "1", "--jobs", max]);
+    let said = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "--jobs {max}: {said}");
+    assert!(!out.stdout.is_empty(), "--jobs {max} printed no report");
+}
+
 /// The committed regression inputs: scenarios that validate but whose
 /// run cannot finish. Each is one failure, reported once, in the same
 /// words at any `--jobs` and on a worker fleet: exit 2, nothing on

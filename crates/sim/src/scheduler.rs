@@ -12,8 +12,11 @@
 //! replaces both halves:
 //!
 //! * **Ladder buckets.** Events land in a ring of fixed-width time
-//!   buckets (`2^BUCKET_SHIFT` ns each). Pushing is an append; popping
-//!   sorts one small bucket at a time as the cursor reaches it. Events
+//!   buckets (`2^BUCKET_SHIFT` ns each). Pushing links the entry into
+//!   its bucket's list in one pooled entry store; popping sorts one
+//!   small bucket at a time as the cursor reaches it and frees its
+//!   entries for reuse, so memory follows the entries pending, not the
+//!   virtual time a run covers. Events
 //!   beyond the ring's horizon wait in an unsorted overflow level and
 //!   cascade into the ring when the clock approaches them — the classic
 //!   calendar/ladder-queue design, amortized O(1) per operation for the
@@ -131,7 +134,7 @@ pub trait SchedulePort<F> {
     }
 }
 
-impl<F, E: From<F>> SchedulePort<F> for Scheduler<E> {
+impl<F, E: Copy + From<F>> SchedulePort<F> for Scheduler<E> {
     fn schedule(&mut self, at: Time, ev: F) {
         self.push(at, E::from(ev));
     }
@@ -161,6 +164,7 @@ const NO_TIMER: u32 = u32::MAX;
 /// rather than `Option<(TimerId, u64)>`: entries are what every bucket
 /// sort and memmove shuffles, so 8 bytes of stamp instead of 24 is a
 /// measurable slice of hot-path traffic.
+#[derive(Clone, Copy)]
 struct Entry<E> {
     time: Time,
     seq: u64,
@@ -178,6 +182,9 @@ impl<E> Entry<E> {
     }
 }
 
+/// End of a ring list or of the free list.
+const NIL: u32 = u32::MAX;
+
 /// A deterministic future-event list with amortized O(1) operations and
 /// cancellable timers. See the module docs for the design and the
 /// determinism contract.
@@ -185,9 +192,18 @@ pub struct Scheduler<E> {
     /// Sorted *descending* by `(time, seq)`; `pop` takes from the back.
     /// Holds the contents of every bucket the cursor has opened.
     due: Vec<Entry<E>>,
-    /// The ring: slot `b % NUM_BUCKETS` holds absolute bucket `b` for
-    /// `cursor < b < cursor + NUM_BUCKETS`, unsorted.
-    ring: Vec<Vec<Entry<E>>>,
+    /// The ring: slot `b % NUM_BUCKETS` heads the list of absolute
+    /// bucket `b` for `cursor < b < cursor + NUM_BUCKETS` (unsorted;
+    /// [`NIL`] when empty). The lists link indices into `pool`.
+    ring: Vec<u32>,
+    /// Every entry the ring holds, one store for all buckets, so its
+    /// length is the peak number pending in the ring at once.
+    pool: Vec<Entry<E>>,
+    /// `next[i]` follows `pool[i]` in its bucket's list, or in the free
+    /// list once the bucket is opened.
+    next: Vec<u32>,
+    /// Head of the LIFO list of reusable `pool` indices.
+    free: u32,
     /// Entries (live + tombstoned) currently in the ring.
     ring_len: usize,
     /// Unsorted events at or beyond the ring horizon.
@@ -206,18 +222,21 @@ pub struct Scheduler<E> {
     stats: SchedStats,
 }
 
-impl<E> Default for Scheduler<E> {
+impl<E: Copy> Default for Scheduler<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> Scheduler<E> {
+impl<E: Copy> Scheduler<E> {
     /// An empty scheduler positioned at `Time::ZERO`.
     pub fn new() -> Scheduler<E> {
         Scheduler {
             due: Vec::new(),
-            ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            ring: vec![NIL; NUM_BUCKETS],
+            pool: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
             ring_len: 0,
             overflow: Vec::new(),
             overflow_min: None,
@@ -374,12 +393,30 @@ impl<E> Scheduler<E> {
             let idx = self.due.partition_point(|e| e.key() > key);
             self.due.insert(idx, entry);
         } else if bucket - self.cursor < NUM_BUCKETS as u64 {
-            self.ring[(bucket as usize) & (NUM_BUCKETS - 1)].push(entry);
-            self.ring_len += 1;
+            self.ring_push(bucket, entry);
         } else {
             self.overflow_min = Some(self.overflow_min.map_or(at, |m| m.min(at)));
             self.overflow.push(entry);
         }
+    }
+
+    /// Link `entry` at the head of absolute bucket `bucket`'s ring list,
+    /// in a freed pool index if there is one.
+    fn ring_push(&mut self, bucket: u64, entry: Entry<E>) {
+        let slot = &mut self.ring[(bucket as usize) & (NUM_BUCKETS - 1)];
+        let idx = if self.free == NIL {
+            self.pool.push(entry);
+            self.next.push(*slot);
+            (self.pool.len() - 1) as u32
+        } else {
+            let idx = self.free;
+            self.free = self.next[idx as usize];
+            self.pool[idx as usize] = entry;
+            self.next[idx as usize] = *slot;
+            idx
+        };
+        *slot = idx;
+        self.ring_len += 1;
     }
 
     /// True if `entry` is a cancelled/superseded timer expiry.
@@ -406,7 +443,10 @@ impl<E> Scheduler<E> {
                 // Only tombstones (if anything) remain; reclaim in bulk.
                 let dropped = self.ring_len + self.overflow.len();
                 if dropped > 0 {
-                    self.ring.iter_mut().for_each(Vec::clear);
+                    self.ring.fill(NIL);
+                    self.pool.clear();
+                    self.next.clear();
+                    self.free = NIL;
                     self.ring_len = 0;
                     self.overflow.clear();
                     self.stats.stale_skips += dropped as u64;
@@ -428,7 +468,7 @@ impl<E> Scheduler<E> {
             // per ring revolution, so the scan amortizes over the
             // revolution's events.
             let mut b = self.cursor + 1;
-            while self.ring[(b as usize) & MASK].is_empty() {
+            while self.ring[(b as usize) & MASK] == NIL {
                 b += 1;
             }
             Some(b)
@@ -445,21 +485,21 @@ impl<E> Scheduler<E> {
 
         // Take the ring slot only when it is exactly this bucket (a
         // cascade can target a bucket at or behind the cursor, whose
-        // slot — if any — belongs to a future ring revolution).
-        //
-        // The drained `due` buffer is recycled into the emptied slot
-        // (or reused as the cascade batch) so bucket buffers cycle
-        // between the ring and `due` at their high-water capacity
-        // instead of being reallocated from scratch every revolution.
+        // slot — if any — belongs to a future ring revolution). Its
+        // list is copied into the drained `due` buffer, which keeps its
+        // capacity, and its pool indices go back on the free list.
         debug_assert!(self.due.is_empty());
-        let recycled = std::mem::take(&mut self.due);
-        let mut batch: Vec<Entry<E>> = if b_ring == Some(bucket) {
-            let slot = &mut self.ring[(bucket as usize) & MASK];
-            self.ring_len -= slot.len();
-            std::mem::replace(slot, recycled)
-        } else {
-            recycled
-        };
+        let mut batch = std::mem::take(&mut self.due);
+        if b_ring == Some(bucket) {
+            let mut idx = std::mem::replace(&mut self.ring[(bucket as usize) & MASK], NIL);
+            while idx != NIL {
+                let i = idx as usize;
+                batch.push(self.pool[i]);
+                idx = std::mem::replace(&mut self.next[i], self.free);
+                self.free = i as u32;
+                self.ring_len -= 1;
+            }
+        }
         self.cursor = self.cursor.max(bucket);
 
         if cascade {
@@ -478,8 +518,7 @@ impl<E> Scheduler<E> {
                 } else if eb - self.cursor < NUM_BUCKETS as u64 {
                     // Spill the newly reachable window into the ring so
                     // the next cascades shrink.
-                    self.ring[(eb as usize) & MASK].push(entry);
-                    self.ring_len += 1;
+                    self.ring_push(eb, entry);
                 } else {
                     self.overflow_min =
                         Some(self.overflow_min.map_or(entry.time, |m| m.min(entry.time)));
@@ -530,7 +569,7 @@ mod tests {
     use super::*;
     use crate::Duration;
 
-    fn drain<E>(s: &mut Scheduler<E>) -> Vec<(Time, E)> {
+    fn drain<E: Copy>(s: &mut Scheduler<E>) -> Vec<(Time, E)> {
         std::iter::from_fn(|| s.pop()).collect()
     }
 
@@ -810,7 +849,7 @@ mod tests {
 
     #[test]
     fn port_trait_routes_through_from_impl() {
-        #[derive(Debug, PartialEq)]
+        #[derive(Debug, Clone, Copy, PartialEq)]
         struct Wrapped(u32);
         impl From<u32> for Wrapped {
             fn from(v: u32) -> Wrapped {
@@ -846,5 +885,68 @@ mod tests {
             sink,
             vec![(Time::from_nanos(5), 2), (Time::from_nanos(5), 1)]
         );
+    }
+
+    #[test]
+    fn pool_never_outgrows_the_pending_peak_and_reuses_indices() {
+        // A steady population: 256 self-rescheduling events and 32
+        // timers armed 100–200 µs out on every pop, one in five of them
+        // cancelled instead, so superseded and cancelled deadlines wait
+        // in the ring as tombstones. A far timer sits in the overflow
+        // until the clock nears it. The run covers four revolutions.
+        let revolution = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        const FAR: u32 = u32::MAX;
+        const EXPIRY: u32 = u32::MAX - 1;
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let timers: Vec<TimerId> = (0..32).map(|_| s.timer_create()).collect();
+        let far = s.timer_create();
+        s.timer_arm(far, Time::from_nanos(2 * revolution + 5), FAR);
+        for i in 0..256 {
+            s.push(Time::from_nanos(i * 7), i as u32);
+        }
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let (mut peak, mut pushes_into_ring) = (0, 0usize);
+        while s.now().as_nanos() < 4 * revolution {
+            let (t, e) = s.pop().unwrap();
+            if e == FAR || e == EXPIRY {
+                continue;
+            }
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = rng >> 33;
+            let before = s.ring_len;
+            s.push(t + Duration::nanos(256 + r % 2_000), e);
+            let timer = timers[r as usize % timers.len()];
+            if r % 5 == 0 {
+                s.timer_cancel(timer);
+            } else {
+                s.timer_arm(timer, t + Duration::micros(100 + r % 100), EXPIRY);
+            }
+            pushes_into_ring += s.ring_len - before;
+            // Only a pop takes entries out of the ring, so the end of an
+            // iteration sees every high-water mark.
+            peak = peak.max(s.ring_len);
+            assert!(s.pool.len() <= peak, "pool {} > peak {peak}", s.pool.len());
+        }
+        assert_eq!(s.stats().cascades, 1, "the far timer cascaded");
+        assert!(
+            s.pool.len() * 50 < pushes_into_ring,
+            "pool {} for {pushes_into_ring} ring pushes",
+            s.pool.len()
+        );
+
+        // Drain, then fill the ring back to its peak: every entry takes
+        // an index, or capacity, that the first run left behind.
+        while s.pop().is_some() {}
+        let capacity = s.pool.capacity();
+        let now = s.now();
+        for i in 0..peak as u64 {
+            s.push(now + Duration::nanos(256 + i % 100_000), 0);
+        }
+        assert_eq!(s.ring_len, peak);
+        assert!(s.pool.len() <= peak);
+        assert_eq!(s.pool.capacity(), capacity, "the refill grew the pool");
+        assert_eq!(drain(&mut s).len(), peak);
     }
 }

@@ -8,7 +8,9 @@
 //! the engine used before the swap). Random interleavings of
 //! push/pop/arm/cancel/peek, and of sequence numbers reserved and
 //! pushed under later (or never), must produce identical delivered
-//! sequences on both implementations.
+//! sequences on both implementations — including runs that lap the
+//! ring several times, where every slot's list and pooled entry is
+//! reused.
 //!
 //! The integration half asserts the engine-level guarantees the
 //! scheduler buys: steady-state runs deliver **zero** stale timer
@@ -97,9 +99,13 @@ impl Reference {
     }
 }
 
+/// One revolution of the scheduler's ring: 4 096 buckets of 256 ns.
+const RING_SPAN_NS: u64 = 4096 << 8;
+
 /// Both queues driven in lockstep. `ops` is a flat op stream:
-/// `(selector, timer index, time gap)`.
-fn run_differential(ops: &[(usize, usize, u64)]) {
+/// `(selector, timer index, time gap)`. Returns the time of the last
+/// event delivered.
+fn run_differential(ops: &[(usize, usize, u64)]) -> Time {
     let mut sched: Scheduler<u64> = Scheduler::new();
     let ids: Vec<TimerId> = (0..TIMERS).map(|_| sched.timer_create()).collect();
     let mut reference = Reference::new();
@@ -205,6 +211,7 @@ fn run_differential(ops: &[(usize, usize, u64)]) {
     let stats = sched.stats();
     assert_eq!(stats.pushes, stats.pops + stats.stale_skips);
     assert_eq!(stats.pushes, tag);
+    sched.now()
 }
 
 proptest! {
@@ -238,6 +245,22 @@ proptest! {
         ops in proptest::collection::vec((0usize..7, 0usize..TIMERS, 0u64..3_000_000), 1..200),
     ) {
         run_differential(&ops);
+    }
+
+    /// Many-revolution variant: a pop follows every op, so the clock
+    /// keeps pace with the pushes and the run laps the ~1 ms ring
+    /// several times, reusing each slot's list and the pooled entries
+    /// earlier laps freed.
+    #[test]
+    fn scheduler_matches_reference_over_many_revolutions(
+        ops in proptest::collection::vec((0usize..7, 0usize..TIMERS, 0u64..100_000), 400..800),
+    ) {
+        let ops: Vec<_> = ops.iter().flat_map(|&op| [op, (3, 0, 0)]).collect();
+        let reached = run_differential(&ops);
+        prop_assert!(
+            reached.as_nanos() >= 3 * RING_SPAN_NS,
+            "the run reached only {reached}"
+        );
     }
 }
 
