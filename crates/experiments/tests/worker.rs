@@ -384,6 +384,159 @@ fn a_worker_lying_about_wall_time_is_dropped_not_fatal() {
     assert!(said.contains("at wall_s"), "{said}");
 }
 
+/// An in-test "worker" on a local port: it accepts one connection and
+/// sends back, for each incoming line, the lines `reply` returns (none
+/// for a worker that hangs). The thread ends when the coordinator closes
+/// the connection.
+fn fake_worker(
+    reply: impl Fn(&str) -> Vec<String> + Send + 'static,
+) -> (WorkerSpec, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        let mut out = stream;
+        for line in reader.lines() {
+            let Ok(line) = line else { break };
+            if reply(&line).iter().any(|r| writeln!(out, "{r}").is_err()) {
+                break;
+            }
+        }
+    });
+    (WorkerSpec::Connect { addr }, server)
+}
+
+/// The id of a work frame, as a fake worker reads it.
+fn work_id(line: &str) -> u64 {
+    match irn_harness::wire::decode(line) {
+        Ok(irn_harness::wire::Frame::Work { id, .. }) => id,
+        other => panic!("a fake worker got {other:?}"),
+    }
+}
+
+/// A batch's outcome, the pool's worker stats and how long it took.
+type Ran = (
+    Result<Vec<irn_harness::CellOutcome>, HarnessError>,
+    Vec<irn_harness::WorkerStats>,
+    std::time::Duration,
+);
+
+/// Run a batch on its own thread, so a hang fails the test at 60 s
+/// instead of stalling the suite.
+fn run_bounded(cfg: PoolConfig, cells: Vec<Scenario>) -> Ran {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let coordinator = std::thread::spawn(move || {
+        let pool = WorkerPool::new(cfg);
+        let start = std::time::Instant::now();
+        let outcome = pool.run_cells(&cells, None);
+        let _ = tx.send((outcome, pool.worker_stats(), start.elapsed()));
+    });
+    let ran = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the batch hung: no outcome within 60 s");
+    coordinator.join().unwrap();
+    ran
+}
+
+#[test]
+fn a_failed_batch_does_not_wait_for_a_hung_peer() {
+    // One worker refuses every cell; the other accepts the connection
+    // and never answers. The refusal is final, so the batch fails at
+    // once: the hung peer's cell is abandoned with its connection, not
+    // waited out for the 60 s cell timeout, and it is never reported as
+    // reassigned.
+    let (refuser, refusing) = fake_worker(|line| {
+        let id = work_id(line);
+        vec![irn_harness::wire::encode_error(
+            Some(id),
+            "synthetic refusal",
+        )]
+    });
+    let (hung, hanging) = fake_worker(|_| Vec::new());
+    let json = std::env::temp_dir().join(format!("irn-hung-peer-{}.ndjson", std::process::id()));
+    let mut cfg = PoolConfig::new(vec![refuser, hung]);
+    cfg.cell_timeout = std::time::Duration::from_secs(60);
+    cfg.progress_json = Some(json.clone());
+    let (outcome, stats, took) = run_bounded(cfg, batch(2));
+    refusing.join().unwrap();
+    hanging.join().unwrap(); // the coordinator closed its connection
+    match outcome {
+        Err(HarnessError::CellFailed {
+            attempts, detail, ..
+        }) => {
+            assert_eq!(attempts, 1);
+            assert_eq!(detail, "synthetic refusal");
+        }
+        other => panic!("wrong outcome: {other:?}"),
+    }
+    assert!(took < std::time::Duration::from_secs(10), "took {took:?}");
+    assert!(stats[0].alive, "an answering worker stays: {stats:?}");
+    let events = std::fs::read_to_string(&json).unwrap();
+    let _ = std::fs::remove_file(&json);
+    assert!(
+        !events.contains(r#""exhausted":false"#),
+        "a cell was reassigned after the batch failed: {events}"
+    );
+    assert!(events.contains(r#""ok":false"#), "{events}");
+}
+
+/// A worker that answers with a result for a cell it was not given is
+/// lying: it is dropped as garbage, the cell goes to the healthy worker
+/// beside it, and the bytes are the in-process executor's.
+#[test]
+fn a_result_for_a_cell_never_sent_drops_the_liar() {
+    let cells = batch(6);
+    let reference = ThreadExecutor::new(2).run_cells(&cells, None).unwrap();
+    let results: Vec<_> = reference.iter().map(|o| o.result.clone()).collect();
+    let (liar, lying) = fake_worker(move |line| {
+        let id = work_id(line);
+        let other = &results[id as usize];
+        vec![irn_harness::wire::encode_result(
+            id + 1000,
+            0.01,
+            other,
+            None,
+        )]
+    });
+    let cfg = PoolConfig::new(vec![spawn_spec(&[]), liar]);
+    let (outcome, stats, _) = run_bounded(cfg, cells);
+    lying.join().unwrap();
+    assert_eq!(result_trees(&outcome.unwrap()), result_trees(&reference));
+    assert!(stats[0].alive && !stats[1].alive, "{stats:?}");
+    let said = stats[1].last_error.as_deref().unwrap_or("");
+    assert!(
+        said.contains("unexpected result-v1 frame for cell 100"),
+        "{said}"
+    );
+}
+
+/// A worker that answers one cell twice is lying too: the first answer
+/// counts, the second arrives while its next cell is in flight and
+/// drops it, and that cell goes to the healthy worker.
+#[test]
+fn the_same_cell_answered_twice_drops_the_liar() {
+    let cells = batch(6);
+    let reference = ThreadExecutor::new(2).run_cells(&cells, None).unwrap();
+    let results: Vec<_> = reference.iter().map(|o| o.result.clone()).collect();
+    let (liar, lying) = fake_worker(move |line| {
+        let id = work_id(line);
+        let answer = irn_harness::wire::encode_result(id, 0.01, &results[id as usize], None);
+        vec![answer.clone(), answer]
+    });
+    let cfg = PoolConfig::new(vec![spawn_spec(&[]), liar]);
+    let (outcome, stats, _) = run_bounded(cfg, cells);
+    lying.join().unwrap();
+    assert_eq!(result_trees(&outcome.unwrap()), result_trees(&reference));
+    assert!(stats[0].alive && !stats[1].alive, "{stats:?}");
+    assert_eq!(stats[1].cells, 1, "the first answer counts: {stats:?}");
+    let said = stats[1].last_error.as_deref().unwrap_or("");
+    assert!(
+        said.contains("unexpected result-v1 frame for cell"),
+        "{said}"
+    );
+}
+
 #[test]
 fn pool_plugs_into_harness_and_replicate_layers() {
     // The whole orchestration stack above the seam — Harness, batches —

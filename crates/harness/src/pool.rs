@@ -4,12 +4,14 @@
 //!
 //! The design follows the centralized-coordinator shape of RDMA
 //! control planes (RDMAvisor): one coordinator owns the submission
-//! queue; workers are stateless and interchangeable. Each worker
-//! connection is driven by one dispatcher thread that pulls the next
-//! unclaimed cell, ships it as a work frame, and waits (bounded) for
-//! the matching result frame. Results land in submission-indexed slots,
-//! so the assembled output is **byte-identical to the in-process
-//! executor at any worker count** — the same guarantee, one seam up.
+//! queue; workers are stateless and interchangeable. One supervisor
+//! thread owns the batch (queue, attempts, result slots, per-worker
+//! stats, progress sink) and makes every decision. Each worker
+//! connection has one dispatcher thread that only moves frames: it
+//! ships each cell the supervisor hands it and reports the answer back
+//! over a channel. Results land in submission-indexed slots, so the
+//! assembled output is **byte-identical to the in-process executor at
+//! any worker count** — the same guarantee, one seam up.
 //!
 //! Robustness is first-class, not best-effort:
 //!
@@ -22,19 +24,23 @@
 //!   worker, three attempts in all; the worker is dropped. When none is
 //!   left with work remaining, the batch fails with
 //!   [`HarnessError::FleetLost`] and its completed/total counts.
+//! - **Nothing outlives the batch** — when it ends, complete or failed,
+//!   the supervisor kills every connection, so a failed batch never
+//!   waits out a hung peer; a dispatcher that exits, by return or
+//!   unwind, is reported by its drop guard.
 //!
 //! Cells are pure functions of their scenarios: a rerun of an answered
 //! cell would fail the same way, and a reassigned cell cannot change
-//! any byte (duplicated late results are dropped first-write-wins).
+//! any byte.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::Mutex;
+use std::time::Duration;
 
 use irn_core::Scenario;
 use irn_telemetry::TraceSpec;
@@ -43,7 +49,7 @@ use serde::Serialize;
 
 use crate::error::HarnessError;
 use crate::exec::{parse_trace, CellOutcome, Executor};
-use crate::wire::{self, Frame};
+use crate::wire::{self, Frame, FrameError};
 
 /// How to reach one worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,19 +213,43 @@ impl WorkerPool {
 // One worker connection
 // ---------------------------------------------------------------------
 
-/// A live connection to one worker: a writer for work frames, a
-/// channel of incoming lines (pumped by a detached reader thread — it
-/// exits on EOF, which killing the connection forces), and the handle
-/// needed to force that EOF.
+/// One item off a worker's stream: a line, one that is not UTF-8, or a
+/// read failure.
+type Incoming = std::io::Result<Result<String, FrameError>>;
+
+/// The dispatcher's half of a live connection to one worker: a writer
+/// for work frames and a channel of incoming lines, pumped by a
+/// detached reader thread that exits on EOF.
 struct Conn {
     writer: Box<dyn Write + Send>,
-    lines: Receiver<std::io::Result<String>>,
-    child: Option<Child>,
-    tcp: Option<TcpStream>,
+    lines: Receiver<Incoming>,
+}
+
+/// The supervisor's half of a connection. Dropping it forces the
+/// connection down — it kills and reaps the child, or shuts the socket —
+/// so the reader thread sees EOF and a dispatcher waiting on the worker
+/// gets a disconnect.
+enum KillSwitch {
+    Child(Child),
+    Tcp(TcpStream),
+}
+
+impl Drop for KillSwitch {
+    fn drop(&mut self) {
+        match self {
+            KillSwitch::Child(child) => {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+            KillSwitch::Tcp(tcp) => {
+                let _ = tcp.shutdown(std::net::Shutdown::Both);
+            }
+        }
+    }
 }
 
 impl Conn {
-    fn open(spec: &WorkerSpec) -> std::io::Result<Conn> {
+    fn open(spec: &WorkerSpec) -> std::io::Result<(Conn, KillSwitch)> {
         match spec {
             WorkerSpec::Spawn { argv } => {
                 let (prog, rest) = argv.split_first().ok_or_else(|| {
@@ -233,54 +263,31 @@ impl Conn {
                     .spawn()?;
                 let stdin = child.stdin.take().expect("piped stdin");
                 let stdout = child.stdout.take().expect("piped stdout");
-                Ok(Conn {
+                let conn = Conn {
                     writer: Box::new(stdin),
                     lines: spawn_reader(BufReader::new(stdout)),
-                    child: Some(child),
-                    tcp: None,
-                })
+                };
+                Ok((conn, KillSwitch::Child(child)))
             }
             WorkerSpec::Connect { addr } => {
                 let stream = TcpStream::connect(addr)?;
-                let reader = stream.try_clone()?;
-                Ok(Conn {
+                let conn = Conn {
                     writer: Box::new(stream.try_clone()?),
-                    lines: spawn_reader(BufReader::new(reader)),
-                    child: None,
-                    tcp: Some(stream),
-                })
+                    lines: spawn_reader(BufReader::new(stream.try_clone()?)),
+                };
+                Ok((conn, KillSwitch::Tcp(stream)))
             }
         }
     }
-
-    /// Force the connection down: kill the child / shut the socket.
-    /// The reader thread sees EOF and exits; any blocked receive gets
-    /// a disconnect. Also reaps a killed child so no zombie outlives
-    /// the batch.
-    fn kill(&mut self) {
-        if let Some(child) = &mut self.child {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        if let Some(tcp) = &self.tcp {
-            let _ = tcp.shutdown(std::net::Shutdown::Both);
-        }
-    }
 }
 
-impl Drop for Conn {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-/// Pump lines off a reader into a channel from a detached thread, so
-/// dispatchers can wait with a timeout. The thread exits at EOF or
-/// when the receiver is dropped.
-fn spawn_reader(reader: impl BufRead + Send + 'static) -> Receiver<std::io::Result<String>> {
+/// Pump lines off a worker's stream into a channel from a detached
+/// thread, so a dispatcher can wait with a timeout. The thread exits at
+/// EOF, on a read failure, or when the receiver is dropped.
+fn spawn_reader(reader: impl BufRead + Send + 'static) -> Receiver<Incoming> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        for line in reader.lines() {
+        for line in wire::lines(reader) {
             let stop = line.is_err();
             if tx.send(line).is_err() || stop {
                 break;
@@ -314,76 +321,123 @@ fn attempt(
         .and_then(|()| conn.writer.flush())
         .map_err(|e| fail(FailReason::Death, format!("write failed: {e}")))?;
 
-    // Counted down from the send, never added to a clock: a timeout no
-    // instant can represent just waits (`recv_timeout` takes any length).
-    let sent = Instant::now();
-    loop {
-        let remaining = timeout.saturating_sub(sent.elapsed());
-        let line = match conn.lines.recv_timeout(remaining) {
-            Ok(Ok(line)) => line,
-            Ok(Err(e)) => return Err(fail(FailReason::Death, format!("read failed: {e}"))),
-            Err(RecvTimeoutError::Timeout) => {
-                return Err(fail(
-                    FailReason::Timeout,
-                    format!("timed out after {timeout:.1?}"),
-                ))
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(fail(
-                    FailReason::Death,
-                    "worker connection closed".to_string(),
-                ))
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
+    // One wait, never added to a clock: a timeout no instant can
+    // represent just waits (`recv_timeout` takes any length).
+    let line = match conn.lines.recv_timeout(timeout) {
+        Ok(Ok(line)) => line,
+        Ok(Err(e)) => return Err(fail(FailReason::Death, format!("read failed: {e}"))),
+        Err(RecvTimeoutError::Timeout) => {
+            let detail = format!("timed out after {timeout:.1?}");
+            return Err(fail(FailReason::Timeout, detail));
         }
-        match wire::decode(&line) {
-            Ok(Frame::Result {
-                id: rid,
-                wall_s,
-                result,
-                trace: chunk,
-            }) if rid == id as u64 => {
-                return Ok(CellOutcome {
-                    result: *result,
-                    // `wire::decode` admits only a `wall_s` that fits.
-                    wall: Duration::from_secs_f64(wall_s),
-                    trace: chunk,
-                });
-            }
-            Ok(Frame::Error { id: eid, message }) if eid.is_none() || eid == Some(id as u64) => {
-                // The worker answered: the connection is healthy, the
-                // cell (or our frame) is the problem.
-                return Err(fail(FailReason::ErrorFrame, message));
-            }
-            Ok(other) => {
-                return Err(fail(
-                    FailReason::Garbage,
-                    format!(
-                        "protocol violation: unexpected frame {other:?} while cell {id} in flight"
-                    ),
-                ))
-            }
-            Err(e) => return Err(fail(FailReason::Garbage, format!("undecodable frame: {e}"))),
+        Err(RecvTimeoutError::Disconnected) => {
+            return Err(fail(FailReason::Death, "worker connection closed".into()))
         }
+    };
+    match line.and_then(|line| wire::decode(&line)) {
+        Ok(Frame::Result {
+            id: rid,
+            wall_s,
+            result,
+            trace: chunk,
+        }) if rid == id as u64 => Ok(CellOutcome {
+            result: *result,
+            // `wire::decode` admits only a `wall_s` that fits.
+            wall: Duration::from_secs_f64(wall_s),
+            trace: chunk,
+        }),
+        // The worker answered: the connection is healthy, the cell (or
+        // our frame) is the problem.
+        Ok(Frame::Error { id: eid, message }) if eid.is_none() || eid == Some(id as u64) => {
+            Err(fail(FailReason::ErrorFrame, message))
+        }
+        Ok(other) => {
+            let what = match other {
+                Frame::Result { id, .. } => format!("{} frame for cell {id}", wire::RESULT_SCHEMA),
+                Frame::Work { id, .. } => format!("{} frame for cell {id}", wire::WORK_SCHEMA),
+                Frame::Error { .. } => format!("{} frame for another cell", wire::ERROR_SCHEMA),
+            };
+            let detail = format!("protocol violation: unexpected {what} while cell {id} in flight");
+            Err(fail(FailReason::Garbage, detail))
+        }
+        Err(e) => Err(fail(FailReason::Garbage, format!("undecodable frame: {e}"))),
     }
 }
 
 // ---------------------------------------------------------------------
-// The coordinator
+// The coordinator: dispatchers move frames, the supervisor decides
 // ---------------------------------------------------------------------
+
+/// What a dispatcher tells the supervisor about its worker.
+enum Report {
+    /// Connected: the channel that hands this worker cells, and the
+    /// switch that forces its connection down.
+    Up(Sender<usize>, KillSwitch),
+    /// The connection could not be opened.
+    Unavailable(String),
+    /// The attempt at this cell ended, with its outcome or why it failed.
+    Done(usize, Box<Result<CellOutcome, AttemptError>>),
+    /// The dispatcher has returned or unwound.
+    Gone,
+}
+
+/// A dispatcher's line to the supervisor, tagged with its worker's
+/// index. Dropping it sends [`Report::Gone`], so a return and an unwind
+/// alike reach the supervisor.
+struct Reporter(usize, Sender<(usize, Report)>);
+
+impl Reporter {
+    /// False once the supervisor has stopped listening.
+    fn send(&self, report: Report) -> bool {
+        self.1.send((self.0, report)).is_ok()
+    }
+}
+
+impl Drop for Reporter {
+    fn drop(&mut self) {
+        self.send(Report::Gone);
+    }
+}
+
+/// One worker's dispatcher: connect, then ship each cell the supervisor
+/// hands over and report how it ended, until the supervisor closes the
+/// work channel or stops listening.
+fn dispatch(
+    spec: &WorkerSpec,
+    cells: &[Scenario],
+    timeout: Duration,
+    trace: Option<&TraceSpec>,
+    reporter: Reporter,
+) {
+    let (mut conn, kill) = match Conn::open(spec) {
+        Ok(opened) => opened,
+        Err(e) => {
+            reporter.send(Report::Unavailable(e.to_string()));
+            return;
+        }
+    };
+    let (work, assigned) = mpsc::channel();
+    if !reporter.send(Report::Up(work, kill)) {
+        return;
+    }
+    for idx in assigned {
+        let outcome = attempt(&mut conn, idx, &cells[idx], timeout, trace);
+        if !reporter.send(Report::Done(idx, Box::new(outcome))) {
+            return;
+        }
+    }
+}
 
 /// The schema tag written as the first field of every progress line.
 pub const PROGRESS_SCHEMA: &str = "fleet-progress-v1";
 
-/// Fleet progress sink shared by every dispatcher thread: optional
-/// human lines on stderr, optional NDJSON mirror. Failure/warning
-/// lines print regardless of the `progress` knob; the JSON mirror gets
-/// every event. All of it is wall clock, never in result bytes.
+/// Fleet progress sink, owned by the supervisor: optional human lines
+/// on stderr, optional NDJSON mirror. Failure/warning lines print
+/// regardless of the `progress` knob; the JSON mirror gets every event.
+/// All of it is wall clock, never in result bytes.
 struct Progress {
     stderr: bool,
-    json: Mutex<Option<std::io::BufWriter<std::fs::File>>>,
+    json: Option<std::io::BufWriter<std::fs::File>>,
 }
 
 impl Progress {
@@ -399,38 +453,49 @@ impl Progress {
         };
         Ok(Progress {
             stderr: cfg.progress,
-            json: Mutex::new(json),
+            json,
         })
     }
 
     /// Emit one event. `always` forces the stderr line even with
     /// progress lines off (used for warnings and failures). `fields`
     /// follow the `schema` and `event` keys in the JSON mirror.
-    fn emit(&self, always: bool, event: &str, human: &str, fields: Vec<(String, Value)>) {
+    fn emit(&mut self, always: bool, event: &str, human: &str, fields: Vec<(&str, Value)>) {
         if self.stderr || always {
             eprintln!("{human}");
         }
-        if let Some(w) = self.json.lock().expect("progress sink").as_mut() {
+        if let Some(w) = self.json.as_mut() {
             let mut obj = vec![
                 ("schema".to_string(), PROGRESS_SCHEMA.to_json()),
                 ("event".to_string(), event.to_json()),
             ];
-            obj.extend(fields);
+            obj.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
             let _ = writeln!(w, "{}", json::to_string(&Value::Object(obj)));
             let _ = w.flush();
         }
     }
 }
 
-/// Shared batch state behind one mutex; the condvar wakes dispatchers
-/// on new pending work and the supervisor on completion/failure.
-struct BatchState {
+/// One worker as the supervisor sees it.
+struct Seat {
+    stats: WorkerStats,
+    /// The work channel and kill switch, from `Up` until the worker is
+    /// dropped or the batch ends.
+    link: Option<(Sender<usize>, KillSwitch)>,
+    /// The cell this worker is running.
+    cell: Option<usize>,
+}
+
+/// Everything one batch decides, owned by the supervisor's thread.
+struct Batch<'a> {
+    cells: &'a [Scenario],
+    cfg: &'a PoolConfig,
+    progress: Progress,
     pending: VecDeque<usize>,
     attempts: Vec<usize>,
     slots: Vec<Option<CellOutcome>>,
     done: usize,
-    live: usize,
-    fatal: Option<HarnessError>,
+    seats: Vec<Seat>,
 }
 
 impl Executor for WorkerPool {
@@ -442,73 +507,32 @@ impl Executor for WorkerPool {
         // Fail fast on a malformed filter instead of letting every
         // worker report it back per-cell.
         parse_trace(trace)?;
-        let progress = Progress::open(&self.cfg)?;
         let total = cells.len();
-        if total == 0 {
-            *self.stats.lock().expect("stats lock") = WorkerStats::fresh(&self.cfg.specs);
-            return Ok(Vec::new());
-        }
-
-        let state = Mutex::new(BatchState {
+        let mut batch = Batch {
+            cells,
+            cfg: &self.cfg,
+            progress: Progress::open(&self.cfg)?,
             pending: (0..total).collect(),
             attempts: vec![0; total],
             slots: (0..total).map(|_| None).collect(),
             done: 0,
-            live: self.cfg.specs.len(),
-            fatal: None,
-        });
-        let cvar = Condvar::new();
-
-        let run_stats = std::thread::scope(|scope| {
-            let (state, cvar, cfg, progress) = (&state, &cvar, &self.cfg, &progress);
-            let dispatchers: Vec<_> = cfg
-                .specs
-                .iter()
-                .enumerate()
-                .map(|(w, spec)| {
-                    scope.spawn(move || dispatch(w, spec, cells, cfg, state, cvar, progress, trace))
-                })
-                .collect();
-            // Supervise: wake on every completion or fleet change.
-            let mut st = state.lock().expect("state lock");
-            while st.fatal.is_none() && st.done < total {
-                st = cvar.wait(st).expect("state lock");
-            }
-            // On failure, dispatchers blocked on a slow cell would
-            // otherwise run out their full timeout; fatal is already
-            // set, so they exit at their next state check. Nothing to
-            // force here — their connections die with their Conn drop.
-            drop(st);
-            // Each dispatcher returns its worker's stats; a panic in one
-            // is re-raised here, as the scope would raise it.
-            dispatchers
+            seats: WorkerStats::fresh(&self.cfg.specs)
                 .into_iter()
-                .map(|d| d.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-        *self.stats.lock().expect("stats lock") = run_stats;
-
-        let mut st = state.into_inner().expect("state lock");
-        let ok = st.fatal.is_none();
-        progress.emit(
-            false,
-            "batch",
-            &format!(
-                "[pool] batch {}: {}/{} cells",
-                if ok { "complete" } else { "abandoned" },
-                st.done,
-                total
-            ),
-            vec![
-                ("done".to_string(), (st.done as u64).to_json()),
-                ("total".to_string(), (total as u64).to_json()),
-                ("ok".to_string(), ok.to_json()),
-            ],
-        );
-        if let Some(fatal) = st.fatal.take() {
-            return Err(fatal);
-        }
-        Ok(st
+                .map(|stats| Seat {
+                    stats,
+                    link: None,
+                    cell: None,
+                })
+                .collect(),
+        };
+        let ended = match total {
+            0 => Ok(()),
+            _ => batch.supervise(trace),
+        };
+        let stats = batch.seats.into_iter().map(|seat| seat.stats).collect();
+        *self.stats.lock().expect("stats lock") = stats;
+        ended?;
+        Ok(batch
             .slots
             .into_iter()
             .enumerate()
@@ -521,213 +545,246 @@ impl Executor for WorkerPool {
     }
 }
 
-/// One worker's dispatcher loop: connect, then pull-ship-collect until
-/// the batch finishes, the fleet fails, or this worker dies.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    w: usize,
-    spec: &WorkerSpec,
-    cells: &[Scenario],
-    cfg: &PoolConfig,
-    state: &Mutex<BatchState>,
-    cvar: &Condvar,
-    progress: &Progress,
-    trace: Option<&TraceSpec>,
-) -> WorkerStats {
-    let total = cells.len();
-    let mut stats = WorkerStats::new(spec.label(w));
+impl Batch<'_> {
+    /// Run the batch: one dispatcher per worker, supervised until every
+    /// cell has an outcome or the batch fails. Then the report channel
+    /// closes (a late `Up` goes with it) and every link is dropped, which
+    /// kills each connection: no dispatcher outlives the batch.
+    fn supervise(&mut self, trace: Option<&TraceSpec>) -> Result<(), HarnessError> {
+        let (cells, cfg, timeout) = (self.cells, self.cfg, self.cfg.cell_timeout);
+        let (tx, reports) = mpsc::channel();
+        let ended = std::thread::scope(|scope| {
+            for (w, spec) in cfg.specs.iter().enumerate() {
+                let reporter = Reporter(w, tx.clone());
+                scope.spawn(move || dispatch(spec, cells, timeout, trace, reporter));
+            }
+            drop(tx);
+            let ended = self.run(&reports);
+            drop(reports);
+            for seat in &mut self.seats {
+                seat.link = None;
+            }
+            ended
+        });
+        let ok = ended.is_ok();
+        let (done, total) = (self.done, cells.len());
+        self.progress.emit(
+            false,
+            "batch",
+            &format!(
+                "[pool] batch {}: {done}/{total} cells",
+                if ok { "complete" } else { "abandoned" },
+            ),
+            vec![
+                ("done", (done as u64).to_json()),
+                ("total", (total as u64).to_json()),
+                ("ok", ok.to_json()),
+            ],
+        );
+        ended
+    }
 
-    /// Drop this worker from the fleet, failing the batch if it was the
-    /// last one with work left.
-    fn retire(st: &mut BatchState, total: usize) {
-        st.live -= 1;
-        if st.live == 0 && st.done < total && st.fatal.is_none() {
-            st.fatal = Some(HarnessError::FleetLost {
-                completed: st.done,
-                total,
-            });
+    /// Hand pending cells to idle workers, then act on the next report,
+    /// until every cell has an outcome or the batch fails.
+    fn run(&mut self, reports: &Receiver<(usize, Report)>) -> Result<(), HarnessError> {
+        let total = self.cells.len();
+        loop {
+            self.assign();
+            if self.done == total {
+                return Ok(());
+            }
+            // A dispatcher's `Gone` is queued before its sender drops, so
+            // the channel closes only after the last worker is dropped.
+            let fleet = self.seats.iter().any(|seat| seat.stats.alive);
+            let Some((w, report)) = fleet.then(|| reports.recv().ok()).flatten() else {
+                let completed = self.done;
+                return Err(HarnessError::FleetLost { completed, total });
+            };
+            match report {
+                Report::Up(work, kill) => self.seats[w].link = Some((work, kill)),
+                Report::Unavailable(detail) => {
+                    let stats = &mut self.seats[w].stats;
+                    stats.alive = false;
+                    stats.last_error = Some(format!("unavailable: {detail}"));
+                    self.progress.emit(
+                        true,
+                        "worker-dropped",
+                        &format!("[pool] worker {}: unavailable: {detail}", stats.name),
+                        vec![
+                            ("worker", stats.name.to_json()),
+                            ("reason", "unavailable".to_json()),
+                            ("detail", detail.to_json()),
+                        ],
+                    );
+                }
+                Report::Done(idx, outcome) => {
+                    self.seats[w].cell = None;
+                    match *outcome {
+                        Ok(outcome) => self.complete(w, idx, outcome),
+                        Err(err) => self.lose(w, idx, err)?,
+                    }
+                }
+                // A dispatcher still in the fleet exited on its own: the
+                // cell it held, if any, is lost with it.
+                Report::Gone if self.seats[w].stats.alive => {
+                    let (detail, reason) = ("dispatcher exited".to_string(), FailReason::Death);
+                    self.seats[w].stats.last_error = Some(detail.clone());
+                    match self.seats[w].cell.take() {
+                        Some(idx) => self.lose(w, idx, AttemptError { detail, reason })?,
+                        None => self.drop_worker(w, reason),
+                    }
+                }
+                Report::Gone => {}
+            }
         }
     }
 
-    let mut conn = match Conn::open(spec) {
-        Ok(conn) => conn,
-        Err(e) => {
-            stats.alive = false;
-            stats.last_error = Some(format!("unavailable: {e}"));
-            let mut st = state.lock().expect("state lock");
-            retire(&mut st, total);
-            cvar.notify_all();
-            drop(st);
-            progress.emit(
+    /// Hand pending cells, front first, to every connected idle worker.
+    fn assign(&mut self) {
+        for seat in &mut self.seats {
+            let (Some((work, _)), None) = (&seat.link, seat.cell) else {
+                continue;
+            };
+            let Some(idx) = self.pending.pop_front() else {
+                return;
+            };
+            // A dispatcher that has exited takes nothing; `Gone` is on its way.
+            match work.send(idx) {
+                Ok(()) => seat.cell = Some(idx),
+                Err(mpsc::SendError(idx)) => self.pending.push_front(idx),
+            }
+        }
+    }
+
+    /// Worker `w` answered cell `idx`.
+    fn complete(&mut self, w: usize, idx: usize, outcome: CellOutcome) {
+        let (total, timeout) = (self.cells.len(), self.cfg.cell_timeout);
+        let label = self.cells[idx].name();
+        let wall_s = outcome.wall.as_secs_f64();
+        let slow = outcome.wall.saturating_mul(2) >= timeout;
+        let stats = &mut self.seats[w].stats;
+        stats.cells += 1;
+        stats.cell_wall_s += wall_s;
+        self.slots[idx] = Some(outcome);
+        self.done += 1;
+        let done = self.done;
+        self.progress.emit(
+            false,
+            "cell",
+            &format!(
+                "[pool] {}: cell #{idx} '{label}' done in {wall_s:.2}s [{done}/{total}]",
+                stats.name,
+            ),
+            vec![
+                ("worker", stats.name.to_json()),
+                ("cell", (idx as u64).to_json()),
+                ("label", label.to_json()),
+                ("wall_s", wall_s.to_json()),
+                ("done", (done as u64).to_json()),
+                ("total", (total as u64).to_json()),
+            ],
+        );
+        if slow {
+            self.progress.emit(
                 true,
-                "worker-dropped",
-                &format!("[pool] worker {}: unavailable: {e}", stats.name),
+                "slow-cell",
+                &format!(
+                    "[pool] {}: slow cell #{idx} '{label}': {wall_s:.2}s is over half \
+                     the {timeout:.0?} timeout — a reassignment of this cell would be \
+                     expensive",
+                    stats.name,
+                ),
                 vec![
-                    ("worker".to_string(), stats.name.to_json()),
-                    ("reason".to_string(), "unavailable".to_json()),
-                    ("detail".to_string(), e.to_string().to_json()),
+                    ("worker", stats.name.to_json()),
+                    ("cell", (idx as u64).to_json()),
+                    ("label", label.to_json()),
+                    ("wall_s", wall_s.to_json()),
+                    ("timeout_s", timeout.as_secs_f64().to_json()),
                 ],
             );
-            return stats;
         }
-    };
+    }
 
-    loop {
-        // Claim the next cell, or wait for one to be reassigned.
-        let idx = {
-            let mut st = state.lock().expect("state lock");
-            loop {
-                if st.fatal.is_some() || st.done == total {
-                    return stats;
-                }
-                if let Some(idx) = st.pending.pop_front() {
-                    break idx;
-                }
-                st = cvar.wait(st).expect("state lock");
-            }
-        };
-
-        match attempt(&mut conn, idx, &cells[idx], cfg.cell_timeout, trace) {
-            Ok(outcome) => {
-                stats.cells += 1;
-                stats.cell_wall_s += outcome.wall.as_secs_f64();
-                let wall_s = outcome.wall.as_secs_f64();
-                let slow = outcome.wall.saturating_mul(2) >= cfg.cell_timeout;
-                let mut st = state.lock().expect("state lock");
-                // First write wins: a reassigned twin of this cell may
-                // already have landed; results are identical anyway.
-                if st.slots[idx].is_none() {
-                    st.slots[idx] = Some(outcome);
-                    st.done += 1;
-                }
-                let done = st.done;
-                drop(st);
-                cvar.notify_all();
-                progress.emit(
-                    false,
-                    "cell",
-                    &format!(
-                        "[pool] {}: cell #{idx} '{}' done in {wall_s:.2}s [{done}/{total}]",
-                        stats.name,
-                        cells[idx].name()
-                    ),
-                    vec![
-                        ("worker".to_string(), stats.name.to_json()),
-                        ("cell".to_string(), (idx as u64).to_json()),
-                        ("label".to_string(), cells[idx].name().to_json()),
-                        ("wall_s".to_string(), wall_s.to_json()),
-                        ("done".to_string(), (done as u64).to_json()),
-                        ("total".to_string(), (total as u64).to_json()),
-                    ],
-                );
-                if slow {
-                    progress.emit(
-                        true,
-                        "slow-cell",
-                        &format!(
-                            "[pool] {}: slow cell #{idx} '{}': {wall_s:.2}s is over half \
-                             the {:.0?} timeout — a reassignment of this cell would be \
-                             expensive",
-                            stats.name,
-                            cells[idx].name(),
-                            cfg.cell_timeout
-                        ),
-                        vec![
-                            ("worker".to_string(), stats.name.to_json()),
-                            ("cell".to_string(), (idx as u64).to_json()),
-                            ("label".to_string(), cells[idx].name().to_json()),
-                            ("wall_s".to_string(), wall_s.to_json()),
-                            (
-                                "timeout_s".to_string(),
-                                cfg.cell_timeout.as_secs_f64().to_json(),
-                            ),
-                        ],
-                    );
-                }
-            }
-            Err(err) => {
-                stats.failures += 1;
-                stats.last_error = Some(err.detail.clone());
-                // Only an answer leaves the connection fit for more work.
-                let (reason, conn_dead) = (err.reason, err.reason != FailReason::ErrorFrame);
-                let mut st = state.lock().expect("state lock");
-                st.attempts[idx] += 1;
-                let attempt_no = st.attempts[idx];
-                // An answer is final; a lost cell gets MAX_ATTEMPTS.
-                let exhausted = !conn_dead || attempt_no >= MAX_ATTEMPTS;
-                if !exhausted {
-                    // Reassign at the front so a live worker picks the
-                    // orphan up before new work.
-                    st.pending.push_front(idx);
-                } else if st.fatal.is_none() {
-                    st.fatal = Some(HarnessError::CellFailed {
-                        index: idx,
-                        label: cells[idx].name().to_string(),
-                        attempts: attempt_no,
-                        detail: if conn_dead {
-                            format!(
-                                "lost on all {attempt_no} attempts, the last: {}",
-                                err.detail
-                            )
-                        } else {
-                            err.detail.clone()
-                        },
-                        completed: st.done,
-                        total,
-                    });
-                }
-                if conn_dead {
-                    stats.alive = false;
-                    retire(&mut st, total);
-                }
-                cvar.notify_all();
-                drop(st);
-                progress.emit(
-                    true,
-                    "retry",
-                    &format!(
-                        "[pool] worker {}: cell #{idx} '{}' attempt {attempt_no}/{MAX_ATTEMPTS} \
-                         failed (reason: {}): {}{}",
-                        stats.name,
-                        cells[idx].name(),
-                        reason.label(),
-                        err.detail,
-                        if exhausted {
-                            "; batch fails"
-                        } else {
-                            "; reassigning to the next live worker"
-                        },
-                    ),
-                    vec![
-                        ("worker".to_string(), stats.name.to_json()),
-                        ("cell".to_string(), (idx as u64).to_json()),
-                        ("label".to_string(), cells[idx].name().to_json()),
-                        ("reason".to_string(), reason.label().to_json()),
-                        ("attempt".to_string(), (attempt_no as u64).to_json()),
-                        ("max_attempts".to_string(), (MAX_ATTEMPTS as u64).to_json()),
-                        ("detail".to_string(), err.detail.to_json()),
-                        ("exhausted".to_string(), exhausted.to_json()),
-                    ],
-                );
-                if conn_dead {
-                    progress.emit(
-                        true,
-                        "worker-dropped",
-                        &format!(
-                            "[pool] worker {}: dropped from the fleet (reason: {})",
-                            stats.name,
-                            reason.label()
-                        ),
-                        vec![
-                            ("worker".to_string(), stats.name.to_json()),
-                            ("reason".to_string(), reason.label().to_json()),
-                        ],
-                    );
-                    conn.kill();
-                    return stats;
-                }
-            }
+    /// An attempt at cell `idx` on worker `w` failed. An answer is final;
+    /// a lost cell goes back to the front of the queue until its
+    /// attempts run out, and the worker that lost it is dropped.
+    fn lose(&mut self, w: usize, idx: usize, err: AttemptError) -> Result<(), HarnessError> {
+        let total = self.cells.len();
+        let label = self.cells[idx].name();
+        let stats = &mut self.seats[w].stats;
+        stats.failures += 1;
+        stats.last_error = Some(err.detail.clone());
+        self.attempts[idx] += 1;
+        let attempt_no = self.attempts[idx];
+        // Only an answer leaves the connection fit for more work.
+        let (reason, conn_dead) = (err.reason, err.reason != FailReason::ErrorFrame);
+        let exhausted = !conn_dead || attempt_no >= MAX_ATTEMPTS;
+        self.progress.emit(
+            true,
+            "retry",
+            &format!(
+                "[pool] worker {}: cell #{idx} '{label}' attempt {attempt_no}/{MAX_ATTEMPTS} \
+                 failed (reason: {}): {}{}",
+                stats.name,
+                reason.label(),
+                err.detail,
+                if exhausted {
+                    "; batch fails"
+                } else {
+                    "; reassigning to the next live worker"
+                },
+            ),
+            vec![
+                ("worker", stats.name.to_json()),
+                ("cell", (idx as u64).to_json()),
+                ("label", label.to_json()),
+                ("reason", reason.label().to_json()),
+                ("attempt", (attempt_no as u64).to_json()),
+                ("max_attempts", (MAX_ATTEMPTS as u64).to_json()),
+                ("detail", err.detail.to_json()),
+                ("exhausted", exhausted.to_json()),
+            ],
+        );
+        if conn_dead {
+            self.drop_worker(w, reason);
         }
+        if !exhausted {
+            // The front, so a live worker picks the orphan up first.
+            self.pending.push_front(idx);
+            return Ok(());
+        }
+        Err(HarnessError::CellFailed {
+            index: idx,
+            label: label.to_string(),
+            attempts: attempt_no,
+            detail: match err.detail {
+                last if conn_dead => format!("lost on all {attempt_no} attempts, the last: {last}"),
+                answer => answer,
+            },
+            completed: self.done,
+            total,
+        })
+    }
+
+    /// Drop worker `w` from the fleet. Its link goes with it, which
+    /// closes its work channel and kills its connection.
+    fn drop_worker(&mut self, w: usize, reason: FailReason) {
+        let seat = &mut self.seats[w];
+        seat.stats.alive = false;
+        seat.link = None;
+        self.progress.emit(
+            true,
+            "worker-dropped",
+            &format!(
+                "[pool] worker {}: dropped from the fleet (reason: {})",
+                seat.stats.name,
+                reason.label()
+            ),
+            vec![
+                ("worker", seat.stats.name.to_json()),
+                ("reason", reason.label().to_json()),
+            ],
+        );
     }
 }
 
@@ -773,6 +830,50 @@ mod tests {
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|s| !s.alive));
         assert!(stats.iter().all(|s| s.last_error.is_some()));
+    }
+
+    /// A worker line that is not UTF-8 is garbage, like any other bad
+    /// frame: the worker is dropped and the cell is lost, not the stream
+    /// read as a dead connection.
+    #[test]
+    fn a_non_utf8_line_drops_the_worker_as_garbage() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(b"\xff\n").unwrap();
+            // Hold the connection until the coordinator closes it.
+            let _ = std::io::Read::read_to_end(&mut stream, &mut Vec::new());
+        });
+        let json =
+            std::env::temp_dir().join(format!("irn-pool-utf8-{}.ndjson", std::process::id()));
+        let mut cfg = PoolConfig::new(vec![WorkerSpec::Connect { addr }]);
+        cfg.progress_json = Some(json.clone());
+        let pool = WorkerPool::new(cfg);
+        let cells =
+            vec![Scenario::from_config("c", irn_core::ExperimentConfig::quick(10)).unwrap()];
+        let err = pool.run_cells(&cells, None).unwrap_err();
+        assert_eq!(
+            err,
+            HarnessError::FleetLost {
+                completed: 0,
+                total: 1
+            }
+        );
+        server.join().unwrap();
+        let stats = pool.worker_stats();
+        assert!(!stats[0].alive, "{stats:?}");
+        let said = stats[0].last_error.as_deref().unwrap_or("");
+        assert!(said.contains("not UTF-8"), "{said}");
+        let events = std::fs::read_to_string(&json).unwrap();
+        let _ = std::fs::remove_file(&json);
+        assert!(
+            events
+                .lines()
+                .any(|l| l.contains(r#""event":"worker-dropped""#)
+                    && l.contains(r#""reason":"garbage""#)),
+            "{events}"
+        );
     }
 
     #[test]

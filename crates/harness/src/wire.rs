@@ -246,6 +246,41 @@ pub fn decode(line: &str) -> Result<Frame, FrameError> {
     }
 }
 
+/// The lines of a `work-v1` stream, blank ones skipped, read the same
+/// way by both ends of a connection.
+///
+/// Lines are read as bytes, so a line that is not UTF-8 is one bad
+/// frame (a [`FrameError`] with no id), not a broken stream: a worker
+/// answers it with `error-v1` and a coordinator drops the worker as
+/// garbage. Only an I/O failure is an `Err`; the stream ends at EOF.
+pub(crate) fn lines(
+    mut input: impl std::io::BufRead,
+) -> impl Iterator<Item = std::io::Result<Result<String, FrameError>>> {
+    std::iter::from_fn(move || loop {
+        let mut buf = Vec::new();
+        match input.read_until(b'\n', &mut buf) {
+            Ok(0) => return None,
+            Ok(_) => {}
+            Err(e) => return Some(Err(e)),
+        }
+        if buf.ends_with(b"\n") {
+            buf.pop();
+            if buf.ends_with(b"\r") {
+                buf.pop();
+            }
+        }
+        let line = match String::from_utf8(buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => Ok(line),
+            Err(e) => {
+                let e = e.utf8_error();
+                Err(FrameError::new(None, format!("line is not UTF-8: {e}")))
+            }
+        };
+        return Some(Ok(line));
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,13 +37,13 @@ pub struct ServeSummary {
 }
 
 /// Serve the `work-v1` protocol until `input` reaches EOF: one result
-/// (or error) frame per incoming line, flushed after every frame so a
-/// pipelined coordinator never stalls.
+/// (or error) frame per non-blank incoming line, flushed after every
+/// frame so a pipelined coordinator never stalls.
 ///
-/// Malformed lines, invalid scenarios and runs that cannot finish are
-/// answered with error frames — the worker stays up; killing it is the
-/// coordinator's decision. I/O failure on either side ends the loop
-/// with the error.
+/// Malformed lines (bytes that are not UTF-8 included), invalid
+/// scenarios and runs that cannot finish are answered with error
+/// frames — the worker stays up; killing it is the coordinator's
+/// decision. I/O failure on either side ends the loop with the error.
 pub fn serve(
     input: impl BufRead,
     mut output: impl Write,
@@ -54,12 +54,8 @@ pub fn serve(
         errors: 0,
         aborted: false,
     };
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = match wire::decode(&line) {
+    for line in wire::lines(input) {
+        let reply = match line?.and_then(|line| wire::decode(&line)) {
             Ok(Frame::Work {
                 id,
                 scenario,
@@ -190,6 +186,25 @@ mod tests {
             Frame::Error { id, .. } => assert_eq!(id, Some(9)),
             other => panic!("wrong frame: {other:?}"),
         }
+    }
+
+    /// A line that is not UTF-8 is one bad frame, not a broken stream:
+    /// it gets its reply and the next line is still read.
+    #[test]
+    fn a_non_utf8_line_gets_an_error_reply_and_serving_goes_on() {
+        let input = b"\xff\xfe not json\n{\"frame\":\"bogus\"}\n";
+        let mut out = Vec::new();
+        let summary = serve(&input[..], &mut out, WorkerOptions::default()).unwrap();
+        assert_eq!((summary.answered, summary.errors), (0, 2));
+        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        assert_eq!(lines.len(), 2, "{lines:?}");
+        for line in &lines {
+            assert!(matches!(
+                wire::decode(line),
+                Ok(Frame::Error { id: None, .. })
+            ));
+        }
+        assert!(lines[0].contains("not UTF-8"), "{}", lines[0]);
     }
 
     /// A trace request the worker cannot read as asked is refused
