@@ -9,9 +9,11 @@
 //! first-class scheduler timers, so a cancelled or re-armed deadline is
 //! removed in O(1) and **never surfaces** — the engine sees no stale
 //! timer events. Flow arrivals are not queue events at all: they stream
-//! from the (sorted-once) flow list, so queue occupancy tracks in-flight
-//! work, not workload size. Nothing blocks, nothing is hidden — a run is
-//! a pure function of its [`ExperimentConfig`].
+//! from the traffic model's [`Arrivals`], generated as the run reaches
+//! them, so neither the queue nor the engine holds the workload — only
+//! the flows in flight, each slot with its own [`FlowSpec`]. Nothing
+//! blocks, nothing is hidden — a run is a pure function of its
+//! [`ExperimentConfig`].
 //!
 //! Ordering: nondecreasing time, FIFO among simultaneous queue events
 //! (the contract of `irn-integration`'s binary-heap reference queue),
@@ -34,7 +36,7 @@ use irn_net::{
 use irn_sim::{Scheduler, Time, TimerId};
 use irn_transport::config::TransportConfig;
 use irn_transport::{endpoints, HostNic, NicPoll, Receiver, Sender, SenderPoll, TimerCmd};
-use irn_workload::{AppDriver, AppEvent, AppSink, FlowSpec, TrafficCtx};
+use irn_workload::{AppDriver, AppEvent, AppSink, Arrivals, FlowSpec, TrafficCtx};
 
 use crate::config::{ExperimentConfig, TopologySpec};
 use crate::result::{MemoryStats, RunResult, SchedCounters, TransportTotals};
@@ -70,9 +72,9 @@ enum Event {
     QpTimer { flow: u32 },
     /// The pacing wake-up of host `host`'s NIC.
     NicWake { host: u32 },
-    /// A closed-loop driver's spawned flow reaches its start time. The
-    /// flow is already in the flow table; this event starts it exactly
-    /// like a streamed arrival would.
+    /// A closed-loop driver's spawned flow reaches its start time; its
+    /// spec waits in the app runtime's `pending`. This event starts it
+    /// exactly like a streamed arrival would.
     AppSpawn { flow: u32 },
 }
 
@@ -144,6 +146,10 @@ impl From<FabricEvent> for PackedEvent {
 
 /// Live state of one in-progress flow: the slab's unit of allocation.
 struct FlowSlot {
+    /// Who, whom, how much and when: read at completion and by the
+    /// retransmission timer. The slot is the only place a flow's spec
+    /// lives while it runs.
+    spec: FlowSpec,
     sender: Option<Sender>,
     receiver: Option<Receiver>,
     /// Retransmission timer, created lazily and **owned by the slot**,
@@ -164,7 +170,7 @@ const RETIRED: u32 = u32::MAX - 1;
 /// [`SenderPoll::Blocked`] and has not been handed out since. `Blocked`
 /// is sticky until the sender is fed (the contract on the variant), so
 /// [`FlowSlab::poll_sender`] answers for a parked sender from this dense
-/// map alone, without touching the 528-byte [`FlowSlot`]. Slot indices
+/// map alone, without touching the 552-byte [`FlowSlot`]. Slot indices
 /// stay below the bit (and so below the two sentinels above, which
 /// carry it).
 const PARKED: u32 = 1 << 31;
@@ -206,7 +212,7 @@ impl FlowSlab {
     }
 
     /// Allocate a slot for an arriving flow.
-    fn insert(&mut self, flow: usize, sender: Sender, receiver: Receiver) {
+    fn insert(&mut self, flow: usize, spec: FlowSpec, sender: Sender, receiver: Receiver) {
         debug_assert_eq!(self.slot_of[flow], NOT_STARTED, "flow started twice");
         debug_assert!(
             self.slots.len() < (PARKED >> 1) as usize,
@@ -215,6 +221,7 @@ impl FlowSlab {
         match self.free.pop() {
             Some(si) => {
                 let slot = &mut self.slots[si as usize];
+                slot.spec = spec;
                 slot.sender = Some(sender);
                 slot.receiver = Some(receiver);
                 // slot.timer is kept: recycled with the slot.
@@ -225,6 +232,7 @@ impl FlowSlab {
             None => {
                 self.slot_of[flow] = self.slots.len() as u32;
                 self.slots.push(FlowSlot {
+                    spec,
                     sender: Some(sender),
                     receiver: Some(receiver),
                     timer: None,
@@ -288,9 +296,17 @@ impl FlowSlab {
     }
 
     /// Extend the dense flow→slot map for one driver-spawned flow
-    /// (closed-loop workloads grow the flow table mid-run).
-    fn grow(&mut self) {
+    /// (closed-loop workloads grow the flow table mid-run) and return
+    /// its id: ids count up as flows are spawned.
+    fn grow(&mut self) -> u32 {
         self.slot_of.push(NOT_STARTED);
+        self.slot_of.len() as u32 - 1
+    }
+
+    /// Flows in the run so far: every streamed flow, started or not,
+    /// and every flow a driver has spawned.
+    fn flows(&self) -> usize {
+        self.slot_of.len()
     }
 
     /// Recycle the flow's slot if it is live and nothing of it remains:
@@ -333,25 +349,22 @@ impl FlowSlab {
 }
 
 /// The closed-loop application runtime riding on the engine: the
-/// reactive driver, its reusable output sink, and the per-operation
-/// metrics it feeds.
+/// reactive driver, its reusable output sink, the per-operation metrics
+/// it feeds, and the spawned flows that have not started yet.
 struct AppRuntime {
     driver: Box<dyn AppDriver>,
     sink: AppSink,
     metrics: AppMetrics,
+    /// Spawned flows' specs by flow id, each until its `AppSpawn`
+    /// fires.
+    pending: HashMap<u32, FlowSpec>,
 }
 
 impl AppRuntime {
     /// Apply a driver callback's output: fold application events into
-    /// traces and per-operation metrics, then append each spawned flow
-    /// to the flow table and schedule its start.
-    fn drain_sink(
-        &mut self,
-        now: Time,
-        flows: &mut Vec<FlowSpec>,
-        slab: &mut FlowSlab,
-        sched: &mut Scheduler<PackedEvent>,
-    ) {
+    /// traces and per-operation metrics, then give each spawned flow the
+    /// next id and schedule its start.
+    fn drain_sink(&mut self, now: Time, slab: &mut FlowSlab, sched: &mut Scheduler<PackedEvent>) {
         for ev in self.sink.events.drain(..) {
             match ev {
                 AppEvent::OpStart { op, client, at } => {
@@ -386,10 +399,9 @@ impl AppRuntime {
         }
         for spec in self.sink.flows.drain(..) {
             debug_assert!(spec.at >= now, "driver spawned a flow in the past");
-            let idx = flows.len() as u32;
-            flows.push(spec);
-            slab.grow();
-            sched.push(spec.at, PackedEvent::pack(TAG_APP_SPAWN, idx, 0));
+            let flow = slab.grow();
+            self.pending.insert(flow, spec);
+            sched.push(spec.at, PackedEvent::pack(TAG_APP_SPAWN, flow, 0));
         }
     }
 }
@@ -480,12 +492,9 @@ pub struct Simulation {
     tcfg: TransportConfig,
     sched: Scheduler<PackedEvent>,
     fabric: Fabric,
-    flows: Vec<FlowSpec>,
-    /// Flow indices sorted by arrival time (stably, so simultaneous
-    /// arrivals keep their flow-list order); streamed lazily instead of
-    /// pre-pushed into the queue.
-    arrival_order: Vec<u32>,
-    next_arrival: usize,
+    /// The workload's flows in arrival order, generated as the run
+    /// reaches them instead of pre-pushed into the queue.
+    arrivals: Arrivals,
     /// Index of the first incast flow, when the workload has one.
     incast_from: Option<usize>,
     /// Live flow state (senders, receivers, timers), slab-allocated.
@@ -505,7 +514,9 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Build the simulation for `cfg` (generates the workload).
+    /// Build the simulation for `cfg`: the fabric, the hosts, and the
+    /// workload's [`Arrivals`] stream, which generates flows as the run
+    /// reaches them.
     pub fn new(cfg: ExperimentConfig) -> Simulation {
         let fabric = Fabric::with_tables(net_tables_for(cfg.topology), cfg.fabric_config());
         let hosts = fabric.hosts();
@@ -516,31 +527,21 @@ impl Simulation {
             line_rate_bps: cfg.bandwidth.as_bps_f64(),
             seed: cfg.seed,
         };
-        // A closed-loop model contributes only its seed flows up front;
-        // the rest of the workload materializes in reaction to
-        // completions, through the driver hook in `maybe_retire`.
-        let (flows, incast_from, app) = match cfg.traffic.closed_loop(&tctx) {
+        // A closed-loop model streams only its seed flows; the rest of
+        // the workload materializes in reaction to completions, through
+        // the driver hook in `maybe_retire`.
+        let (arrivals, app) = match cfg.traffic.closed_loop(&tctx) {
             Some(cl) => (
-                cl.seed_flows,
-                None,
+                Arrivals::from_flows(cl.seed_flows),
                 Some(AppRuntime {
                     driver: cl.driver,
                     sink: AppSink::new(),
                     metrics: AppMetrics::default(),
+                    pending: HashMap::new(),
                 }),
             ),
-            None => {
-                let stream = cfg.traffic.generate(&tctx);
-                (stream.flows, stream.incast_from, None)
-            }
+            None => (cfg.traffic.arrivals(&tctx), None),
         };
-        let n = flows.len();
-
-        // Arrival stream: indices sorted by time; the stable sort keeps
-        // flow-list order among simultaneous arrivals, matching the
-        // FIFO tie-break of the old push-everything-up-front scheme.
-        let mut arrival_order: Vec<u32> = (0..n as u32).collect();
-        arrival_order.sort_by_key(|&i| flows[i as usize].at);
 
         let mut sched = Scheduler::new();
         let nic_wake: Vec<TimerId> = (0..hosts).map(|_| sched.timer_create()).collect();
@@ -548,11 +549,9 @@ impl Simulation {
         Simulation {
             sched,
             fabric,
-            flows,
-            arrival_order,
-            next_arrival: 0,
-            incast_from,
-            slab: FlowSlab::new(n),
+            incast_from: arrivals.incast_from(),
+            slab: FlowSlab::new(arrivals.flow_count()),
+            arrivals,
             nics: (0..hosts).map(|_| HostNic::new()).collect(),
             nic_wake,
             metrics: MetricsCollector::new(),
@@ -577,7 +576,7 @@ impl Simulation {
     /// the run cannot finish. The error is a pure function of the
     /// config, like the result: rerunning it anywhere fails the same way.
     pub fn try_run(mut self) -> Result<RunResult, RunError> {
-        if self.flows.is_empty() {
+        if self.slab.flows() == 0 {
             return Err(RunError::NoFlows);
         }
         // Give a closed-loop driver its time-zero callback (trace
@@ -586,7 +585,7 @@ impl Simulation {
             app.sink.clear();
             app.driver.on_start(&mut app.sink);
             debug_assert!(app.sink.flows.is_empty(), "on_start must not spawn");
-            app.drain_sink(Time::ZERO, &mut self.flows, &mut self.slab, &mut self.sched);
+            app.drain_sink(Time::ZERO, &mut self.slab, &mut self.sched);
         }
         let mut events: u64 = 0;
         loop {
@@ -594,16 +593,13 @@ impl Simulation {
             // arrivals win ties (parity with the old engine, where every
             // arrival carried a smaller sequence number than any event
             // pushed while running).
-            let arrival_at = self
-                .arrival_order
-                .get(self.next_arrival)
-                .map(|&i| self.flows[i as usize].at);
+            let arrival = self.arrivals.next_by(self.sched.peek_time());
             // The next event and its time (not the stale last-pop time —
             // a livelock report must point at the right instant); a
-            // `None` event is the next arrival.
-            let (now, queued) = match (arrival_at, self.sched.peek_time()) {
-                (Some(a), q) if q.is_none_or(|q| a <= q) => (a, None),
-                _ => match self.sched.pop() {
+            // `None` event is the arrival.
+            let (now, queued) = match arrival {
+                Some((_, spec)) => (spec.at, None),
+                None => match self.sched.pop() {
                     Some((q, ev)) => (q, Some(ev)),
                     None => break,
                 },
@@ -613,7 +609,7 @@ impl Simulation {
                 return Err(RunError::EventBudget {
                     at: now,
                     completed: self.completed,
-                    flows: self.flows.len(),
+                    flows: self.slab.flows(),
                 });
             }
             if let Some(ev) = queued {
@@ -631,29 +627,30 @@ impl Simulation {
                         self.try_send(now, HostId(host));
                     }
                     Event::AppSpawn { flow } => {
-                        self.counters.flow_arrivals += 1;
-                        self.on_flow_arrival(now, flow as usize);
+                        let spawned = self.app.as_mut().and_then(|a| a.pending.remove(&flow));
+                        if let Some(spec) = spawned {
+                            self.counters.flow_arrivals += 1;
+                            self.on_flow_arrival(now, flow as usize, spec);
+                        }
                     }
                 }
-            } else {
-                let i = self.arrival_order[self.next_arrival] as usize;
-                self.next_arrival += 1;
+            } else if let Some((flow, spec)) = arrival {
                 self.sched.advance_to(now);
                 self.counters.flow_arrivals += 1;
-                self.on_flow_arrival(now, i);
+                self.on_flow_arrival(now, flow as usize, spec);
             }
             // With a closed-loop driver every completion may spawn more
             // work, so the run ends only when the queue truly drains;
             // open-loop runs keep the early exit (late NIC wake-ups and
             // PFC resumes after the last completion are not work).
-            if self.app.is_none() && self.completed == self.flows.len() {
+            if self.app.is_none() && self.completed == self.slab.flows() {
                 break;
             }
         }
-        if self.completed != self.flows.len() {
+        if self.completed != self.slab.flows() {
             return Err(RunError::Deadlock {
                 completed: self.completed,
-                flows: self.flows.len(),
+                flows: self.slab.flows(),
             });
         }
 
@@ -685,7 +682,7 @@ impl Simulation {
         let memory = MemoryStats {
             peak_flow_state_bytes: self.slab.peak_bytes(),
             metrics_bytes,
-            flows: self.flows.len() as u64,
+            flows: self.slab.flows() as u64,
             hist_buckets: primary.allocated_buckets()
                 + incast_metrics.as_ref().map_or(0, |m| m.allocated_buckets())
                 + self
@@ -716,14 +713,13 @@ impl Simulation {
         })
     }
 
-    fn on_flow_arrival(&mut self, now: Time, i: usize) {
-        let spec = self.flows[i];
+    fn on_flow_arrival(&mut self, now: Time, i: usize, spec: FlowSpec) {
         debug_assert_eq!(spec.at, now);
         let flow = FlowId(i as u32);
         let (src, dst) = (HostId(spec.src), HostId(spec.dst));
         let kind = self.cfg.transport;
         let (snd, rcv) = endpoints(kind, &self.tcfg, flow, src, dst, spec.bytes, now);
-        self.slab.insert(i, snd, rcv);
+        self.slab.insert(i, spec, snd, rcv);
         irn_telemetry::trace!(
             "flow.start",
             t = now.as_nanos(),
@@ -784,6 +780,7 @@ impl Simulation {
                 // until here, so its flow has started and cannot have
                 // retired: the slot is live and holds the receiver.
                 let Some(FlowSlot {
+                    spec,
                     receiver: Some(receiver),
                     receiver_done,
                     ..
@@ -791,6 +788,7 @@ impl Simulation {
                 else {
                     panic!("data for flow {idx}, which has no live receiver");
                 };
+                let spec = *spec;
                 let out = receiver.on_data(now, &pkt);
                 *receiver_done |= out.completed;
                 if let Some(ack) = out.ack {
@@ -816,7 +814,7 @@ impl Simulation {
                     self.nics[host.idx()].push_control(cnp);
                 }
                 if out.completed {
-                    self.record_completion(now, idx);
+                    self.record_completion(now, idx, spec);
                 }
                 self.maybe_retire(now, idx);
                 self.try_send(now, host);
@@ -864,16 +862,17 @@ impl Simulation {
         // byte-identical at any --jobs and across worker fleets.
         if let Some(app) = self.app.as_mut() {
             app.sink.clear();
-            let next_index = self.flows.len() as u32;
+            let next_index = self.slab.flows() as u32;
             app.driver
                 .on_flow_retired(now, idx as u32, next_index, &mut app.sink);
-            app.drain_sink(now, &mut self.flows, &mut self.slab, &mut self.sched);
+            app.drain_sink(now, &mut self.slab, &mut self.sched);
         }
     }
 
     fn on_qp_timer(&mut self, now: Time, flow: u32) {
         let idx = flow as usize;
         let Some(FlowSlot {
+            spec,
             sender: Some(sender),
             timer,
             ..
@@ -888,7 +887,7 @@ impl Simulation {
         irn_telemetry::trace!("timer.fire", t = now.as_nanos(), flow = idx);
         if sender.on_timer(now) {
             drain_timer(sender, timer, &mut self.sched, now, idx);
-            let src = HostId(self.flows[idx].src);
+            let src = HostId(spec.src);
             self.try_send(now, src);
         }
     }
@@ -940,8 +939,7 @@ impl Simulation {
         }
     }
 
-    fn record_completion(&mut self, now: Time, idx: usize) {
-        let spec = self.flows[idx];
+    fn record_completion(&mut self, now: Time, idx: usize, spec: FlowSpec) {
         let hops = self.fabric.path_hops(HostId(spec.src), HostId(spec.dst));
         let header = self.tcfg.data_wire_bytes(0) as u64;
         let packets = self.tcfg.packets_for(spec.bytes);
@@ -1007,6 +1005,13 @@ mod tests {
         REAL_POLLS.with(|c| c.set(c.get() + 1));
     }
 
+    const SPEC: FlowSpec = FlowSpec {
+        src: 0,
+        dst: 1,
+        bytes: 1_000,
+        at: Time::ZERO,
+    };
+
     fn one_packet_flow(flow: u32) -> (Sender, Receiver) {
         let tcfg = TransportConfig::irn_default();
         let (id, src, dst) = (FlowId(flow), HostId(0), HostId(1));
@@ -1016,7 +1021,7 @@ mod tests {
     /// Insert `flow` and poll it until its sender parks.
     fn insert_parked(slab: &mut FlowSlab, flow: usize) {
         let (s, r) = one_packet_flow(flow as u32);
-        slab.insert(flow, s, r);
+        slab.insert(flow, SPEC, s, r);
         assert!(matches!(
             slab.poll_sender(flow, Time::ZERO),
             SenderPoll::Packet(_)
@@ -1103,7 +1108,7 @@ mod tests {
         insert_parked(&mut slab, 0);
         finish(&mut slab, 0);
         let (s, r) = one_packet_flow(1);
-        slab.insert(1, s, r);
+        slab.insert(1, SPEC, s, r);
         assert_eq!(slab.slot_of[1], 0, "same slot, no inherited bit");
         assert_eq!(slab.slots.len(), 1);
         assert!(matches!(
@@ -1135,7 +1140,7 @@ mod tests {
         slab.grow();
         assert_eq!(slab.slot_of[1], NOT_STARTED);
         let (s, r) = one_packet_flow(1);
-        slab.insert(1, s, r);
+        slab.insert(1, SPEC, s, r);
         assert_eq!(slab.slot_of[1], 1);
         assert_ne!(slab.slot_of[0] & PARKED, 0, "the neighbour stays parked");
     }

@@ -753,3 +753,60 @@ fn read_listen_addr(worker: &mut Child) -> String {
     assert!(addr.contains(':'), "{addr}");
     addr
 }
+
+/// Run `cells` on a spawned worker beside `peer`, a worker whose every
+/// reply breaks the line bound, and check the peer is dropped as
+/// garbage, its cell reassigned, and the bytes are the in-process
+/// executor's.
+fn a_peer_past_the_line_bound_is_dropped(peer: WorkerSpec, tag: &str) -> String {
+    let cells = batch(2);
+    let reference = ThreadExecutor::new(2).run_cells(&cells, None).unwrap();
+    let json = std::env::temp_dir().join(format!("irn-{tag}-{}.ndjson", std::process::id()));
+    let mut cfg = PoolConfig::new(vec![spawn_spec(&[]), peer]);
+    cfg.progress_json = Some(json.clone());
+    let (outcome, stats, _) = run_bounded(cfg, cells);
+    assert_eq!(result_trees(&outcome.unwrap()), result_trees(&reference));
+    assert!(stats[0].alive && !stats[1].alive, "{stats:?}");
+    assert_eq!(stats[1].cells, 0, "{stats:?}");
+    let events = std::fs::read_to_string(&json).unwrap();
+    let _ = std::fs::remove_file(&json);
+    assert!(
+        events.contains(r#""reason":"garbage","attempt":1,"max_attempts":3"#)
+            && events.contains(r#""exhausted":false"#),
+        "the cell must be reassigned: {events}"
+    );
+    stats[1].last_error.clone().unwrap_or_default()
+}
+
+#[test]
+fn a_reply_longer_than_the_bound_drops_the_worker() {
+    // One byte past what a result frame of an untraced batch may hold,
+    // newline-terminated.
+    let long = "x".repeat(irn_harness::wire::max_result_line(None) + 1);
+    let (peer, serving) = fake_worker(move |_| vec![long.clone()]);
+    let said = a_peer_past_the_line_bound_is_dropped(peer, "long-line");
+    serving.join().unwrap();
+    assert!(said.contains("line longer than"), "{said}");
+}
+
+#[test]
+fn a_reply_that_never_ends_drops_the_worker() {
+    // The peer answers its first work frame with bytes and no newline,
+    // until the coordinator closes the connection: the frame is
+    // reported at the bound, not read until memory runs out.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let endless = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut out = stream;
+        let mut work = String::new();
+        if reader.read_line(&mut work).is_ok_and(|n| n > 0) {
+            let chunk = [b'z'; 64 * 1024];
+            while out.write_all(&chunk).is_ok() {}
+        }
+    });
+    let said = a_peer_past_the_line_bound_is_dropped(WorkerSpec::Connect { addr }, "endless");
+    endless.join().unwrap(); // the closed connection fails its writes
+    assert!(said.contains("line longer than"), "{said}");
+}

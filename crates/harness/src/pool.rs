@@ -249,7 +249,8 @@ impl Drop for KillSwitch {
 }
 
 impl Conn {
-    fn open(spec: &WorkerSpec) -> std::io::Result<(Conn, KillSwitch)> {
+    /// Connect to a worker whose replies may be up to `max_line` bytes.
+    fn open(spec: &WorkerSpec, max_line: usize) -> std::io::Result<(Conn, KillSwitch)> {
         match spec {
             WorkerSpec::Spawn { argv } => {
                 let (prog, rest) = argv.split_first().ok_or_else(|| {
@@ -265,7 +266,7 @@ impl Conn {
                 let stdout = child.stdout.take().expect("piped stdout");
                 let conn = Conn {
                     writer: Box::new(stdin),
-                    lines: spawn_reader(BufReader::new(stdout)),
+                    lines: spawn_reader(BufReader::new(stdout), max_line),
                 };
                 Ok((conn, KillSwitch::Child(child)))
             }
@@ -273,7 +274,7 @@ impl Conn {
                 let stream = TcpStream::connect(addr)?;
                 let conn = Conn {
                     writer: Box::new(stream.try_clone()?),
-                    lines: spawn_reader(BufReader::new(stream.try_clone()?)),
+                    lines: spawn_reader(BufReader::new(stream.try_clone()?), max_line),
                 };
                 Ok((conn, KillSwitch::Tcp(stream)))
             }
@@ -281,14 +282,16 @@ impl Conn {
     }
 }
 
-/// Pump lines off a worker's stream into a channel from a detached
-/// thread, so a dispatcher can wait with a timeout. The thread exits at
-/// EOF, on a read failure, or when the receiver is dropped.
-fn spawn_reader(reader: impl BufRead + Send + 'static) -> Receiver<Incoming> {
+/// Pump lines of at most `max_line` bytes off a worker's stream into a
+/// channel from a detached thread, so a dispatcher can wait with a
+/// timeout. The thread exits at EOF, on a read failure, after a line
+/// that is not a frame (the worker is dropped for it, so nothing after
+/// it is read), or when the receiver is dropped.
+fn spawn_reader(reader: impl BufRead + Send + 'static, max_line: usize) -> Receiver<Incoming> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        for line in wire::lines(reader) {
-            let stop = line.is_err();
+        for line in wire::lines(reader, max_line) {
+            let stop = !matches!(line, Ok(Ok(_)));
             if tx.send(line).is_err() || stop {
                 break;
             }
@@ -409,7 +412,7 @@ fn dispatch(
     trace: Option<&TraceSpec>,
     reporter: Reporter,
 ) {
-    let (mut conn, kill) = match Conn::open(spec) {
+    let (mut conn, kill) = match Conn::open(spec, wire::max_result_line(trace)) {
         Ok(opened) => opened,
         Err(e) => {
             reporter.send(Report::Unavailable(e.to_string()));

@@ -246,19 +246,54 @@ pub fn decode(line: &str) -> Result<Frame, FrameError> {
     }
 }
 
+/// The longest `work-v1` frame a worker reads, 64 MiB: a scenario, so
+/// its size does not depend on tracing. An explicit flow list of about
+/// a million flows fits.
+pub(crate) const MAX_WORK_LINE: usize = 64 << 20;
+
+/// Room in a `result-v1` frame for everything but the trace: the result
+/// is fixed-size per cell (each histogram holds at most
+/// `irn_metrics::MAX_BUCKETS` buckets).
+const RESULT_BASE_BYTES: usize = 4 << 20;
+
+/// Room per echoed trace line: an event is a handful of numeric fields,
+/// under 300 bytes once escaped into the frame.
+const TRACE_LINE_BYTES: usize = 512;
+
+/// The longest `result-v1` frame a coordinator reads for a batch traced
+/// as `trace` asks: the result, plus room for every line the flight
+/// recorder can keep and its truncation marker.
+pub fn max_result_line(trace: Option<&TraceSpec>) -> usize {
+    let lines = trace.map_or(0, |t| t.capacity.saturating_add(1));
+    RESULT_BASE_BYTES.saturating_add(lines.saturating_mul(TRACE_LINE_BYTES))
+}
+
 /// The lines of a `work-v1` stream, blank ones skipped, read the same
-/// way by both ends of a connection.
+/// way by both ends of a connection, none longer than `max` bytes.
 ///
 /// Lines are read as bytes, so a line that is not UTF-8 is one bad
 /// frame (a [`FrameError`] with no id), not a broken stream: a worker
 /// answers it with `error-v1` and a coordinator drops the worker as
-/// garbage. Only an I/O failure is an `Err`; the stream ends at EOF.
+/// garbage. A longer line is one bad frame too, reported after `max + 1`
+/// bytes; the rest of it is skipped unbuffered when the next line is
+/// asked for, so a frame that never ends costs no memory and is
+/// reported at once. Only an I/O failure is an `Err`; the stream ends
+/// at EOF.
 pub(crate) fn lines(
     mut input: impl std::io::BufRead,
+    max: usize,
 ) -> impl Iterator<Item = std::io::Result<Result<String, FrameError>>> {
+    use std::io::{BufRead, Read};
+    let mut skip = false;
     std::iter::from_fn(move || loop {
+        if std::mem::take(&mut skip) {
+            if let Err(e) = skip_line(&mut input) {
+                return Some(Err(e));
+            }
+        }
         let mut buf = Vec::new();
-        match input.read_until(b'\n', &mut buf) {
+        let limit = max.saturating_add(1) as u64;
+        match input.by_ref().take(limit).read_until(b'\n', &mut buf) {
             Ok(0) => return None,
             Ok(_) => {}
             Err(e) => return Some(Err(e)),
@@ -268,6 +303,10 @@ pub(crate) fn lines(
             if buf.ends_with(b"\r") {
                 buf.pop();
             }
+        } else if buf.len() > max {
+            skip = true;
+            let message = format!("line longer than {max} bytes");
+            return Some(Ok(Err(FrameError::new(None, message))));
         }
         let line = match String::from_utf8(buf) {
             Ok(line) if line.trim().is_empty() => continue,
@@ -279,6 +318,27 @@ pub(crate) fn lines(
         };
         return Some(Ok(line));
     })
+}
+
+/// Consume `input` through the next newline or to EOF, holding no more
+/// than the reader's own buffer.
+fn skip_line(input: &mut impl std::io::BufRead) -> std::io::Result<()> {
+    loop {
+        let chunk = input.fill_buf()?;
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                input.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let n = chunk.len();
+                input.consume(n);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -580,5 +640,55 @@ mod tests {
             }
             other => panic!("wrong frame: {other:?}"),
         }
+    }
+
+    #[test]
+    fn lines_longer_than_the_bound_are_bad_frames_and_reading_goes_on() {
+        let read = |input: &str, max| -> Vec<Result<String, String>> {
+            lines(input.as_bytes(), max)
+                .map(|l| l.unwrap().map_err(|e| e.message))
+                .collect()
+        };
+        let long = "x".repeat(9);
+        let too_long = Err("line longer than 8 bytes".to_string());
+        assert_eq!(
+            read(&format!("12345678\n{long}\nok\r\n"), 8),
+            vec![
+                Ok("12345678".to_string()),
+                too_long.clone(),
+                Ok("ok".to_string())
+            ]
+        );
+        // A frame that never ends is cut at the bound, and its tail is
+        // skipped to EOF.
+        let endless = "y".repeat(10_000);
+        assert_eq!(read(&format!("ok\n{endless}"), 8)[1..], [too_long]);
+        assert_eq!(read("short tail", 16), vec![Ok("short tail".to_string())]);
+    }
+
+    /// The coordinator's bound holds a real result frame whose flight
+    /// recorder overflowed: every line it kept plus the truncation
+    /// marker.
+    #[test]
+    fn a_full_trace_fits_the_result_bound() {
+        let spec = TraceSpec {
+            filter: String::new(),
+            capacity: 2_000,
+        };
+        let trace = crate::exec::parse_trace(Some(&spec)).unwrap();
+        let out = crate::exec::run_cell(1, scenario().config().clone(), trace).unwrap();
+        let chunk = out.trace.unwrap();
+        assert!(chunk.dropped > 0, "the recorder must overflow");
+        assert_eq!(chunk.lines.len(), spec.capacity + 1);
+        let line = encode_result(1, 0.5, &out.result, Some(&chunk));
+        assert!(
+            line.len() <= max_result_line(Some(&spec)),
+            "{} B",
+            line.len()
+        );
+        assert!(encode_result(1, 0.5, &out.result, None).len() <= max_result_line(None));
+        let widest = chunk.lines.iter().map(|l| json::to_string(l).len()).max();
+        assert!(widest.unwrap() <= TRACE_LINE_BYTES, "{widest:?}");
+        assert!(max_result_line(Some(&spec)) > max_result_line(None));
     }
 }

@@ -54,7 +54,7 @@ pub fn serve(
         errors: 0,
         aborted: false,
     };
-    for line in wire::lines(input) {
+    for line in wire::lines(input, wire::MAX_WORK_LINE) {
         let reply = match line?.and_then(|line| wire::decode(&line)) {
             Ok(Frame::Work {
                 id,

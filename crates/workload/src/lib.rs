@@ -22,9 +22,11 @@
 #![warn(missing_docs)]
 
 pub mod app;
+pub mod arrivals;
 pub mod model;
 
 pub use app::{AllreduceAlgo, AppDriver, AppEvent, AppSink, ClosedLoop};
+pub use arrivals::Arrivals;
 pub use model::{Component, FlowStream, Population, Start, TrafficCtx, TrafficError, TrafficModel};
 
 use irn_sim::{SimRng, Time};

@@ -2,12 +2,11 @@
 //! can drive, as one composable, validated data type.
 //!
 //! A [`TrafficModel`] is a *description*: a pure function from a
-//! [`TrafficCtx`] (host count, line rate, seed) to a deterministic,
-//! stably-ordered [`FlowStream`]. The engine streams the flows lazily in
-//! arrival order, so a model never talks to the simulator — it only
-//! produces data. That is what makes models serializable (the
-//! `scenario-v1` JSON schema), composable ([`TrafficModel::Compose`]),
-//! and independently testable.
+//! [`TrafficCtx`] (host count, line rate, seed) to a deterministic
+//! [`Arrivals`] stream, which the engine pulls in arrival order, so a
+//! model never talks to the simulator — it only produces data. That is
+//! what makes models serializable (the `scenario-v1` JSON schema),
+//! composable ([`TrafficModel::Compose`]), and independently testable.
 //!
 //! Validation is typed: [`TrafficModel::validate_in`] returns a
 //! [`TrafficError`] describing exactly which parameter is out of range
@@ -17,6 +16,7 @@
 use irn_sim::{Duration, SimRng, Time};
 
 use crate::app::{self, AllreduceAlgo, ClosedLoop};
+use crate::arrivals::{mean_gap_s, Arrivals};
 use crate::{FlowSpec, SizeDistribution};
 
 /// The engine packs flow ids into 30-bit event payload fields, so no
@@ -54,9 +54,8 @@ pub struct TrafficCtx {
 /// incast RCT rather than foreground FCT).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowStream {
-    /// The flows, in the model's canonical generation order. Not
-    /// necessarily globally time-sorted — the engine derives a stable
-    /// arrival order itself.
+    /// The flows in id order. Not necessarily time-sorted: the arrival
+    /// order is [`Arrivals`]'s.
     pub flows: Vec<FlowSpec>,
     /// Index of the first incast-population flow, if any.
     pub incast_from: Option<usize>,
@@ -694,19 +693,12 @@ impl TrafficModel {
         app::closed_loop(self, ctx)
     }
 
-    /// Materialize the flow stream. Deterministic: a pure function of
-    /// `(self, ctx)`. Assumes [`TrafficModel::validate_in`] passed — the
-    /// scenario layer guarantees it for every user-reachable path.
-    pub fn generate(&self, ctx: &TrafficCtx) -> FlowStream {
-        // A closed-loop model's precomputable prefix is its seed flows;
-        // the rest exist only in reaction to completions (the engine
-        // spawns them via the driver).
-        if let Some(cl) = self.closed_loop(ctx) {
-            return FlowStream {
-                flows: cl.seed_flows,
-                incast_from: None,
-            };
-        }
+    /// The workload's flows in arrival order, generated as they are
+    /// taken (see [`Arrivals`]). Deterministic: a pure function of
+    /// `(self, ctx)`. A closed-loop model streams its seed flows. Assumes
+    /// [`TrafficModel::validate_in`] passed — the scenario layer
+    /// guarantees it for every user-reachable path.
+    pub fn arrivals(&self, ctx: &TrafficCtx) -> Arrivals {
         // A leaf model's flows are all of one population, so its
         // boundary is 0; a composition orders primary flows first.
         let (flows, primary) = match self {
@@ -714,17 +706,23 @@ impl TrafficModel {
                 load,
                 sizes,
                 flow_count,
-            } => (arrivals(ctx, *load, *sizes, *flow_count, 1.0, 1), 0),
+            } => return Arrivals::per_host(ctx, *load, *sizes, *flow_count, 1.0, 1),
             TrafficModel::BurstyPoisson {
                 load,
                 sizes,
                 flow_count,
                 duty_cycle,
                 burst_flows,
-            } => (
-                arrivals(ctx, *load, *sizes, *flow_count, *duty_cycle, *burst_flows),
-                0,
-            ),
+            } => {
+                return Arrivals::per_host(
+                    ctx,
+                    *load,
+                    *sizes,
+                    *flow_count,
+                    *duty_cycle,
+                    *burst_flows,
+                )
+            }
             TrafficModel::Incast { m, total_bytes } => (striped(ctx, *m, *total_bytes), 0),
             TrafficModel::Shuffle {
                 flow_bytes,
@@ -733,16 +731,27 @@ impl TrafficModel {
             } => (shuffle(ctx, *flow_bytes, *rounds, *round_gap), 0),
             TrafficModel::Explicit(flows) => (flows.clone(), 0),
             TrafficModel::Compose(parts) => compose(ctx, parts),
-            // Answered above: `closed_loop` builds exactly these. A
-            // variant it missed would stream no flows, which the engine
-            // reports as a typed `RunError::NoFlows`.
+            // A closed-loop model's precomputable prefix is its seed
+            // flows; the rest exist only in reaction to completions (the
+            // engine spawns them via the driver).
             TrafficModel::RpcClosedLoop { .. }
             | TrafficModel::Allreduce { .. }
-            | TrafficModel::LeaderReplicate { .. } => (Vec::new(), 0),
+            | TrafficModel::LeaderReplicate { .. } => {
+                let seed_flows = self.closed_loop(ctx).map(|cl| cl.seed_flows);
+                (seed_flows.unwrap_or_default(), 0)
+            }
         };
+        Arrivals::listed(flows, self.has_incast_population().then_some(primary))
+    }
+
+    /// Materialize the flow stream: [`TrafficModel::arrivals`] collected
+    /// in id order. Deterministic: a pure function of `(self, ctx)`.
+    /// Assumes [`TrafficModel::validate_in`] passed.
+    pub fn generate(&self, ctx: &TrafficCtx) -> FlowStream {
+        let arrivals = self.arrivals(ctx);
         FlowStream {
-            flows,
-            incast_from: self.has_incast_population().then_some(primary),
+            incast_from: arrivals.incast_from(),
+            flows: arrivals.into_flows(),
         }
     }
 }
@@ -774,90 +783,6 @@ fn ensure(ok: bool, err: TrafficError) -> Result<(), TrafficError> {
     } else {
         Err(err)
     }
-}
-
-/// Mean inter-arrival time per host, in seconds, for `load`: each host
-/// must send `load × line_rate` on average, so its flow rate is
-/// `load × rate / (8 × E[size])` flows per second.
-fn mean_gap_s(load: f64, line_rate_bps: f64, sizes: &SizeDistribution) -> f64 {
-    let flows_per_sec = load * line_rate_bps / (8.0 * sizes.mean_bytes());
-    1.0 / flows_per_sec
-}
-
-/// The one per-host arrival loop, on/off Poisson: every host runs an
-/// independent process (its own forked RNG stream) that alternates ON
-/// bursts of back-to-back arrivals with OFF silences, and sends each
-/// flow to a uniformly drawn other host; the result is stably sorted by
-/// arrival time and cut to `flow_count`. Poisson is the case
-/// `duty_cycle = 1`, `burst_flows = 1`: one-flow bursts, no OFF phase,
-/// and no draw but the flow's own.
-fn arrivals(
-    ctx: &TrafficCtx,
-    load: f64,
-    sizes: SizeDistribution,
-    flow_count: usize,
-    duty_cycle: f64,
-    burst_flows: usize,
-) -> Vec<FlowSpec> {
-    let mean_gap = Duration::from_secs_f64(mean_gap_s(load, ctx.line_rate_bps, &sizes));
-    let gap_s = mean_gap.as_secs_f64();
-    // During a burst the arrival rate is inflated by 1/duty_cycle (at
-    // duty 1 this rounds back to `mean_gap` exactly: within the horizon
-    // a nanosecond count survives the trip through seconds)…
-    let on_gap = Duration::from_secs_f64(gap_s * duty_cycle);
-    let off_share = 1.0 - duty_cycle;
-    let per_host = flow_count.div_ceil(ctx.hosts);
-
-    let mut rng = SimRng::new(ctx.seed);
-    let mut flows = Vec::with_capacity(per_host * ctx.hosts);
-    for src in 0..ctx.hosts as u32 {
-        let mut host_rng = rng.fork(src as u64);
-        let mut t = Time::ZERO;
-        let mut left = per_host;
-        while left > 0 {
-            let burst = sample_geometric(&mut host_rng, burst_flows).min(left);
-            left -= burst;
-            for _ in 0..burst {
-                t += host_rng.exp_duration(on_gap);
-                let mut dst = host_rng.range(0, ctx.hosts as u64 - 1) as u32;
-                if dst >= src {
-                    dst += 1; // skip self
-                }
-                flows.push(FlowSpec {
-                    src,
-                    dst,
-                    bytes: sizes.sample(&mut host_rng).max(1),
-                    at: t,
-                });
-            }
-            // …and the OFF silence restores the long-run average: a
-            // burst of n flows spent n·duty·gap ON, so the cycle owes
-            // n·(1−duty)·gap of silence to average out to n·gap. The
-            // last burst's silence precedes nothing and is not drawn.
-            if off_share > 0.0 && left > 0 {
-                let off_mean = Duration::from_secs_f64(burst as f64 * gap_s * off_share);
-                if !off_mean.is_zero() {
-                    t += host_rng.exp_duration(off_mean);
-                }
-            }
-        }
-    }
-    flows.sort_by_key(|f| (f.at, f.src, f.dst));
-    flows.truncate(flow_count);
-    flows
-}
-
-/// Geometric burst length with the given mean (support `1..`), via
-/// inverse-CDF sampling. A mean of 1 is the degenerate single-flow
-/// burst and draws nothing.
-fn sample_geometric(rng: &mut SimRng, mean: usize) -> usize {
-    if mean <= 1 {
-        return 1;
-    }
-    let p = 1.0 / mean as f64;
-    let u = 1.0 - rng.uniform(); // in (0, 1], avoids ln(0)
-    let n = 1.0 + (u.ln() / (1.0 - p).ln()).floor();
-    (n as usize).max(1)
 }
 
 /// §4.4.3's incast: `total_bytes` striped equally over `m` distinct
