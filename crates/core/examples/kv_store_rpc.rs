@@ -39,9 +39,9 @@ fn main() {
         println!(
             "{:<12} {:>10} {:>10} {:>10} {:>12}",
             name,
-            rpcs.percentile_fct(0.90),
-            rpcs.percentile_fct(0.99),
-            rpcs.percentile_fct(0.999),
+            rpcs.percentile(0.90),
+            rpcs.percentile(0.99),
+            rpcs.percentile(0.999),
             rpcs.len(),
         );
     }

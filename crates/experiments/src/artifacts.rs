@@ -137,13 +137,28 @@ fn per_sec(events: u64, wall: std::time::Duration) -> f64 {
 /// any worker fleet (see `docs/TRACING.md`).
 pub struct BatchTrace {
     /// `trace-v1` NDJSON lines in `(cell, emission)` order, without the
-    /// header line ([`irn_telemetry::header_line`] is prepended at
-    /// write-out, since only the CLI knows the source description).
+    /// header line (a [`TraceHeader`] is prepended at write-out, since
+    /// only the CLI knows the source description).
     pub lines: Vec<String>,
     /// Events discarded by ring-buffer overflow, summed over cells
     /// (each overflowing cell also carries an inline `trace.truncated`
     /// marker line).
     pub dropped: u64,
+}
+
+/// The first line of a `trace-v1` file, written by `repro --trace` and
+/// read back strictly by `repro trace-summarize`. Deterministic: every
+/// member is part of the run's identity, never of its host.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TraceHeader {
+    /// Always [`irn_telemetry::TRACE_SCHEMA`].
+    pub schema: String,
+    /// What ran: the artifact list or the scenario slugs.
+    pub source: String,
+    /// The `--trace-filter` expression (empty for everything).
+    pub filter: String,
+    /// Cells in the batch.
+    pub cells: u64,
 }
 
 /// The outcome of [`run_batch`].

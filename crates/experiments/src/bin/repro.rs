@@ -72,13 +72,15 @@
 //! wasn't).
 
 use irn_core::Scenario;
-use irn_experiments::artifacts::{self, BatchRun, ARTIFACTS};
+use irn_experiments::artifacts::{self, BatchRun, TraceHeader, ARTIFACTS};
 use irn_experiments::{
     scenario_json, scenario_plan, Harness, Plan, Report, Scale, TelemetrySummary,
 };
 use irn_harness::{worker, HarnessError, PoolConfig, WorkerOptions, WorkerPool, WorkerSpec};
 use irn_telemetry::{TraceFilter, TraceSpec};
 use serde::json::{self, Value};
+use std::collections::HashMap;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -621,12 +623,12 @@ fn write_trace(args: &Args, source: &str, batch: &BatchRun) {
         return;
     };
     let filter = args.trace_filter.as_deref().unwrap_or("");
-    let mut text = String::new();
-    text.push_str(&irn_telemetry::header_line(
-        source,
-        filter,
-        batch.cell_count,
-    ));
+    let mut text = json::to_string(&TraceHeader {
+        schema: irn_telemetry::TRACE_SCHEMA.to_string(),
+        source: source.to_string(),
+        filter: filter.to_string(),
+        cells: batch.cell_count as u64,
+    });
     text.push('\n');
     for line in &trace.lines {
         text.push_str(line);
@@ -1045,46 +1047,55 @@ fn emit_scenario_mode(args: &Args) {
     }
 }
 
+/// A completed application operation: `(cell, op, client, latency_ns)`.
+type Op = (u64, u64, u64, u64);
+
+/// Slowest operations `trace-summarize` lists.
+const SLOWEST_OPS: usize = 10;
+
 /// `repro trace-summarize FILE`: aggregate a `trace-v1` NDJSON file
 /// into a per-kind table and a per-flow table (events by kind, sorted
-/// by volume). Doubles as the CI's schema validator: a header with the
-/// wrong schema tag, an unparsable line, or an event missing its
-/// mandatory fields exits 2.
+/// by volume). Doubles as the CI's schema validator: a header that is
+/// not a [`TraceHeader`] or names another schema, an unparsable line,
+/// or an event missing its mandatory fields exits 2. The file streams
+/// through line by line: memory holds one count per kind and per flow
+/// and the [`SLOWEST_OPS`] slowest operations, never the file.
 fn trace_summarize_mode(args: &Args) {
     let rest = &args.positionals[1..];
     if rest.len() != 1 {
         fail("trace-summarize needs exactly one trace-v1 file");
     }
     let path = &rest[0];
-    let text = std::fs::read_to_string(path)
+    let file = std::fs::File::open(path)
         .unwrap_or_else(|e| fail_input(format_args!("cannot read {path}: {e}")));
-    let mut lines = text.lines().enumerate();
+    let mut lines = BufReader::new(file)
+        .lines()
+        .map(|line| line.unwrap_or_else(|e| fail_input(format_args!("cannot read {path}: {e}"))))
+        .enumerate();
     // Line 1 is the header: schema tag, source, filter, cell count.
     let Some((_, header)) = lines.next() else {
         fail_input(format_args!(
             "{path}: empty file, expected a trace-v1 header"
         ));
     };
-    let header = json::from_str(header)
+    let header: TraceHeader = serde::from_json_str(&header)
         .unwrap_or_else(|e| fail_input(format_args!("{path}:1: bad header: {e}")));
-    if header.get("schema").and_then(Value::as_str) != Some(irn_telemetry::TRACE_SCHEMA) {
+    if header.schema != irn_telemetry::TRACE_SCHEMA {
         fail_input(format_args!(
             "{path}: not a {} file (see docs/TRACING.md)",
             irn_telemetry::TRACE_SCHEMA
         ));
     }
-    let cells = header.get("cells").and_then(Value::as_u64).unwrap_or(0);
-    let filter = header
-        .get("filter")
-        .and_then(Value::as_str)
-        .unwrap_or_default();
 
-    // kind -> count, and flow -> (events, kind -> count).
-    let mut by_kind: Vec<(String, u64)> = Vec::new();
-    let mut by_flow: Vec<(u64, u64)> = Vec::new();
-    // Completed application operations: (cell, op, client, latency_ns),
-    // harvested from `app.op.done` lines (closed-loop runs only).
-    let mut ops: Vec<(u64, u64, u64, u64)> = Vec::new();
+    let mut by_kind: HashMap<String, u64> = HashMap::new();
+    let mut by_flow: HashMap<u64, u64> = HashMap::new();
+    // Operations harvested from `app.op.done` lines (closed-loop runs
+    // only): the slowest in print order — latency descending, then
+    // `(cell, op)` ascending, then arrival, as a stable sort left them —
+    // plus a count and a sum.
+    let mut slowest: Vec<Op> = Vec::with_capacity(SLOWEST_OPS + 1);
+    let print_order = |o: &Op| (std::cmp::Reverse(o.3), o.0, o.1);
+    let (mut ops, mut op_latency_sum) = (0u64, 0u128);
     let mut phases = 0u64;
     let mut events = 0u64;
     let mut truncated = 0u64;
@@ -1093,47 +1104,43 @@ fn trace_summarize_mode(args: &Args) {
             continue;
         }
         let n = i + 1;
-        let v = json::from_str(line)
+        let v = json::from_str(&line)
             .unwrap_or_else(|e| fail_input(format_args!("{path}:{n}: bad event line: {e}")));
         let Some(kind) = v.get("kind").and_then(Value::as_str) else {
             fail_input(format_args!("{path}:{n}: event without a 'kind'"));
         };
-        if v.get("cell").and_then(Value::as_u64).is_none()
-            || v.get("t").and_then(Value::as_u64).is_none()
-        {
+        let field = |key| v.get(key).and_then(Value::as_u64);
+        if field("cell").is_none() || field("t").is_none() {
             fail_input(format_args!(
                 "{path}:{n}: event without numeric 'cell'/'t' fields"
             ));
         }
         events += 1;
         if kind == "trace.truncated" {
-            truncated += v.get("dropped").and_then(Value::as_u64).unwrap_or(0);
+            truncated += field("dropped").unwrap_or(0);
         }
         if kind == "app.op.done" {
-            ops.push((
-                v.get("cell").and_then(Value::as_u64).unwrap_or(0),
-                v.get("op").and_then(Value::as_u64).unwrap_or(0),
-                v.get("client").and_then(Value::as_u64).unwrap_or(0),
-                v.get("latency_ns").and_then(Value::as_u64).unwrap_or(0),
-            ));
+            let num = |key| field(key).unwrap_or(0);
+            let op = (num("cell"), num("op"), num("client"), num("latency_ns"));
+            ops += 1;
+            op_latency_sum += u128::from(op.3);
+            let at = slowest.partition_point(|o| print_order(o) <= print_order(&op));
+            slowest.insert(at, op);
+            slowest.truncate(SLOWEST_OPS);
         }
         if kind == "app.phase" {
             phases += 1;
         }
-        match by_kind.iter_mut().find(|(k, _)| k == kind) {
-            Some((_, c)) => *c += 1,
-            None => by_kind.push((kind.to_string(), 1)),
-        }
-        if let Some(flow) = v.get("flow").and_then(Value::as_u64) {
-            match by_flow.iter_mut().find(|(f, _)| *f == flow) {
-                Some((_, c)) => *c += 1,
-                None => by_flow.push((flow, 1)),
-            }
+        *by_kind.entry(kind.to_string()).or_insert(0) += 1;
+        if let Some(flow) = field("flow") {
+            *by_flow.entry(flow).or_insert(0) += 1;
         }
     }
 
     outln!(
-        "trace {path}: {events} event(s) across {cells} cell(s), filter '{filter}'{}",
+        "trace {path}: {events} event(s) across {} cell(s), filter '{}'{}",
+        header.cells,
+        header.filter,
         if truncated > 0 {
             format!(", {truncated} dropped by ring-buffer overflow")
         } else {
@@ -1142,6 +1149,7 @@ fn trace_summarize_mode(args: &Args) {
     );
     outln!();
     outln!("{:<16} {:>10} {:>8}", "kind", "events", "share");
+    let mut by_kind: Vec<(String, u64)> = by_kind.into_iter().collect();
     by_kind.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     for (kind, count) in &by_kind {
         outln!(
@@ -1151,6 +1159,7 @@ fn trace_summarize_mode(args: &Args) {
     }
     outln!();
     outln!("{:<8} {:>10}   top flows by event volume", "flow", "events");
+    let mut by_flow: Vec<(u64, u64)> = by_flow.into_iter().collect();
     by_flow.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     for (flow, count) in by_flow.iter().take(20) {
         outln!("{flow:<8} {count:>10}");
@@ -1161,14 +1170,11 @@ fn trace_summarize_mode(args: &Args) {
 
     // Per-operation view: only printed when the trace carries
     // closed-loop `app.op.done` events (see docs/TRACING.md).
-    if !ops.is_empty() {
-        let sum: u64 = ops.iter().map(|(_, _, _, l)| l).sum();
-        let mean_ns = sum / ops.len() as u64;
+    if ops > 0 {
+        let mean_ns = (op_latency_sum / u128::from(ops)) as u64;
         outln!();
         outln!(
-            "operations: {} completed, {} phase barrier(s), mean latency {:.3} ms",
-            ops.len(),
-            phases,
+            "operations: {ops} completed, {phases} phase barrier(s), mean latency {:.3} ms",
             mean_ns as f64 / 1e6
         );
         outln!(
@@ -1178,15 +1184,14 @@ fn trace_summarize_mode(args: &Args) {
             "client",
             "latency_ms"
         );
-        ops.sort_by(|a, b| b.3.cmp(&a.3).then_with(|| (a.0, a.1).cmp(&(b.0, b.1))));
-        for (cell, op, client, latency_ns) in ops.iter().take(10) {
+        for (cell, op, client, latency_ns) in &slowest {
             outln!(
                 "{cell:<6} {op:<8} {client:<8} {:>12.3}",
                 *latency_ns as f64 / 1e6
             );
         }
-        if ops.len() > 10 {
-            outln!("... and {} more operation(s)", ops.len() - 10);
+        if ops > SLOWEST_OPS as u64 {
+            outln!("... and {} more operation(s)", ops - SLOWEST_OPS as u64);
         }
     }
 }

@@ -132,7 +132,7 @@ fn tail_row(label: &str, runs: &[&[RunResult]]) -> Vec<Row> {
             .iter()
             .filter_map(|r| {
                 let sp = r.metrics.single_packet_messages();
-                (!sp.is_empty()).then(|| sp.percentile_fct(q).as_millis_f64())
+                (!sp.is_empty()).then(|| sp.percentile(q).as_millis_f64())
             })
             .collect();
         if !values.is_empty() {

@@ -10,6 +10,9 @@
 //! **Emitted scenario sets run back unedited**: `emit-scenario` → `run`
 //! → `--verify-json`, with the emitted file names held to the fixture
 //! the library test rebuilds from the artifact table.
+//!
+//! **`trace-summarize` output is pinned**, on a small traced run and on
+//! a synthetic trace of tied operations, and its header read is strict.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
@@ -472,4 +475,86 @@ fn stdout_closing_early_is_quiet_and_any_other_stdout_error_exits_2() {
         assert_eq!(out.status.code(), Some(2), "{stderr}");
         assert!(stderr.contains("cannot write to stdout"), "{stderr}");
     }
+}
+
+/// `repro trace-summarize PATH`'s stdout, with the path spelled `TRACE`.
+fn summary_of(path: &str) -> String {
+    let out = repro(&["trace-summarize", path]);
+    let said = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{said}");
+    said.replace(path, "TRACE")
+}
+
+/// The summary of a small traced run and of a synthetic trace whose
+/// operations tie on latency and on `(cell, op)` are pinned to the
+/// bytes the whole-file summarizer printed; a header that is not a
+/// `TraceHeader` of schema `trace-v1` exits 2 naming what is wrong.
+#[test]
+fn trace_summaries_are_pinned_and_the_header_reads_strictly() {
+    let dir = scratch("trace");
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("kv.ndjson").to_str().unwrap().to_string();
+    let example = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/kv-rpc.json");
+    let filter = "kind=app.*,kind=flow.*";
+    let out = repro(&[
+        "run",
+        example,
+        "--seeds",
+        "1",
+        "--trace",
+        &trace,
+        "--trace-filter",
+        filter,
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        summary_of(&trace),
+        include_str!("fixtures/trace-kv-rpc.summary.txt")
+    );
+    let ties = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/trace-ties.ndjson"
+    );
+    assert_eq!(
+        summary_of(ties),
+        include_str!("fixtures/trace-ties.summary.txt")
+    );
+
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let (header, events) = text.split_once('\n').unwrap();
+    assert_eq!(
+        header,
+        r#"{"schema":"trace-v1","source":"kv-rpc","filter":"kind=app.*,kind=flow.*","cells":1}"#
+    );
+    for (tag, doctored, said) in [
+        (
+            "unknown-key",
+            header.replacen(r#""cells":"#, r#""x":1,"cells":"#, 1),
+            "bad header: at x: unknown field",
+        ),
+        (
+            "no-cells",
+            header.replacen(r#","cells":1"#, "", 1),
+            "bad header: at cells: expected a non-negative integer, got null",
+        ),
+        (
+            "wrong-schema",
+            header.replacen("trace-v1", "trace-v2", 1),
+            "not a trace-v1 file",
+        ),
+    ] {
+        assert_ne!(doctored, header, "{tag}");
+        let path = dir.join(format!("{tag}.ndjson"));
+        std::fs::write(&path, format!("{doctored}\n{events}")).unwrap();
+        let out = repro(&["trace-summarize", path.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{tag}: {err}");
+        assert!(err.contains(said), "{tag}: {err}");
+        assert!(out.stdout.is_empty(), "{tag}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,9 +6,15 @@
 //! unchanged): an artifact envelope and a scenario envelope with their
 //! `telemetry` blocks, a `memory-v1` gauge, `bench-trajectory-v1` with
 //! and without a fleet, a `work-v1` frame with and without a trace
-//! request, and an error frame whose id is unreadable. The inputs are
-//! canned — a stub executor hands out one tiny real run with its
-//! counters overwritten — so the bytes depend on the writers alone.
+//! request, an error frame whose id is unreadable, and the `trace-v1`
+//! header line. The inputs are canned — a stub executor hands out one
+//! tiny real run with its counters overwritten — so the bytes depend on
+//! the writers alone.
+//!
+//! **Strict at every depth.** A `result-v1` frame whose `irn-metrics`
+//! members lie (an unknown or repeated key, a member beside an empty
+//! form, a histogram that disagrees with itself) fails to decode with
+//! the member's dotted path from the frame's root.
 //!
 //! **docs/SCHEMA.md.** Every key of every format must be spelled,
 //! back-ticked, in the section that documents it, the way
@@ -22,12 +28,14 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use irn_core::metrics::{AppMetrics, FlowRecord, MetricsCollector};
 use irn_core::net::FabricStats;
+use irn_core::sim::Time;
 use irn_core::transport::config::TransportKind;
 use irn_core::{
     ExperimentConfig, MemoryStats, RunResult, Scenario, SchedCounters, TransportTotals,
 };
-use irn_experiments::artifacts::{self, BatchRun};
+use irn_experiments::artifacts::{self, BatchRun, TraceHeader};
 use irn_experiments::{memory_json, scenario_json, Group, Harness, Plan, Report, Row, Scale};
 use irn_harness::{wire, CellOutcome, Executor, HarnessError, WorkerStats};
 use irn_telemetry::{TraceChunk, TraceSpec};
@@ -231,6 +239,161 @@ fn work_and_error_frames_keep_the_parent_bytes() {
         wire::encode_error(Some(9), "boom"),
         r#"{"frame":"error-v1","id":9,"error":"boom"}"#
     );
+}
+
+#[test]
+fn trace_header_keeps_the_parent_bytes_and_reads_strictly() {
+    let header = |source: &str, filter: &str, cells| TraceHeader {
+        schema: irn_telemetry::TRACE_SCHEMA.to_string(),
+        source: source.to_string(),
+        filter: filter.to_string(),
+        cells,
+    };
+    for (h, bytes) in [
+        (
+            header("fig1,fig4", "kind=pkt.*,flow=3", 12),
+            r#"{"schema":"trace-v1","source":"fig1,fig4","filter":"kind=pkt.*,flow=3","cells":12}"#,
+        ),
+        (
+            header("a\"b\\c\nd\te\r\u{1}f\u{1f}é", "", 0),
+            r#"{"schema":"trace-v1","source":"a\"b\\c\nd\te\r\u0001f\u001fé","filter":"","cells":0}"#,
+        ),
+    ] {
+        assert_eq!(json::to_string(&h), bytes);
+        assert_eq!(serde::from_json_str::<TraceHeader>(bytes), Ok(h));
+    }
+    for (text, said) in [
+        (
+            r#"{"schema":"trace-v1","source":"s","filter":"","cells":1,"x":1}"#,
+            "at x: unknown field",
+        ),
+        (
+            r#"{"schema":"trace-v1","source":"s","filter":""}"#,
+            "at cells: expected a non-negative integer, got null",
+        ),
+    ] {
+        let err = serde::from_json_str::<TraceHeader>(text).unwrap_err();
+        assert_eq!(err.to_string(), said, "{text}");
+    }
+}
+
+/// A `result-v1` frame for cell 5 carrying `r`, with `from` replaced
+/// by `to` once.
+fn doctored_result(r: &RunResult, from: &str, to: &str) -> String {
+    let frame = wire::encode_result(5, 0.25, r, None);
+    let doctored = frame.replacen(from, to, 1);
+    assert_ne!(doctored, frame, "{from} is not in the frame");
+    doctored
+}
+
+#[test]
+fn result_frames_with_lying_metrics_fail_by_path_at_every_depth() {
+    let mut empty = canned(0);
+    empty.metrics = MetricsCollector::new();
+    empty.incast_metrics = None;
+    let mut app = AppMetrics::default();
+    app.record_phase();
+    app.record_phase();
+    empty.app = Some(app);
+    let mut one = canned(0);
+    one.metrics = MetricsCollector::new();
+    one.metrics.record(FlowRecord {
+        flow: 0,
+        bytes: 2000,
+        packets: 2,
+        start: Time::ZERO,
+        finish: Time::ZERO + irn_core::sim::Duration::micros(40),
+        ideal: irn_core::sim::Duration::micros(10),
+    });
+    one.incast_metrics = None;
+    let hist = r#""fct_hist":{"total":1,"buckets":[[654,1]]}"#;
+    let cases = [
+        (
+            doctored_result(
+                &empty,
+                r#""metrics":{"flows":0}"#,
+                r#""metrics":{"flows":0,"bogus":1}"#,
+            ),
+            "at result.metrics.bogus: unknown field",
+        ),
+        (
+            doctored_result(
+                &empty,
+                r#""metrics":{"flows":0}"#,
+                r#""metrics":{"flows":0,"fct_sum_ns":99}"#,
+            ),
+            "at result.metrics.fct_sum_ns: not allowed; the count is zero",
+        ),
+        (
+            doctored_result(
+                &empty,
+                r#""app":{"ops":0,"phases":2}"#,
+                r#""app":{"ops":0,"phases":2,"x":1}"#,
+            ),
+            "at result.app.x: unknown field",
+        ),
+        (
+            doctored_result(
+                &one,
+                hist,
+                r#""fct_hist":{"total":1,"buckets":[[654,1]],"x":true}"#,
+            ),
+            "at result.metrics.fct_hist.x: unknown field",
+        ),
+        (
+            doctored_result(
+                &one,
+                hist,
+                r#""fct_hist":{"total":1,"total":1,"buckets":[[654,1]]}"#,
+            ),
+            "at result.metrics.fct_hist.total: duplicate field",
+        ),
+        (
+            doctored_result(
+                &one,
+                r#""metrics":{"flows":1,"#,
+                r#""metrics":{"flows":1,"extra":1,"#,
+            ),
+            "at result.metrics.extra: unknown field",
+        ),
+        // Extremes out of order: accepted by the hand reader, then a
+        // panic in the coordinator's first percentile.
+        (
+            doctored_result(&one, r#""min_fct_ns":40000"#, r#""min_fct_ns":40001"#),
+            "at result.metrics.min_fct_ns: above its upper bound",
+        ),
+        // The rejections the hand reader already made, now by index.
+        (
+            doctored_result(
+                &one,
+                hist,
+                r#""fct_hist":{"total":1,"buckets":[[99999,1]]}"#,
+            ),
+            "at result.metrics.fct_hist.buckets.[0]: bucket index out of range",
+        ),
+        (
+            doctored_result(&one, hist, r#""fct_hist":{"total":1,"buckets":[[654,0]]}"#),
+            "at result.metrics.fct_hist.buckets.[0]: bucket count must be positive",
+        ),
+        (
+            doctored_result(
+                &one,
+                hist,
+                r#""fct_hist":{"total":2,"buckets":[[654,1],[654,1]]}"#,
+            ),
+            "at result.metrics.fct_hist.buckets.[1]: duplicate bucket index",
+        ),
+        (
+            doctored_result(&one, hist, r#""fct_hist":{"total":2,"buckets":[[654,1]]}"#),
+            "at result.metrics.fct_hist.total: bucket counts do not sum to total",
+        ),
+    ];
+    for (frame, said) in cases {
+        match wire::decode(&frame) {
+            Err(e) => assert!(e.to_string().contains(said), "{e} (want {said})"),
+            Ok(f) => panic!("accepted: {f:?} (want {said})"),
+        }
+    }
 }
 
 /// Every object key in `v`, at any depth, except below the `opaque`

@@ -754,11 +754,10 @@ fn read_listen_addr(worker: &mut Child) -> String {
     addr
 }
 
-/// Run `cells` on a spawned worker beside `peer`, a worker whose every
-/// reply breaks the line bound, and check the peer is dropped as
-/// garbage, its cell reassigned, and the bytes are the in-process
-/// executor's.
-fn a_peer_past_the_line_bound_is_dropped(peer: WorkerSpec, tag: &str) -> String {
+/// Run two cells on a spawned worker beside `peer`, a worker whose
+/// every reply is garbage, and check the peer is dropped as garbage,
+/// its cell reassigned, and the bytes are the in-process executor's.
+fn a_garbage_peer_is_dropped(peer: WorkerSpec, tag: &str) -> String {
     let cells = batch(2);
     let reference = ThreadExecutor::new(2).run_cells(&cells, None).unwrap();
     let json = std::env::temp_dir().join(format!("irn-{tag}-{}.ndjson", std::process::id()));
@@ -784,7 +783,7 @@ fn a_reply_longer_than_the_bound_drops_the_worker() {
     // newline-terminated.
     let long = "x".repeat(irn_harness::wire::max_result_line(None) + 1);
     let (peer, serving) = fake_worker(move |_| vec![long.clone()]);
-    let said = a_peer_past_the_line_bound_is_dropped(peer, "long-line");
+    let said = a_garbage_peer_is_dropped(peer, "long-line");
     serving.join().unwrap();
     assert!(said.contains("line longer than"), "{said}");
 }
@@ -806,7 +805,53 @@ fn a_reply_that_never_ends_drops_the_worker() {
             while out.write_all(&chunk).is_ok() {}
         }
     });
-    let said = a_peer_past_the_line_bound_is_dropped(WorkerSpec::Connect { addr }, "endless");
+    let said = a_garbage_peer_is_dropped(WorkerSpec::Connect { addr }, "endless");
     endless.join().unwrap(); // the closed connection fails its writes
     assert!(said.contains("line longer than"), "{said}");
+}
+
+/// A worker that answers each cell with its true result, doctored by
+/// `lie` into a well-formed `result-v1` frame whose metrics do not
+/// read: dropped as garbage, naming the member's path.
+fn a_lying_result_drops_the_worker(lie: fn(String) -> String, tag: &str) -> String {
+    let reference = ThreadExecutor::new(2).run_cells(&batch(2), None).unwrap();
+    let results: Vec<_> = reference.into_iter().map(|o| o.result).collect();
+    let (liar, lying) = fake_worker(move |line| {
+        let id = work_id(line);
+        let frame = irn_harness::wire::encode_result(id, 0.01, &results[id as usize], None);
+        let doctored = lie(frame.clone());
+        assert_ne!(doctored, frame, "the lie changed nothing");
+        vec![doctored]
+    });
+    let said = a_garbage_peer_is_dropped(liar, tag);
+    lying.join().unwrap();
+    said
+}
+
+#[test]
+fn a_result_with_an_unknown_metrics_key_drops_the_worker() {
+    let said = a_lying_result_drops_the_worker(
+        |frame| frame.replacen(r#""metrics":{"#, r#""metrics":{"bogus":1,"#, 1),
+        "unknown-metrics-key",
+    );
+    assert!(
+        said.contains("at result.metrics.bogus: unknown field"),
+        "{said}"
+    );
+}
+
+#[test]
+fn a_result_repeating_a_histogram_total_drops_the_worker() {
+    let said = a_lying_result_drops_the_worker(
+        |frame| {
+            let at = frame.find(r#""fct_hist":{"#).unwrap() + r#""fct_hist":{"#.len();
+            let total = &frame[at..at + frame[at..].find(',').unwrap()];
+            format!("{}{total},{}", &frame[..at], &frame[at..])
+        },
+        "repeated-hist-total",
+    );
+    assert!(
+        said.contains("at result.metrics.fct_hist.total: duplicate field"),
+        "{said}"
+    );
 }

@@ -11,7 +11,10 @@
 //! state — exact scalar accumulators plus log-bucketed
 //! [`LogHistogram`]s — instead of retaining a vector of per-flow
 //! records. Memory is O(buckets), not O(flows), which is what lets
-//! million-flow sweeps fit in a per-cell budget.
+//! million-flow sweeps fit in a per-cell budget. A value stream with
+//! an exact count, min and max beside its histogram is a
+//! [`Distribution`]: the FCTs, the single-packet population and
+//! closed-loop operation latencies ([`AppMetrics`]) are one each.
 //!
 //! ## Accuracy contract
 //!
@@ -36,13 +39,21 @@
 //! The collector also exposes the single-packet-message population
 //! Figure 8 reads its tail from and the incast request-completion time
 //! (RCT, §4.4.3).
+//!
+//! ## Wire forms
+//!
+//! Each wire form is a private derived struct, read strictly at every
+//! depth; `{"flows":0}` and `{"ops":0,"phases":n}` are its `Option`
+//! members left out. By hand is only what a type cannot say: bucket
+//! indices in range and once each, positive counts, totals matching the
+//! count, and the optional members present exactly when it is positive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use irn_sim::{Duration, Time};
-use serde::json::{Number, Value};
-use serde::{de_field, DeError, Deserialize, Serialize};
+use serde::json::Value;
+use serde::{DeError, Deserialize, Serialize};
 
 /// One completed flow's measurements — the *input* to the collector,
 /// not a stored object.
@@ -120,6 +131,9 @@ pub const SLOWDOWN_SCALE: f64 = 1024.0;
 /// fixed-point quantization (≤ 1/2048). Stated as 1% with margin.
 pub const QUANTILE_RELATIVE_ERROR: f64 = 0.01;
 
+/// Heap bytes per allocated histogram bucket slot (one `u64` count).
+const BUCKET_BYTES: u64 = std::mem::size_of::<u64>() as u64;
+
 /// Number of addressable buckets: 64 exact values plus 58 octaves
 /// (octave of the MSB positions 6..=63) × 64 sub-buckets.
 pub const MAX_BUCKETS: usize = 64 + 58 * 64;
@@ -143,11 +157,6 @@ pub struct LogHistogram {
 }
 
 impl LogHistogram {
-    /// Empty histogram; allocates nothing until the first record.
-    pub fn new() -> LogHistogram {
-        LogHistogram::default()
-    }
-
     /// Bucket index for a value.
     pub fn bucket_index(v: u64) -> usize {
         if v < SUB_BUCKETS {
@@ -192,11 +201,6 @@ impl LogHistogram {
         self.total += 1;
     }
 
-    /// Total recorded values.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// The representative value at nearest-rank quantile `q`; `None`
     /// when empty.
     pub fn value_at_quantile(&self, q: f64) -> Option<u64> {
@@ -220,11 +224,6 @@ impl LogHistogram {
         self.counts.len()
     }
 
-    /// Heap bytes held by the counts vector (allocated slots × 8).
-    pub fn heap_bytes(&self) -> u64 {
-        self.counts.len() as u64 * std::mem::size_of::<u64>() as u64
-    }
-
     /// Non-empty buckets as `(index, count)` in index order.
     pub fn nonzero(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
@@ -235,67 +234,178 @@ impl LogHistogram {
     }
 }
 
+/// [`LogHistogram`]'s wire form: the total plus `[index, count]` pairs
+/// for the non-empty buckets, in index order.
+#[derive(Serialize, Deserialize)]
+struct HistogramWire {
+    total: u64,
+    buckets: Vec<(u64, u64)>,
+}
+
 impl Serialize for LogHistogram {
-    /// Sparse wire form: total plus `[index, count]` pairs for
-    /// non-empty buckets, in index order.
     fn to_json(&self) -> Value {
-        let buckets: Vec<Value> = self
-            .nonzero()
-            .map(|(i, c)| {
-                Value::Array(vec![
-                    Value::Number(Number::U64(i as u64)),
-                    Value::Number(Number::U64(c)),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("total".to_string(), self.total.to_json()),
-            ("buckets".to_string(), Value::Array(buckets)),
-        ])
+        HistogramWire {
+            total: self.total,
+            buckets: self.nonzero().map(|(i, c)| (i as u64, c)).collect(),
+        }
+        .to_json()
     }
 }
 
 impl Deserialize for LogHistogram {
-    /// Inverse of the sparse form; the counts vector is rebuilt to the
-    /// highest index present, so a round trip is structurally (and
-    /// byte-) identical.
+    /// The wire form, plus what its type cannot say: every index in
+    /// range and at most once, every count positive, and the counts
+    /// summing to `total`. The counts vector is rebuilt to the highest
+    /// index present, so a round trip is byte-identical.
     fn from_json(v: &Value) -> Result<LogHistogram, DeError> {
-        let total: u64 = de_field(v, "total")?;
-        let pairs = v
-            .get("buckets")
-            .and_then(Value::as_array)
-            .ok_or_else(|| DeError::new("expected a bucket array").in_field("buckets"))?;
-        let mut h = LogHistogram::new();
-        let mut sum = 0u64;
-        for p in pairs {
-            let pair = p.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                DeError::new("expected an [index, count] pair").in_field("buckets")
-            })?;
-            let idx = pair[0]
-                .as_u64()
-                .filter(|&i| (i as usize) < MAX_BUCKETS)
-                .ok_or_else(|| DeError::new("bucket index out of range").in_field("buckets"))?
-                as usize;
-            let count = pair[1]
-                .as_u64()
-                .filter(|&c| c > 0)
-                .ok_or_else(|| DeError::new("bucket count must be positive").in_field("buckets"))?;
-            if idx >= h.counts.len() {
-                h.counts.resize(idx + 1, 0);
+        let wire = HistogramWire::from_json(v)?;
+        let mut h = LogHistogram::default();
+        let mut sum = 0u128;
+        for (i, &(index, count)) in wire.buckets.iter().enumerate() {
+            let at = |msg: &str| DeError::new(msg).in_field(&format!("buckets.[{i}]"));
+            let index = usize::try_from(index)
+                .ok()
+                .filter(|&x| x < MAX_BUCKETS)
+                .ok_or_else(|| at("bucket index out of range"))?;
+            if count == 0 {
+                return Err(at("bucket count must be positive"));
             }
-            if h.counts[idx] != 0 {
-                return Err(DeError::new("duplicate bucket index").in_field("buckets"));
+            if index >= h.counts.len() {
+                h.counts.resize(index + 1, 0);
             }
-            h.counts[idx] = count;
-            sum += count;
+            if h.counts[index] != 0 {
+                return Err(at("duplicate bucket index"));
+            }
+            h.counts[index] = count;
+            sum += u128::from(count);
         }
-        if sum != total {
+        if sum != u128::from(wire.total) {
             return Err(DeError::new("bucket counts do not sum to total").in_field("total"));
         }
-        h.total = total;
+        h.total = wire.total;
         Ok(h)
     }
 }
+
+// ---------------------------------------------------------------------
+// Distribution
+// ---------------------------------------------------------------------
+
+/// A streamed distribution of nanosecond values in O(buckets) memory:
+/// an exact count, exact min and max, and a [`LogHistogram`] for the
+/// interior quantiles. Flow completion times, the single-packet
+/// population and closed-loop operation latencies each fold into one.
+///
+/// Sums are not kept here: the owners whose wire forms carry one
+/// ([`MetricsCollector`]'s `fct_sum_ns`, [`AppMetrics`]'s
+/// `latency_sum_ns`) keep their own.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Distribution {
+    count: u64,
+    min_ns: u64,
+    max_ns: u64,
+    hist: LogHistogram,
+}
+
+impl Distribution {
+    /// Fold in one value.
+    pub fn record(&mut self, ns: u64) {
+        if self.count == 0 || ns < self.min_ns {
+            self.min_ns = ns;
+        }
+        self.max_ns = self.max_ns.max(ns);
+        self.count += 1;
+        self.hist.record(ns);
+    }
+
+    /// Values recorded (exact).
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// True when nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// The value at quantile `q` ∈ [0, 1] (nearest-rank): the exact
+    /// min at `q = 0` and max at `q = 1`; in between, the bucket
+    /// representative (≤ [`MAX_RELATIVE_ERROR`]) clamped to the
+    /// observed `[min, max]`. An empty distribution returns
+    /// [`Duration::ZERO`], so the query is total.
+    pub fn percentile(&self, q: f64) -> Duration {
+        let Some(v) = self.hist.value_at_quantile(q) else {
+            return Duration::ZERO;
+        };
+        Duration::nanos(if q == 0.0 {
+            self.min_ns
+        } else if q == 1.0 {
+            self.max_ns
+        } else {
+            v.clamp(self.min_ns, self.max_ns)
+        })
+    }
+
+    /// The wire members after the count: `(min, max, histogram)`, each
+    /// absent when the distribution is empty.
+    fn wire(&self) -> (Option<u64>, Option<u64>, Option<&LogHistogram>) {
+        let on = self.count > 0;
+        (
+            on.then_some(self.min_ns),
+            on.then_some(self.max_ns),
+            on.then_some(&self.hist),
+        )
+    }
+
+    /// The inverse of [`Distribution::wire`]: the members, named by
+    /// `keys` (min, max, histogram) in errors, must be present exactly
+    /// when `count` is positive, in order, and the histogram must total
+    /// `count`.
+    fn from_wire(
+        count: u64,
+        (min, max, hist): (Option<u64>, Option<u64>, Option<LogHistogram>),
+        keys: [&str; 3],
+    ) -> Result<Distribution, DeError> {
+        let p = Present(count > 0);
+        let d = Distribution {
+            count,
+            min_ns: p.take(min, keys[0])?,
+            max_ns: p.take(max, keys[1])?,
+            hist: p.take(hist, keys[2])?,
+        };
+        ensure(d.min_ns <= d.max_ns, keys[0], DISORDER)?;
+        ensure(d.hist.total == count, keys[2], TOTAL)?;
+        Ok(d)
+    }
+}
+
+/// The wire members an empty form leaves out (`{"flows":0}`,
+/// `{"ops":0,"phases":n}`): each must be present exactly when the
+/// form's count is positive (`.0`), and reads as its type's default
+/// when absent.
+struct Present(bool);
+
+impl Present {
+    fn take<T: Default>(&self, member: Option<T>, key: &str) -> Result<T, DeError> {
+        match (member, self.0) {
+            (Some(v), true) => Ok(v),
+            (None, false) => Ok(T::default()),
+            (None, true) => Err(DeError::new("missing; the count is positive").in_field(key)),
+            (Some(_), false) => Err(DeError::new("not allowed; the count is zero").in_field(key)),
+        }
+    }
+}
+
+/// A check a wire type cannot state: `msg` at `key` unless it `holds`.
+/// (Extremes out of order from a lying peer would panic a later `clamp`.)
+fn ensure(holds: bool, key: &str, msg: &str) -> Result<(), DeError> {
+    holds
+        .then_some(())
+        .ok_or_else(|| DeError::new(msg).in_field(key))
+}
+
+const TOTAL: &str = "histogram total does not match the count";
+const DISORDER: &str = "above its upper bound";
 
 // ---------------------------------------------------------------------
 // Collector
@@ -314,131 +424,40 @@ pub struct Summary {
     pub flows: usize,
 }
 
-/// The single-packet-message sub-population (Figure 8's tail-latency
-/// view): its own exact min/max plus an FCT histogram, maintained
-/// streaming alongside the full population.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TailPopulation {
-    flows: u64,
-    min_fct_ns: u64,
-    max_fct_ns: u64,
-    fct_hist: LogHistogram,
-}
-
-impl Default for TailPopulation {
-    fn default() -> TailPopulation {
-        TailPopulation {
-            flows: 0,
-            min_fct_ns: u64::MAX,
-            max_fct_ns: 0,
-            fct_hist: LogHistogram::new(),
-        }
-    }
-}
-
-impl TailPopulation {
-    fn add(&mut self, fct_ns: u64) {
-        self.flows += 1;
-        self.min_fct_ns = self.min_fct_ns.min(fct_ns);
-        self.max_fct_ns = self.max_fct_ns.max(fct_ns);
-        self.fct_hist.record(fct_ns);
-    }
-
-    /// Number of single-packet messages.
-    pub fn len(&self) -> usize {
-        self.flows as usize
-    }
-
-    /// True when the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.flows == 0
-    }
-
-    /// FCT at quantile `q` ∈ [0, 1]: exact at the boundaries, bucketed
-    /// (≤ [`MAX_RELATIVE_ERROR`]) in the interior, [`Duration::ZERO`]
-    /// when empty.
-    pub fn percentile_fct(&self, q: f64) -> Duration {
-        percentile_ns(&self.fct_hist, q, self.min_fct_ns, self.max_fct_ns)
-    }
-}
-
-impl Serialize for TailPopulation {
-    /// `{"flows": 0}` when empty (min/max are meaningless then);
-    /// otherwise the full scalar + histogram form.
-    fn to_json(&self) -> Value {
-        if self.flows == 0 {
-            return Value::Object(vec![("flows".to_string(), 0u64.to_json())]);
-        }
-        Value::Object(vec![
-            ("flows".to_string(), self.flows.to_json()),
-            ("min_fct_ns".to_string(), self.min_fct_ns.to_json()),
-            ("max_fct_ns".to_string(), self.max_fct_ns.to_json()),
-            ("fct_hist".to_string(), self.fct_hist.to_json()),
-        ])
-    }
-}
-
-impl Deserialize for TailPopulation {
-    fn from_json(v: &Value) -> Result<TailPopulation, DeError> {
-        let flows: u64 = de_field(v, "flows")?;
-        if flows == 0 {
-            return Ok(TailPopulation::default());
-        }
-        let t = TailPopulation {
-            flows,
-            min_fct_ns: de_field(v, "min_fct_ns")?,
-            max_fct_ns: de_field(v, "max_fct_ns")?,
-            fct_hist: de_field(v, "fct_hist")?,
-        };
-        if t.fct_hist.total() != flows {
-            return Err(DeError::new("histogram total does not match flows").in_field("fct_hist"));
-        }
-        Ok(t)
-    }
-}
-
 /// Per-operation metrics of a closed-loop application run, in
 /// O(buckets) memory.
 ///
 /// A closed-loop driver (RPC, allreduce, replication) completes
 /// *operations* — request/response round trips, collective iterations,
-/// replicated commits — whose latency spans many flows. This collector
-/// streams those latencies the same way [`MetricsCollector`] streams
-/// FCTs: exact count, sum, and extremes, plus a [`LogHistogram`] for
-/// interior quantiles under the same accuracy contract (every quantile
-/// within [`QUANTILE_RELATIVE_ERROR`], 1%, of the exact nearest-rank
-/// value; the `q = 0`/`q = 1` boundaries exact).
-#[derive(Debug, Clone, PartialEq)]
+/// replicated commits — whose latency spans many flows. Their
+/// latencies fold into a [`Distribution`] the same way
+/// [`MetricsCollector`] folds FCTs, under the same accuracy contract
+/// (every quantile within [`QUANTILE_RELATIVE_ERROR`], 1%, of the exact
+/// nearest-rank value; the `q = 0`/`q = 1` boundaries exact).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppMetrics {
-    ops: u64,
+    latency: Distribution,
     latency_sum_ns: u64,
-    min_latency_ns: u64,
-    max_latency_ns: u64,
-    latency_hist: LogHistogram,
     phases: u64,
 }
 
-impl Default for AppMetrics {
-    fn default() -> AppMetrics {
-        AppMetrics {
-            ops: 0,
-            latency_sum_ns: 0,
-            min_latency_ns: u64::MAX,
-            max_latency_ns: 0,
-            latency_hist: LogHistogram::new(),
-            phases: 0,
-        }
-    }
+/// [`AppMetrics`]'s wire form; `{"ops":0,"phases":n}` when no
+/// operation completed. `H` is `&LogHistogram` out, `LogHistogram` in.
+#[derive(Serialize, Deserialize)]
+struct AppWire<H> {
+    ops: u64,
+    latency_sum_ns: Option<u64>,
+    min_latency_ns: Option<u64>,
+    max_latency_ns: Option<u64>,
+    latency_hist: Option<H>,
+    phases: u64,
 }
 
 impl AppMetrics {
     /// Fold in one completed operation's latency.
     pub fn record_op(&mut self, latency_ns: u64) {
-        self.ops += 1;
         self.latency_sum_ns += latency_ns;
-        self.min_latency_ns = self.min_latency_ns.min(latency_ns);
-        self.max_latency_ns = self.max_latency_ns.max(latency_ns);
-        self.latency_hist.record(latency_ns);
+        self.latency.record(latency_ns);
     }
 
     /// Count one crossed collective phase barrier.
@@ -448,7 +467,7 @@ impl AppMetrics {
 
     /// Completed operations (exact).
     pub fn ops(&self) -> u64 {
-        self.ops
+        self.latency.count
     }
 
     /// Collective phase barriers crossed (exact; zero for RPC and
@@ -457,183 +476,176 @@ impl AppMetrics {
         self.phases
     }
 
-    /// True when no operation has completed.
-    pub fn is_empty(&self) -> bool {
-        self.ops == 0
-    }
-
     /// Mean operation latency (exact; [`Duration::ZERO`] when empty).
     pub fn mean_latency(&self) -> Duration {
-        if self.ops == 0 {
+        if self.latency.is_empty() {
             return Duration::ZERO;
         }
-        Duration::nanos(self.latency_sum_ns / self.ops)
+        Duration::nanos(self.latency_sum_ns / self.latency.count)
     }
 
-    /// Operation latency at quantile `q` ∈ [0, 1]: exact at the
-    /// boundaries, bucketed (≤ [`MAX_RELATIVE_ERROR`]) in the
-    /// interior, [`Duration::ZERO`] when empty.
+    /// Operation latency at quantile `q` ∈ [0, 1]
+    /// ([`Distribution::percentile`]).
     pub fn percentile_latency(&self, q: f64) -> Duration {
-        percentile_ns(
-            &self.latency_hist,
-            q,
-            self.min_latency_ns,
-            self.max_latency_ns,
-        )
+        self.latency.percentile(q)
     }
 
     /// Heap bytes behind the latency histogram.
     pub fn heap_bytes(&self) -> u64 {
-        self.latency_hist.heap_bytes()
+        self.allocated_buckets() * BUCKET_BYTES
     }
 
     /// Allocated histogram buckets.
     pub fn allocated_buckets(&self) -> u64 {
-        self.latency_hist.allocated_buckets() as u64
+        self.latency.hist.allocated_buckets() as u64
     }
 }
 
 impl Serialize for AppMetrics {
-    /// `{"ops": 0, "phases": n}` when no operation completed (latency
-    /// fields are meaningless then); otherwise the full scalar +
-    /// histogram form.
     fn to_json(&self) -> Value {
-        if self.ops == 0 {
-            return Value::Object(vec![
-                ("ops".to_string(), 0u64.to_json()),
-                ("phases".to_string(), self.phases.to_json()),
-            ]);
+        let (min_latency_ns, max_latency_ns, latency_hist) = self.latency.wire();
+        AppWire {
+            ops: self.latency.count,
+            latency_sum_ns: (self.latency.count > 0).then_some(self.latency_sum_ns),
+            min_latency_ns,
+            max_latency_ns,
+            latency_hist,
+            phases: self.phases,
         }
-        Value::Object(vec![
-            ("ops".to_string(), self.ops.to_json()),
-            ("latency_sum_ns".to_string(), self.latency_sum_ns.to_json()),
-            ("min_latency_ns".to_string(), self.min_latency_ns.to_json()),
-            ("max_latency_ns".to_string(), self.max_latency_ns.to_json()),
-            ("latency_hist".to_string(), self.latency_hist.to_json()),
-            ("phases".to_string(), self.phases.to_json()),
-        ])
+        .to_json()
     }
 }
 
 impl Deserialize for AppMetrics {
     fn from_json(v: &Value) -> Result<AppMetrics, DeError> {
-        let ops: u64 = de_field(v, "ops")?;
-        let phases: u64 = de_field(v, "phases")?;
-        if ops == 0 {
-            return Ok(AppMetrics {
-                phases,
-                ..AppMetrics::default()
-            });
-        }
-        let m = AppMetrics {
-            ops,
-            latency_sum_ns: de_field(v, "latency_sum_ns")?,
-            min_latency_ns: de_field(v, "min_latency_ns")?,
-            max_latency_ns: de_field(v, "max_latency_ns")?,
-            latency_hist: de_field(v, "latency_hist")?,
-            phases,
-        };
-        if m.latency_hist.total() != ops {
-            return Err(DeError::new("histogram total does not match ops").in_field("latency_hist"));
-        }
-        Ok(m)
+        let w = AppWire::<LogHistogram>::from_json(v)?;
+        Ok(AppMetrics {
+            latency: Distribution::from_wire(
+                w.ops,
+                (w.min_latency_ns, w.max_latency_ns, w.latency_hist),
+                ["min_latency_ns", "max_latency_ns", "latency_hist"],
+            )?,
+            latency_sum_ns: Present(w.ops > 0).take(w.latency_sum_ns, "latency_sum_ns")?,
+            phases: w.phases,
+        })
     }
 }
 
 /// Aggregated results over many flows, in O(buckets) memory.
 ///
-/// Exact accumulators (sums, extremes, RCT span) sit alongside two
-/// [`LogHistogram`]s (FCT in nanoseconds; slowdown in
+/// Exact accumulators (sums, slowdown extremes, RCT span) sit alongside
+/// the FCT [`Distribution`], a slowdown [`LogHistogram`] (in
 /// 1/[`SLOWDOWN_SCALE`] fixed point) and the single-packet
-/// [`TailPopulation`]. See the crate docs for which outputs are exact
-/// and which are bucketed.
-#[derive(Debug, Clone, PartialEq)]
+/// [`Distribution`]. See the crate docs for which outputs are exact and
+/// which are bucketed.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsCollector {
-    flows: u64,
+    fct: Distribution,
     fct_sum_ns: u64,
     slowdown_sum: f64,
-    min_fct_ns: u64,
-    max_fct_ns: u64,
     min_slowdown: f64,
     max_slowdown: f64,
     first_start_ns: u64,
     last_finish_ns: u64,
-    fct_hist: LogHistogram,
     slowdown_hist: LogHistogram,
-    single_packet: TailPopulation,
+    single_packet: Distribution,
 }
 
-impl Default for MetricsCollector {
-    fn default() -> MetricsCollector {
-        MetricsCollector {
-            flows: 0,
-            fct_sum_ns: 0,
-            slowdown_sum: 0.0,
-            min_fct_ns: u64::MAX,
-            max_fct_ns: 0,
-            min_slowdown: f64::INFINITY,
-            max_slowdown: 0.0,
-            first_start_ns: u64::MAX,
-            last_finish_ns: 0,
-            fct_hist: LogHistogram::new(),
-            slowdown_hist: LogHistogram::new(),
-            single_packet: TailPopulation::default(),
-        }
-    }
+/// [`MetricsCollector`]'s wire form: the streaming state itself, exact
+/// accumulators plus sparse histograms; `{"flows":0}` when empty.
+/// Integer members are integers and f64 sums use the writer's
+/// shortest-round-trip form, so a round trip is bit-exact. `H` is
+/// `&LogHistogram` out, `LogHistogram` in.
+#[derive(Serialize, Deserialize)]
+struct CollectorWire<H> {
+    flows: u64,
+    fct_sum_ns: Option<u64>,
+    slowdown_sum: Option<f64>,
+    min_fct_ns: Option<u64>,
+    max_fct_ns: Option<u64>,
+    min_slowdown: Option<f64>,
+    max_slowdown: Option<f64>,
+    first_start_ns: Option<u64>,
+    last_finish_ns: Option<u64>,
+    fct_hist: Option<H>,
+    slowdown_hist: Option<H>,
+    single_packet: Option<SinglePacketWire<H>>,
 }
+
+/// The single-packet [`Distribution`] on the wire; `{"flows":0}` when
+/// empty.
+#[derive(Default, Serialize, Deserialize)]
+struct SinglePacketWire<H> {
+    flows: u64,
+    min_fct_ns: Option<u64>,
+    max_fct_ns: Option<u64>,
+    fct_hist: Option<H>,
+}
+
+/// The names [`Distribution::from_wire`] reports FCT members by.
+const FCT_KEYS: [&str; 3] = ["min_fct_ns", "max_fct_ns", "fct_hist"];
 
 impl Serialize for MetricsCollector {
-    /// Wire form: the streaming state itself — exact accumulators plus
-    /// sparse histograms. `{"flows": 0}` when empty. Round-trips
-    /// bit-exactly (integer fields are integers; f64 sums use the
-    /// writer's shortest-round-trip form).
     fn to_json(&self) -> Value {
-        if self.flows == 0 {
-            return Value::Object(vec![("flows".to_string(), 0u64.to_json())]);
+        let on = !self.is_empty();
+        let (min_fct_ns, max_fct_ns, fct_hist) = self.fct.wire();
+        let (sp_min, sp_max, sp_hist) = self.single_packet.wire();
+        CollectorWire {
+            flows: self.fct.count,
+            fct_sum_ns: on.then_some(self.fct_sum_ns),
+            slowdown_sum: on.then_some(self.slowdown_sum),
+            min_fct_ns,
+            max_fct_ns,
+            min_slowdown: on.then_some(self.min_slowdown),
+            max_slowdown: on.then_some(self.max_slowdown),
+            first_start_ns: on.then_some(self.first_start_ns),
+            last_finish_ns: on.then_some(self.last_finish_ns),
+            fct_hist,
+            slowdown_hist: on.then_some(&self.slowdown_hist),
+            single_packet: on.then_some(SinglePacketWire {
+                flows: self.single_packet.count,
+                min_fct_ns: sp_min,
+                max_fct_ns: sp_max,
+                fct_hist: sp_hist,
+            }),
         }
-        Value::Object(vec![
-            ("flows".to_string(), self.flows.to_json()),
-            ("fct_sum_ns".to_string(), self.fct_sum_ns.to_json()),
-            ("slowdown_sum".to_string(), self.slowdown_sum.to_json()),
-            ("min_fct_ns".to_string(), self.min_fct_ns.to_json()),
-            ("max_fct_ns".to_string(), self.max_fct_ns.to_json()),
-            ("min_slowdown".to_string(), self.min_slowdown.to_json()),
-            ("max_slowdown".to_string(), self.max_slowdown.to_json()),
-            ("first_start_ns".to_string(), self.first_start_ns.to_json()),
-            ("last_finish_ns".to_string(), self.last_finish_ns.to_json()),
-            ("fct_hist".to_string(), self.fct_hist.to_json()),
-            ("slowdown_hist".to_string(), self.slowdown_hist.to_json()),
-            ("single_packet".to_string(), self.single_packet.to_json()),
-        ])
+        .to_json()
     }
 }
 
 impl Deserialize for MetricsCollector {
-    /// Inverse of the streaming wire form, with structural validation
-    /// (histogram totals must match the flow count).
     fn from_json(v: &Value) -> Result<MetricsCollector, DeError> {
-        let flows: u64 = de_field(v, "flows")?;
-        if flows == 0 {
-            return Ok(MetricsCollector::default());
-        }
-        let m = MetricsCollector {
-            flows,
-            fct_sum_ns: de_field(v, "fct_sum_ns")?,
-            slowdown_sum: de_field(v, "slowdown_sum")?,
-            min_fct_ns: de_field(v, "min_fct_ns")?,
-            max_fct_ns: de_field(v, "max_fct_ns")?,
-            min_slowdown: de_field(v, "min_slowdown")?,
-            max_slowdown: de_field(v, "max_slowdown")?,
-            first_start_ns: de_field(v, "first_start_ns")?,
-            last_finish_ns: de_field(v, "last_finish_ns")?,
-            fct_hist: de_field(v, "fct_hist")?,
-            slowdown_hist: de_field(v, "slowdown_hist")?,
-            single_packet: de_field(v, "single_packet")?,
-        };
-        if m.fct_hist.total() != flows || m.slowdown_hist.total() != flows {
-            return Err(DeError::new("histogram total does not match flows").in_field("fct_hist"));
-        }
-        Ok(m)
+        let w = CollectorWire::<LogHistogram>::from_json(v)?;
+        let p = Present(w.flows > 0);
+        let slowdown_hist = p.take(w.slowdown_hist, "slowdown_hist")?;
+        ensure(slowdown_hist.total == w.flows, "slowdown_hist", TOTAL)?;
+        let min_slowdown = p.take(w.min_slowdown, "min_slowdown")?;
+        let max_slowdown = p.take(w.max_slowdown, "max_slowdown")?;
+        ensure(min_slowdown <= max_slowdown, "min_slowdown", DISORDER)?;
+        let first_start_ns = p.take(w.first_start_ns, "first_start_ns")?;
+        let last_finish_ns = p.take(w.last_finish_ns, "last_finish_ns")?;
+        ensure(first_start_ns <= last_finish_ns, "first_start_ns", DISORDER)?;
+        let sp = p.take(w.single_packet, "single_packet")?;
+        Ok(MetricsCollector {
+            fct: Distribution::from_wire(
+                w.flows,
+                (w.min_fct_ns, w.max_fct_ns, w.fct_hist),
+                FCT_KEYS,
+            )?,
+            fct_sum_ns: p.take(w.fct_sum_ns, "fct_sum_ns")?,
+            slowdown_sum: p.take(w.slowdown_sum, "slowdown_sum")?,
+            min_slowdown,
+            max_slowdown,
+            first_start_ns,
+            last_finish_ns,
+            slowdown_hist,
+            single_packet: Distribution::from_wire(
+                sp.flows,
+                (sp.min_fct_ns, sp.max_fct_ns, sp.fct_hist),
+                FCT_KEYS,
+            )
+            .map_err(|e| e.in_field("single_packet"))?,
+        })
     }
 }
 
@@ -650,36 +662,36 @@ impl MetricsCollector {
         debug_assert!(!r.ideal.is_zero(), "ideal FCT must be positive");
         let fct_ns = r.fct().as_nanos();
         let slowdown = r.slowdown();
-        self.flows += 1;
+        let first = self.is_empty();
         // Saturating: the sum only pins at u64::MAX after ~584 years of
         // cumulative FCT, where the old record-vector sum overflowed.
         self.fct_sum_ns = self.fct_sum_ns.saturating_add(fct_ns);
         self.slowdown_sum += slowdown;
-        self.min_fct_ns = self.min_fct_ns.min(fct_ns);
-        self.max_fct_ns = self.max_fct_ns.max(fct_ns);
-        if slowdown < self.min_slowdown {
+        if first || slowdown < self.min_slowdown {
             self.min_slowdown = slowdown;
         }
         if slowdown > self.max_slowdown {
             self.max_slowdown = slowdown;
         }
-        self.first_start_ns = self.first_start_ns.min(r.start.as_nanos());
+        if first || r.start.as_nanos() < self.first_start_ns {
+            self.first_start_ns = r.start.as_nanos();
+        }
         self.last_finish_ns = self.last_finish_ns.max(r.finish.as_nanos());
-        self.fct_hist.record(fct_ns);
+        self.fct.record(fct_ns);
         self.slowdown_hist.record(scale_slowdown(slowdown));
         if r.packets == 1 {
-            self.single_packet.add(fct_ns);
+            self.single_packet.record(fct_ns);
         }
     }
 
     /// Number of completed flows. Exact.
     pub fn len(&self) -> usize {
-        self.flows as usize
+        self.fct.len()
     }
 
     /// True when nothing has completed.
     pub fn is_empty(&self) -> bool {
-        self.flows == 0
+        self.fct.is_empty()
     }
 
     /// The §4.1 headline metrics. `avg_slowdown` and `avg_fct` are
@@ -687,27 +699,23 @@ impl MetricsCollector {
     /// bucketed. Panics when empty (an experiment that completed zero
     /// flows is broken and must not silently report).
     pub fn summary(&self) -> Summary {
-        assert!(self.flows > 0, "no flows completed");
-        let n = self.flows as f64;
+        assert!(!self.is_empty(), "no flows completed");
+        let n = self.fct.count as f64;
         let avg_fct_ns = self.fct_sum_ns as f64 / n;
         Summary {
             avg_slowdown: self.slowdown_sum / n,
             avg_fct: Duration::nanos(avg_fct_ns.round() as u64),
             p99_fct: self.percentile_fct(0.99),
-            flows: self.flows as usize,
+            flows: self.len(),
         }
     }
 
-    /// FCT at quantile `q` ∈ [0, 1] (nearest-rank).
-    ///
-    /// `q = 0.0` and `q = 1.0` return the exact min/max; interior
-    /// quantiles are bucketed within [`MAX_RELATIVE_ERROR`] and clamped
-    /// to the observed `[min, max]`. An **empty collector returns
-    /// [`Duration::ZERO`]** — the query is total, so envelope assembly
-    /// over empty sub-populations never panics (the old implementation
-    /// indexed an empty vector).
+    /// FCT at quantile `q` ∈ [0, 1] ([`Distribution::percentile`]):
+    /// exact at the boundaries, bucketed in the interior, and
+    /// [`Duration::ZERO`] for an empty collector, so envelope assembly
+    /// over empty sub-populations never panics.
     pub fn percentile_fct(&self, q: f64) -> Duration {
-        percentile_ns(&self.fct_hist, q, self.min_fct_ns, self.max_fct_ns)
+        self.fct.percentile(q)
     }
 
     /// Slowdown at quantile `q` (nearest-rank). Boundaries are exact;
@@ -729,14 +737,14 @@ impl MetricsCollector {
     }
 
     /// The single-packet-message sub-population (Figure 8).
-    pub fn single_packet_messages(&self) -> &TailPopulation {
+    pub fn single_packet_messages(&self) -> &Distribution {
         &self.single_packet
     }
 
     /// Request completion time: first flow start to last flow finish
     /// (incast, §4.4.3). Exact. Panics when empty.
     pub fn rct(&self) -> Duration {
-        assert!(self.flows > 0, "no flows completed");
+        assert!(!self.is_empty(), "no flows completed");
         Duration::nanos(self.last_finish_ns - self.first_start_ns)
     }
 
@@ -744,37 +752,23 @@ impl MetricsCollector {
     /// flow-count-independent heap use). Deterministic: a function of
     /// which buckets were touched, not of allocator behavior.
     pub fn heap_bytes(&self) -> u64 {
-        self.fct_hist.heap_bytes()
-            + self.slowdown_hist.heap_bytes()
-            + self.single_packet.fct_hist.heap_bytes()
+        self.allocated_buckets() * BUCKET_BYTES
     }
 
     /// Total allocated histogram bucket slots across all populations.
     pub fn allocated_buckets(&self) -> u64 {
-        (self.fct_hist.allocated_buckets()
-            + self.slowdown_hist.allocated_buckets()
-            + self.single_packet.fct_hist.allocated_buckets()) as u64
+        let hists = [
+            &self.fct.hist,
+            &self.slowdown_hist,
+            &self.single_packet.hist,
+        ];
+        hists.iter().map(|h| h.allocated_buckets() as u64).sum()
     }
 }
 
 /// Slowdown → fixed-point integer for bucketing.
 fn scale_slowdown(s: f64) -> u64 {
     (s * SLOWDOWN_SCALE).round() as u64
-}
-
-/// Shared quantile logic: exact boundaries, clamped bucket
-/// representative in the interior, total on empty input.
-fn percentile_ns(hist: &LogHistogram, q: f64, min_ns: u64, max_ns: u64) -> Duration {
-    let Some(v) = hist.value_at_quantile(q) else {
-        return Duration::ZERO;
-    };
-    if q == 0.0 {
-        return Duration::nanos(min_ns);
-    }
-    if q == 1.0 {
-        return Duration::nanos(max_ns);
-    }
-    Duration::nanos(v.clamp(min_ns, max_ns))
 }
 
 fn nearest_rank(q: f64, n: usize) -> usize {
@@ -881,10 +875,7 @@ mod tests {
         assert_eq!(m.percentile_fct(0.5), Duration::ZERO);
         assert_eq!(m.percentile_fct(1.0), Duration::ZERO);
         assert_eq!(m.percentile_slowdown(0.99), 0.0);
-        assert_eq!(
-            m.single_packet_messages().percentile_fct(0.999),
-            Duration::ZERO
-        );
+        assert_eq!(m.single_packet_messages().percentile(0.999), Duration::ZERO);
         assert!(m.is_empty());
     }
 
@@ -938,7 +929,7 @@ mod tests {
         m.record(rec(2, 1, 0, 7, 1));
         let sp = m.single_packet_messages();
         assert_eq!(sp.len(), 2);
-        assert_eq!(sp.percentile_fct(1.0), Duration::micros(7));
+        assert_eq!(sp.percentile(1.0), Duration::micros(7));
     }
 
     #[test]
@@ -982,9 +973,9 @@ mod tests {
         m.record(rec(8, 1, 10, 40, 20));
         let counts = |h: &LogHistogram| h.nonzero().map(|(_, c)| c).collect::<Vec<_>>();
         // Both flows share the 40 µs FCT bucket.
-        assert_eq!(counts(&m.fct_hist), vec![2]);
+        assert_eq!(counts(&m.fct.hist), vec![2]);
         assert_eq!(counts(&m.slowdown_hist).iter().sum::<u64>(), 2);
-        assert_eq!(counts(&m.single_packet.fct_hist), vec![1]);
+        assert_eq!(counts(&m.single_packet.hist), vec![1]);
     }
 
     #[test]
@@ -1005,14 +996,121 @@ mod tests {
         assert_eq!(eback, empty);
     }
 
+    /// The error reading `text` as a `T`, as its message prints.
+    fn rejection<T: Deserialize + std::fmt::Debug>(text: &str) -> String {
+        T::from_json(&serde::json::from_str(text).unwrap())
+            .unwrap_err()
+            .to_string()
+    }
+
     #[test]
     fn histogram_rejects_inconsistent_wire_forms() {
-        let bad = r#"{"total":3,"buckets":[[1,1]]}"#;
-        assert!(LogHistogram::from_json(&serde::json::from_str(bad).unwrap()).is_err());
-        let dup = r#"{"total":2,"buckets":[[1,1],[1,1]]}"#;
-        assert!(LogHistogram::from_json(&serde::json::from_str(dup).unwrap()).is_err());
-        let oob = r#"{"total":1,"buckets":[[99999,1]]}"#;
-        assert!(LogHistogram::from_json(&serde::json::from_str(oob).unwrap()).is_err());
+        for (text, said) in [
+            (
+                r#"{"total":3,"buckets":[[1,1]]}"#,
+                "at total: bucket counts do not sum to total",
+            ),
+            (
+                r#"{"total":2,"buckets":[[1,1],[1,1]]}"#,
+                "at buckets.[1]: duplicate bucket index",
+            ),
+            (
+                r#"{"total":1,"buckets":[[99999,1]]}"#,
+                "at buckets.[0]: bucket index out of range",
+            ),
+            (
+                r#"{"total":0,"buckets":[[5,0]]}"#,
+                "at buckets.[0]: bucket count must be positive",
+            ),
+            (
+                r#"{"total":1,"buckets":[[1,18446744073709551615],[2,2]]}"#,
+                "at total: bucket counts do not sum to total",
+            ),
+        ] {
+            assert_eq!(rejection::<LogHistogram>(text), said, "{text}");
+        }
+    }
+
+    #[test]
+    fn every_wire_form_is_strict_at_every_depth() {
+        let mut one = MetricsCollector::new();
+        one.record(rec(0, 1, 3, 137, 10));
+        let one = serde::json::to_string(&one);
+        let extra = one.replacen(r#"{"flows":1,"#, r#"{"flows":1,"extra":1,"#, 1);
+        let nested = one.replacen(
+            r#""single_packet":{"flows":1,"#,
+            r#""single_packet":{"flows":1,"extra":1,"#,
+            1,
+        );
+        assert!(extra != one && nested != one);
+        // Extremes out of order would panic a later `clamp` or `rct`.
+        let min_above_max = one.replacen(r#""min_fct_ns":137000"#, r#""min_fct_ns":137001"#, 1);
+        let slowdown_above = one.replacen(r#""max_slowdown":13.7"#, r#""max_slowdown":13.6"#, 1);
+        let start_after = one.replacen(r#""first_start_ns":3000"#, r#""first_start_ns":140001"#, 1);
+        let collector = [
+            (r#"{"flows":0,"bogus":1}"#, "at bogus: unknown field"),
+            (
+                r#"{"flows":0,"fct_sum_ns":99}"#,
+                "at fct_sum_ns: not allowed; the count is zero",
+            ),
+            (extra.as_str(), "at extra: unknown field"),
+            (nested.as_str(), "at single_packet.extra: unknown field"),
+            (
+                r#"{"flows":1}"#,
+                "at slowdown_hist: missing; the count is positive",
+            ),
+            (r#"{"flows":0,"flows":0}"#, "at flows: duplicate field"),
+            (
+                min_above_max.as_str(),
+                "at min_fct_ns: above its upper bound",
+            ),
+            (
+                slowdown_above.as_str(),
+                "at min_slowdown: above its upper bound",
+            ),
+            (
+                start_after.as_str(),
+                "at first_start_ns: above its upper bound",
+            ),
+        ];
+        for (text, said) in collector {
+            assert_eq!(rejection::<MetricsCollector>(text), said, "{text}");
+        }
+        assert_eq!(
+            rejection::<AppMetrics>(r#"{"ops":0,"phases":2,"x":1}"#),
+            "at x: unknown field"
+        );
+        assert_eq!(
+            rejection::<AppMetrics>(r#"{"ops":0,"phases":2,"latency_sum_ns":1}"#),
+            "at latency_sum_ns: not allowed; the count is zero"
+        );
+        for (text, said) in [
+            (
+                r#"{"total":1,"buckets":[[3,1]],"x":true}"#,
+                "at x: unknown field",
+            ),
+            (
+                r#"{"total":1,"total":1,"buckets":[[3,1]]}"#,
+                "at total: duplicate field",
+            ),
+            (
+                r#"{"total":1,"buckets":[[3,1,1]]}"#,
+                "at buckets.[0]: expected 2 elements, got 3",
+            ),
+        ] {
+            assert_eq!(rejection::<LogHistogram>(text), said, "{text}");
+        }
+        // A histogram one flow short of its population, at each depth.
+        let short = one.replacen(
+            r#""fct_hist":{"total":1,"buckets":[[770,1]]}}}"#,
+            r#""fct_hist":{"total":0,"buckets":[]}}}"#,
+            1,
+        );
+        assert_ne!(short, one);
+        assert_eq!(
+            rejection::<MetricsCollector>(&short),
+            "at single_packet.fct_hist: histogram total does not match the count"
+        );
     }
 
     #[test]
@@ -1035,7 +1133,7 @@ mod tests {
     #[test]
     fn app_metrics_quantiles_meet_the_contract() {
         let mut a = AppMetrics::default();
-        assert!(a.is_empty());
+        assert_eq!(a.ops(), 0);
         assert_eq!(a.mean_latency(), Duration::ZERO);
         assert_eq!(a.percentile_latency(0.99), Duration::ZERO);
         let latencies: Vec<u64> = (1..=1000).map(|i| i * 977).collect();

@@ -409,22 +409,6 @@ macro_rules! trace {
     };
 }
 
-/// Render the `trace-v1` header line for a trace file: schema tag, the
-/// source label (artifact list or scenario slugs), the filter
-/// expression, and the batch's cell count. Deterministic — every input
-/// is part of the run's identity.
-pub fn header_line(source: &str, filter: &str, cells: usize) -> String {
-    let mut line = String::with_capacity(96);
-    let _ = write!(line, "{{\"schema\":");
-    write_json_str(&mut line, TRACE_SCHEMA);
-    let _ = write!(line, ",\"source\":");
-    write_json_str(&mut line, source);
-    let _ = write!(line, ",\"filter\":");
-    write_json_str(&mut line, filter);
-    let _ = write!(line, ",\"cells\":{cells}}}");
-    line
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,15 +500,6 @@ mod tests {
         });
         assert_eq!(chunk.lines.len(), 2);
         assert!(chunk.lines.iter().all(|l| l.contains("\"kind\":\"keep\"")));
-    }
-
-    #[test]
-    fn header_line_is_valid_json_shape() {
-        let h = header_line("fig1", "kind=pkt.*", 10);
-        assert_eq!(
-            h,
-            r#"{"schema":"trace-v1","source":"fig1","filter":"kind=pkt.*","cells":10}"#
-        );
     }
 
     #[test]

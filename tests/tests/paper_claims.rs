@@ -180,8 +180,8 @@ fn single_packet_tail_is_best_for_irn() {
     // Figure 8: IRN's RTO_low keeps the single-packet tail short.
     let irn = run_cell(600, TransportKind::Irn, false, CcKind::None);
     let roce = run_cell(600, TransportKind::Roce, true, CcKind::None);
-    let irn_tail = irn.metrics.single_packet_messages().percentile_fct(0.999);
-    let roce_tail = roce.metrics.single_packet_messages().percentile_fct(0.999);
+    let irn_tail = irn.metrics.single_packet_messages().percentile(0.999);
+    let roce_tail = roce.metrics.single_packet_messages().percentile(0.999);
     assert!(
         irn_tail < roce_tail,
         "IRN p99.9 {irn_tail} must beat RoCE+PFC {roce_tail}"
