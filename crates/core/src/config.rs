@@ -9,11 +9,7 @@ use irn_transport::config::{TransportConfig, TransportKind, DATA_HEADER_BYTES};
 use irn_workload::{SizeDistribution, TrafficModel};
 
 /// Which network to build.
-///
-/// `Hash` + `Eq` make the spec the key of the engine's process-wide
-/// routing-table cache (one [`irn_net::NetTables`] per distinct
-/// geometry).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopologySpec {
     /// k-ary three-tier fat-tree (§4.1: k=6 → 54 servers; Table 5 scales
     /// to k=8 and k=10).

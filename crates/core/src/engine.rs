@@ -27,39 +27,16 @@
 //! this file (CI's size-ledger step checks).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use irn_metrics::{ideal_fct, AppMetrics, FlowRecord, MetricsCollector};
-use irn_net::{
-    Fabric, FabricEvent, FabricOutput, FlowId, HostId, NetTables, Packet, PacketKind, PktId,
-};
+use irn_net::{Fabric, FabricEvent, FabricOutput, FlowId, HostId, Packet, PacketKind, PktId};
 use irn_sim::{Scheduler, Time, TimerId};
 use irn_transport::config::TransportConfig;
 use irn_transport::{endpoints, HostNic, NicPoll, Receiver, Sender, SenderPoll, TimerCmd};
 use irn_workload::{AppDriver, AppEvent, AppSink, Arrivals, FlowSpec, TrafficCtx};
 
-use crate::config::{ExperimentConfig, TopologySpec};
+use crate::config::ExperimentConfig;
 use crate::result::{MemoryStats, RunResult, SchedCounters, TransportTotals};
-
-/// Process-wide cache of routing tables keyed by [`TopologySpec`].
-///
-/// `NetTables::build` walks the cable list and runs a BFS per
-/// destination host — cheap once, but registry batches instantiate
-/// thousands of cells over a handful of distinct geometries, and the
-/// tables are a pure function of the spec: only a miss builds the
-/// topology at all. Sharing them is invisible to results (the fabric
-/// never mutates its tables), so determinism is unaffected by cache
-/// hits, ordering, or which worker process computed them.
-static NET_TABLES: OnceLock<Mutex<HashMap<TopologySpec, Arc<NetTables>>>> = OnceLock::new();
-
-fn net_tables_for(spec: TopologySpec) -> Arc<NetTables> {
-    let cache = NET_TABLES.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().expect("net-tables cache poisoned");
-    Arc::clone(
-        map.entry(spec)
-            .or_insert_with(|| Arc::new(NetTables::build(&spec.build()))),
-    )
-}
 
 /// Events driving the simulation. Timer events carry no generation
 /// tokens: the scheduler's cancellable timers guarantee only live
@@ -518,7 +495,7 @@ impl Simulation {
     /// workload's [`Arrivals`] stream, which generates flows as the run
     /// reaches them.
     pub fn new(cfg: ExperimentConfig) -> Simulation {
-        let fabric = Fabric::with_tables(net_tables_for(cfg.topology), cfg.fabric_config());
+        let fabric = Fabric::new(&cfg.topology.build(), cfg.fabric_config());
         let hosts = fabric.hosts();
         let tcfg = cfg.transport_config(fabric.diameter_hops());
 

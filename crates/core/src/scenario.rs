@@ -197,12 +197,16 @@ pub enum ScenarioError {
         hosts: usize,
     },
     /// The topology has more hosts or directed links than the engine's
-    /// 30-bit event fields can index.
+    /// 30-bit event fields can index, or its set-up state (routing
+    /// tables and virtual output queues) would exceed
+    /// [`MAX_SETUP_BYTES`].
     TopologyTooLarge {
         /// Hosts the topology describes.
         hosts: u128,
         /// Directed links the topology describes.
         links: u128,
+        /// Bytes of routing tables and VOQs the fabric would allocate.
+        setup_bytes: u128,
     },
     /// MTU must be at least one byte.
     ZeroMtu,
@@ -283,10 +287,16 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::TooFewHosts { hosts } => {
                 write!(f, "topology must have at least 2 hosts, has {hosts}")
             }
-            ScenarioError::TopologyTooLarge { hosts, links } => write!(
+            ScenarioError::TopologyTooLarge {
+                hosts,
+                links,
+                setup_bytes,
+            } => write!(
                 f,
-                "topology describes {hosts} hosts and {links} directed links, \
-                 exceeding the engine's limit of {MAX_FLOWS} of each"
+                "topology describes {hosts} hosts, {links} directed links and \
+                 {setup_bytes} bytes of routing and queue state, exceeding the \
+                 engine's limits of {MAX_FLOWS} hosts or links and \
+                 {MAX_SETUP_BYTES} bytes"
             ),
             ScenarioError::ZeroMtu => write!(f, "mtu must be at least 1 byte"),
             ScenarioError::ZeroBandwidth => write!(f, "bandwidth_mbps must be positive"),
@@ -410,10 +420,15 @@ fn validate(name: &str, cfg: &ExperimentConfig) -> Result<(), ScenarioError> {
         }
     }
     // Sizes are checked arithmetically, before anything is built: the
-    // engine packs host, link and flow indices into 30-bit event fields.
-    let (hosts, links) = topology_size(cfg.topology);
-    if hosts.max(links) >= MAX_FLOWS {
-        return Err(ScenarioError::TopologyTooLarge { hosts, links });
+    // engine packs host, link and flow indices into 30-bit event fields,
+    // and the fabric's set-up state grows with the square of a radix.
+    let size = topology_size(cfg.topology);
+    if size.hosts.max(size.links) >= MAX_FLOWS || size.setup_bytes > MAX_SETUP_BYTES {
+        return Err(ScenarioError::TopologyTooLarge {
+            hosts: size.hosts,
+            links: size.links,
+            setup_bytes: size.setup_bytes,
+        });
     }
     let hosts = cfg.topology.hosts();
     if hosts < 2 {
@@ -481,22 +496,82 @@ fn validate(name: &str, cfg: &ExperimentConfig) -> Result<(), ScenarioError> {
     Ok(())
 }
 
-/// The hosts and directed links `topology` describes (saturating).
-fn topology_size(topology: TopologySpec) -> (u128, u128) {
-    let (hosts, cables) = match topology {
+/// The most set-up state a topology may need, in bytes (1 GiB): a
+/// `single_switch` of 11 585 hosts or a k=68 fat-tree fits. VOQs grow
+/// as a radix squared and routing candidates as k⁵ on a fat-tree, so a
+/// hostile file would otherwise exhaust memory before its run began.
+pub const MAX_SETUP_BYTES: u128 = 1 << 30;
+
+/// What a topology describes, computed without building it (every
+/// product saturates).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TopologySize {
+    hosts: u128,
+    links: u128,
+    /// The tables the fabric allocates at set-up that grow faster than
+    /// its link count: the routing offsets (one per switch and
+    /// attachment switch, plus one), their candidate ports, the
+    /// attachment × attachment distance matrix, and a VOQ per (input,
+    /// output) port pair of every switch.
+    setup_bytes: u128,
+}
+
+fn topology_size(topology: TopologySpec) -> TopologySize {
+    let m = u128::saturating_mul;
+    // Hosts, cables, switches, switches with hosts (attachments),
+    // routing candidate ports, Σ radix².
+    let (hosts, cables, switches, attachments, candidates, voqs) = match topology {
         // k³/4 host cables, then as many edge–aggregation and as many
-        // aggregation–core ones.
+        // aggregation–core ones; 5k²/4 switches of radix k, of which the
+        // E = k²/2 edge switches have hosts. Toward an attachment, an
+        // edge switch has k/2 candidates (the pod's aggregations), an
+        // aggregation 1 inside its pod and k/2 (its cores) outside it,
+        // and a core 1.
         TopologySpec::FatTree(k) => {
-            let hosts = (k as u128).saturating_pow(3) / 4;
-            (hosts, hosts.saturating_mul(3))
+            let k = k as u128;
+            let (half, hosts) = (k / 2, k.saturating_pow(3) / 4);
+            let edges = m(k, half);
+            let from_edges = m(m(edges, edges.saturating_sub(1)), half);
+            let from_aggs = m(edges, half.saturating_add(m(edges - half, half)));
+            let from_cores = m(m(half, half), edges);
+            let candidates = from_edges
+                .saturating_add(from_aggs)
+                .saturating_add(from_cores);
+            let switches = m(k, k).saturating_mul(5) / 4;
+            let voqs = m(switches, m(k, k));
+            (hosts, m(hosts, 3), switches, edges, candidates, voqs)
         }
-        TopologySpec::SingleSwitch(hosts) => (hosts as u128, hosts as u128),
+        // The one switch is every host's attachment: no candidates.
+        TopologySpec::SingleSwitch(hosts) => {
+            let hosts = hosts as u128;
+            (hosts, hosts, 1, (hosts > 0) as u128, 0, m(hosts, hosts))
+        }
+        // Toward each attachment, the other switch has one candidate.
         TopologySpec::Dumbbell(left, right) => {
-            let hosts = left as u128 + right as u128;
-            (hosts, hosts + 1)
+            let (left, right) = (left as u128, right as u128);
+            let voqs = m(left + 1, left + 1).saturating_add(m(right + 1, right + 1));
+            let attachments = (left > 0) as u128 + (right > 0) as u128;
+            let hosts = left + right;
+            (hosts, hosts + 1, 2, attachments, attachments, voqs)
         }
     };
-    (hosts, cables.saturating_mul(2))
+    let bytes = |count: u128, each: usize| m(count, each as u128);
+    let setup_bytes = [
+        bytes(
+            m(switches, attachments).saturating_add(1),
+            std::mem::size_of::<u32>(),
+        ),
+        bytes(candidates, std::mem::size_of::<u16>()),
+        bytes(m(attachments, attachments), std::mem::size_of::<u16>()),
+        bytes(voqs, std::mem::size_of::<irn_net::PktQueue>()),
+    ]
+    .into_iter()
+    .fold(0, u128::saturating_add);
+    TopologySize {
+        hosts,
+        links: m(cables, 2),
+        setup_bytes,
+    }
 }
 
 fn slugify(name: &str) -> String {
@@ -1679,7 +1754,9 @@ mod tests {
             parse(r#"{"single_switch": {"hosts": 3000000000}}"#, &poisson(10)),
             ScenarioError::TopologyTooLarge {
                 hosts: 3_000_000_000,
-                links: 6_000_000_000
+                links: 6_000_000_000,
+                // Two offsets, one distance, nine quintillion VOQs.
+                setup_bytes: 2 * 4 + 2 + 3_000_000_000u128.pow(2) * 8,
             }
         );
         // Directed links (the hosts alone would fit).
@@ -1687,7 +1764,15 @@ mod tests {
             parse(r#"{"fat_tree": {"k": 1000}}"#, &poisson(10)),
             ScenarioError::TopologyTooLarge {
                 hosts: 250_000_000,
-                links: 1_500_000_000
+                links: 1_500_000_000,
+                // 1 250 000 switches of radix 1 000, 500 000 with hosts.
+                setup_bytes: (1_250_000 * 500_000 + 1) * 4
+                    + (500_000 * 499_999 * 500
+                        + 500_000 * (500 + 499_500 * 500)
+                        + 250_000 * 500_000)
+                        * 2
+                    + 500_000u128.pow(2) * 2
+                    + 1_250_000 * 1_000u128.pow(2) * 8,
             }
         );
         assert_eq!(
@@ -1697,7 +1782,8 @@ mod tests {
             ),
             ScenarioError::TopologyTooLarge {
                 hosts: 1_200_000_000,
-                links: 2_400_000_002
+                links: 2_400_000_002,
+                setup_bytes: 5 * 4 + 2 * 2 + 4 * 2 + 2 * 600_000_001u128.pow(2) * 8,
             }
         );
         // An arity whose cube overflows every integer type saturates.
@@ -1732,13 +1818,36 @@ mod tests {
         assert_eq!(parse(small, &part), too_many(4_000_000_000));
         // The arithmetic agrees with what the builders build.
         for spec in [
+            TopologySpec::FatTree(2),
             TopologySpec::FatTree(4),
             TopologySpec::FatTree(8),
             TopologySpec::SingleSwitch(5),
             TopologySpec::Dumbbell(2, 6),
+            TopologySpec::Dumbbell(0, 3),
         ] {
             let built = spec.build();
-            let size = (built.hosts as u128, 2 * built.cables.len() as u128);
+            let mut radix = vec![0u128; built.switches];
+            let mut attachments = std::collections::BTreeSet::new();
+            for c in &built.cables {
+                for (me, other) in [(c.a, c.b), (c.b, c.a)] {
+                    if let irn_net::NodeId::Switch(s) = me {
+                        radix[s as usize] += 1;
+                        if let irn_net::NodeId::Host(_) = other {
+                            attachments.insert(s);
+                        }
+                    }
+                }
+            }
+            let a = attachments.len() as u128;
+            let candidates = irn_net::NetTables::build(&built).routes.candidate_ports() as u128;
+            let size = TopologySize {
+                hosts: built.hosts as u128,
+                links: 2 * built.cables.len() as u128,
+                setup_bytes: (built.switches as u128 * a + 1) * 4
+                    + candidates * 2
+                    + a * a * 2
+                    + radix.iter().map(|r| r * r * 8).sum::<u128>(),
+            };
             assert_eq!(topology_size(spec), size, "{spec:?}");
         }
         // One below the bound is still a valid description.
@@ -1748,6 +1857,51 @@ mod tests {
             poisson((1 << 30) - 1)
         ))
         .unwrap();
+    }
+
+    /// Set-up state is bounded where a radix is: the largest geometry
+    /// of each kind that fits [`MAX_SETUP_BYTES`] validates, and the next
+    /// one is a typed error. Every geometry here is far inside the
+    /// 30-bit index bound, so the state alone rejects them.
+    #[test]
+    fn setup_state_past_its_bound_is_a_typed_error() {
+        let check = |spec: TopologySpec| {
+            Scenario::builder("x")
+                .topology(spec)
+                .traffic(TrafficModel::Poisson {
+                    load: 0.5,
+                    sizes: SizeDistribution::HeavyTailed,
+                    flow_count: 10,
+                })
+                .build()
+                .map(drop)
+        };
+        for (fits, next) in [
+            (TopologySpec::FatTree(68), TopologySpec::FatTree(70)),
+            (
+                TopologySpec::SingleSwitch(11_585),
+                TopologySpec::SingleSwitch(11_586),
+            ),
+            (
+                TopologySpec::Dumbbell(8_000, 8_000),
+                TopologySpec::Dumbbell(8_192, 8_192),
+            ),
+        ] {
+            assert_eq!(check(fits), Ok(()), "{fits:?}");
+            let size = topology_size(next);
+            assert!(size.hosts.max(size.links) < MAX_FLOWS, "{next:?}");
+            assert_eq!(
+                check(next),
+                Err(ScenarioError::TopologyTooLarge {
+                    hosts: size.hosts,
+                    links: size.links,
+                    setup_bytes: size.setup_bytes,
+                }),
+                "{next:?}"
+            );
+            assert!(size.setup_bytes > MAX_SETUP_BYTES);
+            assert!(topology_size(fits).setup_bytes <= MAX_SETUP_BYTES);
+        }
     }
 
     #[test]

@@ -437,6 +437,40 @@ fn runs_that_cannot_finish_exit_2_naming_cell_and_cause() {
     assert!(!events.contains(r#""event":"worker-dropped""#), "{events}");
 }
 
+/// The committed inputs whose set-up state is past its bound (a
+/// 50 000-port switch: 2.5 × 10⁹ VOQs; a k=128 fat-tree) are rejected
+/// at validation, before any table or queue is allocated: exit 2 within
+/// a second, one `error:` line naming the file and the state, no panic,
+/// at `--jobs 1` and on a fleet.
+#[test]
+fn topologies_past_the_setup_bound_exit_2_before_building() {
+    let regressions = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/regressions");
+    for name in ["single-switch-50k-hosts", "fat-tree-k128"] {
+        let file = regressions.join(format!("{name}.json"));
+        for executor in [["--jobs", "1"], ["--workers", "2"]] {
+            let mut argv = vec!["run".as_ref(), file.as_os_str()];
+            argv.extend(executor.iter().map(std::ffi::OsStr::new));
+            let start = std::time::Instant::now();
+            let out = repro(&argv);
+            let took = start.elapsed();
+            let said = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{name} {executor:?}: {said}");
+            assert!(
+                out.stdout.is_empty(),
+                "{name} {executor:?} printed a report"
+            );
+            assert_eq!(said.matches("error:").count(), 1, "{said}");
+            assert!(said.contains(&format!("{name}.json")), "{said}");
+            assert!(said.contains("bytes of routing and queue state"), "{said}");
+            assert!(!said.contains("panicked"), "{said}");
+            assert!(
+                took.as_secs_f64() < 1.0,
+                "{name} {executor:?} took {took:?}"
+            );
+        }
+    }
+}
+
 /// `repro … | head`: the reader is gone before the reports are printed
 /// (the batch runs first, and the read end is dropped while it does), so
 /// the first line written meets a broken pipe. The process ends quietly

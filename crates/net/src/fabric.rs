@@ -28,8 +28,6 @@
 //!   mid-serialization lets the in-flight frame finish (the headroom in
 //!   [`PfcConfig::for_buffer`](crate::PfcConfig::for_buffer) absorbs it).
 
-use std::sync::Arc;
-
 use irn_sim::{Duration, SchedulePort, SimRng, Time};
 
 use crate::arena::{PacketArena, PktId};
@@ -209,9 +207,8 @@ pub struct FabricStats {
 /// The simulated network: the run state over one topology's wiring.
 pub struct Fabric {
     cfg: FabricConfig,
-    /// Wiring and routes (see [`NetTables`]): per-topology, not
-    /// per-fabric, so seed replicates skip the cable walk and the BFS.
-    tables: Arc<NetTables>,
+    /// Wiring and routes (see [`NetTables`]), built for this fabric.
+    tables: NetTables,
     /// Per directed link, indexed like `tables.ports.links`.
     links: Vec<LinkState>,
     switches: Vec<SwitchState>,
@@ -228,22 +225,18 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Instantiate the fabric for `topo` under `cfg`, building fresh
-    /// tables. Use [`Fabric::with_tables`] to share tables across
-    /// fabrics over the same topology.
+    /// Instantiate the fabric for `topo` under `cfg`, building its
+    /// wiring and routing tables ([`NetTables::build`]).
     pub fn new(topo: &Topology, cfg: FabricConfig) -> Fabric {
-        Fabric::with_tables(Arc::new(NetTables::build(topo)), cfg)
-    }
-
-    /// Instantiate the fabric over precomputed `tables`
-    /// ([`NetTables::build`]) under `cfg`.
-    pub fn with_tables(tables: Arc<NetTables>, cfg: FabricConfig) -> Fabric {
-        let ports = &tables.ports;
-        let switches = (0..ports.switch_ports.len())
-            .map(|s| SwitchState::new(ports.radix(s), cfg.buffer_bytes, cfg.pfc, cfg.ecn))
+        let tables = NetTables::build(topo);
+        let switches = tables
+            .ports
+            .radix
+            .iter()
+            .map(|&r| SwitchState::new(r as usize, cfg.buffer_bytes, cfg.pfc, cfg.ecn))
             .collect();
         Fabric {
-            links: vec![LinkState::default(); ports.links.len()],
+            links: vec![LinkState::default(); tables.ports.links.len()],
             switches,
             ser_lut: (0..2048u64).map(|b| cfg.bandwidth.serialize(b)).collect(),
             arena: PacketArena::new(),

@@ -4,9 +4,16 @@
 //! hashes onto one of the equal-cost shortest paths to its destination
 //! and stays there (no packet-level spraying, so reordering only comes
 //! from loss — §7 discusses the alternative). This module precomputes,
-//! for every `(switch, destination-host)` pair, the set of output ports
-//! that lie on a shortest path, and provides the deterministic hash that
-//! picks among them.
+//! for every switch and every *attachment switch* (a switch with hosts
+//! on it), the set of output ports that lie on a shortest path, and
+//! provides the deterministic hash that picks among them.
+//!
+//! Keying by the destination's attachment switch rather than by the
+//! destination host is exact: every host has exactly one cable
+//! ([`Topology::check`]), so every shortest path to a host runs through
+//! its attachment switch, and from any other switch the candidate ports
+//! toward the host are the candidate ports toward that switch. The last
+//! hop is the host's own port.
 
 use crate::topology::{NodeId, Topology};
 
@@ -33,6 +40,9 @@ pub(crate) struct Link {
     pub(crate) dst: Endpoint,
 }
 
+/// Padding in the flat per-port tables: no link, no neighbor switch.
+const NONE: u32 = u32::MAX;
+
 /// Port- and link-level view of a [`Topology`]: who is plugged into
 /// which port, and which directed link joins them.
 ///
@@ -42,8 +52,8 @@ pub(crate) struct Link {
 /// other table here is an index over `links`.
 #[derive(Debug, Clone)]
 pub struct PortMap {
-    /// For each switch, the neighbor on each port (indexed by port).
-    pub switch_ports: Vec<Vec<NodeId>>,
+    /// Number of ports on each switch.
+    pub(crate) radix: Vec<u16>,
     /// Both ends of every directed link.
     pub(crate) links: Vec<Link>,
     /// Directed link host → edge switch.
@@ -61,7 +71,7 @@ pub struct PortMap {
 impl PortMap {
     /// Build the port map from a topology (validates host degree).
     pub fn new(topo: &Topology) -> PortMap {
-        let mut switch_ports: Vec<Vec<NodeId>> = vec![Vec::new(); topo.switches];
+        let mut radix = vec![0u16; topo.switches];
         let mut links = Vec::with_capacity(topo.cables.len() * 2);
 
         for cable in &topo.cables {
@@ -69,31 +79,27 @@ impl PortMap {
                 panic!("direct host-host cable ({a}-{b}) is not supported");
             }
             // Each switch end takes that switch's next port.
-            let [a, b] = [(cable.a, cable.b), (cable.b, cable.a)].map(|(me, other)| match me {
+            let [a, b] = [cable.a, cable.b].map(|me| match me {
                 NodeId::Host(h) => Endpoint::Host(h),
                 NodeId::Switch(sw) => {
-                    let ports = &mut switch_ports[sw as usize];
-                    ports.push(other);
-                    Endpoint::SwitchPort {
-                        sw,
-                        port: (ports.len() - 1) as u16,
-                    }
+                    let port = radix[sw as usize];
+                    radix[sw as usize] += 1;
+                    Endpoint::SwitchPort { sw, port }
                 }
             });
             links.push(Link { src: a, dst: b });
             links.push(Link { src: b, dst: a });
         }
 
-        let port_stride = switch_ports.iter().map(Vec::len).max().unwrap_or(0);
-        let mut host_uplink = vec![u32::MAX; topo.hosts];
-        let mut switch_out_link = vec![u32::MAX; topo.switches * port_stride];
+        let port_stride = radix.iter().max().map_or(0, |&r| r as usize);
+        let mut host_uplink = vec![NONE; topo.hosts];
+        let mut switch_out_link = vec![NONE; topo.switches * port_stride];
         let mut switch_in_link = switch_out_link.clone();
         for (id, link) in links.iter().enumerate() {
             match link.src {
                 Endpoint::Host(h) => {
                     assert_eq!(
-                        host_uplink[h as usize],
-                        u32::MAX,
+                        host_uplink[h as usize], NONE,
                         "host {h} attached more than once"
                     );
                     host_uplink[h as usize] = id as u32;
@@ -106,12 +112,12 @@ impl PortMap {
                 switch_in_link[sw as usize * port_stride + port as usize] = id as u32;
             }
         }
-        if let Some(h) = host_uplink.iter().position(|&l| l == u32::MAX) {
+        if let Some(h) = host_uplink.iter().position(|&l| l == NONE) {
             panic!("host {h} is not attached to any switch");
         }
 
         PortMap {
-            switch_ports,
+            radix,
             links,
             host_uplink,
             switch_out_link,
@@ -119,143 +125,207 @@ impl PortMap {
             port_stride,
         }
     }
+}
 
-    /// Number of ports on switch `s`.
-    pub fn radix(&self, s: usize) -> usize {
-        self.switch_ports[s].len()
-    }
-
-    /// The edge switch host `h` is attached to.
-    fn host_switch(&self, h: usize) -> usize {
-        match self.links[self.host_uplink[h] as usize].dst {
-            Endpoint::SwitchPort { sw, .. } => sw as usize,
-            Endpoint::Host(_) => unreachable!("host-host cables are rejected"),
-        }
-    }
+/// Where a host plugs in.
+#[derive(Debug, Clone, Copy)]
+struct Attach {
+    /// The switch at the far end of the host's cable.
+    switch: u32,
+    /// That switch's row among the attachment switches.
+    index: u32,
+    /// The switch's port toward the host: the last hop.
+    port: u16,
 }
 
 /// Precomputed ECMP routing state for one topology.
 ///
 /// The candidate-port table is stored flat — one `u16` pool plus an
-/// offset per `(switch, host)` — rather than `Vec<Vec<Vec<u16>>>`: the
+/// offset per `(attachment, switch)` — rather than nested `Vec`s: the
 /// lookup sits on the per-hop hot path, and two loads from contiguous
-/// arrays beat three dependent pointer chases into per-pair heap
-/// allocations.
+/// arrays beat dependent pointer chases into per-pair heap allocations.
+/// Its size is switches × attachment switches, not switches × hosts: a
+/// k=32 fat-tree has 512 attachment switches and 8 192 hosts.
 #[derive(Debug, Clone)]
 pub struct Routes {
     /// Candidate output ports on shortest paths, concatenated in
-    /// `(switch, host)` row-major order.
+    /// `(attachment, switch)` row-major order.
     port_pool: Vec<u16>,
-    /// `port_pool[offsets[s*hosts+h] .. offsets[s*hosts+h+1]]` = ports
-    /// on shortest paths from switch `s` to host `h`.
+    /// `port_pool[offsets[a*switches+s] .. offsets[a*switches+s+1]]` =
+    /// ports on shortest paths from switch `s` to attachment switch `a`;
+    /// empty where `s` is `a` itself (the host's [`Attach::port`]).
     offsets: Vec<u32>,
-    /// Flattened hosts×hosts matrix of shortest-path lengths in links.
-    host_dist: Vec<u16>,
-    hosts: usize,
+    /// Per host.
+    attach: Vec<Attach>,
+    /// Attachments × attachments matrix of host-to-host path lengths in
+    /// links: two host cables plus the switch hops between.
+    att_dist: Vec<u16>,
+    /// Row width of `att_dist`.
+    attachments: usize,
+    /// Row width of `offsets`.
+    switches: usize,
     /// Longest shortest host-to-host path, in links traversed.
     pub diameter_hops: usize,
 }
 
 impl Routes {
-    /// Compute shortest-path DAGs by BFS from every host.
+    /// Compute shortest-path DAGs by one BFS from every switch that has
+    /// hosts, writing candidates straight into the pooled table.
     ///
-    /// Complexity O(hosts × (switches + cables)) — instantaneous for
-    /// every topology in the paper (≤ 250 hosts, ≤ 125 switches).
-    pub fn build(topo: &Topology, ports: &PortMap) -> Routes {
-        let s_count = topo.switches;
-        let h_count = topo.hosts;
+    /// Panics if a switch has no path to some host: the candidate sets
+    /// the per-hop lookups index are then never empty.
+    ///
+    /// Complexity O(attachment switches × (switches + cables)), and
+    /// a constant number of allocations: every table is sized before
+    /// it is filled.
+    pub fn build(ports: &PortMap) -> Routes {
+        let switches = ports.radix.len();
+        let stride = ports.port_stride;
+        // The switch on each switch port, NONE for a host or padding.
+        let peer: Vec<u32> = ports
+            .switch_out_link
+            .iter()
+            .map(|&l| match ports.links.get(l as usize).map(|l| l.dst) {
+                Some(Endpoint::SwitchPort { sw, .. }) => sw,
+                _ => NONE,
+            })
+            .collect();
 
-        // Switch-to-switch adjacency in port terms.
-        // adj[s] = list of (port, neighbor switch) | (port, host).
-        let mut next = vec![vec![Vec::new(); h_count]; s_count];
-        let mut host_dist = vec![0u16; h_count * h_count];
-        let mut diameter = 0usize;
-
-        for dst in 0..h_count {
-            // BFS over switches, seeded at the destination's edge switch.
-            let attach_sw = ports.host_switch(dst);
-            let mut dist = vec![usize::MAX; s_count];
-            let mut queue = std::collections::VecDeque::new();
-            dist[attach_sw] = 1; // one link: edge switch → host
-            queue.push_back(attach_sw);
-            while let Some(s) = queue.pop_front() {
-                for n in &ports.switch_ports[s] {
-                    if let NodeId::Switch(t) = n {
-                        let t = *t as usize;
-                        if dist[t] == usize::MAX {
-                            dist[t] = dist[s] + 1;
-                            queue.push_back(t);
-                        }
-                    }
-                }
-            }
-
-            // Candidate ports: any neighbor strictly closer to dst.
-            for s in 0..s_count {
-                if dist[s] == usize::MAX {
-                    continue; // unreachable: left empty, fabric will panic on use
-                }
-                let mut cands = Vec::new();
-                for (port, n) in ports.switch_ports[s].iter().enumerate() {
-                    let closer = match n {
-                        NodeId::Host(h) => *h as usize == dst,
-                        NodeId::Switch(t) => {
-                            let td = dist[*t as usize];
-                            td != usize::MAX && td + 1 == dist[s]
-                        }
-                    };
-                    if closer {
-                        cands.push(port as u16);
-                    }
-                }
-                debug_assert!(!cands.is_empty(), "switch {s} has no route to host {dst}");
-                next[s][dst] = cands;
-            }
-
-            // Host-to-host distance via each source host's edge switch.
-            for src in 0..h_count {
-                if src == dst {
-                    continue;
-                }
-                let d = dist[ports.host_switch(src)] + 1; // + host→edge link
-                host_dist[src * h_count + dst] = d as u16;
-                diameter = diameter.max(d);
+        let mut attach: Vec<Attach> = ports
+            .host_uplink
+            .iter()
+            .map(|&l| match ports.links[l as usize].dst {
+                Endpoint::SwitchPort { sw, port } => Attach {
+                    switch: sw,
+                    index: NONE,
+                    port,
+                },
+                Endpoint::Host(_) => unreachable!("host-host cables are rejected"),
+            })
+            .collect();
+        // Attachment rows in switch order: mark, count, then number.
+        let mut row_of = vec![NONE; switches];
+        for a in &attach {
+            row_of[a.switch as usize] = 0;
+        }
+        let mut att_switch = Vec::with_capacity(row_of.iter().filter(|&&r| r == 0).count());
+        for (s, row) in row_of.iter_mut().enumerate() {
+            if *row == 0 {
+                *row = att_switch.len() as u32;
+                att_switch.push(s);
             }
         }
+        for a in &mut attach {
+            a.index = row_of[a.switch as usize];
+        }
+        let attachments = att_switch.len();
 
-        // Flatten the per-pair candidate lists into the pooled layout.
-        let mut port_pool = Vec::new();
-        let mut offsets = Vec::with_capacity(s_count * h_count + 1);
+        // Switch hops from every switch to every attachment switch.
+        const UNREACHED: u16 = u16::MAX;
+        let mut dist = vec![UNREACHED; attachments * switches];
+        let mut queue = Vec::with_capacity(switches);
+        for (d, &root) in dist.chunks_exact_mut(switches.max(1)).zip(&att_switch) {
+            queue.clear();
+            d[root] = 0;
+            queue.push(root);
+            let mut head = 0;
+            while let Some(&s) = queue.get(head) {
+                head += 1;
+                for &t in &peer[s * stride..(s + 1) * stride] {
+                    if t != NONE && d[t as usize] == UNREACHED {
+                        d[t as usize] = d[s] + 1;
+                        queue.push(t as usize);
+                    }
+                }
+            }
+        }
+        if let Some(i) = dist.iter().position(|&d| d == UNREACHED) {
+            panic!(
+                "switch {} has no path to switch {}, which has hosts",
+                i % switches,
+                att_switch[i / switches]
+            );
+        }
+
+        // Candidate ports: any switch neighbor one hop closer, in port
+        // order. At the attachment switch itself (distance 0) none is.
+        let cands = |a: usize, s: usize| {
+            let d = &dist[a * switches..(a + 1) * switches];
+            peer[s * stride..(s + 1) * stride]
+                .iter()
+                .enumerate()
+                .filter(move |&(_, &t)| t != NONE && d[t as usize] + 1 == d[s])
+                .map(|(port, _)| port as u16)
+        };
+        let mut offsets = Vec::with_capacity(attachments * switches + 1);
         offsets.push(0u32);
-        for row in &next {
-            for cands in row {
-                port_pool.extend_from_slice(cands);
-                offsets.push(port_pool.len() as u32);
+        let mut total = 0u32;
+        for a in 0..attachments {
+            for s in 0..switches {
+                total += cands(a, s).count() as u32;
+                offsets.push(total);
             }
         }
+        let mut port_pool = Vec::with_capacity(total as usize);
+        for a in 0..attachments {
+            for s in 0..switches {
+                port_pool.extend(cands(a, s));
+            }
+        }
+
+        let att_dist: Vec<u16> = (0..attachments * attachments)
+            .map(|i| dist[(i % attachments) * switches + att_switch[i / attachments]] + 2)
+            .collect();
+        // Two hosts on one switch are two links apart; hosts on
+        // different switches are farther.
+        let shared_switch = attach.len() > attachments;
+        let diameter_hops = (0..att_dist.len())
+            .filter(|i| i / attachments != i % attachments)
+            .map(|i| att_dist[i] as usize)
+            .chain(shared_switch.then_some(2))
+            .max()
+            .unwrap_or(0);
 
         Routes {
             port_pool,
             offsets,
-            host_dist,
-            hosts: h_count,
-            diameter_hops: diameter,
+            attach,
+            att_dist,
+            attachments,
+            switches,
+            diameter_hops,
         }
     }
 
-    /// Candidate ports for `(switch, dst_host)` in the pooled table.
+    /// Candidate ports for `(switch, dst_host)`: the host's own port at
+    /// its attachment switch, else the pooled row toward that switch.
     #[inline]
     fn cands(&self, switch: usize, dst_host: usize) -> &[u16] {
-        let base = switch * self.hosts + dst_host;
-        let start = self.offsets[base] as usize;
-        let end = self.offsets[base + 1] as usize;
+        let at = &self.attach[dst_host];
+        if at.switch as usize == switch {
+            return std::slice::from_ref(&at.port);
+        }
+        let row = at.index as usize * self.switches + switch;
+        let start = self.offsets[row] as usize;
+        let end = self.offsets[row + 1] as usize;
         &self.port_pool[start..end]
+    }
+
+    /// Candidate ports stored over every (switch, attachment switch)
+    /// pair: the table scenario validation sizes before anything is
+    /// built.
+    pub fn candidate_ports(&self) -> usize {
+        self.port_pool.len()
     }
 
     /// Shortest-path length between two hosts, in links traversed
     /// (0 for `src == dst`).
     pub fn host_distance(&self, src: usize, dst: usize) -> usize {
-        self.host_dist[src * self.hosts + dst] as usize
+        if src == dst {
+            return 0;
+        }
+        let row = self.attach[src].index as usize * self.attachments;
+        self.att_dist[row + self.attach[dst].index as usize] as usize
     }
 
     /// The ECMP-selected output port on `switch` toward `dst_host` for a
@@ -267,10 +337,6 @@ impl Routes {
     #[inline]
     pub fn out_port(&self, switch: usize, dst_host: usize, ecmp_seed: u32) -> u16 {
         let cands = self.cands(switch, dst_host);
-        assert!(
-            !cands.is_empty(),
-            "no route from switch {switch} to host {dst_host}"
-        );
         if cands.len() == 1 {
             return cands[0];
         }
@@ -290,10 +356,6 @@ impl Routes {
         nonce: u32,
     ) -> u16 {
         let cands = self.cands(switch, dst_host);
-        assert!(
-            !cands.is_empty(),
-            "no route from switch {switch} to host {dst_host}"
-        );
         if cands.len() == 1 {
             return cands[0];
         }
@@ -306,10 +368,8 @@ impl Routes {
 /// needs: the port map and link wiring plus the ECMP shortest-path
 /// tables.
 ///
-/// Both are pure functions of the [`Topology`], so one `NetTables` can
-/// be shared (via `Arc`) by every fabric instantiated over the same
-/// geometry — multi-seed replicates of one cell shape stop re-running
-/// the per-destination BFS for every cell.
+/// Both are pure functions of the [`Topology`]. Each fabric builds and
+/// owns its own: at k=8 the build takes about a tenth of a millisecond.
 #[derive(Debug)]
 pub struct NetTables {
     /// Who is plugged into which switch port, over which link.
@@ -323,7 +383,7 @@ impl NetTables {
     pub fn build(topo: &Topology) -> NetTables {
         topo.check();
         let ports = PortMap::new(topo);
-        let routes = Routes::build(topo, &ports);
+        let routes = Routes::build(&ports);
         NetTables { ports, routes }
     }
 }
@@ -343,8 +403,152 @@ mod tests {
 
     fn routes_for(topo: &Topology) -> (PortMap, Routes) {
         let ports = PortMap::new(topo);
-        let routes = Routes::build(topo, &ports);
+        let routes = Routes::build(&ports);
         (ports, routes)
+    }
+
+    /// The neighbor on `port` of switch `sw`.
+    fn neighbor(ports: &PortMap, sw: usize, port: u16) -> Endpoint {
+        let link = ports.switch_out_link[sw * ports.port_stride + port as usize];
+        ports.links[link as usize].dst
+    }
+
+    /// The per-destination-host build these tables replaced, kept as
+    /// the reference: one BFS per host over its own port lists, a
+    /// candidate `Vec` per `(switch, host)` and a hosts × hosts
+    /// distance matrix.
+    struct Oracle {
+        next: Vec<Vec<Vec<u16>>>,
+        host_dist: Vec<u16>,
+        hosts: usize,
+        diameter_hops: usize,
+    }
+
+    impl Oracle {
+        fn build(topo: &Topology) -> Oracle {
+            let s_count = topo.switches;
+            let h_count = topo.hosts;
+            // Port lists in cable order, straight from the topology.
+            let mut switch_ports: Vec<Vec<NodeId>> = vec![Vec::new(); s_count];
+            for c in &topo.cables {
+                for (me, other) in [(c.a, c.b), (c.b, c.a)] {
+                    if let NodeId::Switch(s) = me {
+                        switch_ports[s as usize].push(other);
+                    }
+                }
+            }
+            let host_switch = |h: usize| {
+                (0..s_count)
+                    .find(|&s| switch_ports[s].contains(&NodeId::Host(h as u32)))
+                    .unwrap()
+            };
+            let mut next = vec![vec![Vec::new(); h_count]; s_count];
+            let mut host_dist = vec![0u16; h_count * h_count];
+            let mut diameter = 0usize;
+            for dst in 0..h_count {
+                let attach_sw = host_switch(dst);
+                let mut dist = vec![usize::MAX; s_count];
+                let mut queue = std::collections::VecDeque::new();
+                dist[attach_sw] = 1; // one link: edge switch → host
+                queue.push_back(attach_sw);
+                while let Some(s) = queue.pop_front() {
+                    for n in &switch_ports[s] {
+                        if let NodeId::Switch(t) = n {
+                            let t = *t as usize;
+                            if dist[t] == usize::MAX {
+                                dist[t] = dist[s] + 1;
+                                queue.push_back(t);
+                            }
+                        }
+                    }
+                }
+                for s in 0..s_count {
+                    for (port, n) in switch_ports[s].iter().enumerate() {
+                        let closer = match n {
+                            NodeId::Host(h) => *h as usize == dst,
+                            NodeId::Switch(t) => {
+                                let td = dist[*t as usize];
+                                td != usize::MAX && td + 1 == dist[s]
+                            }
+                        };
+                        if closer {
+                            next[s][dst].push(port as u16);
+                        }
+                    }
+                }
+                for src in 0..h_count {
+                    if src != dst {
+                        let d = dist[host_switch(src)] + 1; // + host→edge link
+                        host_dist[src * h_count + dst] = d as u16;
+                        diameter = diameter.max(d);
+                    }
+                }
+            }
+            Oracle {
+                next,
+                host_dist,
+                hosts: h_count,
+                diameter_hops: diameter,
+            }
+        }
+
+        fn pick(&self, switch: usize, dst: usize, key: u64) -> u16 {
+            let cands = &self.next[switch][dst];
+            if cands.len() == 1 {
+                return cands[0];
+            }
+            cands[(splitmix64(key) % cands.len() as u64) as usize]
+        }
+    }
+
+    #[test]
+    fn attachment_keyed_tables_match_the_per_host_oracle() {
+        let mut topos: Vec<Topology> = [2, 4, 6, 8, 10].map(Topology::fat_tree).into();
+        topos.extend([2, 17].map(Topology::single_switch));
+        topos.extend([(1, 1), (3, 5)].map(|(l, r)| Topology::dumbbell(l, r)));
+        for t in &topos {
+            let name = format!("{} hosts, {} switches", t.hosts, t.switches);
+            let (_, routes) = routes_for(t);
+            let oracle = Oracle::build(t);
+            assert_eq!(routes.diameter_hops, oracle.diameter_hops, "{name}");
+            for src in 0..t.hosts {
+                for dst in 0..t.hosts {
+                    assert_eq!(
+                        routes.host_distance(src, dst),
+                        oracle.host_dist[src * oracle.hosts + dst] as usize,
+                        "{name}: distance {src} → {dst}"
+                    );
+                }
+            }
+            for s in 0..t.switches {
+                for h in 0..t.hosts {
+                    assert_eq!(
+                        routes.cands(s, h),
+                        oracle.next[s][h].as_slice(),
+                        "{name}: switch {s} → host {h}"
+                    );
+                    for seed in [0, 1, 7, 0xdead_beef, u32::MAX] {
+                        let key = (seed as u64) << 32 | s as u64;
+                        assert_eq!(routes.out_port(s, h, seed), oracle.pick(s, h, key));
+                        for nonce in [0, 1, 3, 1 << 30, u32::MAX] {
+                            assert_eq!(
+                                routes.out_port_spray(s, h, seed, nonce),
+                                oracle.pick(s, h, key ^ ((nonce as u64) << 17)),
+                                "{name}: switch {s} → host {h}, seed {seed}, nonce {nonce}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "switch 2 has no path to switch 0")]
+    fn an_unreachable_switch_fails_the_build() {
+        let mut t = Topology::custom(2, 3);
+        t.wire_host(0, 0).wire_host(1, 1).wire_switches(0, 1);
+        NetTables::build(&t);
     }
 
     #[test]
@@ -373,7 +577,7 @@ mod tests {
                 }
             }
             // Nothing but padding beside the links' own entries.
-            let wired = |table: &[u32]| table.iter().filter(|&&l| l != u32::MAX).count();
+            let wired = |table: &[u32]| table.iter().filter(|&&l| l != NONE).count();
             let switch_ends = p.links.len() - t.hosts;
             assert_eq!(wired(&p.switch_out_link), switch_ends);
             assert_eq!(wired(&p.switch_in_link), switch_ends);
@@ -381,8 +585,8 @@ mod tests {
                 let up = p.links[p.host_uplink[h] as usize];
                 assert_eq!(up.src, Endpoint::Host(h as u32));
             }
-            let max_radix = (0..t.switches).map(|s| p.radix(s)).max().unwrap();
-            assert_eq!(p.port_stride, max_radix);
+            let max_radix = p.radix.iter().max().unwrap();
+            assert_eq!(p.port_stride, *max_radix as usize);
         }
     }
 
@@ -393,10 +597,7 @@ mod tests {
         assert_eq!(routes.diameter_hops, 2);
         for dst in 0..3 {
             let port = routes.out_port(0, dst, 99);
-            assert_eq!(
-                ports.switch_ports[0][port as usize],
-                NodeId::Host(dst as u32)
-            );
+            assert_eq!(neighbor(&ports, 0, port), Endpoint::Host(dst as u32));
         }
     }
 
@@ -414,11 +615,11 @@ mod tests {
     #[test]
     fn fat_tree_k4_diameter_and_path_diversity() {
         let t = Topology::fat_tree(4);
-        let (ports, routes) = routes_for(&t);
+        let (_, routes) = routes_for(&t);
         assert_eq!(routes.diameter_hops, 6);
         // From an edge switch, a host in a different pod has k/2 = 2
         // equal-cost uplinks.
-        let edge_of_h0 = ports.host_switch(0);
+        let edge_of_h0 = routes.attach[0].switch as usize;
         let far_host = t.hosts - 1;
         assert_eq!(routes.cands(edge_of_h0, far_host).len(), 2);
         // A host on the same switch has exactly one candidate (its port).
@@ -435,8 +636,8 @@ mod tests {
     #[test]
     fn ecmp_is_deterministic_and_spreads() {
         let t = Topology::fat_tree(4);
-        let (ports, routes) = routes_for(&t);
-        let edge = ports.host_switch(0);
+        let (_, routes) = routes_for(&t);
+        let edge = routes.attach[0].switch as usize;
         let dst = t.hosts - 1;
         // Deterministic: same seed, same port.
         let p1 = routes.out_port(edge, dst, 5);
