@@ -18,7 +18,7 @@
 //! come back in submission order and each fold is pure.
 
 use irn_core::{RunResult, Scenario};
-use irn_harness::{Harness, HarnessError, WorkerStats};
+use irn_harness::{Executor, HarnessError, WorkerStats};
 use irn_telemetry::TraceSpec;
 use serde::json;
 use serde::{de_field, Deserialize, Serialize};
@@ -161,10 +161,27 @@ pub struct TraceHeader {
     pub cells: u64,
 }
 
+/// One item of a [`run_batch`]: its report and what the batch observed
+/// running the item's cells. The item's name is its timing row's
+/// `artifact`.
+pub struct ItemRun {
+    /// The item's report, folded from its slice of the batch.
+    pub report: Report,
+    /// Cell, event and CPU-time observations.
+    pub timing: ArtifactTiming,
+    /// The unified counters (`None` for an item that ran no cells).
+    /// Deterministic — these feed the envelope's `telemetry` block.
+    pub telemetry: Option<TelemetrySummary>,
+    /// The peak-memory gauges (`None` for an item that ran no cells).
+    /// Deterministic — these feed the `memory-v1` file behind
+    /// `--memory-json`.
+    pub memory: Option<MemorySummary>,
+}
+
 /// The outcome of [`run_batch`].
 pub struct BatchRun {
-    /// One report per selected artifact, in selection order.
-    pub reports: Vec<Report>,
+    /// One row per item, in selection order.
+    pub items: Vec<ItemRun>,
     /// Cells the global batch submitted to the executor.
     pub cell_count: usize,
     /// Wall-clock time of the executor pass alone (report assembly
@@ -173,18 +190,6 @@ pub struct BatchRun {
     pub batch_time: std::time::Duration,
     /// Simulation events processed across the whole batch.
     pub total_events: u64,
-    /// Per-artifact cell/event/CPU-time observations, in selection
-    /// order (aligned with `reports`).
-    pub timing: Vec<ArtifactTiming>,
-    /// Per-artifact unified counters, in selection order (aligned with
-    /// `reports`; `None` for an artifact that ran no cells).
-    /// Deterministic — these feed the envelope's `telemetry` block.
-    pub telemetry: Vec<Option<TelemetrySummary>>,
-    /// Per-artifact peak-memory gauges, in selection order (aligned
-    /// with `reports`; `None` for an artifact that ran no cells).
-    /// Deterministic — these feed the `memory-v1` file behind
-    /// `--memory-json`.
-    pub memory: Vec<Option<MemorySummary>>,
     /// Captured trace lines when the batch ran with a
     /// [`TraceSpec`]; `None` on untraced runs.
     pub trace: Option<BatchTrace>,
@@ -199,9 +204,9 @@ impl BatchRun {
 
 /// The one global-batch runner (beneath `repro <artifact>...` and
 /// `repro run`): concatenate every item's planned cells into one
-/// submission-ordered batch, execute it once, then demux each item's
-/// slice back through its plan. An item that planned no cells
-/// contributes no `telemetry` or `memory` entry.
+/// submission-ordered batch, run it once on `exec`, then demux each
+/// item's slice back through its plan. An item that planned no cells
+/// has no `telemetry` or `memory`.
 ///
 /// The reports are byte-identical to running each plan alone, at any
 /// job count: the executor returns results in submission order, each
@@ -210,19 +215,18 @@ impl BatchRun {
 ///
 /// When `trace` is `Some`, every cell runs under the flight recorder
 /// and the per-cell chunks are concatenated — in submission order, which
-/// is also cell-id order — into [`BatchRun::trace`]. A degraded
-/// distributed backend surfaces as a typed [`HarnessError`] (carrying
-/// completed/total cell counts); the in-process executor never errors,
-/// so a caller that wants the panic writes `.expect(..)`.
+/// is also cell-id order — into [`BatchRun::trace`]. A batch the
+/// executor cannot finish (a run that failed, every worker lost)
+/// surfaces as its typed [`HarnessError`], carrying completed/total
+/// cell counts.
 pub fn run_batch(
     items: &[(String, Plan)],
-    harness: &Harness,
+    exec: &mut dyn Executor,
     trace: Option<&TraceSpec>,
 ) -> Result<BatchRun, HarnessError> {
     let batch: Vec<Scenario> = items.iter().flat_map(|(_, plan)| plan.cells()).collect();
-    let cell_count = batch.len();
     let t = std::time::Instant::now();
-    let outcomes = harness.try_run(&batch, trace)?;
+    let outcomes = exec.run_cells(&batch, trace)?;
     let batch_time = t.elapsed();
     let batch_trace = trace.map(|_| {
         let mut lines = Vec::new();
@@ -236,11 +240,7 @@ pub fn run_batch(
         BatchTrace { lines, dropped }
     });
     let mut results = outcomes.into_iter().zip(&batch);
-    let mut total_events = 0u64;
-    let mut timing = Vec::with_capacity(items.len());
-    let mut telemetry = Vec::with_capacity(items.len());
-    let mut memory = Vec::with_capacity(items.len());
-    let reports = items
+    let rows: Vec<ItemRun> = items
         .iter()
         .map(|(name, plan)| {
             let n = plan.cell_count();
@@ -263,27 +263,25 @@ pub fn run_batch(
                     o.result
                 })
                 .collect();
-            total_events += events;
-            timing.push(ArtifactTiming {
-                artifact: name.clone(),
-                cells: n,
-                events,
-                cell_wall_s: cell_wall.as_secs_f64(),
-                events_per_sec: per_sec(events, cell_wall),
-            });
-            telemetry.push((n > 0).then_some(summary));
-            memory.push((n > 0).then_some(gauge));
-            plan.assemble(&slice)
+            ItemRun {
+                report: plan.assemble(&slice),
+                timing: ArtifactTiming {
+                    artifact: name.clone(),
+                    cells: n,
+                    events,
+                    cell_wall_s: cell_wall.as_secs_f64(),
+                    events_per_sec: per_sec(events, cell_wall),
+                },
+                telemetry: (n > 0).then_some(summary),
+                memory: (n > 0).then_some(gauge),
+            }
         })
         .collect();
     Ok(BatchRun {
-        reports,
-        cell_count,
+        total_events: rows.iter().map(|row| row.timing.events).sum(),
+        items: rows,
+        cell_count: batch.len(),
         batch_time,
-        total_events,
-        timing,
-        telemetry,
-        memory,
         trace: batch_trace,
     })
 }
@@ -308,7 +306,7 @@ struct Trajectory<'a> {
     total_events: u64,
     batch_wall_s: f64,
     events_per_sec: f64,
-    artifacts: &'a [ArtifactTiming],
+    artifacts: Vec<&'a ArtifactTiming>,
     workers: Option<Vec<WorkerRow<'a>>>,
 }
 
@@ -362,7 +360,7 @@ pub fn timing_json(
         total_events: batch.total_events,
         batch_wall_s: batch.batch_time.as_secs_f64(),
         events_per_sec: batch.events_per_sec(),
-        artifacts: &batch.timing,
+        artifacts: batch.items.iter().map(|item| &item.timing).collect(),
         workers: (!rows.is_empty()).then_some(rows),
     })
 }
@@ -390,7 +388,7 @@ pub struct Envelope {
     pub scenario: Option<Scenario>,
     /// The rows.
     pub report: Report,
-    /// The unified counters ([`BatchRun::telemetry`]); absent for an
+    /// The unified counters ([`ItemRun::telemetry`]); absent for an
     /// artifact that ran no cells.
     pub telemetry: Option<TelemetrySummary>,
 }
@@ -483,6 +481,7 @@ fn check_envelope(name: &str, text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::report::Row;
+    use irn_harness::{CellOutcome, ThreadExecutor};
 
     #[test]
     fn registry_names_are_unique_and_findable() {
@@ -582,13 +581,13 @@ mod tests {
         )];
         let plan = &items[0].1;
         assert_eq!(plan.cell_count(), 0);
-        let batch = run_batch(&items, &Harness::new(1), None).unwrap();
+        let batch = run_batch(&items, &mut ThreadExecutor::new(1), None).unwrap();
         assert_eq!(batch.cell_count, 0);
-        assert_eq!(batch.telemetry, [None]);
-        assert_eq!(batch.memory, [None]);
+        let item = &batch.items[0];
+        assert_eq!((&item.telemetry, &item.memory), (&None, &None));
         let gauge = crate::verify_memory_json(&crate::memory_json(&batch, &scale)).unwrap();
         assert_eq!(gauge.artifacts, []);
-        let text = artifact_json("state-budget", &scale, plan, &batch.reports[0], None);
+        let text = artifact_json("state-budget", &scale, plan, &item.report, None);
         assert_eq!(text, include_str!("../tests/fixtures/state-budget.json"));
         verify_artifact_json("state-budget", &text).unwrap();
     }
@@ -716,5 +715,33 @@ mod tests {
         assert!(err.contains("does not match the registry"), "{err}");
         let err = verify_artifact_json("fig1", &with_class("timing")).unwrap_err();
         assert!(err.contains("unknown determinism 'timing'"), "{err}");
+    }
+
+    /// A custom backend plugs in through the trait seam, and the error
+    /// it returns is `run_batch`'s: no report is assembled.
+    #[test]
+    fn custom_executor_errors_surface_through_run_batch() {
+        struct Failing;
+        impl Executor for Failing {
+            fn run_cells(
+                &mut self,
+                _: &[Scenario],
+                _: Option<&TraceSpec>,
+            ) -> Result<Vec<CellOutcome>, HarnessError> {
+                Err(HarnessError::FleetLost {
+                    completed: 0,
+                    total: 0,
+                })
+            }
+            fn concurrency(&self) -> usize {
+                3
+            }
+        }
+        let items = [(
+            "fig1".to_string(),
+            find("fig1").unwrap().plan(Scale::quick()),
+        )];
+        let err = run_batch(&items, &mut Failing, None).err();
+        assert!(matches!(err, Some(HarnessError::FleetLost { .. })));
     }
 }

@@ -57,10 +57,13 @@
 //! `bench-trajectory-v1` side file. Neither is a benchmark — perf
 //! claims cite the `BENCHMARK.json` command (benchmark/README.md).
 //!
-//! Exit codes: 0 success, 1 verification failure, 2 usage error or a
-//! batch that cannot finish — including unknown artifact names, unknown
-//! flags, and invalid scenario files (every user-reachable config
-//! mistake is a typed `ScenarioError`, never a panic).
+//! Exit codes: 0 success, 1 verification failure (or an output write
+//! failing after the batch), 2 usage error or a batch that cannot
+//! finish — including unknown artifact names, unknown flags, invalid
+//! scenario files (every user-reachable config mistake is a typed
+//! `ScenarioError`, never a panic), and an output path that cannot be
+//! written: every `--json`, `--timing-json`, `--memory-json`, `--trace`
+//! and `--progress-json` destination is checked before any cell runs.
 //!
 //! The usage text, flag parsing, mode dispatch and flag applicability
 //! all derive from one [`FLAGS`] table and one [`MODES`] table: the
@@ -72,17 +75,17 @@
 //! wasn't).
 
 use irn_core::Scenario;
-use irn_experiments::artifacts::{self, BatchRun, TraceHeader, ARTIFACTS};
-use irn_experiments::{
-    scenario_json, scenario_plan, Harness, Plan, Report, Scale, TelemetrySummary,
+use irn_experiments::artifacts::{self, BatchRun, ItemRun, TraceHeader, ARTIFACTS};
+use irn_experiments::{scenario_json, scenario_plan, Plan, Scale};
+use irn_harness::{
+    worker, Executor, HarnessError, PoolConfig, ThreadExecutor, WorkerOptions, WorkerPool,
+    WorkerSpec, WorkerStats,
 };
-use irn_harness::{worker, HarnessError, PoolConfig, WorkerOptions, WorkerPool, WorkerSpec};
 use irn_telemetry::{TraceFilter, TraceSpec};
 use serde::json::{self, Value};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // The mode and flag tables: single source for usage text, parsing,
@@ -457,19 +460,26 @@ fn positive_int(flag: &str, v: &str, max: usize) -> usize {
 
 /// The executor the batch modes run on: the in-process thread pool by
 /// default, or a [`WorkerPool`] coordinator when `--workers`/`--connect`
-/// ask for one (the pool handle is kept for the per-worker timing
-/// breakdown).
-struct Backend {
-    harness: Harness,
-    pool: Option<Arc<WorkerPool>>,
+/// ask for one (which also reports per-worker timing).
+enum Backend {
+    Threads(ThreadExecutor),
+    Fleet(WorkerPool),
 }
 
 impl Backend {
+    fn executor(&mut self) -> &mut dyn Executor {
+        match self {
+            Backend::Threads(threads) => threads,
+            Backend::Fleet(pool) => pool,
+        }
+    }
+
     /// Per-worker stats for the timing JSON (empty in-process).
-    fn worker_stats(&self) -> Vec<irn_harness::WorkerStats> {
-        self.pool
-            .as_ref()
-            .map_or_else(Vec::new, |p| p.worker_stats())
+    fn worker_stats(&self) -> &[WorkerStats] {
+        match self {
+            Backend::Threads(_) => &[],
+            Backend::Fleet(pool) => pool.worker_stats(),
+        }
     }
 }
 
@@ -482,10 +492,8 @@ fn build_backend(args: &Args) -> Backend {
                 ));
             }
         }
-        return Backend {
-            harness: args.jobs.map_or_else(Harness::auto, Harness::new),
-            pool: None,
-        };
+        let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
+        return Backend::Threads(ThreadExecutor::new(args.jobs.unwrap_or_else(cores)));
     }
     if args.jobs.is_some() {
         fail("--jobs sizes the in-process thread pool; with --workers/--connect the fleet size is the parallelism — use one or the other");
@@ -504,19 +512,11 @@ fn build_backend(args: &Args) -> Backend {
         }));
     }
     let mut cfg = PoolConfig::new(specs);
-    // The coordinator narrates the fleet: per-cell completion lines,
-    // slow-cell warnings, and retry/reassignment events on stderr
-    // (machine-readable copy via --progress-json).
-    cfg.progress = true;
     cfg.progress_json = args.progress_json.clone();
     if let Some(secs) = args.cell_timeout {
         cfg.cell_timeout = std::time::Duration::from_secs(secs);
     }
-    let pool = Arc::new(WorkerPool::new(cfg));
-    Backend {
-        harness: Harness::with_executor(pool.clone()),
-        pool: Some(pool),
-    }
+    Backend::Fleet(WorkerPool::new(cfg))
 }
 
 /// A batch the executor could not finish: the typed error, the partial
@@ -537,56 +537,38 @@ fn fail_batch(e: HarnessError) -> ! {
 // Shared output plumbing
 // ---------------------------------------------------------------------
 
-/// Create the output locations **before** the batch runs: discovering
-/// an unwritable `--json` directory only after a paper-scale batch
-/// would throw the whole computation away.
+/// Check every output path **before** the batch runs, and create the
+/// directories they need: a destination found unwritable only after a
+/// paper-scale batch would throw the whole computation away. A bad path
+/// is an input error naming its flag (exit 2).
 fn prepare_output_paths(args: &Args) {
-    let mut dirs: Vec<&Path> = Vec::new();
-    if let Some(dir) = &args.json_dir {
-        dirs.push(dir);
-    }
-    for file in [
-        &args.timing_json,
-        &args.memory_json,
-        &args.trace,
-        &args.progress_json,
-    ] {
-        if let Some(parent) = file
-            .as_deref()
-            .and_then(Path::parent)
-            .filter(|d| !d.as_os_str().is_empty())
-        {
-            dirs.push(parent);
-        }
-    }
-    for dir in dirs {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Parse-time strictness for `--memory-json`: a malformed destination
-/// — an existing directory where a file is needed, or a parent that
-/// cannot be created — must die *before* the batch runs, as an input
-/// error (exit 2), not after a paper-scale batch has been thrown away.
-fn validate_memory_json_path(args: &Args) {
-    let Some(path) = &args.memory_json else {
-        return;
-    };
-    if path.is_dir() {
-        fail_input(format_args!(
-            "--memory-json needs a file path, {} is a directory",
-            path.display()
-        ));
-    }
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(dir) {
+    // (flag, path, whether the path is itself a directory)
+    let outputs = [
+        ("--json", &args.json_dir, true),
+        ("--timing-json", &args.timing_json, false),
+        ("--memory-json", &args.memory_json, false),
+        ("--trace", &args.trace, false),
+        ("--progress-json", &args.progress_json, false),
+    ];
+    for (flag, path, is_dir) in outputs {
+        let Some(path) = path else {
+            continue;
+        };
+        if !is_dir && path.is_dir() {
             fail_input(format_args!(
-                "--memory-json: cannot create {}: {e}",
-                dir.display()
+                "{flag} needs a file path, {} is a directory",
+                path.display()
             ));
+        }
+        let dir = if is_dir {
+            Some(path.as_path())
+        } else {
+            path.parent().filter(|d| !d.as_os_str().is_empty())
+        };
+        if let Some(dir) = dir {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                fail_input(format_args!("{flag}: cannot create {}: {e}", dir.display()));
+            }
         }
     }
 }
@@ -647,13 +629,8 @@ fn write_trace(args: &Args, source: &str, batch: &BatchRun) {
     );
 }
 
+/// Write one output file; its directory exists ([`prepare_output_paths`]).
 fn write_file(path: &Path, text: &str) {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("error: cannot create {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
     if let Err(e) = std::fs::write(path, text) {
         eprintln!("error: cannot write {}: {e}", path.display());
         std::process::exit(1);
@@ -667,10 +644,11 @@ fn report_batch_timing(
     what: &str,
     count: usize,
     started: std::time::Instant,
-    backend: &Backend,
+    backend: &mut Backend,
     scale: &Scale,
     timing_json: Option<&Path>,
 ) {
+    let jobs = backend.executor().concurrency();
     eprintln!(
         "   [global batch: {} cells across {} {what}: batch {:.1?}, total {:.1?}, jobs={}, \
          {} events, {:.2} Mev/s]",
@@ -678,12 +656,12 @@ fn report_batch_timing(
         count,
         batch.batch_time,
         started.elapsed(),
-        backend.harness.jobs(),
+        jobs,
         batch.total_events,
         batch.events_per_sec() / 1e6,
     );
     let workers = backend.worker_stats();
-    for w in &workers {
+    for w in workers {
         eprintln!(
             "   [worker {}: {} cells, {:.1}s cell time, {} failure(s){}]",
             w.name,
@@ -694,25 +672,19 @@ fn report_batch_timing(
         );
     }
     if let Some(file) = timing_json {
-        write_file(
-            file,
-            &artifacts::timing_json(batch, scale, backend.harness.jobs(), &workers),
-        );
+        write_file(file, &artifacts::timing_json(batch, scale, jobs, workers));
     }
 }
 
-fn per_report_stderr(
-    name: &str,
-    plan: &Plan,
-    timing: &artifacts::ArtifactTiming,
-    telemetry: Option<&TelemetrySummary>,
-) {
-    let (class, seeds) = (plan.determinism(), plan.seeds());
+fn per_report_stderr(name: &str, plan: &Plan, item: &ItemRun) {
+    let (class, seeds, timing) = (plan.determinism(), plan.seeds(), &item.timing);
     if timing.cells > 0 {
         // Scheduler health counters ride along when nonzero: past-time
         // clamps and stale-timer skips are benign by design, but a
         // sudden jump is the first symptom of a scheduling bug.
-        let sched = telemetry
+        let sched = item
+            .telemetry
+            .as_ref()
             .map(|t| t.sched)
             .filter(|s| s.past_clamps > 0 || s.stale_timer_reclaims > 0)
             .map(|s| {
@@ -733,36 +705,35 @@ fn per_report_stderr(
     }
 }
 
-/// The shared tail of the two batch modes: create the output locations,
-/// pick the backend, run `items` — each report's name (stderr, trace
+/// The shared tail of the two batch modes: pick the backend, check the
+/// output paths, run `items` — each report's name (stderr, trace
 /// source, envelope file stem) with its plan — as the one global batch,
 /// then report timing, gauge and trace, and print every report — with
-/// its envelope from `envelope(index, report, telemetry)` when `--json`
-/// asked for one.
+/// its envelope from `envelope(index, item)` when `--json` asked for
+/// one.
 fn run_and_report(
     args: &Args,
     scale: &Scale,
     what: &str,
     items: &[(String, Plan)],
-    envelope: impl Fn(usize, &Report, Option<&TelemetrySummary>) -> String,
+    envelope: impl Fn(usize, &ItemRun) -> String,
 ) {
+    let mut backend = build_backend(args);
+    let spec = trace_spec(args);
     prepare_output_paths(args);
-    validate_memory_json_path(args);
-    let backend = build_backend(args);
 
     // One global batch: all simulation cells interleave on the worker
     // pool, then reports assemble and print in presentation order
     // (byte-identical to sequential runs).
-    let spec = trace_spec(args);
     let t = std::time::Instant::now();
-    let batch = artifacts::run_batch(items, &backend.harness, spec.as_ref())
+    let batch = artifacts::run_batch(items, backend.executor(), spec.as_ref())
         .unwrap_or_else(|e| fail_batch(e));
     report_batch_timing(
         &batch,
         what,
         items.len(),
         t,
-        &backend,
+        &mut backend,
         scale,
         args.timing_json.as_deref(),
     );
@@ -773,22 +744,15 @@ fn run_and_report(
     // Every envelope before the first report: a stdout reader that
     // closes early ends the process (see `emit`) and must not cost a file.
     if let Some(dir) = &args.json_dir {
-        let rows = batch.reports.iter().zip(&batch.telemetry);
-        for (i, ((name, _), (rep, telemetry))) in items.iter().zip(rows).enumerate() {
-            let text = envelope(i, rep, telemetry.as_ref());
-            write_file(&dir.join(format!("{name}.json")), &text);
+        for (i, ((name, _), item)) in items.iter().zip(&batch.items).enumerate() {
+            write_file(&dir.join(format!("{name}.json")), &envelope(i, item));
         }
     }
-    let rows = batch
-        .reports
-        .iter()
-        .zip(&batch.timing)
-        .zip(&batch.telemetry);
-    for ((name, plan), ((rep, timing), telemetry)) in items.iter().zip(rows) {
+    for ((name, plan), item) in items.iter().zip(&batch.items) {
         // Reports go to stdout; progress/timing to stderr so stdout
         // stays byte-identical run to run.
-        outln!("{}", rep.render());
-        per_report_stderr(name, plan, timing, telemetry.as_ref());
+        outln!("{}", item.report.render());
+        per_report_stderr(name, plan, item);
     }
 }
 
@@ -900,9 +864,9 @@ fn artifact_mode(args: &Args) {
         .iter()
         .map(|a| (a.name.to_string(), a.plan(scale)))
         .collect();
-    run_and_report(args, &scale, "artifact(s)", &items, |i, rep, telemetry| {
+    run_and_report(args, &scale, "artifact(s)", &items, |i, item| {
         let (name, plan) = &items[i];
-        artifacts::artifact_json(name, &scale, plan, rep, telemetry)
+        artifacts::artifact_json(name, &scale, plan, &item.report, item.telemetry.as_ref())
     });
 }
 
@@ -935,8 +899,8 @@ fn run_scenarios_mode(args: &Args) {
         scenarios.push(scenario);
     }
 
-    run_and_report(args, &scale, "scenario(s)", &items, |i, rep, telemetry| {
-        scenario_json(&scenarios[i], seeds, rep, telemetry)
+    run_and_report(args, &scale, "scenario(s)", &items, |i, item| {
+        scenario_json(&scenarios[i], seeds, &item.report, item.telemetry.as_ref())
     });
 }
 
@@ -1029,6 +993,7 @@ fn emit_scenario_mode(args: &Args) {
     let Some(dir) = &args.json_dir else {
         fail("emit-scenario needs --json DIR for the output directory");
     };
+    prepare_output_paths(args);
 
     let scale = args.scale();
     for artifact in selected {

@@ -49,10 +49,19 @@ pub mod scenario_run;
 pub mod telemetry;
 
 pub use artifacts::{Artifact, Envelope, ARTIFACTS};
-pub use irn_harness::Harness;
 pub use memory::{memory_json, verify_memory_json, MemoryGauge, MemorySummary};
 pub use plan::{Group, Plan};
 pub use report::{Report, Row};
 pub use scale::Scale;
 pub use scenario_run::{scenario_json, scenario_plan};
 pub use telemetry::TelemetrySummary;
+
+#[cfg(test)]
+/// Test support: `plan` alone through [`artifacts::run_batch`] on `jobs`
+/// threads, the path `repro` takes; its report.
+pub(crate) fn report_alone(plan: &Plan, jobs: usize) -> Report {
+    let items = [(String::new(), plan.clone())];
+    let mut exec = irn_harness::ThreadExecutor::new(jobs);
+    let mut batch = artifacts::run_batch(&items, &mut exec, None).expect("in-process executor");
+    batch.items.remove(0).report
+}

@@ -99,13 +99,14 @@ pub struct MemoryGauge {
 /// the timing file, these bytes are **deterministic**: identical at any
 /// `--jobs` and across any worker fleet of the same build.
 pub fn memory_json(batch: &BatchRun, scale: &Scale) -> String {
+    let gauges = batch.items.iter().filter_map(|i| i.memory.clone());
     pretty(&MemoryGauge {
         schema: "memory-v1".to_string(),
         determinism: "deterministic".to_string(),
         scale: scale.label().to_string(),
         seeds: scale.seeds as u64,
         legacy_per_flow_bytes: LEGACY_PER_FLOW_BYTES,
-        artifacts: batch.memory.iter().flatten().cloned().collect(),
+        artifacts: gauges.collect(),
     })
 }
 

@@ -18,7 +18,6 @@
 //! the worker pool never drains between artifacts.
 
 use irn_core::{RunResult, Scenario};
-use irn_harness::{Harness, HarnessError};
 
 use crate::report::{Report, Row};
 
@@ -158,20 +157,14 @@ impl Plan {
         }
         report
     }
-
-    /// Run this plan alone on `harness` (the single-artifact path), or
-    /// say why the batch could not be assembled.
-    pub fn run(&self, harness: &Harness) -> Result<Report, HarnessError> {
-        let outcomes = harness.try_run(&self.cells(), None)?;
-        let results: Vec<RunResult> = outcomes.into_iter().map(|o| o.result).collect();
-        Ok(self.assemble(&results))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report_alone;
     use irn_core::ExperimentConfig;
+    use irn_harness::{Executor, ThreadExecutor};
 
     fn cell(name: &str, seed: u64) -> Scenario {
         Scenario::from_config(name, ExperimentConfig::quick(30).with_seed(seed)).unwrap()
@@ -217,11 +210,10 @@ mod tests {
         assert_eq!(both.cell_count(), 6);
         let seeds: Vec<u64> = both.cells().iter().map(|c| c.config().seed).collect();
         assert_eq!(seeds, [1, 102, 10, 111, 20, 121]);
-        let h = Harness::new(2);
-        let merged = both.run(&h).unwrap();
-        let mut solo = toy_plan(vec![first], 2).run(&h).unwrap();
+        let merged = report_alone(&both, 2);
+        let mut solo = report_alone(&toy_plan(vec![first], 2), 2);
         solo.rows
-            .extend(toy_plan(vec![second], 2).run(&h).unwrap().rows);
+            .extend(report_alone(&toy_plan(vec![second], 2), 2).rows);
         assert_eq!(merged, solo);
         assert_eq!(merged.rows.len(), 3);
     }
@@ -245,7 +237,7 @@ mod tests {
             (none.determinism(), none.workload(), none.seeds()),
             ("deterministic", "deterministic", 1)
         );
-        assert_eq!(none.run(&Harness::new(1)).unwrap().rows.len(), 1);
+        assert_eq!(report_alone(&none, 1).rows.len(), 1);
     }
 
     #[test]
@@ -256,9 +248,10 @@ mod tests {
                 .collect(),
             1,
         );
-        let h = Harness::new(2);
-        let a = plan.run(&h).unwrap();
-        let outcomes = h.try_run(&plan.cells(), None).unwrap();
+        let a = report_alone(&plan, 2);
+        let outcomes = ThreadExecutor::new(2)
+            .run_cells(&plan.cells(), None)
+            .unwrap();
         let b = plan.assemble(&outcomes.into_iter().map(|o| o.result).collect::<Vec<_>>());
         assert_eq!(a.render(), b.render());
     }

@@ -69,8 +69,8 @@ pub fn scenario_json(
 mod tests {
     use super::*;
     use crate::artifacts;
+    use crate::report_alone;
     use irn_core::{TopologySpec, TrafficModel};
-    use irn_harness::Harness;
 
     fn tiny_scenario(seed: u64) -> Scenario {
         Scenario::builder("tiny incast")
@@ -89,7 +89,7 @@ mod tests {
         let s = tiny_scenario(5);
         let plan = scenario_plan(&s, 3);
         assert_eq!(plan.cell_count(), 3, "three seed replicates");
-        let rep = plan.run(&Harness::new(2)).unwrap();
+        let rep = report_alone(&plan, 2);
         assert_eq!(rep.rows.len(), 1);
         let row = &rep.rows[0];
         assert_eq!(row.label, "tiny incast");
@@ -109,7 +109,7 @@ mod tests {
         let plan = scenario_plan(&Scenario::from_json_str(&doctored).unwrap(), 2);
         let seeds: Vec<u64> = plan.cells().iter().map(|c| c.config().seed).collect();
         assert_eq!(seeds, [u64::MAX, 100]);
-        let rep = plan.run(&Harness::new(2)).unwrap();
+        let rep = report_alone(&plan, 2);
         assert!(rep.rows[0].get("avg_slowdown_ci95") > 0.0);
     }
 
@@ -131,7 +131,7 @@ mod tests {
             }]))
             .build()
             .unwrap();
-        let rep = scenario_plan(&s, 1).run(&Harness::new(1)).unwrap();
+        let rep = report_alone(&scenario_plan(&s, 1), 1);
         let row = &rep.rows[0];
         assert!(row.values.iter().any(|(n, _)| n == "avg_fct_ms"));
         assert!(!row.values.iter().any(|(n, _)| n == "incast_rct_ms"));
@@ -153,7 +153,7 @@ mod tests {
             })
             .build()
             .unwrap();
-        let rep = scenario_plan(&s, 2).run(&Harness::new(2)).unwrap();
+        let rep = report_alone(&scenario_plan(&s, 2), 2);
         let row = &rep.rows[0];
         assert!(row.values.iter().any(|(n, _)| n == "op_p99_ms"));
         assert!(!row.values.iter().any(|(n, _)| n == "avg_fct_ms"));
@@ -164,15 +164,15 @@ mod tests {
     #[test]
     fn scenario_runs_are_deterministic_across_job_counts() {
         let s = tiny_scenario(7);
-        let a = scenario_plan(&s, 2).run(&Harness::new(1)).unwrap();
-        let b = scenario_plan(&s, 2).run(&Harness::new(8)).unwrap();
+        let a = report_alone(&scenario_plan(&s, 2), 1);
+        let b = report_alone(&scenario_plan(&s, 2), 8);
         assert_eq!(a.render(), b.render());
     }
 
     #[test]
     fn scenario_envelope_passes_the_artifact_verifier() {
         let s = tiny_scenario(5);
-        let rep = scenario_plan(&s, 2).run(&Harness::new(2)).unwrap();
+        let rep = report_alone(&scenario_plan(&s, 2), 2);
         let text = scenario_json(&s, 2, &rep, None);
         artifacts::verify_artifact_json(&s.slug(), &text).unwrap();
         // The embedded scenario document round-trips.
@@ -188,7 +188,7 @@ mod tests {
     fn registry_colliding_scenario_name_still_verifies() {
         let s = tiny_scenario(5).with_name("state budget").unwrap();
         assert_eq!(s.slug(), "state-budget", "collides with the registry");
-        let rep = scenario_plan(&s, 1).run(&Harness::new(1)).unwrap();
+        let rep = report_alone(&scenario_plan(&s, 1), 1);
         let text = scenario_json(&s, 1, &rep, None);
         artifacts::verify_artifact_json("state-budget", &text).unwrap();
     }

@@ -7,6 +7,10 @@
 //! inside them it never says so. The six command lines ISSUE 20 showed
 //! exiting 0 with their output silently dropped are pinned by name.
 //!
+//! **Output paths are checked before the batch**: a destination that
+//! cannot be written is one `error:` line naming its flag and exit 2,
+//! before any cell runs.
+//!
 //! **Emitted scenario sets run back unedited**: `emit-scenario` → `run`
 //! → `--verify-json`, with the emitted file names held to the fixture
 //! the library test rebuilds from the artifact table.
@@ -158,6 +162,57 @@ fn the_silently_dropped_flags_of_issue_20_fail_by_name() {
         assert!(out.stdout.is_empty(), "{argv:?} printed to stdout");
     }
     assert!(!dir.exists(), "a rejected command line wrote something");
+}
+
+/// Every output flag, given a path it cannot write — a directory where
+/// a file is needed, a file where a directory is needed, a file under a
+/// file — fails before any cell runs: one `error:` line naming the
+/// flag, exit 2, nothing on stdout and no batch line on stderr.
+#[test]
+fn unwritable_output_paths_exit_2_naming_the_flag_before_the_batch() {
+    let dir = scratch("bad-paths");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("a-file");
+    std::fs::write(&file, "kept").unwrap();
+    let scenario = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/poisson-quick.json");
+    let run = |extra: &[&str]| -> Vec<std::ffi::OsString> {
+        let mut argv = vec![
+            "run".into(),
+            scenario.clone().into(),
+            "--seeds".into(),
+            "1".into(),
+        ];
+        argv.extend(extra.iter().map(Into::into));
+        argv
+    };
+    let under_file = file.join("out.json");
+    let cases: Vec<(Vec<std::ffi::OsString>, &str, &Path)> = vec![
+        (run(&[]), "--timing-json", &dir),
+        (run(&[]), "--timing-json", &under_file),
+        (run(&[]), "--memory-json", &dir),
+        (run(&[]), "--trace", &dir),
+        (run(&["--workers", "1"]), "--progress-json", &dir),
+        (run(&[]), "--json", &file),
+        (vec!["emit-scenario".into(), "fig1".into()], "--json", &file),
+    ];
+    for (mut argv, flag, path) in cases {
+        argv.extend([flag.into(), path.as_os_str().to_owned()]);
+        let out = repro(&argv);
+        let said = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {said}");
+        assert!(out.stdout.is_empty(), "{argv:?} printed a report");
+        let errors: Vec<&str> = said.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{argv:?}: {said}");
+        assert!(
+            errors[0].starts_with(&format!("error: {flag}")),
+            "{argv:?}: {said}"
+        );
+        for ran in ["[global batch", "[pool]", "wrote"] {
+            assert!(!said.contains(ran), "{argv:?} ran before failing: {said}");
+        }
+    }
+    assert_eq!(std::fs::read_to_string(&file).unwrap(), "kept");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn json_names(dir: &Path) -> Vec<String> {

@@ -25,7 +25,7 @@
 //! answers every line of `fixtures/hostile-frames.ndjson` with exactly
 //! one `error-v1` (CI's `worker-fanout` job pipes the same file).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use irn_core::metrics::{AppMetrics, FlowRecord, MetricsCollector};
@@ -36,7 +36,7 @@ use irn_core::{
     ExperimentConfig, MemoryStats, RunResult, Scenario, SchedCounters, TransportTotals,
 };
 use irn_experiments::artifacts::{self, BatchRun, TraceHeader};
-use irn_experiments::{memory_json, scenario_json, Group, Harness, Plan, Report, Row, Scale};
+use irn_experiments::{memory_json, scenario_json, Group, Plan, Report, Row, Scale};
 use irn_harness::{wire, CellOutcome, Executor, HarnessError, WorkerStats};
 use irn_telemetry::{TraceChunk, TraceSpec};
 use serde::json::{self, Value};
@@ -93,7 +93,7 @@ struct Canned;
 
 impl Executor for Canned {
     fn run_cells(
-        &self,
+        &mut self,
         cells: &[Scenario],
         _trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError> {
@@ -148,8 +148,7 @@ fn batch() -> BatchRun {
         ("golden-run".to_string(), plan(&[IrnGoBackN, Roce])),
         ("state-budget".to_string(), plan(&[])),
     ];
-    let harness = Harness::with_executor(Arc::new(Canned));
-    let mut batch = artifacts::run_batch(&items, &harness, None).unwrap();
+    let mut batch = artifacts::run_batch(&items, &mut Canned, None).unwrap();
     batch.batch_time = Duration::from_millis(1500);
     batch
 }
@@ -195,16 +194,24 @@ fn work_frames() -> String {
 fn envelopes_with_telemetry_keep_the_parent_bytes() {
     let b = batch();
     let fig1 = artifacts::find("fig1").unwrap().plan(scale());
-    let telemetry = b.telemetry[0].as_ref();
+    let [fig1_run, golden, budget] = &b.items[..] else {
+        panic!("three items");
+    };
     assert_eq!(
-        artifacts::artifact_json("fig1", &scale(), &fig1, &b.reports[0], telemetry),
+        artifacts::artifact_json(
+            "fig1",
+            &scale(),
+            &fig1,
+            &fig1_run.report,
+            fig1_run.telemetry.as_ref()
+        ),
         include_str!("fixtures/envelope-artifact.json")
     );
     assert_eq!(
-        scenario_json(&scenario(), 3, &b.reports[1], b.telemetry[1].as_ref()),
+        scenario_json(&scenario(), 3, &golden.report, golden.telemetry.as_ref()),
         include_str!("fixtures/envelope-scenario.json")
     );
-    assert_eq!(b.telemetry[2], None);
+    assert_eq!(budget.telemetry, None);
 }
 
 #[test]
@@ -435,8 +442,8 @@ fn schema_md_documents_every_key_in_its_section() {
     let envelope = parse(scenario_json(
         &scenario(),
         3,
-        &b.reports[1],
-        b.telemetry[1].as_ref(),
+        &b.items[1].report,
+        b.items[1].telemetry.as_ref(),
     ));
     let block = envelope.get("telemetry").unwrap().clone();
     // (section heading, sample document, members documented elsewhere)
@@ -541,8 +548,8 @@ fn cli_verify_json_and_diff_memory_fail_doctored_files_by_path() {
     let dir = std::env::temp_dir().join(format!("irn-formats-{}", std::process::id()));
     let b = batch();
     let fig1 = artifacts::find("fig1").unwrap().plan(scale());
-    let telemetry = b.telemetry[0].as_ref();
-    let envelope = artifacts::artifact_json("fig1", &scale(), &fig1, &b.reports[0], telemetry);
+    let telemetry = b.items[0].telemetry.as_ref();
+    let envelope = artifacts::artifact_json("fig1", &scale(), &fig1, &b.items[0].report, telemetry);
     let gauge = memory_json(&b, &scale());
     let check = |sub: &str, file: &str, text: String, args: &[&str], code: i32, what: &str| {
         let sub = dir.join(sub);

@@ -12,14 +12,13 @@
 //! same invariant at paper batch size — runs in CI's release-profile
 //! worker-fanout job.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::process::{Child, Command, Stdio};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use irn_core::{ExperimentConfig, Scenario};
-use irn_harness::{
-    Executor, Harness, HarnessError, PoolConfig, ThreadExecutor, WorkerPool, WorkerSpec,
-};
+use irn_experiments::{artifacts, scenario_plan};
+use irn_harness::{Executor, HarnessError, PoolConfig, ThreadExecutor, WorkerPool, WorkerSpec};
 use serde::Serialize;
 
 /// The compiled `repro` binary under test.
@@ -60,7 +59,7 @@ fn worker_pool_matches_in_process_at_1_2_4_workers() {
     let cells = batch(6);
     let reference = ThreadExecutor::new(2).run_cells(&cells, None).unwrap();
     for fleet in [1, 2, 4] {
-        let pool = WorkerPool::new(PoolConfig::new(
+        let mut pool = WorkerPool::new(PoolConfig::new(
             (0..fleet).map(|_| spawn_spec(&[])).collect(),
         ));
         let got = pool.run_cells(&cells, None).unwrap();
@@ -83,7 +82,7 @@ fn killed_worker_mid_batch_reassigns_and_stays_byte_identical() {
     // One healthy worker plus one that answers a single cell, then
     // consumes the next work frame and dies without responding — the
     // coordinator must notice the EOF and reassign that cell.
-    let pool = WorkerPool::new(PoolConfig::new(vec![
+    let mut pool = WorkerPool::new(PoolConfig::new(vec![
         spawn_spec(&[]),
         spawn_spec(&["--exit-after", "1"]),
     ]));
@@ -100,6 +99,72 @@ fn killed_worker_mid_batch_reassigns_and_stays_byte_identical() {
     assert!(dead[0].last_error.is_some());
     // The survivor picked up the slack: all cells accounted for.
     assert_eq!(stats.iter().map(|s| s.cells).sum::<usize>(), cells.len());
+}
+
+/// Copy `from` into `to` until either side closes, passing each read on
+/// at once. (`std::io::copy` may splice a socket into a pipe, and was
+/// seen to hold a work frame back from the worker waiting for it.)
+fn pump(mut from: impl Read, mut to: impl Write) {
+    let mut buf = [0u8; 64 * 1024];
+    while let Ok(n @ 1..) = from.read(&mut buf) {
+        if to.write_all(&buf[..n]).and_then(|()| to.flush()).is_err() {
+            break;
+        }
+    }
+}
+
+/// A real `repro worker` (with `extra` arguments) behind a local port.
+/// It starts once the coordinator has connected and `before` has
+/// returned; two pumps then carry frames between the connection and the
+/// worker's pipes, and the connection goes down when the worker exits,
+/// after which `after` runs. The thread ends with the worker: when it
+/// dies, or when the coordinator closes the connection.
+fn worker_behind_port(
+    extra: &'static [&'static str],
+    before: impl FnOnce() + Send + 'static,
+    after: impl FnOnce() + Send + 'static,
+) -> (WorkerSpec, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let server = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        before();
+        let mut worker = Command::new(repro_exe())
+            .arg("worker")
+            .args(extra)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("worker starts");
+        let (stdin, stdout) = (worker.stdin.take().unwrap(), worker.stdout.take().unwrap());
+        let inbound = stream.try_clone().unwrap();
+        let frames_in = std::thread::spawn(move || pump(inbound, stdin));
+        pump(stdout, &stream);
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        worker.wait().unwrap();
+        after();
+        frames_in.join().unwrap();
+    });
+    (WorkerSpec::Connect { addr }, server)
+}
+
+/// Three real workers, the third rigged to die on its first cell
+/// (`--exit-after 0`) and sure to be handed one: the two healthy workers
+/// start only once it has died, so neither can finish a cell, let alone
+/// the batch, before it has taken its own.
+fn fleet_with_a_rigged_death() -> (PoolConfig, Vec<std::thread::JoinHandle<()>>) {
+    let died = Arc::new(Barrier::new(3));
+    let wait = |died: &Arc<Barrier>| {
+        let died = died.clone();
+        move || {
+            died.wait();
+        }
+    };
+    let (first, serving_first) = worker_behind_port(&[], wait(&died), || {});
+    let (second, serving_second) = worker_behind_port(&[], wait(&died), || {});
+    let (rigged, serving_rigged) = worker_behind_port(&["--exit-after", "0"], || {}, wait(&died));
+    let cfg = PoolConfig::new(vec![first, second, rigged]);
+    (cfg, vec![serving_first, serving_second, serving_rigged])
 }
 
 /// Closed-loop cells over a 3-worker fleet with one rigged death:
@@ -173,12 +238,12 @@ fn closed_loop_fleet_with_rigged_death_is_byte_identical() {
     for (_, wall) in reference.iter().map(|o| (&o.result, o.wall)) {
         assert!(wall.as_nanos() > 0);
     }
-    let pool = WorkerPool::new(PoolConfig::new(vec![
-        spawn_spec(&[]),
-        spawn_spec(&[]),
-        spawn_spec(&["--exit-after", "0"]),
-    ]));
-    let got = pool.run_cells(&cells, None).unwrap();
+    let (cfg, serving) = fleet_with_a_rigged_death();
+    let (outcome, stats, _) = run_bounded(cfg, cells.clone());
+    for server in serving {
+        server.join().unwrap();
+    }
+    let got = outcome.unwrap();
     assert_eq!(
         result_trees(&got),
         result_trees(&reference),
@@ -191,7 +256,6 @@ fn closed_loop_fleet_with_rigged_death_is_byte_identical() {
             "{label} cell lost its app metrics over the wire"
         );
     }
-    let stats = pool.worker_stats();
     assert_eq!(
         stats.iter().filter(|s| !s.alive).count(),
         1,
@@ -206,21 +270,20 @@ fn fleet_trace_with_rigged_death_matches_in_process_bytes() {
     // with one worker rigged to die on its very first cell must still
     // reassemble per-cell trace chunks into bytes identical to the
     // in-process executor — reassignment may not duplicate, drop, or
-    // reorder a single line. (`--exit-after 0` rather than 1: every
-    // worker is guaranteed a first cell, but with fewer cells than can
-    // drain before the rigged worker asks again, a *second* frame may
-    // never arrive and the death this test depends on would be racy.)
+    // reorder a single line. (The healthy workers start only once the
+    // rigged one has died on its first cell: otherwise they could drain
+    // the batch before it is handed one.)
     let cells = batch(5);
     let spec = irn_telemetry::TraceSpec::default();
     let reference = ThreadExecutor::new(2)
         .run_cells(&cells, Some(&spec))
         .unwrap();
-    let pool = WorkerPool::new(PoolConfig::new(vec![
-        spawn_spec(&[]),
-        spawn_spec(&[]),
-        spawn_spec(&["--exit-after", "0"]),
-    ]));
+    let (cfg, serving) = fleet_with_a_rigged_death();
+    let mut pool = WorkerPool::new(cfg);
     let got = pool.run_cells(&cells, Some(&spec)).unwrap();
+    for server in serving {
+        server.join().unwrap();
+    }
     assert_eq!(
         result_trees(&got),
         result_trees(&reference),
@@ -263,7 +326,7 @@ fn hung_worker_times_out_and_batch_completes() {
     let reference = ThreadExecutor::new(1).run_cells(&cells, None).unwrap();
     let mut cfg = PoolConfig::new(vec![spawn_spec(&[]), WorkerSpec::Connect { addr }]);
     cfg.cell_timeout = std::time::Duration::from_secs(2);
-    let pool = WorkerPool::new(cfg);
+    let mut pool = WorkerPool::new(cfg);
     let got = pool.run_cells(&cells, None).unwrap();
     assert_eq!(result_trees(&got), result_trees(&reference));
     let stats = pool.worker_stats();
@@ -312,7 +375,7 @@ fn an_answered_error_is_final() {
         frames
     });
 
-    let pool = WorkerPool::new(PoolConfig::new(vec![WorkerSpec::Connect { addr }]));
+    let mut pool = WorkerPool::new(PoolConfig::new(vec![WorkerSpec::Connect { addr }]));
     let err = pool.run_cells(&batch(1), None).unwrap_err();
     match &err {
         HarnessError::CellFailed {
@@ -363,9 +426,9 @@ fn a_worker_lying_about_wall_time_is_dropped_not_fatal() {
 
     let (tx, rx) = std::sync::mpsc::channel();
     let coordinator = std::thread::spawn(move || {
-        let pool = WorkerPool::new(PoolConfig::new(vec![WorkerSpec::Connect { addr }]));
+        let mut pool = WorkerPool::new(PoolConfig::new(vec![WorkerSpec::Connect { addr }]));
         let outcome = pool.run_cells(&cells, None).map(|_| ());
-        let _ = tx.send((outcome, pool.worker_stats()));
+        let _ = tx.send((outcome, pool.worker_stats().to_vec()));
     });
     let (outcome, stats) = rx
         .recv_timeout(std::time::Duration::from_secs(60))
@@ -427,10 +490,10 @@ type Ran = (
 fn run_bounded(cfg: PoolConfig, cells: Vec<Scenario>) -> Ran {
     let (tx, rx) = std::sync::mpsc::channel();
     let coordinator = std::thread::spawn(move || {
-        let pool = WorkerPool::new(cfg);
+        let mut pool = WorkerPool::new(cfg);
         let start = std::time::Instant::now();
         let outcome = pool.run_cells(&cells, None);
-        let _ = tx.send((outcome, pool.worker_stats(), start.elapsed()));
+        let _ = tx.send((outcome, pool.worker_stats().to_vec(), start.elapsed()));
     });
     let ran = rx
         .recv_timeout(std::time::Duration::from_secs(60))
@@ -539,17 +602,23 @@ fn the_same_cell_answered_twice_drops_the_liar() {
 
 #[test]
 fn pool_plugs_into_harness_and_replicate_layers() {
-    // The whole orchestration stack above the seam — Harness, batches —
-    // runs unchanged on the distributed backend.
-    let pool = Arc::new(WorkerPool::new(PoolConfig::new(vec![
-        spawn_spec(&[]),
-        spawn_spec(&[]),
-    ])));
-    let distributed = Harness::with_executor(pool);
-    let cells = batch(4);
-    let a = distributed.try_run(&cells, None).unwrap();
-    let b = Harness::serial().try_run(&cells, None).unwrap();
-    assert_eq!(result_trees(&a), result_trees(&b));
+    // The whole orchestration stack above the seam — the global batch,
+    // the seed fan-out, the folds — runs unchanged on the distributed
+    // backend.
+    let items: Vec<_> = (batch(2).iter())
+        .map(|cell| (cell.slug(), scenario_plan(cell, 2)))
+        .collect();
+    let rendered = |exec: &mut dyn Executor| -> Vec<String> {
+        let run = artifacts::run_batch(&items, exec, None).unwrap();
+        run.items.iter().map(|item| item.report.render()).collect()
+    };
+    let mut pool = WorkerPool::new(PoolConfig::new(vec![spawn_spec(&[]), spawn_spec(&[])]));
+    let distributed = rendered(&mut pool);
+    assert_eq!(distributed, rendered(&mut ThreadExecutor::new(1)));
+    assert_eq!(
+        pool.worker_stats().iter().map(|s| s.cells).sum::<usize>(),
+        4
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -683,21 +752,6 @@ fn cli_memory_json_gauge_validates_and_is_jobs_invariant() {
         "self-diff produced drift warnings: {text}"
     );
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cli_memory_json_malformed_path_exits_2() {
-    // A directory where a file is needed must die before the batch
-    // runs, on the input-error path (exit 2, nothing on stdout).
-    let out = Command::new(repro_exe())
-        .args(["fig1", "--seeds", "2", "--memory-json"])
-        .arg(std::env::temp_dir())
-        .output()
-        .expect("repro runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "no report rows before the failure");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--memory-json"), "{err}");
 }
 
 #[test]

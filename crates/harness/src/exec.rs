@@ -9,16 +9,15 @@
 //! because every cell is a pure function of its scenario, the rendered
 //! output is byte-identical across backends and parallelism levels.
 //!
-//! [`Harness`] is the handle the rest of the workspace holds: a cheap
-//! clonable wrapper over an `Arc<dyn Executor>` with one fallible,
-//! optionally-traced entry, [`Harness::try_run`]. The channel/ordering
-//! plumbing lives in exactly one place — [`ThreadExecutor::run_indexed`]
+//! A caller builds one executor and runs its batches on it through
+//! `&mut dyn Executor`: there is no shared handle, so a backend keeps
+//! what it observes about a batch in plain fields. The channel/ordering
+//! plumbing lives in exactly one place — `ThreadExecutor::run_indexed`
 //! — and `jobs = 1` bypasses the pool entirely and runs inline, so
 //! serial output is the definitional baseline every backend must match.
 
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 
 use irn_core::{ExperimentConfig, RunError, RunResult, Scenario, Simulation};
 use irn_telemetry::{TraceChunk, TraceFilter, TraceSpec};
@@ -97,13 +96,17 @@ pub(crate) fn run_cell(
 ///    [`HarnessError`] instead of a partial vector. A failed run is
 ///    reported once, for the lowest failing index the backend saw; it
 ///    is never retried, since by 2. a rerun fails the same way.
-pub trait Executor: Send + Sync {
+pub trait Executor {
     /// Run every cell; outcomes in submission order. When `trace` is
     /// `Some`, each outcome carries the cell's flight-recorder chunk
     /// (lines stamped with the cell's submission index), filtered and
     /// bounded per the spec. Tracing must never change result bytes.
+    /// Each outcome also carries the wall-clock time the cell took on
+    /// its worker: observed, never fed back. With more jobs than cores
+    /// the workers time-share, so a cell's duration includes preemption
+    /// wait — compare throughput across runs at equal concurrency.
     fn run_cells(
-        &self,
+        &mut self,
         cells: &[Scenario],
         trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError>;
@@ -140,7 +143,7 @@ impl ThreadExecutor {
     ///
     /// This is the **only** copy of the channel/ordering plumbing; the
     /// trait method is a thin wrapper over it.
-    pub fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
+    fn run_indexed<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
@@ -190,7 +193,7 @@ impl Executor for ThreadExecutor {
     /// failing index: every cell ran, so the error (and its completed
     /// count) is the same at any `jobs`.
     fn run_cells(
-        &self,
+        &mut self,
         cells: &[Scenario],
         trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError> {
@@ -215,73 +218,6 @@ impl Executor for ThreadExecutor {
 
     fn concurrency(&self) -> usize {
         self.jobs
-    }
-}
-
-/// The executor handle the workspace passes around: a cheap clonable
-/// wrapper over a shared [`Executor`] backend.
-///
-/// `Harness::new(jobs)` keeps its historical meaning (an in-process
-/// [`ThreadExecutor`]); [`Harness::with_executor`] plugs in any other
-/// backend — notably the [`crate::WorkerPool`] coordinator — without
-/// changing a line above the seam.
-#[derive(Clone)]
-pub struct Harness {
-    exec: Arc<dyn Executor>,
-}
-
-impl Harness {
-    /// An in-process executor with `jobs` worker threads (0 is clamped
-    /// to 1).
-    pub fn new(jobs: usize) -> Harness {
-        Harness::with_executor(Arc::new(ThreadExecutor::new(jobs)))
-    }
-
-    /// A serial in-process executor (`jobs = 1`).
-    pub fn serial() -> Harness {
-        Harness::new(1)
-    }
-
-    /// One in-process worker per available core.
-    pub fn auto() -> Harness {
-        Harness::new(std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-    }
-
-    /// A harness over an arbitrary executor backend.
-    pub fn with_executor(exec: Arc<dyn Executor>) -> Harness {
-        Harness { exec }
-    }
-
-    /// The backend's concurrency (thread count in-process, worker count
-    /// distributed). Kept under the historical name — it is what the
-    /// CLI reports as `jobs=` and records in timing JSON.
-    pub fn jobs(&self) -> usize {
-        self.exec.concurrency()
-    }
-
-    /// The one entry: every outcome (result, wall-clock time on its
-    /// worker, and — when `trace` is `Some` — its trace-v1 chunk) in
-    /// submission order, `outcomes[i]` for `cells[i]` at any
-    /// parallelism, or the backend's typed error (a cell's run failed,
-    /// every worker lost). Results are bit-identical
-    /// with and without tracing, at any parallelism; timing is observed,
-    /// never fed back. With more jobs than cores the workers time-share,
-    /// so a cell's duration includes preemption wait — consumers
-    /// comparing throughput across runs should hold `jobs` constant.
-    pub fn try_run(
-        &self,
-        cells: &[Scenario],
-        trace: Option<&TraceSpec>,
-    ) -> Result<Vec<CellOutcome>, HarnessError> {
-        self.exec.run_cells(cells, trace)
-    }
-}
-
-impl std::fmt::Debug for Harness {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Harness")
-            .field("concurrency", &self.jobs())
-            .finish_non_exhaustive()
     }
 }
 
@@ -315,7 +251,7 @@ mod tests {
 
     #[test]
     fn zero_jobs_clamps_to_one() {
-        assert_eq!(Harness::new(0).jobs(), 1);
+        assert_eq!(ThreadExecutor::new(0).concurrency(), 1);
         assert_eq!(ThreadExecutor::new(0).run_indexed(3, |i| i), vec![0, 1, 2]);
     }
 
@@ -323,33 +259,9 @@ mod tests {
     fn empty_batch_is_fine() {
         let out: Vec<usize> = ThreadExecutor::new(4).run_indexed(0, |i| i);
         assert!(out.is_empty());
-        assert!(Harness::new(4).try_run(&[], None).unwrap().is_empty());
-    }
-
-    /// A custom backend plugs in through the trait seam: `Harness::try_run`
-    /// observes its outcomes (here: a stub that fails), proving the
-    /// forwarding shims really delegate.
-    #[test]
-    fn custom_executor_errors_surface_through_try_run() {
-        struct Failing;
-        impl Executor for Failing {
-            fn run_cells(
-                &self,
-                _: &[Scenario],
-                _: Option<&TraceSpec>,
-            ) -> Result<Vec<CellOutcome>, HarnessError> {
-                Err(HarnessError::FleetLost {
-                    completed: 0,
-                    total: 0,
-                })
-            }
-            fn concurrency(&self) -> usize {
-                3
-            }
-        }
-        let h = Harness::with_executor(Arc::new(Failing));
-        assert_eq!(h.jobs(), 3);
-        let err = h.try_run(&[], None).unwrap_err();
-        assert!(matches!(err, HarnessError::FleetLost { .. }));
+        assert!(ThreadExecutor::new(4)
+            .run_cells(&[], None)
+            .unwrap()
+            .is_empty());
     }
 }

@@ -22,22 +22,22 @@
 //!   run that cannot finish fails the batch once, in the same words on
 //!   every backend. Because cells are pure functions of their
 //!   scenarios, downstream reports render byte-identically at any job
-//!   count on any backend.
-//! - [`Harness`] — the cheap clonable handle over an executor that the
-//!   rest of the workspace passes around.
+//!   count on any backend. A caller builds one executor and runs every
+//!   batch on it as `&mut dyn Executor`.
 //! - [`Stats`] — mean / std-dev / 95% CI over replicate samples,
 //!   independent of sample order.
 //!
 //! ```
 //! use irn_core::{ExperimentConfig, Scenario};
-//! use irn_harness::Harness;
+//! use irn_harness::{Executor, ThreadExecutor};
 //!
 //! let base = ExperimentConfig::quick(60);
 //! let cells = vec![
 //!     Scenario::from_config("irn", base.clone().with_pfc(false)).unwrap(),
 //!     Scenario::from_config("irn+pfc", base.with_pfc(true)).unwrap(),
 //! ];
-//! let outcomes = Harness::new(2).try_run(&cells, None).unwrap();
+//! let exec: &mut dyn Executor = &mut ThreadExecutor::new(2);
+//! let outcomes = exec.run_cells(&cells, None).unwrap();
 //! assert_eq!(outcomes.len(), 2); // outcomes[i] belongs to cells[i]
 //! ```
 
@@ -52,7 +52,7 @@ pub mod wire;
 pub mod worker;
 
 pub use error::HarnessError;
-pub use exec::{CellOutcome, Executor, Harness, ThreadExecutor};
+pub use exec::{CellOutcome, Executor, ThreadExecutor};
 pub use pool::{PoolConfig, WorkerPool, WorkerSpec, WorkerStats};
 pub use stats::Stats;
 pub use worker::{ServeSummary, WorkerOptions};

@@ -4,14 +4,16 @@
 //!
 //! The design follows the centralized-coordinator shape of RDMA
 //! control planes (RDMAvisor): one coordinator owns the submission
-//! queue; workers are stateless and interchangeable. One supervisor
-//! thread owns the batch (queue, attempts, result slots, per-worker
-//! stats, progress sink) and makes every decision. Each worker
-//! connection has one dispatcher thread that only moves frames: it
-//! ships each cell the supervisor hands it and reports the answer back
-//! over a channel. Results land in submission-indexed slots, so the
-//! assembled output is **byte-identical to the in-process executor at
-//! any worker count** — the same guarantee, one seam up.
+//! queue; workers are stateless and interchangeable. The pool runs one
+//! batch at a time (`run_cells` takes `&mut self`), and the calling
+//! thread supervises it: it owns the queue, attempts, result slots,
+//! per-worker stats and progress sink, and makes every decision.
+//! Nothing is shared, so nothing is locked. Each worker connection has
+//! one dispatcher thread that only moves frames: it ships each cell the
+//! supervisor hands it and reports the answer back over a channel.
+//! Results land in submission-indexed slots, so the assembled output is
+//! **byte-identical to the in-process executor at any worker count** —
+//! the same guarantee, one seam up.
 //!
 //! Robustness is first-class, not best-effort:
 //!
@@ -39,7 +41,6 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use irn_core::Scenario;
@@ -85,25 +86,21 @@ pub struct PoolConfig {
     /// forfeited and reassigned (and the worker is presumed hung and
     /// dropped from the fleet).
     pub cell_timeout: Duration,
-    /// Emit live per-cell progress lines on stderr (`[pool] …`).
-    /// Retry/reassignment and worker-drop warnings are printed
-    /// regardless — failures are never silent.
-    pub progress: bool,
     /// Mirror every fleet event (cell completions, retries, worker
-    /// drops, the batch summary) as NDJSON (`fleet-progress-v1`) to
-    /// this file. Timing class: wall clocks and worker assignment are
-    /// nondeterministic; nothing here feeds result bytes.
+    /// drops, the batch summary), each also a `[pool] …` line on
+    /// stderr, as NDJSON (`fleet-progress-v1`) to this file. Timing
+    /// class: wall clocks and worker assignment are nondeterministic;
+    /// nothing here feeds result bytes.
     pub progress_json: Option<PathBuf>,
 }
 
 impl PoolConfig {
-    /// A config with the default policy: 300 s per cell, progress lines
-    /// off.
+    /// A config with the default policy: 300 s per cell, no JSON
+    /// mirror.
     pub fn new(specs: Vec<WorkerSpec>) -> PoolConfig {
         PoolConfig {
             specs,
             cell_timeout: Duration::from_secs(300),
-            progress: false,
             progress_json: None,
         }
     }
@@ -185,7 +182,7 @@ impl WorkerStats {
 /// configured worker fleet.
 pub struct WorkerPool {
     cfg: PoolConfig,
-    stats: Mutex<Vec<WorkerStats>>,
+    stats: Vec<WorkerStats>,
 }
 
 impl WorkerPool {
@@ -197,15 +194,15 @@ impl WorkerPool {
             "worker pool needs at least one worker"
         );
         WorkerPool {
-            stats: Mutex::new(WorkerStats::fresh(&cfg.specs)),
+            stats: WorkerStats::fresh(&cfg.specs),
             cfg,
         }
     }
 
     /// Per-worker observations from the most recent batch (zeroed
     /// counters before the first).
-    pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.stats.lock().expect("stats lock").clone()
+    pub fn worker_stats(&self) -> &[WorkerStats] {
+        &self.stats
     }
 }
 
@@ -434,12 +431,10 @@ fn dispatch(
 /// The schema tag written as the first field of every progress line.
 pub const PROGRESS_SCHEMA: &str = "fleet-progress-v1";
 
-/// Fleet progress sink, owned by the supervisor: optional human lines
-/// on stderr, optional NDJSON mirror. Failure/warning lines print
-/// regardless of the `progress` knob; the JSON mirror gets every event.
-/// All of it is wall clock, never in result bytes.
+/// Fleet progress sink, owned by the supervisor: one human line on
+/// stderr per event, and the optional NDJSON mirror. All of it is wall
+/// clock, never in result bytes.
 struct Progress {
-    stderr: bool,
     json: Option<std::io::BufWriter<std::fs::File>>,
 }
 
@@ -454,19 +449,13 @@ impl Progress {
                 })?,
             )),
         };
-        Ok(Progress {
-            stderr: cfg.progress,
-            json,
-        })
+        Ok(Progress { json })
     }
 
-    /// Emit one event. `always` forces the stderr line even with
-    /// progress lines off (used for warnings and failures). `fields`
-    /// follow the `schema` and `event` keys in the JSON mirror.
-    fn emit(&mut self, always: bool, event: &str, human: &str, fields: Vec<(&str, Value)>) {
-        if self.stderr || always {
-            eprintln!("{human}");
-        }
+    /// Emit one event. `fields` follow the `schema` and `event` keys in
+    /// the JSON mirror.
+    fn emit(&mut self, event: &str, human: &str, fields: Vec<(&str, Value)>) {
+        eprintln!("{human}");
         if let Some(w) = self.json.as_mut() {
             let mut obj = vec![
                 ("schema".to_string(), PROGRESS_SCHEMA.to_json()),
@@ -503,7 +492,7 @@ struct Batch<'a> {
 
 impl Executor for WorkerPool {
     fn run_cells(
-        &self,
+        &mut self,
         cells: &[Scenario],
         trace: Option<&TraceSpec>,
     ) -> Result<Vec<CellOutcome>, HarnessError> {
@@ -532,8 +521,7 @@ impl Executor for WorkerPool {
             0 => Ok(()),
             _ => batch.supervise(trace),
         };
-        let stats = batch.seats.into_iter().map(|seat| seat.stats).collect();
-        *self.stats.lock().expect("stats lock") = stats;
+        self.stats = batch.seats.into_iter().map(|seat| seat.stats).collect();
         ended?;
         Ok(batch
             .slots
@@ -572,7 +560,6 @@ impl Batch<'_> {
         let ok = ended.is_ok();
         let (done, total) = (self.done, cells.len());
         self.progress.emit(
-            false,
             "batch",
             &format!(
                 "[pool] batch {}: {done}/{total} cells",
@@ -610,7 +597,6 @@ impl Batch<'_> {
                     stats.alive = false;
                     stats.last_error = Some(format!("unavailable: {detail}"));
                     self.progress.emit(
-                        true,
                         "worker-dropped",
                         &format!("[pool] worker {}: unavailable: {detail}", stats.name),
                         vec![
@@ -672,7 +658,6 @@ impl Batch<'_> {
         self.done += 1;
         let done = self.done;
         self.progress.emit(
-            false,
             "cell",
             &format!(
                 "[pool] {}: cell #{idx} '{label}' done in {wall_s:.2}s [{done}/{total}]",
@@ -689,7 +674,6 @@ impl Batch<'_> {
         );
         if slow {
             self.progress.emit(
-                true,
                 "slow-cell",
                 &format!(
                     "[pool] {}: slow cell #{idx} '{label}': {wall_s:.2}s is over half \
@@ -723,7 +707,6 @@ impl Batch<'_> {
         let (reason, conn_dead) = (err.reason, err.reason != FailReason::ErrorFrame);
         let exhausted = !conn_dead || attempt_no >= MAX_ATTEMPTS;
         self.progress.emit(
-            true,
             "retry",
             &format!(
                 "[pool] worker {}: cell #{idx} '{label}' attempt {attempt_no}/{MAX_ATTEMPTS} \
@@ -776,7 +759,6 @@ impl Batch<'_> {
         seat.stats.alive = false;
         seat.link = None;
         self.progress.emit(
-            true,
             "worker-dropped",
             &format!(
                 "[pool] worker {}: dropped from the fleet (reason: {})",
@@ -809,7 +791,7 @@ mod tests {
 
     #[test]
     fn unspawnable_fleet_fails_with_quorum_loss_not_hang() {
-        let pool = WorkerPool::new(PoolConfig::new(vec![
+        let mut pool = WorkerPool::new(PoolConfig::new(vec![
             WorkerSpec::Spawn {
                 argv: vec!["/nonexistent/worker-binary".into()],
             },
@@ -852,7 +834,7 @@ mod tests {
             std::env::temp_dir().join(format!("irn-pool-utf8-{}.ndjson", std::process::id()));
         let mut cfg = PoolConfig::new(vec![WorkerSpec::Connect { addr }]);
         cfg.progress_json = Some(json.clone());
-        let pool = WorkerPool::new(cfg);
+        let mut pool = WorkerPool::new(cfg);
         let cells =
             vec![Scenario::from_config("c", irn_core::ExperimentConfig::quick(10)).unwrap()];
         let err = pool.run_cells(&cells, None).unwrap_err();
@@ -881,7 +863,7 @@ mod tests {
 
     #[test]
     fn empty_batch_never_contacts_the_fleet() {
-        let pool = WorkerPool::new(PoolConfig::new(vec![WorkerSpec::Connect {
+        let mut pool = WorkerPool::new(PoolConfig::new(vec![WorkerSpec::Connect {
             addr: "127.0.0.1:1".into(),
         }]));
         assert!(pool.run_cells(&[], None).unwrap().is_empty());

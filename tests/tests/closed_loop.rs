@@ -7,7 +7,8 @@
 use irn_core::sim::Duration;
 use irn_core::transport::config::TransportKind;
 use irn_core::{run, RunResult, Scenario, TopologySpec, TrafficModel};
-use irn_experiments::{scenario_plan, Harness};
+use irn_experiments::scenario_plan;
+use irn_integration::report_alone;
 use serde::json;
 use serde::{Deserialize, Serialize};
 
@@ -85,8 +86,8 @@ fn closed_loop_runs_are_bit_identical() {
 fn closed_loop_reports_are_byte_identical_at_jobs_1_vs_8() {
     for (name, traffic) in models() {
         let s = scenario(name, traffic);
-        let a = scenario_plan(&s, 2).run(&Harness::new(1)).unwrap();
-        let b = scenario_plan(&s, 2).run(&Harness::new(8)).unwrap();
+        let a = report_alone(&scenario_plan(&s, 2), 1);
+        let b = report_alone(&scenario_plan(&s, 2), 8);
         assert_eq!(
             a.render(),
             b.render(),

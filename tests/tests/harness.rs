@@ -7,7 +7,7 @@
 
 use irn_experiments::artifacts;
 use irn_experiments::Scale;
-use irn_harness::Harness;
+use irn_integration::report_alone;
 use serde::json;
 use serde::Serialize;
 
@@ -38,8 +38,8 @@ fn report_render_is_byte_identical_across_job_counts() {
         "replicated",
         "fig4 must be a replicated simulation artifact"
     );
-    let serial = plan.run(&Harness::new(1)).unwrap();
-    let parallel = plan.run(&Harness::new(8)).unwrap();
+    let serial = report_alone(&plan, 1);
+    let parallel = report_alone(&plan, 8);
     assert_eq!(
         serial.render(),
         parallel.render(),
@@ -55,7 +55,7 @@ fn json_artifact_is_byte_identical_across_job_counts() {
     let scale = tiny();
     let fig4 = artifacts::find("fig4").unwrap().plan(scale);
     let json = |jobs| {
-        let report = fig4.run(&Harness::new(jobs)).unwrap();
+        let report = report_alone(&fig4, jobs);
         artifacts::artifact_json("fig4", &scale, &fig4, &report, None)
     };
     let (serial, parallel) = (json(1), json(8));

@@ -325,7 +325,7 @@ fn streaming_state_survives_a_3_worker_tcp_fleet_byte_identically() {
                 irn_harness::worker::serve(reader, &stream, irn_harness::WorkerOptions::default());
         }));
     }
-    let pool = WorkerPool::new(PoolConfig::new(specs));
+    let mut pool = WorkerPool::new(PoolConfig::new(specs));
     let got = pool.run_cells(&cells, None).unwrap();
     assert_eq!(
         result_trees(&got),

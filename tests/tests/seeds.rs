@@ -11,7 +11,9 @@
 //!    sequentially, at any job count.
 
 use irn_experiments::artifacts::{self, Artifact, BatchRun};
-use irn_experiments::{Harness, Plan, Scale};
+use irn_experiments::{Plan, Scale};
+use irn_harness::ThreadExecutor;
+use irn_integration::report_alone;
 
 /// Debug-profile-friendly scale (CI runs these tests unoptimized too).
 fn tiny() -> Scale {
@@ -41,7 +43,8 @@ fn plans(selected: &[&Artifact], scale: Scale) -> Vec<(String, Plan)> {
 }
 
 fn run_batch(items: &[(String, Plan)], jobs: usize) -> BatchRun {
-    artifacts::run_batch(items, &Harness::new(jobs), None).expect("in-process executor")
+    let mut exec = ThreadExecutor::new(jobs);
+    artifacts::run_batch(items, &mut exec, None).expect("in-process executor")
 }
 
 /// fig1 at `--seeds 1` has the classic single-value rows (no ci95
@@ -52,10 +55,9 @@ fn run_batch(items: &[(String, Plan)], jobs: usize) -> BatchRun {
 /// stay fixed.
 #[test]
 fn poisson_artifact_gains_nonzero_ci95_with_seeds() {
-    let h = Harness::new(4);
     let fig1 = artifacts::find("fig1").unwrap();
-    let one = fig1.plan(tiny()).run(&h).unwrap();
-    let five = fig1.plan(tiny().with_seeds(5)).run(&h).unwrap();
+    let one = report_alone(&fig1.plan(tiny()), 4);
+    let five = report_alone(&fig1.plan(tiny().with_seeds(5)), 4);
 
     assert_eq!(one.rows.len(), five.rows.len());
     for (r1, r5) in one.rows.iter().zip(&five.rows) {
@@ -93,10 +95,9 @@ fn poisson_artifact_gains_nonzero_ci95_with_seeds() {
 /// its bytes must not move at all.
 #[test]
 fn deterministic_artifact_is_seed_count_invariant() {
-    let h = Harness::new(2);
     let budget = artifacts::find("state-budget").unwrap();
-    let one = budget.plan(tiny()).run(&h).unwrap().render();
-    let five = budget.plan(tiny().with_seeds(5)).run(&h).unwrap().render();
+    let one = report_alone(&budget.plan(tiny()), 2).render();
+    let five = report_alone(&budget.plan(tiny().with_seeds(5)), 2).render();
     assert_eq!(one, five, "state-budget must ignore --seeds entirely");
 }
 
@@ -118,14 +119,17 @@ fn global_batch_matches_sequential_at_any_job_count() {
             .join("\n")
     };
 
-    // Sequential baseline: each artifact runs alone on a serial harness.
+    // Sequential baseline: each artifact runs alone on one thread.
     let sequential: String = render_all(
         items
             .iter()
-            .map(|(_, plan)| plan.run(&Harness::new(1)).unwrap())
+            .map(|(_, plan)| report_alone(plan, 1))
             .collect(),
     );
-    let batched = |jobs| render_all(run_batch(&items, jobs).reports);
+    let batched = |jobs| {
+        let batch = run_batch(&items, jobs);
+        render_all(batch.items.into_iter().map(|item| item.report).collect())
+    };
     let (batched_serial, batched_parallel) = (batched(1), batched(8));
 
     assert_eq!(
@@ -148,7 +152,7 @@ fn batch_cell_count_sums_per_artifact_plans() {
     let names = ["fig1", "fig2", "fig9", "state-budget"];
     let items = plans(&select(&names), scale);
     let batch = run_batch(&items, 8);
-    assert_eq!(batch.reports.len(), items.len());
+    assert_eq!(batch.items.len(), items.len());
     let total = batch.cell_count;
     let per_artifact: usize = items.iter().map(|(_, plan)| plan.cell_count()).sum();
     assert_eq!(total, per_artifact);
@@ -187,18 +191,19 @@ fn every_deterministic_artifact_is_byte_stable_across_job_counts() {
     let render = |batch: &BatchRun| -> Vec<(String, String)> {
         items
             .iter()
-            .zip(batch.reports.iter().zip(&batch.telemetry))
-            .map(|((name, plan), (rep, telemetry))| {
-                let json = artifacts::artifact_json(name, &scale, plan, rep, telemetry.as_ref());
+            .zip(&batch.items)
+            .map(|((name, plan), item)| {
+                let telemetry = item.telemetry.as_ref();
+                let json = artifacts::artifact_json(name, &scale, plan, &item.report, telemetry);
                 artifacts::verify_artifact_json(name, &json).unwrap();
-                (rep.render(), json)
+                (item.report.render(), json)
             })
             .collect()
     };
     let serial_batch = run_batch(&items, 1);
     let mut shapes = String::new();
-    for ((name, _), rep) in items.iter().zip(&serial_batch.reports) {
-        for row in &rep.rows {
+    for ((name, _), item) in items.iter().zip(&serial_batch.items) {
+        for row in &item.report.rows {
             let cols: Vec<&str> = row.values.iter().map(|(n, _)| n.as_str()).collect();
             shapes.push_str(&format!("{name}\t{}\t{}\n", row.label, cols.join(" ")));
         }

@@ -15,8 +15,8 @@
 
 use irn_core::transport::config::TransportKind;
 use irn_core::{ExperimentConfig, Scenario};
-use irn_experiments::TelemetrySummary;
-use irn_harness::{Executor, Harness, ThreadExecutor};
+use irn_experiments::{artifacts, scenario_plan, TelemetrySummary};
+use irn_harness::{Executor, ThreadExecutor};
 use irn_telemetry::{TraceFilter, TraceSpec};
 use serde::{Deserialize, Serialize};
 
@@ -101,17 +101,22 @@ fn trace_bytes_identical_at_jobs_1_and_8() {
 
 #[test]
 fn trace_bytes_identical_through_the_harness_seam() {
-    // `Harness::try_run` is the path `repro run --trace` takes;
-    // it must agree byte-for-byte with the raw executor.
+    // `run_batch` on a `&mut dyn Executor` is the path `repro run
+    // --trace` takes; its lines must agree byte-for-byte with the raw
+    // executor's chunks.
     let cells = batch();
     let spec = TraceSpec::default();
-    let via_harness = Harness::with_executor(std::sync::Arc::new(ThreadExecutor::new(4)))
-        .try_run(&cells, Some(&spec))
-        .unwrap();
+    let items: Vec<_> = (cells.iter())
+        .map(|cell| (cell.slug(), scenario_plan(cell, 1)))
+        .collect();
+    let mut exec = ThreadExecutor::new(4);
+    let run = artifacts::run_batch(&items, &mut exec, Some(&spec)).unwrap();
+    let lines = run.trace.expect("a traced batch keeps its lines").lines;
+    let via_batch: String = lines.iter().map(|line| format!("{line}\n")).collect();
     let direct = ThreadExecutor::new(1)
         .run_cells(&cells, Some(&spec))
         .unwrap();
-    assert_eq!(trace_bytes(&via_harness), trace_bytes(&direct));
+    assert_eq!(via_batch, trace_bytes(&direct));
 }
 
 #[test]
@@ -162,7 +167,7 @@ fn trace_filter_grammar_round_trips() {
 #[test]
 fn telemetry_summary_partitions_hold_over_a_real_batch() {
     let cells = batch();
-    let outcomes = Harness::serial().try_run(&cells, None).unwrap();
+    let outcomes = ThreadExecutor::new(1).run_cells(&cells, None).unwrap();
     let results: Vec<_> = outcomes.into_iter().map(|o| o.result).collect();
     let mut summary = TelemetrySummary::default();
     for (cell, r) in cells.iter().zip(&results) {
