@@ -26,7 +26,7 @@
 //! `TransportKind`. No concrete sender or receiver type is named in
 //! this file (CI's size-ledger step checks).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use irn_metrics::{ideal_fct, AppMetrics, FlowRecord, MetricsCollector};
 use irn_net::{Fabric, FabricEvent, FabricOutput, FlowId, HostId, Packet, PacketKind, PktId};
@@ -140,16 +140,16 @@ struct FlowSlot {
     receiver_done: bool,
 }
 
-/// Where a flow's state lives, encoded in the dense `flow → slot` map.
+/// Where a flow's state lives, encoded in the `flow → slot` window.
 const NOT_STARTED: u32 = u32::MAX;
 const RETIRED: u32 = u32::MAX - 1;
 /// Top bit of a live flow's `slot_of` entry: the flow's sender answered
 /// [`SenderPoll::Blocked`] and has not been handed out since. `Blocked`
 /// is sticky until the sender is fed (the contract on the variant), so
-/// [`FlowSlab::poll_sender`] answers for a parked sender from this dense
-/// map alone, without touching the 552-byte [`FlowSlot`]. Slot indices
-/// stay below the bit (and so below the two sentinels above, which
-/// carry it).
+/// [`FlowSlab::poll_sender`] answers for a parked sender from the map
+/// alone, without touching the flow's [`FlowSlot`]. Slot indices stay
+/// below the bit (and so below the two sentinels above, which carry
+/// it).
 const PARKED: u32 = 1 << 31;
 
 /// Decode a `slot_of` entry to its slot index, parked or not.
@@ -171,12 +171,27 @@ fn live_slot(entry: u32) -> Option<usize> {
 /// flow retires — sender done, receiver done, and nothing of the flow
 /// left inside the fabric. `slots.len()` is therefore the live-flow
 /// high-water mark, which is what the `memory-v1` gauge reports.
+///
+/// The `flow → slot` map is a window too: it covers only the ids from
+/// the oldest flow not yet retired (`base`) to the newest started one.
+/// Every id below `base` is retired, every id past the window has not
+/// started, and the front is dropped as flows retire in order. An early
+/// flow that lives to the end of the run keeps the whole map, as dense
+/// as one entry per flow.
 struct FlowSlab {
     slots: Vec<FlowSlot>,
     /// Recycled slot indices (LIFO: reuse the hottest slot first).
     free: Vec<u32>,
-    /// Per flow: slot index, or [`NOT_STARTED`] / [`RETIRED`].
-    slot_of: Vec<u32>,
+    /// Per flow from `base` on: slot index, or [`NOT_STARTED`] /
+    /// [`RETIRED`].
+    slot_of: VecDeque<u32>,
+    /// The flow id of `slot_of[0]`.
+    base: usize,
+    /// High-water mark of `slot_of.len()`.
+    window_peak: usize,
+    /// Flows in the run so far: every streamed flow, started or not,
+    /// and every flow a driver has spawned.
+    flows: usize,
 }
 
 impl FlowSlab {
@@ -184,18 +199,43 @@ impl FlowSlab {
         FlowSlab {
             slots: Vec::new(),
             free: Vec::new(),
-            slot_of: vec![NOT_STARTED; flows],
+            slot_of: VecDeque::new(),
+            base: 0,
+            window_peak: 0,
+            flows,
         }
+    }
+
+    /// The flow's `slot_of` entry, read through the window.
+    #[inline]
+    fn entry(&self, flow: usize) -> u32 {
+        match flow.checked_sub(self.base) {
+            None => RETIRED,
+            Some(i) => self.slot_of.get(i).copied().unwrap_or(NOT_STARTED),
+        }
+    }
+
+    /// The flow's `slot_of` entry, for a flow known to be inside the
+    /// window (a live one).
+    #[inline]
+    fn entry_mut(&mut self, flow: usize) -> &mut u32 {
+        &mut self.slot_of[flow - self.base]
     }
 
     /// Allocate a slot for an arriving flow.
     fn insert(&mut self, flow: usize, spec: FlowSpec, sender: Sender, receiver: Receiver) {
-        debug_assert_eq!(self.slot_of[flow], NOT_STARTED, "flow started twice");
+        debug_assert_eq!(self.entry(flow), NOT_STARTED, "flow started twice");
         debug_assert!(
             self.slots.len() < (PARKED >> 1) as usize,
             "slot indices must stay clear of the PARKED bit"
         );
-        match self.free.pop() {
+        // Open the window up to this flow; ids it skips have not started.
+        let end = flow - self.base + 1;
+        if self.slot_of.len() < end {
+            self.slot_of.resize(end, NOT_STARTED);
+            self.window_peak = self.window_peak.max(end);
+        }
+        let si = match self.free.pop() {
             Some(si) => {
                 let slot = &mut self.slots[si as usize];
                 slot.spec = spec;
@@ -204,10 +244,9 @@ impl FlowSlab {
                 // slot.timer is kept: recycled with the slot.
                 slot.inflight = 0;
                 slot.receiver_done = false;
-                self.slot_of[flow] = si;
+                si
             }
             None => {
-                self.slot_of[flow] = self.slots.len() as u32;
                 self.slots.push(FlowSlot {
                     spec,
                     sender: Some(sender),
@@ -216,8 +255,10 @@ impl FlowSlab {
                     inflight: 0,
                     receiver_done: false,
                 });
+                self.slots.len() as u32 - 1
             }
-        }
+        };
+        *self.entry_mut(flow) = si;
     }
 
     /// The flow's live slot; `None` when not started or retired. Leaves
@@ -225,7 +266,7 @@ impl FlowSlab {
     /// (in-flight accounting, the receiver, the timer id) feeds the
     /// sender.
     fn slot_mut(&mut self, flow: usize) -> Option<&mut FlowSlot> {
-        live_slot(self.slot_of[flow]).map(|si| &mut self.slots[si])
+        live_slot(self.entry(flow)).map(|si| &mut self.slots[si])
     }
 
     /// The flow's live slot, unparked. This is the only way to a
@@ -233,8 +274,8 @@ impl FlowSlab {
     /// the sender an ACK, a CNP or a timer expiry, or drains its timer
     /// request, wakes it by construction.
     fn wake(&mut self, flow: usize) -> Option<&mut FlowSlot> {
-        let si = live_slot(self.slot_of[flow])?;
-        self.slot_of[flow] = si as u32;
+        let si = live_slot(self.entry(flow))?;
+        *self.entry_mut(flow) = si as u32;
         Some(&mut self.slots[si])
     }
 
@@ -244,7 +285,7 @@ impl FlowSlab {
     /// retired) is `Done`, which is how the NIC deregisters it.
     #[inline]
     fn poll_sender(&mut self, flow: usize, t: Time) -> SenderPoll {
-        let entry = self.slot_of[flow];
+        let entry = self.entry(flow);
         let Some(si) = live_slot(entry) else {
             return SenderPoll::Done;
         };
@@ -267,23 +308,21 @@ impl FlowSlab {
             None => SenderPoll::Done,
         };
         if poll == SenderPoll::Blocked {
-            self.slot_of[flow] = entry | PARKED;
+            *self.entry_mut(flow) = entry | PARKED;
         }
         poll
     }
 
-    /// Extend the dense flow→slot map for one driver-spawned flow
-    /// (closed-loop workloads grow the flow table mid-run) and return
-    /// its id: ids count up as flows are spawned.
+    /// Count one driver-spawned flow (closed-loop workloads add flows
+    /// mid-run) and return its id: ids count up as flows are spawned.
     fn grow(&mut self) -> u32 {
-        self.slot_of.push(NOT_STARTED);
-        self.slot_of.len() as u32 - 1
+        self.flows += 1;
+        self.flows as u32 - 1
     }
 
-    /// Flows in the run so far: every streamed flow, started or not,
-    /// and every flow a driver has spawned.
+    /// Flows in the run so far.
     fn flows(&self) -> usize {
-        self.slot_of.len()
+        self.flows
     }
 
     /// Recycle the flow's slot if it is live and nothing of it remains:
@@ -291,10 +330,11 @@ impl FlowSlab {
     /// the flow inside the fabric (so no event can ever need this state
     /// again; late control packets to a retired flow are ignored).
     /// Drops sender/receiver state and keeps the timer, disarmed, for
-    /// the next occupant. The flow id can never come back. Returns
-    /// whether the flow retired.
+    /// the next occupant. The flow id can never come back, and the
+    /// window drops every retired id at its front. Returns whether the
+    /// flow retired.
     fn retire(&mut self, flow: usize, sched: &mut Scheduler<PackedEvent>) -> bool {
-        let Some(si) = live_slot(self.slot_of[flow]) else {
+        let Some(si) = live_slot(self.entry(flow)) else {
             return false;
         };
         let slot = &mut self.slots[si];
@@ -310,18 +350,23 @@ impl FlowSlab {
             }
         }
         slot.receiver = None;
-        self.slot_of[flow] = RETIRED;
+        *self.entry_mut(flow) = RETIRED;
         self.free.push(si as u32);
+        while self.slot_of.front() == Some(&RETIRED) {
+            self.slot_of.pop_front();
+            self.base += 1;
+        }
         true
     }
 
     /// Analytic peak bytes: every slot ever allocated (`slots.len()` is
-    /// the live-flow high-water mark — monotone), the free-list backing
-    /// it, and the dense flow→slot map.
+    /// the live-flow high-water mark — monotone), with the bitmaps its
+    /// sender and receiver hold in place, the free list backing it, and
+    /// the flow → slot window at its widest.
     fn peak_bytes(&self) -> u64 {
         let slot = std::mem::size_of::<FlowSlot>() as u64;
         let idx = std::mem::size_of::<u32>() as u64;
-        self.slots.len() as u64 * (slot + idx) + self.slot_of.len() as u64 * idx
+        self.slots.len() as u64 * (slot + idx) + self.window_peak as u64 * idx
     }
 }
 
@@ -1003,9 +1048,9 @@ mod tests {
             slab.poll_sender(flow, Time::ZERO),
             SenderPoll::Packet(_)
         ));
-        assert_eq!(slab.slot_of[flow] & PARKED, 0, "a packet does not park");
+        assert_eq!(slab.entry(flow) & PARKED, 0, "a packet does not park");
         assert_eq!(slab.poll_sender(flow, Time::ZERO), SenderPoll::Blocked);
-        assert_ne!(slab.slot_of[flow] & PARKED, 0, "Blocked parks");
+        assert_ne!(slab.entry(flow) & PARKED, 0, "Blocked parks");
     }
 
     /// Finish `flow` the way the engine does and recycle its slot.
@@ -1022,14 +1067,16 @@ mod tests {
 
     #[test]
     fn flow_slot_holds_half_a_qp_context_per_endpoint() {
-        // 728 B when each endpoint carried both halves; the slab's
-        // footprint and the memory-v1 gauge scale with this.
+        // 728 B when each endpoint carried both halves, 552 B with the
+        // bitmaps on the heap; the slab's footprint and the memory-v1
+        // gauge scale with this, and it now holds the sender's SACK
+        // bitmap and the receiver's two planes in place.
         let (slot, s, r) = (
             std::mem::size_of::<FlowSlot>(),
             std::mem::size_of::<Sender>(),
             std::mem::size_of::<Receiver>(),
         );
-        assert!(slot <= 560, "FlowSlot {slot} B (Sender {s}, Receiver {r})");
+        assert!(slot <= 528, "FlowSlot {slot} B (Sender {s}, Receiver {r})");
     }
 
     #[test]
@@ -1049,9 +1096,9 @@ mod tests {
         insert_parked(&mut slab, 0);
         slab.slot_mut(0).expect("live").inflight += 1;
         assert!(slab.slot_mut(0).expect("live").timer.is_none());
-        assert_ne!(slab.slot_of[0] & PARKED, 0, "slot access leaves it parked");
+        assert_ne!(slab.entry(0) & PARKED, 0, "slot access leaves it parked");
         assert!(slab.wake(0).is_some_and(|s| s.sender.is_some()));
-        assert_eq!(slab.slot_of[0], 0, "wake hands out an unparked flow");
+        assert_eq!(slab.entry(0), 0, "wake hands out an unparked flow");
         let before = REAL_POLLS.with(Cell::get);
         assert_eq!(slab.poll_sender(0, Time::ZERO), SenderPoll::Blocked);
         assert_eq!(
@@ -1065,13 +1112,13 @@ mod tests {
     fn retire_and_never_started_see_through_the_parked_bit() {
         let mut slab = FlowSlab::new(2);
         insert_parked(&mut slab, 0);
-        assert_ne!(slab.slot_of[0], NOT_STARTED);
-        assert_eq!(slab.slot_of[1], NOT_STARTED);
+        assert_ne!(slab.entry(0), NOT_STARTED);
+        assert_eq!(slab.entry(1), NOT_STARTED);
         assert!(!slab.retire(1, &mut Scheduler::new()), "never started");
         // Retire straight from the parked state (the engine always
         // passes through `wake` first; the slab does not rely on it).
         finish(&mut slab, 0);
-        assert_eq!(slab.slot_of[0], RETIRED);
+        assert_eq!(slab.entry(0), RETIRED);
         assert_eq!(slab.free, vec![0], "the index is recycled without the bit");
         assert!(slab.slot_mut(0).is_none() && slab.wake(0).is_none());
         assert!(!slab.retire(0, &mut Scheduler::new()), "retired once");
@@ -1086,7 +1133,7 @@ mod tests {
         finish(&mut slab, 0);
         let (s, r) = one_packet_flow(1);
         slab.insert(1, SPEC, s, r);
-        assert_eq!(slab.slot_of[1], 0, "same slot, no inherited bit");
+        assert_eq!(slab.entry(1), 0, "same slot, no inherited bit");
         assert_eq!(slab.slots.len(), 1);
         assert!(matches!(
             slab.poll_sender(1, Time::ZERO),
@@ -1111,15 +1158,43 @@ mod tests {
     }
 
     #[test]
+    fn the_window_spans_the_oldest_unretired_to_the_newest_started_flow() {
+        let mut slab = FlowSlab::new(6);
+        // Flows may start out of id order; the ids skipped are in the
+        // window, not started.
+        insert_parked(&mut slab, 1);
+        assert_eq!((slab.base, slab.slot_of.len()), (0, 2));
+        assert_eq!(slab.entry(0), NOT_STARTED);
+        insert_parked(&mut slab, 0);
+        insert_parked(&mut slab, 3);
+        assert_eq!((slab.base, slab.slot_of.len()), (0, 4));
+        // A retirement behind the front leaves the window alone...
+        finish(&mut slab, 1);
+        assert_eq!((slab.base, slab.slot_of.len()), (0, 4));
+        // ...and retiring the front drops every retired id up to the
+        // first flow that is live or has not started.
+        finish(&mut slab, 0);
+        assert_eq!((slab.base, slab.slot_of.len()), (2, 2));
+        assert_eq!([slab.entry(0), slab.entry(1)], [RETIRED; 2]);
+        assert_eq!(slab.entry(2), NOT_STARTED);
+        assert_eq!(slab.entry(5), NOT_STARTED, "past the window");
+        assert!(live_slot(slab.entry(3)).is_some());
+        assert_eq!(slab.poll_sender(1, Time::ZERO), SenderPoll::Done);
+        assert_eq!((slab.window_peak, slab.flows()), (4, 6));
+        let slot = std::mem::size_of::<FlowSlot>() as u64;
+        assert_eq!(slab.peak_bytes(), 3 * (slot + 4) + 4 * 4);
+    }
+
+    #[test]
     fn grown_entries_start_unparked() {
         let mut slab = FlowSlab::new(1);
         insert_parked(&mut slab, 0);
         slab.grow();
-        assert_eq!(slab.slot_of[1], NOT_STARTED);
+        assert_eq!(slab.entry(1), NOT_STARTED);
         let (s, r) = one_packet_flow(1);
         slab.insert(1, SPEC, s, r);
-        assert_eq!(slab.slot_of[1], 1);
-        assert_ne!(slab.slot_of[0] & PARKED, 0, "the neighbour stays parked");
+        assert_eq!(slab.entry(1), 1);
+        assert_ne!(slab.entry(0) & PARKED, 0, "the neighbour stays parked");
     }
 
     /// The count the parking buys: a single-packet flow costs three real

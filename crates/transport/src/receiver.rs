@@ -46,8 +46,12 @@ pub struct ReceiverQp {
     ack_bytes: u32,
     ctx: QpContext,
     cnp_gen: Option<CnpGenerator>,
-    completed_at: Option<Time>,
+    /// When the last payload byte arrived; [`NOT_COMPLETED`] until then.
+    completed_at: Time,
 }
+
+/// [`ReceiverQp::completed_at`] of a flow still receiving.
+const NOT_COMPLETED: Time = Time::MAX;
 
 impl ReceiverQp {
     /// Receiver for a flow of `total_packets` from `sender` to `me`.
@@ -96,13 +100,13 @@ impl ReceiverQp {
             ack_bytes,
             ctx: QpContext::new(bitmap_bits),
             cnp_gen: None,
-            completed_at: None,
+            completed_at: NOT_COMPLETED,
         }
     }
 
     /// When the flow completed, if it has.
     pub fn completed_at(&self) -> Option<Time> {
-        self.completed_at
+        (self.completed_at != NOT_COMPLETED).then_some(self.completed_at)
     }
 
     /// Process an arriving data packet.
@@ -139,8 +143,8 @@ impl ReceiverQp {
         }
 
         // Completion: all packets delivered in order.
-        if self.completed_at.is_none() && self.ctx.expected_seq >= self.total_packets {
-            self.completed_at = Some(now);
+        if self.completed_at == NOT_COMPLETED && self.ctx.expected_seq >= self.total_packets {
+            self.completed_at = now;
             out.completed = true;
         }
         out

@@ -81,19 +81,60 @@ pub struct SenderStats {
     pub cnps: u64,
 }
 
+/// [`SenderStats`] as a flow keeps them: `u32` counters, widened by
+/// `stats()`. A flow's sequence space is a `u32`, and no flow sends
+/// its packets anywhere near 2^32 times.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FlowCounters {
+    pub(crate) sent: u32,
+    pub(crate) retransmitted: u32,
+    pub(crate) nacks: u32,
+    pub(crate) timeouts: u32,
+    pub(crate) cnps: u32,
+}
+
+impl FlowCounters {
+    pub(crate) fn widen(self) -> SenderStats {
+        SenderStats {
+            sent: self.sent.into(),
+            retransmitted: self.retransmitted.into(),
+            nacks: self.nacks.into(),
+            timeouts: self.timeouts.into(),
+            cnps: self.cnps.into(),
+        }
+    }
+}
+
+/// [`RetxTimer::pending_arm`] when no arm is pending.
+const NO_ARM: Time = Time::MAX;
+
 /// The flow's retransmission timer as its sender sees it: the armed
 /// mirror of the one cancellable scheduler timer the embedding
 /// simulation keeps per flow, the one-slot mailbox of requests for it,
 /// and the lazy reset. Which timeout applies is the policy's argument.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct RetxTimer {
     /// An expiry is pending out in the simulation.
     armed: bool,
-    pending: Option<TimerCmd>,
+    /// The mailbox: an arm for this deadline ([`NO_ARM`]: none), or a
+    /// cancel. At most one of the two is pending.
+    pending_arm: Time,
+    pending_cancel: bool,
     /// Last acknowledgement progress; an expiry earlier than
     /// `last_progress + RTO` re-arms instead of firing (the standard
     /// lazy-reset optimization — avoids scheduling an event per ACK).
     last_progress: Time,
+}
+
+impl Default for RetxTimer {
+    fn default() -> RetxTimer {
+        RetxTimer {
+            armed: false,
+            pending_arm: NO_ARM,
+            pending_cancel: false,
+            last_progress: Time::ZERO,
+        }
+    }
 }
 
 impl RetxTimer {
@@ -105,7 +146,15 @@ impl RetxTimer {
     /// Arm (or re-arm) for `at`, superseding any pending deadline.
     pub(crate) fn arm(&mut self, at: Time) {
         self.armed = true;
-        self.pending = Some(TimerCmd::Arm(at));
+        self.pending_arm = at;
+        self.pending_cancel = false;
+    }
+
+    /// The flow completed: cancel the pending expiry if there is one,
+    /// and drop any request not yet drained.
+    fn disarm(&mut self) {
+        self.pending_cancel = std::mem::take(&mut self.armed);
+        self.pending_arm = NO_ARM;
     }
 
     /// Acknowledgement progress: the pending expiry defers against it.
@@ -136,7 +185,11 @@ impl RetxTimer {
 
     /// Drain the request the last call left, if any.
     pub(crate) fn take_request(&mut self) -> Option<TimerCmd> {
-        self.pending.take()
+        if std::mem::take(&mut self.pending_cancel) {
+            return Some(TimerCmd::Cancel);
+        }
+        let at = std::mem::replace(&mut self.pending_arm, NO_ARM);
+        (at != NO_ARM).then_some(TimerCmd::Arm(at))
     }
 }
 
@@ -156,7 +209,7 @@ pub(crate) struct SenderCore {
     pub(crate) highest_sent: u32,
     pub(crate) timer: RetxTimer,
     pub(crate) done: bool,
-    pub(crate) stats: SenderStats,
+    pub(crate) stats: FlowCounters,
 }
 
 impl SenderCore {
@@ -176,7 +229,7 @@ impl SenderCore {
             highest_sent: 0,
             timer: RetxTimer::default(),
             done: false,
-            stats: SenderStats::default(),
+            stats: FlowCounters::default(),
             cfg,
         }
     }
@@ -202,7 +255,7 @@ impl SenderCore {
     /// pending deadline (the scheduler removes it in O(1) — it will
     /// never pop). Returns `true`: "the flow just completed".
     pub(crate) fn complete(&mut self) -> bool {
-        self.timer.pending = std::mem::take(&mut self.timer.armed).then_some(TimerCmd::Cancel);
+        self.timer.disarm();
         self.done = true;
         true
     }
@@ -284,7 +337,7 @@ impl SenderQp {
 
     /// The flow's counters so far.
     pub fn stats(&self) -> SenderStats {
-        self.core.stats
+        self.core.stats.widen()
     }
 
     /// Effective window: the tightest of BDP-FC (§3.2) and the CC

@@ -103,7 +103,7 @@ impl TcpSender {
 
     /// The flow's counters so far (`nacks` and `cnps` stay zero).
     pub fn stats(&self) -> SenderStats {
-        self.core.stats
+        self.core.stats.widen()
     }
 
     /// Ask for the next packet. There is no clock gate here (no pacing,
