@@ -11,7 +11,7 @@
 //! ```
 
 use irn_core::transport::config::TransportKind;
-use irn_core::{run, ExperimentConfig, TrafficModel};
+use irn_core::{ExperimentConfig, Simulation, TrafficModel};
 
 fn main() {
     println!("Incast: striped response to one aggregator (§4.4.3)\n");
@@ -24,14 +24,20 @@ fn main() {
             m,
             total_bytes: 15_000_000, // 15 MB striped (quick-scale 150 MB)
         };
-        let irn = run(ExperimentConfig::quick(m)
-            .with_traffic(workload.clone())
-            .with_transport(TransportKind::Irn)
-            .with_pfc(false));
-        let roce = run(ExperimentConfig::quick(m)
-            .with_traffic(workload)
-            .with_transport(TransportKind::Roce)
-            .with_pfc(true));
+        let irn = Simulation::new(
+            ExperimentConfig::quick(m)
+                .with_traffic(workload.clone())
+                .with_transport(TransportKind::Irn)
+                .with_pfc(false),
+        )
+        .run();
+        let roce = Simulation::new(
+            ExperimentConfig::quick(m)
+                .with_traffic(workload)
+                .with_transport(TransportKind::Roce)
+                .with_pfc(true),
+        )
+        .run();
         let (i, r) = (irn.rct(), roce.rct());
         println!(
             "{:<4} {:>16} {:>16} {:>9.3}",

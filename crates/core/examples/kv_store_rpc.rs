@@ -16,7 +16,7 @@
 //! ```
 
 use irn_core::transport::config::TransportKind;
-use irn_core::{run, ExperimentConfig};
+use irn_core::{ExperimentConfig, Simulation};
 
 fn main() {
     let flows = 600;
@@ -31,9 +31,12 @@ fn main() {
         ("IRN+PFC", TransportKind::Irn, true),
         ("IRN", TransportKind::Irn, false),
     ] {
-        let r = run(ExperimentConfig::quick(flows)
-            .with_transport(transport)
-            .with_pfc(pfc));
+        let r = Simulation::new(
+            ExperimentConfig::quick(flows)
+                .with_transport(transport)
+                .with_pfc(pfc),
+        )
+        .run();
         // Figure 8's population: single-packet messages only.
         let rpcs = r.metrics.single_packet_messages();
         println!(

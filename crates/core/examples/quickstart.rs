@@ -9,7 +9,7 @@
 //! ```
 
 use irn_core::transport::config::TransportKind;
-use irn_core::{run, ExperimentConfig};
+use irn_core::{ExperimentConfig, Simulation};
 
 fn main() {
     // 16-host fat-tree, 400 Poisson flows at 70% load (quick scale;
@@ -17,14 +17,20 @@ fn main() {
     let flows = 400;
 
     println!("Running IRN (no PFC) ...");
-    let irn = run(ExperimentConfig::quick(flows)
-        .with_transport(TransportKind::Irn)
-        .with_pfc(false));
+    let irn = Simulation::new(
+        ExperimentConfig::quick(flows)
+            .with_transport(TransportKind::Irn)
+            .with_pfc(false),
+    )
+    .run();
 
     println!("Running RoCE (with PFC) ...");
-    let roce = run(ExperimentConfig::quick(flows)
-        .with_transport(TransportKind::Roce)
-        .with_pfc(true));
+    let roce = Simulation::new(
+        ExperimentConfig::quick(flows)
+            .with_transport(TransportKind::Roce)
+            .with_pfc(true),
+    )
+    .run();
 
     println!();
     println!(

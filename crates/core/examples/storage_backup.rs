@@ -12,7 +12,7 @@
 
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::SizeDistribution;
-use irn_core::{run, ExperimentConfig, TrafficModel};
+use irn_core::{ExperimentConfig, Simulation, TrafficModel};
 
 fn main() {
     let base = ExperimentConfig::quick(80).with_traffic(TrafficModel::Poisson {
@@ -33,7 +33,7 @@ fn main() {
         ("RoCE+PFC", TransportKind::Roce, true),
         ("RoCE no PFC", TransportKind::Roce, false),
     ] {
-        let r = run(base.clone().with_transport(transport).with_pfc(pfc));
+        let r = Simulation::new(base.clone().with_transport(transport).with_pfc(pfc)).run();
         println!(
             "{:<14} {:>13.2} {:>12} {:>12} {:>8} {:>14}",
             name,

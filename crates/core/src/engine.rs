@@ -170,7 +170,8 @@ fn live_slot(entry: u32) -> Option<usize> {
 /// arrival (reusing a free slot when one exists), and recycled once the
 /// flow retires — sender done, receiver done, and nothing of the flow
 /// left inside the fabric. `slots.len()` is therefore the live-flow
-/// high-water mark, which is what the `memory-v1` gauge reports.
+/// high-water mark, which is what `MemoryStats::peak_flow_state_bytes`
+/// reports.
 ///
 /// The `flow → slot` map is a window too: it covers only the ids from
 /// the oldest flow not yet retired (`base`) to the newest started one.
@@ -1068,9 +1069,9 @@ mod tests {
     #[test]
     fn flow_slot_holds_half_a_qp_context_per_endpoint() {
         // 728 B when each endpoint carried both halves, 552 B with the
-        // bitmaps on the heap; the slab's footprint and the memory-v1
-        // gauge scale with this, and it now holds the sender's SACK
-        // bitmap and the receiver's two planes in place.
+        // bitmaps on the heap; the slab's footprint and
+        // `peak_flow_state_bytes` scale with this, and it now holds the
+        // sender's SACK bitmap and the receiver's two planes in place.
         let (slot, s, r) = (
             std::mem::size_of::<FlowSlot>(),
             std::mem::size_of::<Sender>(),

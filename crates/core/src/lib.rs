@@ -55,11 +55,6 @@ pub use irn_sim as sim;
 pub use irn_transport as transport;
 pub use irn_workload as workload;
 
-/// Crate-level convenience: run one experiment.
-pub fn run(cfg: ExperimentConfig) -> RunResult {
-    Simulation::new(cfg).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +63,10 @@ mod tests {
     use irn_transport::config::TransportKind;
     use irn_workload::{FlowSpec, SizeDistribution};
     use sim::Time;
+
+    fn run(cfg: ExperimentConfig) -> RunResult {
+        Simulation::new(cfg).run()
+    }
 
     /// One flow across a single switch: completion math should be exact.
     #[test]

@@ -75,21 +75,28 @@ pub struct SchedCounters {
     pub past_clamps: u64,
 }
 
-/// The `memory-v1` gauge: an **analytic** byte accounting of the
-/// engine's per-flow state and the collectors' histogram heap — counts
-/// × `size_of`, not allocator probes — so the gauge is a deterministic
-/// function of the workload, byte-identical at any `--jobs` value and
-/// across worker fleets (of the same build; sizes are
-/// platform-specific).
+/// An **analytic** byte accounting of the engine's per-flow state, the
+/// collectors' histogram heap and the packet arena — counts ×
+/// `size_of`, not allocator probes — so it is a deterministic function
+/// of the workload, byte-identical at any `--jobs` value and across
+/// worker fleets (of the same build; sizes are platform-specific).
+///
+/// Its readers: the benchmark's per-layer ledger (`net.pkt_pool_peak`,
+/// `metrics.hist_buckets`, `metrics.heap_bytes`,
+/// `core.peak_flow_state_bytes`, `core.bytes_per_flow`) and its
+/// result checks (`flows`, `pkt_pool_pkts`), the `result-v1` frame a
+/// worker sends, and the tests that hold it equal across runs, job
+/// counts and fleets. Peak heap itself is measured, not modelled: by
+/// the benchmark's `peak_rss_mb` and the counting-allocator tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoryStats {
     /// Peak bytes of live flow state: the slab's slot array at its
-    /// high-water mark plus the dense flow→slot index.
+    /// high-water mark plus the flow → slot window at its widest.
     pub peak_flow_state_bytes: u64,
     /// Heap bytes held by the metrics collectors' histograms at the
     /// end of the run (monotone: histograms never shrink).
     pub metrics_bytes: u64,
-    /// Flows the run completed (the gauge's denominator).
+    /// Flows the run completed (the per-flow denominator).
     pub flows: u64,
     /// Allocated histogram bucket slots across all collectors.
     pub hist_buckets: u64,
@@ -97,20 +104,19 @@ pub struct MemoryStats {
     /// in-flight high-water mark, with their intrusive links and
     /// free-list entries.
     pub pkt_pool_bytes: u64,
-    /// High-water mark of packets simultaneously in flight (the arena
-    /// occupancy `diff-memory` watches for pool-growth regressions).
+    /// High-water mark of packets simultaneously in flight (peak arena
+    /// occupancy).
     pub pkt_pool_pkts: u64,
 }
 
 impl MemoryStats {
-    /// Total peak bytes tracked by the gauge.
+    /// Total peak bytes of the three analytic folds.
     pub fn peak_bytes(&self) -> u64 {
         self.peak_flow_state_bytes + self.metrics_bytes + self.pkt_pool_bytes
     }
 
-    /// Peak bytes per completed flow — the BENCH-trajectory headline
-    /// (events/sec tells you speed; this tells you whether a
-    /// million-flow sweep fits in memory).
+    /// Peak bytes per completed flow (the benchmark's
+    /// `core.bytes_per_flow`).
     pub fn bytes_per_flow(&self) -> f64 {
         if self.flows == 0 {
             0.0
@@ -156,7 +162,7 @@ pub struct RunResult {
     pub sched: SchedCounters,
     /// Virtual time of the last flow completion.
     pub finished_at: Time,
-    /// The `memory-v1` gauge: analytic peak-memory accounting.
+    /// Analytic peak-memory accounting.
     pub memory: MemoryStats,
 }
 

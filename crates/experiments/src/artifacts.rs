@@ -24,7 +24,6 @@ use serde::json;
 use serde::{de_field, Deserialize, Serialize};
 
 pub use crate::figures::ARTIFACTS;
-use crate::memory::MemorySummary;
 use crate::plan::{Group, Plan};
 use crate::report::Report;
 use crate::scale::Scale;
@@ -172,10 +171,6 @@ pub struct ItemRun {
     /// The unified counters (`None` for an item that ran no cells).
     /// Deterministic — these feed the envelope's `telemetry` block.
     pub telemetry: Option<TelemetrySummary>,
-    /// The peak-memory gauges (`None` for an item that ran no cells).
-    /// Deterministic — these feed the `memory-v1` file behind
-    /// `--memory-json`.
-    pub memory: Option<MemorySummary>,
 }
 
 /// The outcome of [`run_batch`].
@@ -206,7 +201,7 @@ impl BatchRun {
 /// `repro run`): concatenate every item's planned cells into one
 /// submission-ordered batch, run it once on `exec`, then demux each
 /// item's slice back through its plan. An item that planned no cells
-/// has no `telemetry` or `memory`.
+/// has no `telemetry`.
 ///
 /// The reports are byte-identical to running each plan alone, at any
 /// job count: the executor returns results in submission order, each
@@ -247,10 +242,6 @@ pub fn run_batch(
             let mut events = 0u64;
             let mut cell_wall = std::time::Duration::ZERO;
             let mut summary = TelemetrySummary::default();
-            let mut gauge = MemorySummary {
-                artifact: name.clone(),
-                ..MemorySummary::default()
-            };
             let slice: Vec<RunResult> = results
                 .by_ref()
                 .take(n)
@@ -259,7 +250,6 @@ pub fn run_batch(
                     cell_wall += o.wall;
                     // Counters are charged to the cell's transport kind.
                     summary.add(cell.config().transport, &o.result);
-                    gauge.add(&o.result);
                     o.result
                 })
                 .collect();
@@ -273,7 +263,6 @@ pub fn run_batch(
                     events_per_sec: per_sec(events, cell_wall),
                 },
                 telemetry: (n > 0).then_some(summary),
-                memory: (n > 0).then_some(gauge),
             }
         })
         .collect();
@@ -569,9 +558,8 @@ mod tests {
     }
 
     /// `state-budget` rides the batch as a zero-cell plan: no cells, no
-    /// `telemetry` block, no `memory-v1` row, and the envelope bytes it
-    /// had as an inline artifact (literal captured at the parent
-    /// commit).
+    /// `telemetry` block, and the envelope bytes it had as an inline
+    /// artifact (literal captured at the parent commit).
     #[test]
     fn state_budget_is_a_zero_cell_plan_with_the_inline_era_envelope() {
         let scale = Scale::quick().with_seeds(3);
@@ -584,9 +572,7 @@ mod tests {
         let batch = run_batch(&items, &mut ThreadExecutor::new(1), None).unwrap();
         assert_eq!(batch.cell_count, 0);
         let item = &batch.items[0];
-        assert_eq!((&item.telemetry, &item.memory), (&None, &None));
-        let gauge = crate::verify_memory_json(&crate::memory_json(&batch, &scale)).unwrap();
-        assert_eq!(gauge.artifacts, []);
+        assert_eq!(item.telemetry, None);
         let text = artifact_json("state-budget", &scale, plan, &item.report, None);
         assert_eq!(text, include_str!("../tests/fixtures/state-budget.json"));
         verify_artifact_json("state-budget", &text).unwrap();
@@ -628,7 +614,9 @@ mod tests {
         let mut rep = Report::new("Figure 1", "t", "p");
         rep.add(Row::new("IRN").push("avg_slowdown", 2.5));
         let kind = irn_core::transport::config::TransportKind::Irn;
-        let run = irn_core::run(irn_core::ExperimentConfig::quick(8).with_transport(kind));
+        let run =
+            irn_core::Simulation::new(irn_core::ExperimentConfig::quick(8).with_transport(kind))
+                .run();
         let mut telemetry = TelemetrySummary::default();
         telemetry.add(kind, &run);
         let text = artifact_json("fig1", &scale, &fig1, &rep, Some(&telemetry));

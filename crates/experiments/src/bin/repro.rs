@@ -9,8 +9,6 @@
 //! repro emit-scenario [--full] <artifact>... --json DIR
 //!                                          dump an artifact's logical cells
 //!                                          as editable scenario files
-//! repro diff-memory OLD.json NEW.json      compare two memory-v1 gauges,
-//!                                          warn on bytes/flow drift
 //! repro trace-summarize FILE               aggregate a trace-v1 file into
 //!                                          per-kind / per-flow / per-op tables
 //! repro [--full] [--seeds N] --list        registry: name, class, workload,
@@ -62,8 +60,8 @@
 //! finish — including unknown artifact names, unknown flags, invalid
 //! scenario files (every user-reachable config mistake is a typed
 //! `ScenarioError`, never a panic), and an output path that cannot be
-//! written: every `--json`, `--timing-json`, `--memory-json`, `--trace`
-//! and `--progress-json` destination is checked before any cell runs.
+//! written: every `--json`, `--timing-json`, `--trace` and
+//! `--progress-json` destination is checked before any cell runs.
 //!
 //! The usage text, flag parsing, mode dispatch and flag applicability
 //! all derive from one [`FLAGS`] table and one [`MODES`] table: the
@@ -127,12 +125,6 @@ const MODES: &[Mode] = &[
         synopsis: "repro emit-scenario <artifact>... --json DIR",
         what: "dump an artifact's logical cells as editable scenario files",
         run: emit_scenario_mode,
-    },
-    Mode {
-        word: "diff-memory",
-        synopsis: "repro diff-memory OLD.json NEW.json",
-        what: "compare memory-v1 gauges; warn on bytes/flow drift",
-        run: diff_memory_mode,
     },
     Mode {
         word: "trace-summarize",
@@ -262,12 +254,6 @@ const FLAGS: &[FlagSpec] = &[
         modes: BATCH,
     },
     FlagSpec {
-        name: "--memory-json",
-        takes: Takes::Value("FILE", |a, _, v| a.memory_json = Some(v.into())),
-        help: "write memory-v1 peak-memory gauge JSON to FILE",
-        modes: BATCH,
-    },
-    FlagSpec {
         name: "--trace",
         takes: Takes::Value("FILE", |a, _, v| a.trace = Some(v.into())),
         help: "record a trace-v1 NDJSON flight-recorder file of the batch",
@@ -369,7 +355,6 @@ struct Args {
     exit_after: Option<usize>,
     json_dir: Option<PathBuf>,
     timing_json: Option<PathBuf>,
-    memory_json: Option<PathBuf>,
     trace: Option<PathBuf>,
     trace_filter: Option<String>,
     progress_json: Option<PathBuf>,
@@ -546,7 +531,6 @@ fn prepare_output_paths(args: &Args) {
     let outputs = [
         ("--json", &args.json_dir, true),
         ("--timing-json", &args.timing_json, false),
-        ("--memory-json", &args.memory_json, false),
         ("--trace", &args.trace, false),
         ("--progress-json", &args.progress_json, false),
     ];
@@ -570,16 +554,6 @@ fn prepare_output_paths(args: &Args) {
                 fail_input(format_args!("{flag}: cannot create {}: {e}", dir.display()));
             }
         }
-    }
-}
-
-/// Write the `memory-v1` gauge file when `--memory-json` asked for one.
-/// Unlike the timing JSON these bytes are deterministic — identical at
-/// any `--jobs` and across any worker fleet of the same build.
-fn write_memory_gauge(args: &Args, batch: &BatchRun, scale: &Scale) {
-    if let Some(path) = &args.memory_json {
-        write_file(path, &irn_experiments::memory_json(batch, scale));
-        eprintln!("   [memory gauge -> {}]", path.display());
     }
 }
 
@@ -708,7 +682,7 @@ fn per_report_stderr(name: &str, plan: &Plan, item: &ItemRun) {
 /// The shared tail of the two batch modes: pick the backend, check the
 /// output paths, run `items` — each report's name (stderr, trace
 /// source, envelope file stem) with its plan — as the one global batch,
-/// then report timing, gauge and trace, and print every report — with
+/// then report timing and trace, and print every report — with
 /// its envelope from `envelope(index, item)` when `--json` asked for
 /// one.
 fn run_and_report(
@@ -737,7 +711,6 @@ fn run_and_report(
         scale,
         args.timing_json.as_deref(),
     );
-    write_memory_gauge(args, &batch, scale);
     let source: Vec<&str> = items.iter().map(|(name, _)| name.as_str()).collect();
     write_trace(args, &source.join(","), &batch);
 
@@ -1157,92 +1130,6 @@ fn trace_summarize_mode(args: &Args) {
         }
         if ops > SLOWEST_OPS as u64 {
             outln!("... and {} more operation(s)", ops - SLOWEST_OPS as u64);
-        }
-    }
-}
-
-/// Gauge drift, in percent, beyond which `diff-memory` warns.
-const MEMORY_DRIFT_WARN_PCT: f64 = 10.0;
-
-/// `repro diff-memory OLD NEW`: per-artifact bytes/flow drift between
-/// two `memory-v1` gauge files. Warn-only (exits 0; drift beyond
-/// [`MEMORY_DRIFT_WARN_PCT`] prints a GitHub `::warning` annotation).
-/// Doubles as the gauge validator: `repro diff-memory FILE FILE` exits
-/// 0 iff FILE is a well-formed gauge. The gauge is deterministic, so
-/// any movement here is a real code change.
-fn diff_memory_mode(args: &Args) {
-    let rest = &args.positionals[1..];
-    if rest.len() != 2 {
-        fail("diff-memory needs exactly two memory-v1 JSON files (old, new)");
-    }
-    let load = |path: &str| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail_input(format_args!("cannot read {path}: {e}")));
-        irn_experiments::verify_memory_json(&text)
-            .unwrap_or_else(|e| fail_input(format_args!("{path}: {e}")))
-            .artifacts
-    };
-    let old = load(&rest[0]);
-    let new = load(&rest[1]);
-    // Compare one (old, new) pair of gauges.
-    let compare = |name: &str, what: &str, old_v: f64, new_v: f64| {
-        if old_v <= 0.0 || new_v <= 0.0 {
-            // A zero-flow artifact has no per-flow cost to compare.
-            return;
-        }
-        let drift = (new_v - old_v) / old_v * 100.0;
-        outln!("{name:<16} {what:<10} {old_v:>12.1} {new_v:>12.1} {drift:>+8.1}%");
-        if drift.abs() > MEMORY_DRIFT_WARN_PCT {
-            // GitHub Actions annotation; warn-only so a deliberate
-            // state-layout change does not block CI — a human judges
-            // whether the new cost is intended.
-            outln!(
-                "::warning title=memory drift::{name} {what} changed \
-                 {drift:+.1}% ({old_v:.1} -> {new_v:.1})"
-            );
-        }
-    };
-    outln!(
-        "{:<16} {:<10} {:>12} {:>12} {:>9}   (warn beyond ±{MEMORY_DRIFT_WARN_PCT}%)",
-        "artifact",
-        "gauge",
-        "old",
-        "new",
-        "drift"
-    );
-    for n in &new {
-        let name = &n.artifact;
-        let Some(o) = old.iter().find(|o| o.artifact == *name) else {
-            outln!(
-                "{name:<16} {:<10} {:>12} {:>12.1} {:>9}",
-                "B/flow",
-                "-",
-                n.bytes_per_flow,
-                "new"
-            );
-            continue;
-        };
-        compare(name, "B/flow", o.bytes_per_flow, n.bytes_per_flow);
-        // Pool occupancy: growth here means more packets in flight at
-        // once — a hot-path regression wall time can miss when the
-        // extra work is still fast.
-        compare(
-            name,
-            "pool pkts",
-            o.pkt_pool_pkts as f64,
-            n.pkt_pool_pkts as f64,
-        );
-    }
-    for o in &old {
-        if !new.iter().any(|n| n.artifact == o.artifact) {
-            outln!(
-                "{:<16} {:<10} {:>12} {:>12} {:>9}",
-                o.artifact,
-                "-",
-                "-",
-                "-",
-                "gone"
-            );
         }
     }
 }

@@ -41,7 +41,6 @@
 
 pub mod artifacts;
 pub mod figures;
-pub mod memory;
 pub mod plan;
 pub mod report;
 pub mod scale;
@@ -49,7 +48,6 @@ pub mod scenario_run;
 pub mod telemetry;
 
 pub use artifacts::{Artifact, Envelope, ARTIFACTS};
-pub use memory::{memory_json, verify_memory_json, MemoryGauge, MemorySummary};
 pub use plan::{Group, Plan};
 pub use report::{Report, Row};
 pub use scale::Scale;

@@ -236,7 +236,7 @@ mod tests {
     fn result_for(kind: TransportKind) -> RunResult {
         let mut cfg = ExperimentConfig::quick(8);
         cfg.transport = kind;
-        irn_core::run(cfg)
+        irn_core::Simulation::new(cfg).run()
     }
 
     #[test]

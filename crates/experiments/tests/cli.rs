@@ -44,7 +44,6 @@ const MODE_ARGV: &[(&str, &[&str])] = &[
     ("run", &["run"]),
     ("worker", &["worker", "stray"]),
     ("emit-scenario", &["emit-scenario"]),
-    ("diff-memory", &["diff-memory"]),
     ("trace-summarize", &["trace-summarize"]),
     ("--list", &["--list"]),
     ("--verify-json", &["--verify-json", "DIR/envelopes"]),
@@ -86,7 +85,7 @@ fn flag_table() -> Vec<(String, Option<String>, Vec<String>)> {
             (flag, metavar, modes)
         })
         .collect();
-    assert!(rows.len() >= 16, "flag table not found in:\n{usage}");
+    assert!(rows.len() >= 15, "flag table not found in:\n{usage}");
     rows
 }
 
@@ -189,7 +188,6 @@ fn unwritable_output_paths_exit_2_naming_the_flag_before_the_batch() {
     let cases: Vec<(Vec<std::ffi::OsString>, &str, &Path)> = vec![
         (run(&[]), "--timing-json", &dir),
         (run(&[]), "--timing-json", &under_file),
-        (run(&[]), "--memory-json", &dir),
         (run(&[]), "--trace", &dir),
         (run(&["--workers", "1"]), "--progress-json", &dir),
         (run(&[]), "--json", &file),

@@ -4,7 +4,7 @@
 //! hand-paired writers this crate had before its formats became derived
 //! structs (captured at the parent commit, where these tests passed
 //! unchanged): an artifact envelope and a scenario envelope with their
-//! `telemetry` blocks, a `memory-v1` gauge, `bench-trajectory-v1` with
+//! `telemetry` blocks, `bench-trajectory-v1` with
 //! and without a fleet, a `work-v1` frame with and without a trace
 //! request, an error frame whose id is unreadable, and the `trace-v1`
 //! header line. The inputs are canned — a stub executor hands out one
@@ -21,7 +21,7 @@
 //! `docs/SCENARIOS.md` is checked against the scenario tables.
 //!
 //! **The built binary** fails each once-lenient input by name:
-//! `--verify-json` exits 1, `diff-memory` exits 2, and `repro worker`
+//! `--verify-json` exits 1, and `repro worker`
 //! answers every line of `fixtures/hostile-frames.ndjson` with exactly
 //! one `error-v1` (CI's `worker-fanout` job pipes the same file).
 
@@ -36,7 +36,7 @@ use irn_core::{
     ExperimentConfig, MemoryStats, RunResult, Scenario, SchedCounters, TransportTotals,
 };
 use irn_experiments::artifacts::{self, BatchRun, TraceHeader};
-use irn_experiments::{memory_json, scenario_json, Group, Plan, Report, Row, Scale};
+use irn_experiments::{scenario_json, Group, Plan, Report, Row, Scale};
 use irn_harness::{wire, CellOutcome, Executor, HarnessError, WorkerStats};
 use irn_telemetry::{TraceChunk, TraceSpec};
 use serde::json::{self, Value};
@@ -47,7 +47,7 @@ use serde::json::{self, Value};
 fn canned(salt: u64) -> RunResult {
     static RUN: OnceLock<RunResult> = OnceLock::new();
     let mut r = RUN
-        .get_or_init(|| irn_core::run(ExperimentConfig::quick(4)))
+        .get_or_init(|| irn_core::Simulation::new(ExperimentConfig::quick(4)).run())
         .clone();
     r.events = 1000 + salt;
     r.sched = SchedCounters {
@@ -212,14 +212,6 @@ fn envelopes_with_telemetry_keep_the_parent_bytes() {
         include_str!("fixtures/envelope-scenario.json")
     );
     assert_eq!(budget.telemetry, None);
-}
-
-#[test]
-fn memory_gauge_keeps_the_parent_bytes() {
-    assert_eq!(
-        memory_json(&batch(), &scale()),
-        include_str!("fixtures/memory-v1.json")
-    );
 }
 
 #[test]
@@ -447,7 +439,7 @@ fn schema_md_documents_every_key_in_its_section() {
     ));
     let block = envelope.get("telemetry").unwrap().clone();
     // (section heading, sample document, members documented elsewhere)
-    let samples: [(&str, Value, &[&str]); 5] = [
+    let samples: [(&str, Value, &[&str]); 4] = [
         (
             "## Field-by-field reference",
             envelope,
@@ -457,11 +449,6 @@ fn schema_md_documents_every_key_in_its_section() {
         (
             "### The executor's side file (`bench-trajectory-v1`)",
             parse(artifacts::timing_json(&b, &scale(), 2, &fleet())),
-            &[],
-        ),
-        (
-            "### Peak-memory gauge (`memory-v1`)",
-            parse(memory_json(&b, &scale())),
             &[],
         ),
         (
@@ -544,13 +531,12 @@ fn cli_worker_answers_every_hostile_frame_with_one_error_frame() {
 }
 
 #[test]
-fn cli_verify_json_and_diff_memory_fail_doctored_files_by_path() {
+fn cli_verify_json_fails_doctored_files_by_path() {
     let dir = std::env::temp_dir().join(format!("irn-formats-{}", std::process::id()));
     let b = batch();
     let fig1 = artifacts::find("fig1").unwrap().plan(scale());
     let telemetry = b.items[0].telemetry.as_ref();
     let envelope = artifacts::artifact_json("fig1", &scale(), &fig1, &b.items[0].report, telemetry);
-    let gauge = memory_json(&b, &scale());
     let check = |sub: &str, file: &str, text: String, args: &[&str], code: i32, what: &str| {
         let sub = dir.join(sub);
         std::fs::create_dir_all(&sub).unwrap();
@@ -597,24 +583,6 @@ fn cli_verify_json_and_diff_memory_fail_doctored_files_by_path() {
         &verify,
         1,
         "at telemetry.transport.by_kind.[0].drops: total 424 != buffer 207 + injected 222",
-    );
-    let diff = ["diff-memory", "DIR/mem.json", "DIR/mem.json"];
-    check("gauge", "mem.json", gauge.clone(), &diff, 0, "fig1");
-    check(
-        "gauge-stray",
-        "mem.json",
-        gauge.replace("\"cells\": 3,", "\"cells\": 3,\n      \"stray\": 1,"),
-        &diff,
-        2,
-        "at artifacts.[0].stray: unknown field",
-    );
-    check(
-        "gauge-no-cells",
-        "mem.json",
-        gauge.replace("\"cells\": 3,", ""),
-        &diff,
-        2,
-        "at artifacts.[0].cells: expected a non-negative integer, got null",
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

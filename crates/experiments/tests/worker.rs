@@ -409,7 +409,7 @@ fn a_worker_lying_about_wall_time_is_dropped_not_fatal() {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     let cells = batch(1);
-    let run = irn_core::run(cells[0].config().clone());
+    let run = irn_core::Simulation::new(cells[0].config().clone()).run();
     let liar = std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -715,61 +715,6 @@ fn cli_quorum_loss_exits_2_with_partial_report() {
     assert!(err.contains("0/4 cells"), "partial progress missing: {err}");
 }
 
-#[test]
-fn cli_memory_json_gauge_validates_and_is_jobs_invariant() {
-    // The memory-v1 gauge is determinism-class deterministic: the same
-    // batch at --jobs 1 and --jobs 2 must write byte-identical files,
-    // and the file must pass the diff-memory validator (self-diff shows
-    // zero drift, exit 0, no warning annotations).
-    let dir = std::env::temp_dir().join(format!("irn-memgauge-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let gauge = |jobs: &str| -> Vec<u8> {
-        let path = dir.join(format!("mem-j{jobs}.json"));
-        let out = Command::new(repro_exe())
-            .args(["fig1", "--seeds", "2", "--jobs", jobs, "--memory-json"])
-            .arg(&path)
-            .output()
-            .expect("repro runs");
-        assert!(out.status.success(), "--jobs {jobs} run failed");
-        std::fs::read(&path).expect("gauge file written")
-    };
-    let j1 = gauge("1");
-    let j2 = gauge("2");
-    assert_eq!(j1, j2, "memory gauge bytes depend on --jobs");
-
-    let path = dir.join("mem-j1.json");
-    let out = Command::new(repro_exe())
-        .args(["diff-memory"])
-        .arg(&path)
-        .arg(&path)
-        .output()
-        .expect("repro runs");
-    assert_eq!(out.status.code(), Some(0), "self-diff must validate");
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("fig1"), "gauge row missing: {text}");
-    assert!(
-        !text.contains("::warning"),
-        "self-diff produced drift warnings: {text}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn cli_diff_memory_rejects_non_gauge_files() {
-    let path = std::env::temp_dir().join(format!("irn-notgauge-{}.json", std::process::id()));
-    std::fs::write(&path, "{\"schema\":\"bench-trajectory-v1\"}").unwrap();
-    let out = Command::new(repro_exe())
-        .args(["diff-memory"])
-        .arg(&path)
-        .arg(&path)
-        .output()
-        .expect("repro runs");
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("memory-v1"), "{err}");
-}
-
 /// The measuring options this registry no longer has are not quietly
 /// accepted: each is a usage error naming the unknown artifact or flag.
 #[test]
@@ -783,6 +728,11 @@ fn cli_retired_measuring_options_exit_2_by_name() {
     };
     exits_2(&["diff-timing", "a", "b"], "unknown artifact 'diff-timing'");
     exits_2(&["fig1", "--drift-pct", "5"], "unknown flag '--drift-pct'");
+    // Peak memory is the benchmark's `peak_rss_mb` and the counting-
+    // allocator tests'; there is no analytic gauge file to write or diff.
+    exits_2(&["diff-memory", "a", "b"], "unknown artifact 'diff-memory'");
+    let argv = ["fig1", "--memory-json", "f"];
+    exits_2(&argv, "unknown flag '--memory-json'");
     let argv = ["diff-memory", "a", "b", "--fail-on-drift"];
     exits_2(&argv, "unknown flag '--fail-on-drift'");
     exits_2(&["table1"], "unknown artifact 'table1'");

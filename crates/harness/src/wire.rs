@@ -396,7 +396,7 @@ mod tests {
         }
         assert!(!encode_work(2, &scenario(), None).contains("\"trace\""));
 
-        let result = irn_core::run(scenario().config().clone());
+        let result = irn_core::Simulation::new(scenario().config().clone()).run();
         let chunk = TraceChunk {
             lines: vec![
                 r#"{"cell":2,"t":0,"kind":"flow.start","flow":0}"#.to_string(),
@@ -418,7 +418,7 @@ mod tests {
     /// floats included.
     #[test]
     fn result_frame_round_trips_bit_exactly() {
-        let result = irn_core::run(scenario().config().clone());
+        let result = irn_core::Simulation::new(scenario().config().clone()).run();
         let line = encode_result(3, 0.25, &result, None);
         assert!(!line.contains('\n'));
         match decode(&line).unwrap() {
@@ -500,7 +500,7 @@ mod tests {
         let line = r#"{"frame":"work-v1","id":"5","scenario":{}}"#;
         rejects(line, None, "at id: expected a non-negative integer");
 
-        let run = irn_core::run(scenario().config().clone());
+        let run = irn_core::Simulation::new(scenario().config().clone()).run();
         let result = encode_result(6, 0.5, &run, None);
         let line = result.replace(r#""wall_s":0.5"#, r#""wall_s":"fast""#);
         rejects(&line, Some(6), "at wall_s: expected a number");
@@ -537,7 +537,7 @@ mod tests {
             Some(5),
             "at trace.capacity: expected a non-negative integer, got null",
         );
-        let run = irn_core::run(scenario().config().clone());
+        let run = irn_core::Simulation::new(scenario().config().clone()).run();
         let line = with(
             &encode_result(6, 0.5, &run, None),
             r#""trace":{"dropped":0}"#,
@@ -582,7 +582,7 @@ mod tests {
         rejects(&line, Some(3), "at trace.filter: duplicate field");
         let line = work.replace(r#""scenario":{"#, r#""scenario":{"stray":0,"#);
         rejects(&line, Some(3), "at scenario: unknown field 'stray'");
-        let run = irn_core::run(scenario().config().clone());
+        let run = irn_core::Simulation::new(scenario().config().clone()).run();
         let result = encode_result(6, 0.5, &run, None);
         rejects(
             &with(&result, r#""bogus":1"#),
@@ -600,7 +600,7 @@ mod tests {
     /// member is required.
     #[test]
     fn absent_optional_members_keep_their_defaults() {
-        let run = irn_core::run(scenario().config().clone());
+        let run = irn_core::Simulation::new(scenario().config().clone()).run();
         let result = encode_result(6, 0.5, &run, None);
         for absent in ["\"trace\"", "\"incast_metrics\"", "\"app\"", "null"] {
             assert!(!result.contains(absent), "{absent} in {result}");

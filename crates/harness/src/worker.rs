@@ -156,7 +156,8 @@ mod tests {
             match wire::decode(line).unwrap() {
                 Frame::Result { id, result, .. } => {
                     assert_eq!(id, i as u64);
-                    let local = irn_core::run(scenario(i as u64 + 1).into_config());
+                    let local =
+                        irn_core::Simulation::new(scenario(i as u64 + 1).into_config()).run();
                     assert_eq!(
                         result.to_json(),
                         local.to_json(),

@@ -305,11 +305,18 @@ impl SenderQp {
     ) -> SenderQp {
         let core = SenderCore::new(cfg, flow, src, dst, size_bytes);
         let cfg = &core.cfg;
-        let bitmap_bits = cfg
-            .bdp_cap
-            .unwrap_or(0)
-            .max(256)
-            .max(core.total_packets.min(4096));
+        // Under BDP-FC every packet sent is below `cum_acked + cap`:
+        // `poll_sack` sends only while `next_to_send − cum_acked < cap`,
+        // `poll_gbn` only while `gbn_cursor − cum_acked < cap`, and
+        // `cum_acked` only grows. A SACK names a packet already sent, so
+        // every offset `receive_ack`, `tx_free` and `advance` see is
+        // below `cap`, and a bitmap of `cap` bits (in place, up to 256)
+        // loses nothing whatever the flow's length. Without BDP-FC the
+        // window is the flow, up to 4 096 packets.
+        let bitmap_bits = match cfg.bdp_cap {
+            Some(cap) => cap.max(256),
+            None => core.total_packets.clamp(256, 4096),
+        };
         let cc = CcState::new(cc_kind, cfg.line_rate, cfg.bdp_cap.unwrap_or(110), now);
         SenderQp {
             ctx: SenderContext::new(bitmap_bits as usize),

@@ -273,9 +273,12 @@ impl TcpReceiver {
         me: HostId,
         total_packets: u32,
     ) -> TcpReceiver {
+        // An arrival's offset from the expected sequence is below
+        // `total_packets`, so planes sized by the flow (in place up to
+        // 256 packets) keep every arrival 4 096 bits would have.
         TcpReceiver(ReceiverQp::with(
             ReceiverMode::Irn,
-            4096,
+            total_packets.clamp(256, 4096) as usize,
             cfg.ack_bytes.max(ACK_WIRE_BYTES),
             flow,
             sender,

@@ -24,7 +24,7 @@ pub use timer::TimerSlot;
 
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
-use irn_core::{ExperimentConfig, RunResult};
+use irn_core::{ExperimentConfig, RunResult, Simulation};
 use irn_experiments::{artifacts, Plan, Report};
 use irn_harness::ThreadExecutor;
 
@@ -33,9 +33,15 @@ pub fn quick_cfg(flows: usize) -> ExperimentConfig {
     ExperimentConfig::quick(flows)
 }
 
+/// Run one experiment to completion (panics on a run that cannot
+/// finish; production callers use `Simulation::try_run`).
+pub fn run(cfg: ExperimentConfig) -> RunResult {
+    Simulation::new(cfg).run()
+}
+
 /// Run a (transport, pfc, cc) cell on the quick scenario.
 pub fn run_cell(flows: usize, t: TransportKind, pfc: bool, cc: CcKind) -> RunResult {
-    irn_core::run(quick_cfg(flows).with_transport(t).with_pfc(pfc).with_cc(cc))
+    run(quick_cfg(flows).with_transport(t).with_pfc(pfc).with_cc(cc))
 }
 
 /// `plan` alone through [`artifacts::run_batch`] on `jobs` threads — the

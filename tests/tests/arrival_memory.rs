@@ -14,7 +14,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
 use irn_core::workload::SizeDistribution;
-use irn_core::{run, ExperimentConfig, TrafficModel};
+use irn_core::{ExperimentConfig, TrafficModel};
+use irn_integration::run;
 
 /// The system allocator, counting live bytes and their high-water mark.
 struct Counting;

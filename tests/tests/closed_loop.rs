@@ -6,9 +6,9 @@
 
 use irn_core::sim::Duration;
 use irn_core::transport::config::TransportKind;
-use irn_core::{run, RunResult, Scenario, TopologySpec, TrafficModel};
+use irn_core::{RunResult, Scenario, TopologySpec, TrafficModel};
 use irn_experiments::scenario_plan;
-use irn_integration::report_alone;
+use irn_integration::{report_alone, run};
 use serde::json;
 use serde::{Deserialize, Serialize};
 

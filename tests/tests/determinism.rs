@@ -8,8 +8,8 @@
 
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
-use irn_core::{run, RunResult};
-use irn_integration::quick_cfg;
+use irn_core::RunResult;
+use irn_integration::{quick_cfg, run};
 
 /// Assert full bit-identity of two runs, field by field so a failure
 /// names the layer that diverged.

@@ -9,8 +9,8 @@
 use irn_core::net::LoadBalancing;
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
-use irn_core::{run, RunResult};
-use irn_integration::quick_cfg;
+use irn_core::RunResult;
+use irn_integration::{quick_cfg, run};
 
 fn spray_cell(t: TransportKind, nack_threshold: u32) -> RunResult {
     let mut cfg = quick_cfg(250)

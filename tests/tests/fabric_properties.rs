@@ -5,7 +5,8 @@
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::SizeDistribution;
-use irn_core::{run, ExperimentConfig, TopologySpec, TrafficModel};
+use irn_core::{ExperimentConfig, TopologySpec, TrafficModel};
+use irn_integration::run;
 use proptest::prelude::*;
 
 fn cfg_for(k_idx: usize, flows: usize, load: f64, seed: u64) -> ExperimentConfig {

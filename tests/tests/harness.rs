@@ -78,7 +78,7 @@ fn json_artifact_is_byte_identical_across_job_counts() {
 /// JSON-value level.
 #[test]
 fn run_result_round_trips_through_serde() {
-    let r = irn_core::run(irn_core::ExperimentConfig::quick(40));
+    let r = irn_integration::run(irn_core::ExperimentConfig::quick(40));
     let v = r.to_json();
     let text = json::to_string(&v);
     let parsed = json::from_str(&text).unwrap();

@@ -41,7 +41,7 @@ fn bases() -> &'static [String] {
             lines: vec![r#"{"cell":3,"t":0,"kind":"flow.start","flow":0}"#.to_string()],
             dropped: 2,
         };
-        let run = irn_core::run(scenario.config().clone());
+        let run = irn_integration::run(scenario.config().clone());
         let mut bases = vec![
             wire::encode_work(1, &scenario, None),
             wire::encode_work(2, &scenario, Some(&spec)),

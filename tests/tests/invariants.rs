@@ -5,8 +5,8 @@ use irn_core::sim::Duration;
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::SizeDistribution;
-use irn_core::{run, TopologySpec, TrafficCtx, TrafficModel};
-use irn_integration::{quick_cfg, run_cell};
+use irn_core::{TopologySpec, TrafficCtx, TrafficModel};
+use irn_integration::{quick_cfg, run, run_cell};
 use irn_telemetry::TraceFilter;
 
 #[test]

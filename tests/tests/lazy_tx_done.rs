@@ -28,7 +28,8 @@ use irn_core::net::LoadBalancing;
 use irn_core::sim::Duration;
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::{Component, Population, SizeDistribution, Start};
-use irn_core::{run, ExperimentConfig, RunResult, TopologySpec, TrafficModel};
+use irn_core::{ExperimentConfig, RunResult, TopologySpec, TrafficModel};
+use irn_integration::run;
 use irn_telemetry::TraceFilter;
 use serde::json;
 

@@ -14,7 +14,8 @@ use irn_core::sim::Time;
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::{FlowSpec, SizeDistribution};
-use irn_core::{run, ExperimentConfig, RunResult, TopologySpec, TrafficModel, TransportTotals};
+use irn_core::{ExperimentConfig, RunResult, TopologySpec, TrafficModel, TransportTotals};
+use irn_integration::run;
 
 const MICE: usize = 2_000;
 

@@ -21,7 +21,8 @@ use irn_core::net::{EcnConfig, FlowId, HostId, Packet, PacketArena, PacketKind, 
 use irn_core::sim::SimRng;
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::SizeDistribution;
-use irn_core::{run, ExperimentConfig, TopologySpec, TrafficModel};
+use irn_core::{ExperimentConfig, TopologySpec, TrafficModel};
+use irn_integration::run;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------

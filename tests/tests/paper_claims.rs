@@ -137,7 +137,7 @@ fn worst_case_overheads_are_small() {
         .with_pfc(false);
     cfg.extra_header = 16;
     cfg.retx_fetch_delay = irn_core::sim::Duration::micros(2);
-    let worst = irn_core::run(cfg);
+    let worst = irn_integration::run(cfg);
     let ratio = worst.summary.avg_fct / plain.summary.avg_fct;
     assert!(
         (0.95..1.25).contains(&ratio),
@@ -156,13 +156,13 @@ fn incast_parity_without_cross_traffic() {
         m: 8,
         total_bytes: 16_000_000,
     };
-    let irn = irn_core::run(
+    let irn = irn_integration::run(
         irn_integration::quick_cfg(8)
             .with_traffic(workload.clone())
             .with_transport(TransportKind::Irn)
             .with_pfc(false),
     );
-    let roce = irn_core::run(
+    let roce = irn_integration::run(
         irn_integration::quick_cfg(8)
             .with_traffic(workload)
             .with_transport(TransportKind::Roce)

@@ -9,9 +9,10 @@ use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::{TransportKind, DATA_HEADER_BYTES};
 use irn_core::workload::{FlowSpec, SizeDistribution};
 use irn_core::{
-    run, AllreduceAlgo, Component, Population, Scenario, ScenarioError, Simulation, Start,
-    TopologySpec, TrafficError, TrafficModel,
+    AllreduceAlgo, Component, Population, Scenario, ScenarioError, Simulation, Start, TopologySpec,
+    TrafficError, TrafficModel,
 };
+use irn_integration::run;
 use proptest::prelude::*;
 use serde::json;
 use serde::Serialize;

@@ -21,8 +21,8 @@
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::SizeDistribution;
-use irn_core::{run, ExperimentConfig, TopologySpec, TrafficModel};
-use irn_integration::{EventQueue, TimerSlot};
+use irn_core::{ExperimentConfig, TopologySpec, TrafficModel};
+use irn_integration::{run, EventQueue, TimerSlot};
 use irn_sim::{Duration, Scheduler, Time, TimerId};
 use proptest::prelude::*;
 

@@ -13,7 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
 use irn_core::sim::Duration;
-use irn_core::{run, ExperimentConfig, TopologySpec, TrafficModel};
+use irn_core::{ExperimentConfig, TopologySpec, TrafficModel};
+use irn_integration::run;
 
 /// The system allocator, counting live bytes and their high-water mark.
 struct Counting;
