@@ -35,6 +35,7 @@ use irn_transport::config::TransportConfig;
 use irn_transport::{endpoints, HostNic, NicPoll, Receiver, Sender, SenderPoll, TimerCmd};
 use irn_workload::{AppDriver, AppEvent, AppSink, Arrivals, FlowSpec, TrafficCtx};
 
+use crate::audit::{audit, AuditFailure, Books, Drain};
 use crate::config::ExperimentConfig;
 use crate::result::{MemoryStats, RunResult, SchedCounters, TransportTotals};
 
@@ -485,6 +486,9 @@ pub enum RunError {
         /// Flows in the run.
         flows: usize,
     },
+    /// The run finished but broke a conservation law
+    /// ([`crate::audit`]): a bug in the simulator, not in its input.
+    Audit(AuditFailure),
 }
 
 impl std::fmt::Display for RunError {
@@ -503,6 +507,7 @@ impl std::fmt::Display for RunError {
                 f,
                 "simulation deadlocked: {completed}/{flows} flows completed (no events left)"
             ),
+            RunError::Audit(failure) => write!(f, "{failure}"),
         }
     }
 }
@@ -528,6 +533,9 @@ pub struct Simulation {
     metrics: MetricsCollector,
     incast_metrics: MetricsCollector,
     totals: TransportTotals,
+    /// `ceil(bytes / mtu)` summed over the started flows: the first
+    /// sends the audit expects.
+    first_sends: u64,
     counters: SchedCounters,
     completed: usize,
     finished_at: Time,
@@ -580,6 +588,7 @@ impl Simulation {
             metrics: MetricsCollector::new(),
             incast_metrics: MetricsCollector::new(),
             totals: TransportTotals::default(),
+            first_sends: 0,
             counters: SchedCounters::default(),
             completed: 0,
             finished_at: Time::ZERO,
@@ -683,6 +692,41 @@ impl Simulation {
         for s in self.slab.slots.iter().filter_map(|s| s.sender.as_ref()) {
             self.totals += s.stats();
         }
+        let sstats = self.sched.stats();
+        self.counters.past_clamps = sstats.past_clamps;
+        self.counters.timer_arms = sstats.timer_arms;
+        self.counters.timer_cancels = sstats.timer_cancels;
+        self.counters.stale_timer_reclaims = sstats.stale_skips;
+
+        // A closed-loop run stops only when its queue drains, so what
+        // its driver did and what it leaves behind are audited too.
+        let drain = self.app.as_ref().map(|app| Drain {
+            // A driver runs only for a closed-loop model, which promises.
+            promised: self.cfg.traffic.promised().unwrap_or_default(),
+            flows: self.slab.flows() as u64,
+            ops: app.metrics.ops(),
+            live_packets: self.fabric.pkt_pool_live() as u64,
+            live_slots: (self.slab.slots.len() - self.slab.free.len()) as u64,
+            armed_timers: self
+                .slab
+                .slots
+                .iter()
+                .filter_map(|s| s.timer)
+                .filter(|&id| self.sched.timer_deadline(id).is_some())
+                .count() as u64,
+        });
+        let fabric = self.fabric.stats();
+        audit(&Books {
+            pfc: self.cfg.pfc,
+            fault_injection: self.cfg.loss_injection > 0.0,
+            fabric,
+            transport: self.totals,
+            sched: self.counters,
+            events,
+            first_sends: self.first_sends,
+            drain,
+        })
+        .map_err(RunError::Audit)?;
 
         let (primary, incast_metrics) = match self.incast_from {
             None => (self.metrics, None),
@@ -716,18 +760,12 @@ impl Simulation {
             pkt_pool_pkts: self.fabric.pkt_pool_peak() as u64,
         };
 
-        let sstats = self.sched.stats();
-        self.counters.past_clamps = sstats.past_clamps;
-        self.counters.timer_arms = sstats.timer_arms;
-        self.counters.timer_cancels = sstats.timer_cancels;
-        self.counters.stale_timer_reclaims = sstats.stale_skips;
-
         Ok(RunResult {
             summary: primary.summary(),
             metrics: primary,
             incast_metrics,
             app: self.app.map(|a| a.metrics),
-            fabric: self.fabric.stats(),
+            fabric,
             transport: self.totals,
             events,
             sched: self.counters,
@@ -743,6 +781,7 @@ impl Simulation {
         let kind = self.cfg.transport;
         let (snd, rcv) = endpoints(kind, &self.tcfg, flow, src, dst, spec.bytes, now);
         self.slab.insert(i, spec, snd, rcv);
+        self.first_sends += self.tcfg.packets_for(spec.bytes) as u64;
         irn_telemetry::trace!(
             "flow.start",
             t = now.as_nanos(),
@@ -902,8 +941,8 @@ impl Simulation {
         }) = self.slab.wake(idx)
         else {
             // Structurally impossible: completion cancels the timer in
-            // the scheduler. Counted (and asserted zero in the
-            // integration suite) rather than silently tolerated.
+            // the scheduler. Counted, and audited to zero, rather than
+            // silently tolerated.
             self.counters.stale_timer_events += 1;
             return;
         };

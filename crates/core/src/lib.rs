@@ -32,11 +32,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod config;
 pub mod engine;
 pub mod result;
 pub mod scenario;
 
+pub use audit::AuditFailure;
 pub use config::{ExperimentConfig, TopologySpec};
 pub use engine::{RunError, Simulation};
 pub use irn_workload::{
@@ -183,7 +185,8 @@ mod tests {
         assert_eq!(a.fabric, b.fabric);
     }
 
-    /// PFC keeps the fabric lossless; without it, heavy load drops.
+    /// Under pressure PFC pauses (its losslessness is audited inside
+    /// the run); without it, heavy load drops.
     #[test]
     fn pfc_is_lossless_no_pfc_drops() {
         let base = ExperimentConfig {
@@ -200,7 +203,6 @@ mod tests {
             .clone()
             .with_transport(TransportKind::Irn)
             .with_pfc(true));
-        assert_eq!(with_pfc.fabric.buffer_drops, 0, "PFC must be lossless");
         assert!(with_pfc.fabric.pauses > 0, "pressure must trigger pauses");
         let without = run(base.with_transport(TransportKind::Irn).with_pfc(false));
         assert!(without.fabric.buffer_drops > 0, "no PFC ⇒ drops");

@@ -66,12 +66,12 @@ pub struct SchedCounters {
     pub stale_timer_reclaims: u64,
     /// Timer events that surfaced for an already-finished flow. The
     /// scheduler's cancel-on-completion makes this structurally zero;
-    /// asserted in the integration suite.
+    /// the run's audit fails a run where it is not.
     pub stale_timer_events: u64,
     /// Past-scheduled events clamped to "now" (release builds). A
     /// nonzero count means a model scheduled backwards in time — a bug
-    /// the old engine silently hid. Asserted zero in the integration
-    /// suite.
+    /// the old engine silently hid. The run's audit fails a run where
+    /// it is not zero.
     pub past_clamps: u64,
 }
 

@@ -653,20 +653,15 @@ fn report_batch_timing(
 fn per_report_stderr(name: &str, plan: &Plan, item: &ItemRun) {
     let (class, seeds, timing) = (plan.determinism(), plan.seeds(), &item.timing);
     if timing.cells > 0 {
-        // Scheduler health counters ride along when nonzero: past-time
-        // clamps and stale-timer skips are benign by design, but a
-        // sudden jump is the first symptom of a scheduling bug.
+        // Stale-timer skips ride along when nonzero: reclaiming a
+        // superseded deadline is benign, but a sudden jump is the first
+        // symptom of a scheduling bug.
         let sched = item
             .telemetry
             .as_ref()
-            .map(|t| t.sched)
-            .filter(|s| s.past_clamps > 0 || s.stale_timer_reclaims > 0)
-            .map(|s| {
-                format!(
-                    "; {} past-clamp(s), {} stale-timer skip(s)",
-                    s.past_clamps, s.stale_timer_reclaims
-                )
-            })
+            .map(|t| t.sched.stale_timer_reclaims)
+            .filter(|&n| n > 0)
+            .map(|n| format!("; {n} stale-timer skip(s)"))
             .unwrap_or_default();
         eprintln!(
             "   [{name}: {class} over {seeds} seed(s); {} cells, {} events, {:.2} Mev/s{sched}]",

@@ -889,6 +889,75 @@ mod tests {
         assert_eq!((starts, dones), (6, 6));
     }
 
+    /// What a model promises is what its driver spawns and completes,
+    /// for every closed-loop model and both allreduce schedules.
+    #[test]
+    fn promised_counts_match_what_each_driver_runs() {
+        let think = Duration::micros(5);
+        let models = [
+            (
+                8,
+                TrafficModel::RpcClosedLoop {
+                    clients: 2,
+                    ops_per_client: 5,
+                    window: 2,
+                    request_bytes: 4096,
+                    response_bytes: 256,
+                    think,
+                    fanout: 3,
+                },
+            ),
+            (
+                6,
+                TrafficModel::LeaderReplicate {
+                    clients: 2,
+                    followers: 3,
+                    quorum: 2,
+                    ops_per_client: 3,
+                    request_bytes: 2048,
+                    ack_bytes: 64,
+                    think,
+                },
+            ),
+            (
+                5,
+                TrafficModel::Allreduce {
+                    algorithm: AllreduceAlgo::Ring,
+                    participants: 5,
+                    bytes: 5000,
+                    iterations: 2,
+                },
+            ),
+            (
+                7,
+                TrafficModel::Allreduce {
+                    algorithm: AllreduceAlgo::Tree,
+                    participants: 7,
+                    bytes: 5000,
+                    iterations: 3,
+                },
+            ),
+            (
+                2,
+                TrafficModel::Allreduce {
+                    algorithm: AllreduceAlgo::Tree,
+                    participants: 2,
+                    bytes: 5000,
+                    iterations: 1,
+                },
+            ),
+        ];
+        for (hosts, model) in models {
+            let (flows, events) = drain(build(model.clone(), hosts, 3));
+            let (_, dones, _) = count(&events);
+            assert_eq!(
+                model.promised(),
+                Some((flows.len() as u64, dones as u64)),
+                "{model:?}"
+            );
+        }
+    }
+
     #[test]
     fn drivers_are_deterministic_given_seed() {
         let mk = || rpc(10, 3, 6, 2, 8192, 512, Duration::micros(100), 2, 42);

@@ -463,6 +463,53 @@ impl TrafficModel {
         }
     }
 
+    /// The flows and application operations a closed-loop run of this
+    /// model completes, worked out from the model alone: the promise its
+    /// drained run is audited against. The flows are the ones the driver
+    /// spawns over the whole run. `None` for an open-loop model, whose
+    /// flows are its arrival stream. Assumes [`TrafficModel::validate`]
+    /// passed.
+    pub fn promised(&self) -> Option<(u64, u64)> {
+        match *self {
+            TrafficModel::RpcClosedLoop {
+                clients,
+                ops_per_client,
+                fanout,
+                ..
+            } => {
+                // `fanout` requests and as many responses per operation.
+                let ops = clients as u64 * ops_per_client as u64;
+                Some((ops * fanout as u64 * 2, ops))
+            }
+            TrafficModel::Allreduce {
+                algorithm,
+                participants: n,
+                iterations,
+                ..
+            } => {
+                // Ring: 2(N-1) phases of N chunks. Tree: every non-root
+                // node sends once up and receives once down.
+                let edges = 2 * (n as u64 - 1);
+                let per_iteration = match algorithm {
+                    AllreduceAlgo::Ring => edges * n as u64,
+                    AllreduceAlgo::Tree => edges,
+                };
+                Some((per_iteration * iterations as u64, iterations as u64))
+            }
+            TrafficModel::LeaderReplicate {
+                clients,
+                followers,
+                ops_per_client,
+                ..
+            } => {
+                // Request, a replicate and an ack per follower, response.
+                let ops = clients as u64 * ops_per_client as u64;
+                Some((ops * (2 * followers as u64 + 2), ops))
+            }
+            _ => None,
+        }
+    }
+
     /// Check every parameter against `hosts`; returns the first typed
     /// error found. The virtual-time horizon needs the line rate too:
     /// [`TrafficModel::validate_in`] checks both.

@@ -17,9 +17,11 @@
 #![forbid(unsafe_code)]
 
 mod event_queue;
+mod fnv;
 mod timer;
 
 pub use event_queue::EventQueue;
+pub use fnv::{fnv_hex, Fnv};
 pub use timer::TimerSlot;
 
 use irn_core::transport::cc::CcKind;

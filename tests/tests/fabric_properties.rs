@@ -1,6 +1,7 @@
-//! Property-based tests over the fabric + engine: conservation,
-//! losslessness, and monotonicity properties that must hold for *any*
-//! topology/seed/load combination.
+//! Property-based tests over the fabric + engine: completion,
+//! monotonicity and determinism properties that must hold for *any*
+//! topology/seed/load combination. (The conservation laws are audited
+//! inside every run these make.)
 
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
@@ -31,8 +32,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whatever the topology, seed and load: every flow completes, the
-    /// summary is sane, and PFC runs lossless while no-PFC accounts all
-    /// losses as buffer drops matched by retransmissions.
+    /// summary is sane, and every PFC pause is resumed by the last
+    /// completion. Losslessness and first sends are audited inside the
+    /// run.
     #[test]
     fn engine_invariants_hold_everywhere(
         k_idx in 0usize..3,
@@ -49,11 +51,7 @@ proptest! {
         prop_assert!(r.summary.avg_slowdown >= 0.999);
         prop_assert!(r.summary.p99_fct >= r.summary.avg_fct || r.summary.flows < 100);
         if pfc {
-            prop_assert_eq!(r.fabric.buffer_drops, 0, "PFC must be lossless");
             prop_assert_eq!(r.fabric.pauses, r.fabric.resumes);
-        } else if r.fabric.buffer_drops > 0 {
-            prop_assert!(r.transport.retransmitted > 0,
-                "drops without retransmissions would mean lost data");
         }
     }
 

@@ -1,14 +1,18 @@
-//! Cross-crate invariants: losslessness, conservation, recovery under
-//! injected faults, determinism.
+//! Cross-crate invariants: recovery under injected faults, counter
+//! meanings, determinism. The conservation laws themselves are audited
+//! inside every run (`irn_core::audit`).
 
+use irn_core::net::LoadBalancing;
 use irn_core::sim::Duration;
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
 use irn_core::workload::SizeDistribution;
-use irn_core::{TopologySpec, TrafficCtx, TrafficModel};
+use irn_core::{Simulation, TopologySpec, TrafficModel};
 use irn_integration::{quick_cfg, run, run_cell};
 use irn_telemetry::TraceFilter;
 
+/// PFC's losslessness is a law every run is audited against; these
+/// cells put each transport under PFC at a load that pauses.
 #[test]
 fn pfc_is_lossless_for_every_transport() {
     for t in [
@@ -18,14 +22,17 @@ fn pfc_is_lossless_for_every_transport() {
         TransportKind::IwarpTcp,
     ] {
         let r = run_cell(250, t, true, CcKind::None);
-        assert_eq!(
-            r.fabric.buffer_drops, 0,
-            "{t:?}: PFC must never drop (got {} drops)",
-            r.fabric.buffer_drops
+        assert!(
+            r.fabric.pauses > 0,
+            "{t:?}: need pauses for this test to bite"
         );
     }
 }
 
+/// Every X-OFF is eventually matched by an X-ON (no stuck ports). The
+/// audit holds a closed-loop drain to this; an open-loop run stops at
+/// its last completion, where a sprayed cell may still hold a pause, so
+/// this ECMP cell is checked here.
 #[test]
 fn every_pause_is_resumed() {
     let r = run_cell(300, TransportKind::Roce, true, CcKind::None);
@@ -59,7 +66,6 @@ fn fault_injection_with_pfc_still_completes() {
     cfg.loss_injection = 0.005;
     let r = run(cfg.with_transport(TransportKind::Irn).with_pfc(true));
     assert_eq!(r.summary.flows, 150);
-    assert_eq!(r.fabric.buffer_drops, 0);
     assert!(r.fabric.injected_drops > 0);
 }
 
@@ -85,10 +91,10 @@ fn tcp_survives_fault_injection() {
 
 /// `retransmitted` means one thing for every transport: data packets
 /// put on the wire marked `is_retx`, which is what the fabric traces as
-/// `pkt.retx`. What is left of `sent` is then each flow's packets, sent
-/// first exactly once — the identity `benchmark/src/check.rs` leans on.
-/// (The TCP stack used to report fast-retransmit *events* here, a
-/// quarter of its retransmitted packets under loss.)
+/// `pkt.retx`. (The TCP stack used to report fast-retransmit *events*
+/// here, a quarter of its retransmitted packets under loss.) That what
+/// is left of `sent` is each flow's packets, first-sent once, is a law
+/// every run is audited against.
 #[test]
 fn retransmitted_counts_the_traced_retx_packets_for_every_transport() {
     for t in [
@@ -101,18 +107,6 @@ fn retransmitted_counts_the_traced_retx_packets_for_every_transport() {
         for loss in [0.0, 0.01] {
             let mut cfg = quick_cfg(60).with_transport(t).with_seed(3);
             cfg.loss_injection = loss;
-            let ctx = TrafficCtx {
-                hosts: cfg.topology.hosts(),
-                line_rate_bps: cfg.bandwidth.as_bps_f64(),
-                seed: cfg.seed,
-            };
-            let first_sends: u64 = cfg
-                .traffic
-                .generate(&ctx)
-                .flows
-                .iter()
-                .map(|f| f.bytes.max(1).div_ceil(cfg.mtu as u64))
-                .sum();
             // A one-line recorder: the count is the line it kept plus
             // those it dropped, so a go-back-N storm costs no memory.
             let only_retx = TraceFilter::parse("kind=pkt.retx").unwrap();
@@ -122,14 +116,32 @@ fn retransmitted_counts_the_traced_retx_packets_for_every_transport() {
             let what = format!("{t:?} at loss {loss}");
             assert_eq!(r.summary.flows, 60, "{what}");
             assert_eq!(r.transport.retransmitted, traced, "{what}");
-            assert_eq!(
-                r.transport.sent - r.transport.retransmitted,
-                first_sends,
-                "{what}: first transmissions"
-            );
             assert_eq!(loss > 0.0, r.fabric.injected_drops > 0, "{what}");
         }
     }
+}
+
+/// Retransmission without a drop or a timeout is not a conservation
+/// law, and this cell is why: under packet spraying, PFC loses nothing,
+/// yet reordered arrivals make receivers NACK and senders resend. The
+/// audit passes it.
+#[test]
+fn a_sprayed_pfc_cell_retransmits_without_loss_and_passes_the_audit() {
+    let mut cfg = quick_cfg(400).with_pfc(true).with_seed(1);
+    cfg.load_balancing = LoadBalancing::PacketSpray;
+    cfg.traffic = TrafficModel::Poisson {
+        load: 0.5,
+        sizes: SizeDistribution::HeavyTailed,
+        flow_count: 400,
+    };
+    let r = Simulation::new(cfg).try_run().expect("the audit passes");
+    let drops = r.fabric.buffer_drops + r.fabric.injected_drops;
+    assert_eq!(drops, 0, "PFC and no fault injection: nothing is lost");
+    assert!(
+        r.transport.retransmitted > 0,
+        "reordering alone retransmits ({} timeouts)",
+        r.transport.timeouts
+    );
 }
 
 #[test]

@@ -83,8 +83,6 @@ fn cell(
         r.summary.flows, flows,
         "{transport:?} {cc:?} loss {loss} pfc {pfc}"
     );
-    assert_eq!(r.sched.stale_timer_events, 0);
-    assert_eq!(r.sched.past_clamps, 0);
     r
 }
 

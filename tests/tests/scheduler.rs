@@ -12,11 +12,11 @@
 //! ring several times, where every slot's list and pooled entry is
 //! reused.
 //!
-//! The integration half asserts the engine-level guarantees the
-//! scheduler buys: steady-state runs deliver **zero** stale timer
-//! events, and nothing in the workspace schedules into the past
-//! (`past_clamps == 0` — the observable counter release builds keep in
-//! place of the debug panic).
+//! The integration half drives the engine through the cells that churn
+//! timers hardest. The guarantees the scheduler buys — **zero** stale
+//! timer events, nothing scheduled into the past, per-kind counters that
+//! add up — are conservation laws audited inside every run
+//! (`irn_core::audit`), so a cell here fails if it breaks one.
 
 use irn_core::transport::cc::CcKind;
 use irn_core::transport::config::TransportKind;
@@ -322,6 +322,7 @@ fn poisson_cfg(transport: TransportKind, pfc: bool, cc: CcKind) -> ExperimentCon
 /// Steady-state runs pop zero stale timer events and clamp zero
 /// past-scheduled events — across every transport family, with and
 /// without losses (no-PFC runs retransmit heavily, churning timers).
+/// The audit inside each run checks both, and the timer hygiene.
 #[test]
 fn runs_deliver_no_stale_timers_and_no_past_clamps() {
     let matrix = [
@@ -334,25 +335,7 @@ fn runs_deliver_no_stale_timers_and_no_past_clamps() {
     for (transport, pfc, cc) in matrix {
         let r = run(poisson_cfg(transport, pfc, cc));
         assert_eq!(r.summary.flows, 150, "{transport:?} pfc={pfc}");
-        assert_eq!(
-            r.sched.stale_timer_events, 0,
-            "{transport:?} pfc={pfc}: stale timer events must never surface"
-        );
-        assert_eq!(
-            r.sched.past_clamps, 0,
-            "{transport:?} pfc={pfc}: a model scheduled into the past"
-        );
-        // Per-kind counters partition the event total exactly.
-        let sum = r.sched.flow_arrivals
-            + r.sched.fabric_events
-            + r.sched.qp_timer_events
-            + r.sched.nic_wake_events;
-        assert_eq!(sum, r.events, "{transport:?} pfc={pfc}: counter partition");
         assert_eq!(r.sched.flow_arrivals, 150);
-        // Timer hygiene: fires never exceed arms; cancels never exceed
-        // arms.
-        assert!(r.sched.qp_timer_events + r.sched.nic_wake_events <= r.sched.timer_arms);
-        assert!(r.sched.timer_cancels <= r.sched.timer_arms);
     }
 }
 
@@ -384,11 +367,11 @@ fn lossy_run_reclaims_superseded_timers_internally() {
         "superseded deadlines should be reclaimed internally, \
          not scheduled-and-filtered"
     );
-    assert_eq!(r.sched.stale_timer_events, 0);
 }
 
 /// The incast path (fig9's workload) exercises cancel-on-completion for
-/// hundreds of synchronized flows; none of those cancels may surface.
+/// hundreds of synchronized flows; none of those cancels may surface,
+/// which the audit inside the run checks.
 #[test]
 fn incast_run_is_stale_free() {
     let cfg = ExperimentConfig {
@@ -403,6 +386,4 @@ fn incast_run_is_stale_free() {
     .with_pfc(false);
     let r = run(cfg);
     assert_eq!(r.summary.flows, 8);
-    assert_eq!(r.sched.stale_timer_events, 0);
-    assert_eq!(r.sched.past_clamps, 0);
 }

@@ -27,48 +27,31 @@ use irn_core::sim::{Duration, Time};
 use irn_core::workload::{FlowSpec, SizeDistribution};
 use irn_core::TrafficModel;
 use irn_core::{AllreduceAlgo, AppEvent, AppSink, Component, Population, Start, TrafficCtx};
+use irn_integration::Fnv;
 
 const HOSTS: [usize; 3] = [2, 16, 54];
 const SEEDS: [u64; 4] = [1, 2, 42, 0x5EED_C0FF_EE00_0001];
 
-/// FNV-1a 64 over a growing byte stream.
-struct Fnv(u64);
+/// Fold a flow into the hash.
+fn put_flow(h: &mut Fnv, f: &FlowSpec) {
+    h.put(format!("f {} {} {} {};", f.src, f.dst, f.bytes, f.at.as_nanos()).as_bytes());
+}
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn put(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+/// Fold an application event into the hash.
+fn put_event(h: &mut Fnv, e: &AppEvent) {
+    let s = match *e {
+        AppEvent::OpStart { op, client, at } => {
+            format!("s {op} {client} {};", at.as_nanos())
         }
-    }
-
-    fn flow(&mut self, f: &FlowSpec) {
-        self.put(format!("f {} {} {} {};", f.src, f.dst, f.bytes, f.at.as_nanos()).as_bytes());
-    }
-
-    fn event(&mut self, e: &AppEvent) {
-        let s = match *e {
-            AppEvent::OpStart { op, client, at } => {
-                format!("s {op} {client} {};", at.as_nanos())
-            }
-            AppEvent::OpDone {
-                op,
-                client,
-                started,
-                at,
-            } => format!("d {op} {client} {} {};", started.as_nanos(), at.as_nanos()),
-            AppEvent::Phase { phase, at } => format!("p {phase} {};", at.as_nanos()),
-        };
-        self.put(s.as_bytes());
-    }
-
-    fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
+        AppEvent::OpDone {
+            op,
+            client,
+            started,
+            at,
+        } => format!("d {op} {client} {} {};", started.as_nanos(), at.as_nanos()),
+        AppEvent::Phase { phase, at } => format!("p {phase} {};", at.as_nanos()),
+    };
+    h.put(s.as_bytes());
 }
 
 fn flow(src: u32, dst: u32, bytes: u64, at_ns: u64) -> FlowSpec {
@@ -307,7 +290,7 @@ fn generated(model: &TrafficModel, c: &TrafficCtx) -> (usize, String) {
     let stream = model.generate(c);
     let mut h = Fnv::new();
     for f in &stream.flows {
-        h.flow(f);
+        put_flow(&mut h, f);
     }
     h.put(format!("incast_from {:?}", stream.incast_from).as_bytes());
     (stream.flows.len(), h.hex())
@@ -321,13 +304,13 @@ fn driven(model: &TrafficModel, c: &TrafficCtx) -> (usize, String) {
     let mut cl = model.closed_loop(c).expect("a closed-loop model");
     let mut h = Fnv::new();
     for f in &cl.seed_flows {
-        h.flow(f);
+        put_flow(&mut h, f);
     }
     let mut sink = AppSink::new();
     cl.driver.on_start(&mut sink);
     assert!(sink.flows.is_empty(), "on_start spawns nothing");
     for e in &sink.events {
-        h.event(e);
+        put_event(&mut h, e);
     }
     let mut live: VecDeque<(u32, Time)> = cl
         .seed_flows
@@ -343,12 +326,12 @@ fn driven(model: &TrafficModel, c: &TrafficCtx) -> (usize, String) {
         sink.clear();
         cl.driver.on_flow_retired(now, flow, next_index, &mut sink);
         for spec in &sink.flows {
-            h.flow(spec);
+            put_flow(&mut h, spec);
             live.push_back((next_index, spec.at));
             next_index += 1;
         }
         for e in &sink.events {
-            h.event(e);
+            put_event(&mut h, e);
         }
     }
     (next_index as usize, h.hex())
