@@ -39,5 +39,5 @@ mod scheduler;
 mod time;
 
 pub use rng::SimRng;
-pub use scheduler::{SchedStats, SchedulePort, Scheduler, TimerId};
+pub use scheduler::{SchedStats, SchedulePort, Scheduler, TimerId, RING_SPAN};
 pub use time::{Duration, Time};

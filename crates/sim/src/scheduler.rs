@@ -11,13 +11,13 @@
 //! that is a measurable slice of the event budget. [`Scheduler`]
 //! replaces both halves:
 //!
-//! * **Ladder buckets.** Events land in a ring of fixed-width time
-//!   buckets (`2^BUCKET_SHIFT` ns each). Pushing links the entry into
-//!   its bucket's list in one pooled entry store; popping sorts one
-//!   small bucket at a time as the cursor reaches it and frees its
-//!   entries for reuse, so memory follows the entries pending, not the
-//!   virtual time a run covers. Events
-//!   beyond the ring's horizon wait in an unsorted overflow level and
+//! * **Ladder buckets.** Events land in a ring of 32 768 time buckets
+//!   of 32 ns each ([`RING_SPAN`], 1 048 576 ns). Pushing links the
+//!   entry into its bucket's list in one pooled entry store; popping
+//!   sorts one small bucket at a time as the cursor reaches it and
+//!   frees its entries for reuse, so memory follows the entries
+//!   pending, not the virtual time a run covers. Events beyond the
+//!   ring's horizon wait in an unsorted overflow level and
 //!   cascade into the ring when the clock approaches them — the classic
 //!   calendar/ladder-queue design, amortized O(1) per operation for the
 //!   dense event populations a packet simulation produces.
@@ -45,17 +45,47 @@
 //! property suite in `tests/tests/scheduler.rs` pins this against the
 //! binary-heap reference over random push/pop/arm/cancel/reserve
 //! interleavings.
+//!
+//! ## Bucket width
+//!
+//! Opening a bucket sorts it into the `due` run, and a push that lands
+//! in a bucket already open is inserted into that run, shifting every
+//! entry behind its place. Both costs grow with how many entries one
+//! bucket holds, so the width is set by the densest stream the
+//! simulator runs: a k=8 fat-tree carrying traffic on every link,
+//! about 2.5 events per ns. At 32 ns an opened bucket holds tens of
+//! entries there. Per pass of the benchmark's input set 0 of seed 1,
+//! 256 ns → 32 ns buckets (counts are deterministic):
+//!
+//! | workload | entries per opened bucket | due-run inserts × mean entries shifted |
+//! |---|---|---|
+//! | `paper-default-k8` | 97 → 15.5 | 809 k × 84.8 → 532 k × 8.4 |
+//! | `fabric-shuffle-k8` | 467 → 65.3 | 836 k × 152.4 → 441 k × 33.1 |
+//! | `incast-pfc-k8` | 26 → 3.9 | 1 044 k × 29.0 → 802 k × 0.9 |
+//! | `mice-flood-k8` | 663 → 92.4 | 319 k × 164.7 → 137 k × 35.0 |
+//! | `rpc-lossy-k4` | 47 → 6.3 | 1 410 k × 8.5 → 1 069 k × 1.0 |
+//!
+//! An empty bucket costs only its 4-byte list head. The 128 KB ring is
+//! allocated by the first push into it, not by [`Scheduler::new`], and
+//! comes zeroed from the allocator (an empty head is `0`) instead of
+//! being filled, so building a scheduler costs no more than with the
+//! 16 KB ring it replaced. The horizon stayed at 1 048 576 ns: long
+//! timers still overflow, and traffic still fits in the ring.
 
-use crate::Time;
+use crate::{Duration, Time};
 
 /// Number of buckets in the ring (power of two).
-const NUM_BUCKETS: usize = 4096;
-/// Bucket width in nanoseconds is `2^BUCKET_SHIFT`: 256 ns, roughly one
-/// MTU serialization time at 40 Gbps, so back-to-back packet events
-/// spread over neighbouring buckets instead of piling into one. The
-/// ring horizon is ~1 ms — wider than an RTT, narrower than RTO_high,
-/// so traffic events stay in the ring and only long timers overflow.
-const BUCKET_SHIFT: u32 = 8;
+const NUM_BUCKETS: usize = 32_768;
+/// Bucket width in nanoseconds is `2^BUCKET_SHIFT`: 32 ns, so an opened
+/// bucket holds tens of entries even on a k=8 fabric running flat out
+/// (see the module docs' density table).
+const BUCKET_SHIFT: u32 = 5;
+
+/// Virtual time one revolution of the ring covers, 1 048 576 ns: wider
+/// than an RTT, narrower than RTO_high, so traffic events stay in the
+/// ring and only long timers overflow. Code outside this file reads
+/// the ring's geometry through this constant alone.
+pub const RING_SPAN: Duration = Duration::nanos((NUM_BUCKETS as u64) << BUCKET_SHIFT);
 
 /// Handle to one logical, cancellable timer owned by a [`Scheduler`].
 ///
@@ -182,8 +212,10 @@ impl<E> Entry<E> {
     }
 }
 
-/// End of a ring list or of the free list.
-const NIL: u32 = u32::MAX;
+/// End of a ring list or of the free list. A link is a `pool` index
+/// plus one, so an empty ring is all zeroes and comes zeroed from the
+/// allocator instead of being filled.
+const NIL: u32 = 0;
 
 /// A deterministic future-event list with amortized O(1) operations and
 /// cancellable timers. See the module docs for the design and the
@@ -194,15 +226,17 @@ pub struct Scheduler<E> {
     due: Vec<Entry<E>>,
     /// The ring: slot `b % NUM_BUCKETS` heads the list of absolute
     /// bucket `b` for `cursor < b < cursor + NUM_BUCKETS` (unsorted;
-    /// [`NIL`] when empty). The lists link indices into `pool`.
+    /// [`NIL`] when empty). The lists link into `pool`, one-based.
+    /// Allocated by the first push into the ring, so building a
+    /// scheduler touches none of its 128 KB.
     ring: Vec<u32>,
     /// Every entry the ring holds, one store for all buckets, so its
     /// length is the peak number pending in the ring at once.
     pool: Vec<Entry<E>>,
-    /// `next[i]` follows `pool[i]` in its bucket's list, or in the free
-    /// list once the bucket is opened.
+    /// `next[i]` is the link after `pool[i]` in its bucket's list, or
+    /// in the free list once the bucket is opened.
     next: Vec<u32>,
-    /// Head of the LIFO list of reusable `pool` indices.
+    /// Head of the LIFO list of reusable `pool` slots.
     free: u32,
     /// Entries (live + tombstoned) currently in the ring.
     ring_len: usize,
@@ -233,7 +267,7 @@ impl<E: Copy> Scheduler<E> {
     pub fn new() -> Scheduler<E> {
         Scheduler {
             due: Vec::new(),
-            ring: vec![NIL; NUM_BUCKETS],
+            ring: Vec::new(),
             pool: Vec::new(),
             next: Vec::new(),
             free: NIL,
@@ -401,21 +435,25 @@ impl<E: Copy> Scheduler<E> {
     }
 
     /// Link `entry` at the head of absolute bucket `bucket`'s ring list,
-    /// in a freed pool index if there is one.
+    /// in a freed pool slot if there is one.
     fn ring_push(&mut self, bucket: u64, entry: Entry<E>) {
+        if self.ring.is_empty() {
+            self.ring = vec![NIL; NUM_BUCKETS]; // zeroed memory, no fill
+        }
         let slot = &mut self.ring[(bucket as usize) & (NUM_BUCKETS - 1)];
-        let idx = if self.free == NIL {
+        let link = if self.free == NIL {
             self.pool.push(entry);
             self.next.push(*slot);
-            (self.pool.len() - 1) as u32
+            self.pool.len() as u32
         } else {
-            let idx = self.free;
-            self.free = self.next[idx as usize];
-            self.pool[idx as usize] = entry;
-            self.next[idx as usize] = *slot;
-            idx
+            let link = self.free;
+            let i = (link - 1) as usize;
+            self.free = self.next[i];
+            self.pool[i] = entry;
+            self.next[i] = *slot;
+            link
         };
-        *slot = idx;
+        *slot = link;
         self.ring_len += 1;
     }
 
@@ -487,16 +525,17 @@ impl<E: Copy> Scheduler<E> {
         // cascade can target a bucket at or behind the cursor, whose
         // slot — if any — belongs to a future ring revolution). Its
         // list is copied into the drained `due` buffer, which keeps its
-        // capacity, and its pool indices go back on the free list.
+        // capacity, and its pool slots go back on the free list.
         debug_assert!(self.due.is_empty());
         let mut batch = std::mem::take(&mut self.due);
         if b_ring == Some(bucket) {
-            let mut idx = std::mem::replace(&mut self.ring[(bucket as usize) & MASK], NIL);
-            while idx != NIL {
-                let i = idx as usize;
+            let mut link = std::mem::replace(&mut self.ring[(bucket as usize) & MASK], NIL);
+            while link != NIL {
+                let i = (link - 1) as usize;
                 batch.push(self.pool[i]);
-                idx = std::mem::replace(&mut self.next[i], self.free);
-                self.free = i as u32;
+                let after = std::mem::replace(&mut self.next[i], self.free);
+                self.free = link;
+                link = after;
                 self.ring_len -= 1;
             }
         }
@@ -528,8 +567,7 @@ impl<E: Copy> Scheduler<E> {
             self.overflow = rest;
         }
 
-        batch.sort_unstable_by_key(|e| e.key());
-        batch.reverse();
+        batch.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
         self.due = batch;
     }
 
@@ -567,7 +605,6 @@ impl<E: Copy> Scheduler<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Duration;
 
     fn drain<E: Copy>(s: &mut Scheduler<E>) -> Vec<(Time, E)> {
         std::iter::from_fn(|| s.pop()).collect()
@@ -885,6 +922,41 @@ mod tests {
             sink,
             vec![(Time::from_nanos(5), 2), (Time::from_nanos(5), 1)]
         );
+    }
+
+    #[test]
+    fn the_due_run_stays_short_at_k8_fabric_density() {
+        // `fabric-shuffle-k8`'s density: 256 ports each finish a
+        // 1 048 B frame every 210 ns (40 Gbps) and schedule its
+        // arrival one serialization and a 2 µs propagation delay
+        // ahead, about 2.4 events per ns. The `due` run holds an opened
+        // bucket and whatever is pushed into it while it is open; every
+        // insert into it shifts up to its length. It peaks at 79
+        // entries in 32 ns buckets, 157 in 64 ns and 569 in 256 ns.
+        const PORTS: u64 = 256;
+        const SERIALIZATION: u64 = 210;
+        const PROPAGATION: u64 = 2_000;
+        const END: u64 = 100_000;
+        const ARRIVAL: u64 = u64::MAX;
+        let mut s: Scheduler<u64> = Scheduler::new();
+        for port in 0..PORTS {
+            s.push(Time::from_nanos(port * SERIALIZATION / PORTS), port);
+        }
+        let (mut peak, mut pops) = (0, 0u64);
+        while let Some((t, e)) = s.pop() {
+            pops += 1;
+            // Before the pop the run was one longer.
+            peak = peak.max(s.due.len() + 1);
+            if e == ARRIVAL || t.as_nanos() >= END {
+                continue;
+            }
+            s.push(t + Duration::nanos(SERIALIZATION), e);
+            s.push(t + Duration::nanos(SERIALIZATION + PROPAGATION), ARRIVAL);
+            peak = peak.max(s.due.len());
+        }
+        let per_ns = pops as f64 / END as f64;
+        assert!((2.3..2.6).contains(&per_ns), "{per_ns} events per ns");
+        assert!(peak <= 128, "the due run peaked at {peak} entries");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use irn_core::transport::config::TransportKind;
 use irn_core::workload::SizeDistribution;
 use irn_core::{ExperimentConfig, TopologySpec, TrafficModel};
 use irn_integration::{run, EventQueue, TimerSlot};
-use irn_sim::{Duration, Scheduler, Time, TimerId};
+use irn_sim::{Duration, SchedStats, Scheduler, Time, TimerId, RING_SPAN};
 use proptest::prelude::*;
 
 const TIMERS: usize = 4;
@@ -99,13 +99,13 @@ impl Reference {
     }
 }
 
-/// One revolution of the scheduler's ring: 4 096 buckets of 256 ns.
-const RING_SPAN_NS: u64 = 4096 << 8;
+/// One revolution of the scheduler's ring.
+const RING_SPAN_NS: u64 = RING_SPAN.as_nanos();
 
 /// Both queues driven in lockstep. `ops` is a flat op stream:
 /// `(selector, timer index, time gap)`. Returns the time of the last
-/// event delivered.
-fn run_differential(ops: &[(usize, usize, u64)]) -> Time {
+/// event delivered and the scheduler's counters.
+fn run_differential(ops: &[(usize, usize, u64)]) -> (Time, SchedStats) {
     let mut sched: Scheduler<u64> = Scheduler::new();
     let ids: Vec<TimerId> = (0..TIMERS).map(|_| sched.timer_create()).collect();
     let mut reference = Reference::new();
@@ -211,7 +211,7 @@ fn run_differential(ops: &[(usize, usize, u64)]) -> Time {
     let stats = sched.stats();
     assert_eq!(stats.pushes, stats.pops + stats.stale_skips);
     assert_eq!(stats.pushes, tag);
-    sched.now()
+    (sched.now(), stats)
 }
 
 proptest! {
@@ -237,14 +237,17 @@ proptest! {
         run_differential(&ops);
     }
 
-    /// Far-horizon variant: gaps past the ring horizon (~1 ms) park
-    /// events in the overflow level, exercising cascades against the
-    /// reference.
+    /// Far-horizon variant: gaps past the ring horizon park events in
+    /// the overflow level, exercising cascades against the reference.
+    /// Every case opens with a push two revolutions out, which only a
+    /// cascade can bring back.
     #[test]
     fn scheduler_matches_reference_across_cascades(
-        ops in proptest::collection::vec((0usize..7, 0usize..TIMERS, 0u64..3_000_000), 1..200),
+        ops in proptest::collection::vec((0usize..7, 0usize..TIMERS, 0u64..3 * RING_SPAN_NS), 1..200),
     ) {
-        run_differential(&ops);
+        let ops: Vec<_> = std::iter::once((0, 0, 2 * RING_SPAN_NS)).chain(ops).collect();
+        let (_, stats) = run_differential(&ops);
+        prop_assert!(stats.cascades >= 1, "no cascade ran");
     }
 
     /// Many-revolution variant: a pop follows every op, so the clock
@@ -256,7 +259,7 @@ proptest! {
         ops in proptest::collection::vec((0usize..7, 0usize..TIMERS, 0u64..100_000), 400..800),
     ) {
         let ops: Vec<_> = ops.iter().flat_map(|&op| [op, (3, 0, 0)]).collect();
-        let reached = run_differential(&ops);
+        let (reached, _) = run_differential(&ops);
         prop_assert!(
             reached.as_nanos() >= 3 * RING_SPAN_NS,
             "the run reached only {reached}"
