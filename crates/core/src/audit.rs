@@ -17,7 +17,7 @@ use irn_net::FabricStats;
 use crate::result::{SchedCounters, TransportTotals};
 
 /// What the laws read: the engine's books at the end of a run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Books {
     /// The fabric ran PFC.
     pub pfc: bool,

@@ -35,6 +35,7 @@
 pub mod audit;
 pub mod config;
 pub mod engine;
+mod flows;
 pub mod result;
 pub mod scenario;
 

@@ -31,17 +31,6 @@ impl TransportTotals {
     }
 }
 
-impl std::ops::AddAssign<irn_transport::SenderStats> for TransportTotals {
-    /// Fold one flow's sender counters into the run's.
-    fn add_assign(&mut self, s: irn_transport::SenderStats) {
-        self.sent += s.sent;
-        self.retransmitted += s.retransmitted;
-        self.nacks += s.nacks;
-        self.timeouts += s.timeouts;
-        self.cnps += s.cnps;
-    }
-}
-
 /// Event-loop health counters: per-event-kind totals plus the
 /// scheduler's invariant violations. All values are deterministic
 /// functions of the config (they count simulation events, not wall

@@ -46,7 +46,7 @@ pub enum SenderPoll {
     /// packet; a sender that answered `Blocked` answers `Blocked` again,
     /// at any later time and without changing state, until one of the
     /// first three is called. The engine relies on this to stop polling
-    /// such a sender (`FlowSlab::poll_sender` in `irn-core`; its debug
+    /// such a sender (`Flows::poll_sender` in `irn-core`; its debug
     /// builds assert it at every skipped poll). Anything that the clock
     /// alone can unblock — a pacing gap, the retransmission-fetch delay
     /// — must be [`SenderPoll::Wait`], never `Blocked`.

@@ -2,8 +2,8 @@
 //! each kind of sender feed across them while they wait.
 //!
 //! The engine answers for a sender that reported `Blocked` without
-//! polling it again until something is fed to it (`FlowSlab::poll_sender`
-//! in `crates/core/src/engine.rs`). In debug builds every such skipped
+//! polling it again until something is fed to it (`Flows::poll_sender`
+//! in `crates/core/src/flows.rs`). In debug builds every such skipped
 //! poll is still made and asserted to be `Blocked`, so this grid is the
 //! oracle for the contract on `SenderPoll::Blocked`: pacing and
 //! fetch-delay gates (`Wait`, never parked), NACK rewinds, RTO fires and

@@ -13,7 +13,7 @@
 use irn_experiments::artifacts::{self, Artifact, BatchRun};
 use irn_experiments::{Plan, Scale};
 use irn_harness::ThreadExecutor;
-use irn_integration::report_alone;
+use irn_integration::{fnv_hex, report_alone};
 
 /// Debug-profile-friendly scale (CI runs these tests unoptimized too).
 fn tiny() -> Scale {
@@ -163,12 +163,14 @@ fn batch_cell_count_sums_per_artifact_plans() {
 
 /// The scheduler-swap pin: **every** registered artifact — the full
 /// `repro all` surface, no carve-out — renders byte-identical stdout
-/// and byte-identical schema-v2 JSON at jobs=1 vs jobs=8 and across
-/// two runs at the same job count, through the global batch. This is
-/// the acceptance gate that lets the event-scheduler implementation
-/// change underneath the artifacts: any drift in event order
-/// (tie-breaks, timer delivery, arrival streaming) shows up here as a
-/// byte diff, and so would an artifact that read a clock.
+/// and byte-identical schema-v2 JSON at jobs=1 vs jobs=8, through the
+/// global batch, and its jobs=1 bytes match the committed
+/// `registry-digests.txt` (one line per artifact: name, FNV-1a of the
+/// render, FNV-1a of the JSON). This is the acceptance gate that lets
+/// the engine change underneath the artifacts: any drift in event
+/// order (tie-breaks, timer delivery, arrival streaming) or in a
+/// simulated byte shows up here as a moved digest, and so would an
+/// artifact that read a clock.
 ///
 /// The serial pass also pins every report's *shape* — row labels ×
 /// column names, per artifact — against `report-shapes.txt`, captured
@@ -176,7 +178,7 @@ fn batch_cell_count_sums_per_artifact_plans() {
 /// row that groups or folds its cells differently fails here by name.
 #[test]
 fn every_deterministic_artifact_is_byte_stable_across_job_counts() {
-    // Debug-profile budget: this runs the whole registry three times,
+    // Debug-profile budget: this runs the whole registry twice,
     // so the scale is the smallest that still exercises every
     // artifact's full cell matrix.
     let scale = Scale {
@@ -215,13 +217,29 @@ fn every_deterministic_artifact_is_byte_stable_across_job_counts() {
     );
 
     let serial = render(&serial_batch);
-    for what in ["jobs=8", "a second jobs=8 run"] {
-        let other = render(&run_batch(&items, 8));
-        for (((name, _), (s_txt, s_json)), (o_txt, o_json)) in items.iter().zip(&serial).zip(&other)
-        {
-            assert_eq!(s_txt, o_txt, "{name}: stdout differs jobs=1 vs {what}");
-            assert_eq!(s_json, o_json, "{name}: JSON differs jobs=1 vs {what}");
-        }
+    let digests: String = items
+        .iter()
+        .zip(&serial)
+        .map(|((name, _), (txt, json))| format!("{name} {} {}\n", fnv_hex([txt]), fnv_hex([json])))
+        .collect();
+    let path = format!(
+        "{}/tests/fixtures/registry-digests.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    for (got, pinned) in digests.lines().zip(want.lines()) {
+        assert_eq!(got, pinned, "artifact, render digest, JSON digest");
+    }
+    assert_eq!(
+        digests.lines().count(),
+        want.lines().count(),
+        "artifact count"
+    );
+
+    let other = render(&run_batch(&items, 8));
+    for (((name, _), (s_txt, s_json)), (o_txt, o_json)) in items.iter().zip(&serial).zip(&other) {
+        assert_eq!(s_txt, o_txt, "{name}: stdout differs jobs=1 vs jobs=8");
+        assert_eq!(s_json, o_json, "{name}: JSON differs jobs=1 vs jobs=8");
     }
 }
 
