@@ -31,12 +31,29 @@ pub struct Books {
     pub sched: SchedCounters,
     /// Events the loop processed.
     pub events: u64,
+    /// The scheduler's entry books.
+    pub entries: Entries,
     /// `ceil(bytes / mtu)` summed over the flows that started: the
     /// packets each sender must have sent for the first time, once.
     pub first_sends: u64,
     /// A closed-loop run's books when its queue drains; `None` for an
     /// open-loop run, whose loop stops at the last completion.
     pub drain: Option<Drain>,
+}
+
+/// The scheduler's entry books at the end of a run: every entry pushed
+/// was popped live, was reclaimed dead, or is still pending.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Entries {
+    /// Entries pushed, timer arms included.
+    pub pushes: u64,
+    /// Live entries popped.
+    pub pops: u64,
+    /// Dead timer entries removed (`SchedStats::stale_skips`).
+    pub reclaimed: u64,
+    /// Entries still held, live or dead: the ring's, the open `due`
+    /// run's and the overflow's (`Scheduler::held`).
+    pub pending: u64,
 }
 
 /// A closed-loop run's books when its queue drains: what its driver
@@ -90,6 +107,8 @@ pub enum Law {
     FiresWithinArms,
     /// Timers are cancelled at most as often as they are armed.
     CancelsWithinArms,
+    /// Every scheduler entry is popped, reclaimed or still pending.
+    EntriesAddUp,
 }
 
 impl Law {
@@ -110,6 +129,7 @@ impl Law {
             Law::EventsAddUp => "sum of per-kind event counters == events",
             Law::FiresWithinArms => "timer fires <= timer arms",
             Law::CancelsWithinArms => "timer cancels <= timer arms",
+            Law::EntriesAddUp => "scheduler pushes == pops + reclaimed + pending",
         }
     }
 
@@ -156,6 +176,7 @@ pub fn audit(b: &Books) -> Result<(), AuditFailure> {
     let no_faults = !b.fault_injection;
     let drained = b.drain.is_some();
     let drain = b.drain.unwrap_or_default();
+    let e = &b.entries;
     // (law, whether it applies to this run, left, right)
     let laws = [
         (FlowsPromised, drained, drain.flows, drain.promised.0),
@@ -172,6 +193,12 @@ pub fn audit(b: &Books) -> Result<(), AuditFailure> {
         (EventsAddUp, true, kinds, b.events),
         (FiresWithinArms, true, fires, s.timer_arms),
         (CancelsWithinArms, true, s.timer_cancels, s.timer_arms),
+        (
+            EntriesAddUp,
+            true,
+            e.pushes,
+            e.pops + e.reclaimed + e.pending,
+        ),
     ];
     match laws
         .into_iter()
@@ -214,6 +241,14 @@ mod tests {
                 ..SchedCounters::default()
             },
             events: 1_200,
+            // Every event but the streamed arrivals is a pop; the
+            // 30 cancels' entries were reclaimed.
+            entries: Entries {
+                pushes: 1_038,
+                pops: 1_008,
+                reclaimed: 30,
+                pending: 0,
+            },
             first_sends: 200,
             drain: Some(Drain {
                 promised: (192, 96),
@@ -279,7 +314,7 @@ mod tests {
     #[test]
     fn every_law_fires() {
         type Doctor = fn(&mut Books);
-        let cases: [(Doctor, Option<AuditFailure>); 14] = [
+        let cases: [(Doctor, Option<AuditFailure>); 15] = [
             (
                 |b| drain(b).flows = 191,
                 fails(Law::FlowsPromised, 191, 192),
@@ -323,6 +358,11 @@ mod tests {
             (
                 |b| b.sched.timer_cancels = 41,
                 fails(Law::CancelsWithinArms, 41, 40),
+            ),
+            // An unlink that frees its entry without counting it.
+            (
+                |b| b.entries.reclaimed -= 1,
+                fails(Law::EntriesAddUp, 1_038, 1_037),
             ),
         ];
         for (doctor, want) in cases {

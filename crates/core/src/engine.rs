@@ -32,7 +32,7 @@ use irn_sim::{Scheduler, Time, TimerId};
 use irn_transport::{HostNic, NicPoll};
 use irn_workload::{AppDriver, AppEvent, AppSink, Arrivals, FlowSpec, TrafficCtx};
 
-use crate::audit::{audit, AuditFailure, Books, Drain};
+use crate::audit::{audit, AuditFailure, Books, Drain, Entries};
 use crate::config::ExperimentConfig;
 use crate::flows::Flows;
 use crate::result::{MemoryStats, RunResult, SchedCounters};
@@ -405,6 +405,12 @@ impl Simulation {
             fabric,
             sched: self.counters,
             events,
+            entries: Entries {
+                pushes: sstats.pushes,
+                pops: sstats.pops,
+                reclaimed: sstats.stale_skips,
+                pending: self.sched.held() as u64,
+            },
             drain,
             ..books
         })

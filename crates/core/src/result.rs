@@ -49,9 +49,12 @@ pub struct SchedCounters {
     pub timer_arms: u64,
     /// Timer cancellations that removed a pending deadline.
     pub timer_cancels: u64,
-    /// Cancelled/superseded deadlines reclaimed inside the scheduler.
-    /// These were *removed*, not delivered — the pre-scheduler engine
-    /// popped and discarded an event for each of them.
+    /// Cancelled/superseded deadlines removed inside the scheduler,
+    /// counted when each goes: most with the cancel or re-arm itself,
+    /// the rest when the scheduler reaches them (and an open-loop run
+    /// ends with a few still pending, uncounted). These were *removed*,
+    /// not delivered — the pre-scheduler engine popped and discarded an
+    /// event for each of them.
     pub stale_timer_reclaims: u64,
     /// Timer events that surfaced for an already-finished flow. The
     /// scheduler's cancel-on-completion makes this structurally zero;

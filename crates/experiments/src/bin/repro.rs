@@ -653,9 +653,10 @@ fn report_batch_timing(
 fn per_report_stderr(name: &str, plan: &Plan, item: &ItemRun) {
     let (class, seeds, timing) = (plan.determinism(), plan.seeds(), &item.timing);
     if timing.cells > 0 {
-        // Stale-timer skips ride along when nonzero: reclaiming a
-        // superseded deadline is benign, but a sudden jump is the first
-        // symptom of a scheduling bug.
+        // Stale-timer skips ride along when nonzero: each is a cancelled
+        // or superseded deadline the scheduler removed, nearly always
+        // with the cancel or re-arm itself, so the count tracks those
+        // calls; a sudden jump is the first symptom of a scheduling bug.
         let sched = item
             .telemetry
             .as_ref()

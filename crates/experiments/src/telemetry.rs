@@ -81,7 +81,7 @@ pub struct SchedBlock {
     pub timer_arms: u64,
     /// Timer cancels requested of the scheduler.
     pub timer_cancels: u64,
-    /// Stale timer entries reclaimed lazily by the scheduler.
+    /// Cancelled or superseded timer entries the scheduler removed.
     pub stale_timer_reclaims: u64,
     /// Events scheduled in the past and clamped to "now".
     pub past_clamps: u64,

@@ -22,12 +22,18 @@
 //!   calendar/ladder-queue design, amortized O(1) per operation for the
 //!   dense event populations a packet simulation produces.
 //! * **First-class timers.** [`Scheduler::timer_arm`] /
-//!   [`Scheduler::timer_cancel`] give O(1) cancellation: a cancelled or
-//!   superseded deadline is invalidated immediately and **never
-//!   surfaces from [`Scheduler::pop`]** — the owner no longer sees (or
-//!   has to filter) stale expiries. The tombstoned entry is reclaimed
-//!   in O(1) when its bucket drains, counted in
-//!   [`SchedStats::stale_skips`].
+//!   [`Scheduler::timer_cancel`] invalidate a cancelled or superseded
+//!   deadline immediately, and it **never surfaces from
+//!   [`Scheduler::pop`]** — the owner no longer sees (or has to filter)
+//!   stale expiries. A timer remembers the ring link of its armed
+//!   entry, so a dead deadline still waiting in the ring is spliced
+//!   out of its bucket's list and its pool slot freed at once (a walk
+//!   of that one bucket, past 1.5 entries on average on
+//!   `mice-flood-k8`): the ring and its pool hold only live events. Only a
+//!   deadline that dies after its bucket opened, or while it waits in
+//!   the overflow, is left behind, as a tombstone its generation
+//!   stamp gives away. Every dead deadline is counted once, when it is
+//!   removed, in [`SchedStats::stale_skips`].
 //!
 //! ## Determinism contract
 //!
@@ -95,7 +101,8 @@ pub const RING_SPAN: Duration = Duration::nanos((NUM_BUCKETS as u64) << BUCKET_S
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimerId(u32);
 
-/// Internal per-timer state: the live generation and deadline mirror.
+/// Internal per-timer state: the live generation, the deadline mirror
+/// and where the armed entry waits.
 #[derive(Debug, Clone, Copy)]
 struct TimerState {
     /// Bumped (wrapping) on every arm/cancel; an entry whose stamped
@@ -105,6 +112,10 @@ struct TimerState {
     /// bucket — orders of magnitude beyond what any pending window
     /// (≤ RTO horizon) can produce.
     generation: u32,
+    /// Ring link of the armed entry while it waits in the ring (its
+    /// bucket is the deadline's); [`NIL`] while it is in `due` or the
+    /// overflow, or when nothing is armed.
+    link: u32,
     /// Deadline of the live entry, if armed.
     deadline: Option<Time>,
 }
@@ -120,8 +131,11 @@ pub struct SchedStats {
     pub timer_arms: u64,
     /// Timer cancellations that invalidated a live deadline.
     pub timer_cancels: u64,
-    /// Tombstoned (cancelled / superseded) entries reclaimed while
-    /// draining buckets. These never surface from [`Scheduler::pop`].
+    /// Dead (cancelled / superseded) timer entries removed, each
+    /// counted once when it goes: unlinked from the ring by the cancel
+    /// or re-arm itself, or, for the residue, dropped from the open
+    /// `due` run, by a cascade or when nothing live is left. These
+    /// never surface from [`Scheduler::pop`].
     pub stale_skips: u64,
     /// Past-scheduled events clamped to "now". A nonzero count means a
     /// model scheduled backwards in time — a logic error that release
@@ -238,9 +252,10 @@ pub struct Scheduler<E> {
     next: Vec<u32>,
     /// Head of the LIFO list of reusable `pool` slots.
     free: u32,
-    /// Entries (live + tombstoned) currently in the ring.
+    /// Entries currently in the ring, every one of them live.
     ring_len: usize,
-    /// Unsorted events at or beyond the ring horizon.
+    /// Unsorted events at or beyond the ring horizon (tombstones
+    /// included).
     overflow: Vec<Entry<E>>,
     /// Minimum timestamp present in `overflow` (tombstones included).
     overflow_min: Option<Time>,
@@ -308,6 +323,13 @@ impl<E: Copy> Scheduler<E> {
         self.stats
     }
 
+    /// Entries held, live or dead: the ring's, the `due` run's and the
+    /// overflow's. Every entry pushed was popped, was removed dead
+    /// ([`SchedStats::stale_skips`]) or is one of these.
+    pub fn held(&self) -> usize {
+        self.ring_len + self.due.len() + self.overflow.len()
+    }
+
     /// Advance the clock without popping (the embedding loop consumed
     /// an event from outside the queue, e.g. a lazily streamed flow
     /// arrival). Time never runs backwards; an earlier `t` is a no-op.
@@ -357,40 +379,76 @@ impl<E: Copy> Scheduler<E> {
         let id = TimerId(self.timers.len() as u32);
         self.timers.push(TimerState {
             generation: 0,
+            link: NIL,
             deadline: None,
         });
         id
     }
 
     /// Arm (or re-arm) `timer` to deliver `event` at `deadline`. A
-    /// previously armed deadline is cancelled in O(1) — its entry will
-    /// never pop.
+    /// previously armed deadline is cancelled as by
+    /// [`Scheduler::timer_cancel`] — its entry will never pop.
     pub fn timer_arm(&mut self, timer: TimerId, deadline: Time, event: E) {
+        self.disarm(timer);
         let idx = timer.0 as usize;
-        self.timers[idx].generation = self.timers[idx].generation.wrapping_add(1);
-        if self.timers[idx].deadline.take().is_some() {
-            self.live -= 1; // the superseded entry is now a tombstone
-        }
         // Mirror the deadline the entry will actually fire at: a past
         // deadline is clamped (and counted) by `insert`, and the mirror
         // must agree or deadline-based dedup would compare against a
-        // phantom time that never pops.
+        // phantom time that never pops. The unlink reads its bucket
+        // from the mirror, too.
         self.timers[idx].deadline = Some(deadline.max(self.now));
         let generation = self.timers[idx].generation;
         self.stats.timer_arms += 1;
         let seq = self.reserve();
-        self.insert(deadline, seq, event, timer.0, generation);
+        self.timers[idx].link = self.insert(deadline, seq, event, timer.0, generation);
     }
 
-    /// Cancel whatever is armed on `timer` in O(1). A no-op (beyond the
+    /// Cancel whatever is armed on `timer`. A no-op (beyond the
     /// generation bump) if the timer is not armed.
     pub fn timer_cancel(&mut self, timer: TimerId) {
-        let idx = timer.0 as usize;
-        self.timers[idx].generation = self.timers[idx].generation.wrapping_add(1);
-        if self.timers[idx].deadline.take().is_some() {
-            self.live -= 1;
+        if self.disarm(timer) {
             self.stats.timer_cancels += 1;
         }
+    }
+
+    /// Bump `timer`'s generation and kill its armed entry, if any: one
+    /// waiting in the ring is unlinked and freed now, one in `due` or
+    /// the overflow stays behind as a tombstone. True if a live
+    /// deadline died.
+    fn disarm(&mut self, timer: TimerId) -> bool {
+        let state = &mut self.timers[timer.0 as usize];
+        state.generation = state.generation.wrapping_add(1);
+        let Some(deadline) = state.deadline.take() else {
+            return false;
+        };
+        let link = std::mem::replace(&mut state.link, NIL);
+        self.live -= 1;
+        if link != NIL {
+            self.unlink(Self::bucket_of(deadline), link);
+        }
+        true
+    }
+
+    /// Splice `link` out of absolute bucket `bucket`'s ring list, free
+    /// its pool slot and count the dead entry reclaimed. The list is
+    /// walked from its head: buckets are 32 ns wide, so it is short.
+    fn unlink(&mut self, bucket: u64, link: u32) {
+        let i = (link - 1) as usize;
+        let after = self.next[i];
+        let head = &mut self.ring[(bucket as usize) & (NUM_BUCKETS - 1)];
+        if *head == link {
+            *head = after;
+        } else {
+            let mut prev = (*head - 1) as usize;
+            while self.next[prev] != link {
+                prev = (self.next[prev] - 1) as usize;
+            }
+            self.next[prev] = after;
+        }
+        self.next[i] = self.free;
+        self.free = link;
+        self.ring_len -= 1;
+        self.stats.stale_skips += 1;
     }
 
     /// The live deadline of `timer`, if armed.
@@ -398,7 +456,9 @@ impl<E: Copy> Scheduler<E> {
         self.timers[timer.0 as usize].deadline
     }
 
-    fn insert(&mut self, at: Time, seq: u64, event: E, timer_id: u32, timer_gen: u32) {
+    /// Enter an entry where its bucket says. Returns its ring link if
+    /// it went into the ring, else [`NIL`].
+    fn insert(&mut self, at: Time, seq: u64, event: E, timer_id: u32, timer_gen: u32) -> u32 {
         debug_assert!(
             at >= self.now,
             "scheduled event in the past: {at} < {}",
@@ -426,17 +486,19 @@ impl<E: Copy> Scheduler<E> {
             let key = entry.key();
             let idx = self.due.partition_point(|e| e.key() > key);
             self.due.insert(idx, entry);
+            NIL
         } else if bucket - self.cursor < NUM_BUCKETS as u64 {
-            self.ring_push(bucket, entry);
+            self.ring_push(bucket, entry)
         } else {
             self.overflow_min = Some(self.overflow_min.map_or(at, |m| m.min(at)));
             self.overflow.push(entry);
+            NIL
         }
     }
 
     /// Link `entry` at the head of absolute bucket `bucket`'s ring list,
-    /// in a freed pool slot if there is one.
-    fn ring_push(&mut self, bucket: u64, entry: Entry<E>) {
+    /// in a freed pool slot if there is one, and return its link.
+    fn ring_push(&mut self, bucket: u64, entry: Entry<E>) -> u32 {
         if self.ring.is_empty() {
             self.ring = vec![NIL; NUM_BUCKETS]; // zeroed memory, no fill
         }
@@ -455,6 +517,7 @@ impl<E: Copy> Scheduler<E> {
         };
         *slot = link;
         self.ring_len += 1;
+        link
     }
 
     /// True if `entry` is a cancelled/superseded timer expiry.
@@ -478,17 +541,11 @@ impl<E: Copy> Scheduler<E> {
                 None => {}
             }
             if self.live == 0 {
-                // Only tombstones (if anything) remain; reclaim in bulk.
-                let dropped = self.ring_len + self.overflow.len();
-                if dropped > 0 {
-                    self.ring.fill(NIL);
-                    self.pool.clear();
-                    self.next.clear();
-                    self.free = NIL;
-                    self.ring_len = 0;
-                    self.overflow.clear();
-                    self.stats.stale_skips += dropped as u64;
-                }
+                // The ring holds only live entries, so any tombstones
+                // left wait in the overflow; reclaim them in bulk.
+                debug_assert_eq!(self.ring_len, 0, "a dead entry in the ring");
+                self.stats.stale_skips += self.overflow.len() as u64;
+                self.overflow.clear();
                 self.overflow_min = None;
                 return false;
             }
@@ -525,14 +582,20 @@ impl<E: Copy> Scheduler<E> {
         // cascade can target a bucket at or behind the cursor, whose
         // slot — if any — belongs to a future ring revolution). Its
         // list is copied into the drained `due` buffer, which keeps its
-        // capacity, and its pool slots go back on the free list.
+        // capacity, and its pool slots go back on the free list. A
+        // timer whose entry leaves the ring forgets its link: from here
+        // on a cancel leaves it in `due` as a tombstone.
         debug_assert!(self.due.is_empty());
         let mut batch = std::mem::take(&mut self.due);
         if b_ring == Some(bucket) {
             let mut link = std::mem::replace(&mut self.ring[(bucket as usize) & MASK], NIL);
             while link != NIL {
                 let i = (link - 1) as usize;
-                batch.push(self.pool[i]);
+                let entry = self.pool[i];
+                if entry.timer_id != NO_TIMER {
+                    self.timers[entry.timer_id as usize].link = NIL;
+                }
+                batch.push(entry);
                 let after = std::mem::replace(&mut self.next[i], self.free);
                 self.free = link;
                 link = after;
@@ -552,16 +615,28 @@ impl<E: Copy> Scheduler<E> {
             let mut rest = Vec::new();
             for entry in std::mem::take(&mut self.overflow) {
                 let eb = Self::bucket_of(entry.time);
-                if eb <= bucket {
-                    batch.push(entry);
-                } else if eb - self.cursor < NUM_BUCKETS as u64 {
-                    // Spill the newly reachable window into the ring so
-                    // the next cascades shrink.
-                    self.ring_push(eb, entry);
-                } else {
+                if eb > bucket && eb - self.cursor >= NUM_BUCKETS as u64 {
+                    // Still beyond the horizon: it waits, dead or
+                    // alive, so the overflow's minimum, and with it
+                    // when each cascade runs (a `sched.cascade` trace
+                    // line), does not depend on what was cancelled.
                     self.overflow_min =
                         Some(self.overflow_min.map_or(entry.time, |m| m.min(entry.time)));
                     rest.push(entry);
+                } else if self.is_stale(&entry) {
+                    // Due now or reachable: a dead entry goes here, not
+                    // into `due` or the ring.
+                    self.stats.stale_skips += 1;
+                } else if eb <= bucket {
+                    batch.push(entry);
+                } else {
+                    // Spill the newly reachable window into the ring so
+                    // the next cascades shrink; a timer's entry records
+                    // its link there.
+                    let link = self.ring_push(eb, entry);
+                    if entry.timer_id != NO_TIMER {
+                        self.timers[entry.timer_id as usize].link = link;
+                    }
                 }
             }
             self.overflow = rest;
@@ -959,13 +1034,148 @@ mod tests {
         assert!(peak <= 128, "the due run peaked at {peak} entries");
     }
 
+    /// Walk every ring list: `ring_len` counts exactly the entries
+    /// found, and all of them are live.
+    fn assert_ring_live<E: Copy>(s: &Scheduler<E>) {
+        let mut found = 0;
+        for &head in &s.ring {
+            let mut link = head;
+            while link != NIL {
+                let i = (link - 1) as usize;
+                assert!(!s.is_stale(&s.pool[i]), "a dead entry waits in the ring");
+                found += 1;
+                link = s.next[i];
+            }
+        }
+        assert_eq!(s.ring_len, found, "ring_len against a walk of the ring");
+    }
+
+    #[test]
+    fn a_cancel_unlinks_its_entry_at_the_head_middle_or_tail_of_a_bucket() {
+        // Three deadlines in one 32 ns bucket: the list is pushed at its
+        // head, so it reads c → b → a. Cancel each position in turn.
+        for (victim, name) in [(2, "head"), (1, "middle"), (0, "tail")] {
+            let mut s: Scheduler<usize> = Scheduler::new();
+            let timers: Vec<TimerId> = (0..3).map(|_| s.timer_create()).collect();
+            for (k, &t) in timers.iter().enumerate() {
+                s.timer_arm(t, Time::from_nanos(1_000 + k as u64), k);
+                assert_ring_live(&s);
+            }
+            s.push(Time::from_nanos(5_000), 9);
+            assert_eq!((s.ring_len, s.pool.len()), (4, 4));
+            s.timer_cancel(timers[victim]);
+            assert_ring_live(&s);
+            assert_eq!(s.ring_len, 3, "{name}");
+            assert_eq!(s.stats().stale_skips, 1, "{name}: counted when removed");
+            assert_eq!(s.free, victim as u32 + 1, "{name}: its slot is free");
+            // The freed slot is the next one taken.
+            s.push(Time::from_nanos(6_000), 10);
+            assert_eq!(s.pool.len(), 4, "{name}: the pool did not grow");
+            assert_ring_live(&s);
+            let order: Vec<_> = drain(&mut s).into_iter().map(|(_, e)| e).collect();
+            let mut want: Vec<usize> = (0..3).filter(|&k| k != victim).collect();
+            want.extend([9, 10]);
+            assert_eq!(order, want, "{name}");
+            let stats = s.stats();
+            assert_eq!(stats.pushes, stats.pops + stats.stale_skips, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_rearm_into_the_same_bucket_replaces_the_entry_in_place() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let t = s.timer_create();
+        s.timer_arm(t, Time::from_nanos(1_000), 1);
+        s.timer_arm(t, Time::from_nanos(1_010), 2);
+        assert_ring_live(&s);
+        assert_eq!((s.ring_len, s.pool.len(), s.len()), (1, 1, 1));
+        assert_eq!(s.stats().stale_skips, 1);
+        assert_eq!(drain(&mut s), vec![(Time::from_nanos(1_010), 2)]);
+        assert_eq!(s.held(), 0);
+    }
+
+    #[test]
+    fn a_deadline_that_dies_in_due_or_the_overflow_is_removed_later_and_counted_once() {
+        let far = Time::from_nanos((NUM_BUCKETS as u64) << (BUCKET_SHIFT + 2));
+        for rearm in [false, true] {
+            // In `due`: the timer's bucket opens under an earlier event.
+            let mut s: Scheduler<u32> = Scheduler::new();
+            let t = s.timer_create();
+            s.timer_arm(t, Time::from_nanos(100), 1);
+            s.push(Time::from_nanos(96), 0);
+            assert_eq!(s.pop(), Some((Time::from_nanos(96), 0)));
+            assert_eq!((s.ring_len, s.due.len()), (0, 1), "the timer waits in due");
+            if rearm {
+                s.timer_arm(t, Time::from_nanos(5_000), 2);
+            } else {
+                s.timer_cancel(t);
+            }
+            assert_ring_live(&s);
+            assert_eq!(s.stats().stale_skips, 0, "the residue waits in due");
+            let want = if rearm {
+                vec![(Time::from_nanos(5_000), 2)]
+            } else {
+                vec![]
+            };
+            assert_eq!(drain(&mut s), want);
+            assert_eq!(s.stats().stale_skips, 1, "dropped from due, once");
+
+            // In the overflow: dropped by the cascade that reaches it.
+            let mut s: Scheduler<u32> = Scheduler::new();
+            let t = s.timer_create();
+            s.timer_arm(t, far, 1);
+            s.push(far + Duration::nanos(1), 0);
+            if rearm {
+                s.timer_arm(t, far + Duration::nanos(2), 2);
+            } else {
+                s.timer_cancel(t);
+            }
+            let waiting = if rearm { 3 } else { 2 };
+            assert_eq!((s.ring_len, s.overflow.len()), (0, waiting));
+            assert_eq!(
+                s.stats().stale_skips,
+                0,
+                "the residue waits in the overflow"
+            );
+            let (_, first) = s.pop().unwrap();
+            assert_eq!(first, 0);
+            assert_eq!(s.stats().cascades, 1);
+            assert_eq!(s.stats().stale_skips, 1, "the cascade dropped it");
+            assert_ring_live(&s);
+            drain(&mut s);
+            let stats = s.stats();
+            assert_eq!(stats.pushes, stats.pops + stats.stale_skips);
+        }
+    }
+
+    #[test]
+    fn a_cascade_hands_a_spilled_timer_its_link() {
+        // A timer armed past the horizon spills into the ring when the
+        // clock nears it; a cancel there unlinks it like any ring entry.
+        let span = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let t = s.timer_create();
+        s.push(Time::from_nanos(span + 10), 0);
+        s.timer_arm(t, Time::from_nanos(span + span / 2), 1);
+        assert_eq!(s.overflow.len(), 2);
+        assert_eq!(s.pop(), Some((Time::from_nanos(span + 10), 0)));
+        assert_eq!(s.ring_len, 1, "the timer spilled into the ring");
+        assert_ring_live(&s);
+        s.timer_cancel(t);
+        assert_eq!((s.ring_len, s.stats().stale_skips), (0, 1));
+        assert_ring_live(&s);
+        assert_eq!(s.pop(), None);
+    }
+
     #[test]
     fn pool_never_outgrows_the_pending_peak_and_reuses_indices() {
         // A steady population: 256 self-rescheduling events and 32
         // timers armed 100–200 µs out on every pop, one in five of them
-        // cancelled instead, so superseded and cancelled deadlines wait
-        // in the ring as tombstones. A far timer sits in the overflow
-        // until the clock nears it. The run covers four revolutions.
+        // cancelled instead. A far timer sits in the overflow until the
+        // clock nears it. The run covers four revolutions. A dead
+        // deadline leaves the ring with the call that killed it, so the
+        // pool holds no slack for the dead: its length never exceeds the
+        // peak of live ring entries, read after every call.
         let revolution = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
         const FAR: u32 = u32::MAX;
         const EXPIRY: u32 = u32::MAX - 1;
@@ -976,10 +1186,27 @@ mod tests {
         for i in 0..256 {
             s.push(Time::from_nanos(i * 7), i as u32);
         }
+        // Live entries in the ring: every live one not in `due` or the
+        // overflow (both hold only what a walk of them finds live).
+        let live_in_ring = |s: &Scheduler<u32>| {
+            let outside = s.due.iter().chain(&s.overflow);
+            s.len() - outside.filter(|e| !s.is_stale(e)).count()
+        };
         let mut rng = 0x9E37_79B9_7F4A_7C15u64;
-        let (mut peak, mut pushes_into_ring) = (0, 0usize);
+        let mut peak = 0;
+        let mut check = |s: &Scheduler<u32>| {
+            peak = peak.max(live_in_ring(s));
+            assert!(
+                s.pool.len() <= peak,
+                "pool {} > live peak {peak}",
+                s.pool.len()
+            );
+            peak
+        };
+        let mut calls = 0u64;
         while s.now().as_nanos() < 4 * revolution {
             let (t, e) = s.pop().unwrap();
+            check(&s);
             if e == FAR || e == EXPIRY {
                 continue;
             }
@@ -987,30 +1214,35 @@ mod tests {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
             let r = rng >> 33;
-            let before = s.ring_len;
             s.push(t + Duration::nanos(256 + r % 2_000), e);
+            check(&s);
             let timer = timers[r as usize % timers.len()];
             if r % 5 == 0 {
                 s.timer_cancel(timer);
             } else {
                 s.timer_arm(timer, t + Duration::micros(100 + r % 100), EXPIRY);
             }
-            pushes_into_ring += s.ring_len - before;
-            // Only a pop takes entries out of the ring, so the end of an
-            // iteration sees every high-water mark.
-            peak = peak.max(s.ring_len);
-            assert!(s.pool.len() <= peak, "pool {} > peak {peak}", s.pool.len());
+            check(&s);
+            calls += 1;
+            if calls % 4_096 == 0 {
+                assert_ring_live(&s);
+            }
         }
-        assert_eq!(s.stats().cascades, 1, "the far timer cascaded");
+        let peak = check(&s);
+        let stats = s.stats();
+        assert_eq!(stats.cascades, 1, "the far timer cascaded");
+        assert!(stats.stale_skips > calls / 2, "the dead were counted");
         assert!(
-            s.pool.len() * 50 < pushes_into_ring,
-            "pool {} for {pushes_into_ring} ring pushes",
-            s.pool.len()
+            s.pool.len() * 50 < stats.pushes as usize,
+            "pool {} for {} pushes",
+            s.pool.len(),
+            stats.pushes
         );
 
         // Drain, then fill the ring back to its peak: every entry takes
         // an index, or capacity, that the first run left behind.
         while s.pop().is_some() {}
+        assert_eq!(s.held(), 0);
         let capacity = s.pool.capacity();
         let now = s.now();
         for i in 0..peak as u64 {

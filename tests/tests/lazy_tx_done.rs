@@ -16,9 +16,14 @@
 //! `sync/iwarp/pfc=*/loss=0.01/ecmp`) was rewritten when the scheduler's
 //! buckets narrowed from 256 to 32 ns: a `sched.cascade` line carries
 //! its bucket's start, and with those lines removed the four traces
-//! match the old ones byte for byte. Here every hash and every timer
-//! count is equal, the events that are not fabric events are as many
-//! as they were, and the fabric events are strictly fewer.
+//! match the old ones byte for byte. The `stale_reclaims` column was
+//! rewritten when a cancelled or re-armed timer began unlinking its
+//! dead entry from the ring at once: a dead deadline is counted when it
+//! is removed, so the cells whose run ended with dead entries still
+//! waiting in the ring count them now, and no other column moved. Here
+//! every hash and every timer count is equal, the events that are not
+//! fabric events are as many as they were, and the fabric events are
+//! strictly fewer.
 //!
 //! The matrix: 5 transports × PFC on/off × loss {0, 1 %} × {ECMP,
 //! packet spray} × three traffic shapes — Poisson; a shuffle round plus

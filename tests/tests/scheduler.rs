@@ -10,7 +10,10 @@
 //! pushed under later (or never), must produce identical delivered
 //! sequences on both implementations — including runs that lap the
 //! ring several times, where every slot's list and pooled entry is
-//! reused.
+//! reused, and arm- and cancel-heavy mixes inside the ring's horizon,
+//! where nearly every dead deadline is unlinked from its bucket by the
+//! call that killed it. After every operation the scheduler's entry
+//! books balance: pushes == pops + reclaimed + held.
 //!
 //! The integration half drives the engine through the cells that churn
 //! timers hardest. The guarantees the scheduler buys — **zero** stale
@@ -184,6 +187,14 @@ fn run_differential(ops: &[(usize, usize, u64)]) -> (Time, SchedStats) {
         // the engine's own schedules always derive from a delivered
         // event's time, which satisfies this by construction.
         frontier = frontier.max(reference.queue.now());
+        // Every entry pushed was popped, was removed dead, or is still
+        // held: a dead deadline in the ring leaves with its cancel.
+        let stats = sched.stats();
+        assert_eq!(
+            stats.pushes,
+            stats.pops + stats.stale_skips + sched.held() as u64,
+            "entry books"
+        );
         // The live-event count must track the reference's armed state
         // exactly (cheap invariant; full equality is checked by the
         // drain below).
@@ -206,6 +217,7 @@ fn run_differential(ops: &[(usize, usize, u64)]) -> (Time, SchedStats) {
         }
     }
     assert!(sched.is_empty());
+    assert_eq!(sched.held(), 0, "a drained scheduler holds nothing");
     // Every entry that went in came out or was a reclaimed tombstone:
     // unused reservations are in neither count.
     let stats = sched.stats();
@@ -250,6 +262,28 @@ proptest! {
         prop_assert!(stats.cascades >= 1, "no cascade ran");
     }
 
+    /// Timer-churn variant: arms and cancels outnumber everything else
+    /// and every deadline falls inside the ring horizon, so nearly every
+    /// dead deadline is unlinked from its bucket by the call that killed
+    /// it. Pops open buckets while the churn goes on, so some die in the
+    /// open `due` run instead.
+    #[test]
+    fn scheduler_matches_reference_under_timer_churn_in_the_ring(
+        ops in proptest::collection::vec((0usize..10, 0usize..TIMERS, 0u64..RING_SPAN_NS / 2), 1..400),
+    ) {
+        run_differential(&churn(&ops));
+    }
+
+    /// Timer-churn variant with deadlines a few buckets apart: lists
+    /// hold several entries, so unlinks hit their heads, middles and
+    /// tails, and re-arms land in the bucket they left.
+    #[test]
+    fn scheduler_matches_reference_under_timer_churn_in_few_buckets(
+        ops in proptest::collection::vec((0usize..10, 0usize..TIMERS, 0u64..200), 1..400),
+    ) {
+        run_differential(&churn(&ops));
+    }
+
     /// Many-revolution variant: a pop follows every op, so the clock
     /// keeps pace with the pushes and the run laps the ~1 ms ring
     /// several times, reusing each slot's list and the pooled entries
@@ -265,6 +299,15 @@ proptest! {
             "the run reached only {reached}"
         );
     }
+}
+
+/// Map a selector in `0..10` onto an arm- and cancel-heavy mix: four
+/// arms, three cancels, two pops and one plain push in ten.
+fn churn(ops: &[(usize, usize, u64)]) -> Vec<(usize, usize, u64)> {
+    const MIX: [usize; 10] = [1, 1, 1, 1, 2, 2, 2, 3, 3, 0];
+    ops.iter()
+        .map(|&(sel, k, gap)| (MIX[sel], k, gap))
+        .collect()
 }
 
 /// A cancelled deadline never surfaces, even when re-arms raced it
